@@ -3,7 +3,8 @@
 The pipeline has four stages, each usable on its own:
 
 - ``geometry``: pinhole projection, 5D poses, and frame transforms.
-- ``matching``: learned pairwise object similarity with null handling.
+- ``matching``: learned pairwise object similarity with null handling,
+  trained against the (n_a+1) x (n_b+1) match matrix of two frames.
 - ``tracker``: assignment-based tracking and per-track pose aggregation.
 - ``evaluation``: CLEAR-MOT scores and geo-localization precision/recall.
 
@@ -30,7 +31,6 @@ from .scene import (  # noqa: F401
     Detection,
     FrameRecord,
     SceneSequence,
-    TrainingPair,
     build_match_matrix,
     load_scene,
     pad_bbox,
@@ -42,12 +42,9 @@ from .matching import (  # noqa: F401
     MatcherConfig,
     MatcherParams,
     augment_normalize,
-    build_descriptor,
-    build_feature_matrix,
     build_pair_tensor,
     load_checkpoint,
     save_checkpoint,
-    score_pairs,
     train_matcher,
 )
 from .assignment import AssignmentResult, hungarian  # noqa: F401

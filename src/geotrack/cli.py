@@ -156,18 +156,17 @@ def cmd_dataset(args):
     return 0
 
 
-def _load_dataset(index_path):
+def _load_dataset(index_path, capacity):
     doc = _read_json(index_path)
     if doc.get("format") != 1:
         raise SchemaError(f"unsupported dataset format {doc.get('format')!r}")
-    scenes = [load_scene(p) for p in doc["scenes"]]
+    scenes = [load_scene(p, capacity) for p in doc["scenes"]]
     return doc, scenes
 
 
 def cmd_train(args):
     started = time.time()
     out = _out_dir(args)
-    doc, scenes = _load_dataset(args.dataset)
     cfg_doc = _load_config_file(args.config)
     if args.seed is not None:
         cfg_doc["seed"] = args.seed
@@ -181,13 +180,13 @@ def cmd_train(args):
         if key in cfg_doc:
             cfg_doc[key] = tuple(cfg_doc[key])
     config = MatcherConfig(**cfg_doc)
-    samples = make_matching_dataset(
-        scenes, doc["n_max"], doc["pairs_per_scene"], doc["seed"],
-        capacity=config.capacity,
-    )
     params = load_checkpoint(args.resume) if args.resume else None
     if params is not None:
         config = params.config
+    doc, scenes = _load_dataset(args.dataset, config.capacity)
+    samples = make_matching_dataset(
+        scenes, doc["n_max"], doc["pairs_per_scene"], doc["seed"]
+    )
     params, history = train_matcher(samples, config, params=params)
     ckpt = out / "checkpoint.json"
     save_checkpoint(params, ckpt)
@@ -210,8 +209,8 @@ def cmd_train(args):
 def cmd_track(args):
     started = time.time()
     out = _out_dir(args)
-    scene = load_scene(args.scene)
     params = load_checkpoint(args.checkpoint)
+    scene = load_scene(args.scene, params.config.capacity)
     state, entries = track_scene(
         scene, Matcher(params), aggregate=args.aggregate,
         score_threshold=args.score_threshold,

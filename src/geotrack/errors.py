@@ -59,10 +59,6 @@ class NonFiniteLossError(GeotrackError):
     """Training produced NaN/Inf; aborted with diagnostics."""
 
 
-class OutOfBoundsError(GeotrackError):
-    """A pixel position lies outside the image."""
-
-
 class OutOfOrderFrameError(GeotrackError):
     """Frames must be presented in strictly increasing index order."""
 

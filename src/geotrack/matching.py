@@ -35,18 +35,12 @@ from .errors import (
     CapacityExceededError,
     ConfigError,
     DegenerateMatchError,
-    FrameMismatchError,
     NonFiniteLossError,
     ParseError,
     SchemaError,
     ShapeMismatchError,
 )
-from .geometry import (
-    REFERENCE,
-    normalize_rotation,
-    recover_translation,
-    reference_transform,
-)
+from .geometry import normalize_rotation, recover_translation, reference_transform
 from .numerics import init_mlp, mlp_backward, mlp_forward
 from .scene import atomic_write_text
 
@@ -104,26 +98,12 @@ class MatcherConfig:
 
 
 @dataclass
-class ObjectDescriptor:
-    """Geometry (+ embedding) and appearance features of one detection."""
-
-    appearance: np.ndarray
-    geometry: np.ndarray
-
-    @property
-    def fused(self):
-        return np.concatenate([self.geometry, self.appearance])
-
-
-@dataclass
 class SimilarityBundle:
     """Raw, augmented, normalized, and fused similarities of a frame pair."""
 
     S: np.ndarray  # (rows, cols) similarities in [0, 1]
-    S1: np.ndarray  # (rows, cols+1): appended null column
-    S2: np.ndarray  # (rows+1, cols): appended null row
-    S1n: np.ndarray
-    S2n: np.ndarray
+    S1n: np.ndarray  # (rows, cols+1): normalized, appended null column
+    S2n: np.ndarray  # (rows+1, cols): normalized, appended null row
     fused: np.ndarray  # (rows+1, cols+1) inference similarity
     n_rows: int
     n_cols: int
@@ -165,8 +145,9 @@ class PairSample:
     ego_a: object
     ego_b: object
     ego_ref: object
-    intrinsics: object
-    match: np.ndarray  # (capacity+1, capacity+1)
+    intrinsics_a: object
+    intrinsics_b: object
+    match: np.ndarray  # (len(a)+1, len(b)+1), see scene.build_match_matrix
 
 
 # --- parameter construction -----------------------------------------------------
@@ -200,51 +181,6 @@ def init_matcher_params(config, rng=None):
 
 
 # --- descriptor assembly -----------------------------------------------------------
-
-
-def build_descriptor(appearance, ref_pose, embedding=None):
-    """Fuse appearance, reference-frame pose features, and embedding G.
-
-    Geometry layout is (T_x, T_y, T_z, R_x, R_y, 0) followed by G; the
-    sixth slot is an explicit pad so the pose block keeps its documented
-    width of 6.
-    """
-    if ref_pose.frame_id != REFERENCE:
-        raise FrameMismatchError(
-            f"descriptor pose must be in the reference frame, got {ref_pose.frame_id!r}"
-        )
-    appearance = np.asarray(appearance, dtype=np.float64).reshape(-1)
-    emb = (
-        np.zeros(0)
-        if embedding is None
-        else np.asarray(embedding, dtype=np.float64).reshape(-1)
-    )
-    geometry = np.concatenate([ref_pose.T, ref_pose.R, [0.0], emb])
-    return ObjectDescriptor(appearance=appearance, geometry=geometry)
-
-
-def build_feature_matrix(descriptors, capacity, dim=None):
-    """Stack fused descriptors into a fixed-size (capacity, d) matrix."""
-    if len(descriptors) > capacity:
-        raise CapacityExceededError(
-            f"{len(descriptors)} descriptors exceed capacity {capacity}"
-        )
-    if descriptors:
-        fused = [d.fused for d in descriptors]
-        widths = {f.shape[0] for f in fused}
-        if len(widths) > 1:
-            raise ShapeMismatchError(f"descriptor dims differ: {sorted(widths)}")
-        dim = fused[0].shape[0] if dim is None else dim
-        if fused[0].shape[0] != dim:
-            raise ShapeMismatchError(
-                f"descriptor dim {fused[0].shape[0]} != expected {dim}"
-            )
-    elif dim is None:
-        raise ShapeMismatchError("empty descriptor list needs an explicit dim")
-    out = np.zeros((capacity, dim))
-    for i, d in enumerate(descriptors):
-        out[i] = d.fused
-    return out
 
 
 def build_pair_tensor(features_a, features_b):
@@ -290,15 +226,6 @@ def score_pair_logits(pair_tensor, scorer, input_scale=None, input_shift=None,
     return logits.reshape(n_a, n_b)
 
 
-def score_pairs(pair_tensor, scorer, input_scale=None, input_shift=None):
-    """Similarity in (0, 1) for every descriptor pair.
-
-    Each entry depends only on its own pair vector (the 1x1 property), so
-    perturbing one descriptor can only change its row and column.
-    """
-    return _sigmoid(score_pair_logits(pair_tensor, scorer, input_scale, input_shift))
-
-
 def _softmax_rows_with_null(block, delta, n_rows, n_cols):
     """Per-row softmax over each real row's real entries plus the null slot."""
     rows, cols = block.shape
@@ -333,6 +260,8 @@ def augment_normalize(S, delta, n_rows=None, n_cols=None,
                       softmax_axis="per-object", base=None):
     """Append the null column/row at ``delta`` and normalize.
 
+    S1 = [base | delta] gains a null column and S2 = [base ; delta] a null
+    row; the bundle keeps their normalized forms S1n and S2n.
     ``S`` holds the [0, 1] similarities; ``base`` (default ``S``) is the
     matrix actually augmented and normalized, which lets callers feed raw
     scorer logits instead. Rows/columns past ``n_rows``/``n_cols`` are
@@ -354,8 +283,6 @@ def augment_normalize(S, delta, n_rows=None, n_cols=None,
     if B.shape != S.shape:
         raise ShapeMismatchError("base matrix must match S")
 
-    S1 = np.concatenate([B, np.full((rows, 1), float(delta))], axis=1)
-    S2 = np.concatenate([B, np.full((1, cols), float(delta))], axis=0)
     if softmax_axis == "per-object":
         S1n = _softmax_rows_with_null(B, delta, n_rows, n_cols)
         S2n = _softmax_rows_with_null(B.T, delta, n_cols, n_rows).T
@@ -374,22 +301,9 @@ def augment_normalize(S, delta, n_rows=None, n_cols=None,
     fused[:rows, cols] = S1n[:, cols]
     fused[rows, :cols] = S2n[rows, :]
     return SimilarityBundle(
-        S=S, S1=S1, S2=S2, S1n=S1n, S2n=S2n, fused=fused,
+        S=S, S1n=S1n, S2n=S2n, fused=fused,
         n_rows=n_rows, n_cols=n_cols, softmax_axis=softmax_axis,
     )
-
-
-def compress_match_matrix(match, n_rows, n_cols):
-    """Shrink a capacity-sized match matrix to (n_rows+1, n_cols+1)."""
-    match = np.asarray(match)
-    cap = match.shape[0] - 1
-    if n_rows > cap or n_cols > cap:
-        raise CapacityExceededError("real counts exceed match-matrix capacity")
-    out = np.zeros((n_rows + 1, n_cols + 1), dtype=np.int64)
-    out[:n_rows, :n_cols] = match[:n_rows, :n_cols]
-    out[:n_rows, n_cols] = match[:n_rows, cap]
-    out[n_rows, :n_cols] = match[cap, :n_cols]
-    return out
 
 
 def loss_affinity(bundle, match, with_grad=False):
@@ -460,17 +374,6 @@ def loss_affinity(bundle, match, with_grad=False):
     return loss
 
 
-def _joint_from(affinity, pose_losses, lam):
-    pose_losses = list(pose_losses)
-    mean_pose = float(np.mean(pose_losses)) if pose_losses else 0.0
-    return affinity + lam * mean_pose
-
-
-def loss_joint(bundle, match, pose_losses, lam=0.005):
-    """Affinity loss plus lam-weighted mean pose loss over all detections."""
-    return _joint_from(loss_affinity(bundle, match), pose_losses, lam)
-
-
 # --- per-detection forward/backward chains -------------------------------------------
 
 
@@ -480,7 +383,7 @@ class _DetectionTape:
     __slots__ = (
         "features", "geometry", "embedding", "pose_loss",
         "attn", "head_cache", "head_out",
-        "r_raw_norm", "r_hat", "center", "depth", "B", "C",
+        "r_raw_norm", "r_hat", "center", "depth", "B", "C", "intrinsics",
         "target_vec",
     )
 
@@ -501,6 +404,7 @@ def _forward_detection(features, params, B, d_off, C, intrinsics):
     tape = _DetectionTape()
     tape.features = features
     tape.B, tape.C = B, C
+    tape.intrinsics = intrinsics
     tape.pose_loss = None
     tape.embedding = None
 
@@ -563,9 +467,10 @@ def _forward_detection(features, params, B, d_off, C, intrinsics):
     return tape
 
 
-def _backward_detection(tape, d_geometry, pose_weight, params, intrinsics, grads):
+def _backward_detection(tape, d_geometry, pose_weight, params, grads):
     """Push descriptor-geometry and pose-loss gradients into the trainables."""
     cfg = params.config
+    intrinsics = tape.intrinsics
     d_emb = d_geometry[GEOMETRY_PREFIX:].copy()
 
     if cfg.use_pose_head:
@@ -636,6 +541,44 @@ def _zero_grads(params):
     return grads
 
 
+def _describe(features_list, params, ego, ego_ref, intrinsics):
+    """One frame's detection tapes and its (n, d) ``[geometry | appearance]``
+    descriptor rows, all mapped into the ``ego_ref`` camera frame."""
+    cfg = params.config
+    B, d_off, C = reference_transform(ego, ego_ref)
+    tapes, rows = [], []
+    for f in features_list:
+        if f.appearance.shape[0] != cfg.appearance_dim:
+            raise SchemaError(
+                f"appearance vector has {f.appearance.shape[0]} dims; "
+                f"this matcher expects {cfg.appearance_dim}"
+            )
+        tape = _forward_detection(f, params, B, d_off, C, intrinsics)
+        tapes.append(tape)
+        rows.append(np.concatenate([tape.geometry, f.appearance]))
+    return tapes, np.array(rows).reshape(len(rows), cfg.descriptor_dim)
+
+
+def _score(feats_a, feats_b, params, cache=None):
+    """Similarity bundle between two descriptor matrices.
+
+    An empty side has no pairs to score and leaves only the null options.
+    When ``cache`` is a list it receives the scorer's forward pass for
+    ``mlp_backward``.
+    """
+    cfg = params.config
+    n1, n2 = len(feats_a), len(feats_b)
+    if n1 == 0 or n2 == 0:
+        return augment_normalize(np.zeros((n1, n2)), cfg.delta, n1, n2, cfg.softmax_axis)
+    logits = score_pair_logits(
+        build_pair_tensor(feats_a, feats_b), params.scorer,
+        params.input_scale, params.input_shift, cache=cache,
+    )
+    S = _sigmoid(logits)
+    base = logits if cfg.score_space == "logit" else S
+    return augment_normalize(S, cfg.delta, n1, n2, cfg.softmax_axis, base=base)
+
+
 def forward_pair(sample, params, with_grad=False, pose_only=False):
     """Joint loss (and gradients) of one training pair.
 
@@ -651,104 +594,52 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
         raise CapacityExceededError(
             f"pair has {max(n1, n2)} detections; capacity is {cfg.capacity}"
         )
-    B_a, d_a, C_a = reference_transform(sample.ego_a, sample.ego_ref)
-    B_b, d_b, C_b = reference_transform(sample.ego_b, sample.ego_ref)
-    tapes_a = [
-        _forward_detection(f, params, B_a, d_a, C_a, sample.intrinsics)
-        for f in sample.a
-    ]
-    tapes_b = [
-        _forward_detection(f, params, B_b, d_b, C_b, sample.intrinsics)
-        for f in sample.b
-    ]
-    feats_a = np.array([np.concatenate([t.geometry, t.features.appearance])
-                        for t in tapes_a]).reshape(n1, -1) if n1 else np.zeros((0, cfg.descriptor_dim))
-    feats_b = np.array([np.concatenate([t.geometry, t.features.appearance])
-                        for t in tapes_b]).reshape(n2, -1) if n2 else np.zeros((0, cfg.descriptor_dim))
-
-    match = compress_match_matrix(sample.match, n1, n2)
-    pose_losses = [t.pose_loss for t in tapes_a + tapes_b if t.pose_loss is not None]
+    tapes_a, feats_a = _describe(sample.a, params, sample.ego_a, sample.ego_ref,
+                                 sample.intrinsics_a)
+    tapes_b, feats_b = _describe(sample.b, params, sample.ego_b, sample.ego_ref,
+                                 sample.intrinsics_b)
+    tapes = tapes_a + tapes_b
+    pose_losses = [t.pose_loss for t in tapes if t.pose_loss is not None]
+    mean_pose = float(np.mean(pose_losses)) if pose_losses else 0.0
 
     if pose_only:
-        mean_pose = float(np.mean(pose_losses)) if pose_losses else 0.0
         out = {"affinity": float("nan"), "pose_losses": pose_losses,
                "joint": mean_pose, "bundle": None}
-        if with_grad:
-            grads = _zero_grads(params)
-            weight = 1.0 / len(pose_losses) if pose_losses else 0.0
-            for tape in tapes_a + tapes_b:
-                _backward_detection(
-                    tape, np.zeros(GEOMETRY_PREFIX + cfg.embed_dim),
-                    weight, params, sample.intrinsics, grads,
-                )
-            out["grads"] = grads
-        return out
-
-    if n1 == 0 or n2 == 0:
-        # no pairs to score; only entering/leaving structure remains
-        bundle = augment_normalize(
-            np.zeros((n1, n2)), cfg.delta, n1, n2, cfg.softmax_axis
-        )
-        affinity = loss_affinity(bundle, match)
-        out = {
-            "affinity": affinity,
-            "pose_losses": pose_losses,
-            "joint": _joint_from(affinity, pose_losses, cfg.lam),
-            "bundle": bundle,
-        }
-        if with_grad:
-            grads = _zero_grads(params)
-            weight = cfg.lam / len(pose_losses) if pose_losses else 0.0
-            for tape in tapes_a + tapes_b:
-                _backward_detection(
-                    tape, np.zeros(GEOMETRY_PREFIX + cfg.embed_dim),
-                    weight, params, sample.intrinsics, grads,
-                )
-            out["grads"] = grads
-        return out
-
-    pair_tensor = build_pair_tensor(feats_a, feats_b)
-    cache = []
-    logits = score_pair_logits(
-        pair_tensor, params.scorer, params.input_scale, params.input_shift,
-        cache=cache,
-    )
-    S = _sigmoid(logits)
-    base = logits if cfg.score_space == "logit" else S
-    bundle = augment_normalize(S, cfg.delta, n1, n2, cfg.softmax_axis, base=base)
-    affinity, d_base = loss_affinity(bundle, match, with_grad=True)
-    joint = _joint_from(affinity, pose_losses, cfg.lam)
-    out = {
-        "affinity": affinity,
-        "pose_losses": pose_losses,
-        "joint": joint,
-        "bundle": bundle,
-    }
+        pose_weight = 1.0
+    else:
+        cache = []
+        bundle = _score(feats_a, feats_b, params, cache)
+        affinity, d_base = loss_affinity(bundle, sample.match, with_grad=True)
+        out = {"affinity": affinity, "pose_losses": pose_losses,
+               "joint": affinity + cfg.lam * mean_pose, "bundle": bundle}
+        pose_weight = cfg.lam
     if not with_grad:
         return out
 
     grads = _zero_grads(params)
-    d_logits = d_base if cfg.score_space == "logit" else d_base * S * (1.0 - S)
-    scorer_grads, d_x = mlp_backward(
-        params.scorer, cache, d_logits.reshape(n1 * n2, 1)
-    )
-    for (dw, db), (gw, gb) in zip(scorer_grads, grads["scorer"]):
-        gw += dw
-        gb += db
-    scale2 = np.concatenate([params.input_scale, params.input_scale])
-    d_pairs = (d_x * scale2).reshape(n1, n2, -1)
-    d = cfg.descriptor_dim
-    d_feats_a = d_pairs[:, :, :d].sum(axis=1)
-    d_feats_b = d_pairs[:, :, d:].sum(axis=0)
-
-    weight = cfg.lam / len(pose_losses) if pose_losses else 0.0
     geom_width = GEOMETRY_PREFIX + cfg.embed_dim
-    for tape, df in zip(tapes_a, d_feats_a):
-        _backward_detection(tape, df[:geom_width], weight, params,
-                            sample.intrinsics, grads)
-    for tape, df in zip(tapes_b, d_feats_b):
-        _backward_detection(tape, df[:geom_width], weight, params,
-                            sample.intrinsics, grads)
+    if pose_only or n1 == 0 or n2 == 0:
+        # no scorer gradient reaches the descriptors
+        d_geometry = np.zeros((n1 + n2, geom_width))
+    else:
+        S = bundle.S
+        d_logits = d_base if cfg.score_space == "logit" else d_base * S * (1.0 - S)
+        scorer_grads, d_x = mlp_backward(
+            params.scorer, cache, d_logits.reshape(n1 * n2, 1)
+        )
+        for (dw, db), (gw, gb) in zip(scorer_grads, grads["scorer"]):
+            gw += dw
+            gb += db
+        scale2 = np.concatenate([params.input_scale, params.input_scale])
+        d_pairs = (d_x * scale2).reshape(n1, n2, -1)
+        d = cfg.descriptor_dim
+        d_geometry = np.concatenate([
+            d_pairs[:, :, :d].sum(axis=1), d_pairs[:, :, d:].sum(axis=0)
+        ])[:, :geom_width]
+
+    weight = pose_weight / len(pose_losses) if pose_losses else 0.0
+    for tape, dg in zip(tapes, d_geometry):
+        _backward_detection(tape, dg, weight, params, grads)
     out["grads"] = grads
     return out
 
@@ -798,15 +689,9 @@ def fit_input_standardization(samples, params):
     cfg = params.config
     rows = []
     for sample in samples:
-        B_a, d_a, C_a = reference_transform(sample.ego_a, sample.ego_ref)
-        B_b, d_b, C_b = reference_transform(sample.ego_b, sample.ego_ref)
-        for feats, (B, d_off, C) in (
-            (sample.a, (B_a, d_a, C_a)),
-            (sample.b, (B_b, d_b, C_b)),
-        ):
-            for f in feats:
-                tape = _forward_detection(f, params, B, d_off, C, sample.intrinsics)
-                rows.append(np.concatenate([tape.geometry, f.appearance]))
+        for feats, ego, intrinsics in ((sample.a, sample.ego_a, sample.intrinsics_a),
+                                       (sample.b, sample.ego_b, sample.intrinsics_b)):
+            rows.extend(_describe(feats, params, ego, sample.ego_ref, intrinsics)[1])
     if not rows:
         return params
     block = np.array(rows)
@@ -937,8 +822,7 @@ def pair_accuracy(samples, params):
         result = forward_pair(sample, params, with_grad=False)
         bundle = result["bundle"]
         n1, n2 = bundle.n_rows, bundle.n_cols
-        match = compress_match_matrix(sample.match, n1, n2)
-        fused = bundle.fused
+        match, fused = sample.match, bundle.fused
         for i in range(n1):
             total += 1
             if int(np.argmax(fused[i, : n2 + 1])) == int(np.argmax(match[i])):
@@ -948,53 +832,6 @@ def pair_accuracy(samples, params):
             if int(np.argmax(fused[: n1 + 1, j])) == int(np.argmax(match[:, j])):
                 correct += 1
     return correct / total if total else 0.0
-
-
-def average_precision(scores, labels):
-    """AP of a binary ranking (ties broken by original order)."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    labels = np.asarray(labels).reshape(-1).astype(bool)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        return float("nan")
-    order = np.argsort(-scores, kind="stable")
-    hits = 0
-    ap = 0.0
-    for rank, idx in enumerate(order, start=1):
-        if labels[idx]:
-            hits += 1
-            ap += hits / rank
-    return ap / n_pos
-
-
-def match_accuracy_map(pairs):
-    """Mean average precision of pair-match classification.
-
-    ``pairs`` holds (fused_scores, labels) per image pair: the real-block
-    similarity matrix and the binary ground-truth block. Pairs without any
-    positive are skipped.
-    """
-    aps = []
-    for scores, labels in pairs:
-        ap = average_precision(np.asarray(scores).reshape(-1),
-                               np.asarray(labels).reshape(-1))
-        if not np.isnan(ap):
-            aps.append(ap)
-    return float(np.mean(aps)) if aps else float("nan")
-
-
-def matcher_map(samples, params):
-    """match_accuracy_map over PairSamples using the trained matcher."""
-    pairs = []
-    for sample in samples:
-        result = forward_pair(sample, params, with_grad=False)
-        bundle = result["bundle"]
-        n1, n2 = bundle.n_rows, bundle.n_cols
-        if n1 == 0 or n2 == 0:
-            continue
-        match = compress_match_matrix(sample.match, n1, n2)
-        pairs.append((bundle.fused[:n1, :n2], match[:n1, :n2]))
-    return match_accuracy_map(pairs)
 
 
 # --- inference wrapper ---------------------------------------------------------------------
@@ -1008,38 +845,12 @@ class Matcher:
         self.config = params.config
 
     def descriptors(self, features_list, ego, ego_ref, intrinsics):
-        B, d_off, C = reference_transform(ego, ego_ref)
-        out = []
-        for f in features_list:
-            if f.appearance.shape[0] != self.config.appearance_dim:
-                raise SchemaError(
-                    f"appearance vector has {f.appearance.shape[0]} dims; "
-                    f"this matcher expects {self.config.appearance_dim}"
-                )
-            tape = _forward_detection(f, self.params, B, d_off, C, intrinsics)
-            out.append(np.concatenate([tape.geometry, f.appearance]))
-        return out
+        """Descriptor rows of one frame's detections in the reference frame."""
+        return list(_describe(features_list, self.params, ego, ego_ref, intrinsics)[1])
 
     def bundle(self, desc_rows, desc_cols):
         """Similarity bundle between two stacked descriptor lists."""
-        n1, n2 = len(desc_rows), len(desc_cols)
-        if n1 == 0 or n2 == 0:
-            return augment_normalize(
-                np.zeros((n1, n2)), self.config.delta, n1, n2,
-                self.config.softmax_axis,
-            )
-        feats_a = np.asarray(desc_rows, dtype=np.float64)
-        feats_b = np.asarray(desc_cols, dtype=np.float64)
-        pair_tensor = build_pair_tensor(feats_a, feats_b)
-        logits = score_pair_logits(
-            pair_tensor, self.params.scorer,
-            self.params.input_scale, self.params.input_shift,
-        )
-        S = _sigmoid(logits)
-        base = logits if self.config.score_space == "logit" else S
-        return augment_normalize(
-            S, self.config.delta, n1, n2, self.config.softmax_axis, base=base
-        )
+        return _score(desc_rows, desc_cols, self.params)
 
 
 # --- checkpoints -----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Dense-tensor kernel: softmax pooling, losses, and small MLPs.
+"""Dense-tensor kernel: the attention softmax, losses, and small MLPs.
 
 Everything runs on 64-bit numpy arrays. The MLP layers implement exact
 backpropagation for the fixed compositions used by the pose head and the
@@ -6,17 +6,16 @@ pair scorer, and ``grad_check`` verifies any scalar objective against
 central finite differences.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfBoundsError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 LOG2 = float(np.log(2.0))
 
 
-# --- softmax / pooling ---------------------------------------------------------
+# --- softmax -------------------------------------------------------------------
 
 
 def softmax_map(a):
@@ -24,48 +23,6 @@ def softmax_map(a):
     a = np.asarray(a, dtype=np.float64)
     e = np.exp(a - a.max())
     return e / e.sum()
-
-
-def attention_pool(feature_map, logits, weighted=False):
-    """Pool an (H, W, E) feature map under a softmax attention map.
-
-    Default is the literal composition: weight the map by the normalized
-    attention, then average-pool, i.e. G = (1/(H*W)) * sum(a_ij * F_ij).
-    With ``weighted=True`` the 1/(H*W) factor is dropped, which makes G the
-    attention-weighted mean instead.
-    """
-    feature_map = np.asarray(feature_map, dtype=np.float64)
-    logits = np.asarray(logits, dtype=np.float64)
-    if feature_map.ndim != 3 or logits.shape != feature_map.shape[:2]:
-        raise ShapeMismatchError(
-            f"feature map {feature_map.shape} does not match attention {logits.shape}"
-        )
-    attn = softmax_map(logits)
-    pooled = np.einsum("ij,ije->e", attn, feature_map)
-    if weighted:
-        return pooled
-    return pooled / (feature_map.shape[0] * feature_map.shape[1])
-
-
-def sample_multires(maps, center, image_size):
-    """Concatenate per-map feature vectors sampled at one pixel position.
-
-    Each (H_j, W_j, C_j) map is sampled at the nearest (floor) cell of the
-    proportionally scaled center position; outputs are concatenated in map
-    order.
-    """
-    c_x, c_y = float(center[0]), float(center[1])
-    width, height = image_size
-    if not (0 <= c_x <= width and 0 <= c_y <= height):
-        raise OutOfBoundsError(f"center ({c_x}, {c_y}) outside {width}x{height} image")
-    parts = []
-    for m in maps:
-        m = np.asarray(m, dtype=np.float64)
-        h_j, w_j = m.shape[0], m.shape[1]
-        row = min(int(c_y / height * h_j), h_j - 1)
-        col = min(int(c_x / width * w_j), w_j - 1)
-        parts.append(m[row, col].reshape(-1))
-    return np.concatenate(parts)
 
 
 # --- losses ---------------------------------------------------------------------
@@ -101,17 +58,6 @@ def loss_rot(r, r_hat):
 def loss_rot_grad(r, r_hat):
     d = np.asarray(r_hat, dtype=np.float64) - np.asarray(r, dtype=np.float64)
     return np.tanh(d)
-
-
-def loss_pose(pose, pose_hat, beta=0.1):
-    """Rotation loss plus beta-weighted translation loss.
-
-    Accepts (T, R) tuples where T may be either the 3D translation or the
-    (c_x, c_y, T_z) regression target; the formula is the same.
-    """
-    t, r = pose
-    t_hat, r_hat = pose_hat
-    return loss_rot(r, r_hat) + beta * loss_trans(t, t_hat)
 
 
 # --- MLP -------------------------------------------------------------------------
@@ -294,14 +240,3 @@ def layers_to_doc(layers):
 def layers_from_doc(doc):
     return [Layer(np.asarray(d["w"], dtype=np.float64),
                   np.asarray(d["b"], dtype=np.float64), d["act"]) for d in doc]
-
-
-def save_layers(layers, path):
-    with open(path, "w") as handle:
-        json.dump({"format": 1, "layers": layers_to_doc(layers)}, handle)
-
-
-def load_layers(path):
-    with open(path) as handle:
-        doc = json.load(handle)
-    return layers_from_doc(doc["layers"])

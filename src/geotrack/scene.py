@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    CapacityExceededError,
     FormatError,
     InvariantViolationError,
     ParseError,
@@ -96,24 +95,6 @@ class SceneSequence:
         return len(self.frames)
 
 
-@dataclass
-class TrainingPair:
-    """Frame pair plus its ground-truth match matrix.
-
-    ``match`` is (N+1) x (N+1): rows are detections of the earlier frame,
-    columns of the later frame, the extra row/column encode entering and
-    leaving objects, and padded slots are all zero.
-    """
-
-    frame_a: int
-    frame_b: int
-    match: np.ndarray
-
-    @property
-    def separation(self):
-        return self.frame_b - self.frame_a
-
-
 # --- bbox helpers -------------------------------------------------------------
 
 
@@ -142,47 +123,45 @@ def _bbox_intersects_image(bbox, intrinsics):
 # --- match matrices -----------------------------------------------------------
 
 
-def build_match_matrix(frame_a, frame_b, capacity=DEFAULT_CAPACITY):
+def build_match_matrix(frame_a, frame_b):
     """Ground-truth association matrix between two frames' detections.
 
-    M[i, j] = 1 when detection i of frame_a and detection j of frame_b
-    carry the same ground-truth id. Objects leaving set the last column,
-    objects entering set the last row; detections without a ground-truth
-    id (false positives) count as leaving/entering.
+    The int64 matrix is (n_a+1) x (n_b+1): M[i, j] = 1 when detection i of
+    frame_a and detection j of frame_b carry the same ground-truth id.
+    Objects leaving set the last column, objects entering set the last row;
+    detections without a ground-truth id (false positives) count as
+    leaving/entering. A ground-truth id may appear once per frame.
     """
     dets_a, dets_b = frame_a.detections, frame_b.detections
-    if len(dets_a) > capacity or len(dets_b) > capacity:
-        raise CapacityExceededError(
-            f"{max(len(dets_a), len(dets_b))} detections exceed capacity {capacity}"
-        )
-    ids_b = {}
-    for j, det in enumerate(dets_b):
-        if det.gt_id is not None:
-            if det.gt_id in ids_b:
-                raise InvariantViolationError(
-                    f"duplicate ground-truth id {det.gt_id} in frame {frame_b.frame_index}"
-                )
-            ids_b[det.gt_id] = j
-    m = np.zeros((capacity + 1, capacity + 1), dtype=np.int64)
-    matched_b = set()
+    ids_a, ids_b = _gt_index(frame_a), _gt_index(frame_b)
+    n_a, n_b = len(dets_a), len(dets_b)
+    m = np.zeros((n_a + 1, n_b + 1), dtype=np.int64)
     for i, det in enumerate(dets_a):
-        j = ids_b.get(det.gt_id) if det.gt_id is not None else None
-        if j is None:
-            m[i, capacity] = 1
-        else:
-            m[i, j] = 1
-            matched_b.add(j)
-    for j in range(len(dets_b)):
-        if j not in matched_b:
-            m[capacity, j] = 1
+        m[i, ids_b.get(det.gt_id, n_b)] = 1
+    for j, det in enumerate(dets_b):
+        if det.gt_id not in ids_a:
+            m[n_a, j] = 1
     return m
 
 
-def sample_training_pairs(scene, n_max, count, seed, capacity=DEFAULT_CAPACITY):
-    """Sample frame pairs with uniformly random separation n in [1, n_max].
+def _gt_index(frame):
+    """Ground-truth id -> detection index, rejecting duplicate ids."""
+    ids = {}
+    for j, det in enumerate(frame.detections):
+        if det.gt_id is not None:
+            if det.gt_id in ids:
+                raise InvariantViolationError(
+                    f"duplicate ground-truth id {det.gt_id} in frame {frame.frame_index}"
+                )
+            ids[det.gt_id] = j
+    return ids
 
-    Deterministic for a fixed seed. Frames must carry ground-truth ids so
-    the match matrices can be built.
+
+def sample_training_pairs(scene, n_max, count, seed):
+    """Sample (frame_a, frame_b) index pairs with uniformly random
+    separation n = frame_b - frame_a in [1, n_max].
+
+    Deterministic for a fixed seed.
     """
     if len(scene.frames) < 2:
         raise SceneTooShortError(
@@ -194,15 +173,7 @@ def sample_training_pairs(scene, n_max, count, seed, capacity=DEFAULT_CAPACITY):
     for _ in range(count):
         n = int(rng.integers(1, max_sep + 1))
         a = int(rng.integers(0, len(scene.frames) - n))
-        pairs.append(
-            TrainingPair(
-                frame_a=a,
-                frame_b=a + n,
-                match=build_match_matrix(
-                    scene.frames[a], scene.frames[a + n], capacity
-                ),
-            )
-        )
+        pairs.append((a, a + n))
     return pairs
 
 
@@ -525,19 +496,3 @@ def gt_mot_entries(scene):
                 )
             )
     return entries
-
-
-def export_mot(scene, hypotheses, gt_path, hyp_path):
-    """Write the annotation and hypothesis CSV files for one scene."""
-    write_mot(gt_mot_entries(scene), gt_path)
-    write_mot(hypotheses, hyp_path)
-
-
-def import_mot(path):
-    """Read a tracking CSV back into per-track entry lists."""
-    tracks = {}
-    for entry in read_mot(path):
-        tracks.setdefault(entry.track_id, []).append(entry)
-    for entries in tracks.values():
-        entries.sort(key=lambda e: e.frame)
-    return tracks

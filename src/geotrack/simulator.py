@@ -36,6 +36,7 @@ from .scene import (
     FrameRecord,
     GroundTruthObject,
     SceneSequence,
+    build_match_matrix,
     sample_training_pairs,
 )
 
@@ -351,11 +352,6 @@ def generate_scene(config, scene_id=None):
     return SceneSequence(scene_id=scene_id, frames=frames)
 
 
-def oracle_descriptors(scene, config):
-    """Per-frame appearance vectors as emitted by the identity oracle."""
-    return [[det.appearance for det in frame.detections] for frame in scene.frames]
-
-
 def world_objects(scene):
     """Deduplicated ground-truth objects of a scene (id -> world pose)."""
     out = {}
@@ -377,43 +373,36 @@ def pose_target(detection, frame):
     return None
 
 
-def make_matching_dataset(scenes, n_max, pairs_per_scene, seed,
-                          capacity=DEFAULT_CAPACITY):
+def _features(frame):
+    """Matcher inputs of a frame's detections, with pose supervision."""
+    return [
+        DetectionFeatures(
+            appearance=det.appearance,
+            observation=det.observation,
+            target=pose_target(det, frame),
+            feature_map=det.feature_map,
+        )
+        for det in frame.detections
+    ]
+
+
+def make_matching_dataset(scenes, n_max, pairs_per_scene, seed):
     """Training pairs with detection features attached, ready for the matcher."""
     samples = []
     for scene_idx, scene in enumerate(scenes):
-        pairs = sample_training_pairs(
-            scene, n_max, pairs_per_scene, seed=seed + scene_idx,
-            capacity=capacity,
-        )
-        for pair in pairs:
-            frame_a = scene.frames[pair.frame_a]
-            frame_b = scene.frames[pair.frame_b]
+        pairs = sample_training_pairs(scene, n_max, pairs_per_scene, seed=seed + scene_idx)
+        for a, b in pairs:
+            frame_a, frame_b = scene.frames[a], scene.frames[b]
             samples.append(
                 PairSample(
-                    a=[
-                        DetectionFeatures(
-                            appearance=det.appearance,
-                            observation=det.observation,
-                            target=pose_target(det, frame_a),
-                            feature_map=det.feature_map,
-                        )
-                        for det in frame_a.detections
-                    ],
-                    b=[
-                        DetectionFeatures(
-                            appearance=det.appearance,
-                            observation=det.observation,
-                            target=pose_target(det, frame_b),
-                            feature_map=det.feature_map,
-                        )
-                        for det in frame_b.detections
-                    ],
+                    a=_features(frame_a),
+                    b=_features(frame_b),
                     ego_a=frame_a.ego,
                     ego_b=frame_b.ego,
                     ego_ref=scene.reference_ego,
-                    intrinsics=frame_a.intrinsics,
-                    match=pair.match,
+                    intrinsics_a=frame_a.intrinsics,
+                    intrinsics_b=frame_b.intrinsics,
+                    match=build_match_matrix(frame_a, frame_b),
                 )
             )
     return samples

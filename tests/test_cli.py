@@ -126,6 +126,70 @@ class TestTrain:
                     "--out", tmp_path / "o")
         assert r.returncode == 3
 
+    def test_duplicate_gt_id_in_earlier_frame_exits_3(self, tmp_path):
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"appearance_dim": 8, "n_objects": 4, "n_frames": 2,
+                                   "lateral_range": [-4, 4], "depth_range": [20, 40]}))
+        scenes = tmp_path / "scenes"
+        assert run_cli("simulate", "--config", sim, "--seed", "3",
+                       "--out", scenes).returncode == 0
+        path = next(scenes.glob("scene-*.json"))
+        doc = json.loads(path.read_text())
+        earlier, later = (f["detections"] for f in doc["frames"])
+        assert len(earlier) >= 2 and earlier[0]["gt_id"] in {d["gt_id"] for d in later}
+        earlier[1]["gt_id"] = earlier[0]["gt_id"]
+        path.write_text(json.dumps(doc))
+        assert run_cli("dataset", "--scenes", scenes, "--n-max", "1",
+                       "--pairs-per-scene", "1", "--out", tmp_path / "ds").returncode == 0
+        config = tmp_path / "matcher.json"
+        config.write_text(json.dumps({"appearance_dim": 8, "epochs": 1}))
+        r = run_cli("train", "--dataset", tmp_path / "ds" / "pairs.json",
+                    "--config", config, "--out", tmp_path / "model")
+        assert r.returncode == 3, r.stderr
+        assert "duplicate ground-truth id" in r.stderr
+
+
+@pytest.fixture(scope="module")
+def over_capacity(tmp_path_factory):
+    """A dataset of scenes with 12 visible objects, more than a capacity of 5."""
+    root = tmp_path_factory.mktemp("capacity")
+    sim = root / "sim.json"
+    sim.write_text(json.dumps({"appearance_dim": 8, "n_objects": 12, "n_frames": 6,
+                               "lateral_range": [-6, 6], "depth_range": [20, 50]}))
+    scenes = root / "scenes"
+    assert run_cli("simulate", "--config", sim, "--seed", "7", "--scenes", "2",
+                   "--out", scenes).returncode == 0
+    scene = sorted(scenes.glob("scene-*.json"))[0]
+    assert max(len(f["detections"])
+               for f in json.loads(scene.read_text())["frames"]) > 5
+    assert run_cli("dataset", "--scenes", scenes, "--n-max", "3",
+                   "--pairs-per-scene", "4", "--out", root / "ds").returncode == 0
+    return {"root": root, "scene": scene, "dataset": root / "ds" / "pairs.json"}
+
+
+class TestCapacity:
+    WARNING = "exceed capacity 5; keeping the top-5 by confidence"
+
+    def test_train_keeps_top_detections_with_warning(self, over_capacity, tmp_path):
+        config = tmp_path / "matcher.json"
+        config.write_text(json.dumps({"appearance_dim": 8, "capacity": 5, "epochs": 1,
+                                      "scorer_hidden": [8, 8, 6, 4, 4]}))
+        r = run_cli("train", "--dataset", over_capacity["dataset"],
+                    "--config", config, "--out", tmp_path / "model")
+        assert r.returncode == 0, r.stderr
+        assert self.WARNING in r.stderr
+
+    def test_track_keeps_top_detections_with_warning(self, pipeline, over_capacity,
+                                                     tmp_path):
+        doc = json.loads((pipeline["model"] / "checkpoint.json").read_text())
+        doc["config"]["capacity"] = 5
+        checkpoint = tmp_path / "capacity-5.json"
+        checkpoint.write_text(json.dumps(doc))
+        r = run_cli("track", "--scene", over_capacity["scene"],
+                    "--checkpoint", checkpoint, "--out", tmp_path / "tracked")
+        assert r.returncode == 0, r.stderr
+        assert self.WARNING in r.stderr
+
 
 @pytest.fixture(scope="module")
 def tracked(pipeline, tmp_path_factory):

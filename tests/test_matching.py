@@ -1,48 +1,57 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from geotrack.errors import (
-    CapacityExceededError,
     ConfigError,
     DegenerateMatchError,
-    FrameMismatchError,
     NonFiniteLossError,
     ShapeMismatchError,
 )
-from geotrack.geometry import REFERENCE, WORLD, Pose5D
+from geotrack.geometry import CameraIntrinsics, EgoPose, PixelObservation
 from geotrack.matching import (
+    DetectionFeatures,
     Matcher,
     MatcherConfig,
     PairSample,
     augment_normalize,
-    average_precision,
-    build_descriptor,
-    build_feature_matrix,
     build_pair_tensor,
-    compress_match_matrix,
     fit_input_standardization,
     forward_pair,
     init_matcher_params,
     loss_affinity,
-    loss_joint,
-    match_accuracy_map,
-    matcher_map,
     pair_accuracy,
     params_from_doc,
     params_to_doc,
-    score_pairs,
     train_matcher,
     _named_arrays,
     _named_grads,
 )
-from geotrack.numerics import grad_check, init_mlp
+from geotrack.numerics import grad_check
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
 
+K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
+                     width=1600, height=900)
+IDENTITY = EgoPose.identity()
 
-def ref_pose(t=(1.0, 2.0, 3.0), r=(0.6, 0.8)):
-    return Pose5D(t, r, REFERENCE)
+
+def scoring_matcher(rng, appearance_dim=2):
+    """Matcher with a fresh six-layer scorer and identity standardization."""
+    cfg = MatcherConfig(appearance_dim=appearance_dim, scorer_hidden=(6, 5, 4, 4, 3))
+    return Matcher(init_matcher_params(cfg, rng))
+
+
+def describe_one(appearance, feature_map):
+    """Descriptor of one detection seen at T = (1, 1, 4), R = (0.6, 0.8)
+    by a camera that is its own reference frame."""
+    cfg = MatcherConfig(appearance_dim=len(appearance), embed_dim=feature_map.shape[2])
+    feats = DetectionFeatures(
+        appearance=np.asarray(appearance, dtype=np.float64), feature_map=feature_map,
+        observation=PixelObservation(c=(1050.0, 700.0), T_z=4.0, R=(0.6, 0.8)),
+    )
+    return Matcher(init_matcher_params(cfg)).descriptors([feats], IDENTITY, IDENTITY, K)[0]
 
 
 def small_samples(emit_maps=False, n_scenes=2, appearance_dim=8):
@@ -63,17 +72,17 @@ def small_samples(emit_maps=False, n_scenes=2, appearance_dim=8):
 
 class TestDescriptors:
     def test_documented_layout(self):
-        desc = build_descriptor(np.zeros(4), ref_pose(), np.zeros(2))
-        np.testing.assert_array_equal(desc.geometry[:6], [1, 2, 3, 0.6, 0.8, 0])
-        assert desc.fused.shape == (12,)
+        # (T, R, 0, G, appearance); a 1x1 feature map pools to itself
+        appearance = [0.1, 0.2, 0.3, 0.4]
+        desc = describe_one(appearance, np.array([[[3.0, -3.0]]]))
+        assert desc.shape == (12,)
+        np.testing.assert_allclose(desc[:6], [1, 1, 4, 0.6, 0.8, 0], atol=1e-12)
+        np.testing.assert_array_equal(desc[6:8], [3.0, -3.0])
+        np.testing.assert_array_equal(desc[8:], appearance)
 
     def test_paper_dimensions(self):
-        desc = build_descriptor(np.zeros(500), ref_pose(), np.zeros(128))
-        assert desc.fused.shape == (634,)
-
-    def test_frame_mismatch(self):
-        with pytest.raises(FrameMismatchError):
-            build_descriptor(np.zeros(4), Pose5D((0, 0, 1), (1, 0), WORLD))
+        desc = describe_one(np.zeros(500), np.zeros((1, 1, 128)))
+        assert desc.shape == (634,)
 
     def test_zero_noise_descriptors_agree(self):
         scene = generate_scene(SimConfig(seed=5, n_frames=10, n_objects=3,
@@ -95,30 +104,6 @@ class TestDescriptors:
         for versions in by_id.values():
             for v in versions[1:]:
                 np.testing.assert_allclose(v, versions[0], atol=1e-9)
-
-
-class TestFeatureMatrix:
-    def test_empty_list(self):
-        out = build_feature_matrix([], 4, dim=7)
-        assert out.shape == (4, 7)
-        assert not out.any()
-
-    def test_full_capacity_no_padding(self):
-        descs = [build_descriptor(np.ones(2), ref_pose()) for _ in range(3)]
-        out = build_feature_matrix(descs, 3)
-        assert out.shape == (3, 8)
-        assert out.any(axis=1).all()  # every row is a real descriptor
-
-    def test_padding_rows_zero(self):
-        descs = [build_descriptor(np.ones(2), ref_pose()) for _ in range(2)]
-        out = build_feature_matrix(descs, 4)
-        assert not out[2:].any()
-        assert out[:2].any()
-
-    def test_capacity_exceeded(self):
-        descs = [build_descriptor(np.ones(2), ref_pose()) for _ in range(5)]
-        with pytest.raises(CapacityExceededError):
-            build_feature_matrix(descs, 4)
 
 
 class TestPairTensor:
@@ -151,14 +136,14 @@ class TestPairTensor:
 
 class TestScorePairs:
     def test_locality_bit_identical(self, rng):
-        scorer = init_mlp([8, 6, 5, 4, 4, 3, 1],
-                          ["relu"] * 5 + ["linear"], rng)
-        fa = rng.normal(size=(4, 4))
-        fb = rng.normal(size=(4, 4))
-        base = score_pairs(build_pair_tensor(fa, fb), scorer)
+        # the 1x1 property: moving one descriptor only changes its row
+        matcher = scoring_matcher(rng)
+        fa = rng.normal(size=(4, 8))
+        fb = rng.normal(size=(4, 8))
+        base = matcher.bundle(fa, fb).S
         fa2 = fa.copy()
         fa2[2] += 0.5
-        moved = score_pairs(build_pair_tensor(fa2, fb), scorer)
+        moved = matcher.bundle(fa2, fb).S
         for i in range(4):
             for j in range(4):
                 if i == 2:
@@ -166,17 +151,15 @@ class TestScorePairs:
                 assert moved[i, j] == base[i, j]
 
     def test_values_in_open_unit_interval(self, rng):
-        scorer = init_mlp([6, 4, 1], ["relu", "linear"], rng)
-        out = score_pairs(build_pair_tensor(rng.normal(size=(3, 3)),
-                                            rng.normal(size=(3, 3))), scorer)
+        matcher = scoring_matcher(rng)
+        out = matcher.bundle(rng.normal(size=(3, 8)), rng.normal(size=(3, 8))).S
         assert ((out > 0) & (out < 1)).all()
 
     def test_zero_final_weights_give_sigmoid_bias(self, rng):
-        scorer = init_mlp([6, 4, 1], ["relu", "linear"], rng)
-        scorer[-1].w[:] = 0.0
-        scorer[-1].b[:] = 0.3
-        out = score_pairs(build_pair_tensor(rng.normal(size=(2, 3)),
-                                            rng.normal(size=(2, 3))), scorer)
+        matcher = scoring_matcher(rng)
+        matcher.params.scorer[-1].w[:] = 0.0
+        matcher.params.scorer[-1].b[:] = 0.3
+        out = matcher.bundle(rng.normal(size=(2, 8)), rng.normal(size=(3, 8))).S
         np.testing.assert_allclose(out, 1.0 / (1.0 + math.exp(-0.3)))
 
 
@@ -221,7 +204,8 @@ class TestAugmentNormalize:
         sims = 1.0 / (1.0 + np.exp(-logits))
         bundle = augment_normalize(sims, 8.0, base=logits)
         np.testing.assert_array_equal(bundle.S, sims)
-        np.testing.assert_array_equal(bundle.S1[:, :2], logits)
+        np.testing.assert_array_equal(bundle.S1n, augment_normalize(logits, 8.0).S1n)
+        assert not np.array_equal(bundle.S1n, augment_normalize(sims, 8.0).S1n)
 
     def test_literal_axis_normalizes_columns_of_s1(self, rng):
         base = rng.normal(size=(3, 3))
@@ -297,31 +281,21 @@ class TestLossAffinity:
                                               abs=1e-9)
 
     def test_joint_composition(self):
-        # bundle with normalized match probability exactly 0.5 each way
-        bundle = self.one_to_one_bundle(0.5)
-        match = self.match_matrix()
-        affinity = loss_affinity(bundle, match)
-        assert affinity == pytest.approx(math.log(2.0), abs=1e-12)
-        # log 2 = 0.6931...; adding 0.005 * mean pose loss of 2.0
-        assert loss_joint(bundle, match, [2.0], 0.005) == pytest.approx(
-            affinity + 0.01, abs=1e-12
-        )
-        assert loss_joint(bundle, match, [2.0], 0.005) == pytest.approx(
-            0.70314718, abs=1e-6
-        )
-        assert loss_joint(bundle, match, [], 0.005) == affinity
-        assert loss_joint(bundle, match, [3.0, 1.0], 0.0) == affinity
-
-
-class TestCompressMatch:
-    def test_moves_null_row_and_column(self):
-        m = np.zeros((5, 5), dtype=int)
-        m[0, 1] = 1
-        m[1, 4] = 1  # leaver
-        m[4, 0] = 1  # entrant
-        out = compress_match_matrix(m, 2, 2)
-        assert out.shape == (3, 3)
-        assert out[0, 1] == 1 and out[1, 2] == 1 and out[2, 0] == 1
+        # joint = affinity + lam * mean pose loss over both frames' detections
+        samples = small_samples(emit_maps=True)
+        cfg = MatcherConfig(appearance_dim=8, embed_dim=6, use_pose_head=True,
+                            scorer_hidden=(16, 12, 8, 8, 6), pose_hidden=(8, 6),
+                            seed=3, lam=0.25)
+        params = fit_input_standardization(samples, init_matcher_params(cfg))
+        no_pose = replace(params, config=replace(cfg, lam=0.0))
+        for sample in samples[:4]:
+            res = forward_pair(sample, params)
+            assert len(res["pose_losses"]) == len(sample.a) + len(sample.b)
+            assert res["joint"] == pytest.approx(
+                res["affinity"] + 0.25 * np.mean(res["pose_losses"]), abs=1e-12
+            )
+            assert res["joint"] > res["affinity"]
+            assert forward_pair(sample, no_pose)["joint"] == res["affinity"]
 
 
 class TestConfig:
@@ -480,12 +454,12 @@ class TestEmptySides:
         cfg = MatcherConfig(appearance_dim=8, scorer_hidden=(16, 12, 8, 8, 6),
                             seed=2)
         params = fit_input_standardization(samples, init_matcher_params(cfg))
-        match = np.zeros((cfg.capacity + 1, cfg.capacity + 1), dtype=int)
-        for i in range(len(template.a)):
-            match[i, cfg.capacity] = 1  # everything leaves
+        match = np.zeros((len(template.a) + 1, 1), dtype=np.int64)
+        match[:-1, 0] = 1  # everything leaves
         empty_b = PairSample(a=template.a, b=[], ego_a=template.ego_a,
                              ego_b=template.ego_b, ego_ref=template.ego_ref,
-                             intrinsics=template.intrinsics, match=match)
+                             intrinsics_a=template.intrinsics_a,
+                             intrinsics_b=template.intrinsics_b, match=match)
         res = forward_pair(empty_b, params, with_grad=True)
         assert np.isfinite(res["affinity"])
         assert res["bundle"].fused.shape == (len(template.a) + 1, 1)
@@ -495,44 +469,53 @@ class TestEmptySides:
         )
 
 
+class TestPerSideIntrinsics:
+    """Each side of a training pair goes through its own frame's camera."""
+
+    def two_frame_sample(self, emit_maps=False):
+        scene = generate_scene(SimConfig(
+            seed=21, n_frames=2, n_objects=4, appearance_dim=4,
+            lateral_range=(-4, 4), depth_range=(20, 40),
+            emit_feature_maps=emit_maps, embed_dim=6, feature_map_size=(3, 3),
+            feature_sigma=0.02))
+        later = scene.frames[1]
+        later.intrinsics = replace(later.intrinsics, f_x=1.5 * later.intrinsics.f_x,
+                                   f_y=1.5 * later.intrinsics.f_y)
+        [sample] = make_matching_dataset([scene], n_max=1, pairs_per_scene=1, seed=0)
+        assert sample.a and sample.b
+        return scene, sample
+
+    def test_training_geometry_matches_tracking_descriptors(self):
+        scene, sample = self.two_frame_sample()
+        cfg = MatcherConfig(appearance_dim=4, scorer_hidden=(10, 8, 8, 6, 4), seed=5)
+        params = fit_input_standardization([sample], init_matcher_params(cfg))
+        matcher = Matcher(params)
+        rows_a, rows_b = (
+            matcher.descriptors(feats, frame.ego, scene.reference_ego, frame.intrinsics)
+            for frame, feats in zip(scene.frames, (sample.a, sample.b))
+        )
+        # standardization is fitted on the training-side descriptors ...
+        np.testing.assert_array_equal(params.input_shift,
+                                      np.array(rows_a + rows_b).mean(axis=0))
+        # ... and the training pair scores exactly what tracking scores
+        np.testing.assert_array_equal(forward_pair(sample, params)["bundle"].S,
+                                      matcher.bundle(rows_a, rows_b).S)
+
+    def test_pose_head_gradients(self):
+        _, sample = self.two_frame_sample(emit_maps=True)
+        cfg = MatcherConfig(appearance_dim=4, embed_dim=6, use_pose_head=True,
+                            scorer_hidden=(10, 8, 8, 6, 4), pose_hidden=(8, 6), seed=5)
+        params = fit_input_standardization([sample], init_matcher_params(cfg))
+
+        def f(_):
+            res = forward_pair(sample, params, with_grad=True)
+            return res["joint"], dict(_named_grads(params, res["grads"]))
+
+        report = grad_check(f, dict(_named_arrays(params)), tolerance=1e-4)
+        assert report.passed, (report.worst_param, report.max_error)
+
+
 class TestAccuracyMetrics:
-    def test_average_precision_perfect(self):
-        assert average_precision([0.9, 0.8, 0.1], [1, 1, 0]) == 1.0
-
-    def test_average_precision_reversed_hand_value(self):
-        # ranking [0, 0, 1]: the single positive lands at rank 3 -> AP 1/3
-        assert average_precision([0.1, 0.5, 0.9], [1, 0, 0]) == pytest.approx(
-            1.0 / 3.0
-        )
-
-    def test_map_perfect_scorer(self):
-        scores = np.array([[0.9, 0.1], [0.2, 0.8]])
-        labels = np.eye(2, dtype=int)
-        assert match_accuracy_map([(scores, labels)]) == 1.0
-
-    def test_map_random_scores_near_prevalence(self):
-        # random ranking scores chance level: AP concentrates at the
-        # positive prevalence (plus the small finite-sample bias of AP)
-        rng = np.random.default_rng(0)
-        labels = np.zeros(400, dtype=int)
-        labels[:200] = 1
-        labels = labels.reshape(20, 20)  # prevalence 0.5
-        aps = np.array([
-            match_accuracy_map([(rng.random((20, 20)), labels)])
-            for _ in range(1000)
-        ])
-        assert abs(aps.mean() - 0.5) < 0.02
-        sigma = aps.std()
-        assert np.all(np.abs(aps - aps.mean()) < 5 * sigma)
-
-    def test_matcher_map_on_trained(self, trained_matcher):
-        samples = make_matching_dataset(
-            [generate_scene(SimConfig(seed=777, n_frames=16, n_objects=4,
-                                      appearance_dim=16))],
-            n_max=10, pairs_per_scene=10, seed=4,
-        )
-        assert matcher_map(samples, trained_matcher.params) > 0.95
-
     def test_pair_accuracy_trained_beats_random(self, trained_matcher):
         samples = make_matching_dataset(
             [generate_scene(SimConfig(seed=778, n_frames=16, n_objects=4,
@@ -558,10 +541,9 @@ class TestAccuracyMetrics:
             n1, n2 = bundle.n_rows, bundle.n_cols
             if n1 == 0 or n2 == 0:
                 continue
-            match = compress_match_matrix(sample.match, n1, n2)
             for i in range(n1):
                 for j in range(n2):
-                    (same if match[i, j] else cross).append(bundle.fused[i, j])
+                    (same if sample.match[i, j] else cross).append(bundle.fused[i, j])
         return np.array(same), np.array(cross)
 
     def test_heldout_auc_above_095(self, trained_matcher):

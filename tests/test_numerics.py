@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,28 +6,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geotrack.errors import OutOfBoundsError, ShapeMismatchError
+from geotrack.errors import ShapeMismatchError
+from geotrack.geometry import CameraIntrinsics, EgoPose, PixelObservation
+from geotrack.matching import (
+    DetectionFeatures,
+    Matcher,
+    MatcherConfig,
+    PairSample,
+    forward_pair,
+    init_matcher_params,
+)
 from geotrack.numerics import (
     Layer,
-    attention_pool,
     grad_check,
     init_mlp,
     layers_from_doc,
     layers_to_doc,
-    load_layers,
-    loss_pose,
     loss_rot,
     loss_rot_grad,
     loss_trans,
     loss_trans_grad,
     mlp_backward,
     mlp_forward,
-    sample_multires,
-    save_layers,
     softmax_map,
 )
 
 LOGCOSH_1 = math.log(math.cosh(1.0))  # independent direct evaluation
+K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
+                     width=1600, height=900)
+IDENTITY = EgoPose.identity()
+
+
+def pooling_matcher(embed_dim, w, b, pooling="mean"):
+    """Observation-route matcher whose attention logits are fmap @ w + b."""
+    params = init_matcher_params(MatcherConfig(appearance_dim=1, embed_dim=embed_dim,
+                                               pooling=pooling))
+    params.attention_w = np.asarray(w, dtype=np.float64)
+    params.attention_b = np.array([float(b)])
+    return Matcher(params)
+
+
+def embedding(matcher, fmap):
+    """The attention-pooled embedding slot G of one detection's descriptor."""
+    feats = DetectionFeatures(
+        appearance=np.zeros(1), feature_map=np.asarray(fmap, dtype=np.float64),
+        observation=PixelObservation(c=(800.0, 450.0), T_z=10.0, R=(0.0, 1.0)),
+    )
+    row = matcher.descriptors([feats], IDENTITY, IDENTITY, K)[0]
+    return row[6:6 + matcher.config.embed_dim]
 
 
 class TestSoftmaxMap:
@@ -63,42 +90,41 @@ class TestAttentionPool:
     def test_constant_field(self, rng):
         v = np.array([2.0, -1.0, 0.5])
         fmap = np.broadcast_to(v, (4, 5, 3)).copy()
-        out = attention_pool(fmap, rng.normal(size=(4, 5)))
+        out = embedding(pooling_matcher(3, rng.normal(size=3), 0.4), fmap)
         np.testing.assert_allclose(out, v / 20.0, atol=1e-12)
 
     def test_dominant_logit_selects_pixel(self, rng):
         fmap = rng.normal(size=(3, 3, 4))
-        logits = np.zeros((3, 3))
-        logits[1, 2] = 1e6
-        out = attention_pool(fmap, logits)
+        fmap[:, :, 3] = 0.0
+        fmap[1, 2, 3] = 1e3  # the only logit that is not zero
+        out = embedding(pooling_matcher(4, [0.0, 0.0, 0.0, 1.0], 0.0), fmap)
         np.testing.assert_allclose(out, fmap[1, 2] / 9.0, atol=1e-6)
 
     def test_hand_fixture(self):
-        # 2x1 map: weights softmax(1, 0) = (e/(e+1), 1/(e+1)); pooled over
-        # 2 cells with the 1/(H*W) factor.
+        # 2x1 map with logits (1, 0): weights softmax(1, 0) = (e/(e+1),
+        # 1/(e+1)); pooled over 2 cells with the 1/(H*W) factor.
         fmap = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])
-        logits = np.array([[1.0], [0.0]])
         w1 = math.e / (math.e + 1.0)
         w0 = 1.0 / (math.e + 1.0)
         expected = np.array([
             (w1 * 1.0 + w0 * 3.0) / 2.0,
             (w1 * 2.0 + w0 * 4.0) / 2.0,
         ])
-        np.testing.assert_allclose(attention_pool(fmap, logits), expected,
-                                   atol=1e-12)
+        out = embedding(pooling_matcher(2, [-0.5, 0.0], 1.5), fmap)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_weighted_variant_drops_factor(self, rng):
         fmap = rng.normal(size=(2, 3, 2))
-        logits = rng.normal(size=(2, 3))
+        w, b = rng.normal(size=2), rng.normal()
         np.testing.assert_allclose(
-            attention_pool(fmap, logits, weighted=True),
-            attention_pool(fmap, logits) * 6.0,
+            embedding(pooling_matcher(2, w, b, pooling="weighted"), fmap),
+            embedding(pooling_matcher(2, w, b), fmap) * 6.0,
             atol=1e-12,
         )
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            attention_pool(np.zeros((2, 2, 3)), np.zeros((3, 2)))
+            embedding(pooling_matcher(3, np.zeros(3), 0.0), np.zeros((2, 2, 2)))
 
 
 class TestLosses:
@@ -152,12 +178,24 @@ class TestLosses:
             assert g[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     def test_pose_combination(self):
-        pose = ((0.0, 0.0, 0.0), (1.0, 0.0))
-        pose_hat = ((3.0, 4.0, 0.0), (0.0, 0.0))
-        assert loss_pose(pose, pose_hat, beta=0.1) == pytest.approx(
-            LOGCOSH_1 + 0.1 * 5.0
-        )
-        assert loss_pose(pose, pose_hat, beta=0.0) == pytest.approx(LOGCOSH_1)
+        # the pose head is pinned to c = (800, 450), T_z = 25, R = (1, 0);
+        # against the target ((803, 454), 25, (0, 0)) the rotation error is
+        # 1 in one component and the translation error is 5
+        for beta, expected in ((0.1, LOGCOSH_1 + 0.1 * 5.0), (0.0, LOGCOSH_1)):
+            cfg = MatcherConfig(appearance_dim=1, embed_dim=2, use_pose_head=True,
+                                pose_hidden=(3,), beta=beta)
+            params = init_matcher_params(cfg)
+            params.pose_head[-1].w[:] = 0.0
+            params.pose_head[-1].b[:] = [0.5, 0.5, 0.25, 1.0, 0.0]
+            feats = DetectionFeatures(appearance=np.zeros(1),
+                                      target=((803.0, 454.0), 25.0, (0.0, 0.0)),
+                                      feature_map=np.ones((2, 2, 2)))
+            sample = PairSample(a=[feats], b=[], ego_a=IDENTITY, ego_b=IDENTITY,
+                                ego_ref=IDENTITY, intrinsics_a=K, intrinsics_b=K,
+                                match=np.array([[1], [0]]))
+            res = forward_pair(sample, params, pose_only=True)
+            assert res["pose_losses"] == [pytest.approx(expected)]
+            assert res["joint"] == pytest.approx(expected)
 
     def test_losses_nonnegative(self, rng):
         for _ in range(100):
@@ -238,43 +276,12 @@ class TestMlp:
 
         assert grad_check(f, {"w": w}, tolerance=1e-7).passed
 
-    def test_checkpoint_round_trip(self, tmp_path, rng):
+    def test_checkpoint_round_trip(self, rng):
         layers = init_mlp([3, 4, 2], ["relu", "linear"], rng)
-        path = tmp_path / "mlp.json"
-        save_layers(layers, path)
-        back = load_layers(path)
+        back = layers_from_doc(json.loads(json.dumps(layers_to_doc(layers))))
         for a, b in zip(layers, back):
             assert np.array_equal(a.w, b.w)
             assert np.array_equal(a.b, b.b)
             assert a.act == b.act
         assert layers_to_doc(back) == layers_to_doc(layers_from_doc(
             layers_to_doc(layers)))
-
-
-class TestSampleMultires:
-    def test_single_cell_map(self, rng):
-        m = rng.normal(size=(1, 1, 4))
-        out = sample_multires([m], (123.0, 456.0), (1600, 900))
-        np.testing.assert_array_equal(out, m[0, 0])
-
-    def test_midpoint_floor_rule(self):
-        m = np.arange(8.0).reshape(2, 2, 2)
-        out = sample_multires([m], (800.0, 450.0), (1600, 900))
-        np.testing.assert_array_equal(out, m[1, 1])
-
-    def test_concatenates_in_order(self, rng):
-        a = rng.normal(size=(2, 2, 3))
-        b = rng.normal(size=(4, 4, 2))
-        out = sample_multires([a, b], (10.0, 10.0), (1600, 900))
-        assert out.shape == (5,)
-        np.testing.assert_array_equal(out[:3], a[0, 0])
-        np.testing.assert_array_equal(out[3:], b[0, 0])
-
-    def test_edge_center_clamps(self, rng):
-        m = rng.normal(size=(3, 3, 1))
-        out = sample_multires([m], (1600.0, 900.0), (1600, 900))
-        np.testing.assert_array_equal(out, m[2, 2])
-
-    def test_out_of_bounds(self):
-        with pytest.raises(OutOfBoundsError):
-            sample_multires([np.zeros((2, 2, 1))], (1601.0, 10.0), (1600, 900))

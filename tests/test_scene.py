@@ -21,7 +21,6 @@ from geotrack.scene import (
     SceneSequence,
     build_match_matrix,
     gt_mot_entries,
-    import_mot,
     load_scene,
     mot_from_csv,
     mot_to_csv,
@@ -31,7 +30,6 @@ from geotrack.scene import (
     scene_from_doc,
     scene_to_doc,
     scene_to_json,
-    write_mot,
 )
 from geotrack.simulator import SimConfig, generate_scene
 
@@ -84,61 +82,80 @@ class TestPadBbox:
 
 class TestMatchMatrix:
     def test_single_shared_object(self):
-        m = build_match_matrix(frame_with([det(1)]), frame_with([det(1)], 1), 4)
-        assert m[0, 0] == 1
-        assert m[:4, :4].sum() == 1
+        m = build_match_matrix(frame_with([det(1)]), frame_with([det(1)], 1))
+        np.testing.assert_array_equal(m, [[1, 0], [0, 0]])
+        assert m.dtype == np.int64
 
     def test_leaver_sets_last_column(self):
-        m = build_match_matrix(frame_with([det(1)]), frame_with([], 1), 4)
-        assert m[0, 4] == 1
+        m = build_match_matrix(frame_with([det(1)]), frame_with([], 1))
+        np.testing.assert_array_equal(m, [[1], [0]])
 
     def test_entrant_sets_last_row(self):
-        m = build_match_matrix(frame_with([]), frame_with([det(2)], 1), 4)
-        assert m[4, 0] == 1
+        m = build_match_matrix(frame_with([]), frame_with([det(2)], 1))
+        np.testing.assert_array_equal(m, [[1, 0]])
 
     def test_permutation(self):
         a = frame_with([det(1), det(2), det(3)])
         b = frame_with([det(3), det(1), det(2)], 1)
-        m = build_match_matrix(a, b, 5)
-        expected = np.zeros((3, 3))
+        m = build_match_matrix(a, b)
+        expected = np.zeros((4, 4))
         expected[0, 1] = expected[1, 2] = expected[2, 0] = 1
-        np.testing.assert_array_equal(m[:3, :3], expected)
+        np.testing.assert_array_equal(m, expected)
 
     def test_false_positive_goes_to_null(self):
-        m = build_match_matrix(frame_with([det(None)]), frame_with([det(1)], 1), 4)
-        assert m[0, 4] == 1 and m[4, 0] == 1
+        m = build_match_matrix(frame_with([det(None)]), frame_with([det(1)], 1))
+        np.testing.assert_array_equal(m, [[0, 1], [1, 0]])
 
     def test_capacity(self):
+        # the matrix is sized by the detections; the matcher's capacity is
+        # enforced where pairs are scored
+        from geotrack.matching import MatcherConfig, forward_pair, init_matcher_params
+        from geotrack.simulator import make_matching_dataset
+
+        a = frame_with([det(i) for i in range(5)])
+        m = build_match_matrix(a, frame_with([], 1))
+        np.testing.assert_array_equal(m, [[1]] * 5 + [[0]])
+        scene = generate_scene(SimConfig(seed=11, n_frames=4, n_objects=6,
+                                         appearance_dim=4, lateral_range=(-3, 3),
+                                         depth_range=(30, 40)))
+        sample = make_matching_dataset([scene], 1, 1, seed=0)[0]
+        params = init_matcher_params(MatcherConfig(appearance_dim=4, capacity=2))
         with pytest.raises(CapacityExceededError):
-            build_match_matrix(frame_with([det(i) for i in range(5)]),
-                               frame_with([], 1), 4)
+            forward_pair(sample, params)
+
+    @pytest.mark.parametrize("duplicate_in", ["frame_a", "frame_b"])
+    def test_duplicate_gt_id_rejected(self, duplicate_in):
+        once = frame_with([det(1), det(2)])
+        twice = frame_with([det(1), det(1)])
+        a, b = (twice, once) if duplicate_in == "frame_a" else (once, twice)
+        with pytest.raises(InvariantViolationError, match="duplicate ground-truth id 1"):
+            build_match_matrix(a, b)
 
     def test_real_rows_and_columns_sum_to_one(self):
         scene = generate_scene(SimConfig(seed=11, n_frames=12, n_objects=5,
                                          miss_rate=0.2, fp_rate=0.3,
                                          appearance_dim=4))
-        for pair in sample_training_pairs(scene, 8, 25, seed=2, capacity=10):
-            m = pair.match
-            n1 = len(scene.frames[pair.frame_a].detections)
-            n2 = len(scene.frames[pair.frame_b].detections)
-            for i in range(n1):
-                assert m[i].sum() == 1
-            for j in range(n2):
-                assert m[:, j].sum() == 1
-            assert m[n1:10, :].sum() == 0 and m[:, n2:10].sum() == 0
+        for a, b in sample_training_pairs(scene, 8, 25, seed=2):
+            m = build_match_matrix(scene.frames[a], scene.frames[b])
+            n1 = len(scene.frames[a].detections)
+            n2 = len(scene.frames[b].detections)
+            assert m.shape == (n1 + 1, n2 + 1)
+            np.testing.assert_array_equal(m[:n1].sum(axis=1), 1)
+            np.testing.assert_array_equal(m[:, :n2].sum(axis=0), 1)
+            assert m[n1, n2] == 0
 
 
 class TestSampleTrainingPairs:
     def test_two_frame_scene_always_separation_one(self):
         scene = generate_scene(SimConfig(seed=1, n_frames=2, appearance_dim=4))
         pairs = sample_training_pairs(scene, 35, 10, seed=0)
-        assert all(p.separation == 1 for p in pairs)
+        assert pairs == [(0, 1)] * 10
 
     def test_deterministic_under_seed(self):
         scene = generate_scene(SimConfig(seed=1, n_frames=20, appearance_dim=4))
         a = sample_training_pairs(scene, 10, 50, seed=7)
         b = sample_training_pairs(scene, 10, 50, seed=7)
-        assert [(p.frame_a, p.frame_b) for p in a] == [(p.frame_a, p.frame_b) for p in b]
+        assert a == b
 
     def test_too_short(self):
         scene = generate_scene(SimConfig(seed=1, n_frames=2, appearance_dim=4))
@@ -151,7 +168,7 @@ class TestSampleTrainingPairs:
                                          appearance_dim=2))
         n_max, count = 35, 10000
         pairs = sample_training_pairs(scene, n_max, count, seed=5)
-        counts = np.bincount([p.separation for p in pairs], minlength=n_max + 1)[1:]
+        counts = np.bincount([b - a for a, b in pairs], minlength=n_max + 1)[1:]
         p = 1.0 / n_max
         sigma = np.sqrt(count * p * (1 - p))
         assert np.all(np.abs(counts - count * p) <= 3 * sigma + 1)
@@ -274,30 +291,9 @@ class TestMotCsv:
         with pytest.raises(FormatError):
             mot_to_csv([MotEntry(0, 0, (1, 2, 3, 4))])
 
-    def test_import_groups_tracks(self, tmp_path):
-        entries = [MotEntry(0, 1, (1, 2, 3, 4)), MotEntry(1, 1, (1, 2, 3, 4)),
-                   MotEntry(0, 2, (5, 6, 7, 8))]
-        path = tmp_path / "tracks.txt"
-        write_mot(entries, path)
-        tracks = import_mot(path)
-        assert sorted(tracks) == [1, 2]
-        assert [e.frame for e in tracks[1]] == [0, 1]
-
     def test_gt_entries_from_simulated_scene(self):
         scene = generate_scene(SimConfig(seed=4, n_frames=6, n_objects=3,
                                          appearance_dim=4))
         entries = gt_mot_entries(scene)
         assert entries
         assert all(e.world_xyz is not None for e in entries)
-
-    def test_export_mot_writes_both_files(self, tmp_path):
-        from geotrack.scene import export_mot, read_mot
-
-        scene = generate_scene(SimConfig(seed=4, n_frames=6, n_objects=3,
-                                         appearance_dim=4))
-        hyp = [MotEntry(frame=0, track_id=1, bbox=(1, 2, 3, 4))]
-        gt_path = tmp_path / "gt.txt"
-        hyp_path = tmp_path / "hyp.txt"
-        export_mot(scene, hyp, gt_path, hyp_path)
-        assert len(read_mot(gt_path)) == len(gt_mot_entries(scene))
-        assert len(read_mot(hyp_path)) == 1

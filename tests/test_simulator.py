@@ -9,7 +9,6 @@ from geotrack.simulator import (
     generate_scene,
     make_matching_dataset,
     object_appearance,
-    oracle_descriptors,
     pose_target,
     world_objects,
 )
@@ -119,11 +118,10 @@ class TestOracleAppearance:
     def test_same_object_identical_without_noise(self):
         scene = generate_scene(SimConfig(seed=12, n_frames=10, n_objects=3,
                                          appearance_dim=16))
-        per_frame = oracle_descriptors(scene, None)
         by_id = {}
-        for frame, vecs in zip(scene.frames, per_frame):
-            for det, vec in zip(frame.detections, vecs):
-                by_id.setdefault(det.gt_id, []).append(vec)
+        for frame in scene.frames:
+            for det in frame.detections:
+                by_id.setdefault(det.gt_id, []).append(det.appearance)
         for vecs in by_id.values():
             for v in vecs[1:]:
                 np.testing.assert_array_equal(v, vecs[0])
@@ -157,10 +155,11 @@ class TestMatchingDataset:
                                          lateral_range=(-1, 1),
                                          depth_range=(40, 45)))
         samples = make_matching_dataset([scene], n_max=6, pairs_per_scene=8,
-                                        seed=0, capacity=5)
+                                        seed=0)
         for s in samples:
+            assert s.match.shape == (len(s.a) + 1, len(s.b) + 1)
             if len(s.a) == 1 and len(s.b) == 1:
-                assert s.match[0, 0] == 1
+                np.testing.assert_array_equal(s.match, [[1, 0], [0, 0]])
 
     def test_reproducible(self):
         scene = generate_scene(SimConfig(seed=14, n_frames=12, n_objects=3,
@@ -178,7 +177,7 @@ class TestMatchingDataset:
 
         n_max, count = 35, 10000
         pairs = sample_training_pairs(scene, n_max, count, seed=1)
-        seps = np.array([p.separation for p in pairs])
+        seps = np.array([b - a for a, b in pairs])
         expected = (1 + n_max) / 2
         sigma = np.sqrt(((n_max ** 2 - 1) / 12) / count)
         assert abs(seps.mean() - expected) < 3 * sigma
