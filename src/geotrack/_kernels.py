@@ -1,29 +1,14 @@
-"""Loop-heavy numeric kernels.
-
-The two inner loops that dominate tracking/evaluation runtime live here:
-the rectangular assignment solver and the pairwise box-IoU matrix. Each is
-written once as a plain function over ndarrays and JIT-compiled with numba
-when available. Set ``GEOTRACK_DISABLE_NUMBA=1`` to force the pure-Python
-fallback (same code path, no compilation); ``benchmarks/bench_kernels.py``
-compares the two.
+"""Loop-heavy numeric kernels: the rectangular assignment solver and the
+pairwise box-IoU matrix, the two inner loops that dominate tracking and
+evaluation runtime. Each has one implementation: the solver is a
+shortest-augmenting-path loop over ndarrays, the IoU matrix one broadcast.
 """
-
-import os
 
 import numpy as np
 
-_TRUTHY = ("1", "true", "yes", "on")
-NUMBA_DISABLED = os.environ.get("GEOTRACK_DISABLE_NUMBA", "").lower() in _TRUTHY
-
-if not NUMBA_DISABLED:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # numba is optional (the ``jit`` extra)
-        _njit = None
-else:
-    _njit = None
-
-NUMBA_ENABLED = _njit is not None
+# The kernels are never JIT-compiled; the benchmark's environment record
+# (``numba_enabled``) still reads this flag.
+NUMBA_ENABLED = False
 
 
 def _lap_core(cost, u, v, col4row, row4col):
@@ -95,45 +80,7 @@ def _lap_core(cost, u, v, col4row, row4col):
     return 0
 
 
-def _iou_matrix_core(boxes_a, boxes_b, out):
-    """Pairwise IoU of two box sets in (left, top, width, height) form."""
-    for i in range(boxes_a.shape[0]):
-        al, at, aw, ah = boxes_a[i, 0], boxes_a[i, 1], boxes_a[i, 2], boxes_a[i, 3]
-        ar = al + aw
-        ab = at + ah
-        area_a = aw * ah
-        for j in range(boxes_b.shape[0]):
-            bl, bt, bw, bh = boxes_b[j, 0], boxes_b[j, 1], boxes_b[j, 2], boxes_b[j, 3]
-            iw = min(ar, bl + bw) - max(al, bl)
-            if iw <= 0.0:
-                out[i, j] = 0.0
-                continue
-            ih = min(ab, bt + bh) - max(at, bt)
-            if ih <= 0.0:
-                out[i, j] = 0.0
-                continue
-            inter = iw * ih
-            union = area_a + bw * bh - inter
-            out[i, j] = inter / union if union > 0.0 else 0.0
-    return out
-
-
-lap_core_py = _lap_core
-iou_matrix_core_py = _iou_matrix_core
-
-if NUMBA_ENABLED:
-    lap_core_jit = _njit(cache=True)(_lap_core)
-    iou_matrix_core_jit = _njit(cache=True)(_iou_matrix_core)
-    _lap_impl = lap_core_jit
-    _iou_impl = iou_matrix_core_jit
-else:
-    lap_core_jit = None
-    iou_matrix_core_jit = None
-    _lap_impl = lap_core_py
-    _iou_impl = iou_matrix_core_py
-
-
-def solve_lap_min(cost, impl=None):
+def solve_lap_min(cost):
     """Solve min-cost complete row assignment for an m x n cost matrix, m <= n.
 
     Returns (col4row, u, v) or raises ValueError on infeasibility / bad input.
@@ -154,24 +101,24 @@ def solve_lap_min(cost, impl=None):
     row4col = np.full(n, -1, dtype=np.int64)
     if m == 0:
         return col4row, u, v
-    rc = (_lap_impl if impl is None else impl)(cost, u, v, col4row, row4col)
-    if rc != 0:
+    if _lap_core(cost, u, v, col4row, row4col) != 0:
         raise ValueError("no feasible complete assignment")
     return col4row, u, v
 
 
-def iou_matrix(boxes_a, boxes_b, impl=None):
-    """IoU between every pair of (left, top, width, height) boxes."""
-    boxes_a = np.ascontiguousarray(boxes_a, dtype=np.float64).reshape(-1, 4)
-    boxes_b = np.ascontiguousarray(boxes_b, dtype=np.float64).reshape(-1, 4)
-    out = np.empty((boxes_a.shape[0], boxes_b.shape[0]), dtype=np.float64)
-    if out.size == 0:
-        return out
-    return (_iou_impl if impl is None else impl)(boxes_a, boxes_b, out)
+def iou_matrix(boxes_a, boxes_b):
+    """IoU between every pair of (left, top, width, height) boxes.
 
-
-def warmup():
-    """Trigger JIT compilation so later calls (and timings) exclude it."""
-    cost = np.array([[1.0, 2.0], [2.0, 1.0]])
-    solve_lap_min(cost)
-    iou_matrix(np.array([[0.0, 0.0, 2.0, 2.0]]), np.array([[1.0, 1.0, 2.0, 2.0]]))
+    A pair scores 0 unless its overlap has positive width and height and
+    its union is positive.
+    """
+    a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 1, 4)
+    b = np.asarray(boxes_b, dtype=np.float64).reshape(1, -1, 4)
+    al, at, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bl, bt, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    iw = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
+    ih = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
+    inter = iw * ih
+    union = aw * ah + bw * bh - inter
+    hit = (iw > 0.0) & (ih > 0.0) & (union > 0.0)
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=hit)

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -167,22 +167,23 @@ def _load_dataset(index_path, capacity):
 def cmd_train(args):
     started = time.time()
     out = _out_dir(args)
-    cfg_doc = _load_config_file(args.config)
-    if args.seed is not None:
-        cfg_doc["seed"] = args.seed
-    if args.epochs is not None:
-        cfg_doc["epochs"] = args.epochs
-    if args.lam is not None:
-        cfg_doc["lam"] = args.lam
-    if args.softmax_axis is not None:
-        cfg_doc["softmax_axis"] = args.softmax_axis
-    for key in ("scorer_hidden", "pose_hidden", "center_scale"):
-        if key in cfg_doc:
-            cfg_doc[key] = tuple(cfg_doc[key])
-    config = MatcherConfig(**cfg_doc)
-    params = load_checkpoint(args.resume) if args.resume else None
-    if params is not None:
-        config = params.config
+    overrides = {key: value for key, value in (
+        ("seed", args.seed), ("epochs", args.epochs), ("lam", args.lam),
+        ("softmax_axis", args.softmax_axis)) if value is not None}
+    if args.resume:
+        if args.config:
+            raise ConfigError("--config cannot be combined with --resume: "
+                              "the checkpoint fixes the configuration")
+        params = load_checkpoint(args.resume)
+        # The resumed forward pass reads params.config (lam, softmax_axis).
+        params.config = config = replace(params.config, **overrides)
+    else:
+        params = None
+        cfg_doc = {**_load_config_file(args.config), **overrides}
+        for key in ("scorer_hidden", "pose_hidden", "center_scale"):
+            if key in cfg_doc:
+                cfg_doc[key] = tuple(cfg_doc[key])
+        config = MatcherConfig(**cfg_doc)
     doc, scenes = _load_dataset(args.dataset, config.capacity)
     samples = make_matching_dataset(
         scenes, doc["n_max"], doc["pairs_per_scene"], doc["seed"]

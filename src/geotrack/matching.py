@@ -105,8 +105,6 @@ class SimilarityBundle:
     S1n: np.ndarray  # (rows, cols+1): normalized, appended null column
     S2n: np.ndarray  # (rows+1, cols): normalized, appended null row
     fused: np.ndarray  # (rows+1, cols+1) inference similarity
-    n_rows: int
-    n_cols: int
     softmax_axis: str = "per-object"
 
 
@@ -226,96 +224,75 @@ def score_pair_logits(pair_tensor, scorer, input_scale=None, input_shift=None,
     return logits.reshape(n_a, n_b)
 
 
-def _softmax_rows_with_null(block, delta, n_rows, n_cols):
-    """Per-row softmax over each real row's real entries plus the null slot."""
-    rows, cols = block.shape
-    out = np.zeros((rows, cols + 1))
-    if n_rows == 0:
-        return out
-    logits = np.concatenate(
-        [block[:n_rows, :n_cols], np.full((n_rows, 1), float(delta))], axis=1
-    )
+def _softmax_rows_with_null(block, delta):
+    """Per-row softmax over each row's entries plus the null slot."""
+    logits = np.concatenate([block, np.full((block.shape[0], 1), float(delta))], axis=1)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    out[:n_rows, :n_cols] = p[:, :-1]
-    out[:n_rows, cols] = p[:, -1]
-    return out
+    return e / e.sum(axis=1, keepdims=True)
 
 
-def _softmax_cols_plain(block, n_rows, n_cols):
-    """Softmax down each real column over its real rows (no null slot)."""
-    rows, cols = block.shape
-    out = np.zeros((rows, cols))
-    if n_rows == 0 or n_cols == 0:
-        return out
-    b = block[:n_rows, :n_cols]
-    shifted = b - b.max(axis=0, keepdims=True)
+def _softmax_cols_plain(block):
+    """Softmax down each column over its rows (no null slot)."""
+    if block.size == 0:
+        return np.zeros(block.shape)
+    shifted = block - block.max(axis=0, keepdims=True)
     e = np.exp(shifted)
-    out[:n_rows, :n_cols] = e / e.sum(axis=0, keepdims=True)
-    return out
+    return e / e.sum(axis=0, keepdims=True)
 
 
-def augment_normalize(S, delta, n_rows=None, n_cols=None,
-                      softmax_axis="per-object", base=None):
+def augment_normalize(S, delta, softmax_axis="per-object", base=None):
     """Append the null column/row at ``delta`` and normalize.
 
     S1 = [base | delta] gains a null column and S2 = [base ; delta] a null
     row; the bundle keeps their normalized forms S1n and S2n.
     ``S`` holds the [0, 1] similarities; ``base`` (default ``S``) is the
     matrix actually augmented and normalized, which lets callers feed raw
-    scorer logits instead. Rows/columns past ``n_rows``/``n_cols`` are
-    padding: they are excluded from every softmax and zeroed.
+    scorer logits instead.
 
-    The default axis normalizes each real object's candidate set — rows of
-    S1 and columns of S2 — so every real row of S1n and real column of S2n
-    is a distribution over the other frame's objects plus the null option.
+    The default axis normalizes each object's candidate set — rows of S1
+    and columns of S2 — so every row of S1n and column of S2n is a
+    distribution over the other frame's objects plus the null option.
     ``softmax_axis="literal"`` instead normalizes columns of S1 and rows
     of S2 (the appended constant-delta line then normalizes uniformly).
     """
     S = np.asarray(S, dtype=np.float64)
     rows, cols = S.shape
-    n_rows = rows if n_rows is None else int(n_rows)
-    n_cols = cols if n_cols is None else int(n_cols)
-    if n_rows > rows or n_cols > cols:
-        raise ShapeMismatchError("real counts exceed matrix size")
     B = S if base is None else np.asarray(base, dtype=np.float64)
     if B.shape != S.shape:
         raise ShapeMismatchError("base matrix must match S")
 
     if softmax_axis == "per-object":
-        S1n = _softmax_rows_with_null(B, delta, n_rows, n_cols)
-        S2n = _softmax_rows_with_null(B.T, delta, n_cols, n_rows).T
+        S1n = _softmax_rows_with_null(B, delta)
+        S2n = _softmax_rows_with_null(B.T, delta).T
     else:
         S1n = np.zeros((rows, cols + 1))
-        S1n[:, :cols] = _softmax_cols_plain(B, n_rows, n_cols)
-        if n_rows > 0:
-            S1n[:n_rows, cols] = 1.0 / n_rows
+        S1n[:, :cols] = _softmax_cols_plain(B)
+        if rows > 0:
+            S1n[:, cols] = 1.0 / rows
         S2n = np.zeros((rows + 1, cols))
-        S2n[:rows, :] = _softmax_cols_plain(B.T, n_cols, n_rows).T
-        if n_cols > 0:
-            S2n[rows, :n_cols] = 1.0 / n_cols
+        S2n[:rows, :] = _softmax_cols_plain(B.T).T
+        if cols > 0:
+            S2n[rows, :] = 1.0 / cols
 
     fused = np.zeros((rows + 1, cols + 1))
     fused[:rows, :cols] = 0.5 * (S1n[:, :cols] + S2n[:rows, :])
     fused[:rows, cols] = S1n[:, cols]
     fused[rows, :cols] = S2n[rows, :]
-    return SimilarityBundle(
-        S=S, S1n=S1n, S2n=S2n, fused=fused,
-        n_rows=n_rows, n_cols=n_cols, softmax_axis=softmax_axis,
-    )
+    return SimilarityBundle(S=S, S1n=S1n, S2n=S2n, fused=fused,
+                            softmax_axis=softmax_axis)
 
 
 def loss_affinity(bundle, match, with_grad=False):
     """Symmetric matching cross-entropy (average of both directions).
 
-    ``match`` must be (n_rows+1, n_cols+1). When ``with_grad`` is set, the
-    gradient with respect to the augmented base matrix (real block only)
-    is returned alongside the loss. The softmax-group structure recorded
-    in the bundle determines the gradient shape: the one-hot target couples
-    all entries of its normalization group.
+    ``match`` must be (rows+1, cols+1) for the bundle's (rows, cols) ``S``.
+    When ``with_grad`` is set, the gradient with respect to the augmented
+    base matrix (real block only) is returned alongside the loss. The
+    softmax-group structure recorded in the bundle determines the gradient
+    shape: the one-hot target couples all entries of its normalization group.
     """
-    n1, n2 = bundle.n_rows, bundle.n_cols
+    n1, n2 = bundle.S.shape
     if match.shape != (n1 + 1, n2 + 1):
         raise ShapeMismatchError(
             f"match matrix {match.shape} does not fit real counts ({n1}, {n2})"
@@ -327,13 +304,12 @@ def loss_affinity(bundle, match, with_grad=False):
         if match[:, j].sum() != 1:
             raise DegenerateMatchError(f"column {j} of the match matrix must sum to 1")
 
-    rows, cols = bundle.S.shape
-    grad = np.zeros((rows, cols)) if with_grad else None
+    grad = np.zeros((n1, n2)) if with_grad else None
     m_block = match[:n1, :n2].astype(np.float64)
     loss1 = 0.0
     if n1 > 0:
         p = np.concatenate(
-            [bundle.S1n[:n1, :n2], bundle.S1n[:n1, cols:cols + 1]], axis=1
+            [bundle.S1n[:n1, :n2], bundle.S1n[:n1, n2:n2 + 1]], axis=1
         )
         m = np.concatenate(
             [m_block, match[:n1, n2:n2 + 1].astype(np.float64)], axis=1
@@ -353,7 +329,7 @@ def loss_affinity(bundle, match, with_grad=False):
     loss2 = 0.0
     if n2 > 0:
         q = np.concatenate(
-            [bundle.S2n[:n1, :n2], bundle.S2n[rows:rows + 1, :n2]], axis=0
+            [bundle.S2n[:n1, :n2], bundle.S2n[n1:n1 + 1, :n2]], axis=0
         )
         m = np.concatenate(
             [m_block, match[n1:n1 + 1, :n2].astype(np.float64)], axis=0
@@ -569,14 +545,15 @@ def _score(feats_a, feats_b, params, cache=None):
     cfg = params.config
     n1, n2 = len(feats_a), len(feats_b)
     if n1 == 0 or n2 == 0:
-        return augment_normalize(np.zeros((n1, n2)), cfg.delta, n1, n2, cfg.softmax_axis)
+        return augment_normalize(np.zeros((n1, n2)), cfg.delta,
+                                 softmax_axis=cfg.softmax_axis)
     logits = score_pair_logits(
         build_pair_tensor(feats_a, feats_b), params.scorer,
         params.input_scale, params.input_shift, cache=cache,
     )
     S = _sigmoid(logits)
     base = logits if cfg.score_space == "logit" else S
-    return augment_normalize(S, cfg.delta, n1, n2, cfg.softmax_axis, base=base)
+    return augment_normalize(S, cfg.delta, softmax_axis=cfg.softmax_axis, base=base)
 
 
 def forward_pair(sample, params, with_grad=False, pose_only=False):
@@ -821,7 +798,7 @@ def pair_accuracy(samples, params):
     for sample in samples:
         result = forward_pair(sample, params, with_grad=False)
         bundle = result["bundle"]
-        n1, n2 = bundle.n_rows, bundle.n_cols
+        n1, n2 = bundle.S.shape
         match, fused = sample.match, bundle.fused
         for i in range(n1):
             total += 1

@@ -14,6 +14,7 @@ Two on-disk formats live here:
 """
 
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -206,8 +207,22 @@ def _detection_to_doc(det):
     return doc
 
 
+def _check_finite(where, fields):
+    """Raise SchemaError naming the first of ``fields`` that holds NaN or inf.
+
+    Each value is a JSON number or flat list of numbers; None (an absent
+    optional field) passes. A non-number raises TypeError.
+    """
+    for name, value in fields.items():
+        numbers = value if isinstance(value, list) else [] if value is None else [value]
+        if not all(map(math.isfinite, numbers)):
+            raise SchemaError(f"{where}: {name} must be finite")
+
+
 def _detection_from_doc(doc, where):
     try:
+        _check_finite(where, {"bbox": doc["bbox"], "confidence": doc["confidence"],
+                              "center": doc.get("center")})
         det = Detection(
             bbox=doc["bbox"],
             confidence=float(doc["confidence"]),
@@ -219,16 +234,20 @@ def _detection_from_doc(doc, where):
     obs = doc.get("observation")
     if obs is not None:
         try:
+            _check_finite(where, {f"observation.{k}": obs[k]
+                                  for k in ("center", "depth", "rotation")})
             det.observation = PixelObservation(
                 c=obs["center"], T_z=float(obs["depth"]), R=obs["rotation"]
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{where}: bad observation ({exc})") from exc
     if "appearance" in doc:
+        _check_finite(where, {"appearance": doc["appearance"]})
         det.appearance = np.asarray(doc["appearance"], dtype=np.float64)
     if "feature_map" in doc:
         fm = doc["feature_map"]
         try:
+            _check_finite(where, {"feature_map": fm["data"]})
             det.feature_map = np.asarray(fm["data"], dtype=np.float64).reshape(fm["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{where}: bad feature map ({exc})") from exc
@@ -286,7 +305,15 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
     for k, fd in enumerate(frame_docs):
         where = f"frames[{k}]"
         try:
-            intr = fd["intrinsics"]
+            intr, ego_doc = fd["intrinsics"], fd["ego"]
+            _check_finite(where, {
+                "timestamp": fd["timestamp"],
+                **{f"intrinsics.{name}": intr[name] for name in ("fx", "fy", "px", "py")},
+                **{f"ego.{name}": ego_doc[name]
+                   for name in ("rotation", "translation") if name in ego_doc},
+                **({"ego.matrix": [x for row in ego_doc["matrix"] for x in row]}
+                   if "matrix" in ego_doc else {}),
+            })
             intrinsics = CameraIntrinsics(
                 f_x=float(intr["fx"]),
                 f_y=float(intr["fy"]),
@@ -295,7 +322,6 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
                 width=int(intr["width"]),
                 height=int(intr["height"]),
             )
-            ego_doc = fd["ego"]
             if "matrix" in ego_doc:
                 ego = EgoPose.from_matrix(ego_doc["matrix"])
             else:
@@ -309,7 +335,8 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
                 intrinsics=intrinsics,
                 ego=ego,
                 detections=[
-                    _detection_from_doc(dd, where) for dd in fd["detections"]
+                    _detection_from_doc(dd, f"{where}.detections[{j}]")
+                    for j, dd in enumerate(fd["detections"])
                 ],
             )
         except InvariantViolationError:
@@ -318,8 +345,10 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
             raise SchemaError(f"{where}: {exc}") from exc
         if "gt_objects" in fd:
             gt = []
-            for gd in fd["gt_objects"]:
+            for i, gd in enumerate(fd["gt_objects"]):
                 try:
+                    _check_finite(f"{where}.gt_objects[{i}]", {
+                        k: gd[k] for k in ("translation", "rotation", "bbox") if k in gd})
                     gt.append(
                         GroundTruthObject(
                             object_id=int(gd["object_id"]),
@@ -458,6 +487,8 @@ def mot_from_csv(text):
             xyz = [float(p) for p in parts[7:10]]
         except ValueError as exc:
             raise FormatError(str(exc), line=lineno) from exc
+        if not all(map(math.isfinite, bbox + [conf] + xyz)):
+            raise FormatError("bbox, conf and x,y,z must be finite", line=lineno)
         world = None if xyz == [-1.0, -1.0, -1.0] else np.array(xyz)
         entries.append(
             MotEntry(frame=frame, track_id=track_id, bbox=bbox,

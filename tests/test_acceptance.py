@@ -10,7 +10,6 @@ from itertools import permutations
 
 import numpy as np
 
-from geotrack import _kernels
 from geotrack.assignment import solve_max
 from geotrack.evaluation import (
     GeoCriterion,
@@ -75,7 +74,6 @@ def brute_force_best(score):
 
 
 def test_01_hungarian_oracle_equivalence():
-    _kernels.warmup()  # exclude JIT compilation from the timed window
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
     checked = 0

@@ -113,7 +113,16 @@ class TestTrain:
                     "--epochs", "2", "--out", out)
         assert r.returncode == 0, r.stderr
         rows = (out / "metrics.csv").read_text().strip().splitlines()[1:]
-        assert rows[0].split(",")[0] == "12"
+        assert [row.split(",")[0] for row in rows] == ["12", "13"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["epochs"] == 2
+
+    def test_resume_with_config_exits_2(self, pipeline, tmp_path):
+        r = run_cli("train", "--dataset", pipeline["dataset"] / "pairs.json",
+                    "--resume", pipeline["model"] / "checkpoint.json",
+                    "--config", pipeline["train_config"], "--out", tmp_path / "o")
+        assert r.returncode == 2
+        assert "--resume" in r.stderr
 
     def test_lambda_zero_flag_accepted(self, pipeline, tmp_path):
         r = run_cli("train", "--dataset", pipeline["dataset"] / "pairs.json",
@@ -243,6 +252,31 @@ class TestTrackEvaluatePlot:
         r = run_cli("track", "--scene", tracked["scene"],
                     "--checkpoint", bad, "--out", tmp_path / "o")
         assert r.returncode == 3
+
+    def test_track_nan_appearance_exits_3(self, pipeline, tracked, tmp_path):
+        doc = json.loads(tracked["scene"].read_text())
+        doc["frames"][0]["detections"][0]["appearance"][0] = float("nan")
+        scene = tmp_path / tracked["scene"].name
+        scene.write_text(json.dumps(doc))
+        r = run_cli("track", "--scene", scene,
+                    "--checkpoint", pipeline["model"] / "checkpoint.json",
+                    "--out", tmp_path / "o")
+        assert r.returncode == 3, r.stderr
+        assert "frames[0].detections[0]: appearance must be finite" in r.stderr
+
+    def test_evaluate_nan_hypothesis_exits_3(self, pipeline, tmp_path):
+        from geotrack.scene import gt_mot_entries, load_scene, mot_to_csv
+
+        scene_path = sorted(pipeline["scenes"].glob("scene-*.json"))[0]
+        lines = mot_to_csv(gt_mot_entries(load_scene(scene_path))).splitlines()
+        parts = lines[0].split(",")
+        parts[2] = "nan"  # bb_left of the first box
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("\n".join([",".join(parts), *lines[1:]]) + "\n")
+        r = run_cli("evaluate", "--scene", scene_path, "--tracks", hyp,
+                    "--out", tmp_path / "eval")
+        assert r.returncode == 3, r.stderr
+        assert "line 1" in r.stderr
 
     def test_evaluate_and_plot(self, pipeline, tracked, tmp_path):
         out = tmp_path / "eval"

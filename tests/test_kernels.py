@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 from itertools import permutations
 
 import numpy as np
@@ -19,6 +16,32 @@ def brute_force_min(cost):
     return best
 
 
+def reference_iou_matrix(boxes_a, boxes_b):
+    """The per-pair IoU loop that ``_kernels.iou_matrix`` replaced."""
+    boxes_a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
+    boxes_b = np.asarray(boxes_b, dtype=np.float64).reshape(-1, 4)
+    out = np.empty((boxes_a.shape[0], boxes_b.shape[0]), dtype=np.float64)
+    for i in range(boxes_a.shape[0]):
+        al, at, aw, ah = boxes_a[i, 0], boxes_a[i, 1], boxes_a[i, 2], boxes_a[i, 3]
+        ar = al + aw
+        ab = at + ah
+        area_a = aw * ah
+        for j in range(boxes_b.shape[0]):
+            bl, bt, bw, bh = boxes_b[j, 0], boxes_b[j, 1], boxes_b[j, 2], boxes_b[j, 3]
+            iw = min(ar, bl + bw) - max(al, bl)
+            if iw <= 0.0:
+                out[i, j] = 0.0
+                continue
+            ih = min(ab, bt + bh) - max(at, bt)
+            if ih <= 0.0:
+                out[i, j] = 0.0
+                continue
+            inter = iw * ih
+            union = area_a + bw * bh - inter
+            out[i, j] = inter / union if union > 0.0 else 0.0
+    return out
+
+
 class TestLapKernel:
     def test_matches_brute_force(self, rng):
         for _ in range(200):
@@ -28,15 +51,6 @@ class TestLapKernel:
             col4row, _, _ = _kernels.solve_lap_min(cost)
             total = float(cost[np.arange(m), col4row].sum())
             assert total == pytest.approx(brute_force_min(cost), abs=1e-12)
-
-    def test_python_and_jit_paths_agree(self, rng):
-        for _ in range(50):
-            m = int(rng.integers(1, 6))
-            n = int(rng.integers(m, 9))
-            cost = rng.normal(size=(m, n))
-            a, _, _ = _kernels.solve_lap_min(cost)
-            b, _, _ = _kernels.solve_lap_min(cost, impl=_kernels.lap_core_py)
-            assert np.array_equal(a, b)
 
     def test_duals_certify_optimality(self, rng):
         cost = rng.normal(size=(4, 6))
@@ -68,13 +82,30 @@ class TestIouKernel:
         np.testing.assert_allclose(out, [[25.0 / 175.0, 1.0, 0.0]])
 
     def test_paths_agree(self, rng):
-        a = rng.uniform(0, 100, size=(6, 4))
-        b = rng.uniform(0, 100, size=(7, 4))
-        a[:, 2:] += 1.0
-        b[:, 2:] += 1.0
-        jit = _kernels.iou_matrix(a, b)
-        py = _kernels.iou_matrix(a, b, impl=_kernels.iou_matrix_core_py)
-        np.testing.assert_array_equal(jit, py)
+        # The broadcast kernel must equal the per-pair loop it replaced bit
+        # for bit, on overlapping, touching, zero-size and inverted boxes.
+        def rounded(k):
+            return np.round(rng.uniform(-5, 15, size=(k, 4)))
+
+        cases = [(np.zeros((0, 4)), rng.uniform(0, 10, size=(3, 4))),
+                 (rng.uniform(0, 10, size=(4, 4)), np.zeros((0, 4)))]
+        for _ in range(300):
+            m, n = (int(k) for k in rng.integers(0, 12, size=2))
+            a = rng.uniform(0, 100, size=(m, 4))
+            b = rng.uniform(0, 100, size=(n, 4))
+            a[:, 2:] += 1.0
+            b[:, 2:] += 1.0
+            cases.append((a, b))
+            cases.append((rounded(m), rounded(n)))
+            a, b = rounded(m), rounded(n)
+            a[:, 2 + int(rng.integers(2))] = 0.0  # zero-size boxes
+            cases.append((a, b))
+        for a, b in cases:
+            expected = reference_iou_matrix(a, b)
+            got = _kernels.iou_matrix(a, b)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_empty_inputs(self):
         out = _kernels.iou_matrix(np.zeros((0, 4)), np.zeros((3, 4)))
@@ -86,60 +117,3 @@ class TestIouKernel:
         out = _kernels.iou_matrix(a, a)
         np.testing.assert_allclose(out, out.T)
         np.testing.assert_allclose(np.diag(out), 1.0)
-
-
-def run_kernels_probe(code, env):
-    """Run ``code`` in a fresh interpreter that imports geotrack from ``src``."""
-    env = dict(env)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src"),
-         env.get("PYTHONPATH", "")]
-    )
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-
-
-class TestEnvFlag:
-    def test_disable_flag_selects_python_path(self):
-        code = (
-            "import geotrack._kernels as k\n"
-            "import numpy as np\n"
-            "assert not k.NUMBA_ENABLED\n"
-            "assert k._lap_impl is k.lap_core_py\n"
-            "col, _, _ = k.solve_lap_min(np.array([[2.0, 1.0], [1.0, 2.0]]))\n"
-            "assert list(col) == [1, 0]\n"
-            "print('fallback ok')\n"
-        )
-        result = run_kernels_probe(
-            code, dict(os.environ, GEOTRACK_DISABLE_NUMBA="1"))
-        assert result.returncode == 0, result.stderr
-        assert "fallback ok" in result.stdout
-
-    def test_jit_enabled_by_default_here(self):
-        # With no disable flag the JIT path is taken exactly when numba
-        # imports; the check runs on machines with and without numba.
-        code = (
-            "import geotrack._kernels as k\n"
-            "import numpy as np\n"
-            "try:\n"
-            "    import numba\n"
-            "    have_numba = True\n"
-            "except ImportError:\n"
-            "    have_numba = False\n"
-            "assert k.NUMBA_DISABLED is False\n"
-            "assert k.NUMBA_ENABLED == have_numba, (k.NUMBA_ENABLED, have_numba)\n"
-            "if k.NUMBA_ENABLED:\n"
-            "    assert k._lap_impl is k.lap_core_jit\n"
-            "    assert k._iou_impl is k.iou_matrix_core_jit\n"
-            "else:\n"
-            "    assert k._lap_impl is k.lap_core_py\n"
-            "    assert k._iou_impl is k.iou_matrix_core_py\n"
-            "col, _, _ = k.solve_lap_min(np.array([[2.0, 1.0], [1.0, 2.0]]))\n"
-            "assert list(col) == [1, 0]\n"
-            "print('default ok', k.NUMBA_ENABLED)\n"
-        )
-        env = {key: value for key, value in os.environ.items()
-               if key != "GEOTRACK_DISABLE_NUMBA"}
-        result = run_kernels_probe(code, env)
-        assert result.returncode == 0, result.stderr
-        assert "default ok" in result.stdout

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -213,6 +214,15 @@ class TestSceneJson:
         out = scene_from_doc(doc)
         np.testing.assert_allclose(out.frames[0].ego.rotation, [1, 0, 0, 0])
 
+    def test_non_finite_ego_matrix_rejected(self):
+        scene = SceneSequence("m", [frame_with([])])
+        doc = scene_to_doc(scene)
+        matrix = np.eye(4).tolist()
+        matrix[0][3] = float("nan")
+        doc["frames"][0]["ego"] = {"matrix": matrix}
+        with pytest.raises(SchemaError, match=re.escape("frames[0]: ego.matrix")):
+            scene_from_doc(doc)
+
     def test_rejects_wrong_schema_version(self):
         with pytest.raises(SchemaError):
             scene_from_doc({"schema": 99, "scene_id": "x", "frames": []})
@@ -246,6 +256,33 @@ class TestSceneJson:
         doc = scene_to_doc(scene)
         with pytest.raises(InvariantViolationError):
             scene_from_doc(doc)
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("detections", 0, "bbox", 0), float("nan"), "frames[1].detections[0]: bbox"),
+        (("detections", 0, "confidence"), float("inf"), "detections[0]: confidence"),
+        (("detections", 1, "appearance", 2), float("nan"), "detections[1]: appearance"),
+        (("detections", 0, "observation", "depth"), float("inf"),
+         "detections[0]: observation.depth"),
+        (("detections", 0, "feature_map", "data", 3), float("nan"),
+         "detections[0]: feature_map"),
+        (("intrinsics", "fx"), float("nan"), "frames[1]: intrinsics.fx"),
+        (("ego", "translation", 1), float("-inf"), "frames[1]: ego.translation"),
+        (("timestamp",), float("nan"), "frames[1]: timestamp"),
+        (("gt_objects", 0, "translation", 2), float("inf"),
+         "frames[1].gt_objects[0]: translation"),
+    ], ids=["bbox", "confidence", "appearance", "observation", "feature_map",
+            "intrinsics", "ego", "timestamp", "gt_object"])
+    def test_non_finite_value_rejected(self, path, value, field):
+        scene = generate_scene(SimConfig(seed=9, n_frames=3, n_objects=3,
+                                         appearance_dim=8, emit_feature_maps=True,
+                                         embed_dim=6))
+        doc = json.loads(scene_to_json(scene))
+        target = doc["frames"][1]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(SchemaError, match=re.escape(field)):
+            scene_from_doc(json.loads(json.dumps(doc)))
 
 
 class TestMotCsv:
@@ -286,6 +323,15 @@ class TestMotCsv:
         with pytest.raises(FormatError) as err:
             mot_from_csv(good + "2,x,1,1,1,1,1,-1,-1,-1\n")
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("field", [2, 6, 9])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_reports_line(self, field, value):
+        good = mot_to_csv([MotEntry(0, 1, (1, 2, 3, 4), 1.0, (5, 6, 7))])
+        parts = good.strip().split(",")
+        parts[field] = value
+        with pytest.raises(FormatError, match="line 2: .*finite"):
+            mot_from_csv(good + ",".join(parts) + "\n")
 
     def test_rejects_nonpositive_ids(self):
         with pytest.raises(FormatError):

@@ -38,7 +38,7 @@ class StubMatcher:
 
     def bundle(self, desc_rows, desc_cols):
         n1, n2 = len(desc_rows), len(desc_cols)
-        bundle = augment_normalize(np.zeros((n1, n2)), self.delta, n1, n2)
+        bundle = augment_normalize(np.zeros((n1, n2)), self.delta)
         for r, desc in enumerate(desc_rows):
             row = self.table[int(desc[0])]
             bundle.fused[r, :n2] = row[:n2]
