@@ -33,7 +33,6 @@ from .scene import (  # noqa: F401
     SceneSequence,
     build_match_matrix,
     load_scene,
-    pad_bbox,
     sample_training_pairs,
     save_scene,
 )

@@ -68,11 +68,14 @@ def _load_config_file(path):
         return {}
     try:
         with open(path) as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg}, line {exc.lineno})")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}")
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: configuration must be a JSON object")
+    return doc
 
 
 def _read_json(path):
@@ -179,11 +182,7 @@ def cmd_train(args):
         params.config = config = replace(params.config, **overrides)
     else:
         params = None
-        cfg_doc = {**_load_config_file(args.config), **overrides}
-        for key in ("scorer_hidden", "pose_hidden", "center_scale"):
-            if key in cfg_doc:
-                cfg_doc[key] = tuple(cfg_doc[key])
-        config = MatcherConfig(**cfg_doc)
+        config = MatcherConfig.from_dict({**_load_config_file(args.config), **overrides})
     doc, scenes = _load_dataset(args.dataset, config.capacity)
     samples = make_matching_dataset(
         scenes, doc["n_max"], doc["pairs_per_scene"], doc["seed"]

@@ -26,7 +26,7 @@ drown every real match.
 """
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,31 @@ from .numerics import init_mlp, mlp_backward, mlp_forward
 from .scene import atomic_write_text
 
 GEOMETRY_PREFIX = 6  # (T_x, T_y, T_z, R_x, R_y, pad)
+
+
+def _fits(value, default):
+    """Whether a JSON value has the type of a config field's default."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return numerics.is_number(value)
+    return type(value) is type(default) or default is None and type(value) is int
+
+
+def config_from_dict(cls, doc, what):
+    """Config dataclass ``cls`` from a JSON object, JSON lists as tuples.
+    ConfigError names unknown fields and values unlike the field's default
+    in type (floats must also be finite)."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} configuration must be a JSON object")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(doc) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown {what} option(s): {unknown}")
+    for name, value in doc.items():
+        if not _fits(value, defaults[name]):
+            raise ConfigError(f"{what} option {name}: {value!r} has the wrong type")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 @dataclass
@@ -95,6 +120,10 @@ class MatcherConfig:
     @property
     def descriptor_dim(self):
         return self.appearance_dim + GEOMETRY_PREFIX + self.embed_dim
+
+    @classmethod
+    def from_dict(cls, doc):
+        return config_from_dict(cls, doc, "matcher")
 
 
 @dataclass
@@ -386,10 +415,9 @@ def _forward_detection(features, params, B, d_off, C, intrinsics):
 
     if cfg.embed_dim > 0 and features.feature_map is not None:
         fmap = features.feature_map
-        if fmap.shape[2] != cfg.embed_dim:
-            raise ShapeMismatchError(
-                f"feature map depth {fmap.shape[2]} != embed_dim {cfg.embed_dim}"
-            )
+        if fmap.ndim != 3 or fmap.shape[2] != cfg.embed_dim:
+            raise SchemaError(f"feature map of shape {fmap.shape} is not "
+                              f"(H, W, embed_dim {cfg.embed_dim})")
         logits = fmap @ params.attention_w + params.attention_b[0]
         attn = numerics.softmax_map(logits)
         pooled = np.einsum("ij,ije->e", attn, fmap)
@@ -484,9 +512,7 @@ def _backward_detection(tape, d_geometry, pose_weight, params, grads):
              d_r_raw[0], d_r_raw[1]]
         )
         head_grads, d_head_in = mlp_backward(params.pose_head, tape.head_cache, d_out)
-        for (dw, db), store in zip(head_grads, grads["pose_head"]):
-            store[0] += dw
-            store[1] += db
+        _add_layer_grads(grads, "pose_head", head_grads)
         d_emb += d_head_in * params.head_scale
 
     if tape.embedding is not None and d_emb.any():
@@ -496,25 +522,32 @@ def _backward_detection(tape, d_geometry, pose_weight, params, grads):
         if cfg.pooling == "mean":
             d_attn = d_attn / (fmap.shape[0] * fmap.shape[1])
         d_logits = attn * (d_attn - float((attn * d_attn).sum()))
-        grads["attention_w"] += np.einsum("ij,ije->e", d_logits, fmap)
-        grads["attention_b"] += d_logits.sum()
+        grads["attention.w"] += np.einsum("ij,ije->e", d_logits, fmap)
+        grads["attention.b"] += d_logits.sum()
 
 
 # --- full pair forward/backward --------------------------------------------------------
 
 
-def _zero_grads(params):
-    grads = {
-        "scorer": [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in params.scorer],
-    }
-    if params.pose_head is not None:
-        grads["pose_head"] = [
-            [np.zeros_like(l.w), np.zeros_like(l.b)] for l in params.pose_head
-        ]
+def _named_arrays(params):
+    """Every trainable array by name: ``scorer.{i}.w|b``, ``pose_head.{i}.w|b``
+    and ``attention.w|b``. Gradients and momentum use the same keys."""
+    named = {}
+    for group in ("scorer", "pose_head"):
+        for i, layer in enumerate(getattr(params, group) or ()):
+            named[f"{group}.{i}.w"] = layer.w
+            named[f"{group}.{i}.b"] = layer.b
     if params.attention_w is not None:
-        grads["attention_w"] = np.zeros_like(params.attention_w)
-        grads["attention_b"] = 0.0
-    return grads
+        named["attention.w"] = params.attention_w
+        named["attention.b"] = params.attention_b
+    return named
+
+
+def _add_layer_grads(grads, group, layer_grads):
+    """Add ``mlp_backward``'s per-layer (dW, db) into the named gradients."""
+    for i, (dw, db) in enumerate(layer_grads):
+        grads[f"{group}.{i}.w"] += dw
+        grads[f"{group}.{i}.b"] += db
 
 
 def _describe(features_list, params, ego, ego_ref, intrinsics):
@@ -560,10 +593,11 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
     """Joint loss (and gradients) of one training pair.
 
     Returns a dict with the affinity loss, pose losses, joint loss, the
-    similarity bundle, and — when ``with_grad`` — gradients matching the
-    layout of ``_zero_grads``. With ``pose_only`` the scorer never runs:
-    the objective is the mean pose loss alone (the pose-head pretraining
-    phase).
+    similarity bundle, and — when ``with_grad`` — ``grads`` keyed like
+    ``_named_arrays``: ``scorer.{i}.w|b``, ``pose_head.{i}.w|b`` and
+    ``attention.w|b``, each present whenever the params hold it. With
+    ``pose_only`` the scorer never runs: the objective is the mean pose loss
+    alone (the pose-head pretraining phase).
     """
     cfg = params.config
     n1, n2 = len(sample.a), len(sample.b)
@@ -593,7 +627,7 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
     if not with_grad:
         return out
 
-    grads = _zero_grads(params)
+    grads = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
     geom_width = GEOMETRY_PREFIX + cfg.embed_dim
     if pose_only or n1 == 0 or n2 == 0:
         # no scorer gradient reaches the descriptors
@@ -604,9 +638,7 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
         scorer_grads, d_x = mlp_backward(
             params.scorer, cache, d_logits.reshape(n1 * n2, 1)
         )
-        for (dw, db), (gw, gb) in zip(scorer_grads, grads["scorer"]):
-            gw += dw
-            gb += db
+        _add_layer_grads(grads, "scorer", scorer_grads)
         scale2 = np.concatenate([params.input_scale, params.input_scale])
         d_pairs = (d_x * scale2).reshape(n1, n2, -1)
         d = cfg.descriptor_dim
@@ -622,37 +654,6 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
 
 
 # --- training loop --------------------------------------------------------------------
-
-
-def _named_arrays(params):
-    """Flat (name, array) view over every trainable array."""
-    items = []
-    for i, layer in enumerate(params.scorer):
-        items.append((f"scorer.{i}.w", layer.w))
-        items.append((f"scorer.{i}.b", layer.b))
-    if params.pose_head is not None:
-        for i, layer in enumerate(params.pose_head):
-            items.append((f"pose_head.{i}.w", layer.w))
-            items.append((f"pose_head.{i}.b", layer.b))
-    if params.attention_w is not None:
-        items.append(("attention.w", params.attention_w))
-        items.append(("attention.b", params.attention_b))
-    return items
-
-
-def _named_grads(params, grads):
-    items = []
-    for i, (dw, db) in enumerate(grads["scorer"]):
-        items.append((f"scorer.{i}.w", dw))
-        items.append((f"scorer.{i}.b", db))
-    if params.pose_head is not None:
-        for i, (dw, db) in enumerate(grads["pose_head"]):
-            items.append((f"pose_head.{i}.w", dw))
-            items.append((f"pose_head.{i}.b", db))
-    if params.attention_w is not None:
-        items.append(("attention.w", grads["attention_w"]))
-        items.append(("attention.b", np.array([grads["attention_b"]])))
-    return items
 
 
 def fit_input_standardization(samples, params):
@@ -691,6 +692,8 @@ class EpochStats:
 
 def _sgd_epoch(samples, params, config, rng, lr, velocity, pose_only=False):
     """One pass over the samples; returns (mean affinity, mean pose loss)."""
+    updates = [(name, arr) for name, arr in _named_arrays(params).items()
+               if not pose_only or name.startswith(("pose_head.", "attention."))]
     order = rng.permutation(len(samples))
     affinity_sum = 0.0
     pose_sum = 0.0
@@ -707,20 +710,16 @@ def _sgd_epoch(samples, params, config, rng, lr, velocity, pose_only=False):
             affinity_sum += result["affinity"]
         pose_sum += sum(result["pose_losses"])
         pose_count += len(result["pose_losses"])
-        named = dict(_named_grads(params, result["grads"]))
-        updates = [
-            (name, arr) for name, arr in _named_arrays(params)
-            if not pose_only or name.startswith(("pose_head.", "attention."))
-        ]
+        grads = result["grads"]
         if config.grad_clip:
-            norm = np.sqrt(sum(float(np.sum(named[name] ** 2))
+            norm = np.sqrt(sum(float(np.sum(grads[name] ** 2))
                                for name, _ in updates))
             if norm > config.grad_clip:
                 scale = config.grad_clip / norm
                 for name, _ in updates:
-                    named[name] = named[name] * scale
+                    grads[name] *= scale
         for name, arr in updates:
-            g = named[name]
+            g = grads[name]
             if name.endswith(".w") and "attention" not in name:
                 g = g + config.weight_decay * arr
             step = lr * config.pose_lr_scale if name.startswith("pose_head.") else lr
@@ -756,28 +755,17 @@ def train_matcher(samples, config, params=None, heldout=None):
             pretrain = (config.pose_pretrain_epochs
                         if config.pose_pretrain_epochs is not None
                         else config.epochs // 3)
-    velocity = {name: np.zeros_like(arr) for name, arr in _named_arrays(params)}
+    velocity = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
     eval_samples = heldout if heldout else samples
-    history = []
-
-    for _ in range(pretrain):
-        _, pose_mean = _sgd_epoch(
-            samples, params, config, rng, config.learning_rate, velocity,
-            pose_only=True,
-        )
-        history.append(
-            EpochStats(epoch=params.epochs_trained, affinity=float("nan"),
-                       pose=pose_mean, accuracy=pair_accuracy(eval_samples, params))
-        )
-        params.epochs_trained += 1
-
     cutoff = int(np.floor(config.epochs * 2 / 3))
-    for local_epoch in range(config.epochs):
-        lr = config.learning_rate * (
-            config.lr_decay if local_epoch >= cutoff else 1.0
-        )
+    schedule = [(True, config.learning_rate)] * pretrain + [
+        (False, config.learning_rate * (config.lr_decay if epoch >= cutoff else 1.0))
+        for epoch in range(config.epochs)
+    ]
+    history = []
+    for pose_only, lr in schedule:
         affinity_mean, pose_mean = _sgd_epoch(
-            samples, params, config, rng, lr, velocity
+            samples, params, config, rng, lr, velocity, pose_only=pose_only
         )
         history.append(
             EpochStats(epoch=params.epochs_trained, affinity=affinity_mean,
@@ -853,27 +841,44 @@ def params_to_doc(params):
 
 
 def params_from_doc(doc):
-    if doc.get("format") != 1:
-        raise SchemaError(f"unsupported checkpoint format {doc.get('format')!r}")
-    cfg_doc = dict(doc["config"])
-    for key in ("scorer_hidden", "pose_hidden", "center_scale"):
-        if key in cfg_doc:
-            cfg_doc[key] = tuple(cfg_doc[key])
-    config = MatcherConfig(**cfg_doc)
+    """MatcherParams from a checkpoint document.
+
+    Raises SchemaError naming the field when one is missing, has the wrong
+    type or shape for the stored config, or holds NaN or inf.
+    """
+    if not isinstance(doc, dict) or type(doc.get("format")) is not int or doc["format"] != 1:
+        raise SchemaError('checkpoint must be a JSON object with "format": 1')
+    try:
+        config = MatcherConfig.from_dict(doc.get("config"))
+    except ConfigError as exc:
+        raise SchemaError(f"checkpoint config: {exc}") from exc
+    missing = sorted({f.name for f in fields(MatcherConfig)} - set(doc["config"]))
+    if missing:
+        raise SchemaError(f"checkpoint config lacks {missing}")
+    if type(doc.get("epochs_trained")) is not int:
+        raise SchemaError("checkpoint epochs_trained must be an integer")
+
+    def stored(key, shape):
+        return numerics.array_from_doc(doc.get(key), f"checkpoint {key}", shape)
+
+    def stored_mlp(key, *sizes):
+        return numerics.layers_from_doc(doc.get(key), sizes, f"checkpoint {key}")
+
+    d, e = config.descriptor_dim, config.embed_dim
     params = MatcherParams(
         config=config,
-        scorer=numerics.layers_from_doc(doc["scorer"]),
-        input_scale=np.asarray(doc["input_scale"], dtype=np.float64),
-        input_shift=np.asarray(doc["input_shift"], dtype=np.float64),
-        epochs_trained=int(doc.get("epochs_trained", 0)),
+        scorer=stored_mlp("scorer", 2 * d, *config.scorer_hidden, 1),
+        input_scale=stored("input_scale", (d,)),
+        input_shift=stored("input_shift", (d,)),
+        epochs_trained=doc["epochs_trained"],
     )
-    if "attention_w" in doc:
-        params.attention_w = np.asarray(doc["attention_w"], dtype=np.float64)
-        params.attention_b = np.array([float(doc["attention_b"])])
-    if "pose_head" in doc:
-        params.pose_head = numerics.layers_from_doc(doc["pose_head"])
-        params.head_shift = np.asarray(doc["head_shift"], dtype=np.float64)
-        params.head_scale = np.asarray(doc["head_scale"], dtype=np.float64)
+    if e > 0:
+        params.attention_w = stored("attention_w", (e,))
+        params.attention_b = stored("attention_b", ()).reshape(1)
+    if config.use_pose_head:
+        params.pose_head = stored_mlp("pose_head", e, *config.pose_hidden, 5)
+        params.head_shift = stored("head_shift", (e,))
+        params.head_scale = stored("head_scale", (e,))
     return params
 
 

@@ -6,11 +6,12 @@ pair scorer, and ``grad_check`` verifies any scalar objective against
 central finite differences.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import SchemaError, ShapeMismatchError
 
 LOG2 = float(np.log(2.0))
 
@@ -237,6 +238,31 @@ def layers_to_doc(layers):
     ]
 
 
-def layers_from_doc(doc):
-    return [Layer(np.asarray(d["w"], dtype=np.float64),
-                  np.asarray(d["b"], dtype=np.float64), d["act"]) for d in doc]
+def is_number(x):
+    """A finite JSON number; bools and ints past the float range are not."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
+def array_from_doc(value, name, shape):
+    """Finite JSON numbers nested to exactly ``shape`` as a float64 array;
+    SchemaError naming ``name`` for anything else, NaN and inf included."""
+    values = np.array(value, dtype=object)
+    if values.shape != shape or not all(map(is_number, values.flat)):
+        raise SchemaError(f"{name} must be finite numbers of shape {shape}")
+    return values.astype(np.float64)
+
+
+def layers_from_doc(doc, sizes, name="layers"):
+    """Inverse of layers_to_doc for an MLP with layer widths ``sizes``;
+    SchemaError names the first layer field that does not fit."""
+    if not isinstance(doc, list) or len(doc) != len(sizes) - 1:
+        raise SchemaError(f"{name} must be a list of {len(sizes) - 1} layers")
+    layers = []
+    for i, d in enumerate(doc):
+        where = f"{name}[{i}]."
+        if not isinstance(d, dict) or d.get("act") not in list(_ACTS):
+            raise SchemaError(f"{where}act must be one of {list(_ACTS)}")
+        w = array_from_doc(d.get("w"), where + "w", (sizes[i], sizes[i + 1]))
+        b = array_from_doc(d.get("b"), where + "b", (sizes[i + 1],))
+        layers.append(Layer(w, b, d["act"]))
+    return layers

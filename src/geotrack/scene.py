@@ -34,10 +34,6 @@ from .geometry import WORLD, CameraIntrinsics, EgoPose, PixelObservation, Pose5D
 SCENE_SCHEMA_VERSION = 1
 DEFAULT_CAPACITY = 30
 
-PAD_FRACTION = 0.15
-PAD_MIN = 5
-PAD_MAX = 25
-
 
 @dataclass
 class Detection:
@@ -97,22 +93,6 @@ class SceneSequence:
 
 
 # --- bbox helpers -------------------------------------------------------------
-
-
-def pad_bbox(bbox, image_size):
-    """Grow a box by the context margin used before cropping.
-
-    The per-side margin is 15% of the larger box side, clamped to
-    [5, 25] pixels; the result is clipped to the image.
-    """
-    left, top, w, h = (float(x) for x in bbox)
-    width, height = image_size
-    pad = float(np.clip(round(PAD_FRACTION * max(w, h)), PAD_MIN, PAD_MAX))
-    new_left = max(0.0, left - pad)
-    new_top = max(0.0, top - pad)
-    new_right = min(float(width), left + w + pad)
-    new_bottom = min(float(height), top + h + pad)
-    return np.array([new_left, new_top, new_right - new_left, new_bottom - new_top])
 
 
 def _bbox_intersects_image(bbox, intrinsics):

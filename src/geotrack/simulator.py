@@ -13,7 +13,7 @@ the evaluation asserts exactly that signature downstream.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .geometry import (
     world_to_camera,
     yaw_rot2,
 )
-from .matching import DetectionFeatures, PairSample
+from .matching import DetectionFeatures, PairSample, config_from_dict
 from .scene import (
     DEFAULT_CAPACITY,
     Detection,
@@ -99,16 +99,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, doc):
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown simulator option(s): {sorted(unknown)}")
-        doc = dict(doc)
-        for key in ("lateral_range", "height_range", "depth_range",
-                    "feature_map_size"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        return cls(**doc)
+        return config_from_dict(cls, doc, "simulator")
 
     def as_dict(self):
         return asdict(self)

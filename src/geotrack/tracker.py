@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import AssignmentResult, hungarian  # noqa: F401
+from .assignment import hungarian
 from .errors import (
     CapacityExceededError,
     EmptyTrackError,
@@ -170,7 +170,6 @@ def step(state, frame):
         scores[:, :n][low] = -np.inf
     assignment = hungarian(scores)
 
-    geom_width = 6 + config.embed_dim
     entries = []
 
     def _instance(det_idx):

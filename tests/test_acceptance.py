@@ -36,7 +36,6 @@ from geotrack.matching import (
     pair_accuracy,
     train_matcher,
     _named_arrays,
-    _named_grads,
 )
 from geotrack.numerics import grad_check, loss_rot, loss_rot_grad, loss_trans, \
     loss_trans_grad
@@ -128,7 +127,7 @@ def test_02_gradient_suite():
 
     samples, params, cfg = _pose_setup()
     sample = samples[0]
-    names = dict(_named_arrays(params))
+    names = _named_arrays(params)
 
     def check(f, label, subset=None):
         target = {k: v for k, v in names.items()
@@ -146,7 +145,7 @@ def test_02_gradient_suite():
             res = forward_pair(sample, params, with_grad=True, pose_only=True)
         finally:
             params.config = saved
-        return res["joint"], dict(_named_grads(params, res["grads"]))
+        return res["joint"], res["grads"]
 
     # L_pose (rot + beta * trans) composed with attention + pose head
     check(lambda _: pose_only_at(cfg.beta), "L_pose", pose_group)
@@ -172,7 +171,7 @@ def test_02_gradient_suite():
             res = forward_pair(sample, params, with_grad=True)
         finally:
             params.config = saved
-        return res["joint"], dict(_named_grads(params, res["grads"]))
+        return res["joint"], res["grads"]
 
     check(lambda _: joint_at(0.0), "L_Aff-full-chain")
     check(lambda _: joint_at(cfg.lam), "L_joint")
@@ -190,9 +189,9 @@ def test_02_gradient_suite():
 
     def affinity_flat(_):
         res = forward_pair(flat_samples[0], flat_params, with_grad=True)
-        return res["joint"], dict(_named_grads(flat_params, res["grads"]))
+        return res["joint"], res["grads"]
 
-    rep = grad_check(affinity_flat, dict(_named_arrays(flat_params)),
+    rep = grad_check(affinity_flat, _named_arrays(flat_params),
                      tolerance=1e-4, step=1e-5)
     assert rep.passed, (rep.worst_param, rep.max_error)
 

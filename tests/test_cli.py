@@ -5,6 +5,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geotrack import cli
+from geotrack.matching import MatcherConfig, save_checkpoint, train_matcher
+from geotrack.scene import save_scene
+from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -130,6 +137,19 @@ class TestTrain:
                     "--lambda", "0", "--seed", "1", "--out", tmp_path / "lz")
         assert r.returncode == 0, r.stderr
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"appearance_dim": 8, "bogus": 1}, "bogus"),
+        ({"appearance_dim": 8, "epochs": "2"}, "epochs"),
+        ([8], "JSON object"),
+    ])
+    def test_bad_config_exits_2(self, pipeline, tmp_path, doc, named):
+        config = tmp_path / "matcher.json"
+        config.write_text(json.dumps(doc))
+        r = run_cli("train", "--dataset", pipeline["dataset"] / "pairs.json",
+                    "--config", config, "--out", tmp_path / "o")
+        assert r.returncode == 2, r.stderr
+        assert named in r.stderr
+
     def test_missing_dataset_exits_3(self, tmp_path):
         r = run_cli("train", "--dataset", tmp_path / "nope.json",
                     "--out", tmp_path / "o")
@@ -253,6 +273,36 @@ class TestTrackEvaluatePlot:
                     "--checkpoint", bad, "--out", tmp_path / "o")
         assert r.returncode == 3
 
+    @staticmethod
+    def track_mutated_checkpoint(pipeline, tracked, tmp_path, mutate):
+        doc = json.loads((pipeline["model"] / "checkpoint.json").read_text())
+        mutate(doc)
+        checkpoint = tmp_path / "mutated.json"
+        checkpoint.write_text(json.dumps(doc))
+        return run_cli("track", "--scene", tracked["scene"],
+                       "--checkpoint", checkpoint, "--out", tmp_path / "o")
+
+    def test_unknown_checkpoint_config_key_exits_3(self, pipeline, tracked, tmp_path):
+        r = self.track_mutated_checkpoint(pipeline, tracked, tmp_path,
+                                          lambda doc: doc["config"].update(bogus=1))
+        assert r.returncode == 3, r.stderr
+        assert "bogus" in r.stderr
+
+    @pytest.mark.parametrize("field, where", [
+        ("input_scale", lambda doc: doc["input_scale"]),
+        ("input_shift", lambda doc: doc["input_shift"]),
+        ("scorer[0].w", lambda doc: doc["scorer"][0]["w"][0]),
+        ("scorer[5].b", lambda doc: doc["scorer"][5]["b"]),
+    ])
+    def test_non_finite_checkpoint_exits_3(self, pipeline, tracked, tmp_path,
+                                           field, where):
+        def mutate(doc):
+            where(doc)[0] = float("nan")
+
+        r = self.track_mutated_checkpoint(pipeline, tracked, tmp_path, mutate)
+        assert r.returncode == 3, r.stderr
+        assert f"checkpoint {field} must be finite" in r.stderr
+
     def test_track_nan_appearance_exits_3(self, pipeline, tracked, tmp_path):
         doc = json.loads(tracked["scene"].read_text())
         doc["frames"][0]["detections"][0]["appearance"][0] = float("nan")
@@ -344,3 +394,72 @@ class TestTrackEvaluatePlot:
         report = json.loads((out / "report.json").read_text())
         assert report["mot"]["mota"] == 1.0
         assert report["mot"]["ids"] == 0
+
+
+@pytest.fixture(scope="module")
+def pose_model(tmp_path_factory):
+    """A small trained pose-head checkpoint (embed_dim 6) and a scene it
+    tracks, plus a scene whose feature maps are 8 deep."""
+    root = tmp_path_factory.mktemp("pose")
+    sim = dict(n_frames=6, n_objects=3, appearance_dim=4, emit_feature_maps=True,
+               embed_dim=6, feature_map_size=(3, 3), feature_sigma=0.02)
+    scene = generate_scene(SimConfig(seed=31, **sim))
+    samples = make_matching_dataset([scene], n_max=4, pairs_per_scene=3, seed=0)
+    params, _ = train_matcher(samples, MatcherConfig(
+        appearance_dim=4, embed_dim=6, use_pose_head=True, epochs=1,
+        pose_pretrain_epochs=1, scorer_hidden=(8, 6, 6, 4, 4), pose_hidden=(6, 4)))
+    save_checkpoint(params, root / "checkpoint.json")
+    save_scene(generate_scene(SimConfig(seed=32, **sim)), root / "scene.json")
+    save_scene(generate_scene(SimConfig(seed=33, **{**sim, "embed_dim": 8})),
+               root / "deep.json")
+    assert cli.main(["track", "--scene", str(root / "scene.json"), "--checkpoint",
+                     str(root / "checkpoint.json"), "--out", str(root / "ok")]) == 0
+    return root
+
+
+def _kind(value):
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+class TestCheckpointData:
+    def test_feature_map_depth_mismatch_exits_3(self, pose_model, tmp_path):
+        r = run_cli("track", "--scene", pose_model / "deep.json",
+                    "--checkpoint", pose_model / "checkpoint.json",
+                    "--out", tmp_path / "o")
+        assert r.returncode == 3, r.stderr
+        assert "embed_dim 6" in r.stderr
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_mutated_checkpoint_exits_2_or_3(self, pose_model, data):
+        """One field of a trained checkpoint is broken: NaN or inf, a value of
+        another type, a missing key, or an unknown config key."""
+        doc = json.loads((pose_model / "checkpoint.json").read_text())
+        kind = data.draw(st.sampled_from(
+            ["nan", "inf", "-inf", "wrong type", "missing", "unknown config key"]))
+        if kind == "unknown config key":
+            doc["config"][data.draw(st.text(min_size=1).filter(
+                lambda key: key not in doc["config"]))] = 1
+        else:
+            # walk down from a top-level field to a random depth
+            containers = dict if kind == "missing" else (dict, list)
+            node, parent = doc, None
+            while isinstance(node, containers) and node \
+                    and (parent is None or data.draw(st.booleans())):
+                parent = node
+                key = data.draw(st.sampled_from(
+                    sorted(node) if isinstance(node, dict) else range(len(node))))
+                node = node[key]
+            if kind == "missing":
+                del parent[key]
+            elif kind == "wrong type":
+                parent[key] = data.draw(st.sampled_from(
+                    [v for v in ("x", None, [], {}, True, 1.5) if _kind(v) != _kind(node)]))
+            else:
+                parent[key] = float(kind)
+        checkpoint = pose_model / "mutated.json"
+        checkpoint.write_text(json.dumps(doc))
+        code = cli.main(["track", "--scene", str(pose_model / "scene.json"),
+                         "--checkpoint", str(checkpoint),
+                         "--out", str(pose_model / "out")])
+        assert code in (2, 3)

@@ -27,7 +27,6 @@ from geotrack.matching import (
     params_to_doc,
     train_matcher,
     _named_arrays,
-    _named_grads,
 )
 from geotrack.numerics import grad_check
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
@@ -315,6 +314,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             MatcherConfig(use_pose_head=True, embed_dim=0)
 
+    def test_from_dict(self):
+        cfg = MatcherConfig.from_dict({"scorer_hidden": [8, 4], "delta": 6,
+                                       "pose_pretrain_epochs": None})
+        assert cfg == MatcherConfig(scorer_hidden=(8, 4), delta=6)
+        assert MatcherConfig.from_dict(params_to_doc(
+            init_matcher_params(cfg))["config"]) == cfg
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"bogus": 1, "seed": 2}, "bogus"),
+        ({"epochs": "5"}, "epochs"),
+        ({"use_pose_head": 1}, "use_pose_head"),
+        ({"delta": float("nan")}, "delta"),
+        ({"center_scale": [1600.0, "x"]}, "center_scale"),
+        ({"scorer_hidden": 8}, "scorer_hidden"),
+        ({"pose_pretrain_epochs": 1.5}, "pose_pretrain_epochs"),
+    ])
+    def test_from_dict_rejects(self, doc, named):
+        with pytest.raises(ConfigError, match=named):
+            MatcherConfig.from_dict(doc)
+
 
 class TestTraining:
     def test_separable_pair_converges_within_200_steps(self):
@@ -399,17 +418,30 @@ class TestGradients:
         params = fit_input_standardization(samples, init_matcher_params(cfg))
         return samples, params
 
+    def test_grads_keyed_like_params(self):
+        obs_samples = small_samples()
+        obs_params = fit_input_standardization(obs_samples, init_matcher_params(
+            MatcherConfig(appearance_dim=8, scorer_hidden=(16, 12, 8, 8, 6), seed=2)))
+        samples, pose_params = self.make_pose_setup()
+        for sample, params, pose_only in ((obs_samples[0], obs_params, False),
+                                          (samples[0], pose_params, False),
+                                          (samples[0], pose_params, True)):
+            grads = forward_pair(sample, params, with_grad=True,
+                                 pose_only=pose_only)["grads"]
+            assert {k: g.shape for k, g in grads.items()} == \
+                {k: a.shape for k, a in _named_arrays(params).items()}
+
     def test_joint_loss_full_chain(self):
         samples, params = self.make_pose_setup()
 
         def f_for(sample):
             def f(_):
                 res = forward_pair(sample, params, with_grad=True)
-                return res["joint"], dict(_named_grads(params, res["grads"]))
+                return res["joint"], res["grads"]
             return f
 
         for sample in samples:
-            report = grad_check(f_for(sample), dict(_named_arrays(params)),
+            report = grad_check(f_for(sample), _named_arrays(params),
                                 tolerance=1e-4)
             assert report.passed, (report.worst_param, report.max_error)
 
@@ -419,9 +451,9 @@ class TestGradients:
 
         def f(_):
             res = forward_pair(sample, params, with_grad=True, pose_only=True)
-            return res["joint"], dict(_named_grads(params, res["grads"]))
+            return res["joint"], res["grads"]
 
-        report = grad_check(f, dict(_named_arrays(params)), tolerance=1e-4)
+        report = grad_check(f, _named_arrays(params), tolerance=1e-4)
         assert report.passed, (report.worst_param, report.max_error)
 
     def test_weighted_pooling_chain(self):
@@ -437,9 +469,9 @@ class TestGradients:
 
         def f(_):
             res = forward_pair(samples[0], params, with_grad=True)
-            return res["joint"], dict(_named_grads(params, res["grads"]))
+            return res["joint"], res["grads"]
 
-        report = grad_check(f, dict(_named_arrays(params)), tolerance=1e-4)
+        report = grad_check(f, _named_arrays(params), tolerance=1e-4)
         assert report.passed, (report.worst_param, report.max_error)
 
 
@@ -505,9 +537,9 @@ class TestPerSideIntrinsics:
 
         def f(_):
             res = forward_pair(sample, params, with_grad=True)
-            return res["joint"], dict(_named_grads(params, res["grads"]))
+            return res["joint"], res["grads"]
 
-        report = grad_check(f, dict(_named_arrays(params)), tolerance=1e-4)
+        report = grad_check(f, _named_arrays(params), tolerance=1e-4)
         assert report.passed, (report.worst_param, report.max_error)
 
 

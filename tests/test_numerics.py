@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geotrack.errors import ShapeMismatchError
+from geotrack.errors import SchemaError, ShapeMismatchError
 from geotrack.geometry import CameraIntrinsics, EgoPose, PixelObservation
 from geotrack.matching import (
     DetectionFeatures,
@@ -123,7 +123,7 @@ class TestAttentionPool:
         )
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(SchemaError):
             embedding(pooling_matcher(3, np.zeros(3), 0.0), np.zeros((2, 2, 2)))
 
 
@@ -278,10 +278,10 @@ class TestMlp:
 
     def test_checkpoint_round_trip(self, rng):
         layers = init_mlp([3, 4, 2], ["relu", "linear"], rng)
-        back = layers_from_doc(json.loads(json.dumps(layers_to_doc(layers))))
+        back = layers_from_doc(json.loads(json.dumps(layers_to_doc(layers))), [3, 4, 2])
         for a, b in zip(layers, back):
             assert np.array_equal(a.w, b.w)
             assert np.array_equal(a.b, b.b)
             assert a.act == b.act
         assert layers_to_doc(back) == layers_to_doc(layers_from_doc(
-            layers_to_doc(layers)))
+            layers_to_doc(layers), [3, 4, 2]))

@@ -3,8 +3,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from geotrack.errors import (
     CapacityExceededError,
@@ -25,7 +23,6 @@ from geotrack.scene import (
     load_scene,
     mot_from_csv,
     mot_to_csv,
-    pad_bbox,
     sample_training_pairs,
     save_scene,
     scene_from_doc,
@@ -45,40 +42,6 @@ def frame_with(dets, index=0):
 
 def det(gt_id=None, bbox=(100, 100, 20, 40)):
     return Detection(bbox=np.array(bbox, dtype=float), gt_id=gt_id)
-
-
-class TestPadBbox:
-    def test_hand_example(self):
-        # pad = clamp(round(0.15 * 80), 5, 25) = 12
-        out = pad_bbox((100, 100, 40, 80), (1600, 900))
-        np.testing.assert_allclose(out, [88, 88, 64, 104])
-
-    def test_small_box_hits_floor(self):
-        out = pad_bbox((10, 10, 4, 4), (1600, 900))
-        np.testing.assert_allclose(out, [5, 5, 14, 14])
-
-    def test_large_box_hits_ceiling(self):
-        out = pad_bbox((500, 300, 400, 400), (1600, 900))
-        np.testing.assert_allclose(out, [475, 275, 450, 450])
-
-    def test_clips_at_origin(self):
-        out = pad_bbox((0, 0, 40, 40), (1600, 900))
-        assert out[0] == 0 and out[1] == 0
-        np.testing.assert_allclose(out[2:], [46, 46])
-
-    @given(st.floats(0, 1500), st.floats(0, 800), st.floats(1, 400),
-           st.floats(1, 400))
-    @settings(max_examples=200)
-    def test_stays_inside_image_and_covers_original(self, left, top, w, h):
-        out = pad_bbox((left, top, w, h), (1600, 900))
-        assert out[0] >= 0 and out[1] >= 0
-        assert out[0] + out[2] <= 1600 + 1e-9
-        assert out[1] + out[3] <= 900 + 1e-9
-        # padded box contains the visible part of the original box
-        assert out[0] <= max(left, 0) + 1e-9
-        assert out[1] <= max(top, 0) + 1e-9
-        assert out[0] + out[2] >= min(left + w, 1600) - 1e-9
-        assert out[1] + out[3] >= min(top + h, 900) - 1e-9
 
 
 class TestMatchMatrix:
