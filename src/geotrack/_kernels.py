@@ -17,17 +17,21 @@ def _lap_core(cost, u, v, col4row, row4col):
     Minimizes over complete row assignments of ``cost`` (shape m x n, m <= n).
     Forbidden edges carry +inf. Fills the dual vectors ``u``/``v`` and the
     assignment arrays in place; returns 0 on success, -1 if infeasible.
+
+    Each scan relaxes every unscanned column in one numpy pass. Among the
+    columns tied at the lowest distance it picks the last still-free one in
+    ``remaining`` order, else the first; a picked column leaves
+    ``remaining`` by swapping in the last entry. These two rules decide
+    every tie, and the test suite pins them.
     """
     m, n = cost.shape
     shortest = np.empty(n, dtype=np.float64)
     path = np.empty(n, dtype=np.int64)
-    remaining = np.empty(n, dtype=np.int64)
 
     for cur_row in range(m):
-        for j in range(n):
-            shortest[j] = np.inf
-            path[j] = -1
-            remaining[j] = n - j - 1
+        shortest.fill(np.inf)
+        path.fill(-1)
+        remaining = np.arange(n - 1, -1, -1, dtype=np.int64)
         num_remaining = n
         scanned_rows = np.zeros(m, dtype=np.bool_)
         scanned_cols = np.zeros(n, dtype=np.bool_)
@@ -36,21 +40,18 @@ def _lap_core(cost, u, v, col4row, row4col):
         i = cur_row
         sink = -1
         while sink == -1:
-            index = -1
-            lowest = np.inf
             scanned_rows[i] = True
-            for it in range(num_remaining):
-                j = remaining[it]
-                r = min_val + cost[i, j] - u[i] - v[j]
-                if r < shortest[j]:
-                    path[j] = i
-                    shortest[j] = r
-                if shortest[j] < lowest or (
-                    shortest[j] == lowest and row4col[j] == -1
-                ):
-                    lowest = shortest[j]
-                    index = it
-            min_val = lowest
+            cols = remaining[:num_remaining]
+            r = min_val + cost[i, cols] - u[i] - v[cols]
+            closer = r < shortest[cols]
+            path[cols[closer]] = i
+            shortest[cols[closer]] = r[closer]
+            dist = shortest[cols]
+            tied = np.flatnonzero(dist == dist.min())
+            free = tied[row4col[cols[tied]] == -1]
+            index = int(free[-1] if free.size else tied[0])
+            # the picked column's own value, so a signed zero carries over
+            min_val = dist[index]
             if min_val == np.inf:
                 return -1
             j = remaining[index]
@@ -63,12 +64,10 @@ def _lap_core(cost, u, v, col4row, row4col):
             remaining[index] = remaining[num_remaining]
 
         u[cur_row] += min_val
-        for k in range(m):
-            if scanned_rows[k] and k != cur_row:
-                u[k] += min_val - shortest[col4row[k]]
-        for j in range(n):
-            if scanned_cols[j]:
-                v[j] -= min_val - shortest[j]
+        others = scanned_rows.copy()
+        others[cur_row] = False
+        u[others] += min_val - shortest[col4row[others]]
+        v[scanned_cols] -= min_val - shortest[scanned_cols]
 
         j = sink
         while True:

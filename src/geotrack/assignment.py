@@ -5,6 +5,16 @@ tie rule used throughout the package: among assignments with exactly equal
 total score, the lexicographically smallest (row, column) pairing wins.
 Tie resolution only ever triggers on exact score ties (certified through
 zero reduced costs), so the common case stays a single O(k^3) solve.
+
+``hungarian`` solves the tracking layout, where column n + i is row i's
+null option and -inf in every other row. A row whose detection scores all
+lie strictly below its null takes that null in every optimal assignment:
+moving it from a detection to its null, which no other row can hold,
+would raise the total. So only the other rows are solved, on their own
+submatrix (every detection column plus their null columns). The submatrix
+keeps the columns' order and the set-aside rows are fixed, so the
+lexicographic tie rule picks the same assignment as a solve of the full
+matrix.
 """
 
 from dataclasses import dataclass, field
@@ -99,8 +109,9 @@ def hungarian(score):
     """Assignment over a tracking score matrix of shape (m, n + m).
 
     Columns 0..n-1 are detections, column n+i is the null option of track
-    i. Rows matched to a null column become unmatched tracks; detection
-    columns that no row takes become unmatched detections.
+    i, -inf in every other row. Rows matched to a null column become
+    unmatched tracks; detection columns that no row takes become unmatched
+    detections.
     """
     score = np.asarray(score, dtype=np.float64)
     m = score.shape[0] if score.ndim == 2 else 0
@@ -109,8 +120,22 @@ def hungarian(score):
             f"tracking score matrix must be (m, n + m); got {score.shape}"
         )
     n = score.shape[1] - m
-    col4row, total = solve_max(score) if m else (np.zeros(0, dtype=np.int64), 0.0)
-    result = AssignmentResult(total_score=total)
+    if np.isnan(score).any() or (score == np.inf).any():
+        raise InfeasibleAssignmentError("scores must be finite or -inf")
+    nulls = score[:, n:]
+    null = nulls.diagonal()
+    if (nulls[~np.eye(m, dtype=bool)] != -np.inf).any():
+        raise InfeasibleAssignmentError("null column n + i must be -inf outside row i")
+    # only rows with a detection scoring at least their null need a solve;
+    # the rest keep the null (module docstring). A row without a null
+    # always needs one.
+    rows = np.flatnonzero((score[:, :n] >= null[:, None]).any(axis=1) | (null == -np.inf))
+    col4row = np.arange(n, n + m)
+    if rows.size:
+        cols = np.concatenate([np.arange(n), n + rows])
+        sub_col4row, _ = solve_max(score[np.ix_(rows, cols)])
+        col4row[rows] = cols[sub_col4row]
+    result = AssignmentResult(total_score=_total(score, col4row))
     taken = set()
     for i in range(m):
         j = int(col4row[i])

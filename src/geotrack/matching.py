@@ -56,10 +56,15 @@ def _fits(value, default):
     return type(value) is type(default) or default is None and type(value) is int
 
 
+# Tuple fields of free length (layer widths); any other tuple default, such
+# as a (min, max) range or an (x, y) scale, fixes its field's length.
+_VARIABLE_LENGTH = ("scorer_hidden", "pose_hidden")
+
+
 def config_from_dict(cls, doc, what):
     """Config dataclass ``cls`` from a JSON object, JSON lists as tuples.
-    ConfigError names unknown fields and values unlike the field's default
-    in type (floats must also be finite)."""
+    ConfigError names unknown fields, values unlike the field's default in
+    type (floats must also be finite) and tuples of the wrong length."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} configuration must be a JSON object")
     defaults = {f.name: f.default for f in fields(cls)}
@@ -67,8 +72,14 @@ def config_from_dict(cls, doc, what):
     if unknown:
         raise ConfigError(f"unknown {what} option(s): {unknown}")
     for name, value in doc.items():
-        if not _fits(value, defaults[name]):
+        default = defaults[name]
+        if not _fits(value, default):
             raise ConfigError(f"{what} option {name}: {value!r} has the wrong type")
+        if (isinstance(default, tuple) and name not in _VARIABLE_LENGTH
+                and len(value) != len(default)):
+            raise ConfigError(
+                f"{what} option {name}: {value!r} needs {len(default)} values"
+            )
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 

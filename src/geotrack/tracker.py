@@ -7,14 +7,15 @@ detection j, and column n + i holds track i's null score (its mean
 probability of matching nothing). Tracks matched to their null column stay
 alive — the targets are static, so disappearing from view is expected —
 and each track's 5D pose is re-aggregated in the reference frame after
-every update.
+every update. A frame without detections has nothing to decide: every
+track stays unmatched, keeps its buffer, and nothing is scored or solved.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import hungarian
+from .assignment import AssignmentResult, hungarian
 from .errors import (
     CapacityExceededError,
     EmptyTrackError,
@@ -158,6 +159,9 @@ def step(state, frame):
         raise CapacityExceededError(
             f"{len(frame.detections)} detections exceed capacity {config.capacity}"
         )
+    if not frame.detections:
+        state.last_frame_index = frame.frame_index
+        return AssignmentResult(unmatched_tracks=list(range(len(state.tracks)))), []
     features = [_features_for(det) for det in frame.detections]
     descriptors = state.matcher.descriptors(
         features, frame.ego, state.ego_ref, frame.intrinsics

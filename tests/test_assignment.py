@@ -89,6 +89,17 @@ class TestSolveMax:
         assert total == pytest.approx(brute_force_max(score), abs=1e-12)
 
 
+def partition_from_solve_max(score):
+    """What ``hungarian`` must return: ``solve_max`` on the whole matrix."""
+    m = score.shape[0]
+    n = score.shape[1] - m
+    col4row, total = solve_max(score)
+    matches = [(i, int(j)) for i, j in enumerate(col4row) if j < n]
+    taken = {j for _, j in matches}
+    unmatched = [i for i, j in enumerate(col4row) if j >= n]
+    return matches, unmatched, [j for j in range(n) if j not in taken], total
+
+
 class TestHungarian:
     def test_prefers_detection_over_weak_null(self):
         score = np.array([[0.9, 0.1]])
@@ -130,3 +141,47 @@ class TestHungarian:
             assert matched_tracks | set(result.unmatched_tracks) == set(range(m))
             assert matched_dets | set(result.unmatched_detections) == set(range(n))
             assert len(matched_dets) == len(result.matches)
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(0, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_row_reduction_matches_full_solve(self, seed, m, n):
+        # Small integers force exact ties; some rows lose to their null on
+        # every detection, some tie with it, some have a forbidden null.
+        rng = np.random.default_rng(seed)
+        score = np.full((m, n + m), -np.inf)
+        score[:, :n] = rng.integers(0, 3, size=(m, n))
+        score[:, :n][rng.random((m, n)) < 0.3] = -np.inf
+        for i in range(m):
+            best = score[i, :n].max(initial=-np.inf)
+            kind = rng.integers(4)
+            if kind == 0 and best > -np.inf:
+                score[i, n + i] = best + rng.integers(1, 3)  # loses everywhere
+            elif kind == 1 and best > -np.inf:
+                score[i, n + i] = best  # ties its best detection
+            elif kind == 2 and best > -np.inf:
+                score[i, n + i] = -np.inf  # must take a detection
+            else:
+                score[i, n + i] = rng.integers(0, 3)
+        try:
+            expected = partition_from_solve_max(score)
+        except InfeasibleAssignmentError:
+            with pytest.raises(InfeasibleAssignmentError):
+                hungarian(score)
+            return
+        result = hungarian(score)
+        got = (result.matches, result.unmatched_tracks, result.unmatched_detections,
+               result.total_score)
+        assert got == expected
+
+    def test_bad_entry_in_a_null_row_still_raises(self):
+        # no comparison puts row 1 above its null, so no solve would see it
+        for bad_row in ([np.nan, 0.1, -np.inf, 0.9], [0.2, 0.1, -np.inf, np.inf]):
+            score = np.array([[0.5, 0.1, 0.2, -np.inf], bad_row])
+            with pytest.raises(InfeasibleAssignmentError):
+                hungarian(score)
+
+    def test_finite_null_of_another_row_raises(self):
+        score = np.array([[0.5, 0.1, 0.2],
+                          [0.3, -np.inf, 0.9]])
+        with pytest.raises(InfeasibleAssignmentError):
+            hungarian(score)

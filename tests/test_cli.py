@@ -99,6 +99,14 @@ class TestSimulate:
         assert r.returncode == 2
         assert "center_sigma_px" in r.stderr
 
+    def test_short_range_exits_2_and_names_field(self, tmp_path):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"lateral_range": [1.0]}))
+        r = run_cli("simulate", "--config", config, "--out", tmp_path / "o")
+        assert r.returncode == 2
+        assert "lateral_range" in r.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_command_exits_2(self):
         assert run_cli("frobnicate").returncode == 2
 
@@ -141,6 +149,8 @@ class TestTrain:
         ({"appearance_dim": 8, "bogus": 1}, "bogus"),
         ({"appearance_dim": 8, "epochs": "2"}, "epochs"),
         ([8], "JSON object"),
+        ({"appearance_dim": 8, "use_pose_head": True, "center_scale": [1600.0]},
+         "center_scale"),
     ])
     def test_bad_config_exits_2(self, pipeline, tmp_path, doc, named):
         config = tmp_path / "matcher.json"

@@ -16,6 +16,78 @@ def brute_force_min(cost):
     return best
 
 
+def reference_lap_core(cost, u, v, col4row, row4col):
+    """The per-column scan that ``_kernels._lap_core`` replaced."""
+    m, n = cost.shape
+    shortest = np.empty(n, dtype=np.float64)
+    path = np.empty(n, dtype=np.int64)
+    remaining = np.empty(n, dtype=np.int64)
+
+    for cur_row in range(m):
+        for j in range(n):
+            shortest[j] = np.inf
+            path[j] = -1
+            remaining[j] = n - j - 1
+        num_remaining = n
+        scanned_rows = np.zeros(m, dtype=np.bool_)
+        scanned_cols = np.zeros(n, dtype=np.bool_)
+
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = np.inf
+            scanned_rows[i] = True
+            for it in range(num_remaining):
+                j = remaining[it]
+                r = min_val + cost[i, j] - u[i] - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                if shortest[j] < lowest or (
+                    shortest[j] == lowest and row4col[j] == -1
+                ):
+                    lowest = shortest[j]
+                    index = it
+            min_val = lowest
+            if min_val == np.inf:
+                return -1
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            scanned_cols[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+
+        u[cur_row] += min_val
+        for k in range(m):
+            if scanned_rows[k] and k != cur_row:
+                u[k] += min_val - shortest[col4row[k]]
+        for j in range(n):
+            if scanned_cols[j]:
+                v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return 0
+
+
+def run_core(core, cost):
+    m, n = cost.shape
+    state = (np.zeros(m), np.zeros(n), np.full(m, -1, dtype=np.int64),
+             np.full(n, -1, dtype=np.int64))
+    status = core(cost, *state)
+    return status, state
+
+
 def reference_iou_matrix(boxes_a, boxes_b):
     """The per-pair IoU loop that ``_kernels.iou_matrix`` replaced."""
     boxes_a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 4)
@@ -70,6 +142,25 @@ class TestLapKernel:
             _kernels.solve_lap_min(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             _kernels.solve_lap_min(np.array([[np.nan, 1.0]]))
+
+    def test_scan_matches_reference(self, rng):
+        # The vectorized scan must reproduce the per-column loop it replaced
+        # bit for bit, ties and infeasibility included: small integer costs
+        # tie heavily, and +inf entries forbid edges.
+        for _ in range(2000):
+            m = int(rng.integers(1, 6))
+            n = int(rng.integers(m, 8))
+            cost = rng.integers(0, 3, size=(m, n)).astype(np.float64)
+            cost[rng.random((m, n)) < rng.uniform(0.0, 0.6)] = np.inf
+            status, (u, v, col4row, row4col) = run_core(_kernels._lap_core, cost)
+            ref_status, (ru, rv, rcol4row, rrow4col) = run_core(reference_lap_core, cost)
+            assert status == ref_status
+            if status == 0:
+                assert np.array_equal(col4row, rcol4row)
+                assert np.array_equal(row4col, rrow4col)
+                for got, expected in ((u, ru), (v, rv)):
+                    assert np.array_equal(got, expected)
+                    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestIouKernel:

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from geotrack.errors import EmptyTrackError, OutOfOrderFrameError
+from geotrack.errors import CapacityExceededError, EmptyTrackError, OutOfOrderFrameError
 from geotrack.geometry import REFERENCE, Pose5D
-from geotrack.matching import Matcher, augment_normalize
+from geotrack.matching import Matcher, MatcherConfig, augment_normalize
 from geotrack.simulator import SimConfig, generate_scene, world_objects
 from geotrack.tracker import (
     Track,
@@ -226,6 +228,52 @@ class TestStepLifecycle:
         for track in state.tracks:
             assert len(track.instances) <= 5
             assert track.observation_count >= len(track.instances)
+
+
+class TestEmptyFrame:
+    class NoScoring(StubMatcher):
+        """Fails on any scoring call, so a test shows none was made."""
+
+        config = MatcherConfig(capacity=2)
+
+        def descriptors(self, *args):
+            raise AssertionError("built descriptors for a frame without detections")
+
+        def bundle(self, desc_rows, desc_cols):
+            raise AssertionError("scored a frame without detections")
+
+    def tracked_state(self):
+        frame = generate_scene(SimConfig(seed=21, n_frames=2, n_objects=3,
+                                         appearance_dim=16)).frames[0]
+        state = TrackerState(self.NoScoring({}), frame.ego)
+        state.tracks = [
+            Track(track_id=k + 1, instances=[instance(0), instance(1)],
+                  observation_count=2)
+            for k in range(2)
+        ]
+        state.last_frame_index = 1
+        return state, frame
+
+    def test_all_null_partition_without_scoring(self):
+        state, frame = self.tracked_state()
+        buffers = [list(t.instances) for t in state.tracks]
+        assignment, entries = step(state, replace(frame, frame_index=4, detections=[]))
+        assert assignment.matches == [] and assignment.unmatched_detections == []
+        assert assignment.unmatched_tracks == [0, 1]
+        assert assignment.total_score == 0.0
+        assert entries == []
+        assert [t.instances for t in state.tracks] == buffers
+        assert [t.observation_count for t in state.tracks] == [2, 2]
+        assert state.last_frame_index == 4
+
+    def test_order_and_capacity_checks_come_first(self):
+        state, frame = self.tracked_state()
+        with pytest.raises(OutOfOrderFrameError):
+            step(state, replace(frame, frame_index=1, detections=[]))
+        crowded = replace(frame, frame_index=2, detections=[frame.detections[0]] * 3)
+        with pytest.raises(CapacityExceededError):
+            step(state, crowded)
+        assert state.last_frame_index == 1
 
 
 class TestFinalize:
