@@ -20,6 +20,13 @@ Two descriptor routes exist:
   so the matching loss backpropagates into the pose head. This is the
   coupling that makes joint training meaningful.
 
+Either route runs once per frame side on (k, ...) arrays of that side's k
+detections (``_describe`` forward, ``_backward_side`` backward), and
+reproduces bit for bit a loop over the detections: each row's reductions
+are those a single vector would get, and the pose head's weight gradients
+add up in detection order. With ``embed_dim`` > 0 every detection of a
+frame carries one feature map, all of one (H, W, embed_dim) shape.
+
 Scores feed the softmax in logit space by default (``score_space``);
 with similarities capped at 1 the documented basis value 8 would otherwise
 drown every real match.
@@ -27,6 +34,7 @@ drown every real match.
 
 import json
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,7 +48,8 @@ from .errors import (
     SchemaError,
     ShapeMismatchError,
 )
-from .geometry import normalize_rotation, recover_translation, reference_transform
+# unused here, but perfbench's tracer wraps matching.recover_translation
+from .geometry import recover_translation, reference_transform  # noqa: F401
 from .numerics import init_mlp, mlp_backward, mlp_forward
 from .scene import atomic_write_text
 
@@ -241,10 +250,6 @@ def build_pair_tensor(features_a, features_b):
 # --- scoring -----------------------------------------------------------------------
 
 
-def _sigmoid(z):
-    return numerics._sigmoid(np.asarray(z, dtype=np.float64))
-
-
 def score_pair_logits(pair_tensor, scorer, input_scale=None, input_shift=None,
                       cache=None):
     pair_tensor = np.asarray(pair_tensor, dtype=np.float64)
@@ -337,204 +342,191 @@ def loss_affinity(bundle, match, with_grad=False):
         raise ShapeMismatchError(
             f"match matrix {match.shape} does not fit real counts ({n1}, {n2})"
         )
-    for i in range(n1):
-        if match[i].sum() != 1:
-            raise DegenerateMatchError(f"row {i} of the match matrix must sum to 1")
-    for j in range(n2):
-        if match[:, j].sum() != 1:
-            raise DegenerateMatchError(f"column {j} of the match matrix must sum to 1")
+    bad_rows = np.flatnonzero(match[:n1].sum(axis=1) != 1)
+    if bad_rows.size:
+        raise DegenerateMatchError(f"row {bad_rows[0]} of the match matrix must sum to 1")
+    bad_cols = np.flatnonzero(match[:, :n2].sum(axis=0) != 1)
+    if bad_cols.size:
+        raise DegenerateMatchError(
+            f"column {bad_cols[0]} of the match matrix must sum to 1")
 
     grad = np.zeros((n1, n2)) if with_grad else None
     m_block = match[:n1, :n2].astype(np.float64)
     loss1 = 0.0
     if n1 > 0:
-        p = np.concatenate(
-            [bundle.S1n[:n1, :n2], bundle.S1n[:n1, n2:n2 + 1]], axis=1
-        )
-        m = np.concatenate(
-            [m_block, match[:n1, n2:n2 + 1].astype(np.float64)], axis=1
-        )
+        m = match[:n1].astype(np.float64)
         with np.errstate(divide="ignore"):  # log 0 -> inf is the failure signal
-            loss1 = -(m * np.log(np.where(m > 0, p, 1.0))).sum() / n1
+            loss1 = -(m * np.log(np.where(m > 0, bundle.S1n, 1.0))).sum() / n1
         if with_grad:
             if bundle.softmax_axis == "per-object":
                 # groups are rows of S1 (target mass per group is 1)
-                grad[:n1, :n2] += (p[:, :-1] - m[:, :-1]) / (2.0 * n1)
+                grad += (bundle.S1n[:, :n2] - m_block) / (2.0 * n1)
             else:
                 # groups are columns of S1; the null column is constant
                 col_mass = m_block.sum(axis=0, keepdims=True)
-                grad[:n1, :n2] += (
-                    bundle.S1n[:n1, :n2] * col_mass - m_block
-                ) / (2.0 * n1)
+                grad += (bundle.S1n[:, :n2] * col_mass - m_block) / (2.0 * n1)
     loss2 = 0.0
     if n2 > 0:
-        q = np.concatenate(
-            [bundle.S2n[:n1, :n2], bundle.S2n[n1:n1 + 1, :n2]], axis=0
-        )
-        m = np.concatenate(
-            [m_block, match[n1:n1 + 1, :n2].astype(np.float64)], axis=0
-        )
+        m = match[:, :n2].astype(np.float64)
         with np.errstate(divide="ignore"):
-            loss2 = -(m * np.log(np.where(m > 0, q, 1.0))).sum() / n2
+            loss2 = -(m * np.log(np.where(m > 0, bundle.S2n, 1.0))).sum() / n2
         if with_grad:
             if bundle.softmax_axis == "per-object":
-                grad[:n1, :n2] += (q[:-1] - m[:-1]) / (2.0 * n2)
+                grad += (bundle.S2n[:n1] - m_block) / (2.0 * n2)
             else:
                 row_mass = m_block.sum(axis=1, keepdims=True)
-                grad[:n1, :n2] += (
-                    bundle.S2n[:n1, :n2] * row_mass - m_block
-                ) / (2.0 * n2)
+                grad += (bundle.S2n[:n1] * row_mass - m_block) / (2.0 * n2)
     loss = float(0.5 * (loss1 + loss2))
     if with_grad:
         return loss, grad
     return loss
 
 
-# --- per-detection forward/backward chains -------------------------------------------
+# --- descriptor chain, one frame side at a time ----------------------------------
 
 
-class _DetectionTape:
-    """Caches of one detection's descriptor-input pipeline."""
+def _gather(features_list, cfg):
+    """The side's appearance rows (k, A) and feature maps (k, H, W, E) or
+    None; SchemaError when a detection does not fit the matcher."""
+    for f in features_list:
+        if np.shape(f.appearance) != (cfg.appearance_dim,):
+            raise SchemaError(
+                f"appearance vector has {np.size(f.appearance)} dims; "
+                f"this matcher expects {cfg.appearance_dim}"
+            )
+        if not cfg.use_pose_head and f.observation is None:
+            raise SchemaError("detection lacks the pixel observation needed for matching")
+    fmaps = None
+    if cfg.embed_dim > 0 and features_list:
+        shapes = {np.shape(f.feature_map) for f in features_list}
+        shape = next(iter(shapes)) if len(shapes) == 1 else ()
+        if len(shape) != 3 or shape[2] != cfg.embed_dim or 0 in shape:
+            raise SchemaError(
+                f"embed_dim {cfg.embed_dim} needs one (H, W, {cfg.embed_dim}) feature "
+                f"map per detection, all of one shape; this frame has {sorted(shapes)}"
+            )
+        fmaps = np.array([f.feature_map for f in features_list], dtype=np.float64)
+    return np.array([f.appearance for f in features_list], dtype=np.float64), fmaps
 
-    __slots__ = (
-        "features", "geometry", "embedding", "pose_loss",
-        "attn", "head_cache", "head_out",
-        "r_raw_norm", "r_hat", "center", "depth", "B", "C", "intrinsics",
-        "target_vec",
-    )
+
+def _back_project(ctz, intrinsics):
+    """Camera-frame translations of (c_x, c_y, T_z) rows:
+    T_a = (c_a - p_a) * T_z / f_a for a in {x, y}; T_z passes through."""
+    t = ctz.copy()
+    t[:, :2] = (ctz[:, :2] - [intrinsics.p_x, intrinsics.p_y]) * ctz[:, 2:] \
+        / [intrinsics.f_x, intrinsics.f_y]
+    return t
 
 
-def _observed_geometry(features, B, d_off, C, intrinsics):
-    obs = features.observation
-    if obs is None:
-        raise SchemaError("detection lacks the pixel observation needed for matching")
-    t_cam = recover_translation(obs, intrinsics)
-    t_ref = B @ t_cam + d_off
-    r_ref = normalize_rotation(C @ normalize_rotation(obs.R))
-    return t_ref, r_ref
+def _apply(M, rows):
+    """``M @ row`` for every row of a (k, n) stack, one matrix-vector
+    product each (as a loop over the rows would compute them)."""
+    return (M @ rows[:, :, None])[:, :, 0]
 
 
-def _forward_detection(features, params, B, d_off, C, intrinsics):
-    """Build one detection's geometry (+embedding) inputs, caching for backprop."""
+def _describe(features_list, params, ego, ego_ref, intrinsics):
+    """One frame side's descriptor chain: the tape ``_backward_side`` reads
+    and the (k, d) ``[geometry | appearance]`` rows, all mapped into the
+    ``ego_ref`` camera frame."""
     cfg = params.config
-    tape = _DetectionTape()
-    tape.features = features
-    tape.B, tape.C = B, C
-    tape.intrinsics = intrinsics
-    tape.pose_loss = None
-    tape.embedding = None
+    k = len(features_list)
+    appearance, fmaps = _gather(features_list, cfg)
+    B, d_off, C = reference_transform(ego, ego_ref)
+    tape = SimpleNamespace(B=B, C=C, intrinsics=intrinsics, fmaps=fmaps,
+                           pose_loss=np.zeros(0))
+    if k == 0:
+        return tape, np.zeros((0, cfg.descriptor_dim))
 
-    if cfg.embed_dim > 0 and features.feature_map is not None:
-        fmap = features.feature_map
-        if fmap.ndim != 3 or fmap.shape[2] != cfg.embed_dim:
-            raise SchemaError(f"feature map of shape {fmap.shape} is not "
-                              f"(H, W, embed_dim {cfg.embed_dim})")
-        logits = fmap @ params.attention_w + params.attention_b[0]
-        attn = numerics.softmax_map(logits)
-        pooled = np.einsum("ij,ije->e", attn, fmap)
+    embedding = np.zeros((k, cfg.embed_dim))
+    if fmaps is not None:
+        tape.attn = numerics.softmax_map(fmaps @ params.attention_w + params.attention_b[0])
+        embedding = np.einsum("kij,kije->ke", tape.attn, fmaps)
         if cfg.pooling == "mean":
-            pooled = pooled / (fmap.shape[0] * fmap.shape[1])
-        tape.attn = attn
-        tape.embedding = pooled
+            embedding = embedding / (fmaps.shape[1] * fmaps.shape[2])
 
     if cfg.use_pose_head:
-        if tape.embedding is None:
-            raise SchemaError("pose-head matching needs per-detection feature maps")
-        cache = []
-        head_in = (tape.embedding - params.head_shift) * params.head_scale
-        out = mlp_forward(params.pose_head, head_in, cache=cache)
-        tape.head_cache = cache
-        tape.head_out = out
-        sx, sy = cfg.center_scale
-        center = np.array([out[0] * sx, out[1] * sy])
-        depth = out[2] * cfg.depth_scale
-        r_raw = out[3:5]
-        nrm = float(np.linalg.norm(r_raw))
-        if nrm <= 1e-12:
-            raise NonFiniteLossError("pose head collapsed to a zero facing direction")
-        r_hat = r_raw / nrm
-        tape.center, tape.depth = center, depth
-        tape.r_raw_norm, tape.r_hat = nrm, r_hat
-        t_cam = np.array(
-            [
-                (center[0] - intrinsics.p_x) * depth / intrinsics.f_x,
-                (center[1] - intrinsics.p_y) * depth / intrinsics.f_y,
-                depth,
-            ]
-        )
-        t_ref = B @ t_cam + d_off
-        r_ref = C @ r_hat
-        if features.target is not None:
-            c_star, tz_star, r_star = features.target
-            tape.target_vec = (
-                np.array([c_star[0], c_star[1], tz_star]),
-                np.asarray(r_star, dtype=np.float64),
-            )
-            tape.pose_loss = numerics.loss_rot(tape.target_vec[1], r_hat) \
-                + cfg.beta * numerics.loss_trans(
-                    tape.target_vec[0], np.array([center[0], center[1], depth])
-                )
+        tape.head_cache = []
+        out = mlp_forward(params.pose_head,
+                          (embedding - params.head_shift) * params.head_scale,
+                          cache=tape.head_cache)
+        tape.ctz = out[:, :3] * np.array([*cfg.center_scale, cfg.depth_scale])
+        tape.r_norm = numerics.row_norm(out[:, 3:5])
+        if ((tape.r_norm <= 1e-12) | np.isinf(tape.r_norm)).any():
+            raise NonFiniteLossError("pose head gave a zero or overflowing facing direction")
+        tape.r_hat = out[:, 3:5] / tape.r_norm[:, None]
+        t_ref = _apply(B, _back_project(tape.ctz, intrinsics)) + d_off
+        r_ref = _apply(C, tape.r_hat)
+        tape.targeted = np.array([f.target is not None for f in features_list])
+        if tape.targeted.any():  # target rows (c_x, c_y, T_z, R_x, R_y)
+            tape.target = np.array([[*c, tz, *r] for c, tz, r in (
+                f.target for f in features_list if f.target is not None)], dtype=np.float64)
+            tape.pose_loss = \
+                numerics.loss_rot(tape.target[:, 3:], tape.r_hat[tape.targeted]) \
+                + cfg.beta * numerics.loss_trans(tape.target[:, :3], tape.ctz[tape.targeted])
     else:
-        t_ref, r_ref = _observed_geometry(features, B, d_off, C, intrinsics)
+        observations = [f.observation for f in features_list]
+        r_obs = np.array([o.R for o in observations])
+        r_norm = numerics.row_norm(r_obs)
+        ctz = np.array([[*o.c, o.T_z] for o in observations], dtype=np.float64)
+        t_ref = _apply(B, _back_project(ctz, intrinsics)) + d_off
+        bad = ~(np.isfinite(t_ref).all(axis=1) & np.isfinite(r_norm) & (r_norm > 1e-12))
+        if bad.any():
+            raise SchemaError(f"detection {int(np.argmax(bad))}: observation geometry "
+                              f"is not finite or faces no direction")
+        r_ref = _apply(C, r_obs / r_norm[:, None])
+        r_ref = r_ref / numerics.row_norm(r_ref)[:, None]
+    return tape, np.concatenate(
+        [t_ref, r_ref, np.zeros((k, 1)), embedding, appearance], axis=1)
 
-    emb = tape.embedding if tape.embedding is not None else np.zeros(cfg.embed_dim)
-    tape.geometry = np.concatenate([t_ref, r_ref, [0.0], emb])
-    return tape
+
+def _add_rows(grads, name, rows):
+    """Add the per-detection ``rows`` into ``grads[name]`` one after another
+    in detection order, as a loop over the detections would."""
+    stacked = np.concatenate([grads[name][None], rows])
+    grads[name][...] = np.add.accumulate(stacked, axis=0)[-1]
 
 
-def _backward_detection(tape, d_geometry, pose_weight, params, grads):
-    """Push descriptor-geometry and pose-loss gradients into the trainables."""
+def _backward_side(tape, d_geometry, pose_weight, params, grads):
+    """Push one side's (k, 6 + E) descriptor-geometry gradients, and its
+    pose losses weighted by ``pose_weight``, into the trainables."""
     cfg = params.config
-    intrinsics = tape.intrinsics
-    d_emb = d_geometry[GEOMETRY_PREFIX:].copy()
+    if len(d_geometry) == 0:
+        return
+    d_emb = d_geometry[:, GEOMETRY_PREFIX:]
 
     if cfg.use_pose_head:
-        d_t_ref = d_geometry[:3]
-        d_r_ref = d_geometry[3:5]
-        d_t_cam = tape.B.T @ d_t_ref
-        d_r_hat = tape.C.T @ d_r_ref
+        K, ctz, r_hat, hit = tape.intrinsics, tape.ctz, tape.r_hat, tape.targeted
+        d_t_cam = _apply(tape.B.T, d_geometry[:, :3])
+        d_r_hat = _apply(tape.C.T, d_geometry[:, 3:5])
+        d_ctz = np.empty_like(ctz)
+        f = np.array([K.f_x, K.f_y])
+        d_ctz[:, :2] = d_t_cam[:, :2] * ctz[:, 2:] / f
+        d_xy = d_t_cam[:, :2] * (ctz[:, :2] - [K.p_x, K.p_y]) / f
+        d_ctz[:, 2] = d_xy[:, 0] + d_xy[:, 1] + d_t_cam[:, 2]
+        if tape.pose_loss.size and pose_weight != 0.0:
+            d_r_hat[hit] += pose_weight * numerics.loss_rot_grad(tape.target[:, 3:],
+                                                                 r_hat[hit])
+            d_ctz[hit] += pose_weight * cfg.beta * numerics.loss_trans_grad(
+                tape.target[:, :3], ctz[hit])
+        radial = (r_hat[:, None, :] @ d_r_hat[:, :, None])[:, 0]
+        d_out = np.column_stack([d_ctz * np.array([*cfg.center_scale, cfg.depth_scale]),
+                                 (d_r_hat - r_hat * radial) / tape.r_norm[:, None]])
+        # row by row: the weight gradients then add up in detection order
+        d_head_in = np.empty_like(d_emb)
+        for i, row in enumerate(d_out):
+            cache = [(h[i:i + 1], z[i:i + 1], y[i:i + 1]) for h, z, y in tape.head_cache]
+            head_grads, d_head_in[i] = mlp_backward(params.pose_head, cache, row)
+            _add_layer_grads(grads, "pose_head", head_grads)
+        d_emb = d_emb + d_head_in * params.head_scale
 
-        center, depth = tape.center, tape.depth
-        d_center = np.array(
-            [
-                d_t_cam[0] * depth / intrinsics.f_x,
-                d_t_cam[1] * depth / intrinsics.f_y,
-            ]
-        )
-        d_depth = (
-            d_t_cam[0] * (center[0] - intrinsics.p_x) / intrinsics.f_x
-            + d_t_cam[1] * (center[1] - intrinsics.p_y) / intrinsics.f_y
-            + d_t_cam[2]
-        )
-        if tape.pose_loss is not None and pose_weight != 0.0:
-            t_target, r_target = tape.target_vec
-            d_r_hat = d_r_hat + pose_weight * numerics.loss_rot_grad(r_target, tape.r_hat)
-            d_trans = pose_weight * cfg.beta * numerics.loss_trans_grad(
-                t_target, np.array([center[0], center[1], depth])
-            )
-            d_center = d_center + d_trans[:2]
-            d_depth = d_depth + d_trans[2]
-
-        r_hat = tape.r_hat
-        d_r_raw = (d_r_hat - r_hat * float(r_hat @ d_r_hat)) / tape.r_raw_norm
-        sx, sy = cfg.center_scale
-        d_out = np.array(
-            [d_center[0] * sx, d_center[1] * sy, d_depth * cfg.depth_scale,
-             d_r_raw[0], d_r_raw[1]]
-        )
-        head_grads, d_head_in = mlp_backward(params.pose_head, tape.head_cache, d_out)
-        _add_layer_grads(grads, "pose_head", head_grads)
-        d_emb += d_head_in * params.head_scale
-
-    if tape.embedding is not None and d_emb.any():
-        fmap = tape.features.feature_map
-        attn = tape.attn
-        d_attn = np.einsum("ije,e->ij", fmap, d_emb)
+    if tape.fmaps is not None:
+        fmaps, attn = tape.fmaps, tape.attn
+        d_attn = np.einsum("kije,ke->kij", fmaps, d_emb)
         if cfg.pooling == "mean":
-            d_attn = d_attn / (fmap.shape[0] * fmap.shape[1])
-        d_logits = attn * (d_attn - float((attn * d_attn).sum()))
-        grads["attention.w"] += np.einsum("ij,ije->e", d_logits, fmap)
-        grads["attention.b"] += d_logits.sum()
+            d_attn = d_attn / (fmaps.shape[1] * fmaps.shape[2])
+        d_logits = attn * (d_attn - (attn * d_attn).sum(axis=(1, 2), keepdims=True))
+        _add_rows(grads, "attention.w", np.einsum("kij,kije->ke", d_logits, fmaps))
+        _add_rows(grads, "attention.b", d_logits.sum(axis=(1, 2))[:, None])
 
 
 # --- full pair forward/backward --------------------------------------------------------
@@ -561,24 +553,6 @@ def _add_layer_grads(grads, group, layer_grads):
         grads[f"{group}.{i}.b"] += db
 
 
-def _describe(features_list, params, ego, ego_ref, intrinsics):
-    """One frame's detection tapes and its (n, d) ``[geometry | appearance]``
-    descriptor rows, all mapped into the ``ego_ref`` camera frame."""
-    cfg = params.config
-    B, d_off, C = reference_transform(ego, ego_ref)
-    tapes, rows = [], []
-    for f in features_list:
-        if f.appearance.shape[0] != cfg.appearance_dim:
-            raise SchemaError(
-                f"appearance vector has {f.appearance.shape[0]} dims; "
-                f"this matcher expects {cfg.appearance_dim}"
-            )
-        tape = _forward_detection(f, params, B, d_off, C, intrinsics)
-        tapes.append(tape)
-        rows.append(np.concatenate([tape.geometry, f.appearance]))
-    return tapes, np.array(rows).reshape(len(rows), cfg.descriptor_dim)
-
-
 def _score(feats_a, feats_b, params, cache=None):
     """Similarity bundle between two descriptor matrices.
 
@@ -595,7 +569,7 @@ def _score(feats_a, feats_b, params, cache=None):
         build_pair_tensor(feats_a, feats_b), params.scorer,
         params.input_scale, params.input_shift, cache=cache,
     )
-    S = _sigmoid(logits)
+    S = numerics._sigmoid(logits)
     base = logits if cfg.score_space == "logit" else S
     return augment_normalize(S, cfg.delta, softmax_axis=cfg.softmax_axis, base=base)
 
@@ -616,12 +590,11 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
         raise CapacityExceededError(
             f"pair has {max(n1, n2)} detections; capacity is {cfg.capacity}"
         )
-    tapes_a, feats_a = _describe(sample.a, params, sample.ego_a, sample.ego_ref,
-                                 sample.intrinsics_a)
-    tapes_b, feats_b = _describe(sample.b, params, sample.ego_b, sample.ego_ref,
-                                 sample.intrinsics_b)
-    tapes = tapes_a + tapes_b
-    pose_losses = [t.pose_loss for t in tapes if t.pose_loss is not None]
+    tape_a, feats_a = _describe(sample.a, params, sample.ego_a, sample.ego_ref,
+                                sample.intrinsics_a)
+    tape_b, feats_b = _describe(sample.b, params, sample.ego_b, sample.ego_ref,
+                                sample.intrinsics_b)
+    pose_losses = np.concatenate([tape_a.pose_loss, tape_b.pose_loss]).tolist()
     mean_pose = float(np.mean(pose_losses)) if pose_losses else 0.0
 
     if pose_only:
@@ -658,8 +631,8 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
         ])[:, :geom_width]
 
     weight = pose_weight / len(pose_losses) if pose_losses else 0.0
-    for tape, dg in zip(tapes, d_geometry):
-        _backward_detection(tape, dg, weight, params, grads)
+    _backward_side(tape_a, d_geometry[:n1], weight, params, grads)
+    _backward_side(tape_b, d_geometry[n1:], weight, params, grads)
     out["grads"] = grads
     return out
 
@@ -795,18 +768,12 @@ def pair_accuracy(samples, params):
     correct = 0
     total = 0
     for sample in samples:
-        result = forward_pair(sample, params, with_grad=False)
-        bundle = result["bundle"]
-        n1, n2 = bundle.S.shape
-        match, fused = sample.match, bundle.fused
-        for i in range(n1):
-            total += 1
-            if int(np.argmax(fused[i, : n2 + 1])) == int(np.argmax(match[i])):
-                correct += 1
-        for j in range(n2):
-            total += 1
-            if int(np.argmax(fused[: n1 + 1, j])) == int(np.argmax(match[:, j])):
-                correct += 1
+        fused, match = forward_pair(sample, params)["bundle"].fused, sample.match
+        n1, n2 = fused.shape[0] - 1, fused.shape[1] - 1
+        correct += np.count_nonzero(fused[:n1].argmax(axis=1) == match[:n1].argmax(axis=1))
+        correct += np.count_nonzero(
+            fused[:, :n2].argmax(axis=0) == match[:, :n2].argmax(axis=0))
+        total += n1 + n2
     return correct / total if total else 0.0
 
 
@@ -814,7 +781,13 @@ def pair_accuracy(samples, params):
 
 
 class Matcher:
-    """Bound (params, config) pair exposing the inference interface."""
+    """Bound (params, config) pair exposing the inference interface.
+
+    The parameters are fixed and finite, so a descriptor or similarity that
+    leaves the float range can only come from input values out of all
+    proportion (a coordinate near 1e308, say): both calls report that as
+    bad data (SchemaError).
+    """
 
     def __init__(self, params):
         self.params = params
@@ -822,11 +795,20 @@ class Matcher:
 
     def descriptors(self, features_list, ego, ego_ref, intrinsics):
         """Descriptor rows of one frame's detections in the reference frame."""
-        return list(_describe(features_list, self.params, ego, ego_ref, intrinsics)[1])
+        try:
+            rows = _describe(features_list, self.params, ego, ego_ref, intrinsics)[1]
+        except NonFiniteLossError as exc:
+            raise SchemaError(f"detections the pose head cannot describe: {exc}") from exc
+        if not np.isfinite(rows).all():
+            raise SchemaError("detection values overflow the descriptors")
+        return list(rows)
 
     def bundle(self, desc_rows, desc_cols):
         """Similarity bundle between two stacked descriptor lists."""
-        return _score(desc_rows, desc_cols, self.params)
+        bundle = _score(desc_rows, desc_cols, self.params)
+        if not np.isfinite(bundle.fused).all():
+            raise SchemaError("descriptor values overflow the pair scorer")
+        return bundle
 
 
 # --- checkpoints -----------------------------------------------------------------------

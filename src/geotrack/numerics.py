@@ -20,28 +20,34 @@ LOG2 = float(np.log(2.0))
 
 
 def softmax_map(a):
-    """Softmax over all entries of a 2-D map (max-subtracted for stability)."""
+    """Softmax over all entries of each 2-D map in the last two axes
+    (max-subtracted for stability); a (k, H, W) stack gives k maps."""
     a = np.asarray(a, dtype=np.float64)
-    e = np.exp(a - a.max())
-    return e / e.sum()
+    e = np.exp(a - a.max(axis=(-2, -1), keepdims=True))
+    return e / e.sum(axis=(-2, -1), keepdims=True)
 
 
-# --- losses ---------------------------------------------------------------------
+def row_norm(x):
+    """Euclidean norms over the last axis. Each is the one dot product
+    ``np.linalg.norm`` takes of a single vector, so a stack of rows gives
+    bit for bit the norms of its rows taken one at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+# --- losses (row-wise: vectors in the last axis, one loss per row) ---------------
 
 
 def loss_trans(t, t_hat):
     """Euclidean distance between translation (or regression-target) vectors."""
-    d = np.asarray(t, dtype=np.float64) - np.asarray(t_hat, dtype=np.float64)
-    return float(np.linalg.norm(d))
+    return row_norm(np.asarray(t, dtype=np.float64) - np.asarray(t_hat, dtype=np.float64))
 
 
 def loss_trans_grad(t, t_hat):
     """Gradient of loss_trans in t_hat (zero subgradient at coincidence)."""
     d = np.asarray(t_hat, dtype=np.float64) - np.asarray(t, dtype=np.float64)
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
-        return np.zeros_like(d)
-    return d / norm
+    norm = row_norm(d)[..., None]
+    return np.divide(d, norm, out=np.zeros_like(d), where=norm != 0.0)
 
 
 def _logcosh(x):
@@ -53,7 +59,7 @@ def _logcosh(x):
 def loss_rot(r, r_hat):
     """Sum of log-cosh errors over the two facing-direction components."""
     d = np.asarray(r, dtype=np.float64) - np.asarray(r_hat, dtype=np.float64)
-    return float(np.sum(_logcosh(d)))
+    return np.sum(_logcosh(d), axis=-1)
 
 
 def loss_rot_grad(r, r_hat):

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     FormatError,
     InvariantViolationError,
+    NonPositiveDepthError,
     ParseError,
     SceneTooShortError,
     SchemaError,
@@ -191,12 +192,18 @@ def _check_finite(where, fields):
     """Raise SchemaError naming the first of ``fields`` that holds NaN or inf.
 
     Each value is a JSON number or flat list of numbers; None (an absent
-    optional field) passes. A non-number raises TypeError.
+    optional field) passes. A non-number raises TypeError, an integer past
+    the float range OverflowError.
     """
     for name, value in fields.items():
         numbers = value if isinstance(value, list) else [] if value is None else [value]
         if not all(map(math.isfinite, numbers)):
             raise SchemaError(f"{where}: {name} must be finite")
+
+
+# what reading a malformed value raises: a missing key, a value of the wrong
+# type or shape, or an integer past the float range
+_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _detection_from_doc(doc, where):
@@ -209,7 +216,7 @@ def _detection_from_doc(doc, where):
             center=doc.get("center"),
             gt_id=doc.get("gt_id"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise SchemaError(f"{where}: bad detection ({exc})") from exc
     obs = doc.get("observation")
     if obs is not None:
@@ -219,17 +226,22 @@ def _detection_from_doc(doc, where):
             det.observation = PixelObservation(
                 c=obs["center"], T_z=float(obs["depth"]), R=obs["rotation"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (*_BAD_VALUE, NonPositiveDepthError) as exc:
             raise SchemaError(f"{where}: bad observation ({exc})") from exc
     if "appearance" in doc:
-        _check_finite(where, {"appearance": doc["appearance"]})
-        det.appearance = np.asarray(doc["appearance"], dtype=np.float64)
+        if not isinstance(doc["appearance"], list):
+            raise SchemaError(f"{where}: appearance must be a list of numbers")
+        try:
+            _check_finite(where, {"appearance": doc["appearance"]})
+            det.appearance = np.asarray(doc["appearance"], dtype=np.float64)
+        except _BAD_VALUE as exc:
+            raise SchemaError(f"{where}: bad appearance ({exc})") from exc
     if "feature_map" in doc:
         fm = doc["feature_map"]
         try:
             _check_finite(where, {"feature_map": fm["data"]})
             det.feature_map = np.asarray(fm["data"], dtype=np.float64).reshape(fm["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             raise SchemaError(f"{where}: bad feature map ({exc})") from exc
     return det
 
@@ -279,6 +291,8 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
         frame_docs = doc["frames"]
     except KeyError as exc:
         raise SchemaError(f"missing top-level field {exc}") from exc
+    if not isinstance(scene_id, str) or not isinstance(frame_docs, list):
+        raise SchemaError("scene_id must be a string and frames a list")
 
     frames = []
     prev_index = None
@@ -287,8 +301,10 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
         try:
             intr, ego_doc = fd["intrinsics"], fd["ego"]
             _check_finite(where, {
+                "frame_index": fd["frame_index"],
                 "timestamp": fd["timestamp"],
-                **{f"intrinsics.{name}": intr[name] for name in ("fx", "fy", "px", "py")},
+                **{f"intrinsics.{name}": intr[name]
+                   for name in ("fx", "fy", "px", "py", "width", "height")},
                 **{f"ego.{name}": ego_doc[name]
                    for name in ("rotation", "translation") if name in ego_doc},
                 **({"ego.matrix": [x for row in ego_doc["matrix"] for x in row]}
@@ -321,9 +337,11 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
             )
         except InvariantViolationError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except _BAD_VALUE as exc:
             raise SchemaError(f"{where}: {exc}") from exc
         if "gt_objects" in fd:
+            if not isinstance(fd["gt_objects"], list):
+                raise SchemaError(f"{where}: gt_objects must be a list")
             gt = []
             for i, gd in enumerate(fd["gt_objects"]):
                 try:
@@ -341,7 +359,7 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
                             bbox=gd.get("bbox"),
                         )
                     )
-                except (KeyError, TypeError, ValueError) as exc:
+                except _BAD_VALUE as exc:
                     raise SchemaError(f"{where}: bad gt object ({exc})") from exc
             frame.gt_objects = gt
         if prev_index is not None and frame.frame_index <= prev_index:

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from geotrack import cli
 from geotrack.matching import MatcherConfig, save_checkpoint, train_matcher
-from geotrack.scene import save_scene
+from geotrack.scene import gt_mot_entries, load_scene, save_scene, write_mot
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -473,3 +474,147 @@ class TestCheckpointData:
                          "--checkpoint", str(checkpoint),
                          "--out", str(pose_model / "out")])
         assert code in (2, 3)
+
+
+@pytest.fixture(scope="module")
+def scene_inputs(pose_model):
+    """The pose model's scene as a document, with frame 0's ego pose given as
+    a matrix, plus what tracks and evaluates it: an observation-route
+    checkpoint that pools the same feature maps, the ground-truth boxes as
+    hypotheses, and the tracked geolocation."""
+    scene = load_scene(pose_model / "scene.json")
+    samples = make_matching_dataset([scene], n_max=4, pairs_per_scene=3, seed=0)
+    params, _ = train_matcher(samples, MatcherConfig(
+        appearance_dim=4, embed_dim=6, epochs=1, scorer_hidden=(8, 6, 6, 4, 4)))
+    save_checkpoint(params, pose_model / "obs-checkpoint.json")
+    write_mot(gt_mot_entries(scene), pose_model / "hyp.txt")
+    doc = json.loads((pose_model / "scene.json").read_text())
+    doc["frames"][0]["ego"] = {"matrix": scene.frames[0].ego.matrix().tolist()}
+    geo = pose_model / "ok" / f"{scene.scene_id}.geo.json"
+    assert geo.exists()
+    return {"root": pose_model, "doc": doc, "geo": geo}
+
+
+def run_on_scene(inputs, doc, command):
+    """Write ``doc`` and run one command on it in-process; the exit code."""
+    root = inputs["root"]
+    scene = root / "mutated-scene.json"
+    scene.write_text(json.dumps(doc))
+    argv = {
+        "track-obs": ["track", "--checkpoint", root / "obs-checkpoint.json"],
+        "track-pose": ["track", "--checkpoint", root / "checkpoint.json"],
+        "evaluate": ["evaluate", "--tracks", root / "hyp.txt", "--geoloc", inputs["geo"]],
+    }[command]
+    return cli.main([str(a) for a in [*argv, "--scene", scene,
+                                      "--out", root / f"out-{command}"]])
+
+
+def _detections(doc):
+    return [d for frame in doc["frames"] for d in frame["detections"]]
+
+
+def _crowded_frame(doc):
+    return max(doc["frames"], key=lambda frame: len(frame["detections"]))
+
+
+class TestSceneData:
+    ALL = ("track-obs", "track-pose", "evaluate")
+
+    def test_unmutated_scene_runs(self, scene_inputs):
+        for command in self.ALL:
+            assert run_on_scene(scene_inputs, scene_inputs["doc"], command) == 0
+
+    @pytest.mark.parametrize("mutate, commands, named", [
+        (lambda doc: _detections(doc)[0]["observation"].update(depth=-1.0),
+         ("track-obs", "evaluate"), "depth -1.0 must be positive"),
+        (lambda doc: _detections(doc)[0].update(appearance=0.5),
+         ("track-obs", "track-pose"), "appearance must be a list"),
+        (lambda doc: doc["frames"][1]["intrinsics"].update(width=float("inf")),
+         ALL, "intrinsics.width must be finite"),
+        (lambda doc: doc["frames"][1].update(frame_index=float("inf")),
+         ALL, "frame_index must be finite"),
+        (lambda doc: _detections(doc)[0]["observation"]["rotation"].__setitem__(0, 1e308),
+         ("track-obs",), "observation geometry is not finite"),
+        (lambda doc: _detections(doc)[0]["observation"]["center"].__setitem__(0, 1e308),
+         ("track-obs",), "observation geometry is not finite"),
+    ])
+    def test_bad_scene_value_exits_3(self, scene_inputs, capsys, mutate, commands, named):
+        doc = copy.deepcopy(scene_inputs["doc"])
+        mutate(doc)
+        for command in commands:
+            assert run_on_scene(scene_inputs, doc, command) == 3, command
+            assert named in capsys.readouterr().err, command
+
+    @pytest.mark.parametrize("checkpoint, mutate, named", [
+        ("track-pose", lambda det: det["feature_map"].update(
+            shape=[1, 1, 6], data=det["feature_map"]["data"][:6]), "all of one shape"),
+        ("track-obs", lambda det: det.pop("feature_map"), "all of one shape"),
+    ])
+    def test_frame_mixing_feature_maps_exits_3(self, scene_inputs, capsys, checkpoint,
+                                               mutate, named):
+        """Every detection of a frame carries one map of a single shape."""
+        doc = copy.deepcopy(scene_inputs["doc"])
+        detections = _crowded_frame(doc)["detections"]
+        assert len(detections) >= 2
+        mutate(detections[1])
+        assert run_on_scene(scene_inputs, doc, checkpoint) == 3
+        assert named in capsys.readouterr().err
+
+    @staticmethod
+    def shape_errors(doc):
+        """Mutations that break the shape of a bbox, the intrinsics, the ego
+        matrix or a feature map."""
+        det = _crowded_frame(doc)["detections"][0]
+        intrinsics = doc["frames"][1]["intrinsics"]
+        matrix = doc["frames"][0]["ego"]["matrix"]
+        fmap = det["feature_map"]
+        return [
+            lambda: det.update(bbox=det["bbox"][:-1]),
+            lambda: det.update(bbox=det["bbox"] + [1.0]),
+            lambda: intrinsics.update(fx=[intrinsics["fx"]] * 2),
+            lambda: intrinsics.update(width=[intrinsics["width"]]),
+            lambda: matrix.pop(),
+            lambda: matrix[1].pop(),
+            lambda: fmap.update(shape=fmap["shape"][:-1]),
+            lambda: fmap.update(shape=fmap["shape"][::-1]),
+            lambda: fmap.update(shape=[0, *fmap["shape"][1:]]),
+            lambda: fmap.update(data=fmap["data"][:-1]),
+        ]
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_scene_exits_0_2_or_3(self, scene_inputs, data):
+        """One value of a scene document is broken: NaN or inf, 1e308, a value
+        of another type, a missing or unknown key, or a shape error. Neither
+        tracking route nor evaluation may fail as an internal fault."""
+        doc = copy.deepcopy(scene_inputs["doc"])
+        kind = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308",
+                                          "wrong type", "missing", "unknown key",
+                                          "shape"]))
+        if kind == "shape":
+            data.draw(st.sampled_from(self.shape_errors(doc)))()
+        else:
+            # walk down from the top to a drawn depth, through dicts and lists
+            path, node = [], doc
+            for _ in range(data.draw(st.integers(1, 8))):
+                if not isinstance(node, (dict, list)) or not node:
+                    break
+                key = data.draw(st.sampled_from(
+                    sorted(node) if isinstance(node, dict) else range(len(node))))
+                path.append((node, key))
+                node = node[key]
+            parent, key = path[-1]
+            if kind == "missing":
+                parent, key = [(p, k) for p, k in path if isinstance(p, dict)][-1]
+                del parent[key]
+            elif kind == "unknown key":
+                target = node if isinstance(node, dict) else doc
+                target[data.draw(st.text(min_size=1).filter(
+                    lambda k: k not in target))] = 1
+            elif kind == "wrong type":
+                parent[key] = data.draw(st.sampled_from(
+                    [v for v in ("x", None, [], {}, True, 1.5) if _kind(v) != _kind(node)]))
+            else:
+                parent[key] = float(kind)
+        for command in self.ALL:
+            assert run_on_scene(scene_inputs, doc, command) in (0, 2, 3), (kind, command)

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,14 @@ from geotrack.errors import (
     NonFiniteLossError,
     ShapeMismatchError,
 )
-from geotrack.geometry import CameraIntrinsics, EgoPose, PixelObservation
+from geotrack.geometry import (
+    CameraIntrinsics,
+    EgoPose,
+    PixelObservation,
+    normalize_rotation,
+    recover_translation,
+    reference_transform,
+)
 from geotrack.matching import (
     DetectionFeatures,
     Matcher,
@@ -26,9 +34,11 @@ from geotrack.matching import (
     params_from_doc,
     params_to_doc,
     train_matcher,
+    _describe,
     _named_arrays,
+    _score,
 )
-from geotrack.numerics import grad_check
+from geotrack.numerics import _logcosh, grad_check, mlp_backward, mlp_forward
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
 
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
@@ -593,3 +603,216 @@ class TestAccuracyMetrics:
     def test_zero_noise_hard_margin(self, trained_matcher):
         same, cross = self.trained_scores_by_label(trained_matcher, {})
         assert same.min() > cross.max()
+
+
+# --- reference: the descriptor chain run one detection at a time ---------------------
+#
+# The matcher runs each frame side's descriptor chain on (k, ...) arrays. These
+# functions are the chain as it was written per detection, with plain
+# per-vector norms and losses; the side chain must reproduce them bit for bit.
+
+
+def _ref_norm(v):
+    return float(np.linalg.norm(v))
+
+
+def _ref_forward_detection(f, params, B, d_off, C, K):
+    cfg = params.config
+    tape = SimpleNamespace(features=f, B=B, C=C, K=K, pose_loss=None, embedding=None)
+    if cfg.embed_dim > 0 and f.feature_map is not None:
+        fmap = f.feature_map
+        logits = fmap @ params.attention_w + params.attention_b[0]
+        e = np.exp(logits - logits.max())
+        attn = e / e.sum()
+        pooled = np.einsum("ij,ije->e", attn, fmap)
+        if cfg.pooling == "mean":
+            pooled = pooled / (fmap.shape[0] * fmap.shape[1])
+        tape.attn, tape.embedding = attn, pooled
+    if cfg.use_pose_head:
+        tape.head_cache = []
+        out = mlp_forward(params.pose_head,
+                          (tape.embedding - params.head_shift) * params.head_scale,
+                          cache=tape.head_cache)
+        sx, sy = cfg.center_scale
+        tape.center = np.array([out[0] * sx, out[1] * sy])
+        tape.depth = out[2] * cfg.depth_scale
+        tape.r_raw_norm = _ref_norm(out[3:5])
+        tape.r_hat = out[3:5] / tape.r_raw_norm
+        t_cam = np.array([(tape.center[0] - K.p_x) * tape.depth / K.f_x,
+                          (tape.center[1] - K.p_y) * tape.depth / K.f_y,
+                          tape.depth])
+        t_ref = B @ t_cam + d_off
+        r_ref = C @ tape.r_hat
+        if f.target is not None:
+            c_star, tz_star, r_star = f.target
+            tape.target_vec = (np.array([c_star[0], c_star[1], tz_star]),
+                               np.asarray(r_star, dtype=np.float64))
+            estimate = np.array([tape.center[0], tape.center[1], tape.depth])
+            tape.pose_loss = float(np.sum(_logcosh(tape.target_vec[1] - tape.r_hat))) \
+                + cfg.beta * _ref_norm(tape.target_vec[0] - estimate)
+    else:
+        t_ref = B @ recover_translation(f.observation, K) + d_off
+        r_ref = normalize_rotation(C @ normalize_rotation(f.observation.R))
+    emb = tape.embedding if tape.embedding is not None else np.zeros(cfg.embed_dim)
+    tape.geometry = np.concatenate([t_ref, r_ref, [0.0], emb])
+    return tape
+
+
+def _ref_backward_detection(tape, d_geometry, pose_weight, params, grads):
+    cfg = params.config
+    K = tape.K
+    d_emb = d_geometry[6:].copy()
+    if cfg.use_pose_head:
+        d_t_cam = tape.B.T @ d_geometry[:3]
+        d_r_hat = tape.C.T @ d_geometry[3:5]
+        center, depth = tape.center, tape.depth
+        d_center = np.array([d_t_cam[0] * depth / K.f_x, d_t_cam[1] * depth / K.f_y])
+        d_depth = (d_t_cam[0] * (center[0] - K.p_x) / K.f_x
+                   + d_t_cam[1] * (center[1] - K.p_y) / K.f_y + d_t_cam[2])
+        if tape.pose_loss is not None and pose_weight != 0.0:
+            t_target, r_target = tape.target_vec
+            d_r_hat = d_r_hat + pose_weight * np.tanh(tape.r_hat - r_target)
+            d = np.array([center[0], center[1], depth]) - t_target
+            norm = np.linalg.norm(d)
+            unit = np.zeros_like(d) if norm == 0.0 else d / norm
+            d_trans = pose_weight * cfg.beta * unit
+            d_center = d_center + d_trans[:2]
+            d_depth = d_depth + d_trans[2]
+        r_hat = tape.r_hat
+        d_r_raw = (d_r_hat - r_hat * float(r_hat @ d_r_hat)) / tape.r_raw_norm
+        sx, sy = cfg.center_scale
+        d_out = np.array([d_center[0] * sx, d_center[1] * sy, d_depth * cfg.depth_scale,
+                          d_r_raw[0], d_r_raw[1]])
+        head_grads, d_head_in = mlp_backward(params.pose_head, tape.head_cache, d_out)
+        for i, (dw, db) in enumerate(head_grads):
+            grads[f"pose_head.{i}.w"] += dw
+            grads[f"pose_head.{i}.b"] += db
+        d_emb += d_head_in * params.head_scale
+    if tape.embedding is not None and d_emb.any():
+        fmap, attn = tape.features.feature_map, tape.attn
+        d_attn = np.einsum("ije,e->ij", fmap, d_emb)
+        if cfg.pooling == "mean":
+            d_attn = d_attn / (fmap.shape[0] * fmap.shape[1])
+        d_logits = attn * (d_attn - float((attn * d_attn).sum()))
+        grads["attention.w"] += np.einsum("ij,ije->e", d_logits, fmap)
+        grads["attention.b"] += d_logits.sum()
+
+
+def _ref_describe(features_list, params, ego, ego_ref, K):
+    B, d_off, C = reference_transform(ego, ego_ref)
+    tapes = [_ref_forward_detection(f, params, B, d_off, C, K) for f in features_list]
+    rows = [np.concatenate([t.geometry, f.appearance]) for t, f in zip(tapes, features_list)]
+    return tapes, np.array(rows).reshape(len(rows), params.config.descriptor_dim)
+
+
+def _ref_forward_pair(sample, params, pose_only=False):
+    """Pose losses, joint loss and gradients of one pair, per detection."""
+    cfg = params.config
+    n1, n2 = len(sample.a), len(sample.b)
+    tapes_a, feats_a = _ref_describe(sample.a, params, sample.ego_a, sample.ego_ref,
+                                     sample.intrinsics_a)
+    tapes_b, feats_b = _ref_describe(sample.b, params, sample.ego_b, sample.ego_ref,
+                                     sample.intrinsics_b)
+    tapes = tapes_a + tapes_b
+    pose_losses = [t.pose_loss for t in tapes if t.pose_loss is not None]
+    mean_pose = float(np.mean(pose_losses)) if pose_losses else 0.0
+    grads = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
+    geom_width = 6 + cfg.embed_dim
+    d_geometry = np.zeros((n1 + n2, geom_width))
+    if pose_only:
+        joint, pose_weight = mean_pose, 1.0
+    else:
+        cache = []
+        bundle = _score(feats_a, feats_b, params, cache)
+        affinity, d_base = loss_affinity(bundle, sample.match, with_grad=True)
+        joint, pose_weight = affinity + cfg.lam * mean_pose, cfg.lam
+        if n1 and n2:
+            S = bundle.S
+            d_logits = d_base if cfg.score_space == "logit" else d_base * S * (1.0 - S)
+            scorer_grads, d_x = mlp_backward(params.scorer, cache,
+                                             d_logits.reshape(n1 * n2, 1))
+            for i, (dw, db) in enumerate(scorer_grads):
+                grads[f"scorer.{i}.w"] += dw
+                grads[f"scorer.{i}.b"] += db
+            scale2 = np.concatenate([params.input_scale, params.input_scale])
+            d_pairs = (d_x * scale2).reshape(n1, n2, -1)
+            d = cfg.descriptor_dim
+            d_geometry = np.concatenate([
+                d_pairs[:, :, :d].sum(axis=1), d_pairs[:, :, d:].sum(axis=0)
+            ])[:, :geom_width]
+    weight = pose_weight / len(pose_losses) if pose_losses else 0.0
+    for tape, dg in zip(tapes, d_geometry):
+        _ref_backward_detection(tape, dg, weight, params, grads)
+    return {"rows": (feats_a, feats_b), "pose_losses": pose_losses, "joint": joint,
+            "grads": grads}
+
+
+def assert_bits_equal(actual, expected, what):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, what
+    assert actual.dtype == expected.dtype, what
+    # byte equality: the sign of zero counts, as does every last bit
+    assert actual.tobytes() == expected.tobytes(), what
+
+
+def _oracle_samples(emit_maps, drop_every=0):
+    """Pairs with false positives (no pose target) and misses; with
+    ``drop_every`` every that-many-th detection also loses its target."""
+    scenes = [generate_scene(SimConfig(
+        seed=70 + s, n_frames=12, n_objects=4, appearance_dim=4, fp_rate=0.5,
+        miss_rate=0.1, appearance_sigma=0.05, center_sigma_px=1.0,
+        emit_feature_maps=emit_maps, embed_dim=6, feature_map_size=(3, 2),
+        feature_sigma=0.05)) for s in range(2)]
+    samples = make_matching_dataset(scenes, n_max=8, pairs_per_scene=4, seed=0)
+    if drop_every:
+        for sample in samples:
+            for i, f in enumerate(sample.a + sample.b):
+                if i % drop_every == 0:
+                    f.target = None
+    template = samples[0]
+    match = np.zeros((len(template.a) + 1, 1), dtype=np.int64)
+    match[:-1, 0] = 1
+    samples.append(replace(template, b=[], match=match))  # one empty side
+    return samples
+
+
+class TestSideChainOracle:
+    """The (k, ...) side chain against the per-detection chain it replaced."""
+
+    @pytest.mark.parametrize("route", [
+        dict(use_pose_head=True),
+        dict(use_pose_head=True, pooling="weighted"),
+        dict(use_pose_head=True, lam=0.0),
+        dict(use_pose_head=True, pose_only=True),
+        dict(use_pose_head=True, pose_only=True, pooling="weighted"),
+        dict(),
+        dict(pooling="weighted"),
+        dict(embed_dim=0),
+    ])
+    def test_bit_identical_to_per_detection_chain(self, route):
+        route = dict(route)
+        pose_only = route.pop("pose_only", False)
+        cfg = MatcherConfig(**{"appearance_dim": 4, "embed_dim": 6,
+                               "scorer_hidden": (10, 8, 8, 6, 4), "pose_hidden": (8, 6),
+                               "seed": 5, "lam": 0.5, **route})
+        samples = _oracle_samples(emit_maps=cfg.embed_dim > 0,
+                                  drop_every=3 if cfg.use_pose_head else 0)
+        params = fit_input_standardization(samples, init_matcher_params(cfg))
+        for sample in samples:
+            ref = _ref_forward_pair(sample, params, pose_only=pose_only)
+            new = forward_pair(sample, params, with_grad=True, pose_only=pose_only)
+            for side, ego, K, rows in ((sample.a, sample.ego_a, sample.intrinsics_a,
+                                        ref["rows"][0]),
+                                       (sample.b, sample.ego_b, sample.intrinsics_b,
+                                        ref["rows"][1])):
+                assert_bits_equal(_describe(side, params, ego, sample.ego_ref, K)[1],
+                                  rows, "descriptor rows")
+            assert_bits_equal(new["pose_losses"], ref["pose_losses"], "pose losses")
+            assert_bits_equal(new["joint"], ref["joint"], "joint loss")
+            assert new["grads"].keys() == ref["grads"].keys()
+            for name, grad in ref["grads"].items():
+                assert_bits_equal(new["grads"][name], grad, name)
+        if cfg.use_pose_head:
+            # the cases reach both branches of the pose loss
+            targeted = [f.target is not None for s in samples for f in s.a + s.b]
+            assert any(targeted) and not all(targeted)

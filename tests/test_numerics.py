@@ -28,6 +28,7 @@ from geotrack.numerics import (
     loss_trans_grad,
     mlp_backward,
     mlp_forward,
+    row_norm,
     softmax_map,
 )
 
@@ -202,6 +203,19 @@ class TestLosses:
             a, b = rng.normal(size=3), rng.normal(size=3)
             assert loss_trans(a, b) >= 0.0
             assert loss_rot(a[:2], b[:2]) >= 0.0
+
+    def test_row_wise_equals_row_at_a_time(self, rng):
+        # a stack of rows gives each row's own loss, norm and gradient bit
+        # for bit; np.linalg.norm(x, axis=1) would not
+        t, t_hat = rng.normal(size=(200, 3)) * 30, rng.normal(size=(200, 3)) * 30
+        t_hat[7] = t[7]  # the zero-subgradient row
+        for fn, a, b in ((loss_trans, t, t_hat), (loss_trans_grad, t, t_hat),
+                         (loss_rot, t[:, :2], t_hat[:, :2]),
+                         (loss_rot_grad, t[:, :2], t_hat[:, :2])):
+            rows = np.array([fn(x, y) for x, y in zip(a, b)])
+            assert fn(a, b).tobytes() == rows.tobytes(), fn.__name__
+        norms = np.array([np.linalg.norm(x) for x in t])
+        assert row_norm(t).tobytes() == norms.tobytes()
 
 
 class TestMlp:
