@@ -48,8 +48,7 @@ from .errors import (
     SchemaError,
     ShapeMismatchError,
 )
-# unused here, but perfbench's tracer wraps matching.recover_translation
-from .geometry import recover_translation, reference_transform  # noqa: F401
+from .geometry import recover_translation, reference_transform
 from .numerics import init_mlp, mlp_backward, mlp_forward
 from .scene import atomic_write_text
 
@@ -467,8 +466,8 @@ def _describe(features_list, params, ego, ego_ref, intrinsics):
         observations = [f.observation for f in features_list]
         r_obs = np.array([o.R for o in observations])
         r_norm = numerics.row_norm(r_obs)
-        ctz = np.array([[*o.c, o.T_z] for o in observations], dtype=np.float64)
-        t_ref = _apply(B, _back_project(ctz, intrinsics)) + d_off
+        t_cam = np.array([recover_translation(o, intrinsics) for o in observations])
+        t_ref = _apply(B, t_cam) + d_off
         bad = ~(np.isfinite(t_ref).all(axis=1) & np.isfinite(r_norm) & (r_norm > 1e-12))
         if bad.any():
             raise SchemaError(f"detection {int(np.argmax(bad))}: observation geometry "
@@ -477,6 +476,19 @@ def _describe(features_list, params, ego, ego_ref, intrinsics):
         r_ref = r_ref / numerics.row_norm(r_ref)[:, None]
     return tape, np.concatenate(
         [t_ref, r_ref, np.zeros((k, 1)), embedding, appearance], axis=1)
+
+
+def _input_rows(features_list, params, ego, ego_ref, intrinsics):
+    """``_describe``'s rows for detections read from data under parameters
+    that are not being trained: a pose head that cannot describe them, or a
+    row that overflows, means the input values are bad (SchemaError)."""
+    try:
+        rows = _describe(features_list, params, ego, ego_ref, intrinsics)[1]
+    except NonFiniteLossError as exc:
+        raise SchemaError(f"detections the pose head cannot describe: {exc}") from exc
+    if not np.isfinite(rows).all():
+        raise SchemaError("detection values overflow the descriptors")
+    return rows
 
 
 def _add_rows(grads, name, rows):
@@ -646,19 +658,24 @@ def fit_input_standardization(samples, params):
     Sets the scorer's (x - shift) * scale vectors so meter-scale geometry
     and unit-scale appearance start on comparable footing, and — when the
     pose head is enabled — whitens the head's embedding input the same
-    way. All four vectors ride along in the checkpoint.
+    way. All four vectors ride along in the checkpoint. Detection values
+    whose descriptors or statistics leave the float range are bad data
+    (SchemaError).
     """
     cfg = params.config
     rows = []
     for sample in samples:
         for feats, ego, intrinsics in ((sample.a, sample.ego_a, sample.intrinsics_a),
                                        (sample.b, sample.ego_b, sample.intrinsics_b)):
-            rows.extend(_describe(feats, params, ego, sample.ego_ref, intrinsics)[1])
+            rows.extend(_input_rows(feats, params, ego, sample.ego_ref, intrinsics))
     if not rows:
         return params
     block = np.array(rows)
-    params.input_shift = block.mean(axis=0)
-    params.input_scale = 1.0 / np.clip(block.std(axis=0), 0.05, None)
+    shift, std = block.mean(axis=0), block.std(axis=0)
+    if not (np.isfinite(shift).all() and np.isfinite(std).all()):
+        raise SchemaError("detection values overflow the input standardization")
+    params.input_shift = shift
+    params.input_scale = 1.0 / np.clip(std, 0.05, None)
     if params.pose_head is not None:
         emb = block[:, GEOMETRY_PREFIX:GEOMETRY_PREFIX + cfg.embed_dim]
         params.head_shift = emb.mean(axis=0)
@@ -795,13 +812,7 @@ class Matcher:
 
     def descriptors(self, features_list, ego, ego_ref, intrinsics):
         """Descriptor rows of one frame's detections in the reference frame."""
-        try:
-            rows = _describe(features_list, self.params, ego, ego_ref, intrinsics)[1]
-        except NonFiniteLossError as exc:
-            raise SchemaError(f"detections the pose head cannot describe: {exc}") from exc
-        if not np.isfinite(rows).all():
-            raise SchemaError("detection values overflow the descriptors")
-        return list(rows)
+        return list(_input_rows(features_list, self.params, ego, ego_ref, intrinsics))
 
     def bundle(self, desc_rows, desc_cols):
         """Similarity bundle between two stacked descriptor lists."""

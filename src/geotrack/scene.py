@@ -189,7 +189,8 @@ def _detection_to_doc(det):
 
 
 def _check_finite(where, fields):
-    """Raise SchemaError naming the first of ``fields`` that holds NaN or inf.
+    """Raise SchemaError naming the first of ``fields`` that holds NaN, inf
+    or a JSON boolean.
 
     Each value is a JSON number or flat list of numbers; None (an absent
     optional field) passes. A non-number raises TypeError, an integer past
@@ -197,6 +198,8 @@ def _check_finite(where, fields):
     """
     for name, value in fields.items():
         numbers = value if isinstance(value, list) else [] if value is None else [value]
+        if any(type(x) is bool for x in numbers):
+            raise SchemaError(f"{where}: {name} must be numbers, not true or false")
         if not all(map(math.isfinite, numbers)):
             raise SchemaError(f"{where}: {name} must be finite")
 

@@ -188,6 +188,27 @@ class TestTrain:
         assert r.returncode == 3, r.stderr
         assert "duplicate ground-truth id" in r.stderr
 
+    def test_overflowing_appearance_exits_3(self, tmp_path):
+        """An appearance value near the float limit is bad data for training
+        too, as it is for tracking."""
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps({"appearance_dim": 8, "n_objects": 4, "n_frames": 4}))
+        scenes = tmp_path / "scenes"
+        assert run_cli("simulate", "--config", sim, "--seed", "3",
+                       "--out", scenes).returncode == 0
+        path = next(scenes.glob("scene-*.json"))
+        doc = json.loads(path.read_text())
+        doc["frames"][0]["detections"][0]["appearance"][0] = 1e308
+        path.write_text(json.dumps(doc))
+        assert run_cli("dataset", "--scenes", scenes, "--n-max", "2",
+                       "--pairs-per-scene", "4", "--out", tmp_path / "ds").returncode == 0
+        config = tmp_path / "matcher.json"
+        config.write_text(json.dumps({"appearance_dim": 8, "epochs": 1}))
+        r = run_cli("train", "--dataset", tmp_path / "ds" / "pairs.json",
+                    "--config", config, "--out", tmp_path / "model")
+        assert r.returncode == 3, r.stderr
+        assert "overflow the input standardization" in r.stderr
+
 
 @pytest.fixture(scope="module")
 def over_capacity(tmp_path_factory):
@@ -537,6 +558,10 @@ class TestSceneData:
          ("track-obs",), "observation geometry is not finite"),
         (lambda doc: _detections(doc)[0]["observation"]["center"].__setitem__(0, 1e308),
          ("track-obs",), "observation geometry is not finite"),
+        (lambda doc: _detections(doc)[0].update(confidence=True),
+         ALL, "confidence must be numbers, not true or false"),
+        (lambda doc: _detections(doc)[0]["bbox"].__setitem__(0, False),
+         ALL, "bbox must be numbers, not true or false"),
     ])
     def test_bad_scene_value_exits_3(self, scene_inputs, capsys, mutate, commands, named):
         doc = copy.deepcopy(scene_inputs["doc"])
