@@ -16,8 +16,6 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     ConfigError,
@@ -44,6 +42,7 @@ from .matching import (
     save_checkpoint,
     train_matcher,
 )
+from .numerics import array_from_doc, is_number
 from .scene import (
     atomic_write_text,
     gt_mot_entries,
@@ -86,6 +85,30 @@ def _read_json(path):
         raise ParseError(f"{path}: {exc.msg} (line {exc.lineno})")
     except OSError as exc:
         raise ParseError(f"{path}: {exc}")
+
+
+def _read_json_object(path):
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: must be a JSON object")
+    return doc
+
+
+def _object_list(value, name):
+    """``value`` as a list of JSON objects; SchemaError naming ``name`` otherwise."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{name} must be a list")
+    for i, row in enumerate(value):
+        if not isinstance(row, dict):
+            raise SchemaError(f"{name}[{i}] must be a JSON object")
+    return value
+
+
+def _number(row, key, where):
+    """``row[key]`` as a float: a finite JSON number, not true or false."""
+    if not is_number(row.get(key)):
+        raise SchemaError(f"{where}.{key} must be a finite number")
+    return float(row[key])
 
 
 def _write_manifest(out_dir, command, config, seed, inputs, outputs, started):
@@ -145,6 +168,11 @@ def cmd_dataset(args):
     if not scene_paths:
         raise ConfigError(f"no scene files under {args.scenes}")
     seed = args.seed if args.seed is not None else 0
+    for flag, value, low in (("--n-max", args.n_max, 1),
+                             ("--pairs-per-scene", args.pairs_per_scene, 1),
+                             ("--seed", seed, 0)):
+        if value < low:
+            raise ConfigError(f"{flag} must be >= {low}, got {value}")
     doc = {
         "format": 1,
         "scenes": [str(p) for p in scene_paths],
@@ -160,11 +188,18 @@ def cmd_dataset(args):
 
 
 def _load_dataset(index_path, capacity):
-    doc = _read_json(index_path)
-    if doc.get("format") != 1:
+    """The checked ``pairs.json`` document and its scenes; a field that does
+    not fit raises SchemaError naming it."""
+    doc = _read_json_object(index_path)
+    if type(doc.get("format")) is not int or doc["format"] != 1:
         raise SchemaError(f"unsupported dataset format {doc.get('format')!r}")
-    scenes = [load_scene(p, capacity) for p in doc["scenes"]]
-    return doc, scenes
+    paths = doc.get("scenes")
+    if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
+        raise SchemaError("dataset scenes must be a list of file paths")
+    for name, low in (("n_max", 1), ("pairs_per_scene", 1), ("seed", 0)):
+        if type(doc.get(name)) is not int or doc[name] < low:
+            raise SchemaError(f"dataset {name} must be an integer >= {low}")
+    return doc, [load_scene(p, capacity) for p in paths]
 
 
 def cmd_train(args):
@@ -243,6 +278,22 @@ def _criterion_from_args(args):
     )
 
 
+def _read_predictions(path):
+    """(world pose, instance count) of each object in a geolocation JSON."""
+    objects = _object_list(_read_json_object(path).get("objects"), "objects")
+    predictions = []
+    for i, obj in enumerate(objects):
+        where = f"objects[{i}]"
+        translation = array_from_doc(obj.get("translation"), f"{where}.translation", (3,))
+        rotation = array_from_doc(obj.get("rotation"), f"{where}.rotation", (2,))
+        try:
+            pose = Pose5D(translation, rotation, WORLD)
+        except InvariantViolationError as exc:
+            raise SchemaError(f"{where}.rotation: {exc}") from exc
+        predictions.append((pose, _number(obj, "instances", where)))
+    return predictions
+
+
 def cmd_evaluate(args):
     started = time.time()
     out = _out_dir(args)
@@ -257,12 +308,7 @@ def cmd_evaluate(args):
         report["mot"] = mot.as_dict()
         inputs.append(args.tracks)
     if args.geoloc:
-        geo = _read_json(args.geoloc)
-        predictions = [
-            (Pose5D(np.array(obj["translation"]), np.array(obj["rotation"]), WORLD),
-             float(obj["instances"]))
-            for obj in geo["objects"]
-        ]
+        predictions = _read_predictions(args.geoloc)
         gts = list(world_objects(scene).values())
         criterion = _criterion_from_args(args)
         points = pr_curve(predictions, gts, criterion)
@@ -307,11 +353,14 @@ def cmd_evaluate(args):
 def cmd_plot(args):
     started = time.time()
     out = _out_dir(args)
-    report = _read_json(args.report)
-    points = [
-        (row["precision"], row["recall"], row["threshold"])
-        for row in report.get("pr", [])
-    ]
+    rows = _object_list(_read_json_object(args.report).get("pr", []), "pr")
+    points = []
+    for i, row in enumerate(rows):
+        p, r, t = (_number(row, key, f"pr[{i}]")
+                   for key in ("precision", "recall", "threshold"))
+        if not (0.0 <= p <= 1.0 and 0.0 <= r <= 1.0):
+            raise SchemaError(f"pr[{i}]: precision and recall must lie in [0, 1]")
+        points.append((p, r, t))
     svg_path = out / "pr_curve.svg"
     atomic_write_text(svg_path, pr_curve_svg(points))
     _write_manifest(out, "plot", {}, args.seed, [args.report], [svg_path], started)

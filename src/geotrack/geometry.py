@@ -23,6 +23,7 @@ pinhole projection is ``u = p_x + f_x * T_x / T_z``, ``v = p_y + f_y *
 T_y / T_z``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ def _as_vec(x, n, name):
     v = np.asarray(x, dtype=np.float64).reshape(-1)
     if v.shape != (n,):
         raise InvariantViolationError(f"{name} must have {n} components")
+    if not all(map(math.isfinite, v.tolist())):  # cheaper than np.isfinite for n <= 4
+        raise InvariantViolationError(f"{name} must be finite")
     return v
 
 
@@ -152,7 +155,7 @@ class PixelObservation:
     def __post_init__(self):
         c = _as_vec(self.c, 2, "center")
         r = _as_vec(self.R, 2, "R")
-        if self.T_z <= 0:
+        if not self.T_z > 0:  # NaN fails too
             raise NonPositiveDepthError(f"depth {self.T_z} must be positive")
         c.setflags(write=False)
         r.setflags(write=False)

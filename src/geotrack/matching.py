@@ -652,6 +652,25 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
 # --- training loop --------------------------------------------------------------------
 
 
+def _input_statistics(samples, params):
+    """Every sample side's descriptor rows stacked, with their column mean
+    and standard deviation; None without detections. Detection values whose
+    descriptors or statistics leave the float range are bad data
+    (SchemaError)."""
+    rows = []
+    for sample in samples:
+        for feats, ego, intrinsics in ((sample.a, sample.ego_a, sample.intrinsics_a),
+                                       (sample.b, sample.ego_b, sample.intrinsics_b)):
+            rows.extend(_input_rows(feats, params, ego, sample.ego_ref, intrinsics))
+    if not rows:
+        return None
+    block = np.array(rows)
+    shift, std = block.mean(axis=0), block.std(axis=0)
+    if not (np.isfinite(shift).all() and np.isfinite(std).all()):
+        raise SchemaError("detection values overflow the input standardization")
+    return block, shift, std
+
+
 def fit_input_standardization(samples, params):
     """Freeze input standardization from the dataset at initialization.
 
@@ -663,17 +682,10 @@ def fit_input_standardization(samples, params):
     (SchemaError).
     """
     cfg = params.config
-    rows = []
-    for sample in samples:
-        for feats, ego, intrinsics in ((sample.a, sample.ego_a, sample.intrinsics_a),
-                                       (sample.b, sample.ego_b, sample.intrinsics_b)):
-            rows.extend(_input_rows(feats, params, ego, sample.ego_ref, intrinsics))
-    if not rows:
+    stats = _input_statistics(samples, params)
+    if stats is None:
         return params
-    block = np.array(rows)
-    shift, std = block.mean(axis=0), block.std(axis=0)
-    if not (np.isfinite(shift).all() and np.isfinite(std).all()):
-        raise SchemaError("detection values overflow the input standardization")
+    block, shift, std = stats
     params.input_shift = shift
     params.input_scale = 1.0 / np.clip(std, 0.05, None)
     if params.pose_head is not None:
@@ -756,6 +768,11 @@ def train_matcher(samples, config, params=None, heldout=None):
             pretrain = (config.pose_pretrain_epochs
                         if config.pose_pretrain_epochs is not None
                         else config.epochs // 3)
+    else:
+        # The checkpoint's standardization stays frozen; the data gets the
+        # same check a fresh run's fit makes, so overflowing values are bad
+        # data here too rather than a diverging loss.
+        _input_statistics(samples, params)
     velocity = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
     eval_samples = heldout if heldout else samples
     cutoff = int(np.floor(config.epochs * 2 / 3))

@@ -5,10 +5,11 @@ maximization assignment on a score matrix of shape (m, n + m): column j < n
 holds the best similarity between track i's buffered instances and
 detection j, and column n + i holds track i's null score (its mean
 probability of matching nothing). Tracks matched to their null column stay
-alive — the targets are static, so disappearing from view is expected —
-and each track's 5D pose is re-aggregated in the reference frame after
-every update. A frame without detections has nothing to decide: every
-track stays unmatched, keeps its buffer, and nothing is scored or solved.
+alive — the targets are static, so disappearing from view is expected.
+A track's 5D pose is aggregated in the reference frame from its instance
+buffer when results are reported (``finalize``). A frame without detections
+has nothing to decide: every track stays unmatched, keeps its buffer, and
+nothing is scored or solved.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +24,8 @@ from .errors import (
     SchemaError,
     ZeroVectorError,
 )
-from .geometry import REFERENCE, Pose5D, camera_to_world, normalize_rotation
-from .matching import DetectionFeatures, Matcher
+from .geometry import REFERENCE, Pose5D, camera_to_world, normalize_rotation, quat_to_matrix
+from .matching import DetectionFeatures
 from .scene import MotEntry
 
 DEFAULT_BUFFER = 10
@@ -46,8 +47,6 @@ class Track:
     track_id: int
     instances: list = field(default_factory=list)
     observation_count: int = 0
-    aggregated: Pose5D | None = None
-    status: str = "active"
 
 
 @dataclass
@@ -114,7 +113,6 @@ def score_matrix(tracks, detection_descriptors, matcher):
         return scores
     null_sums = np.zeros(m)
     null_counts = np.zeros(m)
-    det_scores = np.full((m, n), -np.inf)
 
     by_frame = {}
     for t_idx, track in enumerate(tracks):
@@ -124,17 +122,15 @@ def score_matrix(tracks, detection_descriptors, matcher):
         group = by_frame[frame_index]
         bundle = matcher.bundle([inst.descriptor for _, inst in group],
                                 detection_descriptors)
-        for row, (t_idx, _) in enumerate(group):
-            if n:
-                det_scores[t_idx] = np.maximum(det_scores[t_idx],
-                                               bundle.fused[row, :n])
-            null_sums[t_idx] += bundle.S1n[row, -1]
-            null_counts[t_idx] += 1
+        # A track holds at most one instance per frame, so these rows are
+        # distinct and each fancy-indexed update touches a track once.
+        rows = [t_idx for t_idx, _ in group]
+        scores[rows, :n] = np.maximum(scores[rows, :n], bundle.fused[:len(rows), :n])
+        null_sums[rows] += bundle.S1n[:, -1]
+        null_counts[rows] += 1
 
-    if n:
-        scores[:, :n] = det_scores
-    for i in range(m):
-        scores[i, n + i] = null_sums[i] / null_counts[i] if null_counts[i] else 1.0
+    null = np.divide(null_sums, null_counts, out=np.ones(m), where=null_counts > 0)
+    scores[np.arange(m), n + np.arange(m)] = null
     return scores
 
 
@@ -174,66 +170,45 @@ def step(state, frame):
         scores[:, :n][low] = -np.inf
     assignment = hungarian(scores)
 
+    # Spawned tracks get consecutive ids in unmatched-detection order.
+    unmatched = assignment.unmatched_detections
+    spawned = [Track(track_id=state.next_track_id + k) for k in range(len(unmatched))]
+    updates = [(state.tracks[t], j) for t, j in assignment.matches]
+    updates += zip(spawned, unmatched)
+    state.tracks += spawned
+    state.next_track_id += len(spawned)
+
+    # camera_to_world of every reference-frame translation at once; R @ T per
+    # row sums as it does (T @ R.T would not, and differs in the last bit).
+    rot, t_ref = quat_to_matrix(state.ego_ref.rotation), state.ego_ref.translation
+    T = np.array([desc[:3] for desc in descriptors])
+    world = (rot @ T[:, :, None])[:, :, 0] + t_ref
+
     entries = []
-
-    def _instance(det_idx):
-        desc = descriptors[det_idx]
-        pose_ref = Pose5D(
-            desc[:3], normalize_rotation(desc[3:5]), REFERENCE
-        )
-        det = frame.detections[det_idx]
+    for track, j in updates:
+        desc, det = descriptors[j], frame.detections[j]
         depth = det.observation.T_z if det.observation is not None else float(desc[2])
-        return TrackInstance(
-            frame_index=frame.frame_index,
-            descriptor=desc,
-            pose_ref=pose_ref,
-            depth=depth,
-        ), det
-
-    def _emit(track, det, pose_ref):
-        world = camera_to_world(pose_ref.with_frame("camera"), state.ego_ref)
-        entries.append(
-            MotEntry(
-                frame=frame.frame_index,
-                track_id=track.track_id,
-                bbox=det.bbox,
-                confidence=det.confidence,
-                world_xyz=world.T,
-            )
-        )
-
-    for track_idx, det_idx in assignment.matches:
-        track = state.tracks[track_idx]
-        inst, det = _instance(det_idx)
-        track.instances.append(inst)
+        pose_ref = Pose5D(desc[:3], normalize_rotation(desc[3:5]), REFERENCE)
+        track.instances.append(TrackInstance(frame.frame_index, desc, pose_ref, depth))
         if len(track.instances) > state.buffer_size:
             track.instances = track.instances[-state.buffer_size:]
         track.observation_count += 1
-        track.aggregated = aggregate_pose(track, state.aggregate_method)
-        _emit(track, det, inst.pose_ref)
-
-    for det_idx in assignment.unmatched_detections:
-        inst, det = _instance(det_idx)
-        track = Track(track_id=state.next_track_id, instances=[inst],
-                      observation_count=1)
-        track.aggregated = aggregate_pose(track, state.aggregate_method)
-        state.next_track_id += 1
-        state.tracks.append(track)
-        _emit(track, det, inst.pose_ref)
+        entries.append(MotEntry(frame=frame.frame_index, track_id=track.track_id,
+                                bbox=det.bbox, confidence=det.confidence,
+                                world_xyz=world[j]))
 
     state.last_frame_index = frame.frame_index
     return assignment, entries
 
 
-def finalize(state, ego_ref=None, min_instances=DEFAULT_MIN_INSTANCES):
+def finalize(state, min_instances=DEFAULT_MIN_INSTANCES):
     """World-frame aggregated poses of tracks with enough observations."""
-    ego_ref = state.ego_ref if ego_ref is None else ego_ref
     out = []
     for track in state.tracks:
         if track.observation_count < min_instances:
             continue
         pose_ref = aggregate_pose(track, state.aggregate_method)
-        world = camera_to_world(pose_ref.with_frame("camera"), ego_ref)
+        world = camera_to_world(pose_ref.with_frame("camera"), state.ego_ref)
         out.append(
             GeolocatedObject(
                 track_id=track.track_id,
@@ -244,10 +219,10 @@ def finalize(state, ego_ref=None, min_instances=DEFAULT_MIN_INSTANCES):
     return out
 
 
-def track_scene(scene, params, buffer_size=DEFAULT_BUFFER, aggregate="median",
+def track_scene(scene, matcher, buffer_size=DEFAULT_BUFFER, aggregate="median",
                 score_threshold=None):
-    """Run the tracker over a whole scene; returns (state, mot entries)."""
-    matcher = params if isinstance(params, Matcher) else Matcher(params)
+    """Run the tracker over a whole scene with a ``Matcher``; returns (state,
+    mot entries)."""
     state = TrackerState(
         matcher, scene.reference_ego, buffer_size=buffer_size,
         aggregate=aggregate, score_threshold=score_threshold,

@@ -188,24 +188,43 @@ class TestTrain:
         assert r.returncode == 3, r.stderr
         assert "duplicate ground-truth id" in r.stderr
 
-    def test_overflowing_appearance_exits_3(self, tmp_path):
-        """An appearance value near the float limit is bad data for training
-        too, as it is for tracking."""
+    @staticmethod
+    def overflowing_dataset(tmp_path):
+        """A four-frame dataset and a one-epoch config; returns (pairs.json,
+        config, scene doc, scene path). The caller writes the scene."""
         sim = tmp_path / "sim.json"
         sim.write_text(json.dumps({"appearance_dim": 8, "n_objects": 4, "n_frames": 4}))
         scenes = tmp_path / "scenes"
         assert run_cli("simulate", "--config", sim, "--seed", "3",
                        "--out", scenes).returncode == 0
         path = next(scenes.glob("scene-*.json"))
-        doc = json.loads(path.read_text())
-        doc["frames"][0]["detections"][0]["appearance"][0] = 1e308
-        path.write_text(json.dumps(doc))
         assert run_cli("dataset", "--scenes", scenes, "--n-max", "2",
                        "--pairs-per-scene", "4", "--out", tmp_path / "ds").returncode == 0
         config = tmp_path / "matcher.json"
         config.write_text(json.dumps({"appearance_dim": 8, "epochs": 1}))
-        r = run_cli("train", "--dataset", tmp_path / "ds" / "pairs.json",
-                    "--config", config, "--out", tmp_path / "model")
+        return tmp_path / "ds" / "pairs.json", config, json.loads(path.read_text()), path
+
+    def test_overflowing_appearance_exits_3(self, tmp_path):
+        """An appearance value near the float limit is bad data for training
+        too, as it is for tracking."""
+        dataset, config, doc, path = self.overflowing_dataset(tmp_path)
+        doc["frames"][0]["detections"][0]["appearance"][0] = 1e308
+        path.write_text(json.dumps(doc))
+        r = run_cli("train", "--dataset", dataset, "--config", config,
+                    "--out", tmp_path / "model")
+        assert r.returncode == 3, r.stderr
+        assert "overflow the input standardization" in r.stderr
+
+    def test_resume_on_overflowing_appearance_exits_3(self, tmp_path):
+        """A resumed run keeps the checkpoint's standardization but checks the
+        data as a fresh run does: bad data, not a diverging loss (exit 4)."""
+        dataset, config, doc, path = self.overflowing_dataset(tmp_path)
+        assert run_cli("train", "--dataset", dataset, "--config", config,
+                       "--out", tmp_path / "model").returncode == 0
+        doc["frames"][0]["detections"][0]["appearance"][0] = 1e308
+        path.write_text(json.dumps(doc))
+        r = run_cli("train", "--dataset", dataset, "--resume",
+                    tmp_path / "model" / "checkpoint.json", "--out", tmp_path / "resumed")
         assert r.returncode == 3, r.stderr
         assert "overflow the input standardization" in r.stderr
 
@@ -453,6 +472,34 @@ def _kind(value):
     return "number" if type(value) in (int, float) else type(value).__name__
 
 
+def mutate_one_value(doc, data, kind):
+    """Break one value of ``doc`` in place: NaN, inf or +-1e308 (``kind``
+    names the number), a value of another JSON type ("wrong type"), a
+    "missing" key, or an "unknown key"."""
+    # walk down from the top to a drawn depth, through dicts and lists
+    path, node = [], doc
+    for _ in range(data.draw(st.integers(1, 8))):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        key = data.draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        path.append((node, key))
+        node = node[key]
+    parent, key = path[-1]
+    if kind == "missing":
+        parent, key = [(p, k) for p, k in path if isinstance(p, dict)][-1]
+        del parent[key]
+    elif kind == "unknown key":
+        target = node if isinstance(node, dict) else doc
+        target[data.draw(st.text(min_size=1).filter(
+            lambda k: k not in target))] = 1
+    elif kind == "wrong type":
+        parent[key] = data.draw(st.sampled_from(
+            [v for v in ("x", None, [], {}, True, 1.5) if _kind(v) != _kind(node)]))
+    else:
+        parent[key] = float(kind)
+
+
 class TestCheckpointData:
     def test_feature_map_depth_mismatch_exits_3(self, pose_model, tmp_path):
         r = run_cli("track", "--scene", pose_model / "deep.json",
@@ -619,27 +666,107 @@ class TestSceneData:
         if kind == "shape":
             data.draw(st.sampled_from(self.shape_errors(doc)))()
         else:
-            # walk down from the top to a drawn depth, through dicts and lists
-            path, node = [], doc
-            for _ in range(data.draw(st.integers(1, 8))):
-                if not isinstance(node, (dict, list)) or not node:
-                    break
-                key = data.draw(st.sampled_from(
-                    sorted(node) if isinstance(node, dict) else range(len(node))))
-                path.append((node, key))
-                node = node[key]
-            parent, key = path[-1]
-            if kind == "missing":
-                parent, key = [(p, k) for p, k in path if isinstance(p, dict)][-1]
-                del parent[key]
-            elif kind == "unknown key":
-                target = node if isinstance(node, dict) else doc
-                target[data.draw(st.text(min_size=1).filter(
-                    lambda k: k not in target))] = 1
-            elif kind == "wrong type":
-                parent[key] = data.draw(st.sampled_from(
-                    [v for v in ("x", None, [], {}, True, 1.5) if _kind(v) != _kind(node)]))
-            else:
-                parent[key] = float(kind)
+            mutate_one_value(doc, data, kind)
         for command in self.ALL:
             assert run_on_scene(scene_inputs, doc, command) in (0, 2, 3), (kind, command)
+
+
+# --- geolocation, dataset-index and report documents -------------------------------
+
+
+@pytest.fixture(scope="module")
+def documents(pipeline, tracked, tmp_path_factory):
+    """A geolocation JSON, a one-scene dataset index with a tiny one-epoch
+    config, and an evaluation report, each as a document, with the command
+    that reads it."""
+    root = tmp_path_factory.mktemp("documents")
+    report_dir = root / "eval"
+    assert cli.main(["evaluate", "--scene", str(tracked["scene"]), "--geoloc",
+                     str(tracked["geo"]), "--out", str(report_dir)]) == 0
+    config = root / "matcher.json"
+    config.write_text(json.dumps({"appearance_dim": 8, "epochs": 1,
+                                  "scorer_hidden": [8, 6, 6, 4, 4]}))
+    pairs = {"format": 1, "scenes": [str(tracked["scene"])], "n_max": 2,
+             "pairs_per_scene": 2, "seed": 0}
+    geo = json.loads(tracked["geo"].read_text())
+    assert geo["objects"]
+    return {
+        "root": root,
+        "geo": geo,
+        "pairs": pairs,
+        "report": json.loads((report_dir / "report.json").read_text()),
+        "argv": {
+            "geo": lambda path: ["evaluate", "--scene", tracked["scene"],
+                                 "--geoloc", path],
+            "pairs": lambda path: ["train", "--dataset", path, "--config", config],
+            "report": lambda path: ["plot", "--report", path],
+        },
+    }
+
+
+def run_on_document(documents, kind, doc):
+    """Write ``doc`` as the ``kind`` document and run its command in-process."""
+    path = documents["root"] / f"mutated-{kind}.json"
+    path.write_text(json.dumps(doc))
+    argv = documents["argv"][kind](path)
+    return cli.main([str(a) for a in [*argv, "--out", documents["root"] / f"out-{kind}"]])
+
+
+class TestDocumentData:
+    def test_unmutated_documents_run(self, documents):
+        for kind in ("geo", "pairs", "report"):
+            assert run_on_document(documents, kind, documents[kind]) == 0, kind
+
+    @pytest.mark.parametrize("kind, mutate, named", [
+        ("geo", lambda doc: doc["objects"][0].update(translation=[float("nan"), 0.0, 0.0]),
+         "objects[0].translation"),
+        ("geo", lambda doc: doc["objects"][0].update(rotation=[float("nan"), 1.0]),
+         "objects[0].rotation"),
+        ("geo", lambda doc: doc["objects"][0].update(rotation=[1.0, 1.0]),
+         "objects[0].rotation"),
+        ("geo", lambda doc: doc["objects"][0].pop("rotation"), "objects[0].rotation"),
+        ("geo", lambda doc: doc["objects"][0].update(instances="x"),
+         "objects[0].instances"),
+        ("geo", lambda doc: doc["objects"][0].update(instances=True),
+         "objects[0].instances"),
+        ("geo", lambda doc: doc.update(objects={}), "objects must be a list"),
+        ("pairs", lambda doc: doc.pop("scenes"), "scenes"),
+        ("pairs", lambda doc: doc.update(n_max="a"), "n_max"),
+        ("pairs", lambda doc: doc.update(pairs_per_scene=0), "pairs_per_scene"),
+        ("pairs", lambda doc: doc.update(format=True), "format"),
+        ("report", lambda doc: doc["pr"][0].pop("recall"), "pr[0].recall"),
+        ("report", lambda doc: doc["pr"][0].update(precision=float("nan")),
+         "pr[0].precision"),
+        ("report", lambda doc: doc["pr"][0].update(precision=1e308), "[0, 1]"),
+    ])
+    def test_bad_document_value_exits_3(self, documents, capsys, kind, mutate, named):
+        doc = copy.deepcopy(documents[kind])
+        mutate(doc)
+        assert run_on_document(documents, kind, doc) == 3
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["geo", "pairs", "report"])
+    def test_top_level_list_exits_3(self, documents, capsys, kind):
+        assert run_on_document(documents, kind, [documents[kind]]) == 3
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--n-max", "--pairs-per-scene"])
+    def test_dataset_count_below_one_exits_2(self, pipeline, tmp_path, capsys, flag):
+        assert cli.main(["dataset", "--scenes", str(pipeline["scenes"]), flag, "0",
+                         "--out", str(tmp_path / "ds")]) == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "ds" / "pairs.json").exists()
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mutated_document_exits_0_2_or_3(self, documents, data):
+        """One value of a geolocation, dataset-index or report document is
+        broken: NaN or inf, 1e308, a value of another type, a missing or
+        unknown key. The command that reads it may not fail as an internal
+        fault."""
+        kind = data.draw(st.sampled_from(["geo", "pairs", "report"]))
+        doc = copy.deepcopy(documents[kind])
+        mutate_one_value(doc, data, data.draw(st.sampled_from(
+            ["nan", "inf", "-inf", "1e308", "-1e308", "wrong type", "missing",
+             "unknown key"])))
+        assert run_on_document(documents, kind, doc) in (0, 2, 3), kind

@@ -215,6 +215,25 @@ class TestPose5D:
         with pytest.raises(InvariantViolationError):
             Pose5D((0.0, 0.0, 0.0), (1.0, 1.0), WORLD)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_value_objects_reject_non_finite(self, bad):
+        """A NaN facing passes a norm check (NaN > tol is false), so finiteness
+        is checked on its own, for every vector of every value object."""
+        for build in (
+            lambda: Pose5D((bad, 0.0, 0.0), (1.0, 0.0), WORLD),
+            lambda: Pose5D((0.0, 0.0, 0.0), (bad, 0.0), WORLD),
+            lambda: EgoPose(np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, bad, 0.0])),
+            lambda: EgoPose(np.array([1.0, bad, 0.0, 0.0]), np.zeros(3)),
+            lambda: PixelObservation(c=(800.0, bad), T_z=10.0, R=(0.0, 1.0)),
+            lambda: PixelObservation(c=(800.0, 450.0), T_z=10.0, R=(bad, 1.0)),
+        ):
+            with pytest.raises(InvariantViolationError, match="must be finite"):
+                build()
+
+    def test_nan_depth_rejected(self):
+        with pytest.raises(NonPositiveDepthError):
+            PixelObservation(c=(800.0, 450.0), T_z=float("nan"), R=(0.0, 1.0))
+
     def test_immutable_arrays(self):
         pose = Pose5D((0.0, 0.0, 1.0), (1.0, 0.0), WORLD)
         with pytest.raises(ValueError):

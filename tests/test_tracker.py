@@ -3,14 +3,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from geotrack.assignment import AssignmentResult, hungarian
 from geotrack.errors import CapacityExceededError, EmptyTrackError, OutOfOrderFrameError
-from geotrack.geometry import REFERENCE, Pose5D
+from geotrack.geometry import (
+    REFERENCE,
+    EgoPose,
+    Pose5D,
+    camera_to_world,
+    normalize_rotation,
+)
 from geotrack.matching import Matcher, MatcherConfig, augment_normalize
+from geotrack.scene import MotEntry, SceneSequence
 from geotrack.simulator import SimConfig, generate_scene, world_objects
 from geotrack.tracker import (
     Track,
     TrackerState,
     TrackInstance,
+    _features_for,
     aggregate_pose,
     finalize,
     geolocation_report,
@@ -358,3 +367,162 @@ class TestAggregationUnderNoise:
                 abs(aggregate_pose(track, "median").T[2] - true_depth)
             )
         assert np.median(depth_errors_aggregated) <= np.median(depth_errors_single)
+
+
+# --- reference: the per-row score loop and per-detection bookkeeping ---------------
+
+
+def reference_score_matrix(tracks, detection_descriptors, matcher):
+    """score_matrix as it was: one Python update per buffered instance."""
+    m, n = len(tracks), len(detection_descriptors)
+    scores = np.full((m, n + m), -np.inf)
+    if m == 0:
+        return scores
+    null_sums = np.zeros(m)
+    null_counts = np.zeros(m)
+    det_scores = np.full((m, n), -np.inf)
+
+    by_frame = {}
+    for t_idx, track in enumerate(tracks):
+        for inst in track.instances:
+            by_frame.setdefault(inst.frame_index, []).append((t_idx, inst))
+    for frame_index in sorted(by_frame):
+        group = by_frame[frame_index]
+        bundle = matcher.bundle([inst.descriptor for _, inst in group],
+                                detection_descriptors)
+        for row, (t_idx, _) in enumerate(group):
+            if n:
+                det_scores[t_idx] = np.maximum(det_scores[t_idx],
+                                               bundle.fused[row, :n])
+            null_sums[t_idx] += bundle.S1n[row, -1]
+            null_counts[t_idx] += 1
+
+    if n:
+        scores[:, :n] = det_scores
+    for i in range(m):
+        scores[i, n + i] = null_sums[i] / null_counts[i] if null_counts[i] else 1.0
+    return scores
+
+
+def reference_step(state, frame):
+    """step as it was: matches, then spawns, one detection at a time, each
+    building its reference pose and mapping a camera-frame copy to the world
+    (the per-update pose aggregate it also stored was never read, so it is
+    left out here)."""
+    if not frame.detections:
+        state.last_frame_index = frame.frame_index
+        return AssignmentResult(unmatched_tracks=list(range(len(state.tracks)))), []
+    features = [_features_for(det) for det in frame.detections]
+    descriptors = state.matcher.descriptors(
+        features, frame.ego, state.ego_ref, frame.intrinsics
+    )
+    scores = reference_score_matrix(state.tracks, descriptors, state.matcher)
+    if state.score_threshold is not None and scores.size:
+        n = len(descriptors)
+        low = scores[:, :n] < state.score_threshold
+        scores[:, :n][low] = -np.inf
+    assignment = hungarian(scores)
+
+    entries = []
+
+    def _instance(det_idx):
+        desc = descriptors[det_idx]
+        pose_ref = Pose5D(desc[:3], normalize_rotation(desc[3:5]), REFERENCE)
+        det = frame.detections[det_idx]
+        depth = det.observation.T_z if det.observation is not None else float(desc[2])
+        return TrackInstance(frame_index=frame.frame_index, descriptor=desc,
+                             pose_ref=pose_ref, depth=depth), det
+
+    def _emit(track, det, pose_ref):
+        world = camera_to_world(pose_ref.with_frame("camera"), state.ego_ref)
+        entries.append(MotEntry(frame=frame.frame_index, track_id=track.track_id,
+                                bbox=det.bbox, confidence=det.confidence,
+                                world_xyz=world.T))
+
+    for track_idx, det_idx in assignment.matches:
+        track = state.tracks[track_idx]
+        inst, det = _instance(det_idx)
+        track.instances.append(inst)
+        if len(track.instances) > state.buffer_size:
+            track.instances = track.instances[-state.buffer_size:]
+        track.observation_count += 1
+        _emit(track, det, inst.pose_ref)
+
+    for det_idx in assignment.unmatched_detections:
+        inst, det = _instance(det_idx)
+        track = Track(track_id=state.next_track_id, instances=[inst],
+                      observation_count=1)
+        state.next_track_id += 1
+        state.tracks.append(track)
+        _emit(track, det, inst.pose_ref)
+
+    state.last_frame_index = frame.frame_index
+    return assignment, entries
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _entry_bits(entry):
+    return (entry.frame, entry.track_id, _bits(entry.bbox), _bits(entry.confidence),
+            _bits(entry.world_xyz))
+
+
+def _buffer_bits(state):
+    return [
+        (track.track_id, track.observation_count, [
+            (inst.frame_index, _bits(inst.descriptor), _bits(inst.pose_ref.T),
+             _bits(inst.pose_ref.R), inst.pose_ref.frame_id, _bits(inst.depth))
+            for inst in track.instances
+        ])
+        for track in state.tracks
+    ]
+
+
+def _moved_world(scene, rotation=(0.93, 0.05, 0.36, -0.04), offset=(12.5, -0.3, -40.0)):
+    """The scene in a world turned by the unit quaternion ``rotation`` (mostly
+    yaw, with a little pitch and roll) and shifted by ``offset``: every camera
+    sees what it saw, but the reference ego pose now mixes all three axes, so
+    the order in which the world mapping sums its terms shows in the bits."""
+    moved = EgoPose(np.array(rotation), np.array(offset)).matrix()
+    frames = [replace(frame, ego=EgoPose.from_matrix(moved @ frame.ego.matrix()))
+              for frame in scene.frames]
+    return SceneSequence(scene.scene_id, frames)
+
+
+class TestBookkeepingOracle:
+    """step and score_matrix bit for bit against the per-detection
+    bookkeeping and the per-row score loop they replaced."""
+
+    # 0.995 lies among the matched scores: it turns a few matches into spawns
+    @pytest.mark.parametrize("seed, score_threshold", [(41, None), (42, None), (43, 0.995)])
+    def test_bit_identical_to_per_detection_bookkeeping(self, trained_matcher, seed,
+                                                        score_threshold):
+        scene = _moved_world(generate_scene(SimConfig(
+            seed=seed, n_frames=30, n_objects=5, appearance_dim=16, fp_rate=0.3,
+            miss_rate=0.1, center_sigma_px=2.0, depth_rel_sigma=0.03,
+            appearance_sigma=0.1, trajectory="turn",
+        )))
+        matcher = Matcher(trained_matcher.params)
+        new, ref = (TrackerState(matcher, scene.reference_ego, buffer_size=3,
+                                 score_threshold=score_threshold) for _ in range(2))
+        matched = 0
+        for frame in scene.frames:
+            if frame.detections:
+                descriptors = matcher.descriptors(
+                    [_features_for(det) for det in frame.detections],
+                    frame.ego, scene.reference_ego, frame.intrinsics)
+                assert score_matrix(new.tracks, descriptors, matcher).tobytes() \
+                    == reference_score_matrix(ref.tracks, descriptors, matcher).tobytes()
+            assignment, entries = step(new, frame)
+            ref_assignment, ref_entries = reference_step(ref, frame)
+            assert assignment == ref_assignment
+            assert [_entry_bits(e) for e in entries] == [_entry_bits(e) for e in ref_entries]
+            matched += len(assignment.matches)
+        assert _buffer_bits(new) == _buffer_bits(ref)
+        assert new.next_track_id == ref.next_track_id
+        assert new.last_frame_index == ref.last_frame_index
+        # the run exercised matches, spawns and buffer trimming
+        assert matched > 0 and len(new.tracks) > 5
+        assert any(t.observation_count > len(t.instances) for t in new.tracks)
