@@ -1,7 +1,6 @@
-"""Loop-heavy numeric kernels: the rectangular assignment solver and the
-pairwise box-IoU matrix, the two inner loops that dominate tracking and
-evaluation runtime. Each has one implementation: the solver is a
-shortest-augmenting-path loop over ndarrays, the IoU matrix one broadcast.
+"""The numeric kernels that dominate tracking and evaluation runtime: the
+one assignment solver, a shortest-augmenting-path loop over ndarrays, and
+the pairwise box-IoU matrix in one broadcast.
 """
 
 import numpy as np
@@ -11,12 +10,12 @@ import numpy as np
 NUMBA_ENABLED = False
 
 
-def _lap_core(cost, u, v, col4row, row4col):
-    """Shortest-augmenting-path solver for the rectangular assignment problem.
-
-    Minimizes over complete row assignments of ``cost`` (shape m x n, m <= n).
-    Forbidden edges carry +inf. Fills the dual vectors ``u``/``v`` and the
-    assignment arrays in place; returns 0 on success, -1 if infeasible.
+def solve_lap_min(cost):
+    """Min-cost complete row assignment of an m x n ``cost``: (col4row, u, v)
+    with the duals u and v, or ValueError if every complete one takes +inf.
+    ``cost`` must be float64 with m <= n and no NaN or -inf. Nothing here
+    checks that: ``assignment.solve_max`` passes the matrix it has checked,
+    or sub-matrices of it.
 
     Each scan relaxes every unscanned column in one numpy pass. Among the
     columns tied at the lowest distance it picks the last still-free one in
@@ -25,6 +24,10 @@ def _lap_core(cost, u, v, col4row, row4col):
     every tie, and the test suite pins them.
     """
     m, n = cost.shape
+    u = np.zeros(m, dtype=np.float64)
+    v = np.zeros(n, dtype=np.float64)
+    col4row = np.full(m, -1, dtype=np.int64)
+    row4col = np.full(n, -1, dtype=np.int64)
     shortest = np.empty(n, dtype=np.float64)
     path = np.empty(n, dtype=np.int64)
 
@@ -53,7 +56,7 @@ def _lap_core(cost, u, v, col4row, row4col):
             # the picked column's own value, so a signed zero carries over
             min_val = dist[index]
             if min_val == np.inf:
-                return -1
+                raise ValueError("no feasible complete assignment")
             j = remaining[index]
             if row4col[j] == -1:
                 sink = j
@@ -76,32 +79,6 @@ def _lap_core(cost, u, v, col4row, row4col):
             col4row[i], j = j, col4row[i]
             if i == cur_row:
                 break
-    return 0
-
-
-def solve_lap_min(cost):
-    """Solve min-cost complete row assignment for an m x n cost matrix, m <= n.
-
-    Returns (col4row, u, v) or raises ValueError on infeasibility / bad input.
-    """
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    if cost.ndim != 2:
-        raise ValueError("cost matrix must be 2-D")
-    m, n = cost.shape
-    if m > n:
-        raise ValueError("cost matrix needs at least as many columns as rows")
-    if np.isnan(cost).any():
-        raise ValueError("cost matrix contains NaN")
-    if (cost == -np.inf).any():
-        raise ValueError("cost matrix contains -inf")
-    u = np.zeros(m, dtype=np.float64)
-    v = np.zeros(n, dtype=np.float64)
-    col4row = np.full(m, -1, dtype=np.int64)
-    row4col = np.full(n, -1, dtype=np.int64)
-    if m == 0:
-        return col4row, u, v
-    if _lap_core(cost, u, v, col4row, row4col) != 0:
-        raise ValueError("no feasible complete assignment")
     return col4row, u, v
 
 

@@ -54,8 +54,7 @@ def _lex_refine(score, cost, assign, u, v):
         for j in range(int(assign[i])):
             if j in fixed:
                 continue
-            if score[i, j] == -np.inf:
-                continue
+            # a forbidden entry (cost +inf) never has a zero reduced cost
             if cost[i, j] - u[i] - v[j] != 0.0:
                 continue
             rest_rows = list(range(i + 1, m))

@@ -138,6 +138,8 @@ def _out_dir(args):
 
 def cmd_simulate(args):
     started = time.time()
+    if args.scenes < 1:
+        raise ConfigError(f"--scenes must be >= 1, got {args.scenes}")
     doc = _load_config_file(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -266,7 +268,10 @@ def cmd_track(args):
 
 
 def _criterion_from_args(args):
-    semi = tuple(float(x) for x in args.semi_axes.split(","))
+    try:
+        semi = tuple(float(x) for x in args.semi_axes.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--semi-axes: {exc}") from exc
     if len(semi) != 3:
         raise ConfigError("--semi-axes needs three comma-separated values")
     return GeoCriterion(

@@ -57,7 +57,7 @@ def mot_metrics(gt_entries, hyp_entries, iou_threshold=0.5):
     an identity switch is counted when a ground-truth object is matched to
     a different hypothesis id than the last one it had.
     """
-    if iou_threshold <= 0 or iou_threshold > 1:
+    if not 0 < iou_threshold <= 1:  # NaN fails too
         raise ConfigError(f"iou_threshold {iou_threshold} outside (0, 1]")
     gt_frames = _entries_by_frame(gt_entries)
     hyp_frames = _entries_by_frame(hyp_entries)
@@ -178,10 +178,14 @@ class GeoCriterion:
     def __post_init__(self):
         if self.kind not in ("euclidean", "mahalanobis"):
             raise ConfigError(f"unknown criterion kind {self.kind!r}")
-        if self.radius <= 0:
-            raise ConfigError("radius must be positive")
-        if any(s <= 0 for s in self.semi_axes):
-            raise ConfigError("semi-axes must be positive")
+        # each check is written so that NaN fails it
+        for name, value in (("radius", self.radius), ("limit", self.limit),
+                            *(("semi-axes", s) for s in self.semi_axes)):
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        gate = self.rotation_gate_deg
+        if gate is not None and not 0 <= gate < np.inf:
+            raise ConfigError(f"rotation gate must be finite and >= 0, got {gate}")
 
     def distance(self, pred_pose, gt_pose):
         delta = pred_pose.T - gt_pose.T

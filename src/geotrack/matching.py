@@ -828,11 +828,11 @@ class Matcher:
         self.config = params.config
 
     def descriptors(self, features_list, ego, ego_ref, intrinsics):
-        """Descriptor rows of one frame's detections in the reference frame."""
-        return list(_input_rows(features_list, self.params, ego, ego_ref, intrinsics))
+        """(k, d) descriptor rows of one frame's detections, reference frame."""
+        return _input_rows(features_list, self.params, ego, ego_ref, intrinsics)
 
     def bundle(self, desc_rows, desc_cols):
-        """Similarity bundle between two stacked descriptor lists."""
+        """Similarity bundle between two stacked descriptor matrices."""
         bundle = _score(desc_rows, desc_cols, self.params)
         if not np.isfinite(bundle.fused).all():
             raise SchemaError("descriptor values overflow the pair scorer")

@@ -96,6 +96,13 @@ class SimConfig:
             raise ConfigError(f"unknown trajectory {self.trajectory!r}")
         if self.n_objects < 1:
             raise ConfigError("n_objects must be >= 1")
+        # written so that NaN fails each check
+        for name in ("frame_rate", "focal", "visibility_max_range"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
+        for name in ("image_width", "image_height", "capacity"):
+            if not getattr(self, name) >= 1:
+                raise ConfigError(f"{name} must be >= 1")
 
     @classmethod
     def from_dict(cls, doc):

@@ -6,10 +6,11 @@ holds the best similarity between track i's buffered instances and
 detection j, and column n + i holds track i's null score (its mean
 probability of matching nothing). Tracks matched to their null column stay
 alive — the targets are static, so disappearing from view is expected.
-A track's 5D pose is aggregated in the reference frame from its instance
-buffer when results are reported (``finalize``). A frame without detections
-has nothing to decide: every track stays unmatched, keeps its buffer, and
-nothing is scored or solved.
+A track's 5D pose is aggregated in the reference frame from its instances'
+descriptors (geometry prefix: T ``[:3]``, R ``[3:5]``) when results are
+reported (``finalize``). A frame without detections has nothing to decide:
+every track stays unmatched, keeps its buffer, and nothing is scored or
+solved.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +20,7 @@ import numpy as np
 from .assignment import AssignmentResult, hungarian
 from .errors import (
     CapacityExceededError,
+    ConfigError,
     EmptyTrackError,
     OutOfOrderFrameError,
     SchemaError,
@@ -37,8 +39,7 @@ AGGREGATORS = ("median", "mean", "idw")
 @dataclass
 class TrackInstance:
     frame_index: int
-    descriptor: np.ndarray  # fused descriptor as the matcher saw it
-    pose_ref: Pose5D
+    descriptor: np.ndarray  # as the matcher saw it; [:5] is its reference pose
     depth: float  # observed T_z, used by inverse-depth weighting
 
 
@@ -63,6 +64,8 @@ class TrackerState:
                  aggregate="median", score_threshold=None):
         if aggregate not in AGGREGATORS:
             raise SchemaError(f"unknown aggregation method {aggregate!r}")
+        if not buffer_size >= 1:
+            raise ConfigError(f"buffer_size must be >= 1, got {buffer_size}")
         self.matcher = matcher
         self.ego_ref = ego_ref
         self.buffer_size = buffer_size
@@ -74,11 +77,12 @@ class TrackerState:
 
 
 def aggregate_pose(track, method="median"):
-    """Combine a track's buffered reference-frame poses into one Pose5D."""
+    """Combine a track's buffered reference-frame poses, each read as T =
+    ``descriptor[:3]`` and R = normalized ``descriptor[3:5]``, into one Pose5D."""
     if not track.instances:
         raise EmptyTrackError(f"track {track.track_id} has no instances")
-    ts = np.array([inst.pose_ref.T for inst in track.instances])
-    rs = np.array([inst.pose_ref.R for inst in track.instances])
+    ts = np.array([inst.descriptor[:3] for inst in track.instances])
+    rs = np.array([normalize_rotation(inst.descriptor[3:5]) for inst in track.instances])
     if method == "median":
         t = np.median(ts, axis=0)
         r = np.median(rs, axis=0)
@@ -95,7 +99,7 @@ def aggregate_pose(track, method="median"):
     try:
         r = normalize_rotation(r)
     except ZeroVectorError:
-        r = track.instances[-1].pose_ref.R
+        r = rs[-1]
     return Pose5D(t, r, REFERENCE)
 
 
@@ -181,15 +185,14 @@ def step(state, frame):
     # camera_to_world of every reference-frame translation at once; R @ T per
     # row sums as it does (T @ R.T would not, and differs in the last bit).
     rot, t_ref = quat_to_matrix(state.ego_ref.rotation), state.ego_ref.translation
-    T = np.array([desc[:3] for desc in descriptors])
+    T = descriptors[:, :3].copy()
     world = (rot @ T[:, :, None])[:, :, 0] + t_ref
 
     entries = []
     for track, j in updates:
         desc, det = descriptors[j], frame.detections[j]
         depth = det.observation.T_z if det.observation is not None else float(desc[2])
-        pose_ref = Pose5D(desc[:3], normalize_rotation(desc[3:5]), REFERENCE)
-        track.instances.append(TrackInstance(frame.frame_index, desc, pose_ref, depth))
+        track.instances.append(TrackInstance(frame.frame_index, desc, depth))
         if len(track.instances) > state.buffer_size:
             track.instances = track.instances[-state.buffer_size:]
         track.observation_count += 1

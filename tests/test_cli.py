@@ -108,6 +108,28 @@ class TestSimulate:
         assert "lateral_range" in r.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"frame_rate": 0}, "frame_rate"), ({"frame_rate": -2}, "frame_rate"),
+        ({"focal": 0}, "focal"), ({"image_width": -5}, "image_width"),
+        ({"image_height": 0}, "image_height"),
+        ({"visibility_max_range": 0}, "visibility_max_range"),
+        ({"capacity": 0}, "capacity"),
+    ])
+    def test_out_of_range_config_exits_2(self, tmp_path, doc, named):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        r = run_cli("simulate", "--config", config, "--out", tmp_path / "o")
+        assert r.returncode == 2, r.stderr
+        assert named in r.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_scenes_below_one_exits_2(self, tmp_path, count):
+        r = run_cli("simulate", "--scenes", count, "--out", tmp_path / "o")
+        assert r.returncode == 2, r.stderr
+        assert "--scenes" in r.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_command_exits_2(self):
         assert run_cli("frobnicate").returncode == 2
 
@@ -378,6 +400,23 @@ class TestTrackEvaluatePlot:
                     "--out", tmp_path / "eval")
         assert r.returncode == 3, r.stderr
         assert "line 1" in r.stderr
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--radius", "nan"], "radius"),
+        (["--criterion", "mahalanobis", "--limit", "nan"], "limit"),
+        (["--criterion", "mahalanobis", "--limit", "-1"], "limit"),
+        (["--criterion", "mahalanobis", "--semi-axes", "nan,1,1"], "semi-axes"),
+        (["--semi-axes", "x,1,1"], "semi-axes"),
+        (["--rotation-gate", "nan"], "rotation gate"),
+        (["--iou", "nan"], "iou"),
+    ])
+    def test_evaluate_out_of_range_gate_exits_2(self, tracked, tmp_path, flags, named):
+        out = tmp_path / "eval"
+        r = run_cli("evaluate", "--scene", tracked["scene"], "--tracks", tracked["hyp"],
+                    "--geoloc", tracked["geo"], *flags, "--out", out)
+        assert r.returncode == 2, r.stderr
+        assert named in r.stderr
+        assert not (out / "report.json").exists()
 
     def test_evaluate_and_plot(self, pipeline, tracked, tmp_path):
         out = tmp_path / "eval"

@@ -93,6 +93,22 @@ class TestDescriptors:
         desc = describe_one(np.zeros(500), np.zeros((1, 1, 128)))
         assert desc.shape == (634,)
 
+    def test_one_array_per_frame(self):
+        # a frame's descriptors are one (k, d) array, bit-equal to the rows
+        # stacked from the list of them that descriptors used to return
+        scene = generate_scene(SimConfig(seed=5, n_frames=2, n_objects=3,
+                                         appearance_dim=4))
+        frame = scene.frames[0]
+        params = init_matcher_params(MatcherConfig(appearance_dim=4))
+        feats = [DetectionFeatures(appearance=d.appearance, observation=d.observation)
+                 for d in frame.detections]
+        args = (frame.ego, scene.reference_ego, frame.intrinsics)
+        rows = Matcher(params).descriptors(feats, *args)
+        stacked = np.array(list(_describe(feats, params, *args)[1]))
+        assert isinstance(rows, np.ndarray)
+        assert rows.shape == stacked.shape and len(rows) == len(feats) > 1
+        assert rows.tobytes() == stacked.tobytes()
+
     def test_zero_noise_descriptors_agree(self):
         scene = generate_scene(SimConfig(seed=5, n_frames=10, n_objects=3,
                                          appearance_dim=4))
@@ -534,7 +550,7 @@ class TestPerSideIntrinsics:
         )
         # standardization is fitted on the training-side descriptors ...
         np.testing.assert_array_equal(params.input_shift,
-                                      np.array(rows_a + rows_b).mean(axis=0))
+                                      np.concatenate([rows_a, rows_b]).mean(axis=0))
         # ... and the training pair scores exactly what tracking scores
         np.testing.assert_array_equal(forward_pair(sample, params)["bundle"].S,
                                       matcher.bundle(rows_a, rows_b).S)

@@ -27,6 +27,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SimConfig(n_frames=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("frame_rate", 0.0), ("frame_rate", -2.0), ("frame_rate", float("nan")),
+        ("focal", 0.0), ("focal", float("nan")),
+        ("visibility_max_range", 0.0), ("visibility_max_range", float("nan")),
+        ("image_width", -5), ("image_height", 0), ("capacity", 0),
+    ])
+    def test_rejects_out_of_range_camera_and_rate(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            SimConfig(**{field: value})
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             SimConfig.from_dict({"sigma_center": 1.0})

@@ -1,10 +1,16 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from geotrack.assignment import AssignmentResult, hungarian
-from geotrack.errors import CapacityExceededError, EmptyTrackError, OutOfOrderFrameError
+from geotrack.errors import (
+    CapacityExceededError,
+    ConfigError,
+    EmptyTrackError,
+    OutOfOrderFrameError,
+    ZeroVectorError,
+)
 from geotrack.geometry import (
     REFERENCE,
     EgoPose,
@@ -16,6 +22,7 @@ from geotrack.matching import Matcher, MatcherConfig, augment_normalize
 from geotrack.scene import MotEntry, SceneSequence
 from geotrack.simulator import SimConfig, generate_scene, world_objects
 from geotrack.tracker import (
+    AGGREGATORS,
     Track,
     TrackerState,
     TrackInstance,
@@ -30,11 +37,10 @@ from geotrack.tracker import (
 
 
 def instance(frame, t=(0.0, 0.0, 10.0), r=(0.0, 1.0), depth=None, desc=None):
-    pose = Pose5D(t, r, REFERENCE)
+    """A buffered instance whose descriptor's geometry prefix is (t, r)."""
     return TrackInstance(
         frame_index=frame,
-        descriptor=desc if desc is not None else np.zeros(4),
-        pose_ref=pose,
+        descriptor=desc if desc is not None else np.array([*t, *r], dtype=np.float64),
         depth=float(t[2]) if depth is None else depth,
     )
 
@@ -149,9 +155,35 @@ class TestAggregatePose:
         pose = aggregate_pose(track, "mean")
         assert np.linalg.norm(pose.R) == pytest.approx(1.0)
 
+    def test_instance_rotation_read_normalized(self):
+        # each instance's facing is normalized before the mean: (1, 0) and
+        # (0, 1) average to the diagonal, where the raw (3, 0) would tilt it
+        track = Track(track_id=1, instances=[
+            instance(0, r=(3.0, 0.0)), instance(1, r=(0.0, 1.0)),
+        ])
+        np.testing.assert_allclose(aggregate_pose(track, "mean").R,
+                                   [np.sqrt(0.5), np.sqrt(0.5)])
+
+    def test_zero_mean_direction_takes_newest_instance(self):
+        # the normalized facings cancel; the fallback is the newest one,
+        # normalized like every instance's
+        track = Track(track_id=1, instances=[
+            instance(0, r=(1.0, 0.0)), instance(1, r=(-2.0, 0.0)),
+        ])
+        assert aggregate_pose(track, "mean").R.tolist() == [-1.0, 0.0]
+
     def test_empty_track_raises(self):
         with pytest.raises(EmptyTrackError):
             aggregate_pose(Track(track_id=1))
+
+
+class TestTrackerState:
+    @pytest.mark.parametrize("buffer_size", [0, -1])
+    def test_rejects_buffer_below_one(self, buffer_size):
+        # instances[-0:] would keep every instance, and -1 would empty each
+        # buffer right after its update
+        with pytest.raises(ConfigError, match="buffer_size"):
+            TrackerState(StubMatcher({}), EgoPose.identity(), buffer_size=buffer_size)
 
 
 class TestStepLifecycle:
@@ -404,6 +436,39 @@ def reference_score_matrix(tracks, detection_descriptors, matcher):
     return scores
 
 
+@dataclass
+class ReferenceInstance:
+    """TrackInstance as it was: it also stored the reference pose built from
+    its descriptor."""
+
+    frame_index: int
+    descriptor: np.ndarray
+    pose_ref: Pose5D
+    depth: float
+
+
+def reference_aggregate_pose(track, method):
+    """aggregate_pose as it was, over the stored reference poses."""
+    ts = np.array([inst.pose_ref.T for inst in track.instances])
+    rs = np.array([inst.pose_ref.R for inst in track.instances])
+    if method == "median":
+        t = np.median(ts, axis=0)
+        r = np.median(rs, axis=0)
+    elif method == "mean":
+        t = ts.mean(axis=0)
+        r = rs.mean(axis=0)
+    else:
+        w = 1.0 / np.maximum([inst.depth for inst in track.instances], 1e-6)
+        w = w / w.sum()
+        t = (ts * w[:, None]).sum(axis=0)
+        r = (rs * w[:, None]).sum(axis=0)
+    try:
+        r = normalize_rotation(r)
+    except ZeroVectorError:
+        r = track.instances[-1].pose_ref.R
+    return Pose5D(t, r, REFERENCE)
+
+
 def reference_step(state, frame):
     """step as it was: matches, then spawns, one detection at a time, each
     building its reference pose and mapping a camera-frame copy to the world
@@ -430,8 +495,8 @@ def reference_step(state, frame):
         pose_ref = Pose5D(desc[:3], normalize_rotation(desc[3:5]), REFERENCE)
         det = frame.detections[det_idx]
         depth = det.observation.T_z if det.observation is not None else float(desc[2])
-        return TrackInstance(frame_index=frame.frame_index, descriptor=desc,
-                             pose_ref=pose_ref, depth=depth), det
+        return ReferenceInstance(frame_index=frame.frame_index, descriptor=desc,
+                                 pose_ref=pose_ref, depth=depth), det
 
     def _emit(track, det, pose_ref):
         world = camera_to_world(pose_ref.with_frame("camera"), state.ego_ref)
@@ -469,15 +534,25 @@ def _entry_bits(entry):
             _bits(entry.world_xyz))
 
 
-def _buffer_bits(state):
+def _buffer_bits(state, pose_of):
+    """Every track's buffer; ``pose_of`` gives an instance's (T, R)."""
     return [
         (track.track_id, track.observation_count, [
-            (inst.frame_index, _bits(inst.descriptor), _bits(inst.pose_ref.T),
-             _bits(inst.pose_ref.R), inst.pose_ref.frame_id, _bits(inst.depth))
+            (inst.frame_index, _bits(inst.descriptor), *map(_bits, pose_of(inst)),
+             _bits(inst.depth))
             for inst in track.instances
         ])
         for track in state.tracks
     ]
+
+
+def _descriptor_pose(inst):
+    """An instance's pose as aggregate_pose reads it from the descriptor."""
+    return inst.descriptor[:3], normalize_rotation(inst.descriptor[3:5])
+
+
+def _stored_pose(inst):
+    return inst.pose_ref.T, inst.pose_ref.R
 
 
 def _moved_world(scene, rotation=(0.93, 0.05, 0.36, -0.04), offset=(12.5, -0.3, -40.0)):
@@ -493,7 +568,8 @@ def _moved_world(scene, rotation=(0.93, 0.05, 0.36, -0.04), offset=(12.5, -0.3, 
 
 class TestBookkeepingOracle:
     """step and score_matrix bit for bit against the per-detection
-    bookkeeping and the per-row score loop they replaced."""
+    bookkeeping and the per-row score loop they replaced, and aggregate_pose
+    against the stored per-instance poses it no longer needs."""
 
     # 0.995 lies among the matched scores: it turns a few matches into spawns
     @pytest.mark.parametrize("seed, score_threshold", [(41, None), (42, None), (43, 0.995)])
@@ -520,7 +596,12 @@ class TestBookkeepingOracle:
             assert assignment == ref_assignment
             assert [_entry_bits(e) for e in entries] == [_entry_bits(e) for e in ref_entries]
             matched += len(assignment.matches)
-        assert _buffer_bits(new) == _buffer_bits(ref)
+        assert _buffer_bits(new, _descriptor_pose) == _buffer_bits(ref, _stored_pose)
+        for method in AGGREGATORS:
+            for track, ref_track in zip(new.tracks, ref.tracks):
+                got = aggregate_pose(track, method)
+                expected = reference_aggregate_pose(ref_track, method)
+                assert (_bits(got.T), _bits(got.R)) == (_bits(expected.T), _bits(expected.R))
         assert new.next_track_id == ref.next_track_id
         assert new.last_frame_index == ref.last_frame_index
         # the run exercised matches, spawns and buffer trimming
