@@ -164,7 +164,6 @@ def cmd_simulate(args):
 
 def cmd_dataset(args):
     started = time.time()
-    out = _out_dir(args)
     scene_paths = sorted(Path(args.scenes).glob("*.json"))
     scene_paths = [p for p in scene_paths if p.name != "manifest.json"]
     if not scene_paths:
@@ -175,6 +174,7 @@ def cmd_dataset(args):
                              ("--seed", seed, 0)):
         if value < low:
             raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    out = _out_dir(args)
     doc = {
         "format": 1,
         "scenes": [str(p) for p in scene_paths],
@@ -206,7 +206,6 @@ def _load_dataset(index_path, capacity):
 
 def cmd_train(args):
     started = time.time()
-    out = _out_dir(args)
     overrides = {key: value for key, value in (
         ("seed", args.seed), ("epochs", args.epochs), ("lam", args.lam),
         ("softmax_axis", args.softmax_axis)) if value is not None}
@@ -220,6 +219,7 @@ def cmd_train(args):
     else:
         params = None
         config = MatcherConfig.from_dict({**_load_config_file(args.config), **overrides})
+    out = _out_dir(args)
     doc, scenes = _load_dataset(args.dataset, config.capacity)
     samples = make_matching_dataset(
         scenes, doc["n_max"], doc["pairs_per_scene"], doc["seed"]
@@ -245,13 +245,13 @@ def cmd_train(args):
 
 def cmd_track(args):
     started = time.time()
-    out = _out_dir(args)
     params = load_checkpoint(args.checkpoint)
     scene = load_scene(args.scene, params.config.capacity)
     state, entries = track_scene(
         scene, Matcher(params), aggregate=args.aggregate,
         score_threshold=args.score_threshold,
     )
+    out = _out_dir(args)
     hyp_path = out / f"{scene.scene_id}.hyp.txt"
     write_mot(entries, hyp_path)
     geo_path = out / f"{scene.scene_id}.geo.json"
@@ -301,7 +301,9 @@ def _read_predictions(path):
 
 def cmd_evaluate(args):
     started = time.time()
-    out = _out_dir(args)
+    criterion = _criterion_from_args(args)
+    if not 0 < args.iou <= 1:  # NaN fails too
+        raise ConfigError(f"--iou must lie in (0, 1], got {args.iou}")
     scene = load_scene(args.scene)
     gt_entries = gt_mot_entries(scene)
     report = {}
@@ -315,7 +317,6 @@ def cmd_evaluate(args):
     if args.geoloc:
         predictions = _read_predictions(args.geoloc)
         gts = list(world_objects(scene).values())
-        criterion = _criterion_from_args(args)
         points = pr_curve(predictions, gts, criterion)
         _, pairs, _ = greedy_match(predictions, gts, criterion)
         report["pr"] = [
@@ -329,6 +330,7 @@ def cmd_evaluate(args):
             )
             report["translation_error"] = te.as_dict()
         inputs.append(args.geoloc)
+    out = _out_dir(args)
     report_path = out / "report.json"
     atomic_write_text(report_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
     csv_path = out / "report.csv"

@@ -6,7 +6,10 @@ stays above threshold, remaining boxes are matched by maximum-IoU
 assignment, and MOTA folds misses, false positives, and identity switches
 into one score. Geo-localization quality is measured object-wise with
 precision/recall under a Euclidean or Mahalanobis acceptance gate,
-optionally also requiring the facing direction to agree.
+optionally also requiring the facing direction to agree. The gate is one
+(predictions x objects) distance matrix per call, ``inf`` where it rejects
+a pair; in descending score order each prediction takes the nearest
+accepted object that is still free.
 """
 
 from dataclasses import dataclass
@@ -17,6 +20,7 @@ from ._kernels import iou_matrix
 from .assignment import hungarian
 from .errors import ConfigError, FormatError, FrameMismatchError
 from .geometry import angular_error
+from .numerics import row_norm
 
 MT_COVERAGE = 0.8
 ML_COVERAGE = 0.2
@@ -152,17 +156,18 @@ def mot_metrics(gt_entries, hyp_entries, iou_threshold=0.5):
 
 
 def mahalanobis_distance(delta, semi_axes, limit=3.0):
-    """Anisotropic distance scaled so the given ellipsoid is the level set.
+    """Anisotropic distance of (..., 3) displacements, scaled so the given
+    ellipsoid is the level set.
 
     A displacement lying exactly on the ellipsoid with the given semi-axes
     returns ``limit``.
     """
-    delta = np.asarray(delta, dtype=np.float64).reshape(-1)
+    delta = np.asarray(delta, dtype=np.float64)
     semi_axes = np.asarray(semi_axes, dtype=np.float64).reshape(-1)
     if (semi_axes <= 0).any():
         raise ConfigError("semi-axes must be positive")
     # ratio first: a point on the ellipsoid yields exactly `limit`
-    return float(np.sqrt(np.sum((limit * (delta / semi_axes)) ** 2)))
+    return np.sqrt(np.sum((limit * (delta / semi_axes)) ** 2, axis=-1))
 
 
 @dataclass
@@ -187,35 +192,24 @@ class GeoCriterion:
         if gate is not None and not 0 <= gate < np.inf:
             raise ConfigError(f"rotation gate must be finite and >= 0, got {gate}")
 
-    def distance(self, pred_pose, gt_pose):
-        delta = pred_pose.T - gt_pose.T
+    def distances(self, pred_poses, gt_poses):
+        """(P, G) gate distances between predicted and ground-truth poses,
+        ``inf`` where the gate rejects the pair."""
+        pred_T = np.array([p.T for p in pred_poses]).reshape(-1, 3)
+        gt_T = np.array([g.T for g in gt_poses]).reshape(-1, 3)
+        delta = pred_T[:, None, :] - gt_T[None, :, :]
         if self.kind == "euclidean":
-            return float(np.linalg.norm(delta))
-        return mahalanobis_distance(delta, self.semi_axes, self.limit)
-
-    def accepts(self, pred_pose, gt_pose):
-        bound = self.radius if self.kind == "euclidean" else self.limit
-        if self.distance(pred_pose, gt_pose) > bound:
-            return False
-        if self.rotation_gate_deg is not None:
-            if angular_error(pred_pose.R, gt_pose.R) > self.rotation_gate_deg:
-                return False
-        return True
-
-
-def _normalize_items(predictions, ground_truth):
-    preds = []
-    for item in predictions:
-        pose, score, scene = (*item, "")[:3] if len(item) >= 2 else (None, None, "")
-        preds.append((pose, float(score), scene))
-    gts = []
-    for item in ground_truth:
-        if isinstance(item, tuple):
-            pose, scene = (*item, "")[:2]
+            dist, bound = row_norm(delta), self.radius
         else:
-            pose, scene = item, ""
-        gts.append((pose, scene))
-    return preds, gts
+            dist = mahalanobis_distance(delta, self.semi_axes, self.limit)
+            bound = self.limit
+        reject = dist > bound
+        if self.rotation_gate_deg is not None:
+            pred_R = np.array([p.R for p in pred_poses]).reshape(-1, 2)
+            gt_R = np.array([g.R for g in gt_poses]).reshape(-1, 2)
+            angle = angular_error(pred_R[:, None, :], gt_R[None, :, :])
+            reject |= angle > self.rotation_gate_deg
+        return np.where(reject, np.inf, dist)
 
 
 def greedy_match(predictions, ground_truth, criterion):
@@ -227,32 +221,31 @@ def greedy_match(predictions, ground_truth, criterion):
     invariant to input ordering. Returns (tp_flags in score order, matched
     index pairs, order) where pairs map prediction index -> ground truth.
     """
-    preds, gts = _normalize_items(predictions, ground_truth)
+    preds = [(*item, "")[:3] for item in predictions]  # (pose, score, scene)
+    gts = [(*item, "")[:2] if isinstance(item, tuple) else (item, "")
+           for item in ground_truth]  # (pose, scene)
 
     def sort_key(i):
         pose, score, scene = preds[i]
-        return (-score, scene, tuple(pose.T), tuple(pose.R))
+        return (-float(score), scene, tuple(pose.T), tuple(pose.R))
 
     order = sorted(range(len(preds)), key=sort_key)
-    taken = set()
+    dist = criterion.distances([p for p, _, _ in preds], [g for g, _ in gts])
+    label = {}  # scene -> integer label
+    pred_scene = np.array([label.setdefault(s, len(label)) for _, _, s in preds])
+    gt_scene = np.array([label.setdefault(s, len(label)) for _, s in gts])
+    dist[pred_scene[:, None] != gt_scene] = np.inf
     tp_flags = []
     pairs = []
     for i in order:
-        pose, _, scene = preds[i]
-        best = None
-        for j, (gt_pose, gt_scene) in enumerate(gts):
-            if j in taken or gt_scene != scene:
-                continue
-            if criterion.accepts(pose, gt_pose):
-                d = criterion.distance(pose, gt_pose)
-                if best is None or d < best[0]:
-                    best = (d, j)
-        if best is None:
+        # argmin takes the first of equal distances: the lowest free index
+        j = int(np.argmin(dist[i])) if gts else None
+        if j is None or dist[i, j] == np.inf:
             tp_flags.append(False)
-        else:
-            taken.add(best[1])
-            pairs.append((i, best[1]))
-            tp_flags.append(True)
+            continue
+        dist[:, j] = np.inf  # taken
+        pairs.append((i, j))
+        tp_flags.append(True)
     return tp_flags, pairs, order
 
 
@@ -262,15 +255,14 @@ def pr_curve(predictions, ground_truth, criterion):
     Returns one (precision, recall, threshold) triple per prediction, in
     descending score order; recall is monotone non-decreasing.
     """
-    preds, gts = _normalize_items(predictions, ground_truth)
     tp_flags, _, order = greedy_match(predictions, ground_truth, criterion)
-    n_gt = len(gts)
+    n_gt = len(ground_truth)
     points = []
     tp = 0
     for k, (flag, idx) in enumerate(zip(tp_flags, order), start=1):
-        tp += bool(flag)
+        tp += flag
         points.append(
-            (tp / k, tp / n_gt if n_gt else 0.0, preds[idx][1])
+            (tp / k, tp / n_gt if n_gt else 0.0, float(predictions[idx][1]))
         )
     return points
 

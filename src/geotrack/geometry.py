@@ -301,11 +301,12 @@ def reference_transform(ego_t, ego_ref):
 
 
 def angular_error(r_a, r_b):
-    """Angle in degrees between two facing directions (R_x, R_y), in [0, 180].
+    """Angles in degrees, in [0, 180], between (..., 2) facing directions.
 
     Taken as atan2(|a x b|, a . b): unlike arccos of the dot product it keeps
     full precision near 0 and 180 degrees.
     """
-    cross = r_a[0] * r_b[1] - r_a[1] * r_b[0]
-    dot = r_a[0] * r_b[0] + r_a[1] * r_b[1]
-    return float(np.degrees(np.arctan2(abs(cross), dot)))
+    r_a, r_b = np.asarray(r_a, np.float64), np.asarray(r_b, np.float64)
+    cross = r_a[..., 0] * r_b[..., 1] - r_a[..., 1] * r_b[..., 0]
+    dot = r_a[..., 0] * r_b[..., 0] + r_a[..., 1] * r_b[..., 1]
+    return np.degrees(np.arctan2(np.abs(cross), dot))

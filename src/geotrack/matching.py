@@ -133,6 +133,16 @@ class MatcherConfig:
             raise ConfigError(f"unknown softmax_axis {self.softmax_axis!r}")
         if self.pooling not in ("mean", "weighted"):
             raise ConfigError(f"unknown pooling {self.pooling!r}")
+        # written so that NaN fails each check
+        for name, value, low in (("epochs", self.epochs, 1), ("seed", self.seed, 0),
+                                 ("embed_dim", self.embed_dim, 0),
+                                 *(("scorer_hidden", w, 1) for w in self.scorer_hidden),
+                                 *(("pose_hidden", w, 1) for w in self.pose_hidden)):
+            if not value >= low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
+        pretrain = self.pose_pretrain_epochs
+        if pretrain is not None and not pretrain >= 0:
+            raise ConfigError(f"pose_pretrain_epochs must be >= 0, got {pretrain}")
         if self.use_pose_head and self.embed_dim < 1:
             raise ConfigError("use_pose_head requires embed_dim >= 1")
 

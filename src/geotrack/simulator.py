@@ -103,6 +103,8 @@ class SimConfig:
         for name in ("image_width", "image_height", "capacity"):
             if not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_dict(cls, doc):

@@ -66,6 +66,8 @@ class TrackerState:
             raise SchemaError(f"unknown aggregation method {aggregate!r}")
         if not buffer_size >= 1:
             raise ConfigError(f"buffer_size must be >= 1, got {buffer_size}")
+        if score_threshold is not None and not abs(score_threshold) < np.inf:
+            raise ConfigError(f"score_threshold must be finite, got {score_threshold}")
         self.matcher = matcher
         self.ego_ref = ego_ref
         self.buffer_size = buffer_size

@@ -809,3 +809,75 @@ class TestDocumentData:
             ["nan", "inf", "-inf", "1e308", "-1e308", "wrong type", "missing",
              "unknown key"])))
         assert run_on_document(documents, kind, doc) in (0, 2, 3), kind
+
+
+def _usage_args(pipeline, tracked, tmp_path, case):
+    """Argument list for one usage-error case; ``{...}`` names a fixture path."""
+    paths = {
+        "scene": tracked["scene"], "hyp": tracked["hyp"], "geo": tracked["geo"],
+        "scenes": pipeline["scenes"], "pairs": pipeline["dataset"] / "pairs.json",
+        "checkpoint": pipeline["model"] / "checkpoint.json",
+        "missing": tmp_path / "missing.json", "empty": tmp_path,
+    }
+    args = []
+    for arg in case:
+        if arg.startswith("{") and arg.endswith("}"):
+            arg = str(paths[arg[1:-1]])
+        elif arg.startswith("config="):
+            config = tmp_path / "config.json"
+            config.write_text(arg[len("config="):])
+            arg = str(config)
+        args.append(arg)
+    return args + ["--out", str(tmp_path / "out")]
+
+
+class TestUsageErrors:
+    """Exit 2 names the flag or field and leaves ``--out`` uncreated."""
+
+    @pytest.mark.parametrize("case, named", [
+        (["evaluate", "--scene", "{scene}", "--geoloc", "{missing}", "--radius", "nan"],
+         "radius"),
+        (["evaluate", "--scene", "{missing}", "--iou", "0"], "--iou"),
+        (["evaluate", "--scene", "{scene}", "--tracks", "{hyp}", "--geoloc", "{geo}",
+          "--rotation-gate", "-1"], "rotation gate"),
+        (["dataset", "--scenes", "{scenes}", "--n-max", "0"], "--n-max"),
+        (["dataset", "--scenes", "{scenes}", "--seed", "-1"], "--seed"),
+        (["dataset", "--scenes", "{empty}"], "no scene files"),
+        (["train", "--dataset", "{pairs}", "--resume", "{checkpoint}",
+          "--config", "config={}"], "--resume"),
+        (["train", "--dataset", "{missing}", "--config", "{missing}"], "missing.json"),
+        (["train", "--dataset", "{pairs}", "--config", 'config={"bogus": 1}'], "bogus"),
+        (["track", "--scene", "{scene}", "--checkpoint", "{missing}"], "missing.json"),
+    ])
+    def test_flag_checked_before_out_is_created(self, pipeline, tracked, tmp_path,
+                                                capsys, case, named):
+        assert cli.main(_usage_args(pipeline, tracked, tmp_path, case)) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case, named", [
+        (["train", "--dataset", "{pairs}", "--epochs", "0"], "epochs"),
+        (["train", "--dataset", "{pairs}", "--epochs", "-2"], "epochs"),
+        (["train", "--dataset", "{pairs}", "--resume", "{checkpoint}", "--epochs", "0"],
+         "epochs"),
+        (["train", "--dataset", "{pairs}", "--seed", "-1"], "seed"),
+        (["simulate", "--seed", "-1"], "seed"),
+        (["train", "--dataset", "{pairs}", "--config", 'config={"scorer_hidden": [-3]}'],
+         "scorer_hidden"),
+        (["train", "--dataset", "{pairs}", "--config", 'config={"pose_hidden": [4, 0]}'],
+         "pose_hidden"),
+        (["train", "--dataset", "{pairs}", "--config", 'config={"embed_dim": -1}'],
+         "embed_dim"),
+        (["train", "--dataset", "{pairs}", "--config",
+          'config={"use_pose_head": true, "embed_dim": 4, "pose_pretrain_epochs": -1}'],
+         "pose_pretrain_epochs"),
+        (["track", "--scene", "{scene}", "--checkpoint", "{checkpoint}",
+          "--score-threshold", "nan"], "score_threshold"),
+        (["track", "--scene", "{scene}", "--checkpoint", "{checkpoint}",
+          "--score-threshold=inf"], "score_threshold"),
+    ])
+    def test_out_of_range_configuration_exits_2(self, pipeline, tracked, tmp_path,
+                                                capsys, case, named):
+        assert cli.main(_usage_args(pipeline, tracked, tmp_path, case)) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -140,18 +140,33 @@ class TestMahalanobis:
         with pytest.raises(ConfigError):
             mahalanobis_distance((1, 1, 1), (0.0, 1.0, 1.0))
 
+    def test_stack_equals_row_at_a_time(self, rng):
+        stack = rng.normal(scale=3.0, size=(7, 5, 3))
+        dist = mahalanobis_distance(stack, self.SEMI, 3.0)
+        assert dist.shape == (7, 5)
+        rows = np.array([[mahalanobis_distance(d, self.SEMI, 3.0) for d in row]
+                         for row in stack])
+        assert dist.tobytes() == rows.tobytes()
+        assert isinstance(mahalanobis_distance(stack[0, 0], self.SEMI), np.floating)
+
 
 class TestGeoCriterion:
+    """A finite ``distances`` entry accepts the pair, ``inf`` rejects it."""
+
     def test_euclidean_gate(self):
         crit = GeoCriterion(kind="euclidean", radius=2.0)
-        assert crit.accepts(pose(0, 0, 0), pose(0, 0, 1.9))
-        assert not crit.accepts(pose(0, 0, 0), pose(0, 0, 2.1))
+        d = crit.distances([pose(0, 0, 0)], [pose(0, 0, 1.9), pose(0, 0, 2.1)])
+        assert d.shape == (1, 2)
+        assert d[0, 0] == pytest.approx(1.9)
+        assert d[0, 1] == np.inf
 
     def test_mahalanobis_gate_depth_tolerant(self):
         crit = GeoCriterion(kind="mahalanobis", limit=3.0,
                             semi_axes=(0.4, 0.39, 3.84))
-        assert crit.accepts(pose(0, 0, 0), pose(0, 0, 3.0))  # deep miss ok
-        assert not crit.accepts(pose(0.5, 0, 0), pose(0, 0, 0))  # lateral not
+        d = crit.distances([pose(0, 0, 0), pose(0.5, 0, 0)], [pose(0, 0, 3.0),
+                                                             pose(0, 0, 0)])
+        assert np.isfinite(d[0, 0])  # deep miss ok
+        assert d[1, 1] == np.inf  # lateral not
 
     def test_rotation_gate(self):
         crit = GeoCriterion(kind="euclidean", radius=2.0, rotation_gate_deg=20.0)
@@ -160,8 +175,15 @@ class TestGeoCriterion:
                                       -np.cos(np.radians(10))))
         crooked = pose(0, 0, 0.5, r=(np.sin(np.radians(40)),
                                      -np.cos(np.radians(40))))
-        assert crit.accepts(slightly, aligned)
-        assert not crit.accepts(crooked, aligned)
+        d = crit.distances([slightly, crooked], [aligned])
+        assert d[0, 0] == pytest.approx(0.5)
+        assert d[1, 0] == np.inf
+
+    def test_empty_sides(self):
+        crit = GeoCriterion(rotation_gate_deg=10.0)
+        assert crit.distances([], []).shape == (0, 0)
+        assert crit.distances([], [pose(0, 0, 0)]).shape == (0, 1)
+        assert crit.distances([pose(0, 0, 0)], []).shape == (1, 0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -233,6 +255,134 @@ class TestPrCurve:
             perm = rng.permutation(len(preds))
             shuffled = [preds[i] for i in perm]
             assert pr_curve(shuffled, gts, self.CRIT) == base
+
+
+def reference_distance(criterion, a, b):
+    """The per-pair gate distance: scalar norm or scalar Mahalanobis."""
+    delta = a.T - b.T
+    if criterion.kind == "euclidean":
+        return float(np.linalg.norm(delta))
+    semi = np.asarray(criterion.semi_axes, dtype=np.float64)
+    return float(np.sqrt(np.sum((criterion.limit * (delta / semi)) ** 2)))
+
+
+def reference_accepts(criterion, a, b):
+    """The per-pair gate, with the scalar angle for the rotation gate."""
+    bound = criterion.radius if criterion.kind == "euclidean" else criterion.limit
+    if reference_distance(criterion, a, b) > bound:
+        return False
+    if criterion.rotation_gate_deg is None:
+        return True
+    cross = a.R[0] * b.R[1] - a.R[1] * b.R[0]
+    dot = a.R[0] * b.R[0] + a.R[1] * b.R[1]
+    return not float(np.degrees(np.arctan2(abs(cross), dot))) > criterion.rotation_gate_deg
+
+
+def reference_greedy_match(predictions, ground_truth, criterion):
+    """The per-pair greedy matcher the gate matrix replaced: each prediction
+    scans the free objects of its scene and keeps the first strictly nearer
+    accepted one."""
+    preds = [(p, float(s), (*rest, "")[0]) for p, s, *rest in predictions]
+    gts = [(*g, "")[:2] if isinstance(g, tuple) else (g, "") for g in ground_truth]
+    order = sorted(range(len(preds)), key=lambda i: (
+        -preds[i][1], preds[i][2], tuple(preds[i][0].T), tuple(preds[i][0].R)))
+    taken, tp_flags, pairs = set(), [], []
+    for i in order:
+        pred, _, scene = preds[i]
+        best = None
+        for j, (gt, gt_scene) in enumerate(gts):
+            if j in taken or gt_scene != scene or not reference_accepts(criterion, pred, gt):
+                continue
+            d = reference_distance(criterion, pred, gt)
+            if best is None or d < best[0]:
+                best = (d, j)
+        tp_flags.append(best is not None)
+        if best is not None:
+            taken.add(best[1])
+            pairs.append((i, best[1]))
+    return tp_flags, pairs, order
+
+
+def reference_pr_curve(predictions, ground_truth, criterion):
+    tp_flags, _, order = reference_greedy_match(predictions, ground_truth, criterion)
+    n_gt = len(ground_truth)
+    points, tp = [], 0
+    for k, (flag, idx) in enumerate(zip(tp_flags, order), start=1):
+        tp += flag
+        points.append((tp / k, tp / n_gt if n_gt else 0.0, float(predictions[idx][1])))
+    return points
+
+
+# facing directions whose pairwise angles come out as exactly 0, 45, ..., 180
+_D = np.sqrt(0.5)
+_COMPASS = [(1.0, 0.0), (_D, _D), (0.0, 1.0), (-_D, _D),
+            (-1.0, 0.0), (-_D, -_D), (0.0, -1.0), (_D, -_D)]
+
+
+def random_case(rng):
+    """A small geo-matching problem on a half-meter grid, so exact ties, exact
+    hits and points exactly on the gate boundary are common."""
+    kind = ("euclidean", "mahalanobis")[rng.integers(2)]
+    crit = GeoCriterion(
+        kind=kind, radius=float(rng.choice([0.5, 1.0, 1.5, 2.0])),
+        limit=float(rng.choice([1.0, 2.0, 3.0])),
+        semi_axes=tuple(float(x) for x in rng.choice([0.5, 1.0, 2.0], 3)),
+        rotation_gate_deg=[None, 0.0, 45.0, 90.0][rng.integers(4)],
+    )
+    scenes = ["", "a"] if rng.random() < 0.3 else [""]
+
+    def grid_pose():
+        return pose(*(0.5 * rng.integers(-3, 4, 3)), r=_COMPASS[rng.integers(8)])
+
+    gts = [grid_pose() for _ in range(rng.integers(0, 7))]
+    ground_truth = ([(g, str(rng.choice(scenes))) for g in gts]
+                    if len(scenes) > 1 else gts)
+    predictions = []
+    for _ in range(rng.integers(0, 9)):
+        on_object = gts and rng.random() < 0.3
+        pred = gts[rng.integers(len(gts))] if on_object else grid_pose()
+        item = (pred, float(rng.integers(1, 4)))  # few scores: many ties
+        predictions.append(item + (str(rng.choice(scenes)),)
+                           if len(scenes) > 1 else item)
+    return predictions, ground_truth, crit
+
+
+class TestAgainstPerPairReference:
+    def test_matches_reference_exactly(self):
+        rng = np.random.default_rng(7)
+        hits = boundary = 0
+        for _ in range(600):
+            preds, gts, crit = random_case(rng)
+            flags, pairs, order = greedy_match(preds, gts, crit)
+            assert (flags, pairs, order) == reference_greedy_match(preds, gts, crit)
+            assert all(type(f) is bool for f in flags)
+            assert pr_curve(preds, gts, crit) == reference_pr_curve(preds, gts, crit)
+            gt_poses = [g[0] if isinstance(g, tuple) else g for g in gts]
+            dist = crit.distances([p[0] for p in preds], gt_poses)
+            bound = crit.radius if crit.kind == "euclidean" else crit.limit
+            for i, (pred, *_) in enumerate(preds):
+                for j, gt in enumerate(gt_poses):
+                    expected = (reference_distance(crit, pred, gt)
+                                if reference_accepts(crit, pred, gt) else np.inf)
+                    assert dist[i, j] == expected
+                    boundary += expected == bound
+            hits += len(pairs)
+        assert hits > 300 and boundary > 30  # the cases exercise the gate
+
+    def test_tie_takes_lowest_index(self):
+        crit = GeoCriterion(kind="euclidean", radius=2.0)
+        gts = [pose(1, 0, 0), pose(-1, 0, 0), pose(1, 0, 0)]
+        preds = [(pose(0, 0, 0), 3.0), (pose(0, 0, 0), 2.0), (pose(0, 0, 0), 1.0)]
+        _, pairs, _ = greedy_match(preds, gts, crit)
+        assert pairs == [(0, 0), (1, 1), (2, 2)]
+        assert pairs == reference_greedy_match(preds, gts, crit)[1]
+
+    def test_gate_boundary_accepts(self):
+        for crit, offset in ((GeoCriterion(kind="euclidean", radius=2.0), (0, 0, 2.0)),
+                             (GeoCriterion(kind="mahalanobis", limit=3.0,
+                                           semi_axes=(0.5, 1.0, 2.0)), (0.5, 0, 0))):
+            tp_flags, _, _ = greedy_match([(pose(*offset), 1.0)], [pose(0, 0, 0)], crit)
+            assert tp_flags == [True]
 
 
 class TestTranslationErrors:

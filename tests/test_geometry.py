@@ -167,6 +167,17 @@ class TestAngularError:
     def test_antipodal(self):
         assert angular_error((1.0, 0.0), (-1.0, 0.0)) == pytest.approx(180.0)
 
+    def test_stack_equals_row_at_a_time(self, rng):
+        a = rng.uniform(0, 2 * np.pi, 6)
+        b = rng.uniform(0, 2 * np.pi, 4)
+        ra = np.stack([np.cos(a), np.sin(a)], axis=-1)
+        rb = np.stack([np.cos(b), np.sin(b)], axis=-1)
+        angles = angular_error(ra[:, None, :], rb[None, :, :])
+        assert angles.shape == (6, 4)
+        rows = np.array([[angular_error(x, y) for y in rb] for x in ra])
+        assert angles.tobytes() == rows.tobytes()
+        assert isinstance(angular_error(ra[0], rb[0]), np.floating)
+
     @given(st.floats(0, 2 * np.pi), st.floats(0, 2 * np.pi),
            st.floats(0, 2 * np.pi))
     @settings(max_examples=200)
