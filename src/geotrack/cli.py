@@ -28,9 +28,9 @@ from .errors import (
 )
 from .evaluation import (
     GeoCriterion,
+    _pr_points,
     greedy_match,
     mot_metrics,
-    pr_curve,
     pr_curve_svg,
     translation_error_stats,
 )
@@ -245,6 +245,8 @@ def cmd_train(args):
 
 def cmd_track(args):
     started = time.time()
+    if args.min_instances < 1:
+        raise ConfigError(f"--min-instances must be >= 1, got {args.min_instances}")
     params = load_checkpoint(args.checkpoint)
     scene = load_scene(args.scene, params.config.capacity)
     state, entries = track_scene(
@@ -317,8 +319,8 @@ def cmd_evaluate(args):
     if args.geoloc:
         predictions = _read_predictions(args.geoloc)
         gts = list(world_objects(scene).values())
-        points = pr_curve(predictions, gts, criterion)
-        _, pairs, _ = greedy_match(predictions, gts, criterion)
+        tp_flags, pairs, order = greedy_match(predictions, gts, criterion)
+        points = _pr_points(predictions, len(gts), tp_flags, order)
         report["pr"] = [
             {"precision": p, "recall": r, "threshold": t} for p, r, t in points
         ]

@@ -256,7 +256,12 @@ def pr_curve(predictions, ground_truth, criterion):
     descending score order; recall is monotone non-decreasing.
     """
     tp_flags, _, order = greedy_match(predictions, ground_truth, criterion)
-    n_gt = len(ground_truth)
+    return _pr_points(predictions, len(ground_truth), tp_flags, order)
+
+
+def _pr_points(predictions, n_gt, tp_flags, order):
+    """``pr_curve``'s points from one ``greedy_match`` result over ``n_gt``
+    ground-truth objects."""
     points = []
     tp = 0
     for k, (flag, idx) in enumerate(zip(tp_flags, order), start=1):

@@ -53,6 +53,7 @@ from .numerics import init_mlp, mlp_backward, mlp_forward
 from .scene import atomic_write_text
 
 GEOMETRY_PREFIX = 6  # (T_x, T_y, T_z, R_x, R_y, pad)
+_UPSTREAM = ("pose_head.", "attention.")  # trainables that shape the descriptors
 
 
 def _fits(value, default):
@@ -568,6 +569,19 @@ def _named_arrays(params):
     return named
 
 
+def _upstream_trains(named):
+    """Whether any of the ``_named_arrays`` keys in ``named`` lies upstream of
+    the descriptors: only then do a sample's descriptor rows change while
+    training."""
+    return any(name.startswith(_UPSTREAM) for name in named)
+
+
+def _sides(sample):
+    """A sample's two frame sides as (features, ego, intrinsics)."""
+    return ((sample.a, sample.ego_a, sample.intrinsics_a),
+            (sample.b, sample.ego_b, sample.intrinsics_b))
+
+
 def _add_layer_grads(grads, group, layer_grads):
     """Add ``mlp_backward``'s per-layer (dW, db) into the named gradients."""
     for i, (dw, db) in enumerate(layer_grads):
@@ -596,7 +610,7 @@ def _score(feats_a, feats_b, params, cache=None):
     return augment_normalize(S, cfg.delta, softmax_axis=cfg.softmax_axis, base=base)
 
 
-def forward_pair(sample, params, with_grad=False, pose_only=False):
+def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):
     """Joint loss (and gradients) of one training pair.
 
     Returns a dict with the affinity loss, pose losses, joint loss, the
@@ -605,6 +619,11 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
     ``attention.w|b``, each present whenever the params hold it. With
     ``pose_only`` the scorer never runs: the objective is the mean pose loss
     alone (the pose-head pretraining phase).
+
+    ``rows``, when given, is the sample's ``(rows_a, rows_b)`` as
+    ``_describe`` builds them; it is valid only while nothing upstream of the
+    descriptors trains (no ``pose_head.*`` or ``attention.*`` array), so
+    that the rows cannot change between calls.
     """
     cfg = params.config
     n1, n2 = len(sample.a), len(sample.b)
@@ -612,11 +631,13 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
         raise CapacityExceededError(
             f"pair has {max(n1, n2)} detections; capacity is {cfg.capacity}"
         )
-    tape_a, feats_a = _describe(sample.a, params, sample.ego_a, sample.ego_ref,
-                                sample.intrinsics_a)
-    tape_b, feats_b = _describe(sample.b, params, sample.ego_b, sample.ego_ref,
-                                sample.intrinsics_b)
-    pose_losses = np.concatenate([tape_a.pose_loss, tape_b.pose_loss]).tolist()
+    if rows is None:
+        tapes, rows = zip(*(_describe(feats, params, ego, sample.ego_ref, intrinsics)
+                            for feats, ego, intrinsics in _sides(sample)))
+        pose_losses = np.concatenate([tape.pose_loss for tape in tapes]).tolist()
+    else:
+        tapes, pose_losses = None, []  # no pose head: no pose loss
+    feats_a, feats_b = rows
     mean_pose = float(np.mean(pose_losses)) if pose_losses else 0.0
 
     if pose_only:
@@ -634,27 +655,29 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
         return out
 
     grads = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
-    geom_width = GEOMETRY_PREFIX + cfg.embed_dim
-    if pose_only or n1 == 0 or n2 == 0:
-        # no scorer gradient reaches the descriptors
-        d_geometry = np.zeros((n1 + n2, geom_width))
-    else:
+    scored = not pose_only and n1 > 0 and n2 > 0
+    if scored:
         S = bundle.S
         d_logits = d_base if cfg.score_space == "logit" else d_base * S * (1.0 - S)
         scorer_grads, d_x = mlp_backward(
             params.scorer, cache, d_logits.reshape(n1 * n2, 1)
         )
         _add_layer_grads(grads, "scorer", scorer_grads)
-        scale2 = np.concatenate([params.input_scale, params.input_scale])
-        d_pairs = (d_x * scale2).reshape(n1, n2, -1)
-        d = cfg.descriptor_dim
-        d_geometry = np.concatenate([
-            d_pairs[:, :, :d].sum(axis=1), d_pairs[:, :, d:].sum(axis=0)
-        ])[:, :geom_width]
-
-    weight = pose_weight / len(pose_losses) if pose_losses else 0.0
-    _backward_side(tape_a, d_geometry[:n1], weight, params, grads)
-    _backward_side(tape_b, d_geometry[n1:], weight, params, grads)
+    if _upstream_trains(grads):
+        geom_width = GEOMETRY_PREFIX + cfg.embed_dim
+        if scored:
+            scale2 = np.concatenate([params.input_scale, params.input_scale])
+            d_pairs = (d_x * scale2).reshape(n1, n2, -1)
+            d = cfg.descriptor_dim
+            d_geometry = np.concatenate([
+                d_pairs[:, :, :d].sum(axis=1), d_pairs[:, :, d:].sum(axis=0)
+            ])[:, :geom_width]
+        else:
+            # no scorer gradient reaches the descriptors
+            d_geometry = np.zeros((n1 + n2, geom_width))
+        weight = pose_weight / len(pose_losses) if pose_losses else 0.0
+        _backward_side(tapes[0], d_geometry[:n1], weight, params, grads)
+        _backward_side(tapes[1], d_geometry[n1:], weight, params, grads)
     out["grads"] = grads
     return out
 
@@ -663,22 +686,34 @@ def forward_pair(sample, params, with_grad=False, pose_only=False):
 
 
 def _input_statistics(samples, params):
-    """Every sample side's descriptor rows stacked, with their column mean
-    and standard deviation; None without detections. Detection values whose
-    descriptors or statistics leave the float range are bad data
-    (SchemaError)."""
-    rows = []
-    for sample in samples:
-        for feats, ego, intrinsics in ((sample.a, sample.ego_a, sample.intrinsics_a),
-                                       (sample.b, sample.ego_b, sample.intrinsics_b)):
-            rows.extend(_input_rows(feats, params, ego, sample.ego_ref, intrinsics))
-    if not rows:
-        return None
-    block = np.array(rows)
+    """Every sample's ``(rows_a, rows_b)`` descriptor rows, and all of them
+    stacked with their column mean and standard deviation (None without
+    detections). Detection values whose descriptors or statistics leave the
+    float range are bad data (SchemaError)."""
+    rows = [tuple(_input_rows(feats, params, ego, sample.ego_ref, intrinsics)
+                  for feats, ego, intrinsics in _sides(sample)) for sample in samples]
+    sides = [side for pair in rows for side in pair]
+    if not sum(map(len, sides)):
+        return rows, None
+    block = np.concatenate(sides)
     shift, std = block.mean(axis=0), block.std(axis=0)
     if not (np.isfinite(shift).all() and np.isfinite(std).all()):
         raise SchemaError("detection values overflow the input standardization")
-    return block, shift, std
+    return rows, (block, shift, std)
+
+
+def _set_standardization(params, stats):
+    """Freeze the standardization vectors from ``_input_statistics``'s
+    stacked rows and column statistics."""
+    if stats is None:
+        return
+    block, shift, std = stats
+    params.input_shift = shift
+    params.input_scale = 1.0 / np.clip(std, 0.05, None)
+    if params.pose_head is not None:
+        emb = block[:, GEOMETRY_PREFIX:GEOMETRY_PREFIX + params.config.embed_dim]
+        params.head_shift = emb.mean(axis=0)
+        params.head_scale = 1.0 / np.clip(emb.std(axis=0), 1e-3, None)
 
 
 def fit_input_standardization(samples, params):
@@ -691,17 +726,7 @@ def fit_input_standardization(samples, params):
     whose descriptors or statistics leave the float range are bad data
     (SchemaError).
     """
-    cfg = params.config
-    stats = _input_statistics(samples, params)
-    if stats is None:
-        return params
-    block, shift, std = stats
-    params.input_shift = shift
-    params.input_scale = 1.0 / np.clip(std, 0.05, None)
-    if params.pose_head is not None:
-        emb = block[:, GEOMETRY_PREFIX:GEOMETRY_PREFIX + cfg.embed_dim]
-        params.head_shift = emb.mean(axis=0)
-        params.head_scale = 1.0 / np.clip(emb.std(axis=0), 1e-3, None)
+    _set_standardization(params, _input_statistics(samples, params)[1])
     return params
 
 
@@ -713,17 +738,18 @@ class EpochStats:
     accuracy: float
 
 
-def _sgd_epoch(samples, params, config, rng, lr, velocity, pose_only=False):
-    """One pass over the samples; returns (mean affinity, mean pose loss)."""
+def _sgd_epoch(samples, rows, params, config, rng, lr, velocity, pose_only=False):
+    """One pass over the samples; returns (mean affinity, mean pose loss).
+    ``rows``, when given, holds each sample's ``forward_pair`` rows."""
     updates = [(name, arr) for name, arr in _named_arrays(params).items()
-               if not pose_only or name.startswith(("pose_head.", "attention."))]
+               if not pose_only or name.startswith(_UPSTREAM)]
     order = rng.permutation(len(samples))
     affinity_sum = 0.0
     pose_sum = 0.0
     pose_count = 0
     for idx in order:
-        result = forward_pair(samples[idx], params, with_grad=True,
-                              pose_only=pose_only)
+        result = forward_pair(samples[idx], params, with_grad=True, pose_only=pose_only,
+                              rows=rows[idx] if rows else None)
         if not np.isfinite(result["joint"]):
             raise NonFiniteLossError(
                 f"non-finite loss at epoch {params.epochs_trained}, sample {idx}: "
@@ -765,26 +791,43 @@ def train_matcher(samples, config, params=None, heldout=None):
     Deterministic for a fixed config seed. Returns the trained params and
     per-epoch history (mean affinity loss, mean pose loss, accuracy on
     ``heldout`` or, failing that, the training samples).
+
+    When only the scorer trains (no pose head, ``embed_dim`` 0), each
+    sample side's descriptor rows are built once per call — the training
+    rows by the input-statistics pass, the held-out rows before the first
+    epoch — and every SGD step and accuracy pass reuses them. With a pose
+    head or attention the rows change on every step and are rebuilt each
+    time.
     """
     samples = list(samples)
     if not samples:
         raise ConfigError("training needs at least one pair sample")
     rng = np.random.default_rng(config.seed)
     pretrain = 0
-    if params is None:
+    fresh = params is None
+    if fresh:
         params = init_matcher_params(config, rng)
-        fit_input_standardization(samples, params)
         if config.use_pose_head:
             pretrain = (config.pose_pretrain_epochs
                         if config.pose_pretrain_epochs is not None
                         else config.epochs // 3)
-    else:
-        # The checkpoint's standardization stays frozen; the data gets the
-        # same check a fresh run's fit makes, so overflowing values are bad
-        # data here too rather than a diverging loss.
-        _input_statistics(samples, params)
+    # A resumed run keeps the checkpoint's standardization frozen; its data
+    # gets the same check a fresh run's fit makes, so overflowing values are
+    # bad data here too rather than a diverging loss.
+    rows, stats = _input_statistics(samples, params)
+    if fresh:
+        _set_standardization(params, stats)
+    del stats  # the stacked copy of the rows is not needed past the fit
     velocity = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
-    eval_samples = heldout if heldout else samples
+    if _upstream_trains(velocity):
+        rows = None  # the descriptors change with every step
+    eval_samples, eval_rows = samples, rows
+    if heldout:
+        eval_samples = heldout
+        eval_rows = None if rows is None else [
+            tuple(_describe(feats, params, ego, sample.ego_ref, intrinsics)[1]
+                  for feats, ego, intrinsics in _sides(sample))
+            for sample in heldout]
     cutoff = int(np.floor(config.epochs * 2 / 3))
     schedule = [(True, config.learning_rate)] * pretrain + [
         (False, config.learning_rate * (config.lr_decay if epoch >= cutoff else 1.0))
@@ -793,12 +836,11 @@ def train_matcher(samples, config, params=None, heldout=None):
     history = []
     for pose_only, lr in schedule:
         affinity_mean, pose_mean = _sgd_epoch(
-            samples, params, config, rng, lr, velocity, pose_only=pose_only
+            samples, rows, params, config, rng, lr, velocity, pose_only=pose_only
         )
-        history.append(
-            EpochStats(epoch=params.epochs_trained, affinity=affinity_mean,
-                       pose=pose_mean, accuracy=pair_accuracy(eval_samples, params))
-        )
+        accuracy = pair_accuracy(eval_samples, params, rows=eval_rows)
+        history.append(EpochStats(epoch=params.epochs_trained, affinity=affinity_mean,
+                                  pose=pose_mean, accuracy=accuracy))
         params.epochs_trained += 1
     return params, history
 
@@ -806,13 +848,20 @@ def train_matcher(samples, config, params=None, heldout=None):
 # --- evaluation helpers ------------------------------------------------------------------
 
 
-def pair_accuracy(samples, params):
+def pair_accuracy(samples, params, rows=None):
     """Fraction of per-object assignment decisions (argmax incl. the null
-    option, both directions) that agree with the ground-truth matrix."""
+    option, both directions) that agree with the ground-truth matrix.
+
+    ``rows``, when given, holds each sample's ``forward_pair`` rows: a
+    training run that only trains the scorer passes the descriptor rows it
+    built once, so no sample is described again. Without it every sample is
+    described on every call.
+    """
     correct = 0
     total = 0
-    for sample in samples:
-        fused, match = forward_pair(sample, params)["bundle"].fused, sample.match
+    for i, sample in enumerate(samples):
+        bundle = forward_pair(sample, params, rows=rows[i] if rows else None)["bundle"]
+        fused, match = bundle.fused, sample.match
         n1, n2 = fused.shape[0] - 1, fused.shape[1] - 1
         correct += np.count_nonzero(fused[:n1].argmax(axis=1) == match[:n1].argmax(axis=1))
         correct += np.count_nonzero(

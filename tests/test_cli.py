@@ -875,6 +875,10 @@ class TestUsageErrors:
           "--score-threshold", "nan"], "score_threshold"),
         (["track", "--scene", "{scene}", "--checkpoint", "{checkpoint}",
           "--score-threshold=inf"], "score_threshold"),
+        (["track", "--scene", "{scene}", "--checkpoint", "{checkpoint}",
+          "--min-instances", "0"], "--min-instances"),
+        (["track", "--scene", "{scene}", "--checkpoint", "{checkpoint}",
+          "--min-instances", "-5"], "--min-instances"),
     ])
     def test_out_of_range_configuration_exits_2(self, pipeline, tracked, tmp_path,
                                                 capsys, case, named):

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from geotrack import matching
 from geotrack.errors import (
     ConfigError,
     DegenerateMatchError,
@@ -832,3 +833,90 @@ class TestSideChainOracle:
             # the cases reach both branches of the pose loss
             targeted = [f.target is not None for s in samples for f in s.a + s.b]
             assert any(targeted) and not all(targeted)
+
+
+def _route_config(**route):
+    return MatcherConfig(**{"appearance_dim": 4, "embed_dim": 0,
+                            "scorer_hidden": (10, 8, 8, 6, 4), "pose_hidden": (8, 6),
+                            "seed": 5, "epochs": 3, "pose_pretrain_epochs": 1, **route})
+
+
+class TestDescriptorRowsOnce:
+    """With only the scorer training, descriptor rows are built once per run."""
+
+    def test_cached_rows_bit_identical(self):
+        cfg = _route_config()
+        samples = _oracle_samples(emit_maps=False)
+        params = fit_input_standardization(samples, init_matcher_params(cfg))
+        rows, _ = matching._input_statistics(samples, params)
+        assert any(len(sample.b) == 0 for sample in samples)
+        for sample, sample_rows in zip(samples, rows):
+            for with_grad in (False, True):
+                ref = forward_pair(sample, params, with_grad=with_grad)
+                new = forward_pair(sample, params, with_grad=with_grad, rows=sample_rows)
+                assert_bits_equal(new["joint"], ref["joint"], "joint loss")
+                assert_bits_equal(new["bundle"].fused, ref["bundle"].fused, "fused")
+            assert new["grads"].keys() == ref["grads"].keys()
+            for name, grad in ref["grads"].items():
+                assert_bits_equal(new["grads"][name], grad, name)
+
+    def test_training_bit_identical_to_describing_every_call(self, monkeypatch):
+        samples = _oracle_samples(emit_maps=False)
+        train, heldout = samples[::2], samples[1::2]
+        original = matching.forward_pair
+        reused = []
+
+        def run():
+            params, h1 = train_matcher(train, _route_config(), heldout=heldout)
+            params, h2 = train_matcher(train, _route_config(), params=params,
+                                       heldout=heldout)
+            return params, [(e.affinity, e.pose, e.accuracy) for e in h1 + h2]
+
+        def check_rows(sample, params, rows=None, **kwargs):
+            # rows handed in are those _describe gives at this very call
+            if rows is not None:
+                reused.append(sample)
+                for (feats, ego, K), got in zip(matching._sides(sample), rows):
+                    assert_bits_equal(got, _describe(feats, params, ego, sample.ego_ref,
+                                                     K)[1], "reused rows")
+            return original(sample, params, rows=rows, **kwargs)
+
+        monkeypatch.setattr(matching, "forward_pair", check_rows)
+        cached_params, cached_history = run()
+        assert {id(s) for s in reused} == {id(s) for s in samples}
+        monkeypatch.setattr(matching, "forward_pair",
+                            lambda *args, rows=None, **kwargs: original(*args, **kwargs))
+        params, history = run()
+        assert_bits_equal(cached_history, history, "history")
+        for name, arr in _named_arrays(params).items():
+            assert_bits_equal(_named_arrays(cached_params)[name], arr, name)
+        for name in ("input_scale", "input_shift"):
+            assert_bits_equal(getattr(cached_params, name), getattr(params, name), name)
+
+    @pytest.mark.parametrize("route, once", [
+        (dict(), True),
+        (dict(embed_dim=6), False),
+        (dict(embed_dim=6, use_pose_head=True), False),
+    ])
+    def test_describe_calls(self, monkeypatch, route, once):
+        samples = _oracle_samples(emit_maps=route.get("embed_dim", 0) > 0)
+        train, heldout = samples[::2], samples[1::2]
+        calls = {"_describe": 0, "forward_pair": 0}
+
+        def counted(name):
+            original = getattr(matching, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(matching, name, wrapper)
+
+        counted("_describe")
+        counted("forward_pair")
+        train_matcher(train, _route_config(**route), heldout=heldout)
+        assert calls["forward_pair"] > len(train) + len(heldout)
+        sides = 2 * len(train)  # the input-statistics pass
+        if once:
+            assert calls["_describe"] == sides + 2 * len(heldout)
+        else:
+            assert calls["_describe"] == sides + 2 * calls["forward_pair"]
