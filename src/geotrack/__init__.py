@@ -24,7 +24,6 @@ from .geometry import (  # noqa: F401
     normalize_rotation,
     project,
     recover_translation,
-    to_reference_frame,
     world_to_camera,
 )
 from .scene import (  # noqa: F401

@@ -277,16 +277,10 @@ def world_to_camera(pose, ego, frame_id=CAMERA):
     return Pose5D(t, normalize_rotation(r), frame_id)
 
 
-def to_reference_frame(pose, ego_t, ego_ref):
-    """Re-express a camera(t) pose in the reference camera frame.
-
-    Equals world_to_camera(camera_to_world(pose, ego_t), ego_ref).
-    """
-    return world_to_camera(camera_to_world(pose, ego_t), ego_ref, REFERENCE)
-
-
 def reference_transform(ego_t, ego_ref):
-    """Affine pieces of to_reference_frame for one frame pair.
+    """Affine pieces of re-expressing a camera(t) pose in the reference
+    camera frame, world_to_camera(camera_to_world(pose, ego_t), ego_ref),
+    for one frame pair.
 
     Returns (B, d, C) with T_ref = B @ T_cam + d and R_ref = C @ R_cam (up
     to normalization). Used by the training graph, which needs the

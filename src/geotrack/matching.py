@@ -655,15 +655,16 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):
         return out
 
     grads = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
+    upstream = _upstream_trains(grads)
     scored = not pose_only and n1 > 0 and n2 > 0
     if scored:
         S = bundle.S
         d_logits = d_base if cfg.score_space == "logit" else d_base * S * (1.0 - S)
         scorer_grads, d_x = mlp_backward(
-            params.scorer, cache, d_logits.reshape(n1 * n2, 1)
+            params.scorer, cache, d_logits.reshape(n1 * n2, 1), input_grad=upstream
         )
         _add_layer_grads(grads, "scorer", scorer_grads)
-    if _upstream_trains(grads):
+    if upstream:
         geom_width = GEOMETRY_PREFIX + cfg.embed_dim
         if scored:
             scale2 = np.concatenate([params.input_scale, params.input_scale])

@@ -2,8 +2,7 @@
 
 Everything runs on 64-bit numpy arrays. The MLP layers implement exact
 backpropagation for the fixed compositions used by the pose head and the
-pair scorer, and ``grad_check`` verifies any scalar objective against
-central finite differences.
+pair scorer.
 """
 
 import sys
@@ -158,11 +157,12 @@ def mlp_forward(layers, x, cache=None):
     return h[0] if single else h
 
 
-def mlp_backward(layers, cache, upstream):
+def mlp_backward(layers, cache, upstream, input_grad=True):
     """Exact gradients for a cached forward pass.
 
     Returns (grads, dx): grads is a list of (dW, db) matching ``layers``,
-    dx the gradient with respect to the network input.
+    dx the gradient with respect to the network input, or None when
+    ``input_grad`` is false and the first layer's product is skipped.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     single = upstream.ndim == 1
@@ -173,63 +173,10 @@ def mlp_backward(layers, cache, upstream):
         layer = layers[idx]
         dz = grad * _ACTS[layer.act][1](z, y)
         grads[idx] = (h.T @ dz, dz.sum(axis=0))
+        if idx == 0 and not input_grad:
+            return grads, None
         grad = dz @ layer.w.T
     return grads, (grad[0] if single else grad)
-
-
-# --- gradient checking -------------------------------------------------------------
-
-
-@dataclass
-class GradCheckReport:
-    max_error: float
-    worst_param: str
-    tolerance: float
-    errors: dict
-
-    @property
-    def passed(self):
-        return self.max_error < self.tolerance
-
-
-def grad_check(f, params, tolerance=1e-4, step=1e-5):
-    """Compare analytic gradients of f against central finite differences.
-
-    ``params`` maps names to arrays; ``f(params)`` must return
-    (loss, grads-by-name). The per-entry error is relative,
-    |a - b| / max(|a|, |b|, floor), where the floor is the roundoff noise
-    that a central difference of this loss at this step cannot beat
-    (about eps * |loss| / step), rescaled by the tolerance. Gradient
-    entries below that resolution limit therefore pass on absolute
-    agreement instead of drowning in quantization noise.
-    """
-    loss, grads = f(params)
-    noise = 8.0 * np.finfo(np.float64).eps * max(1.0, abs(loss)) / step
-    floor = noise / tolerance
-    errors = {}
-    worst = ("", 0.0)
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeMismatchError(f"gradient shape mismatch for {name}")
-        err = 0.0
-        for idx in np.ndindex(p.shape):
-            orig = p[idx]
-            p[idx] = orig + step
-            hi = f(params)[0]
-            p[idx] = orig - step
-            lo = f(params)[0]
-            p[idx] = orig
-            fd = (hi - lo) / (2.0 * step)
-            a, b = float(g[idx]), fd
-            e = abs(a - b) / max(abs(a), abs(b), floor)
-            err = max(err, e)
-        errors[name] = err
-        if err >= worst[1]:
-            worst = (name, err)
-    return GradCheckReport(
-        max_error=worst[1], worst_param=worst[0], tolerance=tolerance, errors=errors
-    )
 
 
 # --- parameter checkpoints ------------------------------------------------------------

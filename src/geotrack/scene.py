@@ -5,6 +5,9 @@ Two on-disk formats live here:
 - Scene JSON (``"schema": 1``): one document per scene holding frames with
   intrinsics, ego pose, detections (optionally with pixel observations,
   appearance vectors, and small feature maps), and ground-truth objects.
+  Ground-truth objects are static: the sightings of one object that carry
+  the same world pose share one read-only ``Pose5D`` after loading. Ids
+  (``gt_id``, ``object_id``) are JSON integers and ``kind`` is a string.
   Serialization is canonical (sorted keys, indent 2, repr floats), so
   save -> load -> save is byte-stable.
 - Tracking CSV: ``frame,id,bb_left,bb_top,bb_width,bb_height,conf,x,y,z``
@@ -61,7 +64,7 @@ class Detection:
 @dataclass
 class GroundTruthObject:
     object_id: int
-    pose: Pose5D  # world frame
+    pose: Pose5D  # world frame; read-only, shared by the object's sightings
     kind: str = "vertical"
     bbox: np.ndarray | None = None  # image box of the (unoccluded) object
 
@@ -194,7 +197,9 @@ def _check_finite(where, fields):
 
     Each value is a JSON number or flat list of numbers; None (an absent
     optional field) passes. A non-number raises TypeError, an integer past
-    the float range OverflowError.
+    the float range OverflowError. Detections and ground-truth objects walk
+    their fields this way only after ``_all_finite`` has found a fault, to
+    name it.
     """
     for name, value in fields.items():
         numbers = value if isinstance(value, list) else [] if value is None else [value]
@@ -204,15 +209,63 @@ def _check_finite(where, fields):
             raise SchemaError(f"{where}: {name} must be finite")
 
 
+def _all_finite(values):
+    """One verdict over the values ``_check_finite`` checks field by field:
+    True when every number is finite and none is a JSON boolean.
+
+    Anything it would raise on (a string, a nested list, an integer past the
+    float range) gives False. The float sum is finite only if every term is;
+    a sum of finite numbers that leaves the float range also gives False,
+    and the walk then finds nothing, which costs time, not correctness.
+    """
+    numbers = []
+    for value in values:
+        if isinstance(value, list):
+            numbers += value
+        elif value is not None:
+            numbers.append(value)
+    try:
+        return bool not in map(type, numbers) and math.isfinite(sum(numbers, 0.0))
+    except (TypeError, OverflowError):
+        return False
+
+
+def _same_bits(a, b):
+    """Whether two lists of finite JSON numbers give bit-equal float64
+    arrays; ``==`` takes -0.0 for 0.0, so the signs of zeros count too."""
+    return a == b and (0.0 not in a or [math.copysign(1.0, x) for x in a]
+                       == [math.copysign(1.0, x) for x in b])
+
+
 # what reading a malformed value raises: a missing key, a value of the wrong
 # type or shape, or an integer past the float range
 _BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 
+def _detection_numbers(doc):
+    """The values of a detection document that ``_check_finite`` checks."""
+    values = [doc["bbox"], doc["confidence"], doc.get("center")]
+    obs = doc.get("observation")
+    if obs is not None:
+        values += (obs["center"], obs["depth"], obs["rotation"])
+    if "appearance" in doc:
+        values.append(doc["appearance"])
+    if "feature_map" in doc:
+        values.append(doc["feature_map"]["data"])
+    return values
+
+
 def _detection_from_doc(doc, where):
+    # One verdict over every number; only when it fails do the per-field
+    # walks below run, in their order, so the first fault keeps its message.
     try:
-        _check_finite(where, {"bbox": doc["bbox"], "confidence": doc["confidence"],
-                              "center": doc.get("center")})
+        finite = _all_finite(_detection_numbers(doc))
+    except (KeyError, TypeError):
+        finite = False  # not an object, or a key is missing: the walk names it
+    try:
+        if not finite:
+            _check_finite(where, {"bbox": doc["bbox"], "confidence": doc["confidence"],
+                                  "center": doc.get("center")})
         det = Detection(
             bbox=doc["bbox"],
             confidence=float(doc["confidence"]),
@@ -221,11 +274,14 @@ def _detection_from_doc(doc, where):
         )
     except _BAD_VALUE as exc:
         raise SchemaError(f"{where}: bad detection ({exc})") from exc
+    if det.gt_id is not None and type(det.gt_id) is not int:
+        raise SchemaError(f"{where}: gt_id must be an integer")
     obs = doc.get("observation")
     if obs is not None:
         try:
-            _check_finite(where, {f"observation.{k}": obs[k]
-                                  for k in ("center", "depth", "rotation")})
+            if not finite:
+                _check_finite(where, {f"observation.{k}": obs[k]
+                                      for k in ("center", "depth", "rotation")})
             det.observation = PixelObservation(
                 c=obs["center"], T_z=float(obs["depth"]), R=obs["rotation"]
             )
@@ -235,18 +291,56 @@ def _detection_from_doc(doc, where):
         if not isinstance(doc["appearance"], list):
             raise SchemaError(f"{where}: appearance must be a list of numbers")
         try:
-            _check_finite(where, {"appearance": doc["appearance"]})
+            if not finite:
+                _check_finite(where, {"appearance": doc["appearance"]})
             det.appearance = np.asarray(doc["appearance"], dtype=np.float64)
         except _BAD_VALUE as exc:
             raise SchemaError(f"{where}: bad appearance ({exc})") from exc
     if "feature_map" in doc:
         fm = doc["feature_map"]
         try:
-            _check_finite(where, {"feature_map": fm["data"]})
+            if not finite:
+                _check_finite(where, {"feature_map": fm["data"]})
             det.feature_map = np.asarray(fm["data"], dtype=np.float64).reshape(fm["shape"])
         except _BAD_VALUE as exc:
             raise SchemaError(f"{where}: bad feature map ({exc})") from exc
     return det
+
+
+def _gt_object_from_doc(doc, where, i, poses):
+    """Ground-truth object ``i`` of the frame at ``where``.
+
+    ``poses`` maps each object id to its first (pose, translation, rotation)
+    in the scene; a sighting whose lists give the same float64 bits shares
+    that read-only pose.
+    """
+    try:
+        finite = _all_finite([doc.get("translation"), doc.get("rotation"), doc.get("bbox")])
+    except AttributeError:
+        finite = False  # not an object: the walk names it
+    try:
+        if not finite:
+            _check_finite(f"{where}.gt_objects[{i}]", {
+                k: doc[k] for k in ("translation", "rotation", "bbox") if k in doc})
+        object_id = doc["object_id"]
+        if type(object_id) is not int:
+            raise SchemaError(f"{where}.gt_objects[{i}]: object_id must be an integer")
+        translation, rotation = doc["translation"], doc["rotation"]
+        first = poses.get(object_id)
+        if first is not None and _same_bits(translation, first[1]) \
+                and _same_bits(rotation, first[2]):
+            pose = first[0]
+        else:
+            pose = Pose5D(np.asarray(translation, dtype=np.float64),
+                          np.asarray(rotation, dtype=np.float64), WORLD)
+            poses.setdefault(object_id, (pose, translation, rotation))
+        kind = doc.get("kind", "vertical")
+        if type(kind) is not str:
+            raise SchemaError(f"{where}.gt_objects[{i}]: kind must be a string")
+        return GroundTruthObject(object_id=object_id, pose=pose, kind=kind,
+                                 bbox=doc.get("bbox"))
+    except _BAD_VALUE as exc:
+        raise SchemaError(f"{where}: bad gt object ({exc})") from exc
 
 
 def scene_to_doc(scene):
@@ -298,6 +392,7 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
         raise SchemaError("scene_id must be a string and frames a list")
 
     frames = []
+    poses = {}  # object id -> (pose, translation, rotation) of its first sighting
     prev_index = None
     for k, fd in enumerate(frame_docs):
         where = f"frames[{k}]"
@@ -345,35 +440,18 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
         if "gt_objects" in fd:
             if not isinstance(fd["gt_objects"], list):
                 raise SchemaError(f"{where}: gt_objects must be a list")
-            gt = []
-            for i, gd in enumerate(fd["gt_objects"]):
-                try:
-                    _check_finite(f"{where}.gt_objects[{i}]", {
-                        k: gd[k] for k in ("translation", "rotation", "bbox") if k in gd})
-                    gt.append(
-                        GroundTruthObject(
-                            object_id=int(gd["object_id"]),
-                            pose=Pose5D(
-                                np.asarray(gd["translation"], dtype=np.float64),
-                                np.asarray(gd["rotation"], dtype=np.float64),
-                                WORLD,
-                            ),
-                            kind=gd.get("kind", "vertical"),
-                            bbox=gd.get("bbox"),
-                        )
-                    )
-                except _BAD_VALUE as exc:
-                    raise SchemaError(f"{where}: bad gt object ({exc})") from exc
-            frame.gt_objects = gt
+            frame.gt_objects = [_gt_object_from_doc(gd, where, i, poses)
+                                for i, gd in enumerate(fd["gt_objects"])]
         if prev_index is not None and frame.frame_index <= prev_index:
             raise InvariantViolationError(
                 f"{where}: frame_index {frame.frame_index} not increasing"
             )
         prev_index = frame.frame_index
         for det in frame.detections:
-            if not _bbox_intersects_image(det.bbox, intrinsics):
+            bbox = det.bbox.tolist()  # Python floats compare faster than numpy scalars
+            if not _bbox_intersects_image(bbox, intrinsics):
                 raise InvariantViolationError(
-                    f"{where}: bbox {det.bbox.tolist()} does not intersect the image"
+                    f"{where}: bbox {bbox} does not intersect the image"
                 )
         if len(frame.detections) > capacity:
             warnings.warn(

@@ -25,7 +25,6 @@ from geotrack.geometry import (
     angular_error,
     project,
     recover_translation,
-    to_reference_frame,
 )
 from geotrack.matching import (
     Matcher,
@@ -37,8 +36,7 @@ from geotrack.matching import (
     train_matcher,
     _named_arrays,
 )
-from geotrack.numerics import grad_check, loss_rot, loss_rot_grad, loss_trans, \
-    loss_trans_grad
+from geotrack.numerics import loss_rot, loss_rot_grad, loss_trans, loss_trans_grad
 from geotrack.scene import (
     MotEntry,
     gt_mot_entries,
@@ -51,6 +49,7 @@ from geotrack.scene import (
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset, \
     world_objects
 from geotrack.tracker import finalize, track_scene
+from helpers import grad_check, to_reference_frame
 
 APPEARANCE_DIM = 16
 

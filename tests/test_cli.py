@@ -13,6 +13,7 @@ from geotrack import cli
 from geotrack.matching import MatcherConfig, save_checkpoint, train_matcher
 from geotrack.scene import gt_mot_entries, load_scene, save_scene, write_mot
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
+from helpers import _kind, mutate_one_value
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -507,38 +508,6 @@ def pose_model(tmp_path_factory):
     return root
 
 
-def _kind(value):
-    return "number" if type(value) in (int, float) else type(value).__name__
-
-
-def mutate_one_value(doc, data, kind):
-    """Break one value of ``doc`` in place: NaN, inf or +-1e308 (``kind``
-    names the number), a value of another JSON type ("wrong type"), a
-    "missing" key, or an "unknown key"."""
-    # walk down from the top to a drawn depth, through dicts and lists
-    path, node = [], doc
-    for _ in range(data.draw(st.integers(1, 8))):
-        if not isinstance(node, (dict, list)) or not node:
-            break
-        key = data.draw(st.sampled_from(
-            sorted(node) if isinstance(node, dict) else range(len(node))))
-        path.append((node, key))
-        node = node[key]
-    parent, key = path[-1]
-    if kind == "missing":
-        parent, key = [(p, k) for p, k in path if isinstance(p, dict)][-1]
-        del parent[key]
-    elif kind == "unknown key":
-        target = node if isinstance(node, dict) else doc
-        target[data.draw(st.text(min_size=1).filter(
-            lambda k: k not in target))] = 1
-    elif kind == "wrong type":
-        parent[key] = data.draw(st.sampled_from(
-            [v for v in ("x", None, [], {}, True, 1.5) if _kind(v) != _kind(node)]))
-    else:
-        parent[key] = float(kind)
-
-
 class TestCheckpointData:
     def test_feature_map_depth_mismatch_exits_3(self, pose_model, tmp_path):
         r = run_cli("track", "--scene", pose_model / "deep.json",
@@ -586,15 +555,21 @@ class TestCheckpointData:
 @pytest.fixture(scope="module")
 def scene_inputs(pose_model):
     """The pose model's scene as a document, with frame 0's ego pose given as
-    a matrix, plus what tracks and evaluates it: an observation-route
-    checkpoint that pools the same feature maps, the ground-truth boxes as
-    hypotheses, and the tracked geolocation."""
+    a matrix, plus what tracks, evaluates and trains on it: an
+    observation-route checkpoint that pools the same feature maps, the
+    ground-truth boxes as hypotheses, the tracked geolocation, and a
+    one-scene dataset index with a tiny matcher config."""
     scene = load_scene(pose_model / "scene.json")
     samples = make_matching_dataset([scene], n_max=4, pairs_per_scene=3, seed=0)
     params, _ = train_matcher(samples, MatcherConfig(
         appearance_dim=4, embed_dim=6, epochs=1, scorer_hidden=(8, 6, 6, 4, 4)))
     save_checkpoint(params, pose_model / "obs-checkpoint.json")
     write_mot(gt_mot_entries(scene), pose_model / "hyp.txt")
+    (pose_model / "pairs.json").write_text(json.dumps({
+        "format": 1, "scenes": [str(pose_model / "mutated-scene.json")], "n_max": 2,
+        "pairs_per_scene": 2, "seed": 0}))
+    (pose_model / "matcher.json").write_text(json.dumps({
+        "appearance_dim": 4, "epochs": 1, "scorer_hidden": [8, 6, 6, 4, 4]}))
     doc = json.loads((pose_model / "scene.json").read_text())
     doc["frames"][0]["ego"] = {"matrix": scene.frames[0].ego.matrix().tolist()}
     geo = pose_model / "ok" / f"{scene.scene_id}.geo.json"
@@ -608,16 +583,21 @@ def run_on_scene(inputs, doc, command):
     scene = root / "mutated-scene.json"
     scene.write_text(json.dumps(doc))
     argv = {
-        "track-obs": ["track", "--checkpoint", root / "obs-checkpoint.json"],
-        "track-pose": ["track", "--checkpoint", root / "checkpoint.json"],
-        "evaluate": ["evaluate", "--tracks", root / "hyp.txt", "--geoloc", inputs["geo"]],
+        "track-obs": ["track", "--scene", scene, "--checkpoint", root / "obs-checkpoint.json"],
+        "track-pose": ["track", "--scene", scene, "--checkpoint", root / "checkpoint.json"],
+        "evaluate": ["evaluate", "--scene", scene, "--tracks", root / "hyp.txt",
+                     "--geoloc", inputs["geo"]],
+        "train": ["train", "--dataset", root / "pairs.json", "--config", root / "matcher.json"],
     }[command]
-    return cli.main([str(a) for a in [*argv, "--scene", scene,
-                                      "--out", root / f"out-{command}"]])
+    return cli.main([str(a) for a in [*argv, "--out", root / f"out-{command}"]])
 
 
 def _detections(doc):
     return [d for frame in doc["frames"] for d in frame["detections"]]
+
+
+def _gt_objects(doc):
+    return [g for frame in doc["frames"] for g in frame["gt_objects"]]
 
 
 def _crowded_frame(doc):
@@ -648,6 +628,18 @@ class TestSceneData:
          ALL, "confidence must be numbers, not true or false"),
         (lambda doc: _detections(doc)[0]["bbox"].__setitem__(0, False),
          ALL, "bbox must be numbers, not true or false"),
+        (lambda doc: _detections(doc)[0].update(gt_id=[1]),
+         (*ALL, "train"), "gt_id must be an integer"),
+        (lambda doc: _detections(doc)[0].update(gt_id=True), ALL, "gt_id must be an integer"),
+        (lambda doc: _detections(doc)[0].update(gt_id=1.5), ALL, "gt_id must be an integer"),
+        (lambda doc: _detections(doc)[0].update(gt_id="a"), ALL, "gt_id must be an integer"),
+        (lambda doc: _gt_objects(doc)[0].update(object_id=2.7),
+         ALL, "object_id must be an integer"),
+        (lambda doc: _gt_objects(doc)[0].update(object_id=True),
+         ALL, "object_id must be an integer"),
+        (lambda doc: _gt_objects(doc)[0].update(object_id="7"),
+         ALL, "object_id must be an integer"),
+        (lambda doc: _gt_objects(doc)[0].update(kind=5), ALL, "kind must be a string"),
     ])
     def test_bad_scene_value_exits_3(self, scene_inputs, capsys, mutate, commands, named):
         doc = copy.deepcopy(scene_inputs["doc"])

@@ -39,8 +39,9 @@ from geotrack.matching import (
     _named_arrays,
     _score,
 )
-from geotrack.numerics import _logcosh, grad_check, mlp_backward, mlp_forward
+from geotrack.numerics import _logcosh, mlp_backward, mlp_forward
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
+from helpers import grad_check
 
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
                      width=1600, height=900)

@@ -18,7 +18,6 @@ from geotrack.matching import (
 )
 from geotrack.numerics import (
     Layer,
-    grad_check,
     init_mlp,
     layers_from_doc,
     layers_to_doc,
@@ -31,6 +30,7 @@ from geotrack.numerics import (
     row_norm,
     softmax_map,
 )
+from helpers import grad_check
 
 LOGCOSH_1 = math.log(math.cosh(1.0))  # independent direct evaluation
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
@@ -235,6 +235,17 @@ class TestMlp:
         np.testing.assert_allclose(dw, np.outer(x, upstream))
         np.testing.assert_allclose(db, upstream)
         np.testing.assert_allclose(dx, layers[0].w @ upstream)
+
+    def test_skipped_input_gradient_keeps_weight_gradients(self, rng):
+        layers = init_mlp([4, 6, 5, 1], ["tanh", "relu", "linear"], rng)
+        cache = []
+        out = mlp_forward(layers, rng.normal(size=(3, 4)), cache=cache)
+        full, dx = mlp_backward(layers, cache, 2.0 * out)
+        skipped, none = mlp_backward(layers, cache, 2.0 * out, input_grad=False)
+        assert dx.shape == (3, 4) and none is None
+        for (w, b), (w2, b2) in zip(full, skipped):
+            np.testing.assert_array_equal(w, w2)
+            np.testing.assert_array_equal(b, b2)
 
     def test_three_layer_fd(self, rng):
         layers = init_mlp([4, 6, 5, 1], ["tanh", "relu", "linear"], rng)

@@ -1,21 +1,30 @@
+import copy
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geotrack.errors import (
     CapacityExceededError,
     FormatError,
     InvariantViolationError,
+    NonPositiveDepthError,
     ParseError,
     SceneTooShortError,
     SchemaError,
 )
-from geotrack.geometry import CameraIntrinsics, EgoPose
+from geotrack.geometry import WORLD, CameraIntrinsics, EgoPose, PixelObservation, Pose5D
 from geotrack.scene import (
+    DEFAULT_CAPACITY,
+    SCENE_SCHEMA_VERSION,
     Detection,
     FrameRecord,
+    GroundTruthObject,
     MotEntry,
     SceneSequence,
     build_match_matrix,
@@ -30,6 +39,7 @@ from geotrack.scene import (
     scene_to_json,
 )
 from geotrack.simulator import SimConfig, generate_scene
+from helpers import mutate_one_value
 
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
                      width=1600, height=900)
@@ -246,6 +256,312 @@ class TestSceneJson:
         target[path[-1]] = value
         with pytest.raises(SchemaError, match=re.escape(field)):
             scene_from_doc(json.loads(json.dumps(doc)))
+
+
+# --- loader oracle -----------------------------------------------------------------
+# The scene loader as it was before it checked each detection's numbers in one
+# pass and shared ground-truth poses: the reference for byte-equal output and
+# for the first error on a broken document.
+
+
+def _ref_bbox_intersects_image(bbox, intrinsics):
+    left, top, w, h = bbox
+    return w > 0 and h > 0 and left < intrinsics.width and top < intrinsics.height \
+        and left + w > 0 and top + h > 0
+
+
+def _ref_check_finite(where, fields):
+    """Raise SchemaError naming the first of ``fields`` that holds NaN, inf
+    or a JSON boolean.
+
+    Each value is a JSON number or flat list of numbers; None (an absent
+    optional field) passes. A non-number raises TypeError, an integer past
+    the float range OverflowError.
+    """
+    for name, value in fields.items():
+        numbers = value if isinstance(value, list) else [] if value is None else [value]
+        if any(type(x) is bool for x in numbers):
+            raise SchemaError(f"{where}: {name} must be numbers, not true or false")
+        if not all(map(math.isfinite, numbers)):
+            raise SchemaError(f"{where}: {name} must be finite")
+
+
+# what reading a malformed value raises: a missing key, a value of the wrong
+# type or shape, or an integer past the float range
+_REF_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _ref_detection_from_doc(doc, where):
+    try:
+        _ref_check_finite(where, {"bbox": doc["bbox"], "confidence": doc["confidence"],
+                              "center": doc.get("center")})
+        det = Detection(
+            bbox=doc["bbox"],
+            confidence=float(doc["confidence"]),
+            center=doc.get("center"),
+            gt_id=doc.get("gt_id"),
+        )
+    except _REF_BAD_VALUE as exc:
+        raise SchemaError(f"{where}: bad detection ({exc})") from exc
+    obs = doc.get("observation")
+    if obs is not None:
+        try:
+            _ref_check_finite(where, {f"observation.{k}": obs[k]
+                                  for k in ("center", "depth", "rotation")})
+            det.observation = PixelObservation(
+                c=obs["center"], T_z=float(obs["depth"]), R=obs["rotation"]
+            )
+        except (*_REF_BAD_VALUE, NonPositiveDepthError) as exc:
+            raise SchemaError(f"{where}: bad observation ({exc})") from exc
+    if "appearance" in doc:
+        if not isinstance(doc["appearance"], list):
+            raise SchemaError(f"{where}: appearance must be a list of numbers")
+        try:
+            _ref_check_finite(where, {"appearance": doc["appearance"]})
+            det.appearance = np.asarray(doc["appearance"], dtype=np.float64)
+        except _REF_BAD_VALUE as exc:
+            raise SchemaError(f"{where}: bad appearance ({exc})") from exc
+    if "feature_map" in doc:
+        fm = doc["feature_map"]
+        try:
+            _ref_check_finite(where, {"feature_map": fm["data"]})
+            det.feature_map = np.asarray(fm["data"], dtype=np.float64).reshape(fm["shape"])
+        except _REF_BAD_VALUE as exc:
+            raise SchemaError(f"{where}: bad feature map ({exc})") from exc
+    return det
+
+
+def reference_scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
+    if not isinstance(doc, dict):
+        raise SchemaError("scene document must be a JSON object")
+    if doc.get("schema") != SCENE_SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema version {doc.get('schema')!r}")
+    try:
+        scene_id = doc["scene_id"]
+        frame_docs = doc["frames"]
+    except KeyError as exc:
+        raise SchemaError(f"missing top-level field {exc}") from exc
+    if not isinstance(scene_id, str) or not isinstance(frame_docs, list):
+        raise SchemaError("scene_id must be a string and frames a list")
+
+    frames = []
+    prev_index = None
+    for k, fd in enumerate(frame_docs):
+        where = f"frames[{k}]"
+        try:
+            intr, ego_doc = fd["intrinsics"], fd["ego"]
+            _ref_check_finite(where, {
+                "frame_index": fd["frame_index"],
+                "timestamp": fd["timestamp"],
+                **{f"intrinsics.{name}": intr[name]
+                   for name in ("fx", "fy", "px", "py", "width", "height")},
+                **{f"ego.{name}": ego_doc[name]
+                   for name in ("rotation", "translation") if name in ego_doc},
+                **({"ego.matrix": [x for row in ego_doc["matrix"] for x in row]}
+                   if "matrix" in ego_doc else {}),
+            })
+            intrinsics = CameraIntrinsics(
+                f_x=float(intr["fx"]),
+                f_y=float(intr["fy"]),
+                p_x=float(intr["px"]),
+                p_y=float(intr["py"]),
+                width=int(intr["width"]),
+                height=int(intr["height"]),
+            )
+            if "matrix" in ego_doc:
+                ego = EgoPose.from_matrix(ego_doc["matrix"])
+            else:
+                ego = EgoPose(
+                    np.asarray(ego_doc["rotation"], dtype=np.float64),
+                    np.asarray(ego_doc["translation"], dtype=np.float64),
+                )
+            frame = FrameRecord(
+                frame_index=int(fd["frame_index"]),
+                timestamp=float(fd["timestamp"]),
+                intrinsics=intrinsics,
+                ego=ego,
+                detections=[
+                    _ref_detection_from_doc(dd, f"{where}.detections[{j}]")
+                    for j, dd in enumerate(fd["detections"])
+                ],
+            )
+        except InvariantViolationError:
+            raise
+        except _REF_BAD_VALUE as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+        if "gt_objects" in fd:
+            if not isinstance(fd["gt_objects"], list):
+                raise SchemaError(f"{where}: gt_objects must be a list")
+            gt = []
+            for i, gd in enumerate(fd["gt_objects"]):
+                try:
+                    _ref_check_finite(f"{where}.gt_objects[{i}]", {
+                        k: gd[k] for k in ("translation", "rotation", "bbox") if k in gd})
+                    gt.append(
+                        GroundTruthObject(
+                            object_id=int(gd["object_id"]),
+                            pose=Pose5D(
+                                np.asarray(gd["translation"], dtype=np.float64),
+                                np.asarray(gd["rotation"], dtype=np.float64),
+                                WORLD,
+                            ),
+                            kind=gd.get("kind", "vertical"),
+                            bbox=gd.get("bbox"),
+                        )
+                    )
+                except _REF_BAD_VALUE as exc:
+                    raise SchemaError(f"{where}: bad gt object ({exc})") from exc
+            frame.gt_objects = gt
+        if prev_index is not None and frame.frame_index <= prev_index:
+            raise InvariantViolationError(
+                f"{where}: frame_index {frame.frame_index} not increasing"
+            )
+        prev_index = frame.frame_index
+        for det in frame.detections:
+            if not _ref_bbox_intersects_image(det.bbox, intrinsics):
+                raise InvariantViolationError(
+                    f"{where}: bbox {det.bbox.tolist()} does not intersect the image"
+                )
+        if len(frame.detections) > capacity:
+            warnings.warn(
+                f"{where}: {len(frame.detections)} detections exceed capacity "
+                f"{capacity}; keeping the top-{capacity} by confidence",
+                stacklevel=2,
+            )
+            order = sorted(
+                range(len(frame.detections)),
+                key=lambda i: (-frame.detections[i].confidence, i),
+            )[:capacity]
+            frame.detections = [frame.detections[i] for i in sorted(order)]
+        frames.append(frame)
+    if not frames:
+        raise InvariantViolationError("scene has no frames")
+    return SceneSequence(scene_id=scene_id, frames=frames)
+
+
+def _outcome(load, doc, capacity=DEFAULT_CAPACITY):
+    """What a loader makes of ``doc``: the re-saved scene JSON and the
+    warnings raised, or the exception's type and message."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            text = scene_to_json(load(doc, capacity))
+        except Exception as exc:  # the reference can also fail while saving
+            return type(exc), str(exc)
+    return text, [str(w.message) for w in caught]
+
+
+def _oracle_doc(seed, **sim):
+    """A simulated scene as a document, frame 0's ego pose as a matrix."""
+    scene = generate_scene(SimConfig(seed=seed, **sim))
+    doc = json.loads(scene_to_json(scene))
+    doc["frames"][0]["ego"] = {"matrix": scene.frames[0].ego.matrix().tolist()}
+    return doc
+
+
+MAPS = dict(appearance_dim=4, fp_rate=0.3, emit_feature_maps=True, embed_dim=3,
+            feature_map_size=(2, 2))
+
+
+def _sightings(doc):
+    """Object id -> [(frame position, gt object document)]."""
+    out = {}
+    for k, frame in enumerate(doc["frames"]):
+        for g in frame["gt_objects"]:
+            out.setdefault(g["object_id"], []).append((k, g))
+    return out
+
+
+def _signed_zero_doc():
+    """A scene whose most-seen object has x = 0.0 in every sighting but one
+    later one, which has -0.0. Returns (doc, object id, that frame's position)."""
+    doc = _oracle_doc(43, n_frames=8, n_objects=3)
+    object_id, seen = max(_sightings(doc).items(), key=lambda item: len(item[1]))
+    assert len(seen) >= 3
+    for _, g in seen:
+        g["translation"][0] = 0.0
+    k, g = seen[len(seen) // 2]
+    g["translation"][0] = -0.0
+    return doc, object_id, k
+
+
+@pytest.fixture(scope="module")
+def small_doc():
+    return _oracle_doc(44, n_frames=5, n_objects=4, **MAPS)
+
+
+class TestLoaderOracle:
+    @pytest.mark.parametrize("capacity", [DEFAULT_CAPACITY, 2])
+    @pytest.mark.parametrize("make", [
+        lambda: _oracle_doc(41, n_frames=10, n_objects=8, **MAPS),
+        lambda: _oracle_doc(42, n_frames=12, n_objects=6, center_sigma_px=1.0,
+                            depth_rel_sigma=0.05, miss_rate=0.1, fp_rate=0.2),
+        lambda: _signed_zero_doc()[0],
+    ], ids=["feature-maps", "noisy", "signed-zero"])
+    def test_same_scene_as_reference(self, make, capacity):
+        doc = make()
+        expected = _outcome(reference_scene_from_doc, doc, capacity)
+        assert isinstance(expected[0], str), expected
+        assert bool(expected[1]) == (capacity == 2)  # over-capacity frames warn
+        assert _outcome(scene_from_doc, doc, capacity) == expected
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_first_error_as_reference(self, small_doc, data):
+        doc = copy.deepcopy(small_doc)
+        kind = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308",
+                                          "wrong type", "missing", "unknown key"]))
+        key = mutate_one_value(doc, data, kind)
+        expected = _outcome(reference_scene_from_doc, doc)
+        got = _outcome(scene_from_doc, doc)
+        if key in ("gt_id", "object_id", "kind") and got != expected:
+            # the one rule the reference lacks: ids are JSON integers and
+            # kind is a string
+            assert got[0] is SchemaError and f"{key} must be" in got[1], (expected, got)
+        else:
+            assert got == expected
+
+    @pytest.mark.parametrize("path", [
+        ("detections", 0, "bbox"), ("detections", 0, "appearance"),
+        ("gt_objects", 0, "translation"),
+    ])
+    def test_cancelling_huge_integers_rejected(self, small_doc, path):
+        """Integers past the float range whose exact sum is small."""
+        doc = copy.deepcopy(small_doc)
+        target = doc["frames"][1]
+        for key in path:
+            target = target[key]
+        target[:2] = [10 ** 400, -10 ** 400]
+        got = _outcome(scene_from_doc, doc)
+        assert got == _outcome(reference_scene_from_doc, doc)
+        assert got[0] is SchemaError and "int too large" in got[1]
+
+    def test_sightings_share_one_read_only_pose(self):
+        doc, object_id, signed = _signed_zero_doc()
+        scene = scene_from_doc(doc)
+        poses = {}
+        for k, frame in enumerate(scene.frames):
+            for g in frame.gt_objects:
+                assert not g.pose.T.flags.writeable and not g.pose.R.flags.writeable
+                if not (g.object_id == object_id and k == signed):
+                    assert poses.setdefault(g.object_id, g.pose) is g.pose
+        odd = next(g.pose for g in scene.frames[signed].gt_objects
+                   if g.object_id == object_id)
+        assert odd is not poses[object_id]
+        assert math.copysign(1.0, odd.T[0]) == -1.0
+        assert math.copysign(1.0, poses[object_id].T[0]) == 1.0
+
+    def test_boolean_in_a_repeated_pose_rejected(self):
+        """``True == 1.0``, so a sighting whose rotation reads [true, false]
+        equals a shared [1.0, 0.0] as a list; it must still fail the check."""
+        doc = _oracle_doc(45, n_frames=6, n_objects=3)
+        seen = max(_sightings(doc).values(), key=len)
+        for _, g in seen:
+            g["rotation"] = [1.0, 0.0]
+        seen[-1][1]["rotation"] = [True, False]
+        got = _outcome(scene_from_doc, doc)
+        assert got == _outcome(reference_scene_from_doc, doc)
+        assert got[0] is SchemaError and "rotation must be numbers, not true or false" in got[1]
 
 
 class TestMotCsv:
