@@ -3,7 +3,8 @@
 Subcommands: simulate, dataset, train, track, evaluate, plot. Every command
 accepts --seed / --config / --out and drops a ``manifest.json`` next to its
 outputs with the resolved configuration, so any run can be reproduced from
-the manifest alone.
+the manifest alone. The manifest also records the environment (Python,
+numpy, BLAS, CPU count) that tracking's output bits rest on.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data error
 (unparseable or invariant-breaking input), 4 internal error.
@@ -11,10 +12,14 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import (
@@ -36,6 +41,7 @@ from .evaluation import (
 )
 from .geometry import WORLD, Pose5D
 from .matching import (
+    MAX_COUNT,
     Matcher,
     MatcherConfig,
     load_checkpoint,
@@ -111,10 +117,27 @@ def _number(row, key, where):
     return float(row[key])
 
 
+def _environment():
+    """What output bits rest on besides the inputs: tracking multiplies
+    through BLAS gemm, whose rows are bit-stable only per BLAS kernel."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 prints, returns nothing
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "config": blas.get("openblas configuration")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def _write_manifest(out_dir, command, config, seed, inputs, outputs, started):
     manifest = {
         "command": command,
         "config": config,
+        "environment": _environment(),
         "seed": seed,
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
@@ -138,8 +161,8 @@ def _out_dir(args):
 
 def cmd_simulate(args):
     started = time.time()
-    if args.scenes < 1:
-        raise ConfigError(f"--scenes must be >= 1, got {args.scenes}")
+    if not 1 <= args.scenes <= MAX_COUNT:
+        raise ConfigError(f"--scenes must lie in [1, {MAX_COUNT}], got {args.scenes}")
     doc = _load_config_file(args.config)
     if args.seed is not None:
         doc["seed"] = args.seed
@@ -169,11 +192,12 @@ def cmd_dataset(args):
     if not scene_paths:
         raise ConfigError(f"no scene files under {args.scenes}")
     seed = args.seed if args.seed is not None else 0
-    for flag, value, low in (("--n-max", args.n_max, 1),
-                             ("--pairs-per-scene", args.pairs_per_scene, 1),
-                             ("--seed", seed, 0)):
-        if value < low:
-            raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    for flag, value in (("--n-max", args.n_max), ("--pairs-per-scene", args.pairs_per_scene)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    if args.pairs_per_scene > MAX_COUNT:
+        raise ConfigError(f"--pairs-per-scene must be <= {MAX_COUNT}, "
+                          f"got {args.pairs_per_scene}")
     out = _out_dir(args)
     doc = {
         "format": 1,
@@ -201,6 +225,8 @@ def _load_dataset(index_path, capacity):
     for name, low in (("n_max", 1), ("pairs_per_scene", 1), ("seed", 0)):
         if type(doc.get(name)) is not int or doc[name] < low:
             raise SchemaError(f"dataset {name} must be an integer >= {low}")
+    if doc["pairs_per_scene"] > MAX_COUNT:
+        raise SchemaError(f"dataset pairs_per_scene must be <= {MAX_COUNT}")
     return doc, [load_scene(p, capacity) for p in paths]
 
 
@@ -458,6 +484,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

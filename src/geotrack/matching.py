@@ -33,6 +33,7 @@ drown every real match.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from types import SimpleNamespace
 
@@ -64,6 +65,11 @@ def _fits(value, default):
         return numerics.is_number(value)
     return type(value) is type(default) or default is None and type(value) is int
 
+
+# Ceiling on a count that sets how much work a run does (scenes, frames,
+# objects, epochs). Values past it would keep a run going for days or exhaust
+# memory, so they are usage errors rather than runs that never end.
+MAX_COUNT = 1_000_000
 
 # Tuple fields of free length (layer widths); any other tuple default, such
 # as a (min, max) range or an (x, y) scale, fixes its field's length.
@@ -126,8 +132,8 @@ class MatcherConfig:
             raise ConfigError("capacity must be >= 1")
         if not np.isfinite(self.delta):
             raise ConfigError("delta must be finite")
-        if self.lam < 0:
-            raise ConfigError("lam must be >= 0")
+        if not 0 <= self.lam < math.inf:  # NaN fails too
+            raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
         if self.score_space not in ("logit", "probability"):
             raise ConfigError(f"unknown score_space {self.score_space!r}")
         if self.softmax_axis not in ("per-object", "literal"):
@@ -144,6 +150,9 @@ class MatcherConfig:
         pretrain = self.pose_pretrain_epochs
         if pretrain is not None and not pretrain >= 0:
             raise ConfigError(f"pose_pretrain_epochs must be >= 0, got {pretrain}")
+        for name, value in (("epochs", self.epochs), ("pose_pretrain_epochs", pretrain)):
+            if value is not None and value > MAX_COUNT:
+                raise ConfigError(f"{name} must be <= {MAX_COUNT}, got {value}")
         if self.use_pose_head and self.embed_dim < 1:
             raise ConfigError("use_pose_head requires embed_dim >= 1")
 

@@ -135,23 +135,55 @@ def _check_chain(layers, x):
             )
 
 
+# A tapeless forward multiplies a layer through BLAS gemm when its output
+# width is a multiple of this. OpenBLAS (0.3.31, Haswell kernel) then gives
+# each row the same bits at every batch size; widths 1-3, 9-12 and 17-20
+# each change a row's bits with the batch size at some fan-in, so no width
+# threshold would do. tests/test_numerics.py sweeps every layer shape in use.
+GEMM_WIDTH_STEP = 8
+
+
+def _layer_product(h, w, taped):
+    """``h @ w`` for one layer: through einsum when ``taped`` or when the
+    width is not a multiple of ``GEMM_WIDTH_STEP``, else through BLAS gemm.
+    One row is padded to two for gemm: OpenBLAS sends a single row down its
+    gemv path, whose bits differ."""
+    if taped or w.shape[1] % GEMM_WIDTH_STEP:
+        return np.einsum("nd,dk->nk", h, w)
+    if len(h) == 1:
+        return (np.concatenate([h, h]) @ w)[:1]
+    return h @ w
+
+
 def mlp_forward(layers, x, cache=None):
     """Forward pass; x is a single vector or a (batch, fan_in) matrix.
 
-    When ``cache`` is a list it is filled with the per-layer inputs and
-    activations needed by mlp_backward. The matrix product goes through
-    einsum rather than BLAS gemm: each output row is then reduced in a
-    fixed order independent of the batch, which keeps batched and
-    row-at-a-time calls bit-identical.
+    Each output row is independent of the batch around it, bit for bit, so
+    batched and row-at-a-time calls agree exactly. Which product gives that:
+
+    - With ``cache`` a list (training), it is filled with the per-layer
+      inputs and activations needed by mlp_backward, and every layer
+      multiplies through einsum, which reduces each row in a fixed order.
+    - Without it (inference: the tracker's pair scorer), each layer whose
+      width is a multiple of ``GEMM_WIDTH_STEP`` multiplies through BLAS
+      gemm, about ten times faster at the scorer's sizes; other layers,
+      such as the scorer's 1-wide output, keep einsum. Row invariance of
+      gemm is a property of the BLAS kernel, pinned by the sweep test in
+      tests/test_numerics.py.
+
+    Training keeps einsum only so that it reproduces the stored benchmark
+    checkpoint bit for bit. Once a benchmark change regenerates that
+    checkpoint, training can move to gemm too and the tape branch can go.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     h = x.reshape(1, -1) if single else x
     _check_chain(layers, h)
+    taped = cache is not None
     for layer in layers:
-        z = np.einsum("nd,dk->nk", h, layer.w) + layer.b
+        z = _layer_product(h, layer.w, taped) + layer.b
         y = _ACTS[layer.act][0](z)
-        if cache is not None:
+        if taped:
             cache.append((h, z, y))
         h = y
     return h[0] if single else h

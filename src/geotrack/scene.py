@@ -7,7 +7,9 @@ Two on-disk formats live here:
   appearance vectors, and small feature maps), and ground-truth objects.
   Ground-truth objects are static: the sightings of one object that carry
   the same world pose share one read-only ``Pose5D`` after loading. Ids
-  (``gt_id``, ``object_id``) are JSON integers and ``kind`` is a string.
+  (``gt_id``, ``object_id``), ``frame_index`` and the intrinsics' ``width``
+  and ``height`` are JSON integers (not booleans, not floats such as 1.0)
+  and ``kind`` is a string.
   Serialization is canonical (sorted keys, indent 2, repr floats), so
   save -> load -> save is byte-stable.
 - Tracking CSV: ``frame,id,bb_left,bb_top,bb_width,bb_height,conf,x,y,z``
@@ -408,13 +410,18 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
                 **({"ego.matrix": [x for row in ego_doc["matrix"] for x in row]}
                    if "matrix" in ego_doc else {}),
             })
+            for name, value in (("frame_index", fd["frame_index"]),
+                                ("intrinsics.width", intr["width"]),
+                                ("intrinsics.height", intr["height"])):
+                if type(value) is not int:
+                    raise SchemaError(f"{where}: {name} must be an integer")
             intrinsics = CameraIntrinsics(
                 f_x=float(intr["fx"]),
                 f_y=float(intr["fy"]),
                 p_x=float(intr["px"]),
                 p_y=float(intr["py"]),
-                width=int(intr["width"]),
-                height=int(intr["height"]),
+                width=intr["width"],
+                height=intr["height"],
             )
             if "matrix" in ego_doc:
                 ego = EgoPose.from_matrix(ego_doc["matrix"])
@@ -424,7 +431,7 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
                     np.asarray(ego_doc["translation"], dtype=np.float64),
                 )
             frame = FrameRecord(
-                frame_index=int(fd["frame_index"]),
+                frame_index=fd["frame_index"],
                 timestamp=float(fd["timestamp"]),
                 intrinsics=intrinsics,
                 ego=ego,

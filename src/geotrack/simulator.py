@@ -29,7 +29,7 @@ from .geometry import (
     world_to_camera,
     yaw_rot2,
 )
-from .matching import DetectionFeatures, PairSample, config_from_dict
+from .matching import MAX_COUNT, DetectionFeatures, PairSample, config_from_dict
 from .scene import (
     DEFAULT_CAPACITY,
     Detection,
@@ -96,6 +96,9 @@ class SimConfig:
             raise ConfigError(f"unknown trajectory {self.trajectory!r}")
         if self.n_objects < 1:
             raise ConfigError("n_objects must be >= 1")
+        for name in ("n_frames", "n_objects"):
+            if getattr(self, name) > MAX_COUNT:
+                raise ConfigError(f"{name} must be <= {MAX_COUNT}, got {getattr(self, name)}")
         # written so that NaN fails each check
         for name in ("frame_rate", "focal", "visibility_max_range"):
             if not getattr(self, name) > 0:

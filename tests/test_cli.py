@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,16 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 100
         assert manifest["outputs"]
+
+    def test_manifest_records_environment(self, pipeline):
+        """Tracking bits rest on the BLAS kernel, so every manifest names it."""
+        for out in (pipeline["scenes"], pipeline["dataset"], pipeline["model"]):
+            env = json.loads((out / "manifest.json").read_text())["environment"]
+            assert set(env) == {"python", "numpy", "blas", "cpu_count"}
+            assert env["python"] == ".".join(map(str, sys.version_info[:3]))
+            assert env["numpy"] == np.__version__
+            assert set(env["blas"]) == {"name", "version", "config"}
+            assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
 
     def test_seed_repetition_identical(self, pipeline, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -442,8 +453,6 @@ class TestTrackEvaluatePlot:
     def test_zero_noise_scene_geolocation_matches_gt(self, pipeline, tmp_path):
         # a noise-free variant of a training-seed scene: the tracked
         # geolocation JSON must reproduce the ground-truth world poses
-        import numpy as np
-
         from geotrack.scene import load_scene
         from geotrack.simulator import world_objects
 
@@ -640,6 +649,18 @@ class TestSceneData:
         (lambda doc: _gt_objects(doc)[0].update(object_id="7"),
          ALL, "object_id must be an integer"),
         (lambda doc: _gt_objects(doc)[0].update(kind=5), ALL, "kind must be a string"),
+        (lambda doc: doc["frames"][1].update(frame_index=1.7),
+         ALL, "frame_index must be an integer"),
+        (lambda doc: doc["frames"][1].update(frame_index=1.0),
+         ALL, "frame_index must be an integer"),
+        (lambda doc: doc["frames"][1].update(frame_index=True),
+         ALL, "frame_index must be numbers, not true or false"),
+        (lambda doc: doc["frames"][1]["intrinsics"].update(width=1600.9),
+         ALL, "intrinsics.width must be an integer"),
+        (lambda doc: doc["frames"][1]["intrinsics"].update(height=900.0),
+         ALL, "intrinsics.height must be an integer"),
+        (lambda doc: doc["frames"][1]["intrinsics"].update(height=False),
+         ALL, "intrinsics.height must be numbers, not true or false"),
     ])
     def test_bad_scene_value_exits_3(self, scene_inputs, capsys, mutate, commands, named):
         doc = copy.deepcopy(scene_inputs["doc"])
@@ -769,6 +790,8 @@ class TestDocumentData:
         ("report", lambda doc: doc["pr"][0].update(precision=float("nan")),
          "pr[0].precision"),
         ("report", lambda doc: doc["pr"][0].update(precision=1e308), "[0, 1]"),
+        ("pairs", lambda doc: doc.update(pairs_per_scene=10 ** 23),
+         "pairs_per_scene must be <="),
     ])
     def test_bad_document_value_exits_3(self, documents, capsys, kind, mutate, named):
         doc = copy.deepcopy(documents[kind])
@@ -871,9 +894,102 @@ class TestUsageErrors:
           "--min-instances", "0"], "--min-instances"),
         (["track", "--scene", "{scene}", "--checkpoint", "{checkpoint}",
           "--min-instances", "-5"], "--min-instances"),
+        (["simulate", "--scenes", "1000001"], "--scenes"),
+        (["simulate", "--n-frames", str(10 ** 23)], "n_frames"),
+        (["simulate", "--n-objects", "1000001"], "n_objects"),
+        (["dataset", "--scenes", "{scenes}", "--pairs-per-scene", "1000001"],
+         "--pairs-per-scene"),
+        (["train", "--dataset", "{pairs}", "--epochs", str(10 ** 23)], "epochs"),
+        (["train", "--dataset", "{pairs}", "--resume", "{checkpoint}", "--epochs",
+          "1000001"], "epochs"),
+        (["train", "--dataset", "{pairs}", "--resume", "{checkpoint}", "--lambda", "nan"],
+         "lam"),
+        (["train", "--dataset", "{pairs}", "--resume", "{checkpoint}", "--lambda=inf"],
+         "lam"),
     ])
     def test_out_of_range_configuration_exits_2(self, pipeline, tracked, tmp_path,
                                                 capsys, case, named):
         assert cli.main(_usage_args(pipeline, tracked, tmp_path, case)) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# --- exit codes over every numeric flag ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(pipeline, tracked, tmp_path_factory):
+    """Small valid inputs for every subcommand, so that a run exits 0 fast."""
+    root = tmp_path_factory.mktemp("flags")
+    sim = root / "sim.json"
+    sim.write_text(json.dumps({"appearance_dim": 8, "n_objects": 2, "n_frames": 4}))
+    matcher = root / "matcher.json"
+    matcher.write_text(json.dumps({"appearance_dim": 8, "epochs": 1,
+                                   "scorer_hidden": [8, 6, 6, 4, 4]}))
+    pairs = root / "pairs.json"
+    pairs.write_text(json.dumps({"format": 1, "scenes": [str(tracked["scene"])],
+                                 "n_max": 2, "pairs_per_scene": 2, "seed": 0}))
+    report = root / "eval"
+    assert cli.main(["evaluate", "--scene", str(tracked["scene"]), "--geoloc",
+                     str(tracked["geo"]), "--out", str(report)]) == 0
+    checkpoint = pipeline["model"] / "checkpoint.json"
+    evaluate = ["evaluate", "--scene", tracked["scene"], "--tracks", tracked["hyp"],
+                "--geoloc", tracked["geo"]]
+    # subcommand -> (command line, {each numeric flag it takes: a valid value})
+    return root, {
+        "simulate": (["simulate", "--config", sim],
+                     {"--seed": "3", "--scenes": "1", "--n-frames": "4", "--n-objects": "2"}),
+        "dataset": (["dataset", "--scenes", pipeline["scenes"]],
+                    {"--seed": "0", "--n-max": "3", "--pairs-per-scene": "2"}),
+        "train": (["train", "--dataset", pairs, "--config", matcher],
+                  {"--seed": "1", "--epochs": "1", "--lambda": "0.005"}),
+        "train --resume": (["train", "--dataset", pairs, "--resume", checkpoint],
+                           {"--seed": "1", "--epochs": "1", "--lambda": "0.005"}),
+        "track": (["track", "--scene", tracked["scene"], "--checkpoint", checkpoint],
+                  {"--seed": "0", "--min-instances": "2", "--score-threshold": "0.5"}),
+        "evaluate": (evaluate, {"--seed": "0", "--radius": "2.0", "--limit": "3.0",
+                                "--rotation-gate": "30", "--iou": "0.5"}),
+        "evaluate mahalanobis": ([*evaluate, "--criterion", "mahalanobis"],
+                                 {"--limit": "3.0"}),
+        "plot": (["plot", "--report", report / "report.json"], {"--seed": "0"}),
+    }
+
+
+FLOAT_FLAGS = ("--lambda", "--score-threshold", "--radius", "--limit", "--rotation-gate",
+               "--iou")
+
+
+def _flag_value(data, flag, kind):
+    """A value of ``kind`` for ``flag``, as the command line spells it."""
+    if kind in ("0", "nan", "inf", "-inf"):
+        return kind
+    floats = flag in FLOAT_FLAGS
+    if kind == "negative":
+        return repr(data.draw(st.floats(-1e308, -1e-300))) if floats \
+            else str(data.draw(st.integers(-10 ** 30, -1)))
+    return repr(data.draw(st.floats(1e9, 1.7e308))) if floats \
+        else str(data.draw(st.integers(10 ** 9, 10 ** 30)))
+
+
+class TestNumericFlags:
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_numeric_flag_exits_0_or_2(self, flag_inputs, data):
+        """One numeric flag of one subcommand is 0, negative, huge, NaN or
+        +-inf, everything else valid: the run succeeds or is refused as a
+        usage error before ``--out`` exists, never an internal fault."""
+        root, commands = flag_inputs
+        command = data.draw(st.sampled_from(sorted(commands)))
+        argv, flags = commands[command]
+        flag = data.draw(st.sampled_from(sorted(flags)))
+        kind = data.draw(st.sampled_from(["0", "negative", "huge", "nan", "inf", "-inf"]))
+        value = _flag_value(data, flag, kind)
+        out = root / f"out-{len(list(root.iterdir()))}"
+        args = [*argv, *(f"{f}={value if f == flag else v}" for f, v in flags.items()),
+                "--out", out]
+        try:
+            code = cli.main([str(a) for a in args])
+        except SystemExit as exc:  # argparse refuses a value that is not a number
+            code = exc.code
+        assert code in (0, 2), (command, flag, value)
+        assert code == 0 or not out.exists(), (command, flag, value)

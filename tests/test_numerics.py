@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,12 @@ from geotrack.matching import (
     Matcher,
     MatcherConfig,
     PairSample,
+    _sides,
+    build_pair_tensor,
     forward_pair,
     init_matcher_params,
+    load_checkpoint,
+    score_pair_logits,
 )
 from geotrack.numerics import (
     Layer,
@@ -30,6 +35,7 @@ from geotrack.numerics import (
     row_norm,
     softmax_map,
 )
+from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
 from helpers import grad_check
 
 LOGCOSH_1 = math.log(math.cosh(1.0))  # independent direct evaluation
@@ -310,3 +316,81 @@ class TestMlp:
             assert a.act == b.act
         assert layers_to_doc(back) == layers_to_doc(layers_from_doc(
             layers_to_doc(layers), [3, 4, 2]))
+
+
+# --- batch invariance of the tapeless forward ----------------------------------------
+
+STORED_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench/data/obs-matcher.json"
+# Every matcher configuration that tests/ and perfbench/ train or track with.
+CONFIGS = {
+    "default": MatcherConfig(),
+    "observation": MatcherConfig(appearance_dim=16, scorer_hidden=(64, 48, 32, 16, 8)),
+    "pose": MatcherConfig(appearance_dim=64, embed_dim=8, use_pose_head=True,
+                          scorer_hidden=(160, 96, 48, 24, 12), pose_hidden=(16, 12)),
+    "test_06": MatcherConfig(appearance_dim=4, embed_dim=6, use_pose_head=True,
+                             scorer_hidden=(10, 8, 8, 6, 4), pose_hidden=(8, 6)),
+    "cli": MatcherConfig(appearance_dim=8, scorer_hidden=(24, 16, 12, 8, 6)),
+    "cli-small": MatcherConfig(appearance_dim=8, scorer_hidden=(8, 8, 6, 4, 4)),
+    "cli-pose": MatcherConfig(appearance_dim=4, embed_dim=6, use_pose_head=True,
+                              scorer_hidden=(8, 6, 6, 4, 4), pose_hidden=(6, 4)),
+}
+SWEEP_ROWS = 600
+
+
+def _config_layers(name):
+    if name == "stored-checkpoint":
+        params = load_checkpoint(STORED_CHECKPOINT)
+    else:
+        params = init_matcher_params(CONFIGS[name], np.random.default_rng(0))
+    return params.scorer + (params.pose_head or [])
+
+
+class TestRowInvariance:
+    """The contract the tracker's bit-for-bit reruns and the batched-versus-
+    row oracles rest on: a tapeless forward gives each row the same bits
+    whatever batch it comes in. Layers whose width is a multiple of
+    ``GEMM_WIDTH_STEP`` multiply through BLAS gemm there, so this depends on
+    the BLAS kernel; a shape named in a failure here breaks it on this
+    machine."""
+
+    @pytest.mark.parametrize("name", ["stored-checkpoint", *CONFIGS])
+    def test_rows_bit_equal_at_every_batch_size(self, name):
+        rng = np.random.default_rng(7)
+        broken = []
+        for i, layer in enumerate(_config_layers(name)):
+            layers = [Layer(layer.w, layer.b, "linear")]
+            x = rng.normal(size=(SWEEP_ROWS + 100, layer.w.shape[0]))
+            full = mlp_forward(layers, x)
+            bad = [m for m in range(1, SWEEP_ROWS + 1)
+                   if mlp_forward(layers, x[:m]).tobytes() != full[:m].tobytes()
+                   or mlp_forward(layers, x[-m:]).tobytes() != full[-m:].tobytes()]
+            if mlp_forward(layers, x[3]).tobytes() != full[3].tobytes():
+                bad.insert(0, "vector")
+            if bad:
+                broken.append(f"layer {i} {layer.w.shape}: batch sizes {bad[:5]}...")
+        assert not broken, f"{name}: " + "; ".join(broken)
+
+    def test_tape_and_tapeless_agree(self, trained_matcher):
+        """Training's einsum and tracking's gemm differ only in summation
+        order: the logits agree to 1e-12 and every decision is the same."""
+        params = trained_matcher.params
+        scenes = [generate_scene(SimConfig(seed=s, n_objects=10, n_frames=12,
+                                           appearance_dim=16, appearance_sigma=0.15,
+                                           center_sigma_px=2.0, fp_rate=0.2))
+                  for s in (31, 32)]
+        samples = make_matching_dataset(scenes, n_max=8, pairs_per_scene=6, seed=3)
+        matcher = Matcher(params)
+        for sample in samples:
+            rows_a, rows_b = (matcher.descriptors(feats, ego, sample.ego_ref, intrinsics)
+                              for feats, ego, intrinsics in _sides(sample))
+            pairs = build_pair_tensor(rows_a, rows_b)
+            scale = (params.input_scale, params.input_shift)
+            np.testing.assert_allclose(
+                score_pair_logits(pairs, params.scorer, *scale),
+                score_pair_logits(pairs, params.scorer, *scale, cache=[]),
+                rtol=1e-12, atol=0)
+            fused = matcher.bundle(rows_a, rows_b).fused
+            trained = forward_pair(sample, params)["bundle"].fused
+            for axis in (0, 1):
+                np.testing.assert_array_equal(fused.argmax(axis=axis),
+                                              trained.argmax(axis=axis))

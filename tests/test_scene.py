@@ -514,9 +514,10 @@ class TestLoaderOracle:
         key = mutate_one_value(doc, data, kind)
         expected = _outcome(reference_scene_from_doc, doc)
         got = _outcome(scene_from_doc, doc)
-        if key in ("gt_id", "object_id", "kind") and got != expected:
-            # the one rule the reference lacks: ids are JSON integers and
-            # kind is a string
+        if key in ("gt_id", "object_id", "kind", "frame_index", "width", "height") \
+                and got != expected:
+            # the one rule the reference lacks: ids, frame indices and image
+            # sizes are JSON integers and kind is a string
             assert got[0] is SchemaError and f"{key} must be" in got[1], (expected, got)
         else:
             assert got == expected
