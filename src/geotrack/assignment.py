@@ -34,7 +34,6 @@ class AssignmentResult:
     matches: list = field(default_factory=list)  # (track_index, detection_index)
     unmatched_tracks: list = field(default_factory=list)
     unmatched_detections: list = field(default_factory=list)
-    total_score: float = 0.0
 
 
 def _total(score, assign):
@@ -134,7 +133,7 @@ def hungarian(score):
         cols = np.concatenate([np.arange(n), n + rows])
         sub_col4row, _ = solve_max(score[np.ix_(rows, cols)])
         col4row[rows] = cols[sub_col4row]
-    result = AssignmentResult(total_score=_total(score, col4row))
+    result = AssignmentResult()
     taken = set()
     for i in range(m):
         j = int(col4row[i])

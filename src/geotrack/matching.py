@@ -5,7 +5,7 @@ the geometry part is ``(T_x, T_y, T_z, R_x, R_y, 0)`` in the reference
 camera frame followed by the pooled embedding G. A per-pair 6-layer MLP
 (the 1x1-convolution similarity estimator: each pair is scored from its own
 two descriptors only) maps every concatenated descriptor pair to a
-similarity. Entering/leaving objects are handled by augmenting the score
+similarity logit. Entering/leaving objects are handled by augmenting the score
 matrix with a basis value delta and normalizing per object, and training
 minimizes the symmetric cross-entropy of those normalized similarities,
 optionally jointly with the pose-regression loss.
@@ -26,10 +26,6 @@ reproduces bit for bit a loop over the detections: each row's reductions
 are those a single vector would get, and the pose head's weight gradients
 add up in detection order. With ``embed_dim`` > 0 every detection of a
 frame carries one feature map, all of one (H, W, embed_dim) shape.
-
-Scores feed the softmax in logit space by default (``score_space``);
-with similarities capped at 1 the documented basis value 8 would otherwise
-drown every real match.
 """
 
 import json
@@ -71,6 +67,21 @@ def _fits(value, default):
 # memory, so they are usage errors rather than runs that never end.
 MAX_COUNT = 1_000_000
 
+# Ceiling on the float64 values one array that a configuration implies may
+# hold: an MLP layer's weights, or one detection's appearance vector or
+# feature map (80 MB). Past it the array would exhaust memory, so the
+# configuration is a usage error.
+MAX_ARRAY_VALUES = 10_000_000
+
+
+def check_array_size(name, values):
+    """ConfigError naming ``name`` when an implied array of ``values``
+    float64 entries would pass ``MAX_ARRAY_VALUES``."""
+    if values > MAX_ARRAY_VALUES:
+        raise ConfigError(f"{name} implies an array of {values} values; "
+                          f"the limit is {MAX_ARRAY_VALUES}")
+
+
 # Tuple fields of free length (layer widths); any other tuple default, such
 # as a (min, max) range or an (x, y) scale, fixes its field's length.
 _VARIABLE_LENGTH = ("scorer_hidden", "pose_hidden")
@@ -110,7 +121,8 @@ class MatcherConfig:
     scorer_hidden: tuple = (64, 48, 32, 24, 16)  # 5 hidden + output = 6 layers
     pose_hidden: tuple = (32, 16)
     use_pose_head: bool = False
-    score_space: str = "logit"  # "logit" | "probability"
+    # the one score space; kept because checkpoints store every field
+    score_space: str = "logit"
     softmax_axis: str = "per-object"  # "per-object" | "literal"
     pooling: str = "mean"  # "mean" | "weighted"
     learning_rate: float = 0.01
@@ -134,19 +146,30 @@ class MatcherConfig:
             raise ConfigError("delta must be finite")
         if not 0 <= self.lam < math.inf:  # NaN fails too
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.score_space not in ("logit", "probability"):
-            raise ConfigError(f"unknown score_space {self.score_space!r}")
+        if self.score_space != "logit":
+            raise ConfigError(f"score_space must be 'logit', got {self.score_space!r}")
         if self.softmax_axis not in ("per-object", "literal"):
             raise ConfigError(f"unknown softmax_axis {self.softmax_axis!r}")
         if self.pooling not in ("mean", "weighted"):
             raise ConfigError(f"unknown pooling {self.pooling!r}")
         # written so that NaN fails each check
         for name, value, low in (("epochs", self.epochs, 1), ("seed", self.seed, 0),
+                                 ("appearance_dim", self.appearance_dim, 1),
                                  ("embed_dim", self.embed_dim, 0),
                                  *(("scorer_hidden", w, 1) for w in self.scorer_hidden),
                                  *(("pose_hidden", w, 1) for w in self.pose_hidden)):
             if not value >= low:
                 raise ConfigError(f"{name} must be >= {low}, got {value}")
+        for name in ("learning_rate", "pose_lr_scale", "weight_decay", "beta", "lr_decay",
+                     "grad_clip"):  # grad_clip 0: no clipping
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        for name, value in (*(("center_scale", v) for v in self.center_scale),
+                            ("depth_scale", self.depth_scale)):
+            if not value > 0:
+                raise ConfigError(f"{name} must be > 0, got {value}")
         pretrain = self.pose_pretrain_epochs
         if pretrain is not None and not pretrain >= 0:
             raise ConfigError(f"pose_pretrain_epochs must be >= 0, got {pretrain}")
@@ -155,6 +178,15 @@ class MatcherConfig:
                 raise ConfigError(f"{name} must be <= {MAX_COUNT}, got {value}")
         if self.use_pose_head and self.embed_dim < 1:
             raise ConfigError("use_pose_head requires embed_dim >= 1")
+        # appearance_dim and embed_dim size the scorer's first layer, so the
+        # layer checks bound them too
+        mlps = [("scorer", [2 * self.descriptor_dim, *self.scorer_hidden, 1])]
+        if self.use_pose_head:
+            mlps.append(("pose head", [self.embed_dim, *self.pose_hidden, 5]))
+        for group, sizes in mlps:
+            for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+                check_array_size(f"{group} layer {i} ({fan_in} x {fan_out})",
+                                 fan_in * fan_out)
 
     @property
     def descriptor_dim(self):
@@ -167,9 +199,8 @@ class MatcherConfig:
 
 @dataclass
 class SimilarityBundle:
-    """Raw, augmented, normalized, and fused similarities of a frame pair."""
+    """Normalized and fused similarities of a frame pair, from its logits."""
 
-    S: np.ndarray  # (rows, cols) similarities in [0, 1]
     S1n: np.ndarray  # (rows, cols+1): normalized, appended null column
     S2n: np.ndarray  # (rows+1, cols): normalized, appended null row
     fused: np.ndarray  # (rows+1, cols+1) inference similarity
@@ -269,19 +300,16 @@ def build_pair_tensor(features_a, features_b):
 # --- scoring -----------------------------------------------------------------------
 
 
-def score_pair_logits(pair_tensor, scorer, input_scale=None, input_shift=None,
-                      cache=None):
+def score_pair_logits(pair_tensor, scorer, input_scale, input_shift, cache=None):
     pair_tensor = np.asarray(pair_tensor, dtype=np.float64)
     n_a, n_b, d2 = pair_tensor.shape
     x = pair_tensor.reshape(n_a * n_b, d2)
-    if input_shift is not None:
-        if 2 * input_shift.shape[0] != d2:
-            raise ShapeMismatchError("input shift does not match pair width")
-        x = x - np.concatenate([input_shift, input_shift])
-    if input_scale is not None:
-        if 2 * input_scale.shape[0] != d2:
-            raise ShapeMismatchError("input scale does not match pair width")
-        x = x * np.concatenate([input_scale, input_scale])
+    if 2 * input_shift.shape[0] != d2:
+        raise ShapeMismatchError("input shift does not match pair width")
+    x = x - np.concatenate([input_shift, input_shift])
+    if 2 * input_scale.shape[0] != d2:
+        raise ShapeMismatchError("input scale does not match pair width")
+    x = x * np.concatenate([input_scale, input_scale])
     logits = mlp_forward(scorer, x, cache=cache)
     if logits.shape[1] != 1:
         raise ShapeMismatchError("pair scorer must produce one output per pair")
@@ -305,14 +333,12 @@ def _softmax_cols_plain(block):
     return e / e.sum(axis=0, keepdims=True)
 
 
-def augment_normalize(S, delta, softmax_axis="per-object", base=None):
-    """Append the null column/row at ``delta`` and normalize.
+def augment_normalize(B, delta, softmax_axis="per-object"):
+    """Append the null column/row at ``delta`` to the scorer logits ``B``
+    and normalize.
 
-    S1 = [base | delta] gains a null column and S2 = [base ; delta] a null
-    row; the bundle keeps their normalized forms S1n and S2n.
-    ``S`` holds the [0, 1] similarities; ``base`` (default ``S``) is the
-    matrix actually augmented and normalized, which lets callers feed raw
-    scorer logits instead.
+    S1 = [B | delta] gains a null column and S2 = [B ; delta] a null row;
+    the bundle keeps their normalized forms S1n and S2n.
 
     The default axis normalizes each object's candidate set — rows of S1
     and columns of S2 — so every row of S1n and column of S2n is a
@@ -320,11 +346,8 @@ def augment_normalize(S, delta, softmax_axis="per-object", base=None):
     ``softmax_axis="literal"`` instead normalizes columns of S1 and rows
     of S2 (the appended constant-delta line then normalizes uniformly).
     """
-    S = np.asarray(S, dtype=np.float64)
-    rows, cols = S.shape
-    B = S if base is None else np.asarray(base, dtype=np.float64)
-    if B.shape != S.shape:
-        raise ShapeMismatchError("base matrix must match S")
+    B = np.asarray(B, dtype=np.float64)
+    rows, cols = B.shape
 
     if softmax_axis == "per-object":
         S1n = _softmax_rows_with_null(B, delta)
@@ -343,20 +366,19 @@ def augment_normalize(S, delta, softmax_axis="per-object", base=None):
     fused[:rows, :cols] = 0.5 * (S1n[:, :cols] + S2n[:rows, :])
     fused[:rows, cols] = S1n[:, cols]
     fused[rows, :cols] = S2n[rows, :]
-    return SimilarityBundle(S=S, S1n=S1n, S2n=S2n, fused=fused,
-                            softmax_axis=softmax_axis)
+    return SimilarityBundle(S1n=S1n, S2n=S2n, fused=fused, softmax_axis=softmax_axis)
 
 
 def loss_affinity(bundle, match, with_grad=False):
     """Symmetric matching cross-entropy (average of both directions).
 
-    ``match`` must be (rows+1, cols+1) for the bundle's (rows, cols) ``S``.
-    When ``with_grad`` is set, the gradient with respect to the augmented
-    base matrix (real block only) is returned alongside the loss. The
-    softmax-group structure recorded in the bundle determines the gradient
-    shape: the one-hot target couples all entries of its normalization group.
+    ``match`` must be (rows+1, cols+1) for a bundle of (rows, cols) logits.
+    When ``with_grad`` is set, the gradient with respect to the logits is
+    returned alongside the loss. The softmax-group structure recorded in
+    the bundle determines the gradient shape: the one-hot target couples
+    all entries of its normalization group.
     """
-    n1, n2 = bundle.S.shape
+    n1, n2 = bundle.S1n.shape[0], bundle.S2n.shape[1]
     if match.shape != (n1 + 1, n2 + 1):
         raise ShapeMismatchError(
             f"match matrix {match.shape} does not fit real counts ({n1}, {n2})"
@@ -546,7 +568,7 @@ def _backward_side(tape, d_geometry, pose_weight, params, grads):
         # row by row: the weight gradients then add up in detection order
         d_head_in = np.empty_like(d_emb)
         for i, row in enumerate(d_out):
-            cache = [(h[i:i + 1], z[i:i + 1], y[i:i + 1]) for h, z, y in tape.head_cache]
+            cache = [(h[i:i + 1], z[i:i + 1]) for h, z in tape.head_cache]
             head_grads, d_head_in[i] = mlp_backward(params.pose_head, cache, row)
             _add_layer_grads(grads, "pose_head", head_grads)
         d_emb = d_emb + d_head_in * params.head_scale
@@ -614,9 +636,7 @@ def _score(feats_a, feats_b, params, cache=None):
         build_pair_tensor(feats_a, feats_b), params.scorer,
         params.input_scale, params.input_shift, cache=cache,
     )
-    S = numerics._sigmoid(logits)
-    base = logits if cfg.score_space == "logit" else S
-    return augment_normalize(S, cfg.delta, softmax_axis=cfg.softmax_axis, base=base)
+    return augment_normalize(logits, cfg.delta, softmax_axis=cfg.softmax_axis)
 
 
 def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):
@@ -656,7 +676,7 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):
     else:
         cache = []
         bundle = _score(feats_a, feats_b, params, cache)
-        affinity, d_base = loss_affinity(bundle, sample.match, with_grad=True)
+        affinity, d_logits = loss_affinity(bundle, sample.match, with_grad=True)
         out = {"affinity": affinity, "pose_losses": pose_losses,
                "joint": affinity + cfg.lam * mean_pose, "bundle": bundle}
         pose_weight = cfg.lam
@@ -667,8 +687,6 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):
     upstream = _upstream_trains(grads)
     scored = not pose_only and n1 > 0 and n2 > 0
     if scored:
-        S = bundle.S
-        d_logits = d_base if cfg.score_space == "logit" else d_base * S * (1.0 - S)
         scorer_grads, d_x = mlp_backward(
             params.scorer, cache, d_logits.reshape(n1 * n2, 1), input_grad=upstream
         )
@@ -714,7 +732,10 @@ def _input_statistics(samples, params):
 
 def _set_standardization(params, stats):
     """Freeze the standardization vectors from ``_input_statistics``'s
-    stacked rows and column statistics."""
+    stacked rows and column statistics: the scorer's (x - shift) * scale
+    puts meter-scale geometry and unit-scale appearance on comparable
+    footing, and a pose head's embedding input is whitened the same way.
+    All four vectors ride along in the checkpoint."""
     if stats is None:
         return
     block, shift, std = stats
@@ -724,20 +745,6 @@ def _set_standardization(params, stats):
         emb = block[:, GEOMETRY_PREFIX:GEOMETRY_PREFIX + params.config.embed_dim]
         params.head_shift = emb.mean(axis=0)
         params.head_scale = 1.0 / np.clip(emb.std(axis=0), 1e-3, None)
-
-
-def fit_input_standardization(samples, params):
-    """Freeze input standardization from the dataset at initialization.
-
-    Sets the scorer's (x - shift) * scale vectors so meter-scale geometry
-    and unit-scale appearance start on comparable footing, and — when the
-    pose head is enabled — whitens the head's embedding input the same
-    way. All four vectors ride along in the checkpoint. Detection values
-    whose descriptors or statistics leave the float range are bad data
-    (SchemaError).
-    """
-    _set_standardization(params, _input_statistics(samples, params)[1])
-    return params
 
 
 @dataclass
@@ -877,7 +884,7 @@ def pair_accuracy(samples, params, rows=None):
         correct += np.count_nonzero(
             fused[:, :n2].argmax(axis=0) == match[:, :n2].argmax(axis=0))
         total += n1 + n2
-    return correct / total if total else 0.0
+    return float(correct / total) if total else 0.0
 
 
 # --- inference wrapper ---------------------------------------------------------------------

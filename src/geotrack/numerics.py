@@ -73,20 +73,10 @@ def _relu(z):
     return np.maximum(z, 0.0)
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
+# activation -> (function, derivative), both of the pre-activation z
 _ACTS = {
-    "linear": (lambda z: z, lambda z, y: np.ones_like(z)),
-    "relu": (_relu, lambda z, y: (z > 0).astype(np.float64)),
-    "tanh": (np.tanh, lambda z, y: 1.0 - y * y),
-    "sigmoid": (_sigmoid, lambda z, y: y * (1.0 - y)),
+    "linear": (lambda z: z, lambda z: np.ones_like(z)),
+    "relu": (_relu, lambda z: (z > 0).astype(np.float64)),
 }
 
 
@@ -162,7 +152,7 @@ def mlp_forward(layers, x, cache=None):
     batched and row-at-a-time calls agree exactly. Which product gives that:
 
     - With ``cache`` a list (training), it is filled with the per-layer
-      inputs and activations needed by mlp_backward, and every layer
+      inputs and pre-activations needed by mlp_backward, and every layer
       multiplies through einsum, which reduces each row in a fixed order.
     - Without it (inference: the tracker's pair scorer), each layer whose
       width is a multiple of ``GEMM_WIDTH_STEP`` multiplies through BLAS
@@ -182,10 +172,9 @@ def mlp_forward(layers, x, cache=None):
     taped = cache is not None
     for layer in layers:
         z = _layer_product(h, layer.w, taped) + layer.b
-        y = _ACTS[layer.act][0](z)
         if taped:
-            cache.append((h, z, y))
-        h = y
+            cache.append((h, z))
+        h = _ACTS[layer.act][0](z)
     return h[0] if single else h
 
 
@@ -201,9 +190,9 @@ def mlp_backward(layers, cache, upstream, input_grad=True):
     grad = upstream.reshape(1, -1) if single else upstream
     grads = [None] * len(layers)
     for idx in range(len(layers) - 1, -1, -1):
-        h, z, y = cache[idx]
+        h, z = cache[idx]
         layer = layers[idx]
-        dz = grad * _ACTS[layer.act][1](z, y)
+        dz = grad * _ACTS[layer.act][1](z)
         grads[idx] = (h.T @ dz, dz.sum(axis=0))
         if idx == 0 and not input_grad:
             return grads, None

@@ -29,7 +29,13 @@ from .geometry import (
     world_to_camera,
     yaw_rot2,
 )
-from .matching import MAX_COUNT, DetectionFeatures, PairSample, config_from_dict
+from .matching import (
+    MAX_COUNT,
+    DetectionFeatures,
+    PairSample,
+    check_array_size,
+    config_from_dict,
+)
 from .scene import (
     DEFAULT_CAPACITY,
     Detection,
@@ -103,9 +109,15 @@ class SimConfig:
         for name in ("frame_rate", "focal", "visibility_max_range"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")
-        for name in ("image_width", "image_height", "capacity"):
+        for name in ("image_width", "image_height", "capacity", "appearance_dim",
+                     "embed_dim"):
             if not getattr(self, name) >= 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if not min(self.feature_map_size) >= 1:
+            raise ConfigError(f"feature_map_size must be >= 1, got {self.feature_map_size}")
+        check_array_size("appearance_dim", self.appearance_dim)
+        h, w = self.feature_map_size
+        check_array_size(f"feature map {h} x {w} x {self.embed_dim}", h * w * self.embed_dim)
         if not self.seed >= 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 

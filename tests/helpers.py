@@ -1,12 +1,14 @@
 """Reference code that only the tests use: a finite-difference gradient
-check, the pose-by-pose reference-frame transform, and a document mutator
-for the data-contract fuzz tests."""
+check, input standardization fitted outside a training run, the
+pose-by-pose reference-frame transform, and a document mutator for the
+data-contract fuzz tests."""
 
 from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
+from geotrack import matching
 from geotrack.errors import ShapeMismatchError
 from geotrack.geometry import REFERENCE, camera_to_world, world_to_camera
 
@@ -63,6 +65,16 @@ def grad_check(f, params, tolerance=1e-4, step=1e-5):
     return GradCheckReport(
         max_error=worst[1], worst_param=worst[0], tolerance=tolerance, errors=errors
     )
+
+
+# --- input standardization -----------------------------------------------------------
+
+
+def fit_input_standardization(samples, params):
+    """Freeze ``params``' input standardization from ``samples`` as a fresh
+    ``train_matcher`` run does before its first epoch; returns ``params``."""
+    matching._set_standardization(params, matching._input_statistics(samples, params)[1])
+    return params
 
 
 # --- frame transforms ----------------------------------------------------------------

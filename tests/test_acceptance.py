@@ -29,7 +29,6 @@ from geotrack.geometry import (
 from geotrack.matching import (
     Matcher,
     MatcherConfig,
-    fit_input_standardization,
     forward_pair,
     init_matcher_params,
     pair_accuracy,
@@ -49,7 +48,7 @@ from geotrack.scene import (
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset, \
     world_objects
 from geotrack.tracker import finalize, track_scene
-from helpers import grad_check, to_reference_frame
+from helpers import fit_input_standardization, grad_check, to_reference_frame
 
 APPEARANCE_DIM = 16
 

@@ -93,11 +93,11 @@ def partition_from_solve_max(score):
     """What ``hungarian`` must return: ``solve_max`` on the whole matrix."""
     m = score.shape[0]
     n = score.shape[1] - m
-    col4row, total = solve_max(score)
+    col4row, _ = solve_max(score)
     matches = [(i, int(j)) for i, j in enumerate(col4row) if j < n]
     taken = {j for _, j in matches}
     unmatched = [i for i, j in enumerate(col4row) if j >= n]
-    return matches, unmatched, [j for j in range(n) if j not in taken], total
+    return matches, unmatched, [j for j in range(n) if j not in taken]
 
 
 class TestHungarian:
@@ -121,7 +121,6 @@ class TestHungarian:
         score[0, 2] = score[1, 3] = 0.01
         result = hungarian(score)
         assert sorted(result.matches) == [(0, 1), (1, 0)]
-        assert result.total_score == 4.0
 
     def test_null_only_matrix(self):
         score = np.full((2, 2), -np.inf)
@@ -169,8 +168,7 @@ class TestHungarian:
                 hungarian(score)
             return
         result = hungarian(score)
-        got = (result.matches, result.unmatched_tracks, result.unmatched_detections,
-               result.total_score)
+        got = (result.matches, result.unmatched_tracks, result.unmatched_detections)
         assert got == expected
 
     def test_bad_entry_in_a_null_row_still_raises(self):

@@ -126,6 +126,11 @@ class TestSimulate:
         ({"image_height": 0}, "image_height"),
         ({"visibility_max_range": 0}, "visibility_max_range"),
         ({"capacity": 0}, "capacity"),
+        ({"appearance_dim": -1}, "appearance_dim"),
+        ({"appearance_dim": 10 ** 12}, "appearance_dim"),
+        ({"feature_map_size": [-1, 3], "emit_feature_maps": True}, "feature_map_size"),
+        ({"embed_dim": -2, "emit_feature_maps": True}, "embed_dim"),
+        ({"embed_dim": 10 ** 9, "emit_feature_maps": True}, "feature map"),
     ])
     def test_out_of_range_config_exits_2(self, tmp_path, doc, named):
         config = tmp_path / "bad.json"
@@ -155,6 +160,12 @@ class TestTrain:
         assert len(lines) == 13
         losses = [float(row.split(",")[1]) for row in lines[1:]]
         assert losses[-1] < losses[0]
+
+    def test_metrics_fields_are_plain_numbers(self, pipeline):
+        # a numpy scalar's repr (np.float64(0.5)) would not parse
+        lines = (pipeline["model"] / "metrics.csv").read_text().strip().splitlines()
+        for row in lines[1:]:
+            assert [float(field) for field in row.split(",")]
 
     def test_resume_continues_epochs(self, pipeline, tmp_path):
         out = tmp_path / "resumed"
@@ -372,6 +383,16 @@ class TestTrackEvaluatePlot:
                                           lambda doc: doc["config"].update(bogus=1))
         assert r.returncode == 3, r.stderr
         assert "bogus" in r.stderr
+
+    @pytest.mark.parametrize("named, mutate", [
+        ("score_space", lambda doc: doc["config"].update(score_space="probability")),
+        ("scorer[0].act", lambda doc: doc["scorer"][0].update(act="tanh")),
+    ])
+    def test_retired_checkpoint_value_exits_3(self, pipeline, tracked, tmp_path, named,
+                                              mutate):
+        r = self.track_mutated_checkpoint(pipeline, tracked, tmp_path, mutate)
+        assert r.returncode == 3, r.stderr
+        assert named in r.stderr
 
     @pytest.mark.parametrize("field, where", [
         ("input_scale", lambda doc: doc["input_scale"]),
@@ -906,6 +927,28 @@ class TestUsageErrors:
          "lam"),
         (["train", "--dataset", "{pairs}", "--resume", "{checkpoint}", "--lambda=inf"],
          "lam"),
+        (["train", "--dataset", "{pairs}", "--config", 'config={"score_space": "probability"}'],
+         "score_space"),
+        *((["train", "--dataset", "{pairs}", "--config", f"config={json.dumps(doc)}"], named)
+          for doc, named in (
+              ({"appearance_dim": -20}, "appearance_dim"),
+              ({"appearance_dim": -1}, "appearance_dim"),
+              ({"appearance_dim": 0}, "appearance_dim"),
+              ({"appearance_dim": 10 ** 12}, "scorer layer 0"),
+              ({"scorer_hidden": [10 ** 9]}, "scorer layer 0"),
+              ({"use_pose_head": True, "embed_dim": 4, "pose_hidden": [10 ** 9]},
+               "pose head layer 0"),
+              ({"learning_rate": -0.01}, "learning_rate"),
+              ({"pose_lr_scale": -1e-3}, "pose_lr_scale"),
+              ({"weight_decay": -1.0}, "weight_decay"),
+              ({"beta": -0.1}, "beta"),
+              ({"lr_decay": -0.5}, "lr_decay"),
+              ({"grad_clip": -10}, "grad_clip"),
+              ({"momentum": 1.0}, "momentum"),
+              ({"momentum": -0.1}, "momentum"),
+              ({"center_scale": [0, 900]}, "center_scale"),
+              ({"depth_scale": 0}, "depth_scale"),
+          )),
     ])
     def test_out_of_range_configuration_exits_2(self, pipeline, tracked, tmp_path,
                                                 capsys, case, named):
@@ -993,3 +1036,49 @@ class TestNumericFlags:
             code = exc.code
         assert code in (0, 2), (command, flag, value)
         assert code == 0 or not out.exists(), (command, flag, value)
+
+
+# --- exit codes over the configuration files' dimension fields ---------------------
+
+DIMENSION_FIELDS = {
+    "simulate": (SimConfig, ("appearance_dim", "embed_dim", "feature_map_size")),
+    "train": (MatcherConfig, ("appearance_dim", "embed_dim", "scorer_hidden",
+                              "pose_hidden")),
+}
+
+
+class TestConfigDimensions:
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_dimension_field_exits_0_or_2(self, flag_inputs, data):
+        """One dimension of a ``simulate`` (feature maps on) or ``train``
+        configuration file is 0, negative, huge, NaN or +-inf, everything
+        else valid: the run succeeds or is refused as a usage error before
+        ``--out`` exists, never a traceback or a data error."""
+        root, commands = flag_inputs
+        command = data.draw(st.sampled_from(sorted(DIMENSION_FIELDS)))
+        cls, names = DIMENSION_FIELDS[command]
+        name = data.draw(st.sampled_from(names))
+        argv, _ = commands[command]
+        config_at = argv.index("--config") + 1
+        doc = json.loads(Path(argv[config_at]).read_text())
+        if command == "simulate":
+            doc["emit_feature_maps"] = True
+        kind = data.draw(st.sampled_from(["0", "negative", "huge", "nan", "inf", "-inf"]))
+        value = {"0": 0, "nan": float("nan"), "inf": float("inf"),
+                 "-inf": float("-inf"),
+                 "negative": data.draw(st.integers(-10 ** 30, -1)),
+                 "huge": data.draw(st.integers(10 ** 9, 10 ** 30))}[kind]
+        current = getattr(cls.from_dict(doc), name)
+        if isinstance(current, tuple):
+            widths = list(current)
+            widths[data.draw(st.integers(0, len(widths) - 1))] = value
+            value = widths
+        doc[name] = value
+        n = len(list(root.iterdir()))
+        config, out = root / f"config-{n}.json", root / f"out-{n}"
+        config.write_text(json.dumps(doc))
+        args = [*argv[:config_at], config, *argv[config_at + 1:], "--out", out]
+        code = cli.main([str(a) for a in args])
+        assert code in (0, 2), (command, name, value)
+        assert code == 0 or not out.exists(), (command, name, value)

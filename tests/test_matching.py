@@ -27,13 +27,13 @@ from geotrack.matching import (
     PairSample,
     augment_normalize,
     build_pair_tensor,
-    fit_input_standardization,
     forward_pair,
     init_matcher_params,
     loss_affinity,
     pair_accuracy,
     params_from_doc,
     params_to_doc,
+    score_pair_logits,
     train_matcher,
     _describe,
     _named_arrays,
@@ -41,7 +41,7 @@ from geotrack.matching import (
 )
 from geotrack.numerics import _logcosh, mlp_backward, mlp_forward
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
-from helpers import grad_check
+from helpers import fit_input_standardization, grad_check
 
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
                      width=1600, height=900)
@@ -164,30 +164,23 @@ class TestPairTensor:
 class TestScorePairs:
     def test_locality_bit_identical(self, rng):
         # the 1x1 property: moving one descriptor only changes its row
-        matcher = scoring_matcher(rng)
+        params = scoring_matcher(rng).params
+
+        def logits(fa, fb):
+            return score_pair_logits(build_pair_tensor(fa, fb), params.scorer,
+                                     params.input_scale, params.input_shift)
+
         fa = rng.normal(size=(4, 8))
         fb = rng.normal(size=(4, 8))
-        base = matcher.bundle(fa, fb).S
+        base = logits(fa, fb)
         fa2 = fa.copy()
         fa2[2] += 0.5
-        moved = matcher.bundle(fa2, fb).S
+        moved = logits(fa2, fb)
         for i in range(4):
             for j in range(4):
                 if i == 2:
                     continue
                 assert moved[i, j] == base[i, j]
-
-    def test_values_in_open_unit_interval(self, rng):
-        matcher = scoring_matcher(rng)
-        out = matcher.bundle(rng.normal(size=(3, 8)), rng.normal(size=(3, 8))).S
-        assert ((out > 0) & (out < 1)).all()
-
-    def test_zero_final_weights_give_sigmoid_bias(self, rng):
-        matcher = scoring_matcher(rng)
-        matcher.params.scorer[-1].w[:] = 0.0
-        matcher.params.scorer[-1].b[:] = 0.3
-        out = matcher.bundle(rng.normal(size=(2, 8)), rng.normal(size=(3, 8))).S
-        np.testing.assert_allclose(out, 1.0 / (1.0 + math.exp(-0.3)))
 
 
 class TestAugmentNormalize:
@@ -221,14 +214,6 @@ class TestAugmentNormalize:
         )
         np.testing.assert_allclose(bundle.fused[:3, 3], bundle.S1n[:, 3])
         np.testing.assert_allclose(bundle.fused[3, :3], bundle.S2n[3, :])
-
-    def test_base_separate_from_similarities(self, rng):
-        logits = rng.normal(size=(2, 2))
-        sims = 1.0 / (1.0 + np.exp(-logits))
-        bundle = augment_normalize(sims, 8.0, base=logits)
-        np.testing.assert_array_equal(bundle.S, sims)
-        np.testing.assert_array_equal(bundle.S1n, augment_normalize(logits, 8.0).S1n)
-        assert not np.array_equal(bundle.S1n, augment_normalize(sims, 8.0).S1n)
 
     def test_literal_axis_normalizes_columns_of_s1(self, rng):
         base = rng.normal(size=(3, 3))
@@ -554,8 +539,8 @@ class TestPerSideIntrinsics:
         np.testing.assert_array_equal(params.input_shift,
                                       np.concatenate([rows_a, rows_b]).mean(axis=0))
         # ... and the training pair scores exactly what tracking scores
-        np.testing.assert_array_equal(forward_pair(sample, params)["bundle"].S,
-                                      matcher.bundle(rows_a, rows_b).S)
+        np.testing.assert_array_equal(forward_pair(sample, params)["bundle"].fused,
+                                      matcher.bundle(rows_a, rows_b).fused)
 
     def test_pose_head_gradients(self):
         _, sample = self.two_frame_sample(emit_maps=True)
@@ -594,7 +579,7 @@ class TestAccuracyMetrics:
         for sample in samples:
             res = forward_pair(sample, trained_matcher.params)
             bundle = res["bundle"]
-            n1, n2 = bundle.S.shape
+            n1, n2 = len(sample.a), len(sample.b)
             if n1 == 0 or n2 == 0:
                 continue
             for i in range(n1):
@@ -742,11 +727,9 @@ def _ref_forward_pair(sample, params, pose_only=False):
     else:
         cache = []
         bundle = _score(feats_a, feats_b, params, cache)
-        affinity, d_base = loss_affinity(bundle, sample.match, with_grad=True)
+        affinity, d_logits = loss_affinity(bundle, sample.match, with_grad=True)
         joint, pose_weight = affinity + cfg.lam * mean_pose, cfg.lam
         if n1 and n2:
-            S = bundle.S
-            d_logits = d_base if cfg.score_space == "logit" else d_base * S * (1.0 - S)
             scorer_grads, d_x = mlp_backward(params.scorer, cache,
                                              d_logits.reshape(n1 * n2, 1))
             for i, (dw, db) in enumerate(scorer_grads):

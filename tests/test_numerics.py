@@ -243,7 +243,7 @@ class TestMlp:
         np.testing.assert_allclose(dx, layers[0].w @ upstream)
 
     def test_skipped_input_gradient_keeps_weight_gradients(self, rng):
-        layers = init_mlp([4, 6, 5, 1], ["tanh", "relu", "linear"], rng)
+        layers = init_mlp([4, 6, 5, 1], ["relu", "relu", "linear"], rng)
         cache = []
         out = mlp_forward(layers, rng.normal(size=(3, 4)), cache=cache)
         full, dx = mlp_backward(layers, cache, 2.0 * out)
@@ -254,7 +254,7 @@ class TestMlp:
             np.testing.assert_array_equal(b, b2)
 
     def test_three_layer_fd(self, rng):
-        layers = init_mlp([4, 6, 5, 1], ["tanh", "relu", "linear"], rng)
+        layers = init_mlp([4, 6, 5, 1], ["relu", "relu", "linear"], rng)
         x = rng.normal(size=(3, 4))
 
         def f(params):
@@ -277,7 +277,7 @@ class TestMlp:
         assert report.passed, report.errors
 
     def test_batch_consistency_bitwise(self, rng):
-        layers = init_mlp([5, 8, 3], ["relu", "sigmoid"], rng)
+        layers = init_mlp([5, 8, 3], ["relu", "linear"], rng)
         x = rng.normal(size=(10, 5))
         batched = mlp_forward(layers, x)
         for i in range(10):

@@ -301,7 +301,6 @@ class TestEmptyFrame:
         assignment, entries = step(state, replace(frame, frame_index=4, detections=[]))
         assert assignment.matches == [] and assignment.unmatched_detections == []
         assert assignment.unmatched_tracks == [0, 1]
-        assert assignment.total_score == 0.0
         assert entries == []
         assert [t.instances for t in state.tracks] == buffers
         assert [t.observation_count for t in state.tracks] == [2, 2]
