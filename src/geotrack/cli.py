@@ -233,14 +233,14 @@ def _load_dataset(index_path, capacity):
 def cmd_train(args):
     started = time.time()
     overrides = {key: value for key, value in (
-        ("seed", args.seed), ("epochs", args.epochs), ("lam", args.lam),
-        ("softmax_axis", args.softmax_axis)) if value is not None}
+        ("seed", args.seed), ("epochs", args.epochs), ("lam", args.lam))
+        if value is not None}
     if args.resume:
         if args.config:
             raise ConfigError("--config cannot be combined with --resume: "
                               "the checkpoint fixes the configuration")
         params = load_checkpoint(args.resume)
-        # The resumed forward pass reads params.config (lam, softmax_axis).
+        # The resumed forward pass reads lam from params.config.
         params.config = config = replace(params.config, **overrides)
     else:
         params = None
@@ -275,19 +275,14 @@ def cmd_track(args):
         raise ConfigError(f"--min-instances must be >= 1, got {args.min_instances}")
     params = load_checkpoint(args.checkpoint)
     scene = load_scene(args.scene, params.config.capacity)
-    state, entries = track_scene(
-        scene, Matcher(params), aggregate=args.aggregate,
-        score_threshold=args.score_threshold,
-    )
+    state, entries = track_scene(scene, Matcher(params))
     out = _out_dir(args)
     hyp_path = out / f"{scene.scene_id}.hyp.txt"
     write_mot(entries, hyp_path)
     geo_path = out / f"{scene.scene_id}.geo.json"
     report = geolocation_report(state, min_instances=args.min_instances)
     atomic_write_text(geo_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
-    _write_manifest(out, "track", {"aggregate": args.aggregate,
-                                   "min_instances": args.min_instances,
-                                   "score_threshold": args.score_threshold},
+    _write_manifest(out, "track", {"min_instances": args.min_instances},
                     args.seed, [args.scene, args.checkpoint],
                     [hyp_path, geo_path], started)
     print(f"tracked {len(scene.frames)} frame(s); "
@@ -443,9 +438,6 @@ def build_parser():
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="pose-loss weight (0 disables the pose contribution)")
-    p.add_argument("--softmax-axis", dest="softmax_axis",
-                   choices=("per-object", "literal"), default=None,
-                   help="null-augmented normalization axis")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
 
@@ -453,10 +445,6 @@ def build_parser():
     p.add_argument("--scene", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--min-instances", dest="min_instances", type=int, default=2)
-    p.add_argument("--aggregate", choices=("median", "mean", "idw"),
-                   default="median")
-    p.add_argument("--score-threshold", dest="score_threshold", type=float,
-                   default=None)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("evaluate", parents=[common],

@@ -82,6 +82,10 @@ def check_array_size(name, values):
                           f"the limit is {MAX_ARRAY_VALUES}")
 
 
+# Bound on |delta|: the natural log of the largest float64. Past it the null
+# slot swamps or vanishes from every softmax, and the loss takes log 0.
+DELTA_BOUND = math.log(np.finfo(np.float64).max)
+
 # Tuple fields of free length (layer widths); any other tuple default, such
 # as a (min, max) range or an (x, y) scale, fixes its field's length.
 _VARIABLE_LENGTH = ("scorer_hidden", "pose_hidden")
@@ -112,7 +116,7 @@ def config_from_dict(cls, doc, what):
 @dataclass
 class MatcherConfig:
     capacity: int = 30  # N: maximum objects per frame
-    delta: float = 8.0  # basis value for the null column/row
+    delta: float = 8.0  # basis value for the null column/row, |delta| <= DELTA_BOUND
     lam: float = 0.005  # pose-loss weight in the joint loss
     beta: float = 0.1  # translation weight inside the pose loss
     n_max: int = 35  # maximum frame separation when sampling pairs
@@ -121,10 +125,11 @@ class MatcherConfig:
     scorer_hidden: tuple = (64, 48, 32, 24, 16)  # 5 hidden + output = 6 layers
     pose_hidden: tuple = (32, 16)
     use_pose_head: bool = False
-    # the one score space; kept because checkpoints store every field
+    # the one score space, normalization and pooling; each field accepts only
+    # its default and stays because checkpoints store every field
     score_space: str = "logit"
-    softmax_axis: str = "per-object"  # "per-object" | "literal"
-    pooling: str = "mean"  # "mean" | "weighted"
+    softmax_axis: str = "per-object"
+    pooling: str = "mean"
     learning_rate: float = 0.01
     lr_decay: float = 0.1  # multiplier applied after 2/3 of the epochs
     epochs: int = 60
@@ -142,16 +147,15 @@ class MatcherConfig:
     def __post_init__(self):
         if self.capacity < 1:
             raise ConfigError("capacity must be >= 1")
-        if not np.isfinite(self.delta):
-            raise ConfigError("delta must be finite")
+        if not abs(self.delta) <= DELTA_BOUND:  # NaN fails too
+            raise ConfigError(f"delta must lie in [-{DELTA_BOUND}, {DELTA_BOUND}], "
+                              f"got {self.delta}")
         if not 0 <= self.lam < math.inf:  # NaN fails too
             raise ConfigError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.score_space != "logit":
-            raise ConfigError(f"score_space must be 'logit', got {self.score_space!r}")
-        if self.softmax_axis not in ("per-object", "literal"):
-            raise ConfigError(f"unknown softmax_axis {self.softmax_axis!r}")
-        if self.pooling not in ("mean", "weighted"):
-            raise ConfigError(f"unknown pooling {self.pooling!r}")
+        for name, only in (("score_space", "logit"), ("softmax_axis", "per-object"),
+                           ("pooling", "mean")):
+            if getattr(self, name) != only:
+                raise ConfigError(f"{name} must be {only!r}, got {getattr(self, name)!r}")
         # written so that NaN fails each check
         for name, value, low in (("epochs", self.epochs, 1), ("seed", self.seed, 0),
                                  ("appearance_dim", self.appearance_dim, 1),
@@ -204,7 +208,6 @@ class SimilarityBundle:
     S1n: np.ndarray  # (rows, cols+1): normalized, appended null column
     S2n: np.ndarray  # (rows+1, cols): normalized, appended null row
     fused: np.ndarray  # (rows+1, cols+1) inference similarity
-    softmax_axis: str = "per-object"
 
 
 @dataclass
@@ -324,49 +327,25 @@ def _softmax_rows_with_null(block, delta):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _softmax_cols_plain(block):
-    """Softmax down each column over its rows (no null slot)."""
-    if block.size == 0:
-        return np.zeros(block.shape)
-    shifted = block - block.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=0, keepdims=True)
-
-
-def augment_normalize(B, delta, softmax_axis="per-object"):
+def augment_normalize(B, delta):
     """Append the null column/row at ``delta`` to the scorer logits ``B``
-    and normalize.
+    and normalize each object's candidate set (DAN, Sun et al., TPAMI 2019).
 
-    S1 = [B | delta] gains a null column and S2 = [B ; delta] a null row;
-    the bundle keeps their normalized forms S1n and S2n.
-
-    The default axis normalizes each object's candidate set — rows of S1
-    and columns of S2 — so every row of S1n and column of S2n is a
-    distribution over the other frame's objects plus the null option.
-    ``softmax_axis="literal"`` instead normalizes columns of S1 and rows
-    of S2 (the appended constant-delta line then normalizes uniformly).
+    S1 = [B | delta] gains a null column and S2 = [B ; delta] a null row.
+    The bundle keeps their normalized forms: every row of S1n and every
+    column of S2n is a softmax over the other frame's objects plus the
+    null option.
     """
     B = np.asarray(B, dtype=np.float64)
     rows, cols = B.shape
-
-    if softmax_axis == "per-object":
-        S1n = _softmax_rows_with_null(B, delta)
-        S2n = _softmax_rows_with_null(B.T, delta).T
-    else:
-        S1n = np.zeros((rows, cols + 1))
-        S1n[:, :cols] = _softmax_cols_plain(B)
-        if rows > 0:
-            S1n[:, cols] = 1.0 / rows
-        S2n = np.zeros((rows + 1, cols))
-        S2n[:rows, :] = _softmax_cols_plain(B.T).T
-        if cols > 0:
-            S2n[rows, :] = 1.0 / cols
+    S1n = _softmax_rows_with_null(B, delta)
+    S2n = _softmax_rows_with_null(B.T, delta).T
 
     fused = np.zeros((rows + 1, cols + 1))
     fused[:rows, :cols] = 0.5 * (S1n[:, :cols] + S2n[:rows, :])
     fused[:rows, cols] = S1n[:, cols]
     fused[rows, :cols] = S2n[rows, :]
-    return SimilarityBundle(S1n=S1n, S2n=S2n, fused=fused, softmax_axis=softmax_axis)
+    return SimilarityBundle(S1n=S1n, S2n=S2n, fused=fused)
 
 
 def loss_affinity(bundle, match, with_grad=False):
@@ -374,9 +353,10 @@ def loss_affinity(bundle, match, with_grad=False):
 
     ``match`` must be (rows+1, cols+1) for a bundle of (rows, cols) logits.
     When ``with_grad`` is set, the gradient with respect to the logits is
-    returned alongside the loss. The softmax-group structure recorded in
-    the bundle determines the gradient shape: the one-hot target couples
-    all entries of its normalization group.
+    returned alongside the loss. Each row of S1n and column of S2n is one
+    softmax group with target mass 1, so in each direction a logit's
+    gradient is its normalized similarity minus its target, over twice that
+    direction's number of groups.
     """
     n1, n2 = bundle.S1n.shape[0], bundle.S2n.shape[1]
     if match.shape != (n1 + 1, n2 + 1):
@@ -399,24 +379,14 @@ def loss_affinity(bundle, match, with_grad=False):
         with np.errstate(divide="ignore"):  # log 0 -> inf is the failure signal
             loss1 = -(m * np.log(np.where(m > 0, bundle.S1n, 1.0))).sum() / n1
         if with_grad:
-            if bundle.softmax_axis == "per-object":
-                # groups are rows of S1 (target mass per group is 1)
-                grad += (bundle.S1n[:, :n2] - m_block) / (2.0 * n1)
-            else:
-                # groups are columns of S1; the null column is constant
-                col_mass = m_block.sum(axis=0, keepdims=True)
-                grad += (bundle.S1n[:, :n2] * col_mass - m_block) / (2.0 * n1)
+            grad += (bundle.S1n[:, :n2] - m_block) / (2.0 * n1)
     loss2 = 0.0
     if n2 > 0:
         m = match[:, :n2].astype(np.float64)
         with np.errstate(divide="ignore"):
             loss2 = -(m * np.log(np.where(m > 0, bundle.S2n, 1.0))).sum() / n2
         if with_grad:
-            if bundle.softmax_axis == "per-object":
-                grad += (bundle.S2n[:n1] - m_block) / (2.0 * n2)
-            else:
-                row_mass = m_block.sum(axis=1, keepdims=True)
-                grad += (bundle.S2n[:n1] * row_mass - m_block) / (2.0 * n2)
+            grad += (bundle.S2n[:n1] - m_block) / (2.0 * n2)
     loss = float(0.5 * (loss1 + loss2))
     if with_grad:
         return loss, grad
@@ -481,9 +451,8 @@ def _describe(features_list, params, ego, ego_ref, intrinsics):
     embedding = np.zeros((k, cfg.embed_dim))
     if fmaps is not None:
         tape.attn = numerics.softmax_map(fmaps @ params.attention_w + params.attention_b[0])
-        embedding = np.einsum("kij,kije->ke", tape.attn, fmaps)
-        if cfg.pooling == "mean":
-            embedding = embedding / (fmaps.shape[1] * fmaps.shape[2])
+        embedding = np.einsum("kij,kije->ke", tape.attn, fmaps) \
+            / (fmaps.shape[1] * fmaps.shape[2])
 
     if cfg.use_pose_head:
         tape.head_cache = []
@@ -575,9 +544,7 @@ def _backward_side(tape, d_geometry, pose_weight, params, grads):
 
     if tape.fmaps is not None:
         fmaps, attn = tape.fmaps, tape.attn
-        d_attn = np.einsum("kije,ke->kij", fmaps, d_emb)
-        if cfg.pooling == "mean":
-            d_attn = d_attn / (fmaps.shape[1] * fmaps.shape[2])
+        d_attn = np.einsum("kije,ke->kij", fmaps, d_emb) / (fmaps.shape[1] * fmaps.shape[2])
         d_logits = attn * (d_attn - (attn * d_attn).sum(axis=(1, 2), keepdims=True))
         _add_rows(grads, "attention.w", np.einsum("kij,kije->ke", d_logits, fmaps))
         _add_rows(grads, "attention.b", d_logits.sum(axis=(1, 2))[:, None])
@@ -627,16 +594,15 @@ def _score(feats_a, feats_b, params, cache=None):
     When ``cache`` is a list it receives the scorer's forward pass for
     ``mlp_backward``.
     """
-    cfg = params.config
+    delta = params.config.delta
     n1, n2 = len(feats_a), len(feats_b)
     if n1 == 0 or n2 == 0:
-        return augment_normalize(np.zeros((n1, n2)), cfg.delta,
-                                 softmax_axis=cfg.softmax_axis)
+        return augment_normalize(np.zeros((n1, n2)), delta)
     logits = score_pair_logits(
         build_pair_tensor(feats_a, feats_b), params.scorer,
         params.input_scale, params.input_shift, cache=cache,
     )
-    return augment_normalize(logits, cfg.delta, softmax_axis=cfg.softmax_axis)
+    return augment_normalize(logits, delta)
 
 
 def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):

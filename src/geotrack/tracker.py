@@ -6,11 +6,12 @@ holds the best similarity between track i's buffered instances and
 detection j, and column n + i holds track i's null score (its mean
 probability of matching nothing). Tracks matched to their null column stay
 alive — the targets are static, so disappearing from view is expected.
-A track's 5D pose is aggregated in the reference frame from its instances'
-descriptors (geometry prefix: T ``[:3]``, R ``[3:5]``) when results are
-reported (``finalize``). A frame without detections has nothing to decide:
-every track stays unmatched, keeps its buffer, and nothing is scored or
-solved.
+A track's 5D pose is aggregated in the reference frame when results are
+reported (``finalize``): the per-component median of its buffered
+instances' poses, read from their descriptors (geometry prefix: T ``[:3]``,
+R ``[3:5]``), with the facing renormalized. A frame without detections has
+nothing to decide: every track stays unmatched, keeps its buffer, and
+nothing is scored or solved.
 """
 
 from dataclasses import dataclass, field
@@ -33,14 +34,14 @@ from .scene import MotEntry
 DEFAULT_BUFFER = 10
 DEFAULT_MIN_INSTANCES = 2
 
-AGGREGATORS = ("median", "mean", "idw")
-
 
 @dataclass
 class TrackInstance:
+    """One buffered sighting of a track: its frame and its descriptor as the
+    matcher saw it, whose prefix ``[:5]`` is its reference-frame pose."""
+
     frame_index: int
-    descriptor: np.ndarray  # as the matcher saw it; [:5] is its reference pose
-    depth: float  # observed T_z, used by inverse-depth weighting
+    descriptor: np.ndarray
 
 
 @dataclass
@@ -60,46 +61,30 @@ class GeolocatedObject:
 class TrackerState:
     """Mutable per-scene tracking state owned by a single caller."""
 
-    def __init__(self, matcher, ego_ref, buffer_size=DEFAULT_BUFFER,
-                 aggregate="median", score_threshold=None):
-        if aggregate not in AGGREGATORS:
-            raise SchemaError(f"unknown aggregation method {aggregate!r}")
+    def __init__(self, matcher, ego_ref, buffer_size=DEFAULT_BUFFER):
         if not buffer_size >= 1:
             raise ConfigError(f"buffer_size must be >= 1, got {buffer_size}")
-        if score_threshold is not None and not abs(score_threshold) < np.inf:
-            raise ConfigError(f"score_threshold must be finite, got {score_threshold}")
         self.matcher = matcher
         self.ego_ref = ego_ref
         self.buffer_size = buffer_size
-        self.aggregate_method = aggregate
-        self.score_threshold = score_threshold
         self.tracks = []
         self.last_frame_index = None
         self.next_track_id = 1
 
 
-def aggregate_pose(track, method="median"):
-    """Combine a track's buffered reference-frame poses, each read as T =
-    ``descriptor[:3]`` and R = normalized ``descriptor[3:5]``, into one Pose5D."""
+def aggregate_pose(track):
+    """Per-component median of a track's buffered reference-frame poses,
+    each read as T = ``descriptor[:3]`` and R = normalized
+    ``descriptor[3:5]``, as one Pose5D. The median facing is renormalized;
+    when it is zero (two opposite facings, say) the newest instance's is
+    taken."""
     if not track.instances:
         raise EmptyTrackError(f"track {track.track_id} has no instances")
     ts = np.array([inst.descriptor[:3] for inst in track.instances])
     rs = np.array([normalize_rotation(inst.descriptor[3:5]) for inst in track.instances])
-    if method == "median":
-        t = np.median(ts, axis=0)
-        r = np.median(rs, axis=0)
-    elif method == "mean":
-        t = ts.mean(axis=0)
-        r = rs.mean(axis=0)
-    elif method == "idw":
-        w = 1.0 / np.maximum([inst.depth for inst in track.instances], 1e-6)
-        w = w / w.sum()
-        t = (ts * w[:, None]).sum(axis=0)
-        r = (rs * w[:, None]).sum(axis=0)
-    else:
-        raise SchemaError(f"unknown aggregation method {method!r}")
+    t = np.median(ts, axis=0)
     try:
-        r = normalize_rotation(r)
+        r = normalize_rotation(np.median(rs, axis=0))
     except ZeroVectorError:
         r = rs[-1]
     return Pose5D(t, r, REFERENCE)
@@ -170,10 +155,6 @@ def step(state, frame):
     )
 
     scores = score_matrix(state.tracks, descriptors, state.matcher)
-    if state.score_threshold is not None and scores.size:
-        n = len(descriptors)
-        low = scores[:, :n] < state.score_threshold
-        scores[:, :n][low] = -np.inf
     assignment = hungarian(scores)
 
     # Spawned tracks get consecutive ids in unmatched-detection order.
@@ -192,9 +173,8 @@ def step(state, frame):
 
     entries = []
     for track, j in updates:
-        desc, det = descriptors[j], frame.detections[j]
-        depth = det.observation.T_z if det.observation is not None else float(desc[2])
-        track.instances.append(TrackInstance(frame.frame_index, desc, depth))
+        det = frame.detections[j]
+        track.instances.append(TrackInstance(frame.frame_index, descriptors[j]))
         if len(track.instances) > state.buffer_size:
             track.instances = track.instances[-state.buffer_size:]
         track.observation_count += 1
@@ -212,7 +192,7 @@ def finalize(state, min_instances=DEFAULT_MIN_INSTANCES):
     for track in state.tracks:
         if track.observation_count < min_instances:
             continue
-        pose_ref = aggregate_pose(track, state.aggregate_method)
+        pose_ref = aggregate_pose(track)
         world = camera_to_world(pose_ref.with_frame("camera"), state.ego_ref)
         out.append(
             GeolocatedObject(
@@ -224,14 +204,10 @@ def finalize(state, min_instances=DEFAULT_MIN_INSTANCES):
     return out
 
 
-def track_scene(scene, matcher, buffer_size=DEFAULT_BUFFER, aggregate="median",
-                score_threshold=None):
+def track_scene(scene, matcher, buffer_size=DEFAULT_BUFFER):
     """Run the tracker over a whole scene with a ``Matcher``; returns (state,
     mot entries)."""
-    state = TrackerState(
-        matcher, scene.reference_ego, buffer_size=buffer_size,
-        aggregate=aggregate, score_threshold=score_threshold,
-    )
+    state = TrackerState(matcher, scene.reference_ego, buffer_size=buffer_size)
     entries = []
     for frame in scene.frames:
         _, frame_entries = step(state, frame)

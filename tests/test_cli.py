@@ -1,6 +1,8 @@
+import argparse
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
 from helpers import _kind, mutate_one_value
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args, cwd=None):
@@ -387,6 +390,10 @@ class TestTrackEvaluatePlot:
     @pytest.mark.parametrize("named, mutate", [
         ("score_space", lambda doc: doc["config"].update(score_space="probability")),
         ("scorer[0].act", lambda doc: doc["scorer"][0].update(act="tanh")),
+        ("softmax_axis", lambda doc: doc["config"].update(softmax_axis="literal")),
+        ("pooling", lambda doc: doc["config"].update(pooling="weighted")),
+        ("delta", lambda doc: doc["config"].update(delta=1e308)),
+        ("delta", lambda doc: doc["config"].update(delta=-750.0)),
     ])
     def test_retired_checkpoint_value_exits_3(self, pipeline, tracked, tmp_path, named,
                                               mutate):
@@ -908,9 +915,9 @@ class TestUsageErrors:
           'config={"use_pose_head": true, "embed_dim": 4, "pose_pretrain_epochs": -1}'],
          "pose_pretrain_epochs"),
         (["track", "--scene", "{scene}", "--checkpoint", "{checkpoint}",
-          "--score-threshold", "nan"], "score_threshold"),
+          "--score-threshold", "0.5"], "--score-threshold"),
         (["track", "--scene", "{scene}", "--checkpoint", "{checkpoint}",
-          "--score-threshold=inf"], "score_threshold"),
+          "--aggregate", "median"], "--aggregate"),
         (["track", "--scene", "{scene}", "--checkpoint", "{checkpoint}",
           "--min-instances", "0"], "--min-instances"),
         (["track", "--scene", "{scene}", "--checkpoint", "{checkpoint}",
@@ -949,10 +956,26 @@ class TestUsageErrors:
               ({"center_scale": [0, 900]}, "center_scale"),
               ({"depth_scale": 0}, "depth_scale"),
           )),
+        (["train", "--dataset", "{pairs}", "--softmax-axis", "per-object"],
+         "--softmax-axis"),
+        *((["train", "--dataset", "{pairs}", "--config", f"config={json.dumps(doc)}"], named)
+          for doc, named in (
+              ({"softmax_axis": "literal"}, "softmax_axis"),
+              ({"pooling": "weighted"}, "pooling"),
+              # past DELTA_BOUND the first loss is already infinite
+              ({"delta": 710.0}, "delta"),
+              ({"delta": -750.0}, "delta"),
+              ({"delta": 1e308}, "delta"),
+              ({"delta": -1e308}, "delta"),
+          )),
     ])
     def test_out_of_range_configuration_exits_2(self, pipeline, tracked, tmp_path,
                                                 capsys, case, named):
-        assert cli.main(_usage_args(pipeline, tracked, tmp_path, case)) == 2
+        try:
+            code = cli.main(_usage_args(pipeline, tracked, tmp_path, case))
+        except SystemExit as exc:  # argparse refuses a flag it does not know
+            code = exc.code
+        assert code == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -989,7 +1012,7 @@ def flag_inputs(pipeline, tracked, tmp_path_factory):
         "train --resume": (["train", "--dataset", pairs, "--resume", checkpoint],
                            {"--seed": "1", "--epochs": "1", "--lambda": "0.005"}),
         "track": (["track", "--scene", tracked["scene"], "--checkpoint", checkpoint],
-                  {"--seed": "0", "--min-instances": "2", "--score-threshold": "0.5"}),
+                  {"--seed": "0", "--min-instances": "2"}),
         "evaluate": (evaluate, {"--seed": "0", "--radius": "2.0", "--limit": "3.0",
                                 "--rotation-gate": "30", "--iou": "0.5"}),
         "evaluate mahalanobis": ([*evaluate, "--criterion", "mahalanobis"],
@@ -998,8 +1021,7 @@ def flag_inputs(pipeline, tracked, tmp_path_factory):
     }
 
 
-FLOAT_FLAGS = ("--lambda", "--score-threshold", "--radius", "--limit", "--rotation-gate",
-               "--iou")
+FLOAT_FLAGS = ("--lambda", "--radius", "--limit", "--rotation-gate", "--iou")
 
 
 def _flag_value(data, flag, kind):
@@ -1082,3 +1104,24 @@ class TestConfigDimensions:
         code = cli.main([str(a) for a in args])
         assert code in (0, 2), (command, name, value)
         assert code == 0 or not out.exists(), (command, name, value)
+
+
+# --- the README documents the command line -----------------------------------------
+
+
+class TestReadme:
+    def test_names_every_long_flag(self):
+        """Every long flag of every subcommand appears in README.md, so no
+        flag is added without its documentation."""
+        text = README.read_text()
+        parser = cli.build_parser()
+        subcommands = next(action.choices for action in parser._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        missing = sorted({
+            f"{name} {flag}"
+            for name, sub in subcommands.items() for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for flag in action.option_strings
+            if flag.startswith("--") and not re.search(re.escape(flag) + r"(?![\w-])", text)
+        })
+        assert not missing, f"README.md does not mention {missing}"

@@ -215,15 +215,6 @@ class TestAugmentNormalize:
         np.testing.assert_allclose(bundle.fused[:3, 3], bundle.S1n[:, 3])
         np.testing.assert_allclose(bundle.fused[3, :3], bundle.S2n[3, :])
 
-    def test_literal_axis_normalizes_columns_of_s1(self, rng):
-        base = rng.normal(size=(3, 3))
-        bundle = augment_normalize(base, 0.5, softmax_axis="literal")
-        np.testing.assert_allclose(bundle.S1n[:, :3].sum(axis=0), 1.0,
-                                   atol=1e-12)
-        np.testing.assert_allclose(bundle.S1n[:, 3], 1.0 / 3.0)
-        np.testing.assert_allclose(bundle.S2n[:3, :].sum(axis=1), 1.0,
-                                   atol=1e-12)
-
 
 class TestLossAffinity:
     def one_to_one_bundle(self, prob):
@@ -271,22 +262,6 @@ class TestLossAffinity:
             lo = loss_affinity(augment_normalize(base - step, 0.3), match)
             fd = (hi - lo) / 2e-6
             assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
-
-    def test_literal_gradient_matches_fd(self, rng):
-        base = rng.normal(size=(3, 3))
-        match = np.zeros((4, 4), dtype=int)
-        match[0, 1] = match[1, 0] = match[2, 3] = 1
-        match[3, 2] = 1
-        kw = dict(softmax_axis="literal")
-        bundle = augment_normalize(base, 0.3, **kw)
-        loss, grad = loss_affinity(bundle, match, with_grad=True)
-        for idx in np.ndindex(base.shape):
-            step = np.zeros_like(base)
-            step[idx] = 1e-6
-            hi = loss_affinity(augment_normalize(base + step, 0.3, **kw), match)
-            lo = loss_affinity(augment_normalize(base - step, 0.3, **kw), match)
-            assert grad[idx] == pytest.approx((hi - lo) / 2e-6, rel=1e-5,
-                                              abs=1e-9)
 
     def test_joint_composition(self):
         # joint = affinity + lam * mean pose loss over both frames' detections
@@ -395,17 +370,6 @@ class TestTraining:
         assert h2[0].epoch == 3
         assert params.epochs_trained == 6
 
-    def test_literal_axis_trains(self):
-        # the alternative normalization reading optimizes a different
-        # objective; it must train, not match the default's accuracy
-        samples = small_samples()
-        cfg = MatcherConfig(appearance_dim=8, epochs=12, seed=3,
-                            softmax_axis="literal",
-                            scorer_hidden=(24, 16, 12, 8, 6))
-        params, history = train_matcher(samples, cfg)
-        assert history[-1].affinity < 0.5 * history[0].affinity
-        assert history[-1].accuracy > 0.5
-
     def test_checkpoint_doc_round_trip(self):
         samples = small_samples(emit_maps=True)
         cfg = MatcherConfig(appearance_dim=8, embed_dim=6, use_pose_head=True,
@@ -464,24 +428,6 @@ class TestGradients:
 
         def f(_):
             res = forward_pair(sample, params, with_grad=True, pose_only=True)
-            return res["joint"], res["grads"]
-
-        report = grad_check(f, _named_arrays(params), tolerance=1e-4)
-        assert report.passed, (report.worst_param, report.max_error)
-
-    def test_weighted_pooling_chain(self):
-        scenes = [generate_scene(SimConfig(
-            seed=3, n_frames=12, n_objects=3, appearance_dim=4,
-            emit_feature_maps=True, embed_dim=6, feature_map_size=(3, 3),
-            appearance_sigma=0.05, feature_sigma=0.02))]
-        samples = make_matching_dataset(scenes, n_max=8, pairs_per_scene=2, seed=0)
-        cfg = MatcherConfig(appearance_dim=4, embed_dim=6, use_pose_head=True,
-                            scorer_hidden=(10, 8, 8, 6, 4), pose_hidden=(8, 6),
-                            seed=5, lam=0.005, pooling="weighted")
-        params = fit_input_standardization(samples, init_matcher_params(cfg))
-
-        def f(_):
-            res = forward_pair(samples[0], params, with_grad=True)
             return res["joint"], res["grads"]
 
         report = grad_check(f, _named_arrays(params), tolerance=1e-4)
@@ -627,9 +573,7 @@ def _ref_forward_detection(f, params, B, d_off, C, K):
         logits = fmap @ params.attention_w + params.attention_b[0]
         e = np.exp(logits - logits.max())
         attn = e / e.sum()
-        pooled = np.einsum("ij,ije->e", attn, fmap)
-        if cfg.pooling == "mean":
-            pooled = pooled / (fmap.shape[0] * fmap.shape[1])
+        pooled = np.einsum("ij,ije->e", attn, fmap) / (fmap.shape[0] * fmap.shape[1])
         tape.attn, tape.embedding = attn, pooled
     if cfg.use_pose_head:
         tape.head_cache = []
@@ -693,9 +637,7 @@ def _ref_backward_detection(tape, d_geometry, pose_weight, params, grads):
         d_emb += d_head_in * params.head_scale
     if tape.embedding is not None and d_emb.any():
         fmap, attn = tape.features.feature_map, tape.attn
-        d_attn = np.einsum("ije,e->ij", fmap, d_emb)
-        if cfg.pooling == "mean":
-            d_attn = d_attn / (fmap.shape[0] * fmap.shape[1])
+        d_attn = np.einsum("ije,e->ij", fmap, d_emb) / (fmap.shape[0] * fmap.shape[1])
         d_logits = attn * (d_attn - float((attn * d_attn).sum()))
         grads["attention.w"] += np.einsum("ij,ije->e", d_logits, fmap)
         grads["attention.b"] += d_logits.sum()
@@ -782,12 +724,9 @@ class TestSideChainOracle:
 
     @pytest.mark.parametrize("route", [
         dict(use_pose_head=True),
-        dict(use_pose_head=True, pooling="weighted"),
         dict(use_pose_head=True, lam=0.0),
         dict(use_pose_head=True, pose_only=True),
-        dict(use_pose_head=True, pose_only=True, pooling="weighted"),
         dict(),
-        dict(pooling="weighted"),
         dict(embed_dim=0),
     ])
     def test_bit_identical_to_per_detection_chain(self, route):

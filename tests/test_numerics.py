@@ -19,6 +19,7 @@ from geotrack.matching import (
     forward_pair,
     init_matcher_params,
     load_checkpoint,
+    params_to_doc,
     score_pair_logits,
 )
 from geotrack.numerics import (
@@ -44,10 +45,9 @@ K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
 IDENTITY = EgoPose.identity()
 
 
-def pooling_matcher(embed_dim, w, b, pooling="mean"):
+def pooling_matcher(embed_dim, w, b):
     """Observation-route matcher whose attention logits are fmap @ w + b."""
-    params = init_matcher_params(MatcherConfig(appearance_dim=1, embed_dim=embed_dim,
-                                               pooling=pooling))
+    params = init_matcher_params(MatcherConfig(appearance_dim=1, embed_dim=embed_dim))
     params.attention_w = np.asarray(w, dtype=np.float64)
     params.attention_b = np.array([float(b)])
     return Matcher(params)
@@ -119,15 +119,6 @@ class TestAttentionPool:
         ])
         out = embedding(pooling_matcher(2, [-0.5, 0.0], 1.5), fmap)
         np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_weighted_variant_drops_factor(self, rng):
-        fmap = rng.normal(size=(2, 3, 2))
-        w, b = rng.normal(size=2), rng.normal()
-        np.testing.assert_allclose(
-            embedding(pooling_matcher(2, w, b, pooling="weighted"), fmap),
-            embedding(pooling_matcher(2, w, b), fmap) * 6.0,
-            atol=1e-12,
-        )
 
     def test_shape_mismatch(self):
         with pytest.raises(SchemaError):
@@ -318,9 +309,19 @@ class TestMlp:
             layers_to_doc(layers), [3, 4, 2]))
 
 
-# --- batch invariance of the tapeless forward ----------------------------------------
+# --- the stored checkpoint and batch invariance of the tapeless forward --------------
 
 STORED_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench/data/obs-matcher.json"
+
+
+def test_stored_checkpoint_round_trips_byte_for_byte():
+    """Loading the benchmark's stored checkpoint and writing it back gives
+    its exact bytes, so the checkpoint format still reads every field."""
+    doc = params_to_doc(load_checkpoint(STORED_CHECKPOINT))
+    text = json.dumps(doc, sort_keys=True) + "\n"
+    assert text.encode() == STORED_CHECKPOINT.read_bytes()
+
+
 # Every matcher configuration that tests/ and perfbench/ train or track with.
 CONFIGS = {
     "default": MatcherConfig(),

@@ -22,7 +22,6 @@ from geotrack.matching import Matcher, MatcherConfig, augment_normalize
 from geotrack.scene import MotEntry, SceneSequence
 from geotrack.simulator import SimConfig, generate_scene, world_objects
 from geotrack.tracker import (
-    AGGREGATORS,
     Track,
     TrackerState,
     TrackInstance,
@@ -36,12 +35,11 @@ from geotrack.tracker import (
 )
 
 
-def instance(frame, t=(0.0, 0.0, 10.0), r=(0.0, 1.0), depth=None, desc=None):
+def instance(frame, t=(0.0, 0.0, 10.0), r=(0.0, 1.0), desc=None):
     """A buffered instance whose descriptor's geometry prefix is (t, r)."""
     return TrackInstance(
         frame_index=frame,
         descriptor=desc if desc is not None else np.array([*t, *r], dtype=np.float64),
-        depth=float(t[2]) if depth is None else depth,
     )
 
 
@@ -127,8 +125,7 @@ class TestAggregatePose:
         track = Track(track_id=1, instances=[
             instance(0, (0.0, 0.0, 10.0)), instance(1, (0.0, 0.0, 12.0)),
         ])
-        np.testing.assert_allclose(aggregate_pose(track, "median").T,
-                                   [0, 0, 11])
+        np.testing.assert_allclose(aggregate_pose(track).T, [0, 0, 11])
 
     def test_median_robust_to_outlier(self):
         track = Track(track_id=1, instances=[
@@ -136,41 +133,33 @@ class TestAggregatePose:
             instance(1, (0.0, 0.0, 10.2)),
             instance(2, (0.0, 0.0, 55.0)),
         ])
-        assert aggregate_pose(track, "median").T[2] == pytest.approx(10.2)
-        assert aggregate_pose(track, "mean").T[2] == pytest.approx(25.0667,
-                                                                   abs=1e-3)
-
-    def test_inverse_depth_weighting(self):
-        track = Track(track_id=1, instances=[
-            instance(0, (0.0, 0.0, 10.0), depth=10.0),
-            instance(1, (0.0, 0.0, 40.0), depth=40.0),
-        ])
-        # weights 1/10 and 1/40 -> (10*4 + 40*1)/5 = 16
-        assert aggregate_pose(track, "idw").T[2] == pytest.approx(16.0)
+        # the outlier would pull a mean to 25.07
+        assert aggregate_pose(track).T[2] == pytest.approx(10.2)
 
     def test_rotation_renormalized(self):
         track = Track(track_id=1, instances=[
             instance(0, r=(1.0, 0.0)), instance(1, r=(0.0, 1.0)),
         ])
-        pose = aggregate_pose(track, "mean")
+        pose = aggregate_pose(track)
         assert np.linalg.norm(pose.R) == pytest.approx(1.0)
 
     def test_instance_rotation_read_normalized(self):
-        # each instance's facing is normalized before the mean: (1, 0) and
-        # (0, 1) average to the diagonal, where the raw (3, 0) would tilt it
+        # each instance's facing is normalized before the median: (1, 0) and
+        # (0, 1) have the diagonal as their median, where the raw (3, 0)
+        # would tilt it
         track = Track(track_id=1, instances=[
             instance(0, r=(3.0, 0.0)), instance(1, r=(0.0, 1.0)),
         ])
-        np.testing.assert_allclose(aggregate_pose(track, "mean").R,
+        np.testing.assert_allclose(aggregate_pose(track).R,
                                    [np.sqrt(0.5), np.sqrt(0.5)])
 
     def test_zero_mean_direction_takes_newest_instance(self):
-        # the normalized facings cancel; the fallback is the newest one,
-        # normalized like every instance's
+        # the normalized facings are opposite, so their median is zero; the
+        # fallback is the newest one, normalized like every instance's
         track = Track(track_id=1, instances=[
             instance(0, r=(1.0, 0.0)), instance(1, r=(-2.0, 0.0)),
         ])
-        assert aggregate_pose(track, "mean").R.tolist() == [-1.0, 0.0]
+        assert aggregate_pose(track).R.tolist() == [-1.0, 0.0]
 
     def test_empty_track_raises(self):
         with pytest.raises(EmptyTrackError):
@@ -371,15 +360,6 @@ class TestRobustness:
         assert len(kept) == len(gt)
         assert len(state.tracks) > len(gt)
 
-    def test_score_threshold_forces_null(self, trained_matcher):
-        scene = generate_scene(SimConfig(seed=30, n_frames=6, n_objects=3,
-                                         appearance_dim=16))
-        state, _ = track_scene(scene, Matcher(trained_matcher.params),
-                               score_threshold=2.0)  # above any probability
-        # nothing can match, so every sighting spawns a fresh track
-        total_detections = sum(len(f.detections) for f in scene.frames)
-        assert len(state.tracks) == total_detections
-
 
 class TestAggregationUnderNoise:
     def test_median_beats_single_instance_depth(self, trained_matcher):
@@ -395,7 +375,7 @@ class TestAggregationUnderNoise:
             ])
             depth_errors_single.extend(np.abs(depths - true_depth))
             depth_errors_aggregated.append(
-                abs(aggregate_pose(track, "median").T[2] - true_depth)
+                abs(aggregate_pose(track).T[2] - true_depth)
             )
         assert np.median(depth_errors_aggregated) <= np.median(depth_errors_single)
 
@@ -443,24 +423,14 @@ class ReferenceInstance:
     frame_index: int
     descriptor: np.ndarray
     pose_ref: Pose5D
-    depth: float
 
 
-def reference_aggregate_pose(track, method):
+def reference_aggregate_pose(track):
     """aggregate_pose as it was, over the stored reference poses."""
     ts = np.array([inst.pose_ref.T for inst in track.instances])
     rs = np.array([inst.pose_ref.R for inst in track.instances])
-    if method == "median":
-        t = np.median(ts, axis=0)
-        r = np.median(rs, axis=0)
-    elif method == "mean":
-        t = ts.mean(axis=0)
-        r = rs.mean(axis=0)
-    else:
-        w = 1.0 / np.maximum([inst.depth for inst in track.instances], 1e-6)
-        w = w / w.sum()
-        t = (ts * w[:, None]).sum(axis=0)
-        r = (rs * w[:, None]).sum(axis=0)
+    t = np.median(ts, axis=0)
+    r = np.median(rs, axis=0)
     try:
         r = normalize_rotation(r)
     except ZeroVectorError:
@@ -481,10 +451,6 @@ def reference_step(state, frame):
         features, frame.ego, state.ego_ref, frame.intrinsics
     )
     scores = reference_score_matrix(state.tracks, descriptors, state.matcher)
-    if state.score_threshold is not None and scores.size:
-        n = len(descriptors)
-        low = scores[:, :n] < state.score_threshold
-        scores[:, :n][low] = -np.inf
     assignment = hungarian(scores)
 
     entries = []
@@ -492,10 +458,8 @@ def reference_step(state, frame):
     def _instance(det_idx):
         desc = descriptors[det_idx]
         pose_ref = Pose5D(desc[:3], normalize_rotation(desc[3:5]), REFERENCE)
-        det = frame.detections[det_idx]
-        depth = det.observation.T_z if det.observation is not None else float(desc[2])
         return ReferenceInstance(frame_index=frame.frame_index, descriptor=desc,
-                                 pose_ref=pose_ref, depth=depth), det
+                                 pose_ref=pose_ref), frame.detections[det_idx]
 
     def _emit(track, det, pose_ref):
         world = camera_to_world(pose_ref.with_frame("camera"), state.ego_ref)
@@ -537,8 +501,7 @@ def _buffer_bits(state, pose_of):
     """Every track's buffer; ``pose_of`` gives an instance's (T, R)."""
     return [
         (track.track_id, track.observation_count, [
-            (inst.frame_index, _bits(inst.descriptor), *map(_bits, pose_of(inst)),
-             _bits(inst.depth))
+            (inst.frame_index, _bits(inst.descriptor), *map(_bits, pose_of(inst)))
             for inst in track.instances
         ])
         for track in state.tracks
@@ -570,18 +533,16 @@ class TestBookkeepingOracle:
     bookkeeping and the per-row score loop they replaced, and aggregate_pose
     against the stored per-instance poses it no longer needs."""
 
-    # 0.995 lies among the matched scores: it turns a few matches into spawns
-    @pytest.mark.parametrize("seed, score_threshold", [(41, None), (42, None), (43, 0.995)])
-    def test_bit_identical_to_per_detection_bookkeeping(self, trained_matcher, seed,
-                                                        score_threshold):
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_bit_identical_to_per_detection_bookkeeping(self, trained_matcher, seed):
         scene = _moved_world(generate_scene(SimConfig(
             seed=seed, n_frames=30, n_objects=5, appearance_dim=16, fp_rate=0.3,
             miss_rate=0.1, center_sigma_px=2.0, depth_rel_sigma=0.03,
             appearance_sigma=0.1, trajectory="turn",
         )))
         matcher = Matcher(trained_matcher.params)
-        new, ref = (TrackerState(matcher, scene.reference_ego, buffer_size=3,
-                                 score_threshold=score_threshold) for _ in range(2))
+        new, ref = (TrackerState(matcher, scene.reference_ego, buffer_size=3)
+                    for _ in range(2))
         matched = 0
         for frame in scene.frames:
             if frame.detections:
@@ -596,11 +557,9 @@ class TestBookkeepingOracle:
             assert [_entry_bits(e) for e in entries] == [_entry_bits(e) for e in ref_entries]
             matched += len(assignment.matches)
         assert _buffer_bits(new, _descriptor_pose) == _buffer_bits(ref, _stored_pose)
-        for method in AGGREGATORS:
-            for track, ref_track in zip(new.tracks, ref.tracks):
-                got = aggregate_pose(track, method)
-                expected = reference_aggregate_pose(ref_track, method)
-                assert (_bits(got.T), _bits(got.R)) == (_bits(expected.T), _bits(expected.R))
+        for track, ref_track in zip(new.tracks, ref.tracks):
+            got, expected = aggregate_pose(track), reference_aggregate_pose(ref_track)
+            assert (_bits(got.T), _bits(got.R)) == (_bits(expected.T), _bits(expected.R))
         assert new.next_track_id == ref.next_track_id
         assert new.last_frame_index == ref.last_frame_index
         # the run exercised matches, spawns and buffer trimming
