@@ -86,15 +86,19 @@ def iou_matrix(boxes_a, boxes_b):
     """IoU between every pair of (left, top, width, height) boxes.
 
     A pair scores 0 unless its overlap has positive width and height and
-    its union is positive.
+    its union is positive. Only overlapping pairs are measured, so boxes
+    with finite far edges and doubled area (the loaders' rule) stay finite.
     """
     a = np.asarray(boxes_a, dtype=np.float64).reshape(-1, 1, 4)
     b = np.asarray(boxes_b, dtype=np.float64).reshape(1, -1, 4)
     al, at, aw, ah = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bl, bt, bw, bh = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    iw = np.minimum(al + aw, bl + bw) - np.maximum(al, bl)
-    ih = np.minimum(at + ah, bt + bh) - np.maximum(at, bt)
+    right, left = np.minimum(al + aw, bl + bw), np.maximum(al, bl)
+    bottom, top = np.minimum(at + ah, bt + bh), np.maximum(at, bt)
+    overlap = (right > left) & (bottom > top)
+    iw = np.subtract(right, left, out=np.zeros(overlap.shape), where=overlap)
+    ih = np.subtract(bottom, top, out=np.zeros(overlap.shape), where=overlap)
     inter = iw * ih
     union = aw * ah + bw * bh - inter
-    hit = (iw > 0.0) & (ih > 0.0) & (union > 0.0)
+    hit = overlap & (union > 0.0)
     return np.divide(inter, union, out=np.zeros(inter.shape), where=hit)

@@ -24,11 +24,10 @@ import numpy as np
 from . import __version__
 from .errors import (
     ConfigError,
-    FormatError,
+    DataError,
     GeotrackError,
     InvariantViolationError,
     ParseError,
-    SceneTooShortError,
     SchemaError,
 )
 from .evaluation import (
@@ -63,9 +62,6 @@ from .tracker import geolocation_report, track_scene
 USAGE_ERROR = 2
 DATA_ERROR = 3
 INTERNAL_ERROR = 4
-
-_DATA_ERRORS = (ParseError, SchemaError, FormatError, InvariantViolationError,
-                SceneTooShortError)
 
 
 def _load_config_file(path):
@@ -478,7 +474,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except GeotrackError as exc:

@@ -17,15 +17,19 @@ class ShapeMismatchError(GeotrackError):
     """Array shapes do not chain or agree."""
 
 
-class ParseError(GeotrackError):
+class DataError(GeotrackError):
+    """Bad input data: the CLI exits 3 on this family."""
+
+
+class ParseError(DataError):
     """A file could not be parsed at all (bad JSON / CSV)."""
 
 
-class SchemaError(GeotrackError):
+class SchemaError(DataError):
     """Parsed data does not follow the documented schema."""
 
 
-class InvariantViolationError(GeotrackError):
+class InvariantViolationError(DataError):
     """Structurally valid data breaks a model invariant."""
 
 
@@ -33,11 +37,11 @@ class CapacityExceededError(GeotrackError):
     """More objects than the fixed per-frame capacity allows."""
 
 
-class SceneTooShortError(GeotrackError):
+class SceneTooShortError(DataError):
     """Operation needs more frames than the scene has."""
 
 
-class FormatError(GeotrackError):
+class FormatError(DataError):
     """A tracking CSV line is malformed (carries the line number)."""
 
     def __init__(self, message, line=None):

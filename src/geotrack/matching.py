@@ -20,12 +20,14 @@ Two descriptor routes exist:
   so the matching loss backpropagates into the pose head. This is the
   coupling that makes joint training meaningful.
 
-Either route runs once per frame side on (k, ...) arrays of that side's k
-detections (``_describe`` forward, ``_backward_side`` backward), and
-reproduces bit for bit a loop over the detections: each row's reductions
-are those a single vector would get, and the pose head's weight gradients
-add up in detection order. With ``embed_dim`` > 0 every detection of a
-frame carries one feature map, all of one (H, W, embed_dim) shape.
+Both routes read a frame's ``scene.Detection`` objects as they are (one
+without an appearance vector is a SchemaError). Either runs once per frame
+side on (k, ...) arrays of that side's k detections (``_describe`` forward,
+``_backward_side`` backward), and reproduces bit for bit a loop over the
+detections: each row's reductions are those a single vector would get, and
+the pose head's weight gradients add up in detection order. With
+``embed_dim`` > 0 every detection of a frame carries one feature map, all
+of one (H, W, embed_dim) shape.
 """
 
 import json
@@ -227,27 +229,17 @@ class MatcherParams:
 
 
 @dataclass
-class DetectionFeatures:
-    """Provider-facing inputs for one detection of a training/tracking frame."""
-
-    appearance: np.ndarray
-    observation: object | None = None  # PixelObservation
-    target: tuple | None = None  # (c*, T_z*, R*_cam) pose supervision
-    feature_map: np.ndarray | None = None
-
-
-@dataclass
 class PairSample:
-    """One training item: two frames' detections plus their match matrix."""
+    """One training item: two scene frames, whose ``scene.Detection``s the
+    matcher reads, with each detection's (c*, T_z*, R*_cam) pose target or
+    None, and their match matrix. Samples of one frame share its targets."""
 
-    a: list
-    b: list
-    ego_a: object
-    ego_b: object
+    frame_a: object  # scene.FrameRecord
+    frame_b: object
+    targets_a: tuple
+    targets_b: tuple
     ego_ref: object
-    intrinsics_a: object
-    intrinsics_b: object
-    match: np.ndarray  # (len(a)+1, len(b)+1), see scene.build_match_matrix
+    match: np.ndarray  # (n_a+1, n_b+1), see scene.build_match_matrix
 
 
 # --- parameter construction -----------------------------------------------------
@@ -396,28 +388,30 @@ def loss_affinity(bundle, match, with_grad=False):
 # --- descriptor chain, one frame side at a time ----------------------------------
 
 
-def _gather(features_list, cfg):
+def _gather(detections, cfg):
     """The side's appearance rows (k, A) and feature maps (k, H, W, E) or
     None; SchemaError when a detection does not fit the matcher."""
-    for f in features_list:
-        if np.shape(f.appearance) != (cfg.appearance_dim,):
+    for det in detections:
+        if det.appearance is None:
+            raise SchemaError("detection lacks an appearance vector")
+        if np.shape(det.appearance) != (cfg.appearance_dim,):
             raise SchemaError(
-                f"appearance vector has {np.size(f.appearance)} dims; "
+                f"appearance vector has {np.size(det.appearance)} dims; "
                 f"this matcher expects {cfg.appearance_dim}"
             )
-        if not cfg.use_pose_head and f.observation is None:
+        if not cfg.use_pose_head and det.observation is None:
             raise SchemaError("detection lacks the pixel observation needed for matching")
     fmaps = None
-    if cfg.embed_dim > 0 and features_list:
-        shapes = {np.shape(f.feature_map) for f in features_list}
+    if cfg.embed_dim > 0 and detections:
+        shapes = {np.shape(det.feature_map) for det in detections}
         shape = next(iter(shapes)) if len(shapes) == 1 else ()
         if len(shape) != 3 or shape[2] != cfg.embed_dim or 0 in shape:
             raise SchemaError(
                 f"embed_dim {cfg.embed_dim} needs one (H, W, {cfg.embed_dim}) feature "
                 f"map per detection, all of one shape; this frame has {sorted(shapes)}"
             )
-        fmaps = np.array([f.feature_map for f in features_list], dtype=np.float64)
-    return np.array([f.appearance for f in features_list], dtype=np.float64), fmaps
+        fmaps = np.array([det.feature_map for det in detections], dtype=np.float64)
+    return np.array([det.appearance for det in detections], dtype=np.float64), fmaps
 
 
 def _back_project(ctz, intrinsics):
@@ -435,13 +429,14 @@ def _apply(M, rows):
     return (M @ rows[:, :, None])[:, :, 0]
 
 
-def _describe(features_list, params, ego, ego_ref, intrinsics):
+def _describe(detections, params, ego, ego_ref, intrinsics, targets=None):
     """One frame side's descriptor chain: the tape ``_backward_side`` reads
     and the (k, d) ``[geometry | appearance]`` rows, all mapped into the
-    ``ego_ref`` camera frame."""
+    ``ego_ref`` camera frame. ``targets`` holds each detection's pose target
+    or None; the pose head's loss reads them (None: no detection has one)."""
     cfg = params.config
-    k = len(features_list)
-    appearance, fmaps = _gather(features_list, cfg)
+    k = len(detections)
+    appearance, fmaps = _gather(detections, cfg)
     B, d_off, C = reference_transform(ego, ego_ref)
     tape = SimpleNamespace(B=B, C=C, intrinsics=intrinsics, fmaps=fmaps,
                            pose_loss=np.zeros(0))
@@ -466,15 +461,15 @@ def _describe(features_list, params, ego, ego_ref, intrinsics):
         tape.r_hat = out[:, 3:5] / tape.r_norm[:, None]
         t_ref = _apply(B, _back_project(tape.ctz, intrinsics)) + d_off
         r_ref = _apply(C, tape.r_hat)
-        tape.targeted = np.array([f.target is not None for f in features_list])
+        tape.targeted = np.array([t is not None for t in targets or [None] * k])
         if tape.targeted.any():  # target rows (c_x, c_y, T_z, R_x, R_y)
             tape.target = np.array([[*c, tz, *r] for c, tz, r in (
-                f.target for f in features_list if f.target is not None)], dtype=np.float64)
+                t for t in targets if t is not None)], dtype=np.float64)
             tape.pose_loss = \
                 numerics.loss_rot(tape.target[:, 3:], tape.r_hat[tape.targeted]) \
                 + cfg.beta * numerics.loss_trans(tape.target[:, :3], tape.ctz[tape.targeted])
     else:
-        observations = [f.observation for f in features_list]
+        observations = [det.observation for det in detections]
         r_obs = np.array([o.R for o in observations])
         r_norm = numerics.row_norm(r_obs)
         t_cam = np.array([recover_translation(o, intrinsics) for o in observations])
@@ -489,12 +484,12 @@ def _describe(features_list, params, ego, ego_ref, intrinsics):
         [t_ref, r_ref, np.zeros((k, 1)), embedding, appearance], axis=1)
 
 
-def _input_rows(features_list, params, ego, ego_ref, intrinsics):
+def _input_rows(detections, params, ego, ego_ref, intrinsics, targets=None):
     """``_describe``'s rows for detections read from data under parameters
     that are not being trained: a pose head that cannot describe them, or a
     row that overflows, means the input values are bad (SchemaError)."""
     try:
-        rows = _describe(features_list, params, ego, ego_ref, intrinsics)[1]
+        rows = _describe(detections, params, ego, ego_ref, intrinsics, targets)[1]
     except NonFiniteLossError as exc:
         raise SchemaError(f"detections the pose head cannot describe: {exc}") from exc
     if not np.isfinite(rows).all():
@@ -574,10 +569,13 @@ def _upstream_trains(named):
     return any(name.startswith(_UPSTREAM) for name in named)
 
 
-def _sides(sample):
-    """A sample's two frame sides as (features, ego, intrinsics)."""
-    return ((sample.a, sample.ego_a, sample.intrinsics_a),
-            (sample.b, sample.ego_b, sample.intrinsics_b))
+def _describe_sides(sample, params, describe):
+    """``describe`` (``_describe`` or ``_input_rows``) of a sample's two
+    frames, each with its detections' pose targets."""
+    return tuple(describe(frame.detections, params, frame.ego, sample.ego_ref,
+                          frame.intrinsics, targets)
+                 for frame, targets in ((sample.frame_a, sample.targets_a),
+                                        (sample.frame_b, sample.targets_b)))
 
 
 def _add_layer_grads(grads, group, layer_grads):
@@ -621,14 +619,13 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):
     that the rows cannot change between calls.
     """
     cfg = params.config
-    n1, n2 = len(sample.a), len(sample.b)
+    n1, n2 = len(sample.frame_a.detections), len(sample.frame_b.detections)
     if max(n1, n2) > cfg.capacity:
         raise CapacityExceededError(
             f"pair has {max(n1, n2)} detections; capacity is {cfg.capacity}"
         )
     if rows is None:
-        tapes, rows = zip(*(_describe(feats, params, ego, sample.ego_ref, intrinsics)
-                            for feats, ego, intrinsics in _sides(sample)))
+        tapes, rows = zip(*_describe_sides(sample, params, _describe))
         pose_losses = np.concatenate([tape.pose_loss for tape in tapes]).tolist()
     else:
         tapes, pose_losses = None, []  # no pose head: no pose loss
@@ -684,8 +681,7 @@ def _input_statistics(samples, params):
     stacked with their column mean and standard deviation (None without
     detections). Detection values whose descriptors or statistics leave the
     float range are bad data (SchemaError)."""
-    rows = [tuple(_input_rows(feats, params, ego, sample.ego_ref, intrinsics)
-                  for feats, ego, intrinsics in _sides(sample)) for sample in samples]
+    rows = [_describe_sides(sample, params, _input_rows) for sample in samples]
     sides = [side for pair in rows for side in pair]
     if not sum(map(len, sides)):
         return rows, None
@@ -808,8 +804,7 @@ def train_matcher(samples, config, params=None, heldout=None):
     if heldout:
         eval_samples = heldout
         eval_rows = None if rows is None else [
-            tuple(_describe(feats, params, ego, sample.ego_ref, intrinsics)[1]
-                  for feats, ego, intrinsics in _sides(sample))
+            tuple(side[1] for side in _describe_sides(sample, params, _describe))
             for sample in heldout]
     cutoff = int(np.floor(config.epochs * 2 / 3))
     schedule = [(True, config.learning_rate)] * pretrain + [
@@ -869,9 +864,10 @@ class Matcher:
         self.params = params
         self.config = params.config
 
-    def descriptors(self, features_list, ego, ego_ref, intrinsics):
-        """(k, d) descriptor rows of one frame's detections, reference frame."""
-        return _input_rows(features_list, self.params, ego, ego_ref, intrinsics)
+    def descriptors(self, detections, ego, ego_ref, intrinsics):
+        """(k, d) descriptor rows of one frame's ``scene.Detection``s,
+        reference frame."""
+        return _input_rows(detections, self.params, ego, ego_ref, intrinsics)
 
     def bundle(self, desc_rows, desc_cols):
         """Similarity bundle between two stacked descriptor matrices."""

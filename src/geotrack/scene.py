@@ -9,13 +9,15 @@ Two on-disk formats live here:
   the same world pose share one read-only ``Pose5D`` after loading. Ids
   (``gt_id``, ``object_id``), ``frame_index`` and the intrinsics' ``width``
   and ``height`` are JSON integers (not booleans, not floats such as 1.0)
-  and ``kind`` is a string.
+  and ``kind`` is a string. A ``bbox`` needs a finite left + width,
+  top + height and 2 * width * height as float64 values.
   Serialization is canonical (sorted keys, indent 2, repr floats), so
   save -> load -> save is byte-stable.
 - Tracking CSV: ``frame,id,bb_left,bb_top,bb_width,bb_height,conf,x,y,z``
   with one line per box, frame-major then id-major. Frames are 1-based on
   disk (0-based in memory), absent fields are written as -1, and x,y,z are
-  world coordinates. Import is the exact inverse of export.
+  world coordinates. Import is the exact inverse of export, and holds boxes
+  to the scene JSON's rule.
 """
 
 import json
@@ -105,6 +107,18 @@ def _bbox_intersects_image(bbox, intrinsics):
     left, top, w, h = bbox
     return w > 0 and h > 0 and left < intrinsics.width and top < intrinsics.height \
         and left + w > 0 and top + h > 0
+
+
+_BOX_RANGE = "bbox is out of range: left + width, top + height and " \
+    "2 * width * height must be finite"
+
+
+def _box_in_range(bbox):
+    """Whether a finite (left, top, width, height) box of Python floats has
+    finite far edges and doubled area, which keeps any IoU with it finite."""
+    left, top, w, h = bbox
+    return math.isfinite(left + w) and math.isfinite(top + h) \
+        and math.isfinite(2.0 * w * h)
 
 
 # --- match matrices -----------------------------------------------------------
@@ -339,8 +353,11 @@ def _gt_object_from_doc(doc, where, i, poses):
         kind = doc.get("kind", "vertical")
         if type(kind) is not str:
             raise SchemaError(f"{where}.gt_objects[{i}]: kind must be a string")
-        return GroundTruthObject(object_id=object_id, pose=pose, kind=kind,
-                                 bbox=doc.get("bbox"))
+        g = GroundTruthObject(object_id=object_id, pose=pose, kind=kind,
+                              bbox=doc.get("bbox"))
+        if g.bbox is not None and not _box_in_range(g.bbox.tolist()):
+            raise SchemaError(f"{where}.gt_objects[{i}]: {_BOX_RANGE}")
+        return g
     except _BAD_VALUE as exc:
         raise SchemaError(f"{where}: bad gt object ({exc})") from exc
 
@@ -454,8 +471,10 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
                 f"{where}: frame_index {frame.frame_index} not increasing"
             )
         prev_index = frame.frame_index
-        for det in frame.detections:
+        for j, det in enumerate(frame.detections):
             bbox = det.bbox.tolist()  # Python floats compare faster than numpy scalars
+            if not _box_in_range(bbox):
+                raise SchemaError(f"{where}.detections[{j}]: {_BOX_RANGE}")
             if not _bbox_intersects_image(bbox, intrinsics):
                 raise InvariantViolationError(
                     f"{where}: bbox {bbox} does not intersect the image"
@@ -575,6 +594,8 @@ def mot_from_csv(text):
             raise FormatError(str(exc), line=lineno) from exc
         if not all(map(math.isfinite, bbox + [conf] + xyz)):
             raise FormatError("bbox, conf and x,y,z must be finite", line=lineno)
+        if not _box_in_range(bbox):
+            raise FormatError(_BOX_RANGE, line=lineno)
         world = None if xyz == [-1.0, -1.0, -1.0] else np.array(xyz)
         entries.append(
             MotEntry(frame=frame, track_id=track_id, bbox=bbox,

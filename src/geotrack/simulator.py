@@ -31,7 +31,6 @@ from .geometry import (
 )
 from .matching import (
     MAX_COUNT,
-    DetectionFeatures,
     PairSample,
     check_array_size,
     config_from_dict,
@@ -388,35 +387,25 @@ def pose_target(detection, frame):
     return None
 
 
-def _features(frame):
-    """Matcher inputs of a frame's detections, with pose supervision."""
-    return [
-        DetectionFeatures(
-            appearance=det.appearance,
-            observation=det.observation,
-            target=pose_target(det, frame),
-            feature_map=det.feature_map,
-        )
-        for det in frame.detections
-    ]
-
-
 def make_matching_dataset(scenes, n_max, pairs_per_scene, seed):
-    """Training pairs with detection features attached, ready for the matcher."""
+    """Training pairs of scene frames with each detection's pose target,
+    ready for the matcher."""
     samples = []
     for scene_idx, scene in enumerate(scenes):
         pairs = sample_training_pairs(scene, n_max, pairs_per_scene, seed=seed + scene_idx)
+        # frames recur across pairs; each one's targets are computed once
+        targets = {k: tuple(pose_target(det, scene.frames[k])
+                            for det in scene.frames[k].detections)
+                   for k in {k for pair in pairs for k in pair}}
         for a, b in pairs:
             frame_a, frame_b = scene.frames[a], scene.frames[b]
             samples.append(
                 PairSample(
-                    a=_features(frame_a),
-                    b=_features(frame_b),
-                    ego_a=frame_a.ego,
-                    ego_b=frame_b.ego,
+                    frame_a=frame_a,
+                    frame_b=frame_b,
+                    targets_a=targets[a],
+                    targets_b=targets[b],
                     ego_ref=scene.reference_ego,
-                    intrinsics_a=frame_a.intrinsics,
-                    intrinsics_b=frame_b.intrinsics,
                     match=build_match_matrix(frame_a, frame_b),
                 )
             )

@@ -24,11 +24,9 @@ from .errors import (
     ConfigError,
     EmptyTrackError,
     OutOfOrderFrameError,
-    SchemaError,
     ZeroVectorError,
 )
 from .geometry import REFERENCE, Pose5D, camera_to_world, normalize_rotation, quat_to_matrix
-from .matching import DetectionFeatures
 from .scene import MotEntry
 
 DEFAULT_BUFFER = 10
@@ -125,16 +123,6 @@ def score_matrix(tracks, detection_descriptors, matcher):
     return scores
 
 
-def _features_for(detection):
-    if detection.appearance is None:
-        raise SchemaError("detection lacks an appearance vector; cannot track")
-    return DetectionFeatures(
-        appearance=detection.appearance,
-        observation=detection.observation,
-        feature_map=detection.feature_map,
-    )
-
-
 def step(state, frame):
     """Advance the tracker by one frame; returns (assignment, mot_entries)."""
     if state.last_frame_index is not None and frame.frame_index <= state.last_frame_index:
@@ -149,9 +137,8 @@ def step(state, frame):
     if not frame.detections:
         state.last_frame_index = frame.frame_index
         return AssignmentResult(unmatched_tracks=list(range(len(state.tracks)))), []
-    features = [_features_for(det) for det in frame.detections]
     descriptors = state.matcher.descriptors(
-        features, frame.ego, state.ego_ref, frame.intrinsics
+        frame.detections, frame.ego, state.ego_ref, frame.intrinsics
     )
 
     scores = score_matrix(state.tracks, descriptors, state.matcher)

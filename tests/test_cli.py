@@ -689,6 +689,13 @@ class TestSceneData:
          ALL, "intrinsics.height must be an integer"),
         (lambda doc: doc["frames"][1]["intrinsics"].update(height=False),
          ALL, "intrinsics.height must be numbers, not true or false"),
+        # finite boxes whose area overflows: IoU would read 0 for a box and itself
+        (lambda doc: _detections(doc)[0]["bbox"].__setitem__(slice(2, 4), [1e200, 1e200]),
+         ALL, "detections[0]: bbox is out of range"),
+        (lambda doc: _gt_objects(doc)[0]["bbox"].__setitem__(slice(2, 4), [1e200, 1e200]),
+         ALL, "gt_objects[0]: bbox is out of range"),
+        (lambda doc: [det.pop("appearance") for det in _detections(doc)],
+         ("track-obs", "track-pose", "train"), "lacks an appearance vector"),
     ])
     def test_bad_scene_value_exits_3(self, scene_inputs, capsys, mutate, commands, named):
         doc = copy.deepcopy(scene_inputs["doc"])

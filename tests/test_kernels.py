@@ -1,3 +1,4 @@
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -198,6 +199,18 @@ class TestIouKernel:
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
             assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_far_apart_boxes_score_zero_without_overflow(self):
+        # the gaps between these boxes leave the float range; only
+        # overlapping pairs are measured, so no step overflows
+        boxes = np.array([[0.0, 0.0, 1.0, 1.0],
+                          [1e155, 1e155, 5e153, 5e153],
+                          [-1e308, 0.0, 1e307, 1.0],
+                          [1e308, 0.0, 1e307, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _kernels.iou_matrix(boxes, boxes)
+        np.testing.assert_allclose(out, np.eye(4), rtol=1e-15, atol=0.0)
 
     def test_empty_inputs(self):
         out = _kernels.iou_matrix(np.zeros((0, 4)), np.zeros((3, 4)))

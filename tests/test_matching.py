@@ -21,10 +21,8 @@ from geotrack.geometry import (
     reference_transform,
 )
 from geotrack.matching import (
-    DetectionFeatures,
     Matcher,
     MatcherConfig,
-    PairSample,
     augment_normalize,
     build_pair_tensor,
     forward_pair,
@@ -36,10 +34,12 @@ from geotrack.matching import (
     score_pair_logits,
     train_matcher,
     _describe,
+    _describe_sides,
     _named_arrays,
     _score,
 )
 from geotrack.numerics import _logcosh, mlp_backward, mlp_forward
+from geotrack.scene import Detection
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
 from helpers import fit_input_standardization, grad_check
 
@@ -58,11 +58,19 @@ def describe_one(appearance, feature_map):
     """Descriptor of one detection seen at T = (1, 1, 4), R = (0.6, 0.8)
     by a camera that is its own reference frame."""
     cfg = MatcherConfig(appearance_dim=len(appearance), embed_dim=feature_map.shape[2])
-    feats = DetectionFeatures(
-        appearance=np.asarray(appearance, dtype=np.float64), feature_map=feature_map,
+    det = Detection(
+        bbox=(1000.0, 650.0, 100.0, 100.0), appearance=appearance, feature_map=feature_map,
         observation=PixelObservation(c=(1050.0, 700.0), T_z=4.0, R=(0.6, 0.8)),
     )
-    return Matcher(init_matcher_params(cfg)).descriptors([feats], IDENTITY, IDENTITY, K)[0]
+    return Matcher(init_matcher_params(cfg)).descriptors([det], IDENTITY, IDENTITY, K)[0]
+
+
+def with_empty_b(sample):
+    """``sample`` with no detections in frame b: everything in frame a leaves."""
+    match = np.zeros((len(sample.frame_a.detections) + 1, 1), dtype=np.int64)
+    match[:-1, 0] = 1
+    return replace(sample, frame_b=replace(sample.frame_b, detections=[]), targets_b=(),
+                   match=match)
 
 
 def small_samples(emit_maps=False, n_scenes=2, appearance_dim=8):
@@ -102,13 +110,11 @@ class TestDescriptors:
                                          appearance_dim=4))
         frame = scene.frames[0]
         params = init_matcher_params(MatcherConfig(appearance_dim=4))
-        feats = [DetectionFeatures(appearance=d.appearance, observation=d.observation)
-                 for d in frame.detections]
         args = (frame.ego, scene.reference_ego, frame.intrinsics)
-        rows = Matcher(params).descriptors(feats, *args)
-        stacked = np.array(list(_describe(feats, params, *args)[1]))
+        rows = Matcher(params).descriptors(frame.detections, *args)
+        stacked = np.array(list(_describe(frame.detections, params, *args)[1]))
         assert isinstance(rows, np.ndarray)
-        assert rows.shape == stacked.shape and len(rows) == len(feats) > 1
+        assert rows.shape == stacked.shape and len(rows) == len(frame.detections) > 1
         assert rows.tobytes() == stacked.tobytes()
 
     def test_zero_noise_descriptors_agree(self):
@@ -117,14 +123,10 @@ class TestDescriptors:
         cfg = MatcherConfig(appearance_dim=4, embed_dim=0)
         params = init_matcher_params(cfg)
         matcher = Matcher(params)
-        from geotrack.matching import DetectionFeatures
 
         by_id = {}
         for frame in scene.frames:
-            feats = [DetectionFeatures(appearance=d.appearance,
-                                       observation=d.observation)
-                     for d in frame.detections]
-            descs = matcher.descriptors(feats, frame.ego, scene.reference_ego,
+            descs = matcher.descriptors(frame.detections, frame.ego, scene.reference_ego,
                                         frame.intrinsics)
             for det, desc in zip(frame.detections, descs):
                 by_id.setdefault(det.gt_id, []).append(desc[:6])
@@ -273,7 +275,8 @@ class TestLossAffinity:
         no_pose = replace(params, config=replace(cfg, lam=0.0))
         for sample in samples[:4]:
             res = forward_pair(sample, params)
-            assert len(res["pose_losses"]) == len(sample.a) + len(sample.b)
+            assert len(res["pose_losses"]) == \
+                len(sample.frame_a.detections) + len(sample.frame_b.detections)
             assert res["joint"] == pytest.approx(
                 res["affinity"] + 0.25 * np.mean(res["pose_losses"]), abs=1e-12
             )
@@ -326,7 +329,8 @@ class TestConfig:
 class TestTraining:
     def test_separable_pair_converges_within_200_steps(self):
         # one trivially separable pair, 200 SGD steps
-        samples = [s for s in small_samples() if len(s.a) >= 2 and len(s.b) >= 2]
+        samples = [s for s in small_samples()
+                   if len(s.frame_a.detections) >= 2 and len(s.frame_b.detections) >= 2]
         cfg = MatcherConfig(appearance_dim=8, epochs=200, seed=3,
                             scorer_hidden=(24, 16, 12, 8, 6))
         params, history = train_matcher(samples[:1], cfg)
@@ -441,18 +445,14 @@ class TestEmptySides:
         cfg = MatcherConfig(appearance_dim=8, scorer_hidden=(16, 12, 8, 8, 6),
                             seed=2)
         params = fit_input_standardization(samples, init_matcher_params(cfg))
-        match = np.zeros((len(template.a) + 1, 1), dtype=np.int64)
-        match[:-1, 0] = 1  # everything leaves
-        empty_b = PairSample(a=template.a, b=[], ego_a=template.ego_a,
-                             ego_b=template.ego_b, ego_ref=template.ego_ref,
-                             intrinsics_a=template.intrinsics_a,
-                             intrinsics_b=template.intrinsics_b, match=match)
+        n_a = len(template.frame_a.detections)
+        empty_b = with_empty_b(template)
         res = forward_pair(empty_b, params, with_grad=True)
         assert np.isfinite(res["affinity"])
-        assert res["bundle"].fused.shape == (len(template.a) + 1, 1)
+        assert res["bundle"].fused.shape == (n_a + 1, 1)
         # null probability is 1 when there is nothing to match
         np.testing.assert_allclose(
-            res["bundle"].S1n[: len(template.a), -1], 1.0
+            res["bundle"].S1n[:n_a, -1], 1.0
         )
 
 
@@ -469,7 +469,7 @@ class TestPerSideIntrinsics:
         later.intrinsics = replace(later.intrinsics, f_x=1.5 * later.intrinsics.f_x,
                                    f_y=1.5 * later.intrinsics.f_y)
         [sample] = make_matching_dataset([scene], n_max=1, pairs_per_scene=1, seed=0)
-        assert sample.a and sample.b
+        assert sample.frame_a.detections and sample.frame_b.detections
         return scene, sample
 
     def test_training_geometry_matches_tracking_descriptors(self):
@@ -477,9 +477,11 @@ class TestPerSideIntrinsics:
         cfg = MatcherConfig(appearance_dim=4, scorer_hidden=(10, 8, 8, 6, 4), seed=5)
         params = fit_input_standardization([sample], init_matcher_params(cfg))
         matcher = Matcher(params)
+        assert sample.frame_a is scene.frames[0] and sample.frame_b is scene.frames[1]
         rows_a, rows_b = (
-            matcher.descriptors(feats, frame.ego, scene.reference_ego, frame.intrinsics)
-            for frame, feats in zip(scene.frames, (sample.a, sample.b))
+            matcher.descriptors(frame.detections, frame.ego, scene.reference_ego,
+                                frame.intrinsics)
+            for frame in scene.frames
         )
         # standardization is fitted on the training-side descriptors ...
         np.testing.assert_array_equal(params.input_shift,
@@ -525,7 +527,7 @@ class TestAccuracyMetrics:
         for sample in samples:
             res = forward_pair(sample, trained_matcher.params)
             bundle = res["bundle"]
-            n1, n2 = len(sample.a), len(sample.b)
+            n1, n2 = len(sample.frame_a.detections), len(sample.frame_b.detections)
             if n1 == 0 or n2 == 0:
                 continue
             for i in range(n1):
@@ -565,11 +567,11 @@ def _ref_norm(v):
     return float(np.linalg.norm(v))
 
 
-def _ref_forward_detection(f, params, B, d_off, C, K):
+def _ref_forward_detection(det, target, params, B, d_off, C, K):
     cfg = params.config
-    tape = SimpleNamespace(features=f, B=B, C=C, K=K, pose_loss=None, embedding=None)
-    if cfg.embed_dim > 0 and f.feature_map is not None:
-        fmap = f.feature_map
+    tape = SimpleNamespace(detection=det, B=B, C=C, K=K, pose_loss=None, embedding=None)
+    if cfg.embed_dim > 0 and det.feature_map is not None:
+        fmap = det.feature_map
         logits = fmap @ params.attention_w + params.attention_b[0]
         e = np.exp(logits - logits.max())
         attn = e / e.sum()
@@ -590,16 +592,16 @@ def _ref_forward_detection(f, params, B, d_off, C, K):
                           tape.depth])
         t_ref = B @ t_cam + d_off
         r_ref = C @ tape.r_hat
-        if f.target is not None:
-            c_star, tz_star, r_star = f.target
+        if target is not None:
+            c_star, tz_star, r_star = target
             tape.target_vec = (np.array([c_star[0], c_star[1], tz_star]),
                                np.asarray(r_star, dtype=np.float64))
             estimate = np.array([tape.center[0], tape.center[1], tape.depth])
             tape.pose_loss = float(np.sum(_logcosh(tape.target_vec[1] - tape.r_hat))) \
                 + cfg.beta * _ref_norm(tape.target_vec[0] - estimate)
     else:
-        t_ref = B @ recover_translation(f.observation, K) + d_off
-        r_ref = normalize_rotation(C @ normalize_rotation(f.observation.R))
+        t_ref = B @ recover_translation(det.observation, K) + d_off
+        r_ref = normalize_rotation(C @ normalize_rotation(det.observation.R))
     emb = tape.embedding if tape.embedding is not None else np.zeros(cfg.embed_dim)
     tape.geometry = np.concatenate([t_ref, r_ref, [0.0], emb])
     return tape
@@ -636,28 +638,30 @@ def _ref_backward_detection(tape, d_geometry, pose_weight, params, grads):
             grads[f"pose_head.{i}.b"] += db
         d_emb += d_head_in * params.head_scale
     if tape.embedding is not None and d_emb.any():
-        fmap, attn = tape.features.feature_map, tape.attn
+        fmap, attn = tape.detection.feature_map, tape.attn
         d_attn = np.einsum("ije,e->ij", fmap, d_emb) / (fmap.shape[0] * fmap.shape[1])
         d_logits = attn * (d_attn - float((attn * d_attn).sum()))
         grads["attention.w"] += np.einsum("ij,ije->e", d_logits, fmap)
         grads["attention.b"] += d_logits.sum()
 
 
-def _ref_describe(features_list, params, ego, ego_ref, K):
-    B, d_off, C = reference_transform(ego, ego_ref)
-    tapes = [_ref_forward_detection(f, params, B, d_off, C, K) for f in features_list]
-    rows = [np.concatenate([t.geometry, f.appearance]) for t, f in zip(tapes, features_list)]
+def _ref_describe(frame, targets, params, ego_ref):
+    B, d_off, C = reference_transform(frame.ego, ego_ref)
+    tapes = [_ref_forward_detection(det, target, params, B, d_off, C, frame.intrinsics)
+             for det, target in zip(frame.detections, targets)]
+    rows = [np.concatenate([t.geometry, det.appearance])
+            for t, det in zip(tapes, frame.detections)]
     return tapes, np.array(rows).reshape(len(rows), params.config.descriptor_dim)
 
 
 def _ref_forward_pair(sample, params, pose_only=False):
     """Pose losses, joint loss and gradients of one pair, per detection."""
     cfg = params.config
-    n1, n2 = len(sample.a), len(sample.b)
-    tapes_a, feats_a = _ref_describe(sample.a, params, sample.ego_a, sample.ego_ref,
-                                     sample.intrinsics_a)
-    tapes_b, feats_b = _ref_describe(sample.b, params, sample.ego_b, sample.ego_ref,
-                                     sample.intrinsics_b)
+    n1, n2 = len(sample.frame_a.detections), len(sample.frame_b.detections)
+    tapes_a, feats_a = _ref_describe(sample.frame_a, sample.targets_a, params,
+                                     sample.ego_ref)
+    tapes_b, feats_b = _ref_describe(sample.frame_b, sample.targets_b, params,
+                                     sample.ego_ref)
     tapes = tapes_a + tapes_b
     pose_losses = [t.pose_loss for t in tapes if t.pose_loss is not None]
     mean_pose = float(np.mean(pose_losses)) if pose_losses else 0.0
@@ -700,7 +704,8 @@ def assert_bits_equal(actual, expected, what):
 
 def _oracle_samples(emit_maps, drop_every=0):
     """Pairs with false positives (no pose target) and misses; with
-    ``drop_every`` every that-many-th detection also loses its target."""
+    ``drop_every`` every that-many-th detection of a pair also loses its
+    target."""
     scenes = [generate_scene(SimConfig(
         seed=70 + s, n_frames=12, n_objects=4, appearance_dim=4, fp_rate=0.5,
         miss_rate=0.1, appearance_sigma=0.05, center_sigma_px=1.0,
@@ -708,14 +713,13 @@ def _oracle_samples(emit_maps, drop_every=0):
         feature_sigma=0.05)) for s in range(2)]
     samples = make_matching_dataset(scenes, n_max=8, pairs_per_scene=4, seed=0)
     if drop_every:
-        for sample in samples:
-            for i, f in enumerate(sample.a + sample.b):
-                if i % drop_every == 0:
-                    f.target = None
-    template = samples[0]
-    match = np.zeros((len(template.a) + 1, 1), dtype=np.int64)
-    match[:-1, 0] = 1
-    samples.append(replace(template, b=[], match=match))  # one empty side
+        for i, sample in enumerate(samples):
+            targets = [None if j % drop_every == 0 else target for j, target in
+                       enumerate(sample.targets_a + sample.targets_b)]
+            n_a = len(sample.targets_a)
+            samples[i] = replace(sample, targets_a=tuple(targets[:n_a]),
+                                 targets_b=tuple(targets[n_a:]))
+    samples.append(with_empty_b(samples[0]))  # one empty side
     return samples
 
 
@@ -741,12 +745,9 @@ class TestSideChainOracle:
         for sample in samples:
             ref = _ref_forward_pair(sample, params, pose_only=pose_only)
             new = forward_pair(sample, params, with_grad=True, pose_only=pose_only)
-            for side, ego, K, rows in ((sample.a, sample.ego_a, sample.intrinsics_a,
-                                        ref["rows"][0]),
-                                       (sample.b, sample.ego_b, sample.intrinsics_b,
-                                        ref["rows"][1])):
-                assert_bits_equal(_describe(side, params, ego, sample.ego_ref, K)[1],
-                                  rows, "descriptor rows")
+            for (_, rows), ref_rows in zip(_describe_sides(sample, params, _describe),
+                                           ref["rows"]):
+                assert_bits_equal(rows, ref_rows, "descriptor rows")
             assert_bits_equal(new["pose_losses"], ref["pose_losses"], "pose losses")
             assert_bits_equal(new["joint"], ref["joint"], "joint loss")
             assert new["grads"].keys() == ref["grads"].keys()
@@ -754,7 +755,7 @@ class TestSideChainOracle:
                 assert_bits_equal(new["grads"][name], grad, name)
         if cfg.use_pose_head:
             # the cases reach both branches of the pose loss
-            targeted = [f.target is not None for s in samples for f in s.a + s.b]
+            targeted = [t is not None for s in samples for t in s.targets_a + s.targets_b]
             assert any(targeted) and not all(targeted)
 
 
@@ -772,7 +773,7 @@ class TestDescriptorRowsOnce:
         samples = _oracle_samples(emit_maps=False)
         params = fit_input_standardization(samples, init_matcher_params(cfg))
         rows, _ = matching._input_statistics(samples, params)
-        assert any(len(sample.b) == 0 for sample in samples)
+        assert any(len(sample.frame_b.detections) == 0 for sample in samples)
         for sample, sample_rows in zip(samples, rows):
             for with_grad in (False, True):
                 ref = forward_pair(sample, params, with_grad=with_grad)
@@ -799,9 +800,8 @@ class TestDescriptorRowsOnce:
             # rows handed in are those _describe gives at this very call
             if rows is not None:
                 reused.append(sample)
-                for (feats, ego, K), got in zip(matching._sides(sample), rows):
-                    assert_bits_equal(got, _describe(feats, params, ego, sample.ego_ref,
-                                                     K)[1], "reused rows")
+                for got, (_, want) in zip(rows, _describe_sides(sample, params, _describe)):
+                    assert_bits_equal(got, want, "reused rows")
             return original(sample, params, rows=rows, **kwargs)
 
         monkeypatch.setattr(matching, "forward_pair", check_rows)

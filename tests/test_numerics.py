@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from geotrack.errors import SchemaError, ShapeMismatchError
 from geotrack.geometry import CameraIntrinsics, EgoPose, PixelObservation
 from geotrack.matching import (
-    DetectionFeatures,
     Matcher,
     MatcherConfig,
     PairSample,
-    _sides,
     build_pair_tensor,
     forward_pair,
     init_matcher_params,
@@ -36,6 +34,7 @@ from geotrack.numerics import (
     row_norm,
     softmax_map,
 )
+from geotrack.scene import Detection, FrameRecord
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
 from helpers import grad_check
 
@@ -55,11 +54,11 @@ def pooling_matcher(embed_dim, w, b):
 
 def embedding(matcher, fmap):
     """The attention-pooled embedding slot G of one detection's descriptor."""
-    feats = DetectionFeatures(
-        appearance=np.zeros(1), feature_map=np.asarray(fmap, dtype=np.float64),
+    det = Detection(
+        bbox=(750.0, 400.0, 100.0, 100.0), appearance=np.zeros(1), feature_map=fmap,
         observation=PixelObservation(c=(800.0, 450.0), T_z=10.0, R=(0.0, 1.0)),
     )
-    row = matcher.descriptors([feats], IDENTITY, IDENTITY, K)[0]
+    row = matcher.descriptors([det], IDENTITY, IDENTITY, K)[0]
     return row[6:6 + matcher.config.embed_dim]
 
 
@@ -185,11 +184,14 @@ class TestLosses:
             params = init_matcher_params(cfg)
             params.pose_head[-1].w[:] = 0.0
             params.pose_head[-1].b[:] = [0.5, 0.5, 0.25, 1.0, 0.0]
-            feats = DetectionFeatures(appearance=np.zeros(1),
-                                      target=((803.0, 454.0), 25.0, (0.0, 0.0)),
-                                      feature_map=np.ones((2, 2, 2)))
-            sample = PairSample(a=[feats], b=[], ego_a=IDENTITY, ego_b=IDENTITY,
-                                ego_ref=IDENTITY, intrinsics_a=K, intrinsics_b=K,
+            det = Detection(bbox=(750.0, 400.0, 100.0, 100.0), appearance=np.zeros(1),
+                            feature_map=np.ones((2, 2, 2)))
+            frame_a = FrameRecord(frame_index=0, timestamp=0.0, intrinsics=K, ego=IDENTITY,
+                                  detections=[det])
+            frame_b = FrameRecord(frame_index=1, timestamp=1.0, intrinsics=K, ego=IDENTITY)
+            sample = PairSample(frame_a=frame_a, frame_b=frame_b,
+                                targets_a=(((803.0, 454.0), 25.0, (0.0, 0.0)),),
+                                targets_b=(), ego_ref=IDENTITY,
                                 match=np.array([[1], [0]]))
             res = forward_pair(sample, params, pose_only=True)
             assert res["pose_losses"] == [pytest.approx(expected)]
@@ -382,8 +384,9 @@ class TestRowInvariance:
         samples = make_matching_dataset(scenes, n_max=8, pairs_per_scene=6, seed=3)
         matcher = Matcher(params)
         for sample in samples:
-            rows_a, rows_b = (matcher.descriptors(feats, ego, sample.ego_ref, intrinsics)
-                              for feats, ego, intrinsics in _sides(sample))
+            rows_a, rows_b = (matcher.descriptors(frame.detections, frame.ego,
+                                                  sample.ego_ref, frame.intrinsics)
+                              for frame in (sample.frame_a, sample.frame_b))
             pairs = build_pair_tensor(rows_a, rows_b)
             scale = (params.input_scale, params.input_shift)
             np.testing.assert_allclose(

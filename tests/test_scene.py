@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geotrack._kernels import iou_matrix
 from geotrack.errors import (
     CapacityExceededError,
     FormatError,
@@ -260,7 +261,8 @@ class TestSceneJson:
 
 # --- loader oracle -----------------------------------------------------------------
 # The scene loader as it was before it checked each detection's numbers in one
-# pass and shared ground-truth poses: the reference for byte-equal output and
+# pass and shared ground-truth poses, plus the later rule that a box's far
+# edges and doubled area are finite: the reference for byte-equal output and
 # for the first error on a broken document.
 
 
@@ -268,6 +270,17 @@ def _ref_bbox_intersects_image(bbox, intrinsics):
     left, top, w, h = bbox
     return w > 0 and h > 0 and left < intrinsics.width and top < intrinsics.height \
         and left + w > 0 and top + h > 0
+
+
+_REF_BOX_RANGE = "bbox is out of range: left + width, top + height and " \
+    "2 * width * height must be finite"
+
+
+def _ref_check_box_range(where, bbox):
+    left, top, w, h = (float(x) for x in bbox)
+    if not (math.isfinite(left + w) and math.isfinite(top + h)
+            and math.isfinite(2.0 * w * h)):
+        raise SchemaError(f"{where}: {_REF_BOX_RANGE}")
 
 
 def _ref_check_finite(where, fields):
@@ -397,18 +410,19 @@ def reference_scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
                 try:
                     _ref_check_finite(f"{where}.gt_objects[{i}]", {
                         k: gd[k] for k in ("translation", "rotation", "bbox") if k in gd})
-                    gt.append(
-                        GroundTruthObject(
-                            object_id=int(gd["object_id"]),
-                            pose=Pose5D(
-                                np.asarray(gd["translation"], dtype=np.float64),
-                                np.asarray(gd["rotation"], dtype=np.float64),
-                                WORLD,
-                            ),
-                            kind=gd.get("kind", "vertical"),
-                            bbox=gd.get("bbox"),
-                        )
+                    g = GroundTruthObject(
+                        object_id=int(gd["object_id"]),
+                        pose=Pose5D(
+                            np.asarray(gd["translation"], dtype=np.float64),
+                            np.asarray(gd["rotation"], dtype=np.float64),
+                            WORLD,
+                        ),
+                        kind=gd.get("kind", "vertical"),
+                        bbox=gd.get("bbox"),
                     )
+                    if g.bbox is not None:
+                        _ref_check_box_range(f"{where}.gt_objects[{i}]", g.bbox)
+                    gt.append(g)
                 except _REF_BAD_VALUE as exc:
                     raise SchemaError(f"{where}: bad gt object ({exc})") from exc
             frame.gt_objects = gt
@@ -417,7 +431,8 @@ def reference_scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
                 f"{where}: frame_index {frame.frame_index} not increasing"
             )
         prev_index = frame.frame_index
-        for det in frame.detections:
+        for j, det in enumerate(frame.detections):
+            _ref_check_box_range(f"{where}.detections[{j}]", det.bbox)
             if not _ref_bbox_intersects_image(det.bbox, intrinsics):
                 raise InvariantViolationError(
                     f"{where}: bbox {det.bbox.tolist()} does not intersect the image"
@@ -612,6 +627,25 @@ class TestMotCsv:
         parts[field] = value
         with pytest.raises(FormatError, match="line 2: .*finite"):
             mot_from_csv(good + ",".join(parts) + "\n")
+
+    @pytest.mark.parametrize("box", [
+        ("1e308", "2", "1e308", "4"),  # left + width overflows
+        ("1", "-1e308", "3", "-1e308"),  # top + height overflows
+        ("1", "2", "1e200", "1e200"),  # width * height overflows
+        ("1", "2", "1e154", "1e154"),  # only twice the area overflows
+    ])
+    def test_out_of_range_box_reports_line(self, box):
+        good = mot_to_csv([MotEntry(0, 1, (1, 2, 3, 4), 1.0, (5, 6, 7))])
+        parts = good.strip().split(",")
+        parts[2:6] = box
+        with pytest.raises(FormatError, match="line 2: bbox is out of range"):
+            mot_from_csv(good + ",".join(parts) + "\n")
+
+    def test_largest_boxes_score_iou_one(self):
+        # boxes just inside the rule keep every IoU finite: a box matches itself
+        text = "1,1,0,0,7e153,7e153,1,-1,-1,-1\n1,2,1e308,0,7e307,1,1,-1,-1,-1\n"
+        boxes = [e.bbox for e in mot_from_csv(text)]
+        np.testing.assert_allclose(iou_matrix(boxes, boxes), np.eye(2), rtol=1e-15)
 
     def test_rejects_nonpositive_ids(self):
         with pytest.raises(FormatError):

@@ -167,8 +167,9 @@ class TestMatchingDataset:
         samples = make_matching_dataset([scene], n_max=6, pairs_per_scene=8,
                                         seed=0)
         for s in samples:
-            assert s.match.shape == (len(s.a) + 1, len(s.b) + 1)
-            if len(s.a) == 1 and len(s.b) == 1:
+            n_a, n_b = len(s.frame_a.detections), len(s.frame_b.detections)
+            assert s.match.shape == (n_a + 1, n_b + 1)
+            if n_a == 1 and n_b == 1:
                 np.testing.assert_array_equal(s.match, [[1, 0], [0, 0]])
 
     def test_reproducible(self):
@@ -197,10 +198,11 @@ class TestMatchingDataset:
                                          appearance_dim=4))
         samples = make_matching_dataset([scene], 5, 5, seed=0)
         for s in samples:
-            for feats in (s.a, s.b):
-                for f in feats:
-                    assert f.target is not None
-                    center, depth, facing = f.target
+            for frame, targets in ((s.frame_a, s.targets_a), (s.frame_b, s.targets_b)):
+                assert len(targets) == len(frame.detections)
+                for target in targets:
+                    assert target is not None
+                    center, depth, facing = target
                     assert depth > 0
                     assert np.linalg.norm(facing) == pytest.approx(1.0)
 

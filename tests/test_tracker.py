@@ -25,7 +25,6 @@ from geotrack.tracker import (
     Track,
     TrackerState,
     TrackInstance,
-    _features_for,
     aggregate_pose,
     finalize,
     geolocation_report,
@@ -446,9 +445,8 @@ def reference_step(state, frame):
     if not frame.detections:
         state.last_frame_index = frame.frame_index
         return AssignmentResult(unmatched_tracks=list(range(len(state.tracks)))), []
-    features = [_features_for(det) for det in frame.detections]
     descriptors = state.matcher.descriptors(
-        features, frame.ego, state.ego_ref, frame.intrinsics
+        frame.detections, frame.ego, state.ego_ref, frame.intrinsics
     )
     scores = reference_score_matrix(state.tracks, descriptors, state.matcher)
     assignment = hungarian(scores)
@@ -547,8 +545,7 @@ class TestBookkeepingOracle:
         for frame in scene.frames:
             if frame.detections:
                 descriptors = matcher.descriptors(
-                    [_features_for(det) for det in frame.detections],
-                    frame.ego, scene.reference_ego, frame.intrinsics)
+                    frame.detections, frame.ego, scene.reference_ego, frame.intrinsics)
                 assert score_matrix(new.tracks, descriptors, matcher).tobytes() \
                     == reference_score_matrix(ref.tracks, descriptors, matcher).tobytes()
             assignment, entries = step(new, frame)
