@@ -43,6 +43,7 @@ from .matching import (
     MAX_COUNT,
     Matcher,
     MatcherConfig,
+    check_detections,
     load_checkpoint,
     save_checkpoint,
     train_matcher,
@@ -243,6 +244,11 @@ def cmd_train(args):
         config = MatcherConfig.from_dict({**_load_config_file(args.config), **overrides})
     out = _out_dir(args)
     doc, scenes = _load_dataset(args.dataset, config.capacity)
+    # every detection, not only those of the frames the pairs draw: data
+    # that train accepts, track accepts too
+    for scene in scenes:
+        for frame in scene.frames:
+            check_detections(frame.detections, config)
     samples = make_matching_dataset(
         scenes, doc["n_max"], doc["pairs_per_scene"], doc["seed"]
     )

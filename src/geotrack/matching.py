@@ -388,9 +388,12 @@ def loss_affinity(bundle, match, with_grad=False):
 # --- descriptor chain, one frame side at a time ----------------------------------
 
 
-def _gather(detections, cfg):
-    """The side's appearance rows (k, A) and feature maps (k, H, W, E) or
-    None; SchemaError when a detection does not fit the matcher."""
+def check_detections(detections, cfg):
+    """SchemaError when one frame's ``scene.Detection``s do not fit a matcher
+    of config ``cfg``: each needs an appearance vector of ``appearance_dim``
+    values and, on the observation route, a pixel observation; with
+    ``embed_dim`` > 0 each carries one feature map, all of one
+    (H, W, embed_dim) shape."""
     for det in detections:
         if det.appearance is None:
             raise SchemaError("detection lacks an appearance vector")
@@ -401,7 +404,6 @@ def _gather(detections, cfg):
             )
         if not cfg.use_pose_head and det.observation is None:
             raise SchemaError("detection lacks the pixel observation needed for matching")
-    fmaps = None
     if cfg.embed_dim > 0 and detections:
         shapes = {np.shape(det.feature_map) for det in detections}
         shape = next(iter(shapes)) if len(shapes) == 1 else ()
@@ -410,6 +412,14 @@ def _gather(detections, cfg):
                 f"embed_dim {cfg.embed_dim} needs one (H, W, {cfg.embed_dim}) feature "
                 f"map per detection, all of one shape; this frame has {sorted(shapes)}"
             )
+
+
+def _gather(detections, cfg):
+    """The side's appearance rows (k, A) and feature maps (k, H, W, E) or
+    None, once ``check_detections`` passes."""
+    check_detections(detections, cfg)
+    fmaps = None
+    if cfg.embed_dim > 0 and detections:
         fmaps = np.array([det.feature_map for det in detections], dtype=np.float64)
     return np.array([det.appearance for det in detections], dtype=np.float64), fmaps
 
@@ -429,15 +439,17 @@ def _apply(M, rows):
     return (M @ rows[:, :, None])[:, :, 0]
 
 
-def _describe(detections, params, ego, ego_ref, intrinsics, targets=None):
+def _describe(detections, params, transform, intrinsics, targets=None):
     """One frame side's descriptor chain: the tape ``_backward_side`` reads
     and the (k, d) ``[geometry | appearance]`` rows, all mapped into the
-    ``ego_ref`` camera frame. ``targets`` holds each detection's pose target
-    or None; the pose head's loss reads them (None: no detection has one)."""
+    reference camera frame by ``transform``, the side's
+    ``reference_transform(ego, ego_ref)``. ``targets`` holds each
+    detection's pose target or None; the pose head's loss reads them (None:
+    no detection has one)."""
     cfg = params.config
     k = len(detections)
     appearance, fmaps = _gather(detections, cfg)
-    B, d_off, C = reference_transform(ego, ego_ref)
+    B, d_off, C = transform
     tape = SimpleNamespace(B=B, C=C, intrinsics=intrinsics, fmaps=fmaps,
                            pose_loss=np.zeros(0))
     if k == 0:
@@ -484,12 +496,12 @@ def _describe(detections, params, ego, ego_ref, intrinsics, targets=None):
         [t_ref, r_ref, np.zeros((k, 1)), embedding, appearance], axis=1)
 
 
-def _input_rows(detections, params, ego, ego_ref, intrinsics, targets=None):
+def _input_rows(detections, params, transform, intrinsics, targets=None):
     """``_describe``'s rows for detections read from data under parameters
     that are not being trained: a pose head that cannot describe them, or a
     row that overflows, means the input values are bad (SchemaError)."""
     try:
-        rows = _describe(detections, params, ego, ego_ref, intrinsics, targets)[1]
+        rows = _describe(detections, params, transform, intrinsics, targets)[1]
     except NonFiniteLossError as exc:
         raise SchemaError(f"detections the pose head cannot describe: {exc}") from exc
     if not np.isfinite(rows).all():
@@ -548,18 +560,22 @@ def _backward_side(tape, d_geometry, pose_weight, params, grads):
 # --- full pair forward/backward --------------------------------------------------------
 
 
-def _named_arrays(params):
-    """Every trainable array by name: ``scorer.{i}.w|b``, ``pose_head.{i}.w|b``
-    and ``attention.w|b``. Gradients and momentum use the same keys."""
-    named = {}
+def _trainable_slots(params):
+    """``(name, owner, attribute)`` of every trainable array of ``params``:
+    ``scorer.{i}.w|b``, ``pose_head.{i}.w|b`` and ``attention.w|b``."""
     for group in ("scorer", "pose_head"):
         for i, layer in enumerate(getattr(params, group) or ()):
-            named[f"{group}.{i}.w"] = layer.w
-            named[f"{group}.{i}.b"] = layer.b
+            yield f"{group}.{i}.w", layer, "w"
+            yield f"{group}.{i}.b", layer, "b"
     if params.attention_w is not None:
-        named["attention.w"] = params.attention_w
-        named["attention.b"] = params.attention_b
-    return named
+        yield "attention.w", params, "attention_w"
+        yield "attention.b", params, "attention_b"
+
+
+def _named_arrays(params):
+    """Every trainable array by name, in ``_trainable_slots`` order.
+    Gradients use the same keys."""
+    return {name: getattr(owner, attr) for name, owner, attr in _trainable_slots(params)}
 
 
 def _upstream_trains(named):
@@ -569,13 +585,22 @@ def _upstream_trains(named):
     return any(name.startswith(_UPSTREAM) for name in named)
 
 
-def _describe_sides(sample, params, describe):
+def _reference_transforms(sample):
+    """The ``reference_transform`` of each side of ``sample``; it depends only
+    on the frames' ego poses, so a training run takes it once per sample."""
+    return tuple(reference_transform(frame.ego, sample.ego_ref)
+                 for frame in (sample.frame_a, sample.frame_b))
+
+
+def _describe_sides(sample, params, describe, transforms=None):
     """``describe`` (``_describe`` or ``_input_rows``) of a sample's two
-    frames, each with its detections' pose targets."""
-    return tuple(describe(frame.detections, params, frame.ego, sample.ego_ref,
-                          frame.intrinsics, targets)
-                 for frame, targets in ((sample.frame_a, sample.targets_a),
-                                        (sample.frame_b, sample.targets_b)))
+    frames, each with its detections' pose targets. ``transforms``, when
+    given, is the sample's ``_reference_transforms``."""
+    transforms = transforms or _reference_transforms(sample)
+    return tuple(describe(frame.detections, params, transform, frame.intrinsics, targets)
+                 for frame, targets, transform in (
+                     (sample.frame_a, sample.targets_a, transforms[0]),
+                     (sample.frame_b, sample.targets_b, transforms[1])))
 
 
 def _add_layer_grads(grads, group, layer_grads):
@@ -603,7 +628,8 @@ def _score(feats_a, feats_b, params, cache=None):
     return augment_normalize(logits, delta)
 
 
-def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):
+def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
+                 transforms=None, grads=None):
     """Joint loss (and gradients) of one training pair.
 
     Returns a dict with the affinity loss, pose losses, joint loss, the
@@ -613,10 +639,17 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):
     ``pose_only`` the scorer never runs: the objective is the mean pose loss
     alone (the pose-head pretraining phase).
 
+    Without ``with_grad`` the pair is scored tapeless, as ``Matcher.bundle``
+    scores it; with it the scorer's forward pass is taped for the backward
+    pass (see ``numerics.mlp_forward`` for how the two products differ).
+
     ``rows``, when given, is the sample's ``(rows_a, rows_b)`` as
     ``_describe`` builds them; it is valid only while nothing upstream of the
     descriptors trains (no ``pose_head.*`` or ``attention.*`` array), so
-    that the rows cannot change between calls.
+    that the rows cannot change between calls. ``transforms``, when given,
+    is the sample's ``_reference_transforms``. ``grads``, when given, holds
+    zeroed arrays keyed like ``_named_arrays`` that the gradients are added
+    into (a training run passes views into its flat gradient vector).
     """
     cfg = params.config
     n1, n2 = len(sample.frame_a.detections), len(sample.frame_b.detections)
@@ -625,7 +658,7 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):
             f"pair has {max(n1, n2)} detections; capacity is {cfg.capacity}"
         )
     if rows is None:
-        tapes, rows = zip(*_describe_sides(sample, params, _describe))
+        tapes, rows = zip(*_describe_sides(sample, params, _describe, transforms))
         pose_losses = np.concatenate([tape.pose_loss for tape in tapes]).tolist()
     else:
         tapes, pose_losses = None, []  # no pose head: no pose loss
@@ -637,16 +670,20 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):
                "joint": mean_pose, "bundle": None}
         pose_weight = 1.0
     else:
-        cache = []
+        cache = [] if with_grad else None
         bundle = _score(feats_a, feats_b, params, cache)
-        affinity, d_logits = loss_affinity(bundle, sample.match, with_grad=True)
+        if with_grad:
+            affinity, d_logits = loss_affinity(bundle, sample.match, with_grad=True)
+        else:
+            affinity = loss_affinity(bundle, sample.match)
         out = {"affinity": affinity, "pose_losses": pose_losses,
                "joint": affinity + cfg.lam * mean_pose, "bundle": bundle}
         pose_weight = cfg.lam
     if not with_grad:
         return out
 
-    grads = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
+    if grads is None:
+        grads = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
     upstream = _upstream_trains(grads)
     scored = not pose_only and n1 > 0 and n2 > 0
     if scored:
@@ -676,12 +713,15 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None):
 # --- training loop --------------------------------------------------------------------
 
 
-def _input_statistics(samples, params):
+def _input_statistics(samples, params, transforms=None):
     """Every sample's ``(rows_a, rows_b)`` descriptor rows, and all of them
     stacked with their column mean and standard deviation (None without
-    detections). Detection values whose descriptors or statistics leave the
-    float range are bad data (SchemaError)."""
-    rows = [_describe_sides(sample, params, _input_rows) for sample in samples]
+    detections). ``transforms``, when given, holds each sample's
+    ``_reference_transforms``. Detection values whose descriptors or
+    statistics leave the float range are bad data (SchemaError)."""
+    transforms = transforms or [_reference_transforms(sample) for sample in samples]
+    rows = [_describe_sides(sample, params, _input_rows, transform)
+            for sample, transform in zip(samples, transforms)]
     sides = [side for pair in rows for side in pair]
     if not sum(map(len, sides)):
         return rows, None
@@ -717,18 +757,97 @@ class EpochStats:
     accuracy: float
 
 
-def _sgd_epoch(samples, rows, params, config, rng, lr, velocity, pose_only=False):
+# Segments of the flat trainable vector, in order: ``scorer.b`` stands for
+# every ``scorer.{i}.b``. Weight decay then covers one slice (scorer.0.w to
+# the last pose_head.*.w), the pose head's step size one slice, and a
+# pose-only epoch updates one slice (pose_head.0.w to the end).
+_FLAT_ORDER = ("scorer.b", "scorer.w", "pose_head.w", "pose_head.b",
+               "attention.w", "attention.b")
+
+
+class _FlatTrainables:
+    """A training run's trainables in one float64 vector ``theta``, with a
+    gradient vector ``grad`` and a velocity vector of the same layout, so an
+    SGD step is a few whole-vector operations (the ``FlatParameter`` of
+    PyTorch FSDP, Zhao et al., VLDB 2023).
+
+    Building it rebinds every trainable array of ``params`` to a reshaped
+    view into ``theta``. ``grads`` holds the same views into ``grad``, keyed
+    and ordered like ``_named_arrays``, for ``forward_pair`` to add into.
+    """
+
+    def __init__(self, params):
+        slots = list(_trainable_slots(params))
+        bounds, begin, offset = {}, {}, 0
+        for kind in _FLAT_ORDER:
+            group, part = kind.split(".")
+            begin[kind] = offset
+            for name, owner, attr in slots:
+                if name.startswith(group + ".") and name.endswith("." + part):
+                    bounds[name] = (offset, offset + getattr(owner, attr).size)
+                    offset = bounds[name][1]
+        self.decay = slice(begin["scorer.w"], begin["pose_head.b"])
+        self.pose_head = slice(begin["pose_head.w"], begin["attention.w"])
+        self.upstream = begin["pose_head.w"]
+        self.theta = np.empty(offset)
+        self.spans = {}  # in _named_arrays order, which the clip norm sums in
+        for name, owner, attr in slots:
+            (lo, hi), array = bounds[name], getattr(owner, attr)
+            self.theta[lo:hi] = array.ravel()
+            setattr(owner, attr, self.theta[lo:hi].reshape(array.shape))
+            self.spans[name] = (lo, hi, array.shape)
+        self.grad = np.zeros_like(self.theta)
+        self.grads = {name: self.grad[lo:hi].reshape(shape)
+                      for name, (lo, hi, shape) in self.spans.items()}
+        self.velocity = np.zeros_like(self.theta)
+        # the updated segments' bounds within grad[lo:], without and with
+        # pose_only, in the order the clip norm sums them
+        self.clip_spans = {pose_only: [(a - lo, b - lo) for a, b, _ in self.spans.values()
+                                       if a >= lo]
+                           for pose_only, lo in ((False, 0), (True, self.upstream))}
+
+    def update(self, config, steps, pose_only):
+        """One SGD-with-momentum step from ``grad`` with per-element step
+        sizes ``steps``, on every segment or, with ``pose_only``, on the pose
+        head's and attention's alone.
+
+        The clip norm sums each segment's squares on its own and adds the
+        sums as Python floats in ``_named_arrays`` order, as a loop over the
+        arrays does; one sum over the whole vector rounds differently. Weight
+        decay is added on its slice rather than through a 0/1 mask, which
+        would turn a -0.0 gradient into +0.0.
+        """
+        lo = self.upstream if pose_only else 0
+        grad = self.grad[lo:]
+        if config.grad_clip:
+            squares = grad ** 2  # np.add.reduce: np.sum without its wrapper
+            norm = np.sqrt(sum([float(np.add.reduce(squares[a:b]))
+                                for a, b in self.clip_spans[pose_only]]))
+            if norm > config.grad_clip:
+                grad *= config.grad_clip / norm
+        decay = slice(max(lo, self.decay.start), self.decay.stop)
+        self.grad[decay] += config.weight_decay * self.theta[decay]
+        velocity = self.velocity[lo:]
+        velocity *= config.momentum
+        velocity -= steps[lo:] * grad
+        self.theta[lo:] += velocity
+
+
+def _sgd_epoch(samples, fixed, params, flat, config, rng, lr, pose_only=False):
     """One pass over the samples; returns (mean affinity, mean pose loss).
-    ``rows``, when given, holds each sample's ``forward_pair`` rows."""
-    updates = [(name, arr) for name, arr in _named_arrays(params).items()
-               if not pose_only or name.startswith(_UPSTREAM)]
+    ``fixed`` holds each sample's ``forward_pair`` rows (or None) and
+    reference transforms; ``flat`` holds the trainables."""
+    steps = np.full(len(flat.theta), lr)
+    steps[flat.pose_head] = lr * config.pose_lr_scale
     order = rng.permutation(len(samples))
     affinity_sum = 0.0
     pose_sum = 0.0
     pose_count = 0
     for idx in order:
+        rows, transforms = fixed[idx]
+        flat.grad.fill(0.0)
         result = forward_pair(samples[idx], params, with_grad=True, pose_only=pose_only,
-                              rows=rows[idx] if rows else None)
+                              rows=rows, transforms=transforms, grads=flat.grads)
         if not np.isfinite(result["joint"]):
             raise NonFiniteLossError(
                 f"non-finite loss at epoch {params.epochs_trained}, sample {idx}: "
@@ -738,23 +857,7 @@ def _sgd_epoch(samples, rows, params, config, rng, lr, velocity, pose_only=False
             affinity_sum += result["affinity"]
         pose_sum += sum(result["pose_losses"])
         pose_count += len(result["pose_losses"])
-        grads = result["grads"]
-        if config.grad_clip:
-            norm = np.sqrt(sum(float(np.sum(grads[name] ** 2))
-                               for name, _ in updates))
-            if norm > config.grad_clip:
-                scale = config.grad_clip / norm
-                for name, _ in updates:
-                    grads[name] *= scale
-        for name, arr in updates:
-            g = grads[name]
-            if name.endswith(".w") and "attention" not in name:
-                g = g + config.weight_decay * arr
-            step = lr * config.pose_lr_scale if name.startswith("pose_head.") else lr
-            v = velocity[name]
-            v *= config.momentum
-            v -= step * g
-            arr += v
+        flat.update(config, steps, pose_only)
     return (
         float(affinity_sum) / len(samples) if not pose_only else float("nan"),
         float(pose_sum) / pose_count if pose_count else 0.0,
@@ -771,12 +874,14 @@ def train_matcher(samples, config, params=None, heldout=None):
     per-epoch history (mean affinity loss, mean pose loss, accuracy on
     ``heldout`` or, failing that, the training samples).
 
-    When only the scorer trains (no pose head, ``embed_dim`` 0), each
-    sample side's descriptor rows are built once per call — the training
-    rows by the input-statistics pass, the held-out rows before the first
-    epoch — and every SGD step and accuracy pass reuses them. With a pose
-    head or attention the rows change on every step and are rebuilt each
-    time.
+    The trainables live in one flat vector for the run (``_FlatTrainables``);
+    the returned params' arrays are views into it. Each sample side's
+    reference transform is taken once per call. When only the scorer trains
+    (no pose head, ``embed_dim`` 0), each sample side's descriptor rows are
+    built once per call too — the training rows by the input-statistics
+    pass, the held-out rows before the first epoch — and every SGD step and
+    accuracy pass reuses them. With a pose head or attention the rows change
+    on every step and are rebuilt each time.
     """
     samples = list(samples)
     if not samples:
@@ -790,22 +895,28 @@ def train_matcher(samples, config, params=None, heldout=None):
             pretrain = (config.pose_pretrain_epochs
                         if config.pose_pretrain_epochs is not None
                         else config.epochs // 3)
+    transforms = [_reference_transforms(sample) for sample in samples]
     # A resumed run keeps the checkpoint's standardization frozen; its data
     # gets the same check a fresh run's fit makes, so overflowing values are
     # bad data here too rather than a diverging loss.
-    rows, stats = _input_statistics(samples, params)
+    rows, stats = _input_statistics(samples, params, transforms)
     if fresh:
         _set_standardization(params, stats)
     del stats  # the stacked copy of the rows is not needed past the fit
-    velocity = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
-    if _upstream_trains(velocity):
-        rows = None  # the descriptors change with every step
-    eval_samples, eval_rows = samples, rows
+    flat = _FlatTrainables(params)
+    # with a pose head or attention training, the descriptors change with
+    # every step
+    static = not _upstream_trains(flat.grads)
+    fixed = [(sample_rows if static else None, transform)
+             for sample_rows, transform in zip(rows, transforms)]
+    eval_samples, eval_fixed = samples, fixed
     if heldout:
-        eval_samples = heldout
-        eval_rows = None if rows is None else [
-            tuple(side[1] for side in _describe_sides(sample, params, _describe))
-            for sample in heldout]
+        eval_samples, eval_fixed = heldout, []
+        for sample in heldout:
+            transform = _reference_transforms(sample)
+            sample_rows = tuple(side[1] for side in _describe_sides(
+                sample, params, _describe, transform)) if static else None
+            eval_fixed.append((sample_rows, transform))
     cutoff = int(np.floor(config.epochs * 2 / 3))
     schedule = [(True, config.learning_rate)] * pretrain + [
         (False, config.learning_rate * (config.lr_decay if epoch >= cutoff else 1.0))
@@ -814,9 +925,9 @@ def train_matcher(samples, config, params=None, heldout=None):
     history = []
     for pose_only, lr in schedule:
         affinity_mean, pose_mean = _sgd_epoch(
-            samples, rows, params, config, rng, lr, velocity, pose_only=pose_only
+            samples, fixed, params, flat, config, rng, lr, pose_only=pose_only
         )
-        accuracy = pair_accuracy(eval_samples, params, rows=eval_rows)
+        accuracy = pair_accuracy(eval_samples, params, fixed=eval_fixed)
         history.append(EpochStats(epoch=params.epochs_trained, affinity=affinity_mean,
                                   pose=pose_mean, accuracy=accuracy))
         params.epochs_trained += 1
@@ -826,19 +937,21 @@ def train_matcher(samples, config, params=None, heldout=None):
 # --- evaluation helpers ------------------------------------------------------------------
 
 
-def pair_accuracy(samples, params, rows=None):
+def pair_accuracy(samples, params, fixed=None):
     """Fraction of per-object assignment decisions (argmax incl. the null
-    option, both directions) that agree with the ground-truth matrix.
+    option, both directions) that agree with the ground-truth matrix. Each
+    pair is scored tapeless, as ``Matcher.bundle`` scores it.
 
-    ``rows``, when given, holds each sample's ``forward_pair`` rows: a
-    training run that only trains the scorer passes the descriptor rows it
-    built once, so no sample is described again. Without it every sample is
-    described on every call.
+    ``fixed``, when given, holds each sample's ``forward_pair`` rows (or
+    None) and reference transforms: a training run passes what it built
+    once, so a run that only trains the scorer describes no sample again.
+    Without it every sample is described on every call.
     """
     correct = 0
     total = 0
     for i, sample in enumerate(samples):
-        bundle = forward_pair(sample, params, rows=rows[i] if rows else None)["bundle"]
+        rows, transforms = fixed[i] if fixed else (None, None)
+        bundle = forward_pair(sample, params, rows=rows, transforms=transforms)["bundle"]
         fused, match = bundle.fused, sample.match
         n1, n2 = fused.shape[0] - 1, fused.shape[1] - 1
         correct += np.count_nonzero(fused[:n1].argmax(axis=1) == match[:n1].argmax(axis=1))
@@ -867,7 +980,8 @@ class Matcher:
     def descriptors(self, detections, ego, ego_ref, intrinsics):
         """(k, d) descriptor rows of one frame's ``scene.Detection``s,
         reference frame."""
-        return _input_rows(detections, self.params, ego, ego_ref, intrinsics)
+        return _input_rows(detections, self.params, reference_transform(ego, ego_ref),
+                           intrinsics)
 
     def bundle(self, desc_rows, desc_cols):
         """Similarity bundle between two stacked descriptor matrices."""

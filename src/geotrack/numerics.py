@@ -151,19 +151,20 @@ def mlp_forward(layers, x, cache=None):
     Each output row is independent of the batch around it, bit for bit, so
     batched and row-at-a-time calls agree exactly. Which product gives that:
 
-    - With ``cache`` a list (training), it is filled with the per-layer
+    - With ``cache`` a list (an SGD step), it is filled with the per-layer
       inputs and pre-activations needed by mlp_backward, and every layer
       multiplies through einsum, which reduces each row in a fixed order.
-    - Without it (inference: the tracker's pair scorer), each layer whose
-      width is a multiple of ``GEMM_WIDTH_STEP`` multiplies through BLAS
-      gemm, about ten times faster at the scorer's sizes; other layers,
-      such as the scorer's 1-wide output, keep einsum. Row invariance of
-      gemm is a property of the BLAS kernel, pinned by the sweep test in
+    - Without it (the tracker's pair scorer, and training's accuracy
+      passes, which score as the tracker does), each layer whose width is
+      a multiple of ``GEMM_WIDTH_STEP`` multiplies through BLAS gemm, about
+      ten times faster at the scorer's sizes; other layers, such as the
+      scorer's 1-wide output, keep einsum. Row invariance of gemm is a
+      property of the BLAS kernel, pinned by the sweep test in
       tests/test_numerics.py.
 
-    Training keeps einsum only so that it reproduces the stored benchmark
-    checkpoint bit for bit. Once a benchmark change regenerates that
-    checkpoint, training can move to gemm too and the tape branch can go.
+    SGD steps keep einsum only so that training reproduces the stored
+    benchmark checkpoint bit for bit. Once a benchmark change regenerates
+    that checkpoint, they can move to gemm too and the tape branch can go.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1

@@ -1,7 +1,8 @@
 """Reference code that only the tests use: a finite-difference gradient
-check, input standardization fitted outside a training run, the
-pose-by-pose reference-frame transform, and a document mutator for the
-data-contract fuzz tests."""
+check, input standardization fitted outside a training run, the per-array
+SGD update that training's flat parameter vector replaced, the pose-by-pose
+reference-frame transform, and a document mutator for the data-contract
+fuzz tests."""
 
 from dataclasses import dataclass
 
@@ -75,6 +76,72 @@ def fit_input_standardization(samples, params):
     ``train_matcher`` run does before its first epoch; returns ``params``."""
     matching._set_standardization(params, matching._input_statistics(samples, params)[1])
     return params
+
+
+# --- per-array SGD update ---------------------------------------------------------
+
+
+def _reference_sgd_epoch(samples, params, config, rng, lr, velocity, pose_only=False):
+    """One pass of SGD with momentum, one array at a time: a fresh gradient
+    dict per step, a Python sum of per-array squared norms for the clip, and
+    a velocity array per trainable. Returns (mean affinity, mean pose loss,
+    clipped steps)."""
+    updates = [(name, arr) for name, arr in matching._named_arrays(params).items()
+               if not pose_only or name.startswith(matching._UPSTREAM)]
+    affinity_sum, pose_sum, pose_count, clipped = 0.0, 0.0, 0, 0
+    for idx in rng.permutation(len(samples)):
+        result = matching.forward_pair(samples[idx], params, with_grad=True,
+                                       pose_only=pose_only)
+        if not pose_only:
+            affinity_sum += result["affinity"]
+        pose_sum += sum(result["pose_losses"])
+        pose_count += len(result["pose_losses"])
+        grads = result["grads"]
+        if config.grad_clip:
+            norm = np.sqrt(sum(float(np.sum(grads[name] ** 2)) for name, _ in updates))
+            if norm > config.grad_clip:
+                clipped += 1
+                for name, _ in updates:
+                    grads[name] *= config.grad_clip / norm
+        for name, arr in updates:
+            g = grads[name]
+            if name.endswith(".w") and "attention" not in name:
+                g = g + config.weight_decay * arr
+            step = lr * config.pose_lr_scale if name.startswith("pose_head.") else lr
+            v = velocity[name]
+            v *= config.momentum
+            v -= step * g
+            arr += v
+    return (float(affinity_sum) / len(samples) if not pose_only else float("nan"),
+            float(pose_sum) / pose_count if pose_count else 0.0, clipped)
+
+
+def reference_train_matcher(samples, config, params=None, heldout=None):
+    """``matching.train_matcher`` run with the per-array update above, every
+    sample described on every call. Returns (params, history as (epoch,
+    affinity, pose, accuracy) tuples, clipped steps)."""
+    rng = np.random.default_rng(config.seed)
+    pretrain = 0
+    if params is None:
+        params = matching.init_matcher_params(config, rng)
+        fit_input_standardization(samples, params)
+        if config.use_pose_head:
+            pretrain = (config.pose_pretrain_epochs
+                        if config.pose_pretrain_epochs is not None else config.epochs // 3)
+    velocity = {name: np.zeros_like(a) for name, a in matching._named_arrays(params).items()}
+    cutoff = int(np.floor(config.epochs * 2 / 3))
+    schedule = [(True, config.learning_rate)] * pretrain + [
+        (False, config.learning_rate * (config.lr_decay if epoch >= cutoff else 1.0))
+        for epoch in range(config.epochs)]
+    history, clipped = [], 0
+    for pose_only, lr in schedule:
+        affinity, pose, clips = _reference_sgd_epoch(samples, params, config, rng, lr,
+                                                     velocity, pose_only)
+        clipped += clips
+        accuracy = matching.pair_accuracy(heldout or samples, params)
+        history.append((params.epochs_trained, affinity, pose, accuracy))
+        params.epochs_trained += 1
+    return params, history, clipped
 
 
 # --- frame transforms ----------------------------------------------------------------

@@ -696,6 +696,9 @@ class TestSceneData:
          ALL, "gt_objects[0]: bbox is out of range"),
         (lambda doc: [det.pop("appearance") for det in _detections(doc)],
          ("track-obs", "track-pose", "train"), "lacks an appearance vector"),
+        # train checks the detections of every frame, drawn into a pair or not
+        (lambda doc: _detections(doc)[0].pop("appearance"),
+         ("track-obs", "track-pose", "train"), "lacks an appearance vector"),
     ])
     def test_bad_scene_value_exits_3(self, scene_inputs, capsys, mutate, commands, named):
         doc = copy.deepcopy(scene_inputs["doc"])
@@ -703,6 +706,19 @@ class TestSceneData:
         for command in commands:
             assert run_on_scene(scene_inputs, doc, command) == 3, command
             assert named in capsys.readouterr().err, command
+
+    def test_resumed_train_checks_every_detection(self, scene_inputs, capsys):
+        """A resumed run checks every detection of the dataset, as a fresh one does."""
+        root = scene_inputs["root"]
+        assert run_on_scene(scene_inputs, scene_inputs["doc"], "train") == 0
+        resumed = ["train", "--dataset", root / "pairs.json", "--resume",
+                   root / "out-train" / "checkpoint.json", "--out", root / "out-resumed"]
+        doc = copy.deepcopy(scene_inputs["doc"])
+        _detections(doc)[0].pop("appearance")
+        (root / "mutated-scene.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli.main([str(a) for a in resumed]) == 3
+        assert "lacks an appearance vector" in capsys.readouterr().err
 
     @pytest.mark.parametrize("checkpoint, mutate, named", [
         ("track-pose", lambda det: det["feature_map"].update(

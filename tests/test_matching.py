@@ -41,7 +41,7 @@ from geotrack.matching import (
 from geotrack.numerics import _logcosh, mlp_backward, mlp_forward
 from geotrack.scene import Detection
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
-from helpers import fit_input_standardization, grad_check
+from helpers import fit_input_standardization, grad_check, reference_train_matcher
 
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
                      width=1600, height=900)
@@ -110,9 +110,11 @@ class TestDescriptors:
                                          appearance_dim=4))
         frame = scene.frames[0]
         params = init_matcher_params(MatcherConfig(appearance_dim=4))
-        args = (frame.ego, scene.reference_ego, frame.intrinsics)
-        rows = Matcher(params).descriptors(frame.detections, *args)
-        stacked = np.array(list(_describe(frame.detections, params, *args)[1]))
+        rows = Matcher(params).descriptors(frame.detections, frame.ego, scene.reference_ego,
+                                           frame.intrinsics)
+        transform = reference_transform(frame.ego, scene.reference_ego)
+        stacked = np.array(list(_describe(frame.detections, params, transform,
+                                          frame.intrinsics)[1]))
         assert isinstance(rows, np.ndarray)
         assert rows.shape == stacked.shape and len(rows) == len(frame.detections) > 1
         assert rows.tobytes() == stacked.tobytes()
@@ -474,21 +476,24 @@ class TestPerSideIntrinsics:
 
     def test_training_geometry_matches_tracking_descriptors(self):
         scene, sample = self.two_frame_sample()
-        cfg = MatcherConfig(appearance_dim=4, scorer_hidden=(10, 8, 8, 6, 4), seed=5)
-        params = fit_input_standardization([sample], init_matcher_params(cfg))
-        matcher = Matcher(params)
         assert sample.frame_a is scene.frames[0] and sample.frame_b is scene.frames[1]
-        rows_a, rows_b = (
-            matcher.descriptors(frame.detections, frame.ego, scene.reference_ego,
-                                frame.intrinsics)
-            for frame in scene.frames
-        )
-        # standardization is fitted on the training-side descriptors ...
-        np.testing.assert_array_equal(params.input_shift,
-                                      np.concatenate([rows_a, rows_b]).mean(axis=0))
-        # ... and the training pair scores exactly what tracking scores
-        np.testing.assert_array_equal(forward_pair(sample, params)["bundle"].fused,
-                                      matcher.bundle(rows_a, rows_b).fused)
+        # the second scorer's widths are multiples of 8, so tracking scores
+        # its hidden layers through BLAS gemm
+        for hidden in ((10, 8, 8, 6, 4), (64, 48, 32, 16, 8)):
+            cfg = MatcherConfig(appearance_dim=4, scorer_hidden=hidden, seed=5)
+            params = fit_input_standardization([sample], init_matcher_params(cfg))
+            matcher = Matcher(params)
+            rows_a, rows_b = (
+                matcher.descriptors(frame.detections, frame.ego, scene.reference_ego,
+                                    frame.intrinsics)
+                for frame in scene.frames
+            )
+            # standardization is fitted on the training-side descriptors ...
+            np.testing.assert_array_equal(params.input_shift,
+                                          np.concatenate([rows_a, rows_b]).mean(axis=0))
+            # ... and the training pair scores exactly what tracking scores
+            assert_bits_equal(forward_pair(sample, params)["bundle"].fused,
+                              matcher.bundle(rows_a, rows_b).fused, hidden)
 
     def test_pose_head_gradients(self):
         _, sample = self.two_frame_sample(emit_maps=True)
@@ -824,7 +829,7 @@ class TestDescriptorRowsOnce:
     def test_describe_calls(self, monkeypatch, route, once):
         samples = _oracle_samples(emit_maps=route.get("embed_dim", 0) > 0)
         train, heldout = samples[::2], samples[1::2]
-        calls = {"_describe": 0, "forward_pair": 0}
+        calls = {"_describe": 0, "forward_pair": 0, "reference_transform": 0}
 
         def counted(name):
             original = getattr(matching, name)
@@ -836,6 +841,7 @@ class TestDescriptorRowsOnce:
 
         counted("_describe")
         counted("forward_pair")
+        counted("reference_transform")
         train_matcher(train, _route_config(**route), heldout=heldout)
         assert calls["forward_pair"] > len(train) + len(heldout)
         sides = 2 * len(train)  # the input-statistics pass
@@ -843,3 +849,61 @@ class TestDescriptorRowsOnce:
             assert calls["_describe"] == sides + 2 * len(heldout)
         else:
             assert calls["_describe"] == sides + 2 * calls["forward_pair"]
+        # on every route, one reference transform per sample side and call
+        assert calls["reference_transform"] == 2 * (len(train) + len(heldout))
+
+
+class TestFlatUpdate:
+    """Training's flat parameter vector against the per-array update it
+    replaced (``helpers.reference_train_matcher``), bit for bit."""
+
+    @pytest.mark.parametrize("route", [
+        dict(),  # observation route
+        dict(embed_dim=6),  # attention without a pose head
+        dict(embed_dim=6, use_pose_head=True),  # with a pose-only epoch
+        dict(embed_dim=6, use_pose_head=True, grad_clip=0.05),
+        dict(embed_dim=6, use_pose_head=True, grad_clip=0.0),
+        dict(grad_clip=0.05),
+    ])
+    def test_bit_identical_to_per_array_update(self, route):
+        samples = _oracle_samples(emit_maps=route.get("embed_dim", 0) > 0)
+        train, heldout = samples[::2], samples[1::2]
+        cfg = _route_config(**route)
+        params, ref_params, clipped = None, None, 0
+        for run in ("fresh", "resumed"):
+            params, history = train_matcher(train, cfg, params=params, heldout=heldout)
+            ref_params, ref_history, clips = reference_train_matcher(
+                train, cfg, params=ref_params, heldout=heldout)
+            clipped += clips
+            assert_bits_equal([(e.epoch, e.affinity, e.pose, e.accuracy) for e in history],
+                              ref_history, f"{run} history")
+            ref_arrays = _named_arrays(ref_params)
+            assert _named_arrays(params).keys() == ref_arrays.keys()
+            for name, arr in _named_arrays(params).items():
+                assert_bits_equal(arr, ref_arrays[name], f"{run} {name}")
+        if 0 < cfg.grad_clip < 1:
+            assert clipped > 0, "the small clip must trigger"
+        if cfg.use_pose_head:  # one pose-only epoch, in the fresh run
+            assert params.epochs_trained == 2 * cfg.epochs + cfg.pose_pretrain_epochs
+
+    def test_segments(self):
+        cfg = _route_config(embed_dim=6, use_pose_head=True)
+        params = init_matcher_params(cfg)
+        before = {name: arr.copy() for name, arr in _named_arrays(params).items()}
+        flat = matching._FlatTrainables(params)
+        names = list(before)
+        assert list(flat.grads) == names
+        for name, arr in _named_arrays(params).items():
+            # every trainable is a view into the one vector, values kept
+            assert np.shares_memory(arr, flat.theta)
+            assert_bits_equal(arr, before[name], name)
+
+        def covered(span):
+            lo, hi = span.indices(len(flat.theta))[:2]
+            return sorted(n for n, (a, b, _) in flat.spans.items() if lo <= a and b <= hi)
+
+        assert covered(flat.decay) == sorted(
+            n for n in names if n.endswith(".w") and not n.startswith("attention"))
+        assert covered(flat.pose_head) == sorted(n for n in names if n.startswith("pose_head"))
+        assert covered(slice(flat.upstream, None)) == sorted(
+            n for n in names if n.startswith(("pose_head", "attention")))
