@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import solve_lap_min
-from .errors import InfeasibleAssignmentError
+from .errors import GeotrackError
 
 __all__ = ["AssignmentResult", "solve_max", "hungarian"]
 
@@ -82,23 +82,23 @@ def solve_max(score):
     """
     score = np.asarray(score, dtype=np.float64)
     if score.ndim != 2:
-        raise InfeasibleAssignmentError("score matrix must be 2-D")
+        raise GeotrackError("score matrix must be 2-D")
     m, n_cols = score.shape
     if m == 0:
         return np.zeros(0, dtype=np.int64), 0.0
     if m > n_cols:
-        raise InfeasibleAssignmentError(
+        raise GeotrackError(
             f"{m} rows cannot all be assigned among {n_cols} columns"
         )
     if np.isnan(score).any() or (score == np.inf).any():
-        raise InfeasibleAssignmentError("scores must be finite or -inf")
+        raise GeotrackError("scores must be finite or -inf")
     cost = -score
     try:
         col4row, u, v = solve_lap_min(cost)
     except ValueError as exc:
-        raise InfeasibleAssignmentError(str(exc)) from exc
+        raise GeotrackError(str(exc)) from exc
     if not np.isfinite(score[np.arange(m), col4row]).all():
-        raise InfeasibleAssignmentError("only forbidden entries available")
+        raise GeotrackError("only forbidden entries available")
     col4row = _lex_refine(score, cost, col4row, u, v)
     return col4row, _total(score, col4row)
 
@@ -114,16 +114,16 @@ def hungarian(score):
     score = np.asarray(score, dtype=np.float64)
     m = score.shape[0] if score.ndim == 2 else 0
     if score.ndim != 2 or score.shape[1] < m:
-        raise InfeasibleAssignmentError(
+        raise GeotrackError(
             f"tracking score matrix must be (m, n + m); got {score.shape}"
         )
     n = score.shape[1] - m
     if np.isnan(score).any() or (score == np.inf).any():
-        raise InfeasibleAssignmentError("scores must be finite or -inf")
+        raise GeotrackError("scores must be finite or -inf")
     nulls = score[:, n:]
     null = nulls.diagonal()
     if (nulls[~np.eye(m, dtype=bool)] != -np.inf).any():
-        raise InfeasibleAssignmentError("null column n + i must be -inf outside row i")
+        raise GeotrackError("null column n + i must be -inf outside row i")
     # only rows with a detection scoring at least their null need a solve;
     # the rest keep the null (module docstring). A row without a null
     # always needs one.

@@ -22,14 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    DataError,
-    GeotrackError,
-    InvariantViolationError,
-    ParseError,
-    SchemaError,
-)
+from .errors import ConfigError, DataError, GeotrackError
 from .evaluation import (
     GeoCriterion,
     _pr_points,
@@ -85,32 +78,32 @@ def _read_json(path):
         with open(path) as handle:
             return json.load(handle)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg} (line {exc.lineno})")
+        raise DataError(f"{path}: {exc.msg} (line {exc.lineno})")
     except OSError as exc:
-        raise ParseError(f"{path}: {exc}")
+        raise DataError(f"{path}: {exc}")
 
 
 def _read_json_object(path):
     doc = _read_json(path)
     if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: must be a JSON object")
+        raise DataError(f"{path}: must be a JSON object")
     return doc
 
 
 def _object_list(value, name):
-    """``value`` as a list of JSON objects; SchemaError naming ``name`` otherwise."""
+    """``value`` as a list of JSON objects; DataError naming ``name`` otherwise."""
     if not isinstance(value, list):
-        raise SchemaError(f"{name} must be a list")
+        raise DataError(f"{name} must be a list")
     for i, row in enumerate(value):
         if not isinstance(row, dict):
-            raise SchemaError(f"{name}[{i}] must be a JSON object")
+            raise DataError(f"{name}[{i}] must be a JSON object")
     return value
 
 
 def _number(row, key, where):
     """``row[key]`` as a float: a finite JSON number, not true or false."""
     if not is_number(row.get(key)):
-        raise SchemaError(f"{where}.{key} must be a finite number")
+        raise DataError(f"{where}.{key} must be a finite number")
     return float(row[key])
 
 
@@ -212,18 +205,18 @@ def cmd_dataset(args):
 
 def _load_dataset(index_path, capacity):
     """The checked ``pairs.json`` document and its scenes; a field that does
-    not fit raises SchemaError naming it."""
+    not fit raises DataError naming it."""
     doc = _read_json_object(index_path)
     if type(doc.get("format")) is not int or doc["format"] != 1:
-        raise SchemaError(f"unsupported dataset format {doc.get('format')!r}")
+        raise DataError(f"unsupported dataset format {doc.get('format')!r}")
     paths = doc.get("scenes")
     if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
-        raise SchemaError("dataset scenes must be a list of file paths")
+        raise DataError("dataset scenes must be a list of file paths")
     for name, low in (("n_max", 1), ("pairs_per_scene", 1), ("seed", 0)):
         if type(doc.get(name)) is not int or doc[name] < low:
-            raise SchemaError(f"dataset {name} must be an integer >= {low}")
+            raise DataError(f"dataset {name} must be an integer >= {low}")
     if doc["pairs_per_scene"] > MAX_COUNT:
-        raise SchemaError(f"dataset pairs_per_scene must be <= {MAX_COUNT}")
+        raise DataError(f"dataset pairs_per_scene must be <= {MAX_COUNT}")
     return doc, [load_scene(p, capacity) for p in paths]
 
 
@@ -318,8 +311,8 @@ def _read_predictions(path):
         rotation = array_from_doc(obj.get("rotation"), f"{where}.rotation", (2,))
         try:
             pose = Pose5D(translation, rotation, WORLD)
-        except InvariantViolationError as exc:
-            raise SchemaError(f"{where}.rotation: {exc}") from exc
+        except DataError as exc:
+            raise DataError(f"{where}.rotation: {exc}") from exc
         predictions.append((pose, _number(obj, "instances", where)))
     return predictions
 
@@ -391,7 +384,7 @@ def cmd_plot(args):
         p, r, t = (_number(row, key, f"pr[{i}]")
                    for key in ("precision", "recall", "threshold"))
         if not (0.0 <= p <= 1.0 and 0.0 <= r <= 1.0):
-            raise SchemaError(f"pr[{i}]: precision and recall must lie in [0, 1]")
+            raise DataError(f"pr[{i}]: precision and recall must lie in [0, 1]")
         points.append((p, r, t))
     svg_path = out / "pr_curve.svg"
     atomic_write_text(svg_path, pr_curve_svg(points))

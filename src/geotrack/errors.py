@@ -1,8 +1,26 @@
-"""Exception hierarchy shared by all geotrack modules."""
+"""Exception hierarchy shared by all geotrack modules.
+
+One family per CLI exit code: ``ConfigError`` is bad usage or configuration
+(exit 2), ``DataError`` is bad input data (exit 3), and any other
+``GeotrackError`` is an internal fault (exit 4). Library callers catch the
+same three. A class beyond those three exists only where code catches it by
+class; the message says what went wrong.
+"""
 
 
 class GeotrackError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; the CLI exits 4 on
+    one outside the two families below."""
+
+
+class ConfigError(GeotrackError):
+    """Invalid configuration value; the message names the field. The CLI
+    exits 2 on this family."""
+
+
+class DataError(GeotrackError):
+    """Bad input data: unparseable, off the schema or breaking a model
+    invariant. The CLI exits 3 on this family."""
 
 
 class ZeroVectorError(GeotrackError):
@@ -13,67 +31,5 @@ class NonPositiveDepthError(GeotrackError):
     """Depth along the optical axis must be strictly positive."""
 
 
-class ShapeMismatchError(GeotrackError):
-    """Array shapes do not chain or agree."""
-
-
-class DataError(GeotrackError):
-    """Bad input data: the CLI exits 3 on this family."""
-
-
-class ParseError(DataError):
-    """A file could not be parsed at all (bad JSON / CSV)."""
-
-
-class SchemaError(DataError):
-    """Parsed data does not follow the documented schema."""
-
-
-class InvariantViolationError(DataError):
-    """Structurally valid data breaks a model invariant."""
-
-
-class CapacityExceededError(GeotrackError):
-    """More objects than the fixed per-frame capacity allows."""
-
-
-class SceneTooShortError(DataError):
-    """Operation needs more frames than the scene has."""
-
-
-class FormatError(DataError):
-    """A tracking CSV line is malformed (carries the line number)."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-class FrameMismatchError(GeotrackError):
-    """A pose was supplied in the wrong coordinate frame."""
-
-
-class DegenerateMatchError(GeotrackError):
-    """A ground-truth match matrix leaves a real object unassigned."""
-
-
 class NonFiniteLossError(GeotrackError):
     """Training produced NaN/Inf; aborted with diagnostics."""
-
-
-class OutOfOrderFrameError(GeotrackError):
-    """Frames must be presented in strictly increasing index order."""
-
-
-class EmptyTrackError(GeotrackError):
-    """A track without observations cannot be aggregated."""
-
-
-class ConfigError(GeotrackError):
-    """Invalid configuration value; the message names the field."""
-
-
-class InfeasibleAssignmentError(GeotrackError):
-    """No complete assignment exists that avoids forbidden entries."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import iou_matrix
 from .assignment import hungarian
-from .errors import ConfigError, FormatError, FrameMismatchError
+from .errors import ConfigError, DataError, GeotrackError
 from .geometry import angular_error
 from .numerics import row_norm
 
@@ -67,7 +67,7 @@ def mot_metrics(gt_entries, hyp_entries, iou_threshold=0.5):
     hyp_frames = _entries_by_frame(hyp_entries)
     gt_total = sum(len(v) for v in gt_frames.values())
     if gt_total == 0:
-        raise FormatError("no ground-truth boxes to evaluate against")
+        raise DataError("no ground-truth boxes to evaluate against")
 
     last_match = {}  # gt id -> hypothesis id (sticky across gaps)
     gt_frames_seen = {}
@@ -291,11 +291,11 @@ class TranslationErrorStats:
 def translation_error_stats(pairs):
     """Per-axis absolute translation error summary over matched pairs."""
     if not pairs:
-        raise FormatError("translation statistics need at least one matched pair")
+        raise DataError("translation statistics need at least one matched pair")
     deltas = []
     for pred, gt in pairs:
         if pred.frame_id != gt.frame_id:
-            raise FrameMismatchError(
+            raise GeotrackError(
                 f"poses in frames {pred.frame_id!r} and {gt.frame_id!r} do not compare"
             )
         deltas.append(np.abs(pred.T - gt.T))

@@ -28,11 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvariantViolationError,
-    NonPositiveDepthError,
-    ZeroVectorError,
-)
+from .errors import DataError, NonPositiveDepthError, ZeroVectorError
 
 WORLD = "world"
 REFERENCE = "reference"
@@ -44,9 +40,9 @@ _UNIT_TOL = 1e-9
 def _as_vec(x, n, name):
     v = np.asarray(x, dtype=np.float64).reshape(-1)
     if v.shape != (n,):
-        raise InvariantViolationError(f"{name} must have {n} components")
+        raise DataError(f"{name} must have {n} components")
     if not all(map(math.isfinite, v.tolist())):  # cheaper than np.isfinite for n <= 4
-        raise InvariantViolationError(f"{name} must be finite")
+        raise DataError(f"{name} must be finite")
     return v
 
 
@@ -63,9 +59,9 @@ class CameraIntrinsics:
 
     def __post_init__(self):
         if self.f_x <= 0 or self.f_y <= 0:
-            raise InvariantViolationError("focal lengths must be positive")
+            raise DataError("focal lengths must be positive")
         if not (0 <= self.p_x <= self.width and 0 <= self.p_y <= self.height):
-            raise InvariantViolationError("principal point outside image")
+            raise DataError("principal point outside image")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +76,7 @@ class EgoPose:
         t = _as_vec(self.translation, 3, "translation")
         norm = float(np.linalg.norm(q))
         if abs(norm - 1.0) > 1e-3:
-            raise InvariantViolationError(
+            raise DataError(
                 f"quaternion norm {norm:.6f} too far from 1"
             )
         if abs(norm - 1.0) > _UNIT_TOL:
@@ -108,10 +104,10 @@ class EgoPose:
         """Build from a 4x4 rigid transform (world<-camera)."""
         m = np.asarray(mat, dtype=np.float64)
         if m.shape != (4, 4):
-            raise InvariantViolationError("ego matrix must be 4x4")
+            raise DataError("ego matrix must be 4x4")
         rot = m[:3, :3]
         if np.abs(rot.T @ rot - np.eye(3)).max() >= 1e-6:
-            raise InvariantViolationError("ego rotation block is not orthonormal")
+            raise DataError("ego rotation block is not orthonormal")
         return cls(quat_from_matrix(rot), m[:3, 3].copy())
 
     def matrix(self):
@@ -134,7 +130,7 @@ class Pose5D:
         r = _as_vec(self.R, 2, "R")
         norm = float(np.linalg.norm(r))
         if abs(norm - 1.0) > _UNIT_TOL:
-            raise InvariantViolationError(f"facing direction norm {norm} != 1")
+            raise DataError(f"facing direction norm {norm} != 1")
         t.setflags(write=False)
         r.setflags(write=False)
         object.__setattr__(self, "T", t)

@@ -21,7 +21,7 @@ Two descriptor routes exist:
   coupling that makes joint training meaningful.
 
 Both routes read a frame's ``scene.Detection`` objects as they are (one
-without an appearance vector is a SchemaError). Either runs once per frame
+without an appearance vector is a DataError). Either runs once per frame
 side on (k, ...) arrays of that side's k detections (``_describe`` forward,
 ``_backward_side`` backward), and reproduces bit for bit a loop over the
 detections: each row's reductions are those a single vector would get, and
@@ -38,21 +38,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import numerics
-from .errors import (
-    CapacityExceededError,
-    ConfigError,
-    DegenerateMatchError,
-    NonFiniteLossError,
-    ParseError,
-    SchemaError,
-    ShapeMismatchError,
-)
+from .errors import ConfigError, DataError, GeotrackError, NonFiniteLossError
 from .geometry import recover_translation, reference_transform
 from .numerics import init_mlp, mlp_backward, mlp_forward
 from .scene import atomic_write_text
 
 GEOMETRY_PREFIX = 6  # (T_x, T_y, T_z, R_x, R_y, pad)
-_UPSTREAM = ("pose_head.", "attention.")  # trainables that shape the descriptors
 
 
 def _fits(value, default):
@@ -232,7 +223,11 @@ class MatcherParams:
 class PairSample:
     """One training item: two scene frames, whose ``scene.Detection``s the
     matcher reads, with each detection's (c*, T_z*, R*_cam) pose target or
-    None, and their match matrix. Samples of one frame share its targets."""
+    None, and their match matrix. Samples of one frame share its targets.
+
+    The match matrix is checked once, here: it must fit the two frames'
+    detection counts, and each real row and column must sum to 1.
+    """
 
     frame_a: object  # scene.FrameRecord
     frame_b: object
@@ -240,6 +235,20 @@ class PairSample:
     targets_b: tuple
     ego_ref: object
     match: np.ndarray  # (n_a+1, n_b+1), see scene.build_match_matrix
+
+    def __post_init__(self):
+        n1, n2 = len(self.frame_a.detections), len(self.frame_b.detections)
+        if self.match.shape != (n1 + 1, n2 + 1):
+            raise GeotrackError(
+                f"match matrix {self.match.shape} does not fit real counts ({n1}, {n2})"
+            )
+        bad_rows = np.flatnonzero(self.match[:n1].sum(axis=1) != 1)
+        if bad_rows.size:
+            raise GeotrackError(f"row {bad_rows[0]} of the match matrix must sum to 1")
+        bad_cols = np.flatnonzero(self.match[:, :n2].sum(axis=0) != 1)
+        if bad_cols.size:
+            raise GeotrackError(
+                f"column {bad_cols[0]} of the match matrix must sum to 1")
 
 
 # --- parameter construction -----------------------------------------------------
@@ -281,7 +290,7 @@ def build_pair_tensor(features_a, features_b):
     features_b = np.asarray(features_b, dtype=np.float64)
     if features_a.ndim != 2 or features_b.ndim != 2 \
             or features_a.shape[1] != features_b.shape[1]:
-        raise ShapeMismatchError(
+        raise GeotrackError(
             f"feature matrices {features_a.shape} / {features_b.shape} do not pair"
         )
     n_a, d = features_a.shape
@@ -300,14 +309,14 @@ def score_pair_logits(pair_tensor, scorer, input_scale, input_shift, cache=None)
     n_a, n_b, d2 = pair_tensor.shape
     x = pair_tensor.reshape(n_a * n_b, d2)
     if 2 * input_shift.shape[0] != d2:
-        raise ShapeMismatchError("input shift does not match pair width")
+        raise GeotrackError("input shift does not match pair width")
     x = x - np.concatenate([input_shift, input_shift])
     if 2 * input_scale.shape[0] != d2:
-        raise ShapeMismatchError("input scale does not match pair width")
+        raise GeotrackError("input scale does not match pair width")
     x = x * np.concatenate([input_scale, input_scale])
     logits = mlp_forward(scorer, x, cache=cache)
     if logits.shape[1] != 1:
-        raise ShapeMismatchError("pair scorer must produce one output per pair")
+        raise GeotrackError("pair scorer must produce one output per pair")
     return logits.reshape(n_a, n_b)
 
 
@@ -343,7 +352,8 @@ def augment_normalize(B, delta):
 def loss_affinity(bundle, match, with_grad=False):
     """Symmetric matching cross-entropy (average of both directions).
 
-    ``match`` must be (rows+1, cols+1) for a bundle of (rows, cols) logits.
+    ``match`` must be (rows+1, cols+1) for a bundle of (rows, cols) logits;
+    its row and column sums are checked where a ``PairSample`` is built.
     When ``with_grad`` is set, the gradient with respect to the logits is
     returned alongside the loss. Each row of S1n and column of S2n is one
     softmax group with target mass 1, so in each direction a logit's
@@ -352,17 +362,9 @@ def loss_affinity(bundle, match, with_grad=False):
     """
     n1, n2 = bundle.S1n.shape[0], bundle.S2n.shape[1]
     if match.shape != (n1 + 1, n2 + 1):
-        raise ShapeMismatchError(
+        raise GeotrackError(
             f"match matrix {match.shape} does not fit real counts ({n1}, {n2})"
         )
-    bad_rows = np.flatnonzero(match[:n1].sum(axis=1) != 1)
-    if bad_rows.size:
-        raise DegenerateMatchError(f"row {bad_rows[0]} of the match matrix must sum to 1")
-    bad_cols = np.flatnonzero(match[:, :n2].sum(axis=0) != 1)
-    if bad_cols.size:
-        raise DegenerateMatchError(
-            f"column {bad_cols[0]} of the match matrix must sum to 1")
-
     grad = np.zeros((n1, n2)) if with_grad else None
     m_block = match[:n1, :n2].astype(np.float64)
     loss1 = 0.0
@@ -389,26 +391,26 @@ def loss_affinity(bundle, match, with_grad=False):
 
 
 def check_detections(detections, cfg):
-    """SchemaError when one frame's ``scene.Detection``s do not fit a matcher
+    """DataError when one frame's ``scene.Detection``s do not fit a matcher
     of config ``cfg``: each needs an appearance vector of ``appearance_dim``
     values and, on the observation route, a pixel observation; with
     ``embed_dim`` > 0 each carries one feature map, all of one
     (H, W, embed_dim) shape."""
     for det in detections:
         if det.appearance is None:
-            raise SchemaError("detection lacks an appearance vector")
+            raise DataError("detection lacks an appearance vector")
         if np.shape(det.appearance) != (cfg.appearance_dim,):
-            raise SchemaError(
+            raise DataError(
                 f"appearance vector has {np.size(det.appearance)} dims; "
                 f"this matcher expects {cfg.appearance_dim}"
             )
         if not cfg.use_pose_head and det.observation is None:
-            raise SchemaError("detection lacks the pixel observation needed for matching")
+            raise DataError("detection lacks the pixel observation needed for matching")
     if cfg.embed_dim > 0 and detections:
         shapes = {np.shape(det.feature_map) for det in detections}
         shape = next(iter(shapes)) if len(shapes) == 1 else ()
         if len(shape) != 3 or shape[2] != cfg.embed_dim or 0 in shape:
-            raise SchemaError(
+            raise DataError(
                 f"embed_dim {cfg.embed_dim} needs one (H, W, {cfg.embed_dim}) feature "
                 f"map per detection, all of one shape; this frame has {sorted(shapes)}"
             )
@@ -488,7 +490,7 @@ def _describe(detections, params, transform, intrinsics, targets=None):
         t_ref = _apply(B, t_cam) + d_off
         bad = ~(np.isfinite(t_ref).all(axis=1) & np.isfinite(r_norm) & (r_norm > 1e-12))
         if bad.any():
-            raise SchemaError(f"detection {int(np.argmax(bad))}: observation geometry "
+            raise DataError(f"detection {int(np.argmax(bad))}: observation geometry "
                               f"is not finite or faces no direction")
         r_ref = _apply(C, r_obs / r_norm[:, None])
         r_ref = r_ref / numerics.row_norm(r_ref)[:, None]
@@ -499,13 +501,13 @@ def _describe(detections, params, transform, intrinsics, targets=None):
 def _input_rows(detections, params, transform, intrinsics, targets=None):
     """``_describe``'s rows for detections read from data under parameters
     that are not being trained: a pose head that cannot describe them, or a
-    row that overflows, means the input values are bad (SchemaError)."""
+    row that overflows, means the input values are bad (DataError)."""
     try:
         rows = _describe(detections, params, transform, intrinsics, targets)[1]
     except NonFiniteLossError as exc:
-        raise SchemaError(f"detections the pose head cannot describe: {exc}") from exc
+        raise DataError(f"detections the pose head cannot describe: {exc}") from exc
     if not np.isfinite(rows).all():
-        raise SchemaError("detection values overflow the descriptors")
+        raise DataError("detection values overflow the descriptors")
     return rows
 
 
@@ -578,13 +580,6 @@ def _named_arrays(params):
     return {name: getattr(owner, attr) for name, owner, attr in _trainable_slots(params)}
 
 
-def _upstream_trains(named):
-    """Whether any of the ``_named_arrays`` keys in ``named`` lies upstream of
-    the descriptors: only then do a sample's descriptor rows change while
-    training."""
-    return any(name.startswith(_UPSTREAM) for name in named)
-
-
 def _reference_transforms(sample):
     """The ``reference_transform`` of each side of ``sample``; it depends only
     on the frames' ego poses, so a training run takes it once per sample."""
@@ -645,16 +640,17 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
 
     ``rows``, when given, is the sample's ``(rows_a, rows_b)`` as
     ``_describe`` builds them; it is valid only while nothing upstream of the
-    descriptors trains (no ``pose_head.*`` or ``attention.*`` array), so
-    that the rows cannot change between calls. ``transforms``, when given,
-    is the sample's ``_reference_transforms``. ``grads``, when given, holds
-    zeroed arrays keyed like ``_named_arrays`` that the gradients are added
-    into (a training run passes views into its flat gradient vector).
+    descriptors trains (no attention, hence no pose head, which needs
+    ``embed_dim`` >= 1), so that the rows cannot change between calls.
+    ``transforms``, when given, is the sample's ``_reference_transforms``.
+    ``grads``, when given, holds zeroed arrays keyed like ``_named_arrays``
+    that the gradients are added into (a training run passes views into its
+    flat gradient vector).
     """
     cfg = params.config
     n1, n2 = len(sample.frame_a.detections), len(sample.frame_b.detections)
     if max(n1, n2) > cfg.capacity:
-        raise CapacityExceededError(
+        raise GeotrackError(
             f"pair has {max(n1, n2)} detections; capacity is {cfg.capacity}"
         )
     if rows is None:
@@ -684,7 +680,8 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
 
     if grads is None:
         grads = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
-    upstream = _upstream_trains(grads)
+    # attention (and the pose head, which needs it) shapes the descriptors
+    upstream = params.attention_w is not None
     scored = not pose_only and n1 > 0 and n2 > 0
     if scored:
         scorer_grads, d_x = mlp_backward(
@@ -718,7 +715,7 @@ def _input_statistics(samples, params, transforms=None):
     stacked with their column mean and standard deviation (None without
     detections). ``transforms``, when given, holds each sample's
     ``_reference_transforms``. Detection values whose descriptors or
-    statistics leave the float range are bad data (SchemaError)."""
+    statistics leave the float range are bad data (DataError)."""
     transforms = transforms or [_reference_transforms(sample) for sample in samples]
     rows = [_describe_sides(sample, params, _input_rows, transform)
             for sample, transform in zip(samples, transforms)]
@@ -728,7 +725,7 @@ def _input_statistics(samples, params, transforms=None):
     block = np.concatenate(sides)
     shift, std = block.mean(axis=0), block.std(axis=0)
     if not (np.isfinite(shift).all() and np.isfinite(std).all()):
-        raise SchemaError("detection values overflow the input standardization")
+        raise DataError("detection values overflow the input standardization")
     return rows, (block, shift, std)
 
 
@@ -906,7 +903,7 @@ def train_matcher(samples, config, params=None, heldout=None):
     flat = _FlatTrainables(params)
     # with a pose head or attention training, the descriptors change with
     # every step
-    static = not _upstream_trains(flat.grads)
+    static = params.attention_w is None
     fixed = [(sample_rows if static else None, transform)
              for sample_rows, transform in zip(rows, transforms)]
     eval_samples, eval_fixed = samples, fixed
@@ -970,7 +967,7 @@ class Matcher:
     The parameters are fixed and finite, so a descriptor or similarity that
     leaves the float range can only come from input values out of all
     proportion (a coordinate near 1e308, say): both calls report that as
-    bad data (SchemaError).
+    bad data (DataError).
     """
 
     def __init__(self, params):
@@ -987,7 +984,7 @@ class Matcher:
         """Similarity bundle between two stacked descriptor matrices."""
         bundle = _score(desc_rows, desc_cols, self.params)
         if not np.isfinite(bundle.fused).all():
-            raise SchemaError("descriptor values overflow the pair scorer")
+            raise DataError("descriptor values overflow the pair scorer")
         return bundle
 
 
@@ -1016,20 +1013,20 @@ def params_to_doc(params):
 def params_from_doc(doc):
     """MatcherParams from a checkpoint document.
 
-    Raises SchemaError naming the field when one is missing, has the wrong
+    Raises DataError naming the field when one is missing, has the wrong
     type or shape for the stored config, or holds NaN or inf.
     """
     if not isinstance(doc, dict) or type(doc.get("format")) is not int or doc["format"] != 1:
-        raise SchemaError('checkpoint must be a JSON object with "format": 1')
+        raise DataError('checkpoint must be a JSON object with "format": 1')
     try:
         config = MatcherConfig.from_dict(doc.get("config"))
     except ConfigError as exc:
-        raise SchemaError(f"checkpoint config: {exc}") from exc
+        raise DataError(f"checkpoint config: {exc}") from exc
     missing = sorted({f.name for f in fields(MatcherConfig)} - set(doc["config"]))
     if missing:
-        raise SchemaError(f"checkpoint config lacks {missing}")
+        raise DataError(f"checkpoint config lacks {missing}")
     if type(doc.get("epochs_trained")) is not int:
-        raise SchemaError("checkpoint epochs_trained must be an integer")
+        raise DataError("checkpoint epochs_trained must be an integer")
 
     def stored(key, shape):
         return numerics.array_from_doc(doc.get(key), f"checkpoint {key}", shape)
@@ -1064,7 +1061,7 @@ def load_checkpoint(path):
         with open(path) as handle:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg} (line {exc.lineno})") from exc
+        raise DataError(f"{path}: {exc.msg} (line {exc.lineno})") from exc
     except OSError as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from exc
     return params_from_doc(doc)

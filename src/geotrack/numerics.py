@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError, ShapeMismatchError
+from .errors import DataError, GeotrackError
 
 LOG2 = float(np.log(2.0))
 
@@ -92,17 +92,17 @@ class Layer:
         self.w = np.asarray(self.w, dtype=np.float64)
         self.b = np.asarray(self.b, dtype=np.float64).reshape(-1)
         if self.w.ndim != 2 or self.w.shape[1] != self.b.shape[0]:
-            raise ShapeMismatchError(
+            raise GeotrackError(
                 f"layer weights {self.w.shape} do not match bias {self.b.shape}"
             )
         if self.act not in _ACTS:
-            raise ShapeMismatchError(f"unknown activation {self.act!r}")
+            raise GeotrackError(f"unknown activation {self.act!r}")
 
 
 def init_mlp(sizes, activations, rng):
     """Glorot-uniform initialized MLP: weights in +-sqrt(6/(fan_in+fan_out))."""
     if len(activations) != len(sizes) - 1:
-        raise ShapeMismatchError("need one activation per layer")
+        raise GeotrackError("need one activation per layer")
     layers = []
     for fan_in, fan_out, act in zip(sizes[:-1], sizes[1:], activations):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -115,12 +115,12 @@ def init_mlp(sizes, activations, rng):
 
 def _check_chain(layers, x):
     if x.shape[-1] != layers[0].w.shape[0]:
-        raise ShapeMismatchError(
+        raise GeotrackError(
             f"input dim {x.shape[-1]} != first layer fan-in {layers[0].w.shape[0]}"
         )
     for prev, nxt in zip(layers[:-1], layers[1:]):
         if prev.w.shape[1] != nxt.w.shape[0]:
-            raise ShapeMismatchError(
+            raise GeotrackError(
                 f"layer dims {prev.w.shape} -> {nxt.w.shape} do not chain"
             )
 
@@ -220,23 +220,23 @@ def is_number(x):
 
 def array_from_doc(value, name, shape):
     """Finite JSON numbers nested to exactly ``shape`` as a float64 array;
-    SchemaError naming ``name`` for anything else, NaN and inf included."""
+    DataError naming ``name`` for anything else, NaN and inf included."""
     values = np.array(value, dtype=object)
     if values.shape != shape or not all(map(is_number, values.flat)):
-        raise SchemaError(f"{name} must be finite numbers of shape {shape}")
+        raise DataError(f"{name} must be finite numbers of shape {shape}")
     return values.astype(np.float64)
 
 
 def layers_from_doc(doc, sizes, name="layers"):
     """Inverse of layers_to_doc for an MLP with layer widths ``sizes``;
-    SchemaError names the first layer field that does not fit."""
+    DataError names the first layer field that does not fit."""
     if not isinstance(doc, list) or len(doc) != len(sizes) - 1:
-        raise SchemaError(f"{name} must be a list of {len(sizes) - 1} layers")
+        raise DataError(f"{name} must be a list of {len(sizes) - 1} layers")
     layers = []
     for i, d in enumerate(doc):
         where = f"{name}[{i}]."
         if not isinstance(d, dict) or d.get("act") not in list(_ACTS):
-            raise SchemaError(f"{where}act must be one of {list(_ACTS)}")
+            raise DataError(f"{where}act must be one of {list(_ACTS)}")
         w = array_from_doc(d.get("w"), where + "w", (sizes[i], sizes[i + 1]))
         b = array_from_doc(d.get("b"), where + "b", (sizes[i + 1],))
         layers.append(Layer(w, b, d["act"]))

@@ -29,14 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    FormatError,
-    InvariantViolationError,
-    NonPositiveDepthError,
-    ParseError,
-    SceneTooShortError,
-    SchemaError,
-)
+from .errors import DataError, NonPositiveDepthError
 from .geometry import WORLD, CameraIntrinsics, EgoPose, PixelObservation, Pose5D
 
 SCENE_SCHEMA_VERSION = 1
@@ -151,7 +144,7 @@ def _gt_index(frame):
     for j, det in enumerate(frame.detections):
         if det.gt_id is not None:
             if det.gt_id in ids:
-                raise InvariantViolationError(
+                raise DataError(
                     f"duplicate ground-truth id {det.gt_id} in frame {frame.frame_index}"
                 )
             ids[det.gt_id] = j
@@ -165,7 +158,7 @@ def sample_training_pairs(scene, n_max, count, seed):
     Deterministic for a fixed seed.
     """
     if len(scene.frames) < 2:
-        raise SceneTooShortError(
+        raise DataError(
             f"scene {scene.scene_id} has {len(scene.frames)} frame(s); need >= 2"
         )
     rng = np.random.default_rng(seed)
@@ -208,7 +201,7 @@ def _detection_to_doc(det):
 
 
 def _check_finite(where, fields):
-    """Raise SchemaError naming the first of ``fields`` that holds NaN, inf
+    """Raise DataError naming the first of ``fields`` that holds NaN, inf
     or a JSON boolean.
 
     Each value is a JSON number or flat list of numbers; None (an absent
@@ -220,9 +213,9 @@ def _check_finite(where, fields):
     for name, value in fields.items():
         numbers = value if isinstance(value, list) else [] if value is None else [value]
         if any(type(x) is bool for x in numbers):
-            raise SchemaError(f"{where}: {name} must be numbers, not true or false")
+            raise DataError(f"{where}: {name} must be numbers, not true or false")
         if not all(map(math.isfinite, numbers)):
-            raise SchemaError(f"{where}: {name} must be finite")
+            raise DataError(f"{where}: {name} must be finite")
 
 
 def _all_finite(values):
@@ -289,9 +282,9 @@ def _detection_from_doc(doc, where):
             gt_id=doc.get("gt_id"),
         )
     except _BAD_VALUE as exc:
-        raise SchemaError(f"{where}: bad detection ({exc})") from exc
+        raise DataError(f"{where}: bad detection ({exc})") from exc
     if det.gt_id is not None and type(det.gt_id) is not int:
-        raise SchemaError(f"{where}: gt_id must be an integer")
+        raise DataError(f"{where}: gt_id must be an integer")
     obs = doc.get("observation")
     if obs is not None:
         try:
@@ -302,16 +295,16 @@ def _detection_from_doc(doc, where):
                 c=obs["center"], T_z=float(obs["depth"]), R=obs["rotation"]
             )
         except (*_BAD_VALUE, NonPositiveDepthError) as exc:
-            raise SchemaError(f"{where}: bad observation ({exc})") from exc
+            raise DataError(f"{where}: bad observation ({exc})") from exc
     if "appearance" in doc:
         if not isinstance(doc["appearance"], list):
-            raise SchemaError(f"{where}: appearance must be a list of numbers")
+            raise DataError(f"{where}: appearance must be a list of numbers")
         try:
             if not finite:
                 _check_finite(where, {"appearance": doc["appearance"]})
             det.appearance = np.asarray(doc["appearance"], dtype=np.float64)
         except _BAD_VALUE as exc:
-            raise SchemaError(f"{where}: bad appearance ({exc})") from exc
+            raise DataError(f"{where}: bad appearance ({exc})") from exc
     if "feature_map" in doc:
         fm = doc["feature_map"]
         try:
@@ -319,7 +312,7 @@ def _detection_from_doc(doc, where):
                 _check_finite(where, {"feature_map": fm["data"]})
             det.feature_map = np.asarray(fm["data"], dtype=np.float64).reshape(fm["shape"])
         except _BAD_VALUE as exc:
-            raise SchemaError(f"{where}: bad feature map ({exc})") from exc
+            raise DataError(f"{where}: bad feature map ({exc})") from exc
     return det
 
 
@@ -340,7 +333,7 @@ def _gt_object_from_doc(doc, where, i, poses):
                 k: doc[k] for k in ("translation", "rotation", "bbox") if k in doc})
         object_id = doc["object_id"]
         if type(object_id) is not int:
-            raise SchemaError(f"{where}.gt_objects[{i}]: object_id must be an integer")
+            raise DataError(f"{where}.gt_objects[{i}]: object_id must be an integer")
         translation, rotation = doc["translation"], doc["rotation"]
         first = poses.get(object_id)
         if first is not None and _same_bits(translation, first[1]) \
@@ -352,14 +345,14 @@ def _gt_object_from_doc(doc, where, i, poses):
             poses.setdefault(object_id, (pose, translation, rotation))
         kind = doc.get("kind", "vertical")
         if type(kind) is not str:
-            raise SchemaError(f"{where}.gt_objects[{i}]: kind must be a string")
+            raise DataError(f"{where}.gt_objects[{i}]: kind must be a string")
         g = GroundTruthObject(object_id=object_id, pose=pose, kind=kind,
                               bbox=doc.get("bbox"))
         if g.bbox is not None and not _box_in_range(g.bbox.tolist()):
-            raise SchemaError(f"{where}.gt_objects[{i}]: {_BOX_RANGE}")
+            raise DataError(f"{where}.gt_objects[{i}]: {_BOX_RANGE}")
         return g
     except _BAD_VALUE as exc:
-        raise SchemaError(f"{where}: bad gt object ({exc})") from exc
+        raise DataError(f"{where}: bad gt object ({exc})") from exc
 
 
 def scene_to_doc(scene):
@@ -397,18 +390,26 @@ def scene_to_doc(scene):
     return {"schema": SCENE_SCHEMA_VERSION, "scene_id": scene.scene_id, "frames": frames}
 
 
+def keep_most_confident(detections, capacity):
+    """The ``capacity`` most confident of ``detections`` (the earlier one
+    wins a tie), in their original order."""
+    order = sorted(range(len(detections)),
+                   key=lambda i: (-detections[i].confidence, i))[:capacity]
+    return [detections[i] for i in sorted(order)]
+
+
 def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
     if not isinstance(doc, dict):
-        raise SchemaError("scene document must be a JSON object")
+        raise DataError("scene document must be a JSON object")
     if doc.get("schema") != SCENE_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema version {doc.get('schema')!r}")
+        raise DataError(f"unsupported schema version {doc.get('schema')!r}")
     try:
         scene_id = doc["scene_id"]
         frame_docs = doc["frames"]
     except KeyError as exc:
-        raise SchemaError(f"missing top-level field {exc}") from exc
+        raise DataError(f"missing top-level field {exc}") from exc
     if not isinstance(scene_id, str) or not isinstance(frame_docs, list):
-        raise SchemaError("scene_id must be a string and frames a list")
+        raise DataError("scene_id must be a string and frames a list")
 
     frames = []
     poses = {}  # object id -> (pose, translation, rotation) of its first sighting
@@ -431,7 +432,7 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
                                 ("intrinsics.width", intr["width"]),
                                 ("intrinsics.height", intr["height"])):
                 if type(value) is not int:
-                    raise SchemaError(f"{where}: {name} must be an integer")
+                    raise DataError(f"{where}: {name} must be an integer")
             intrinsics = CameraIntrinsics(
                 f_x=float(intr["fx"]),
                 f_y=float(intr["fy"]),
@@ -457,26 +458,24 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
                     for j, dd in enumerate(fd["detections"])
                 ],
             )
-        except InvariantViolationError:
-            raise
         except _BAD_VALUE as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+            raise DataError(f"{where}: {exc}") from exc
         if "gt_objects" in fd:
             if not isinstance(fd["gt_objects"], list):
-                raise SchemaError(f"{where}: gt_objects must be a list")
+                raise DataError(f"{where}: gt_objects must be a list")
             frame.gt_objects = [_gt_object_from_doc(gd, where, i, poses)
                                 for i, gd in enumerate(fd["gt_objects"])]
         if prev_index is not None and frame.frame_index <= prev_index:
-            raise InvariantViolationError(
+            raise DataError(
                 f"{where}: frame_index {frame.frame_index} not increasing"
             )
         prev_index = frame.frame_index
         for j, det in enumerate(frame.detections):
             bbox = det.bbox.tolist()  # Python floats compare faster than numpy scalars
             if not _box_in_range(bbox):
-                raise SchemaError(f"{where}.detections[{j}]: {_BOX_RANGE}")
+                raise DataError(f"{where}.detections[{j}]: {_BOX_RANGE}")
             if not _bbox_intersects_image(bbox, intrinsics):
-                raise InvariantViolationError(
+                raise DataError(
                     f"{where}: bbox {bbox} does not intersect the image"
                 )
         if len(frame.detections) > capacity:
@@ -485,14 +484,10 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
                 f"{capacity}; keeping the top-{capacity} by confidence",
                 stacklevel=2,
             )
-            order = sorted(
-                range(len(frame.detections)),
-                key=lambda i: (-frame.detections[i].confidence, i),
-            )[:capacity]
-            frame.detections = [frame.detections[i] for i in sorted(order)]
+            frame.detections = keep_most_confident(frame.detections, capacity)
         frames.append(frame)
     if not frames:
-        raise InvariantViolationError("scene has no frames")
+        raise DataError("scene has no frames")
     return SceneSequence(scene_id=scene_id, frames=frames)
 
 
@@ -524,9 +519,9 @@ def load_scene(path, capacity=DEFAULT_CAPACITY):
         with open(path) as handle:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        raise DataError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
     return scene_from_doc(doc, capacity)
 
 
@@ -557,7 +552,7 @@ def mot_to_csv(entries):
     lines = []
     for e in sorted(entries, key=lambda e: (e.frame, e.track_id)):
         if e.track_id <= 0:
-            raise FormatError(f"track id {e.track_id} must be a positive integer")
+            raise DataError(f"track id {e.track_id} must be a positive integer")
         xyz = e.world_xyz
         fields = [
             str(e.frame + 1),
@@ -583,7 +578,7 @@ def mot_from_csv(text):
             continue
         parts = line.split(",")
         if len(parts) != 10:
-            raise FormatError(f"expected 10 fields, got {len(parts)}", line=lineno)
+            raise DataError(f"line {lineno}: expected 10 fields, got {len(parts)}")
         try:
             frame = int(parts[0]) - 1
             track_id = int(parts[1])
@@ -591,11 +586,11 @@ def mot_from_csv(text):
             conf = float(parts[6])
             xyz = [float(p) for p in parts[7:10]]
         except ValueError as exc:
-            raise FormatError(str(exc), line=lineno) from exc
+            raise DataError(f"line {lineno}: {exc}") from exc
         if not all(map(math.isfinite, bbox + [conf] + xyz)):
-            raise FormatError("bbox, conf and x,y,z must be finite", line=lineno)
+            raise DataError(f"line {lineno}: bbox, conf and x,y,z must be finite")
         if not _box_in_range(bbox):
-            raise FormatError(_BOX_RANGE, line=lineno)
+            raise DataError(f"line {lineno}: {_BOX_RANGE}")
         world = None if xyz == [-1.0, -1.0, -1.0] else np.array(xyz)
         entries.append(
             MotEntry(frame=frame, track_id=track_id, bbox=bbox,
@@ -613,7 +608,7 @@ def read_mot(path):
         with open(path) as handle:
             text = handle.read()
     except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
     return mot_from_csv(text)
 
 

@@ -42,6 +42,7 @@ from .scene import (
     GroundTruthObject,
     SceneSequence,
     build_match_matrix,
+    keep_most_confident,
     sample_training_pairs,
 )
 
@@ -346,11 +347,7 @@ def generate_scene(config, scene_id=None):
             detections.append(det)
 
         if len(detections) > config.capacity:
-            order = sorted(
-                range(len(detections)),
-                key=lambda i: (-detections[i].confidence, i),
-            )[: config.capacity]
-            detections = [detections[i] for i in sorted(order)]
+            detections = keep_most_confident(detections, config.capacity)
 
         frames.append(
             FrameRecord(

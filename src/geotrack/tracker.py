@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import AssignmentResult, hungarian
-from .errors import (
-    CapacityExceededError,
-    ConfigError,
-    EmptyTrackError,
-    OutOfOrderFrameError,
-    ZeroVectorError,
-)
+from .errors import ConfigError, GeotrackError, ZeroVectorError
 from .geometry import REFERENCE, Pose5D, camera_to_world, normalize_rotation, quat_to_matrix
 from .scene import MotEntry
 
@@ -77,7 +71,7 @@ def aggregate_pose(track):
     when it is zero (two opposite facings, say) the newest instance's is
     taken."""
     if not track.instances:
-        raise EmptyTrackError(f"track {track.track_id} has no instances")
+        raise GeotrackError(f"track {track.track_id} has no instances")
     ts = np.array([inst.descriptor[:3] for inst in track.instances])
     rs = np.array([normalize_rotation(inst.descriptor[3:5]) for inst in track.instances])
     t = np.median(ts, axis=0)
@@ -126,12 +120,12 @@ def score_matrix(tracks, detection_descriptors, matcher):
 def step(state, frame):
     """Advance the tracker by one frame; returns (assignment, mot_entries)."""
     if state.last_frame_index is not None and frame.frame_index <= state.last_frame_index:
-        raise OutOfOrderFrameError(
+        raise GeotrackError(
             f"frame {frame.frame_index} after {state.last_frame_index}"
         )
     config = state.matcher.config
     if len(frame.detections) > config.capacity:
-        raise CapacityExceededError(
+        raise GeotrackError(
             f"{len(frame.detections)} detections exceed capacity {config.capacity}"
         )
     if not frame.detections:

@@ -1,17 +1,29 @@
 """Reference code that only the tests use: a finite-difference gradient
 check, input standardization fitted outside a training run, the per-array
 SGD update that training's flat parameter vector replaced, the pose-by-pose
-reference-frame transform, and a document mutator for the data-contract
-fuzz tests."""
+reference-frame transform, a document mutator for the data-contract fuzz
+tests, and ``raises_internal`` for the internal-fault (exit 4) guards."""
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from geotrack import matching
-from geotrack.errors import ShapeMismatchError
+from geotrack.errors import GeotrackError
 from geotrack.geometry import REFERENCE, camera_to_world, world_to_camera
+
+
+@contextmanager
+def raises_internal(match):
+    """``pytest.raises`` for an internal fault: a plain ``GeotrackError``
+    (exit 4), not one of its families, whose message matches ``match``."""
+    with pytest.raises(GeotrackError, match=match) as excinfo:
+        yield excinfo
+    assert excinfo.type is GeotrackError
+
 
 # --- gradient checking -------------------------------------------------------------
 
@@ -47,7 +59,7 @@ def grad_check(f, params, tolerance=1e-4, step=1e-5):
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.shape:
-            raise ShapeMismatchError(f"gradient shape mismatch for {name}")
+            raise GeotrackError(f"gradient shape mismatch for {name}")
         err = 0.0
         for idx in np.ndindex(p.shape):
             orig = p[idx]
@@ -87,7 +99,7 @@ def _reference_sgd_epoch(samples, params, config, rng, lr, velocity, pose_only=F
     a velocity array per trainable. Returns (mean affinity, mean pose loss,
     clipped steps)."""
     updates = [(name, arr) for name, arr in matching._named_arrays(params).items()
-               if not pose_only or name.startswith(matching._UPSTREAM)]
+               if not pose_only or name.startswith(("pose_head.", "attention."))]
     affinity_sum, pose_sum, pose_count, clipped = 0.0, 0.0, 0, 0
     for idx in rng.permutation(len(samples)):
         result = matching.forward_pair(samples[idx], params, with_grad=True,

@@ -1,3 +1,4 @@
+import re
 from itertools import permutations
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geotrack.assignment import hungarian, solve_max
-from geotrack.errors import InfeasibleAssignmentError
+from geotrack.errors import GeotrackError
+from helpers import raises_internal
 
 
 def brute_force_max(score):
@@ -54,15 +56,15 @@ class TestSolveMax:
         assert total == 3.0
 
     def test_infeasible_shapes(self):
-        with pytest.raises(InfeasibleAssignmentError):
+        with raises_internal("3 rows cannot all be assigned among 2 columns"):
             solve_max(np.zeros((3, 2)))
-        with pytest.raises(InfeasibleAssignmentError):
+        with raises_internal("scores must be finite or -inf"):
             solve_max(np.array([[np.nan, 1.0]]))
-        with pytest.raises(InfeasibleAssignmentError):
+        with raises_internal("scores must be finite or -inf"):
             solve_max(np.array([[np.inf, 1.0]]))
 
     def test_all_forbidden_infeasible(self):
-        with pytest.raises(InfeasibleAssignmentError):
+        with raises_internal("no feasible complete assignment"):
             solve_max(np.full((1, 2), -np.inf))
 
     def test_lexicographic_tie_break_all_equal(self):
@@ -163,8 +165,8 @@ class TestHungarian:
                 score[i, n + i] = rng.integers(0, 3)
         try:
             expected = partition_from_solve_max(score)
-        except InfeasibleAssignmentError:
-            with pytest.raises(InfeasibleAssignmentError):
+        except GeotrackError as exc:
+            with raises_internal(re.escape(str(exc))):
                 hungarian(score)
             return
         result = hungarian(score)
@@ -175,11 +177,11 @@ class TestHungarian:
         # no comparison puts row 1 above its null, so no solve would see it
         for bad_row in ([np.nan, 0.1, -np.inf, 0.9], [0.2, 0.1, -np.inf, np.inf]):
             score = np.array([[0.5, 0.1, 0.2, -np.inf], bad_row])
-            with pytest.raises(InfeasibleAssignmentError):
+            with raises_internal("scores must be finite or -inf"):
                 hungarian(score)
 
     def test_finite_null_of_another_row_raises(self):
         score = np.array([[0.5, 0.1, 0.2],
                           [0.3, -np.inf, 0.9]])
-        with pytest.raises(InfeasibleAssignmentError):
+        with raises_internal("null column n \\+ i must be -inf outside row i"):
             hungarian(score)

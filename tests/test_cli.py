@@ -1,4 +1,5 @@
 import argparse
+import ast
 import copy
 import json
 import os
@@ -13,6 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geotrack import cli
+from geotrack.errors import (
+    ConfigError,
+    DataError,
+    GeotrackError,
+    NonFiniteLossError,
+    NonPositiveDepthError,
+    ZeroVectorError,
+)
 from geotrack.matching import MatcherConfig, save_checkpoint, train_matcher
 from geotrack.scene import gt_mot_entries, load_scene, save_scene, write_mot
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
@@ -1127,6 +1136,45 @@ class TestConfigDimensions:
         code = cli.main([str(a) for a in args])
         assert code in (0, 2), (command, name, value)
         assert code == 0 or not out.exists(), (command, name, value)
+
+
+# --- one exception family per exit code -------------------------------------------
+
+
+class TestErrorFamilies:
+    @pytest.mark.parametrize("error, code", [
+        (ConfigError, 2),
+        (DataError, 3),
+        (GeotrackError, 4),
+        (ZeroVectorError, 4),
+        (NonPositiveDepthError, 4),
+        (NonFiniteLossError, 4),
+    ], ids=lambda value: value.__name__ if isinstance(value, type) else str(value))
+    def test_main_exit_code_by_class(self, monkeypatch, capsys, tmp_path, error, code):
+        def fail(*args, **kwargs):
+            raise error("probe")
+
+        monkeypatch.setattr(cli, "generate_scene", fail)
+        assert cli.main(["simulate", "--n-frames", "2", "--out", str(tmp_path)]) == code
+        prefix = "internal error" if code == 4 else "error"
+        assert capsys.readouterr().err == f"{prefix}: probe\n"
+
+    def test_every_class_is_a_family_or_caught(self):
+        """errors.py holds the three families the exit codes need, and
+        beyond them only classes that an ``except`` clause in the package
+        names; any other error is raised as its family."""
+        package = Path(SRC) / "geotrack"
+        defined = {node.name for node in ast.parse((package / "errors.py").read_text()).body
+                   if isinstance(node, ast.ClassDef)}
+        caught = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    caught |= {t.id for t in types if isinstance(t, ast.Name)}
+        families = {"GeotrackError", "ConfigError", "DataError"}
+        assert families <= defined
+        assert defined - families - caught == set()
 
 
 # --- the README documents the command line -----------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from geotrack.errors import ConfigError, FormatError, FrameMismatchError
+from geotrack.errors import ConfigError, DataError
 from geotrack.evaluation import (
     GeoCriterion,
     greedy_match,
@@ -13,6 +13,7 @@ from geotrack.evaluation import (
 )
 from geotrack.geometry import WORLD, Pose5D
 from geotrack.scene import MotEntry
+from helpers import raises_internal
 
 BOX_A = np.array([10.0, 10.0, 20.0, 40.0])
 BOX_B = np.array([200.0, 50.0, 20.0, 40.0])
@@ -101,7 +102,7 @@ class TestMotMetrics:
         assert report.fp == 1  # track 6 is surplus in frame 1
 
     def test_requires_ground_truth(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError, match="no ground-truth boxes to evaluate against"):
             mot_metrics([], two_object_gt())
 
     def test_permutation_invariance(self, rng):
@@ -402,11 +403,11 @@ class TestTranslationErrors:
         assert stats.count == 2
 
     def test_empty_rejected(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(DataError, match="need at least one matched pair"):
             translation_error_stats([])
 
     def test_frame_mismatch_rejected(self):
-        with pytest.raises(FrameMismatchError):
+        with raises_internal("poses in frames 'world' and 'reference' do not compare"):
             translation_error_stats([
                 (pose(0, 0, 0), Pose5D((0, 0, 0), (0, -1), "reference"))
             ])

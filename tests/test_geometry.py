@@ -3,11 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geotrack.errors import (
-    InvariantViolationError,
-    NonPositiveDepthError,
-    ZeroVectorError,
-)
+from geotrack.errors import DataError, NonPositiveDepthError, ZeroVectorError
 from geotrack.geometry import (
     REFERENCE,
     WORLD,
@@ -203,7 +199,7 @@ class TestQuaternions:
     def test_from_matrix_rejects_shear(self):
         mat = np.eye(4)
         mat[0, 1] = 0.01
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(DataError, match="ego rotation block is not orthonormal"):
             EgoPose.from_matrix(mat)
 
     def test_ego_yaw_of_yaw_pose(self):
@@ -214,7 +210,7 @@ class TestQuaternions:
 
     def test_quaternion_tolerance(self):
         q = np.array([1.01, 0.0, 0.0, 0.0])  # norm within 1e-3? no: 1%
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(DataError, match="quaternion norm 1.010000 too far from 1"):
             EgoPose(q, np.zeros(3))
         q = np.array([1.0005, 0.0, 0.0, 0.0])  # within the 1e-3 tolerance
         ego = EgoPose(q, np.zeros(3))
@@ -223,7 +219,7 @@ class TestQuaternions:
 
 class TestPose5D:
     def test_requires_unit_facing(self):
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(DataError, match="facing direction norm 1.414.* != 1"):
             Pose5D((0.0, 0.0, 0.0), (1.0, 1.0), WORLD)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -238,7 +234,7 @@ class TestPose5D:
             lambda: PixelObservation(c=(800.0, bad), T_z=10.0, R=(0.0, 1.0)),
             lambda: PixelObservation(c=(800.0, 450.0), T_z=10.0, R=(bad, 1.0)),
         ):
-            with pytest.raises(InvariantViolationError, match="must be finite"):
+            with pytest.raises(DataError, match="must be finite"):
                 build()
 
     def test_nan_depth_rejected(self):

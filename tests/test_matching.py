@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -6,12 +7,7 @@ import numpy as np
 import pytest
 
 from geotrack import matching
-from geotrack.errors import (
-    ConfigError,
-    DegenerateMatchError,
-    NonFiniteLossError,
-    ShapeMismatchError,
-)
+from geotrack.errors import ConfigError, NonFiniteLossError
 from geotrack.geometry import (
     CameraIntrinsics,
     EgoPose,
@@ -23,6 +19,7 @@ from geotrack.geometry import (
 from geotrack.matching import (
     Matcher,
     MatcherConfig,
+    PairSample,
     augment_normalize,
     build_pair_tensor,
     forward_pair,
@@ -39,9 +36,14 @@ from geotrack.matching import (
     _score,
 )
 from geotrack.numerics import _logcosh, mlp_backward, mlp_forward
-from geotrack.scene import Detection
+from geotrack.scene import Detection, FrameRecord
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
-from helpers import fit_input_standardization, grad_check, reference_train_matcher
+from helpers import (
+    fit_input_standardization,
+    grad_check,
+    raises_internal,
+    reference_train_matcher,
+)
 
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
                      width=1600, height=900)
@@ -161,7 +163,7 @@ class TestPairTensor:
                                       ab[:, :, :2])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
+        with raises_internal(re.escape("feature matrices (2, 3) / (2, 4) do not pair")):
             build_pair_tensor(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
@@ -248,9 +250,19 @@ class TestLossAffinity:
         )
 
     def test_degenerate_match_rejected(self):
-        bundle = self.one_to_one_bundle(0.5)
-        with pytest.raises(DegenerateMatchError):
-            loss_affinity(bundle, np.zeros((2, 2), dtype=int))
+        # a sample's match matrix is checked once, when the sample is built
+        frames = [FrameRecord(frame_index=k, timestamp=float(k), intrinsics=K, ego=IDENTITY,
+                              detections=[Detection(bbox=(750.0, 400.0, 100.0, 100.0))])
+                  for k in (0, 1)]
+        for match, message in (
+            (np.zeros((2, 2), dtype=int), "row 0 of the match matrix must sum to 1"),
+            (np.array([[0, 1], [0, 0]]), "column 0 of the match matrix must sum to 1"),
+            (np.zeros((3, 2), dtype=int),
+             re.escape("match matrix (3, 2) does not fit real counts (1, 1)")),
+        ):
+            with raises_internal(message):
+                PairSample(frame_a=frames[0], frame_b=frames[1], targets_a=(None,),
+                           targets_b=(None,), ego_ref=IDENTITY, match=match)
 
     def test_gradient_matches_fd(self, rng):
         base = rng.normal(size=(3, 4))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geotrack.errors import SchemaError, ShapeMismatchError
+from geotrack.errors import DataError
 from geotrack.geometry import CameraIntrinsics, EgoPose, PixelObservation
 from geotrack.matching import (
     Matcher,
@@ -36,7 +37,7 @@ from geotrack.numerics import (
 )
 from geotrack.scene import Detection, FrameRecord
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
-from helpers import grad_check
+from helpers import grad_check, raises_internal
 
 LOGCOSH_1 = math.log(math.cosh(1.0))  # independent direct evaluation
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
@@ -120,7 +121,8 @@ class TestAttentionPool:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(DataError, match=re.escape(
+                "embed_dim 3 needs one (H, W, 3) feature map per detection")):
             embedding(pooling_matcher(3, np.zeros(3), 0.0), np.zeros((2, 2, 2)))
 
 
@@ -279,7 +281,7 @@ class TestMlp:
 
     def test_shape_mismatch(self, rng):
         layers = init_mlp([4, 2], ["linear"], rng)
-        with pytest.raises(ShapeMismatchError):
+        with raises_internal("input dim 3 != first layer fan-in 4"):
             mlp_forward(layers, np.zeros(3))
 
     def test_grad_check_negative_control(self, rng):

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from geotrack.assignment import AssignmentResult, hungarian
-from geotrack.errors import (
-    CapacityExceededError,
-    ConfigError,
-    EmptyTrackError,
-    OutOfOrderFrameError,
-    ZeroVectorError,
-)
+from geotrack.errors import ConfigError, DataError, ZeroVectorError
 from geotrack.geometry import (
     REFERENCE,
     EgoPose,
@@ -32,6 +26,7 @@ from geotrack.tracker import (
     step,
     track_scene,
 )
+from helpers import raises_internal
 
 
 def instance(frame, t=(0.0, 0.0, 10.0), r=(0.0, 1.0), desc=None):
@@ -161,7 +156,7 @@ class TestAggregatePose:
         assert aggregate_pose(track).R.tolist() == [-1.0, 0.0]
 
     def test_empty_track_raises(self):
-        with pytest.raises(EmptyTrackError):
+        with raises_internal("track 1 has no instances"):
             aggregate_pose(Track(track_id=1))
 
 
@@ -195,7 +190,7 @@ class TestStepLifecycle:
         state = TrackerState(Matcher(trained_matcher.params),
                              scene.reference_ego)
         step(state, scene.frames[1])
-        with pytest.raises(OutOfOrderFrameError):
+        with raises_internal("frame 0 after 1"):
             step(state, scene.frames[0])
 
     def test_deterministic(self, trained_matcher):
@@ -296,10 +291,10 @@ class TestEmptyFrame:
 
     def test_order_and_capacity_checks_come_first(self):
         state, frame = self.tracked_state()
-        with pytest.raises(OutOfOrderFrameError):
+        with raises_internal("frame 1 after 1"):
             step(state, replace(frame, frame_index=1, detections=[]))
         crowded = replace(frame, frame_index=2, detections=[frame.detections[0]] * 3)
-        with pytest.raises(CapacityExceededError):
+        with raises_internal("3 detections exceed capacity"):
             step(state, crowded)
         assert state.last_frame_index == 1
 
@@ -339,11 +334,9 @@ class TestFinalize:
             assert {"track_id", "translation", "rotation", "instances"} <= set(obj)
 
     def test_appearance_dim_mismatch_is_a_schema_error(self, trained_matcher):
-        from geotrack.errors import SchemaError
-
         scene = generate_scene(SimConfig(seed=28, n_frames=4, n_objects=2,
                                          appearance_dim=8))  # checkpoint wants 16
-        with pytest.raises(SchemaError):
+        with pytest.raises(DataError, match="appearance vector has 8 dims"):
             track_scene(scene, Matcher(trained_matcher.params))
 
 
