@@ -166,8 +166,16 @@ def mahalanobis_distance(delta, semi_axes, limit=3.0):
     semi_axes = np.asarray(semi_axes, dtype=np.float64).reshape(-1)
     if (semi_axes <= 0).any():
         raise ConfigError("semi-axes must be positive")
-    # ratio first: a point on the ellipsoid yields exactly `limit`
-    return np.sqrt(np.sum((limit * (delta / semi_axes)) ** 2, axis=-1))
+    with np.errstate(over="ignore"):
+        ratio = delta / semi_axes
+        # ratio first: a point on the ellipsoid yields exactly `limit`
+        dist = np.sqrt(np.sum((limit * ratio) ** 2, axis=-1))
+        # where a huge limit overflowed the squares, scale after the norm, so
+        # that a point inside the ellipsoid still reads at most `limit`
+        spilled = np.isinf(dist) & np.isfinite(ratio).all(axis=-1)
+        if spilled.any():
+            dist = np.where(spilled, limit * row_norm(ratio), dist)[()]
+    return dist
 
 
 @dataclass

@@ -304,17 +304,13 @@ def build_pair_tensor(features_a, features_b):
 # --- scoring -----------------------------------------------------------------------
 
 
-def score_pair_logits(pair_tensor, scorer, input_scale, input_shift, cache=None):
+def score_pair_logits(pair_tensor, scorer, cache=None):
+    """The scorer's (n_a, n_b) logits of a pair tensor built from
+    standardized rows (``_score`` standardizes each side's rows once before
+    pairing them); ``cache`` as in ``mlp_forward``."""
     pair_tensor = np.asarray(pair_tensor, dtype=np.float64)
     n_a, n_b, d2 = pair_tensor.shape
-    x = pair_tensor.reshape(n_a * n_b, d2)
-    if 2 * input_shift.shape[0] != d2:
-        raise GeotrackError("input shift does not match pair width")
-    x = x - np.concatenate([input_shift, input_shift])
-    if 2 * input_scale.shape[0] != d2:
-        raise GeotrackError("input scale does not match pair width")
-    x = x * np.concatenate([input_scale, input_scale])
-    logits = mlp_forward(scorer, x, cache=cache)
+    logits = mlp_forward(scorer, pair_tensor.reshape(n_a * n_b, d2), cache=cache)
     if logits.shape[1] != 1:
         raise GeotrackError("pair scorer must produce one output per pair")
     return logits.reshape(n_a, n_b)
@@ -485,9 +481,11 @@ def _describe(detections, params, transform, intrinsics, targets=None):
     else:
         observations = [det.observation for det in detections]
         r_obs = np.array([o.R for o in observations])
-        r_norm = numerics.row_norm(r_obs)
-        t_cam = np.array([recover_translation(o, intrinsics) for o in observations])
-        t_ref = _apply(B, t_cam) + d_off
+        # huge observations overflow here; the check below makes them a DataError
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_norm = numerics.row_norm(r_obs)
+            t_cam = np.array([recover_translation(o, intrinsics) for o in observations])
+            t_ref = _apply(B, t_cam) + d_off
         bad = ~(np.isfinite(t_ref).all(axis=1) & np.isfinite(r_norm) & (r_norm > 1e-12))
         if bad.any():
             raise DataError(f"detection {int(np.argmax(bad))}: observation geometry "
@@ -616,10 +614,17 @@ def _score(feats_a, feats_b, params, cache=None):
     n1, n2 = len(feats_a), len(feats_b)
     if n1 == 0 or n2 == 0:
         return augment_normalize(np.zeros((n1, n2)), delta)
-    logits = score_pair_logits(
-        build_pair_tensor(feats_a, feats_b), params.scorer,
-        params.input_scale, params.input_shift, cache=cache,
-    )
+    rows = [np.asarray(f, dtype=np.float64) for f in (feats_a, feats_b)]
+    for name in ("shift", "scale"):
+        vector = getattr(params, f"input_{name}")
+        for side in rows:
+            if vector.shape != side.shape[1:]:
+                raise GeotrackError(f"input {name} of width {len(vector)} does not "
+                                    f"match descriptor width {side.shape[-1]}")
+    # Shift and scale act per column, so standardizing each side's rows once
+    # gives the pair tensor the same bits as standardizing every pair.
+    rows = [(side - params.input_shift) * params.input_scale for side in rows]
+    logits = score_pair_logits(build_pair_tensor(*rows), params.scorer, cache=cache)
     return augment_normalize(logits, delta)
 
 
@@ -731,10 +736,11 @@ def _input_statistics(samples, params, transforms=None):
 
 def _set_standardization(params, stats):
     """Freeze the standardization vectors from ``_input_statistics``'s
-    stacked rows and column statistics: the scorer's (x - shift) * scale
-    puts meter-scale geometry and unit-scale appearance on comparable
-    footing, and a pose head's embedding input is whitened the same way.
-    All four vectors ride along in the checkpoint."""
+    stacked rows and column statistics: ``_score`` maps each descriptor row
+    to (row - shift) * scale before pairing, which puts meter-scale geometry
+    and unit-scale appearance on comparable footing, and a pose head's
+    embedding input is whitened the same way. All four vectors ride along
+    in the checkpoint."""
     if stats is None:
         return
     block, shift, std = stats

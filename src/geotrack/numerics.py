@@ -69,13 +69,14 @@ def loss_rot_grad(r, r_hat):
 # --- MLP -------------------------------------------------------------------------
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
+def _relu(z, out=None):
+    return np.maximum(z, 0.0, out=out)
 
 
-# activation -> (function, derivative), both of the pre-activation z
+# activation -> (function, derivative), both of the pre-activation z; the
+# function writes into ``out`` when given (``out=z``: in place)
 _ACTS = {
-    "linear": (lambda z: z, lambda z: np.ones_like(z)),
+    "linear": (lambda z, out=None: z, lambda z: np.ones_like(z)),
     "relu": (_relu, lambda z: (z > 0).astype(np.float64)),
 }
 
@@ -162,6 +163,11 @@ def mlp_forward(layers, x, cache=None):
       property of the BLAS kernel, pinned by the sweep test in
       tests/test_numerics.py.
 
+    Each layer's product is a fresh array that takes the bias in place.
+    Without ``cache`` the ReLU runs in place on it too, as nothing reads the
+    pre-activation again; with it, each layer keeps its own ``z`` and ``h``
+    for mlp_backward. Neither touches ``x`` or the layers.
+
     SGD steps keep einsum only so that training reproduces the stored
     benchmark checkpoint bit for bit. Once a benchmark change regenerates
     that checkpoint, they can move to gemm too and the tape branch can go.
@@ -172,10 +178,11 @@ def mlp_forward(layers, x, cache=None):
     _check_chain(layers, h)
     taped = cache is not None
     for layer in layers:
-        z = _layer_product(h, layer.w, taped) + layer.b
+        z = _layer_product(h, layer.w, taped)
+        z += layer.b
         if taped:
             cache.append((h, z))
-        h = _ACTS[layer.act][0](z)
+        h = _ACTS[layer.act][0](z, out=None if taped else z)
     return h[0] if single else h
 
 

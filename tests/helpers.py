@@ -1,19 +1,24 @@
 """Reference code that only the tests use: a finite-difference gradient
-check, input standardization fitted outside a training run, the per-array
-SGD update that training's flat parameter vector replaced, the pose-by-pose
+check, input standardization fitted outside a training run, the pair-side
+standardization that standardizing rows once replaced, the per-array SGD
+update that training's flat parameter vector replaced, the pose-by-pose
 reference-frame transform, a document mutator for the data-contract fuzz
 tests, and ``raises_internal`` for the internal-fault (exit 4) guards."""
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from geotrack import matching
+from geotrack import matching, numerics
 from geotrack.errors import GeotrackError
 from geotrack.geometry import REFERENCE, camera_to_world, world_to_camera
+
+# the benchmark's stored observation-route matcher
+STORED_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench/data/obs-matcher.json"
 
 
 @contextmanager
@@ -88,6 +93,18 @@ def fit_input_standardization(samples, params):
     ``train_matcher`` run does before its first epoch; returns ``params``."""
     matching._set_standardization(params, matching._input_statistics(samples, params)[1])
     return params
+
+
+def reference_pair_logits(feats_a, feats_b, params, cache=None):
+    """The scorer's (n_a, n_b) logits with every one of the n_a * n_b pairs
+    standardized, ``(pair - [shift, shift]) * [scale, scale]``, as the
+    scorer computed them before it standardized each row once."""
+    pairs = matching.build_pair_tensor(feats_a, feats_b)
+    n_a, n_b, d2 = pairs.shape
+    x = pairs.reshape(n_a * n_b, d2)
+    x = x - np.concatenate([params.input_shift, params.input_shift])
+    x = x * np.concatenate([params.input_scale, params.input_scale])
+    return numerics.mlp_forward(params.scorer, x, cache=cache).reshape(n_a, n_b)
 
 
 # --- per-array SGD update ---------------------------------------------------------

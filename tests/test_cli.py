@@ -1,11 +1,14 @@
 import argparse
 import ast
 import copy
+import importlib
+import inspect
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geotrack import cli
+from geotrack import cli, matching
 from geotrack.errors import (
     ConfigError,
     DataError,
@@ -716,6 +719,17 @@ class TestSceneData:
             assert run_on_scene(scene_inputs, doc, command) == 3, command
             assert named in capsys.readouterr().err, command
 
+    @pytest.mark.parametrize("field", ["rotation", "center"])
+    def test_huge_observation_exits_3_without_warnings(self, scene_inputs, capsys, field):
+        """Observation geometry that overflows is a data error, and numpy
+        prints no RuntimeWarning on the way to it."""
+        doc = copy.deepcopy(scene_inputs["doc"])
+        _detections(doc)[0]["observation"][field][0] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_on_scene(scene_inputs, doc, "track-obs") == 3
+        assert "observation geometry is not finite" in capsys.readouterr().err
+
     def test_resumed_train_checks_every_detection(self, scene_inputs, capsys):
         """A resumed run checks every detection of the dataset, as a fresh one does."""
         root = scene_inputs["root"]
@@ -1196,3 +1210,36 @@ class TestReadme:
             if flag.startswith("--") and not re.search(re.escape(flag) + r"(?![\w-])", text)
         })
         assert not missing, f"README.md does not mention {missing}"
+
+
+# --- the benchmark's trace points ------------------------------------------------------
+
+
+class TestBenchmarkTracePoints:
+    """perfbench/tracing.py wraps geotrack functions by name; a rename in
+    src would leave a traced run without notice. Reads the file only."""
+
+    TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+    def test_every_wrapped_name_exists(self):
+        targets = [
+            (ast.unparse(node.args[0]), node.args[1].value)
+            for node in ast.walk(ast.parse(self.TRACING.read_text()))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "wrap"
+            and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)
+        ]
+        assert len(targets) > 20
+        missing = []
+        for owner_path, attr in targets:
+            module, *rest = owner_path.split(".")
+            owner = importlib.import_module(f"geotrack.{module}")
+            for name in rest:
+                owner = getattr(owner, name, None)
+            if not hasattr(owner, attr):
+                missing.append(f"{owner_path}.{attr}")
+        assert not missing, f"perfbench/tracing.py wraps names geotrack lacks: {missing}"
+
+    def test_pair_logits_take_the_pair_tensor_first(self):
+        """tracing.py counts scored pairs from the first argument."""
+        first = next(iter(inspect.signature(matching.score_pair_logits).parameters))
+        assert first == "pair_tensor"

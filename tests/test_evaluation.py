@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,21 @@ class TestMahalanobis:
             assert mahalanobis_distance(delta, (s, s, s), limit) == pytest.approx(
                 expected, abs=1e-12
             )
+
+    @pytest.mark.parametrize("limit", [1e200, 1e300])
+    def test_huge_limit_keeps_the_ellipsoid(self, limit):
+        """A limit whose squares overflow still gates by the ellipsoid, and
+        numpy prints no RuntimeWarning on the way."""
+        stack = np.array([[0.2, 0.0, 0.0], [0.0, 0.39, 0.0], [0.8, 0.0, 0.0],
+                          [1e300, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = mahalanobis_distance(stack, self.SEMI, limit)
+            single = mahalanobis_distance(stack[0], self.SEMI, limit)
+        assert dist[0] == pytest.approx(limit / 2) and dist[0] <= limit
+        assert dist[1] == limit
+        assert dist[2] > limit and dist[3] > limit
+        assert isinstance(single, np.floating) and single == dist[0]
 
     def test_rejects_bad_semi_axes(self):
         with pytest.raises(ConfigError):

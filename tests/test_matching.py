@@ -24,6 +24,7 @@ from geotrack.matching import (
     build_pair_tensor,
     forward_pair,
     init_matcher_params,
+    load_checkpoint,
     loss_affinity,
     pair_accuracy,
     params_from_doc,
@@ -39,9 +40,11 @@ from geotrack.numerics import _logcosh, mlp_backward, mlp_forward
 from geotrack.scene import Detection, FrameRecord
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
 from helpers import (
+    STORED_CHECKPOINT,
     fit_input_standardization,
     grad_check,
     raises_internal,
+    reference_pair_logits,
     reference_train_matcher,
 )
 
@@ -173,8 +176,7 @@ class TestScorePairs:
         params = scoring_matcher(rng).params
 
         def logits(fa, fb):
-            return score_pair_logits(build_pair_tensor(fa, fb), params.scorer,
-                                     params.input_scale, params.input_shift)
+            return score_pair_logits(build_pair_tensor(fa, fb), params.scorer)
 
         fa = rng.normal(size=(4, 8))
         fb = rng.normal(size=(4, 8))
@@ -187,6 +189,58 @@ class TestScorePairs:
                 if i == 2:
                     continue
                 assert moved[i, j] == base[i, j]
+
+    @pytest.mark.parametrize("name", ["shift", "scale"])
+    def test_standardization_width_mismatch_is_internal(self, rng, name):
+        matcher = scoring_matcher(rng)
+        setattr(matcher.params, f"input_{name}", np.ones(9))
+        rows = rng.normal(size=(3, 8))
+        with raises_internal(f"input {name} of width 9 does not match descriptor width 8"):
+            matcher.bundle(rows, rows)
+
+
+class TestRowStandardizationOracle:
+    """``_score`` standardizes each side's descriptor rows once, before
+    pairing them. Its logits must be byte for byte those of standardizing
+    every pair, on the tapeless path the tracker runs and on the taped path
+    training runs."""
+
+    @pytest.fixture(params=["stored-checkpoint", "trained"])
+    def params(self, request):
+        if request.param == "stored-checkpoint":
+            return load_checkpoint(STORED_CHECKPOINT)
+        return request.getfixturevalue("trained_matcher").params
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["tapeless", "taped"])
+    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 7), (7, 1), (0, 7), (30, 30)])
+    def test_bit_equal_to_pair_standardization(self, params, monkeypatch, taped, n_a, n_b):
+        rng = np.random.default_rng(100 * n_a + n_b)
+        d = params.config.descriptor_dim
+        # rows spread like the descriptors the standardization was fitted on
+        feats_a, feats_b = (params.input_shift + rng.normal(size=(n, d)) / params.input_scale
+                            for n in (n_a, n_b))
+        scored = []
+        original = matching.score_pair_logits
+
+        def record(*args, **kwargs):
+            scored.append(original(*args, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(matching, "score_pair_logits", record)
+        cache, ref_cache = ([], []) if taped else (None, None)
+        bundle = _score(feats_a, feats_b, params, cache)
+        expected = reference_pair_logits(feats_a, feats_b, params, ref_cache)
+        if n_a and n_b:
+            (logits,) = scored
+            assert logits.tobytes() == expected.tobytes()
+            assert len(cache or []) == len(ref_cache or [])
+            for entry, ref_entry in zip(cache or [], ref_cache or []):
+                assert [a.tobytes() for a in entry] == [a.tobytes() for a in ref_entry]
+        else:
+            assert scored == []
+        reference = augment_normalize(expected, params.config.delta)
+        for field in ("S1n", "S2n", "fused"):
+            assert getattr(bundle, field).tobytes() == getattr(reference, field).tobytes()
 
 
 class TestAugmentNormalize:

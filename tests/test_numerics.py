@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from geotrack.matching import (
 )
 from geotrack.numerics import (
     Layer,
+    _layer_product,
     init_mlp,
     layers_from_doc,
     layers_to_doc,
@@ -37,7 +37,7 @@ from geotrack.numerics import (
 )
 from geotrack.scene import Detection, FrameRecord
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
-from helpers import grad_check, raises_internal
+from helpers import STORED_CHECKPOINT, grad_check, raises_internal
 
 LOGCOSH_1 = math.log(math.cosh(1.0))  # independent direct evaluation
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
@@ -313,9 +313,66 @@ class TestMlp:
             layers_to_doc(layers), [3, 4, 2]))
 
 
-# --- the stored checkpoint and batch invariance of the tapeless forward --------------
+class TestInPlaceForward:
+    """``mlp_forward`` adds each bias into the layer's fresh product, and
+    without a tape applies ReLU there too. That must leave the caller's
+    input and the layers alone, keep the tape's pre-activations, and give
+    the bits of a chain that allocates every step."""
 
-STORED_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench/data/obs-matcher.json"
+    @staticmethod
+    def layers(rng):
+        # gemm widths (16, 8) and einsum widths (5, 1), biases that push
+        # some pre-activations below zero
+        layers = init_mlp([6, 16, 8, 5, 1], ["relu", "relu", "relu", "linear"], rng)
+        for layer in layers:
+            layer.b = rng.normal(-0.2, 0.5, size=layer.b.shape)
+        return layers
+
+    @staticmethod
+    def reference(layers, x, taped):
+        """act(_layer_product(h, w, taped) + b), layer by layer; the
+        pre-activations and the output."""
+        h, zs = np.atleast_2d(x), []
+        for layer in layers:
+            zs.append(_layer_product(h, layer.w, taped) + layer.b)
+            h = np.maximum(zs[-1], 0.0) if layer.act == "relu" else zs[-1]
+        return zs, (h[0] if np.ndim(x) == 1 else h)
+
+    @pytest.mark.parametrize("rows", [None, 1, 9], ids=["vector", "one-row", "batch"])
+    def test_leaves_input_and_layers_unchanged(self, rng, rows):
+        layers = self.layers(rng)
+        x = rng.normal(size=6 if rows is None else (rows, 6))
+        before = [x.tobytes()] + [a.tobytes() for layer in layers for a in (layer.w, layer.b)]
+        mlp_forward(layers, x)
+        assert [x.tobytes()] + [a.tobytes() for layer in layers
+                                for a in (layer.w, layer.b)] == before
+
+    def test_tape_keeps_negative_pre_activations(self, rng):
+        layers = self.layers(rng)
+        x = rng.normal(size=(9, 6))
+        cache = []
+        mlp_forward(layers, x, cache=cache)
+        zs, _ = self.reference(layers, x, taped=True)
+        assert cache[0][0] is x
+        for (_, z), z_ref, layer in zip(cache, zs, layers):
+            assert z.tobytes() == z_ref.tobytes()
+            assert layer.act != "relu" or (z < 0).any()
+        for (_, z), (h_next, _) in zip(cache, cache[1:]):  # every one a ReLU
+            assert h_next is not z
+            assert h_next.tobytes() == np.maximum(z, 0.0).tobytes()
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["tapeless", "taped"])
+    @pytest.mark.parametrize("rows", [None, 9], ids=["vector", "batch"])
+    def test_bit_equal_to_allocating_chain(self, rng, taped, rows):
+        layers = self.layers(rng)
+        x = rng.normal(size=6 if rows is None else (rows, 6))
+        out = mlp_forward(layers, x, cache=[] if taped else None)
+        _, expected = self.reference(layers, x, taped)
+        assert out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
+
+# --- the stored checkpoint and batch invariance of the tapeless forward --------------
 
 
 def test_stored_checkpoint_round_trips_byte_for_byte():
@@ -389,11 +446,12 @@ class TestRowInvariance:
             rows_a, rows_b = (matcher.descriptors(frame.detections, frame.ego,
                                                   sample.ego_ref, frame.intrinsics)
                               for frame in (sample.frame_a, sample.frame_b))
-            pairs = build_pair_tensor(rows_a, rows_b)
-            scale = (params.input_scale, params.input_shift)
+            pairs = build_pair_tensor(
+                *((rows - params.input_shift) * params.input_scale
+                  for rows in (rows_a, rows_b)))
             np.testing.assert_allclose(
-                score_pair_logits(pairs, params.scorer, *scale),
-                score_pair_logits(pairs, params.scorer, *scale, cache=[]),
+                score_pair_logits(pairs, params.scorer),
+                score_pair_logits(pairs, params.scorer, cache=[]),
                 rtol=1e-12, atol=0)
             fused = matcher.bundle(rows_a, rows_b).fused
             trained = forward_pair(sample, params)["bundle"].fused
