@@ -205,12 +205,14 @@ class GeoCriterion:
         ``inf`` where the gate rejects the pair."""
         pred_T = np.array([p.T for p in pred_poses]).reshape(-1, 3)
         gt_T = np.array([g.T for g in gt_poses]).reshape(-1, 3)
-        delta = pred_T[:, None, :] - gt_T[None, :, :]
-        if self.kind == "euclidean":
-            dist, bound = row_norm(delta), self.radius
-        else:
-            dist = mahalanobis_distance(delta, self.semi_axes, self.limit)
-            bound = self.limit
+        # huge poses overflow to an infinite distance, which the gate rejects
+        with np.errstate(over="ignore"):
+            delta = pred_T[:, None, :] - gt_T[None, :, :]
+            if self.kind == "euclidean":
+                dist, bound = row_norm(delta), self.radius
+            else:
+                dist = mahalanobis_distance(delta, self.semi_axes, self.limit)
+                bound = self.limit
         reject = dist > bound
         if self.rotation_gate_deg is not None:
             pred_R = np.array([p.R for p in pred_poses]).reshape(-1, 2)

@@ -46,6 +46,19 @@ def _as_vec(x, n, name):
     return v
 
 
+def _norm(v):
+    """Euclidean norm of a vector of at most four components, as a float:
+    the square root of one dot product of its contiguous copy, as
+    ``np.linalg.norm`` takes it, bit for bit. One that overflows reads inf
+    without numpy's RuntimeWarning. Only a component of 1e150 or more can
+    overflow, so only then does it pay for ``np.errstate``."""
+    v = v.ravel(order="K")
+    if max(map(abs, v.tolist())) < 1e150:
+        return math.sqrt(v.dot(v))
+    with np.errstate(over="ignore"):
+        return math.sqrt(v.dot(v))
+
+
 @dataclass(frozen=True, eq=False)
 class CameraIntrinsics:
     """Pinhole intrinsics in pixels."""
@@ -74,7 +87,7 @@ class EgoPose:
     def __post_init__(self):
         q = _as_vec(self.rotation, 4, "rotation quaternion")
         t = _as_vec(self.translation, 3, "translation")
-        norm = float(np.linalg.norm(q))
+        norm = _norm(q)
         if abs(norm - 1.0) > 1e-3:
             raise DataError(
                 f"quaternion norm {norm:.6f} too far from 1"
@@ -106,7 +119,10 @@ class EgoPose:
         if m.shape != (4, 4):
             raise DataError("ego matrix must be 4x4")
         rot = m[:3, :3]
-        if np.abs(rot.T @ rot - np.eye(3)).max() >= 1e-6:
+        # a huge entry overflows to a non-finite deviation, which fails the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            deviation = np.abs(rot.T @ rot - np.eye(3)).max()
+        if not deviation < 1e-6:
             raise DataError("ego rotation block is not orthonormal")
         return cls(quat_from_matrix(rot), m[:3, 3].copy())
 
@@ -128,7 +144,7 @@ class Pose5D:
     def __post_init__(self):
         t = _as_vec(self.T, 3, "T")
         r = _as_vec(self.R, 2, "R")
-        norm = float(np.linalg.norm(r))
+        norm = _norm(r)
         if abs(norm - 1.0) > _UNIT_TOL:
             raise DataError(f"facing direction norm {norm} != 1")
         t.setflags(write=False)
@@ -226,9 +242,12 @@ def yaw_rot2(theta):
 # --- operations ---------------------------------------------------------------
 
 def normalize_rotation(r):
-    """Scale a facing direction to unit length."""
+    """Scale a facing direction to unit length; a direction whose norm is not
+    finite is bad data."""
     r = np.asarray(r, dtype=np.float64).reshape(2)
-    norm = float(np.linalg.norm(r))
+    norm = _norm(r)
+    if not math.isfinite(norm):
+        raise DataError(f"facing direction norm {norm} is not finite")
     if norm <= 1e-12:
         raise ZeroVectorError("cannot normalize a zero facing direction")
     return r / norm

@@ -465,7 +465,8 @@ def _describe(detections, params, transform, intrinsics, targets=None):
                           (embedding - params.head_shift) * params.head_scale,
                           cache=tape.head_cache)
         tape.ctz = out[:, :3] * np.array([*cfg.center_scale, cfg.depth_scale])
-        tape.r_norm = numerics.row_norm(out[:, 3:5])
+        with np.errstate(over="ignore"):  # an overflowing norm fails the check below
+            tape.r_norm = numerics.row_norm(out[:, 3:5])
         if ((tape.r_norm <= 1e-12) | np.isinf(tape.r_norm)).any():
             raise NonFiniteLossError("pose head gave a zero or overflowing facing direction")
         tape.r_hat = out[:, 3:5] / tape.r_norm[:, None]

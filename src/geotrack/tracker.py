@@ -1,17 +1,22 @@
 """Online tracking-by-detection over a scene.
 
-Each frame's detections are associated to existing tracks by solving a
-maximization assignment on a score matrix of shape (m, n + m): column j < n
-holds the best similarity between track i's buffered instances and
-detection j, and column n + i holds track i's null score (its mean
-probability of matching nothing). Tracks matched to their null column stay
-alive — the targets are static, so disappearing from view is expected.
-A track's 5D pose is aggregated in the reference frame when results are
-reported (``finalize``): the per-component median of its buffered
-instances' poses, read from their descriptors (geometry prefix: T ``[:3]``,
-R ``[3:5]``), with the facing renormalized. A frame without detections has
+Each frame's detections are associated to the tracks the camera can see by
+solving a maximization assignment on a score matrix of shape (m, n + m):
+column j < n holds the best similarity between track i's buffered
+instances and detection j, and column n + i holds track i's null score (its
+mean probability of matching nothing). A track is in view when its newest
+instance's position, mapped into the current camera, lies in front of it
+and projects inside the image widened by ``VIEW_MARGIN`` (``view_gate``).
+Tracks out of view are neither scored nor solved: they cannot take a
+detection in this frame. Tracks never die — the targets are static, so
+leaving the view is expected — and an out-of-view or null-matched track
+keeps its buffer and is matched again once it is back in view. A track's
+5D pose is aggregated in the reference frame when results are reported
+(``finalize``): the per-component median of its buffered instances'
+poses, read from their descriptors (geometry prefix: T ``[:3]``, R
+``[3:5]``), with the facing renormalized. A frame without detections has
 nothing to decide: every track stays unmatched, keeps its buffer, and
-nothing is scored or solved.
+nothing is gated, scored or solved.
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +30,9 @@ from .scene import MotEntry
 
 DEFAULT_BUFFER = 10
 DEFAULT_MIN_INSTANCES = 2
+# share of the image width and height by which the view gate widens the
+# image on every side: a track projected this far outside is still scored
+VIEW_MARGIN = 0.25
 
 
 @dataclass
@@ -117,6 +125,32 @@ def score_matrix(tracks, detection_descriptors, matcher):
     return scores
 
 
+def view_gate(tracks, ego_ref, ego, intrinsics):
+    """(m,) booleans: which tracks the camera at ``ego`` can see.
+
+    Each track's newest instance's reference-frame translation
+    (``descriptor[:3]``) is mapped to the world through ``ego_ref`` and into
+    the camera through ``ego``, all tracks at once and with the same sums as
+    ``world_to_camera(camera_to_world(...))``. A track is in view when its
+    depth is positive and its ``project``ed centre lies inside the image
+    widened by ``VIEW_MARGIN`` of its width and height on every side, bounds
+    included. A position that overflows on the way is out of view.
+    """
+    T = np.array([track.instances[-1].descriptor[:3] for track in tracks]).reshape(-1, 3)
+    rot_ref, rot = quat_to_matrix(ego_ref.rotation), quat_to_matrix(ego.rotation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        world = (rot_ref @ T[:, :, None])[:, :, 0] + ego_ref.translation
+        cam = (rot.T @ (world - ego.translation)[:, :, None])[:, :, 0]
+        ahead = cam[:, 2] > 0
+        u = intrinsics.p_x + np.divide(intrinsics.f_x * cam[:, 0], cam[:, 2],
+                                       out=np.full(len(T), np.nan), where=ahead)
+        v = intrinsics.p_y + np.divide(intrinsics.f_y * cam[:, 1], cam[:, 2],
+                                       out=np.full(len(T), np.nan), where=ahead)
+    mx, my = VIEW_MARGIN * intrinsics.width, VIEW_MARGIN * intrinsics.height
+    return (ahead & (u >= -mx) & (u <= intrinsics.width + mx)
+            & (v >= -my) & (v <= intrinsics.height + my))
+
+
 def step(state, frame):
     """Advance the tracker by one frame; returns (assignment, mot_entries)."""
     if state.last_frame_index is not None and frame.frame_index <= state.last_frame_index:
@@ -135,8 +169,19 @@ def step(state, frame):
         frame.detections, frame.ego, state.ego_ref, frame.intrinsics
     )
 
-    scores = score_matrix(state.tracks, descriptors, state.matcher)
-    assignment = hungarian(scores)
+    # only tracks in view are scored and solved; row i of the solve is
+    # track visible[i], and every other track keeps its null
+    visible = np.flatnonzero(view_gate(state.tracks, state.ego_ref, frame.ego,
+                                       frame.intrinsics))
+    solved = hungarian(score_matrix([state.tracks[t] for t in visible], descriptors,
+                                    state.matcher))
+    matches = [(int(visible[i]), j) for i, j in solved.matches]
+    matched = {t for t, _ in matches}
+    assignment = AssignmentResult(
+        matches=matches,
+        unmatched_tracks=[t for t in range(len(state.tracks)) if t not in matched],
+        unmatched_detections=solved.unmatched_detections,
+    )
 
     # Spawned tracks get consecutive ids in unmatched-detection order.
     unmatched = assignment.unmatched_detections

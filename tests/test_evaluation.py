@@ -197,6 +197,18 @@ class TestGeoCriterion:
         assert d[0, 0] == pytest.approx(0.5)
         assert d[1, 0] == np.inf
 
+    @pytest.mark.parametrize("kind", ["euclidean", "mahalanobis"])
+    def test_huge_poses_rejected_without_warnings(self, kind):
+        """Distances that overflow are infinite, so the gate rejects them,
+        and numpy prints no RuntimeWarning on the way."""
+        crit = GeoCriterion(kind=kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = crit.distances([pose(1e308, 0, 0), pose(1e300, 1e300, 0), pose(0, 0, 0.1)],
+                               [pose(-1e308, 0, 0), pose(0, 0, 0)])
+        assert (d[:2] == np.inf).all() and d[2, 0] == np.inf
+        assert np.isfinite(d[2, 1])
+
     def test_empty_sides(self):
         crit = GeoCriterion(rotation_gate_deg=10.0)
         assert crit.distances([], []).shape == (0, 0)

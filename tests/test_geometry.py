@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,15 @@ class TestNormalizeRotation:
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroVectorError):
             normalize_rotation((0.0, 0.0))
+
+    @pytest.mark.parametrize("r", [(1e300, 1e300), (-1e308, 1e308), (np.nan, 0.0)])
+    def test_non_finite_norm_is_bad_data(self, r):
+        """An overflowing norm used to scale the direction to (0, 0) and
+        print a RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="facing direction norm (inf|nan) is not finite"):
+                normalize_rotation(r)
 
     @given(st.tuples(finite, finite))
     def test_output_unit(self, r):
@@ -202,6 +213,16 @@ class TestQuaternions:
         with pytest.raises(DataError, match="ego rotation block is not orthonormal"):
             EgoPose.from_matrix(mat)
 
+    @pytest.mark.parametrize("entry, value", [((0, 0), 1e308), ((0, 1), 1e200),
+                                              ((2, 2), -1e308)])
+    def test_from_matrix_rejects_huge_entries_without_warnings(self, entry, value):
+        mat = np.eye(4)
+        mat[entry] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="ego rotation block is not orthonormal"):
+                EgoPose.from_matrix(mat)
+
     def test_ego_yaw_of_yaw_pose(self):
         for yaw in (-2.0, -0.5, 0.0, 0.7, 3.0):
             assert ego_yaw(EgoPose.from_yaw(yaw)) == pytest.approx(
@@ -216,11 +237,23 @@ class TestQuaternions:
         ego = EgoPose(q, np.zeros(3))
         assert np.linalg.norm(ego.rotation) == pytest.approx(1.0, abs=1e-12)
 
+    def test_overflowing_norm_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="quaternion norm inf too far from 1"):
+                EgoPose(np.array([1e300, 1e300, 0.0, 0.0]), np.zeros(3))
+
 
 class TestPose5D:
     def test_requires_unit_facing(self):
         with pytest.raises(DataError, match="facing direction norm 1.414.* != 1"):
             Pose5D((0.0, 0.0, 0.0), (1.0, 1.0), WORLD)
+
+    def test_overflowing_facing_norm_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="facing direction norm inf != 1"):
+                Pose5D((0.0, 0.0, 0.0), (1e300, -1e300), WORLD)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_value_objects_reject_non_finite(self, bad):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from geotrack import matching
-from geotrack.errors import ConfigError, NonFiniteLossError
+from geotrack.errors import ConfigError, DataError, NonFiniteLossError
 from geotrack.geometry import (
     CameraIntrinsics,
     EgoPose,
@@ -123,6 +124,18 @@ class TestDescriptors:
         assert isinstance(rows, np.ndarray)
         assert rows.shape == stacked.shape and len(rows) == len(frame.detections) > 1
         assert rows.tobytes() == stacked.tobytes()
+
+    def test_overflowing_pose_head_facing_is_bad_data(self):
+        """A feature map so large that the pose head's facing overflows its
+        norm is bad data (exit 3), and numpy prints no RuntimeWarning."""
+        cfg = MatcherConfig(appearance_dim=2, embed_dim=6, use_pose_head=True)
+        det = Detection(bbox=(1000.0, 650.0, 100.0, 100.0), appearance=np.zeros(2),
+                        feature_map=np.full((3, 3, 6), 1e200))
+        matcher = Matcher(init_matcher_params(cfg))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="zero or overflowing facing"):
+                matcher.descriptors([det], IDENTITY, IDENTITY, K)
 
     def test_zero_noise_descriptors_agree(self):
         scene = generate_scene(SimConfig(seed=5, n_frames=10, n_objects=3,

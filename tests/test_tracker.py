@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -7,15 +9,21 @@ from geotrack.assignment import AssignmentResult, hungarian
 from geotrack.errors import ConfigError, DataError, ZeroVectorError
 from geotrack.geometry import (
     REFERENCE,
+    WORLD,
+    CameraIntrinsics,
     EgoPose,
+    PixelObservation,
     Pose5D,
     camera_to_world,
     normalize_rotation,
+    project,
+    world_to_camera,
 )
 from geotrack.matching import Matcher, MatcherConfig, augment_normalize
-from geotrack.scene import MotEntry, SceneSequence
-from geotrack.simulator import SimConfig, generate_scene, world_objects
+from geotrack.scene import Detection, FrameRecord, MotEntry, SceneSequence
+from geotrack.simulator import SimConfig, generate_scene, object_appearance, world_objects
 from geotrack.tracker import (
+    VIEW_MARGIN,
     Track,
     TrackerState,
     TrackInstance,
@@ -25,6 +33,7 @@ from geotrack.tracker import (
     score_matrix,
     step,
     track_scene,
+    view_gate,
 )
 from helpers import raises_internal
 
@@ -299,6 +308,152 @@ class TestEmptyFrame:
         assert state.last_frame_index == 1
 
 
+def track_at(t):
+    """A one-instance track whose newest translation is ``t``."""
+    return Track(track_id=1, instances=[instance(0, t)], observation_count=1)
+
+
+class TestViewGate:
+    # 100 x 80 image, principal point (50, 40), f = 100: the margin is 25 px
+    # across and 20 px down, and these positions project onto it exactly
+    SMALL = CameraIntrinsics(f_x=100.0, f_y=100.0, p_x=50.0, p_y=40.0,
+                             width=100, height=80)
+    ON_MARGIN = [(-3.0, 0.0, 4.0), (3.0, 0.0, 4.0), (0.0, -3.0, 5.0), (0.0, 3.0, 5.0),
+                 (15.0, 12.0, 20.0)]  # the last one on a corner
+
+    def expected(self, tracks, ego_ref, ego, intrinsics):
+        return [reference_in_view(t, ego_ref, ego, intrinsics) for t in tracks]
+
+    def test_margin_is_inclusive_and_behind_is_out(self):
+        identity = EgoPose.identity()
+        beyond = [(math.nextafter(x, x * 2), y, z) if x else (x, math.nextafter(y, y * 2), z)
+                  for x, y, z in self.ON_MARGIN[:4]]
+        behind = [(0.0, 0.0, 0.0), (0.0, 0.0, -4.0), (-3.0, 0.0, -4.0), (0.0, 0.0, -1e-300)]
+        tracks = [track_at(t) for t in self.ON_MARGIN + beyond + behind]
+        got = view_gate(tracks, identity, identity, self.SMALL)
+        assert got.dtype == bool
+        assert got.tolist() == [True] * 5 + [False] * 8
+        assert got.tolist() == self.expected(tracks, identity, identity, self.SMALL)
+
+    def test_equals_scalar_reference(self):
+        rng = np.random.default_rng(5)
+        tracks = [track_at(t) for t in rng.uniform([-60, -20, -30], [60, 20, 90], (200, 3))]
+        seen = set()
+        for k in range(12):
+            yaw, pitch = rng.uniform(-1.0, 1.0), rng.normal(0.0, 0.05)
+            q = np.array([math.cos(yaw / 2), pitch, math.sin(yaw / 2), -pitch / 2])
+            ego_ref = EgoPose.from_yaw(rng.uniform(-0.5, 0.5), rng.normal(0.0, 3.0, 3))
+            ego = EgoPose(q / np.linalg.norm(q), rng.normal(0.0, 10.0, 3))
+            # every frame brings its own intrinsics
+            w, h = int(rng.integers(200, 2000)), int(rng.integers(200, 1200))
+            intrinsics = CameraIntrinsics(
+                f_x=float(rng.uniform(200, 1500)), f_y=float(rng.uniform(200, 1500)),
+                p_x=float(rng.uniform(0, w)), p_y=float(rng.uniform(0, h)),
+                width=w, height=h)
+            got = view_gate(tracks, ego_ref, ego, intrinsics).tolist()
+            assert got == self.expected(tracks, ego_ref, ego, intrinsics), k
+            seen.update(got)
+        assert seen == {True, False}
+
+    def test_reads_the_newest_instance(self):
+        identity = EgoPose.identity()
+        track = Track(track_id=1, instances=[instance(0, (0.0, 0.0, 10.0)),
+                                             instance(1, (0.0, 0.0, -10.0))])
+        assert view_gate([track], identity, identity, self.SMALL).tolist() == [False]
+        assert view_gate([], identity, identity, self.SMALL).shape == (0,)
+
+    def test_no_runtime_warning(self):
+        identity = EgoPose.identity()
+        huge = [(1e308, 1e308, 1e308), (-1e308, 0.0, 1e308), (1e308, 0.0, 1e-300),
+                (0.0, 0.0, 0.0), (0.0, 0.0, -5.0)]
+        ego = EgoPose(np.array([0.5, 0.5, 0.5, 0.5]), np.array([-1e308, 1e308, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in (identity, ego):
+                got = view_gate([track_at(t) for t in huge], identity, e, self.SMALL)
+                assert got.tolist() == [False] * len(huge)
+
+    class RecordingMatcher(StubMatcher):
+        """Scores every buffered instance 0.9 against every detection, null
+        0.2; records each descriptor row it scored."""
+
+        config = MatcherConfig(capacity=4)
+
+        def __init__(self, descriptors):
+            super().__init__({}, null=0.2)
+            self.rows = descriptors
+            self.scored = []
+
+        def descriptors(self, *args):
+            return self.rows
+
+        def bundle(self, desc_rows, desc_cols):
+            self.scored += [tuple(d) for d in desc_rows]
+            bundle = augment_normalize(np.zeros((len(desc_rows), len(desc_cols))), self.delta)
+            bundle.fused[:, :len(desc_cols)] = 0.9
+            bundle.S1n[:, -1] = self.null
+            return bundle
+
+    def test_gated_tracks_keep_buffers_and_are_reported(self):
+        identity = EgoPose.identity()
+        det = Detection(bbox=[10.0, 10.0, 5.0, 5.0])
+        frame = FrameRecord(frame_index=2, timestamp=1.0, intrinsics=self.SMALL, ego=identity,
+                            detections=[det, det])
+        # track 1 and 3 are in front, track 2 behind the camera
+        matcher = self.RecordingMatcher(np.array([[0.0, 0.0, 9.0, 0.0, 1.0]] * 2))
+        state = TrackerState(matcher, identity)
+        state.tracks = [
+            Track(track_id=k + 1, observation_count=2,
+                  instances=[instance(0, (0.0, 0.0, z)), instance(1, (0.0, 0.0, z))])
+            for k, z in enumerate([10.0, -10.0, 12.0])
+        ]
+        state.last_frame_index, state.next_track_id = 1, 4
+        before = _buffer_bits(state, _descriptor_pose)[1]
+        assignment, entries = step(state, frame)
+        assert assignment.matches == [(0, 0), (2, 1)]
+        assert assignment.unmatched_tracks == [1]
+        assert assignment.unmatched_detections == []
+        assert (0.0, 0.0, -10.0, 0.0, 1.0) not in matcher.scored
+        assert len(matcher.scored) == 4  # two in-view tracks, two instances each
+        assert _buffer_bits(state, _descriptor_pose)[1] == before
+        assert [e.track_id for e in entries] == [1, 3]
+        assert [o.track_id for o in finalize(state)] == [1, 2, 3]
+
+    def test_track_re_enters_with_its_old_identity(self, trained_matcher):
+        # the camera looks 40 degrees right for frames 4-6: object 2 (left)
+        # leaves the view, so its track is gated, and comes back at frame 7
+        intrinsics = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
+                                      width=1600, height=900)
+        objects = {1: np.array([12.0, -4.0, 40.0]), 2: np.array([-15.0, -4.0, 40.0])}
+        frames = []
+        for k in range(10):
+            yaw = math.radians(40.0) if 4 <= k <= 6 else 0.0
+            ego = EgoPose.from_yaw(yaw, (0.0, -1.6, 2.0 * k))
+            detections = []
+            for gid, position in objects.items():
+                cam = world_to_camera(Pose5D(position, (0.0, -1.0), WORLD), ego)
+                c = project(cam.T, intrinsics)
+                if cam.T[2] > 0 and 0 <= c[0] <= 1600:
+                    detections.append(Detection(
+                        bbox=[c[0] - 5, c[1] - 10, 10, 20], center=c,
+                        observation=PixelObservation(c=c, T_z=cam.T[2], R=cam.R),
+                        appearance=object_appearance(7, gid, 16), gt_id=gid))
+            frames.append(FrameRecord(frame_index=k, timestamp=k / 2, intrinsics=intrinsics,
+                                      ego=ego, detections=detections))
+        assert [len(f.detections) for f in frames] == [2] * 4 + [1] * 3 + [2] * 3
+        state = TrackerState(Matcher(trained_matcher.params), frames[0].ego)
+        ids = {}
+        for frame in frames:
+            gate = view_gate(state.tracks, state.ego_ref, frame.ego, frame.intrinsics)
+            if 4 <= frame.frame_index <= 6:
+                assert gate.tolist() == [True, False]
+            _, entries = step(state, frame)
+            for det, entry in zip(frame.detections, entries):
+                ids.setdefault(det.gt_id, set()).add(entry.track_id)
+        assert ids == {1: {1}, 2: {2}}
+        assert [t.observation_count for t in state.tracks] == [10, 7]
+
+
 class TestFinalize:
     def test_empty_state(self, trained_matcher):
         state = TrackerState(Matcher(trained_matcher.params), None)
@@ -430,19 +585,47 @@ def reference_aggregate_pose(track):
     return Pose5D(t, r, REFERENCE)
 
 
-def reference_step(state, frame):
+def reference_in_view(track, ego_ref, ego, intrinsics):
+    """view_gate for one track, through the scalar pose transforms: its
+    newest instance's translation as a camera pose of ``ego_ref``, moved to
+    the world and into the camera at ``ego``, and ``project``ed."""
+    desc = track.instances[-1].descriptor
+    pose = Pose5D(desc[:3], normalize_rotation(desc[3:5]))
+    t_cam = world_to_camera(camera_to_world(pose, ego_ref), ego).T
+    if not t_cam[2] > 0:
+        return False
+    u, v = project(t_cam, intrinsics)
+    mx, my = VIEW_MARGIN * intrinsics.width, VIEW_MARGIN * intrinsics.height
+    return -mx <= u <= intrinsics.width + mx and -my <= v <= intrinsics.height + my
+
+
+def reference_step(state, frame, gated=None, in_view=reference_in_view):
     """step as it was: matches, then spawns, one detection at a time, each
     building its reference pose and mapping a camera-frame copy to the world
     (the per-update pose aggregate it also stored was never read, so it is
-    left out here)."""
+    left out here). The view gate is applied the long way: a track that
+    ``reference_in_view`` rejects keeps a row in the full score matrix that
+    holds only its null, and the full matrix is solved. ``gated`` collects
+    the number of such rows per non-empty frame. ``in_view`` is the gate."""
     if not frame.detections:
         state.last_frame_index = frame.frame_index
         return AssignmentResult(unmatched_tracks=list(range(len(state.tracks)))), []
     descriptors = state.matcher.descriptors(
         frame.detections, frame.ego, state.ego_ref, frame.intrinsics
     )
-    scores = reference_score_matrix(state.tracks, descriptors, state.matcher)
+    visible = [i for i, track in enumerate(state.tracks)
+               if in_view(track, state.ego_ref, frame.ego, frame.intrinsics)]
+    scored = reference_score_matrix([state.tracks[i] for i in visible], descriptors,
+                                    state.matcher)
+    m, n = len(state.tracks), len(descriptors)
+    scores = np.full((m, n + m), -np.inf)
+    scores[np.arange(m), n + np.arange(m)] = 1.0
+    for row, i in enumerate(visible):
+        scores[i, :n] = scored[row, :n]
+        scores[i, n + i] = scored[row, n + row]
     assignment = hungarian(scores)
+    if gated is not None:
+        gated.append(m - len(visible))
 
     entries = []
 
@@ -521,20 +704,25 @@ def _moved_world(scene, rotation=(0.93, 0.05, 0.36, -0.04), offset=(12.5, -0.3, 
 
 class TestBookkeepingOracle:
     """step and score_matrix bit for bit against the per-detection
-    bookkeeping and the per-row score loop they replaced, and aggregate_pose
+    bookkeeping and the per-row score loop they replaced, with the view gate
+    applied track by track on a full score matrix, and aggregate_pose
     against the stored per-instance poses it no longer needs."""
 
-    @pytest.mark.parametrize("seed", [41, 42, 43])
-    def test_bit_identical_to_per_detection_bookkeeping(self, trained_matcher, seed):
-        scene = _moved_world(generate_scene(SimConfig(
+    @staticmethod
+    def scene(seed, turn_rate_deg=3.0):
+        return _moved_world(generate_scene(SimConfig(
             seed=seed, n_frames=30, n_objects=5, appearance_dim=16, fp_rate=0.3,
             miss_rate=0.1, center_sigma_px=2.0, depth_rel_sigma=0.03,
-            appearance_sigma=0.1, trajectory="turn",
+            appearance_sigma=0.1, trajectory="turn", turn_rate_deg=turn_rate_deg,
         )))
-        matcher = Matcher(trained_matcher.params)
+
+    @staticmethod
+    def check(matcher, scene):
+        """Runs step and reference_step side by side over ``scene``, asserting
+        bit equality all along; returns the gated rows per non-empty frame."""
         new, ref = (TrackerState(matcher, scene.reference_ego, buffer_size=3)
                     for _ in range(2))
-        matched = 0
+        matched, gated = 0, []
         for frame in scene.frames:
             if frame.detections:
                 descriptors = matcher.descriptors(
@@ -542,7 +730,7 @@ class TestBookkeepingOracle:
                 assert score_matrix(new.tracks, descriptors, matcher).tobytes() \
                     == reference_score_matrix(ref.tracks, descriptors, matcher).tobytes()
             assignment, entries = step(new, frame)
-            ref_assignment, ref_entries = reference_step(ref, frame)
+            ref_assignment, ref_entries = reference_step(ref, frame, gated)
             assert assignment == ref_assignment
             assert [_entry_bits(e) for e in entries] == [_entry_bits(e) for e in ref_entries]
             matched += len(assignment.matches)
@@ -555,3 +743,22 @@ class TestBookkeepingOracle:
         # the run exercised matches, spawns and buffer trimming
         assert matched > 0 and len(new.tracks) > 5
         assert any(t.observation_count > len(t.instances) for t in new.tracks)
+        return gated
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_bit_identical_to_per_detection_bookkeeping(self, trained_matcher, seed):
+        gated = self.check(Matcher(trained_matcher.params), self.scene(seed))
+        assert sum(gated) > 0
+
+    def test_gate_decides_outcomes(self, trained_matcher):
+        """A sharper turn, where the gate changes what is matched: without
+        it, the reference would give other MOT entries."""
+        matcher, scene = Matcher(trained_matcher.params), self.scene(61, turn_rate_deg=8.0)
+        assert sum(self.check(matcher, scene)) > 0
+        runs = []
+        for in_view in (reference_in_view, lambda *_: True):
+            state = TrackerState(matcher, scene.reference_ego, buffer_size=3)
+            runs.append([[_entry_bits(e) for e in reference_step(state, frame,
+                                                                   in_view=in_view)[1]]
+                         for frame in scene.frames])
+        assert runs[0] != runs[1]
