@@ -196,11 +196,13 @@ class MatcherConfig:
 
 @dataclass
 class SimilarityBundle:
-    """Normalized and fused similarities of a frame pair, from its logits."""
+    """Normalized and fused similarities of G row groups against one set of
+    columns, from their logits; a frame pair is the one-group case. Rows are
+    the groups' rows stacked, then one null row per group."""
 
     S1n: np.ndarray  # (rows, cols+1): normalized, appended null column
-    S2n: np.ndarray  # (rows+1, cols): normalized, appended null row
-    fused: np.ndarray  # (rows+1, cols+1) inference similarity
+    S2n: np.ndarray  # (rows+G, cols): normalized, appended null rows
+    fused: np.ndarray  # (rows+G, cols+1) inference similarity
 
 
 @dataclass
@@ -303,6 +305,14 @@ def build_pair_tensor(features_a, features_b):
 
 # --- scoring -----------------------------------------------------------------------
 
+# Most (row, column) pairs one tapeless scorer pass takes. Each layer's output
+# is then at most this many rows of 64 float64s, which stays in a 2 MiB L2
+# cache next to the pair tensor; one pass over thousands of pairs spills it
+# and runs slower. Row invariance of the scorer is swept up to 600 rows
+# (tests/test_numerics.py), so keep this at most 600 or widen the sweep.
+# A training pair of up to 20 x 20 detections (``n_max`` 20) is one chunk.
+SCORER_CHUNK_PAIRS = 600
+
 
 def score_pair_logits(pair_tensor, scorer, cache=None):
     """The scorer's (n_a, n_b) logits of a pair tensor built from
@@ -324,24 +334,42 @@ def _softmax_rows_with_null(block, delta):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def augment_normalize(B, delta):
+def augment_normalize(B, delta, sizes=None):
     """Append the null column/row at ``delta`` to the scorer logits ``B``
     and normalize each object's candidate set (DAN, Sun et al., TPAMI 2019).
 
-    S1 = [B | delta] gains a null column and S2 = [B ; delta] a null row.
-    The bundle keeps their normalized forms: every row of S1n and every
-    column of S2n is a softmax over the other frame's objects plus the
-    null option.
+    The rows of ``B`` are G groups of ``sizes`` rows each, stacked in order
+    (one group of all rows when ``sizes`` is None), scored against the same
+    columns. S1 = [B | delta] gains a null column and each group's block of
+    S2 = [B ; delta] a null row. The bundle keeps their normalized forms:
+    every row of S1n is a softmax over the columns plus the null option, and
+    every column of a group's block of S2n a softmax over that group's rows
+    plus its null row. S2n and fused hold every real row first, then the G
+    null rows in group order, so one group has the frame-pair layout.
+
+    Row softmaxes reduce each row on its own, so S1n has the same bits as
+    per-group calls. Each group's column softmax runs on that group alone:
+    ``np.add.reduceat`` over the stacked rows sums in another order and
+    differs in the last bit.
     """
     B = np.asarray(B, dtype=np.float64)
     rows, cols = B.shape
+    sizes = (rows,) if sizes is None else sizes
+    if sum(sizes) != rows:
+        raise GeotrackError(f"group sizes {list(sizes)} do not add up to {rows} rows")
     S1n = _softmax_rows_with_null(B, delta)
-    S2n = _softmax_rows_with_null(B.T, delta).T
+    S2n = np.empty((rows + len(sizes), cols))
+    start = 0
+    for k, size in enumerate(sizes):
+        group = _softmax_rows_with_null(B[start:start + size].T, delta).T
+        S2n[start:start + size] = group[:size]
+        S2n[rows + k] = group[size]
+        start += size
 
-    fused = np.zeros((rows + 1, cols + 1))
-    fused[:rows, :cols] = 0.5 * (S1n[:, :cols] + S2n[:rows, :])
+    fused = np.zeros((rows + len(sizes), cols + 1))
+    fused[:rows, :cols] = 0.5 * (S1n[:, :cols] + S2n[:rows])
     fused[:rows, cols] = S1n[:, cols]
-    fused[rows, :cols] = S2n[rows, :]
+    fused[rows:, :cols] = S2n[rows:]
     return SimilarityBundle(S1n=S1n, S2n=S2n, fused=fused)
 
 
@@ -604,17 +632,21 @@ def _add_layer_grads(grads, group, layer_grads):
         grads[f"{group}.{i}.b"] += db
 
 
-def _score(feats_a, feats_b, params, cache=None):
-    """Similarity bundle between two descriptor matrices.
+def _score(feats_a, feats_b, params, cache=None, sizes=None):
+    """Similarity bundle between two descriptor matrices, the rows in groups
+    of ``sizes`` as in ``augment_normalize``.
 
     An empty side has no pairs to score and leaves only the null options.
     When ``cache`` is a list it receives the scorer's forward pass for
-    ``mlp_backward``.
+    ``mlp_backward``, in one call. Without it the rows are scored in chunks
+    of at most ``SCORER_CHUNK_PAIRS`` pairs (one row at least); the scorer
+    gives every row the same bits in any batch, so the logits are those of
+    one call.
     """
     delta = params.config.delta
     n1, n2 = len(feats_a), len(feats_b)
     if n1 == 0 or n2 == 0:
-        return augment_normalize(np.zeros((n1, n2)), delta)
+        return augment_normalize(np.zeros((n1, n2)), delta, sizes)
     rows = [np.asarray(f, dtype=np.float64) for f in (feats_a, feats_b)]
     for name in ("shift", "scale"):
         vector = getattr(params, f"input_{name}")
@@ -624,9 +656,13 @@ def _score(feats_a, feats_b, params, cache=None):
                                     f"match descriptor width {side.shape[-1]}")
     # Shift and scale act per column, so standardizing each side's rows once
     # gives the pair tensor the same bits as standardizing every pair.
-    rows = [(side - params.input_shift) * params.input_scale for side in rows]
-    logits = score_pair_logits(build_pair_tensor(*rows), params.scorer, cache=cache)
-    return augment_normalize(logits, delta)
+    feats_a, feats_b = ((side - params.input_shift) * params.input_scale for side in rows)
+    step = n1 if cache is not None else max(1, SCORER_CHUNK_PAIRS // n2)
+    logits = np.empty((n1, n2))
+    for start in range(0, n1, step):
+        logits[start:start + step] = score_pair_logits(
+            build_pair_tensor(feats_a[start:start + step], feats_b), params.scorer, cache=cache)
+    return augment_normalize(logits, delta, sizes)
 
 
 def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
@@ -987,9 +1023,10 @@ class Matcher:
         return _input_rows(detections, self.params, reference_transform(ego, ego_ref),
                            intrinsics)
 
-    def bundle(self, desc_rows, desc_cols):
-        """Similarity bundle between two stacked descriptor matrices."""
-        bundle = _score(desc_rows, desc_cols, self.params)
+    def bundle(self, desc_rows, desc_cols, sizes=None):
+        """Similarity bundle between two stacked descriptor matrices, the
+        rows in groups of ``sizes`` (see ``augment_normalize``)."""
+        bundle = _score(desc_rows, desc_cols, self.params, sizes=sizes)
         if not np.isfinite(bundle.fused).all():
             raise DataError("descriptor values overflow the pair scorer")
         return bundle

@@ -4,7 +4,11 @@ Each frame's detections are associated to the tracks the camera can see by
 solving a maximization assignment on a score matrix of shape (m, n + m):
 column j < n holds the best similarity between track i's buffered
 instances and detection j, and column n + i holds track i's null score (its
-mean probability of matching nothing). A track is in view when its newest
+mean probability of matching nothing). The matrix comes from one
+``Matcher.bundle`` call per frame over every buffered instance of the scored
+tracks, grouped by past frame; each group is normalized against the
+detections as its own candidate set, with its own null row, just as a call
+per past frame would (``score_matrix``). A track is in view when its newest
 instance's position, mapped into the current camera, lies in front of it
 and projects inside the image widened by ``VIEW_MARGIN`` (``view_gate``).
 Tracks out of view are neither scored nor solved: they cannot take a
@@ -62,8 +66,9 @@ class TrackerState:
     """Mutable per-scene tracking state owned by a single caller."""
 
     def __init__(self, matcher, ego_ref, buffer_size=DEFAULT_BUFFER):
-        if not buffer_size >= 1:
-            raise ConfigError(f"buffer_size must be >= 1, got {buffer_size}")
+        if (isinstance(buffer_size, bool) or not isinstance(buffer_size, (int, np.integer))
+                or buffer_size < 1):
+            raise ConfigError(f"buffer_size must be an integer >= 1, got {buffer_size!r}")
         self.matcher = matcher
         self.ego_ref = ego_ref
         self.buffer_size = buffer_size
@@ -93,32 +98,31 @@ def aggregate_pose(track):
 def score_matrix(tracks, detection_descriptors, matcher):
     """Similarity scores between m tracks and n detections plus null options.
 
-    For every past frame that still has buffered instances, the matcher is
-    re-run between that frame's instances and the current detections; a
-    track's detection score is the maximum fused similarity over its
-    instances and its null score the mean null-column probability.
+    Every buffered instance of the tracks is scored against the current
+    detections in one ``matcher.bundle`` call: the instances are stacked in
+    groups by past frame, in ascending frame order and track order within a
+    group, and each group is normalized as its own candidate set (see
+    ``matching.augment_normalize``). A track's detection score is the maximum
+    fused similarity over its instances and its null score the mean
+    null-column probability, summed in frame order.
     """
     m, n = len(tracks), len(detection_descriptors)
     scores = np.full((m, n + m), -np.inf)
     if m == 0:
         return scores
-    null_sums = np.zeros(m)
-    null_counts = np.zeros(m)
 
     by_frame = {}
     for t_idx, track in enumerate(tracks):
         for inst in track.instances:
-            by_frame.setdefault(inst.frame_index, []).append((t_idx, inst))
-    for frame_index in sorted(by_frame):
-        group = by_frame[frame_index]
-        bundle = matcher.bundle([inst.descriptor for _, inst in group],
-                                detection_descriptors)
-        # A track holds at most one instance per frame, so these rows are
-        # distinct and each fancy-indexed update touches a track once.
-        rows = [t_idx for t_idx, _ in group]
-        scores[rows, :n] = np.maximum(scores[rows, :n], bundle.fused[:len(rows), :n])
-        null_sums[rows] += bundle.S1n[:, -1]
-        null_counts[rows] += 1
+            by_frame.setdefault(inst.frame_index, []).append((t_idx, inst.descriptor))
+    groups = [by_frame[frame_index] for frame_index in sorted(by_frame)]
+    owners = np.array([t_idx for group in groups for t_idx, _ in group], dtype=np.intp)
+    bundle = matcher.bundle([desc for group in groups for _, desc in group],
+                            detection_descriptors, [len(group) for group in groups])
+    np.maximum.at(scores[:, :n], owners, bundle.fused[:len(owners), :n])
+    null_sums = np.zeros(m)
+    np.add.at(null_sums, owners, bundle.S1n[:, -1])
+    null_counts = np.bincount(owners, minlength=m)
 
     null = np.divide(null_sums, null_counts, out=np.ones(m), where=null_counts > 0)
     scores[np.arange(m), n + np.arange(m)] = null

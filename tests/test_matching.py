@@ -215,8 +215,9 @@ class TestScorePairs:
 class TestRowStandardizationOracle:
     """``_score`` standardizes each side's descriptor rows once, before
     pairing them. Its logits must be byte for byte those of standardizing
-    every pair, on the tapeless path the tracker runs and on the taped path
-    training runs."""
+    every pair, on the tapeless path the tracker runs (in row chunks of at
+    most ``SCORER_CHUNK_PAIRS`` pairs) and on the taped path training runs
+    (in one call)."""
 
     @pytest.fixture(params=["stored-checkpoint", "trained"])
     def params(self, request):
@@ -225,7 +226,8 @@ class TestRowStandardizationOracle:
         return request.getfixturevalue("trained_matcher").params
 
     @pytest.mark.parametrize("taped", [False, True], ids=["tapeless", "taped"])
-    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 7), (7, 1), (0, 7), (30, 30)])
+    # 30 x 30 and 41 x 17 pairs exceed one chunk
+    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 7), (7, 1), (0, 7), (30, 30), (41, 17)])
     def test_bit_equal_to_pair_standardization(self, params, monkeypatch, taped, n_a, n_b):
         rng = np.random.default_rng(100 * n_a + n_b)
         d = params.config.descriptor_dim
@@ -244,8 +246,10 @@ class TestRowStandardizationOracle:
         bundle = _score(feats_a, feats_b, params, cache)
         expected = reference_pair_logits(feats_a, feats_b, params, ref_cache)
         if n_a and n_b:
-            (logits,) = scored
-            assert logits.tobytes() == expected.tobytes()
+            chunk_rows = n_a if taped else max(1, matching.SCORER_CHUNK_PAIRS // n_b)
+            assert [len(logits) for logits in scored] \
+                == [min(chunk_rows, n_a - start) for start in range(0, n_a, chunk_rows)]
+            assert np.concatenate(scored).tobytes() == expected.tobytes()
             assert len(cache or []) == len(ref_cache or [])
             for entry, ref_entry in zip(cache or [], ref_cache or []):
                 assert [a.tobytes() for a in entry] == [a.tobytes() for a in ref_entry]
@@ -254,6 +258,61 @@ class TestRowStandardizationOracle:
         reference = augment_normalize(expected, params.config.delta)
         for field in ("S1n", "S2n", "fused"):
             assert getattr(bundle, field).tobytes() == getattr(reference, field).tobytes()
+
+
+class TestGroupedBundleOracle:
+    """``Matcher.bundle`` over stacked row groups, the tracker's one call per
+    frame, against one call per group with the scorer unchunked, byte for
+    byte: every real row of fused and S1n, and each group's null row of S2n
+    and fused."""
+
+    @pytest.fixture
+    def matcher(self):
+        return Matcher(load_checkpoint(STORED_CHECKPOINT))
+
+    def check(self, matcher, monkeypatch, sizes, n, chunk):
+        params = matcher.params
+        rng = np.random.default_rng(len(sizes) * 100 + n)
+        rows, cols = (params.input_shift + rng.normal(size=(k, params.config.descriptor_dim))
+                      / params.input_scale for k in (sum(sizes), n))
+        starts = np.cumsum([0, *sizes])
+        monkeypatch.setattr(matching, "SCORER_CHUNK_PAIRS", 10**9)
+        per_group = [matcher.bundle(rows[a:b], cols) for a, b in zip(starts, starts[1:])]
+        monkeypatch.setattr(matching, "SCORER_CHUNK_PAIRS", chunk)
+        got = matcher.bundle(rows, cols, sizes)
+        r, g = len(rows), len(sizes)
+        assert (got.S1n.shape, got.S2n.shape, got.fused.shape) \
+            == ((r, n + 1), (r + g, n), (r + g, n + 1))
+        for k, (a, b, ref) in enumerate(zip(starts, starts[1:], per_group)):
+            assert got.fused[a:b].tobytes() == ref.fused[:-1].tobytes()
+            assert got.S1n[a:b].tobytes() == ref.S1n.tobytes()
+            assert got.S2n[a:b].tobytes() == ref.S2n[:-1].tobytes()
+            assert got.S2n[r + k].tobytes() == ref.S2n[-1].tobytes()
+            assert got.fused[r + k].tobytes() == ref.fused[-1].tobytes()
+
+    def test_group_split_across_chunks(self, matcher, monkeypatch):
+        n = 7
+        chunk_rows = matching.SCORER_CHUNK_PAIRS // n
+        # the second group holds rows chunk_rows - 3 ... chunk_rows + 2
+        self.check(matcher, monkeypatch, [chunk_rows - 3, 6, 10], n,
+                   matching.SCORER_CHUNK_PAIRS)
+
+    def test_chunk_of_one_pair(self, matcher, monkeypatch):
+        self.check(matcher, monkeypatch, [3, 1, 4], 1, 1)
+
+    def test_chunk_below_detection_count(self, matcher, monkeypatch):
+        self.check(matcher, monkeypatch, [2, 5, 3], 7, 3)
+
+    def test_one_row_groups(self, matcher, monkeypatch):
+        self.check(matcher, monkeypatch, [1, 1, 1, 1], 5, matching.SCORER_CHUNK_PAIRS)
+        self.check(matcher, monkeypatch, [1, 1, 1, 1], 5, 5)
+
+    def test_zero_detections(self, matcher, monkeypatch):
+        self.check(matcher, monkeypatch, [2, 3, 1], 0, matching.SCORER_CHUNK_PAIRS)
+
+    def test_sizes_must_cover_the_rows(self):
+        with raises_internal(r"group sizes \[2, 2\] do not add up to 3 rows"):
+            augment_normalize(np.zeros((3, 2)), 0.5, [2, 2])
 
 
 class TestAugmentNormalize:

@@ -54,9 +54,9 @@ class StubMatcher:
         self.null = null
         self.delta = delta
 
-    def bundle(self, desc_rows, desc_cols):
+    def bundle(self, desc_rows, desc_cols, sizes=None):
         n1, n2 = len(desc_rows), len(desc_cols)
-        bundle = augment_normalize(np.zeros((n1, n2)), self.delta)
+        bundle = augment_normalize(np.zeros((n1, n2)), self.delta, sizes)
         for r, desc in enumerate(desc_rows):
             row = self.table[int(desc[0])]
             bundle.fused[r, :n2] = row[:n2]
@@ -84,8 +84,8 @@ class TestScoreMatrix:
         ])
 
         class VaryingNull(StubMatcher):
-            def bundle(self, rows, cols):
-                b = super().bundle(rows, cols)
+            def bundle(self, rows, cols, sizes=None):
+                b = super().bundle(rows, cols, sizes)
                 for r, desc in enumerate(rows):
                     b.S1n[r, -1] = 0.1 if int(desc[0]) == 0 else 0.5
                 return b
@@ -176,6 +176,18 @@ class TestTrackerState:
         # buffer right after its update
         with pytest.raises(ConfigError, match="buffer_size"):
             TrackerState(StubMatcher({}), EgoPose.identity(), buffer_size=buffer_size)
+
+    @pytest.mark.parametrize("buffer_size", [2.5, 3.0, math.inf, math.nan, True, "3", None],
+                             ids=repr)
+    def test_rejects_non_integer_buffer(self, buffer_size):
+        # 2.5 broke the buffer trim's slice, and inf or True went unnoticed
+        with pytest.raises(ConfigError, match="buffer_size must be an integer >= 1"):
+            TrackerState(StubMatcher({}), EgoPose.identity(), buffer_size=buffer_size)
+
+    @pytest.mark.parametrize("buffer_size", [1, np.int64(3), 10**6])
+    def test_accepts_integer_buffer(self, buffer_size):
+        state = TrackerState(StubMatcher({}), EgoPose.identity(), buffer_size=buffer_size)
+        assert state.buffer_size == buffer_size
 
 
 class TestStepLifecycle:
@@ -272,7 +284,7 @@ class TestEmptyFrame:
         def descriptors(self, *args):
             raise AssertionError("built descriptors for a frame without detections")
 
-        def bundle(self, desc_rows, desc_cols):
+        def bundle(self, desc_rows, desc_cols, sizes=None):
             raise AssertionError("scored a frame without detections")
 
     def tracked_state(self):
@@ -387,9 +399,10 @@ class TestViewGate:
         def descriptors(self, *args):
             return self.rows
 
-        def bundle(self, desc_rows, desc_cols):
+        def bundle(self, desc_rows, desc_cols, sizes=None):
             self.scored += [tuple(d) for d in desc_rows]
-            bundle = augment_normalize(np.zeros((len(desc_rows), len(desc_cols))), self.delta)
+            bundle = augment_normalize(np.zeros((len(desc_rows), len(desc_cols))), self.delta,
+                                       sizes)
             bundle.fused[:, :len(desc_cols)] = 0.9
             bundle.S1n[:, -1] = self.null
             return bundle
