@@ -17,6 +17,13 @@ def solve_lap_min(cost):
     checks that: ``assignment.solve_max`` passes the matrix it has checked,
     or sub-matrices of it.
 
+    Greedy start (the row reduction of Jonker & Volgenant): a row whose
+    lowest finite cost lies in exactly one column, where no other such row
+    has its lowest cost, takes that column at once, with ``u`` = that cost
+    and ``v`` = 0. The start is dual-feasible and complementary-slack, so
+    only the other rows are augmented, in ascending order; a matrix without
+    a contested row is never scanned.
+
     Each scan relaxes every unscanned column in one numpy pass. Among the
     columns tied at the lowest distance it picks the last still-free one in
     ``remaining`` order, else the first; a picked column leaves
@@ -28,10 +35,25 @@ def solve_lap_min(cost):
     v = np.zeros(n, dtype=np.float64)
     col4row = np.full(m, -1, dtype=np.int64)
     row4col = np.full(n, -1, dtype=np.int64)
+
+    if m == 0:
+        return col4row, u, v
+    # a row's lowest cost lies in one column iff its first and last
+    # occurrence coincide
+    first = cost.argmin(axis=1)
+    lowest = cost[np.arange(m), first]
+    single = (first == n - 1 - cost[:, ::-1].argmin(axis=1)) & (lowest < np.inf)
+    claims = np.bincount(first[single], minlength=n)
+    greedy = np.flatnonzero(single & (claims[first] == 1))
+    col4row[greedy] = first[greedy]
+    row4col[first[greedy]] = greedy
+    u[greedy] = lowest[greedy]
+    if greedy.size == m:
+        return col4row, u, v
+
     shortest = np.empty(n, dtype=np.float64)
     path = np.empty(n, dtype=np.int64)
-
-    for cur_row in range(m):
+    for cur_row in np.flatnonzero(col4row == -1):
         shortest.fill(np.inf)
         path.fill(-1)
         remaining = np.arange(n - 1, -1, -1, dtype=np.int64)

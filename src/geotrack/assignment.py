@@ -3,8 +3,10 @@
 Wraps the shortest-augmenting-path kernel from ``_kernels`` and adds the
 tie rule used throughout the package: among assignments with exactly equal
 total score, the lexicographically smallest (row, column) pairing wins.
-Tie resolution only ever triggers on exact score ties (certified through
-zero reduced costs), so the common case stays a single O(k^3) solve.
+``_lex_refine`` re-solves for an entry left of a row's column only when
+its reduced cost is exactly zero and an alternating path of near-tight
+entries could carry the rest of the solution around it; a solve without
+such an entry is one kernel call.
 
 ``hungarian`` solves the tracking layout, where column n + i is row i's
 null option and -inf in every other row. A row whose detection scores all
@@ -26,6 +28,12 @@ from .errors import GeotrackError
 
 __all__ = ["AssignmentResult", "solve_max", "hungarian"]
 
+# A reduced cost at most this share of the largest finite |cost| counts as
+# tight when ``_lex_refine`` looks for an alternating path, so rounding in
+# the duals cannot hide a tie from it; a wider net only skips fewer
+# re-solves.
+TIE_TOLERANCE = 1e-9
+
 
 @dataclass
 class AssignmentResult:
@@ -43,21 +51,61 @@ def _total(score, assign):
     return float(np.sum(score[np.arange(m), assign]))
 
 
+def _alternating_path(near, assign, fixed, i, j):
+    """Whether row ``i`` can take column ``j`` over near-tight entries: a
+    chain from ``j``'s holder, through rows below ``i``, each moving to a
+    near-tight column, ends at ``assign[i]`` or at a column no row holds."""
+    m, n_cols = near.shape
+    holder = np.full(n_cols, -1)
+    holder[assign[i:]] = np.arange(i, m)
+    row = holder[j]
+    if row == -1:
+        return True
+    open_cols = ~fixed
+    open_cols[j] = False
+    ends = open_cols & (holder == -1)
+    ends[assign[i]] = True
+    seen = np.zeros(m, dtype=bool)
+    seen[row] = True
+    frontier = [row]
+    while len(frontier):
+        reach = near[frontier].any(axis=0) & open_cols
+        if (reach & ends).any():
+            return True
+        frontier = holder[reach]
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
+    return False
+
+
 def _lex_refine(score, cost, assign, u, v):
-    """Swap toward the lexicographically smallest exactly-tied assignment."""
+    """Swap toward the lexicographically smallest exactly-tied assignment.
+
+    Row by row, every column left of the row's own whose reduced cost is
+    exactly zero is tried in turn: the rows below are re-solved without it
+    and the swap is kept when the total is exactly unchanged. An optimal
+    assignment that gives row ``i`` column ``j`` differs from ``assign`` by
+    an alternating path of tight entries, so the re-solve runs only when
+    ``_alternating_path`` finds one among the near-tight entries.
+    """
     m, n_cols = cost.shape
+    # a forbidden entry (cost +inf) never has a zero reduced cost
+    reduced = cost - u[:, None] - v
+    tight = reduced == 0.0
+    first_tight = np.where(tight.any(axis=1), tight.argmax(axis=1), n_cols)
+    if not (first_tight < assign).any():
+        return assign
+    near = reduced <= TIE_TOLERANCE * np.abs(cost[cost < np.inf]).max()
     best_total = _total(score, assign)
     assign = assign.copy()
-    fixed = set()
+    fixed = np.zeros(n_cols, dtype=bool)
     for i in range(m):
-        for j in range(int(assign[i])):
-            if j in fixed:
-                continue
-            # a forbidden entry (cost +inf) never has a zero reduced cost
-            if cost[i, j] - u[i] - v[j] != 0.0:
+        tried = np.flatnonzero(tight[i, :assign[i]]) if first_tight[i] < assign[i] else ()
+        for j in tried:
+            if fixed[j] or not _alternating_path(near, assign, fixed, i, j):
                 continue
             rest_rows = list(range(i + 1, m))
-            sub_cols = [c for c in range(n_cols) if c != j and c not in fixed]
+            sub_cols = [c for c in range(n_cols) if c != j and not fixed[c]]
             candidate = assign.copy()
             candidate[i] = j
             if rest_rows:
@@ -70,7 +118,7 @@ def _lex_refine(score, cost, assign, u, v):
             if _total(score, candidate) == best_total:
                 assign = candidate
                 break
-        fixed.add(int(assign[i]))
+        fixed[assign[i]] = True
     return assign
 
 

@@ -47,10 +47,18 @@ class MotReport:
                 for k, v in self.__dict__.items()}
 
 
-def _entries_by_frame(entries):
+def _entries_by_frame(entries, kind):
+    """``entries`` grouped by frame; DataError if an id repeats in a frame,
+    where it would stand for two boxes at once. The error names the frame as
+    a MOT file numbers it, from 1."""
     frames = {}
     for e in entries:
         frames.setdefault(e.frame, []).append(e)
+    for frame, group in frames.items():
+        if len({e.track_id for e in group}) < len(group):
+            ids = [e.track_id for e in group]
+            repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
+            raise DataError(f"MOT frame {frame + 1}: {kind} id {repeated} appears more than once")
     return frames
 
 
@@ -59,12 +67,13 @@ def mot_metrics(gt_entries, hyp_entries, iou_threshold=0.5):
 
     Correspondences persist across frames while they keep IoU >= threshold;
     an identity switch is counted when a ground-truth object is matched to
-    a different hypothesis id than the last one it had.
+    a different hypothesis id than the last one it had. An id that repeats
+    within a frame, on either side, is a DataError.
     """
     if not 0 < iou_threshold <= 1:  # NaN fails too
         raise ConfigError(f"iou_threshold {iou_threshold} outside (0, 1]")
-    gt_frames = _entries_by_frame(gt_entries)
-    hyp_frames = _entries_by_frame(hyp_entries)
+    gt_frames = _entries_by_frame(gt_entries, "ground-truth")
+    hyp_frames = _entries_by_frame(hyp_entries, "hypothesis")
     gt_total = sum(len(v) for v in gt_frames.values())
     if gt_total == 0:
         raise DataError("no ground-truth boxes to evaluate against")

@@ -1026,7 +1026,8 @@ class Matcher:
     def bundle(self, desc_rows, desc_cols, sizes=None):
         """Similarity bundle between two stacked descriptor matrices, the
         rows in groups of ``sizes`` (see ``augment_normalize``)."""
-        bundle = _score(desc_rows, desc_cols, self.params, sizes=sizes)
+        with np.errstate(over="ignore", invalid="ignore"):  # fails the check below
+            bundle = _score(desc_rows, desc_cols, self.params, sizes=sizes)
         if not np.isfinite(bundle.fused).all():
             raise DataError("descriptor values overflow the pair scorer")
         return bundle

@@ -453,6 +453,21 @@ class TestTrackEvaluatePlot:
         assert r.returncode == 3, r.stderr
         assert "line 1" in r.stderr
 
+    def test_evaluate_repeated_hypothesis_id_exits_3(self, pipeline, tmp_path):
+        from geotrack.scene import gt_mot_entries, load_scene, mot_to_csv
+
+        scene_path = sorted(pipeline["scenes"].glob("scene-*.json"))[0]
+        lines = mot_to_csv(gt_mot_entries(load_scene(scene_path))).splitlines()
+        rows = [line.split(",") for line in lines]
+        for parts in rows:
+            parts[1] = "7"  # one id for every box
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_text("".join(",".join(parts) + "\n" for parts in rows))
+        r = run_cli("evaluate", "--scene", scene_path, "--tracks", hyp,
+                    "--out", tmp_path / "eval")
+        assert r.returncode == 3, r.stderr
+        assert f"MOT frame {rows[0][0]}: hypothesis id 7 appears more than once" in r.stderr
+
     @pytest.mark.parametrize("flags, named", [
         (["--radius", "nan"], "radius"),
         (["--criterion", "mahalanobis", "--limit", "nan"], "limit"),
@@ -706,6 +721,10 @@ class TestSceneData:
          ALL, "detections[0]: bbox is out of range"),
         (lambda doc: _gt_objects(doc)[0]["bbox"].__setitem__(slice(2, 4), [1e200, 1e200]),
          ALL, "gt_objects[0]: bbox is out of range"),
+        # a finite ego translation whose descriptor rows the input
+        # standardization scales past the float range
+        (lambda doc: doc["frames"][0]["ego"]["matrix"][0].__setitem__(3, 1e308),
+         ("track-pose",), "descriptor values overflow the pair scorer"),
         (lambda doc: [det.pop("appearance") for det in _detections(doc)],
          ("track-obs", "track-pose", "train"), "lacks an appearance vector"),
         # train checks the detections of every frame, drawn into a pair or not

@@ -107,6 +107,24 @@ class TestMotMetrics:
         with pytest.raises(DataError, match="no ground-truth boxes to evaluate against"):
             mot_metrics([], two_object_gt())
 
+    def test_repeated_hypothesis_id_in_a_frame_rejected(self):
+        # one id on every box used to score MOTA 1.0 with no identity switch
+        gt = two_object_gt(2)
+        hyp = [MotEntry(frame=e.frame, track_id=7, bbox=e.bbox) for e in gt]
+        with pytest.raises(DataError, match="MOT frame 1: hypothesis id 7 appears more than once"):
+            mot_metrics(gt, hyp)
+
+    def test_repeated_ground_truth_id_in_a_frame_rejected(self):
+        gt = two_object_gt(3) + entries_for({2: [(1, BOX_A + 50.0)]})
+        with pytest.raises(DataError, match="MOT frame 2: ground-truth id 2 appears more than once"):
+            mot_metrics(gt, two_object_gt(3))
+
+    def test_same_id_in_different_frames_accepted(self):
+        gt = entries_for({1: [(0, BOX_A)], 2: [(1, BOX_B)]})
+        hyp = entries_for({7: [(0, BOX_A), (1, BOX_B)]})
+        report = mot_metrics(gt, hyp)
+        assert report.matches == 2 and report.fp == 0
+
     def test_permutation_invariance(self, rng):
         gt = two_object_gt()
         hyp = two_object_gt()
