@@ -10,6 +10,14 @@ configurations serve as exact oracles for the geometry and the tracker.
 
 Depth noise is multiplicative: monocular depth error grows with range, and
 the evaluation asserts exactly that signature downstream.
+
+Each frame maps every object into the camera in one batched pass, with the
+sums ``world_to_camera`` takes row by row, and decides visibility for all of
+them at once; only the visible objects reach the per-object code, which
+draws their noise in object order. Each object's world pose and each
+identity's base appearance are built once per scene. Scene files are
+byte-identical to those of the object-by-object reference generator in the
+tests.
 """
 
 import math
@@ -17,16 +25,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .geometry import (
     WORLD,
     CameraIntrinsics,
     EgoPose,
     PixelObservation,
     Pose5D,
+    ego_yaw,
     normalize_rotation,
     project,
-    world_to_camera,
+    quat_to_matrix,
     yaw_rot2,
 )
 from .matching import (
@@ -120,6 +129,33 @@ class SimConfig:
         check_array_size(f"feature map {h} x {w} x {self.embed_dim}", h * w * self.embed_dim)
         if not self.seed >= 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("lateral_range", "height_range", "depth_range"):
+            low, high = getattr(self, name)
+            # objects are drawn as low + (high - low) * U, which needs a finite width
+            if not math.isfinite(float(high) - float(low)):
+                raise ConfigError(f"{name} {getattr(self, name)}: high - low must be finite")
+        self._check_camera_path()
+
+    def _check_camera_path(self):
+        """ConfigError naming the field when a frame's time, heading or
+        camera position leaves the float range."""
+        for name in ("speed", "turn_rate_deg", "camera_height"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        t_last = (self.n_frames - 1) / self.frame_rate
+        if not math.isfinite(t_last):
+            raise ConfigError(f"frame_rate {self.frame_rate} puts frame {self.n_frames - 1} "
+                              "past the float range of time")
+        rate = _turn_rate(self)
+        if rate is not None and not math.isfinite(rate * t_last):
+            raise ConfigError(f"turn_rate_deg {self.turn_rate_deg} turns the camera past "
+                              f"the float range of angles by t = {t_last}")
+        for k in range(self.n_frames):
+            _, position = _camera_at(self, k / self.frame_rate)
+            if not all(map(math.isfinite, position)):
+                radius = "" if rate is None else f" on a turn of radius speed / rate = {self.speed / rate}"
+                raise ConfigError(f"speed {self.speed} takes the camera past the float range "
+                                  f"by frame {k}{radius}")
 
     @classmethod
     def from_dict(cls, doc):
@@ -127,13 +163,6 @@ class SimConfig:
 
     def as_dict(self):
         return asdict(self)
-
-
-@dataclass
-class _WorldObject:
-    object_id: int
-    position: np.ndarray  # world (x, y, z); y is negative altitude
-    facing: np.ndarray  # world horizontal plane, unit
 
 
 def _intrinsics(config):
@@ -147,41 +176,43 @@ def _intrinsics(config):
     )
 
 
-def _ego_at(config, t):
-    if config.trajectory == "straight":
-        pos = np.array([0.0, -config.camera_height, config.speed * t])
-        return EgoPose.from_yaw(0.0, pos)
+def _turn_rate(config):
+    """Turn rate in rad/s, or None when the camera drives straight (a turn
+    whose rate rounds to zero included)."""
     rate = math.radians(config.turn_rate_deg)
-    if abs(rate) < 1e-12:
-        pos = np.array([0.0, -config.camera_height, config.speed * t])
-        return EgoPose.from_yaw(0.0, pos)
+    return rate if config.trajectory == "turn" and not abs(rate) < 1e-12 else None
+
+
+def _camera_at(config, t):
+    """Camera heading and world position (x, y, z) at time ``t``."""
+    rate = _turn_rate(config)
+    if rate is None:
+        return 0.0, (0.0, -config.camera_height, config.speed * t)
     # constant-rate turn: integrate the heading analytically
     yaw = rate * t
     radius = config.speed / rate
-    pos = np.array(
-        [radius * (1.0 - math.cos(yaw)), -config.camera_height,
-         radius * math.sin(yaw)]
-    )
-    return EgoPose.from_yaw(yaw, pos)
+    return yaw, (radius * (1.0 - math.cos(yaw)), -config.camera_height,
+                 radius * math.sin(yaw))
+
+
+def _ego_at(config, t):
+    yaw, position = _camera_at(config, t)
+    return EgoPose.from_yaw(yaw, np.array(position))
 
 
 def _sample_objects(config, rng):
-    objects = []
-    for i in range(config.n_objects):
+    """World positions (n, 3), y being negative altitude, and unit facings
+    (n, 2) of the scene's objects; object i has id i + 1."""
+    positions, facings = [], []
+    for _ in range(config.n_objects):
         x = rng.uniform(*config.lateral_range)
         h = rng.uniform(*config.height_range)
         z = rng.uniform(*config.depth_range)
         # objects face back along the road, toward the approaching camera
         jitter = math.radians(rng.normal(0.0, config.facing_jitter_deg))
-        facing = yaw_rot2(jitter) @ np.array([0.0, -1.0])
-        objects.append(
-            _WorldObject(
-                object_id=i + 1,
-                position=np.array([x, -h, z]),
-                facing=normalize_rotation(facing),
-            )
-        )
-    return objects
+        positions.append([x, -h, z])
+        facings.append(normalize_rotation(yaw_rot2(jitter) @ np.array([0.0, -1.0])))
+    return np.array(positions), np.array(facings)
 
 
 def object_appearance(seed, object_id, dim):
@@ -197,8 +228,9 @@ def object_appearance(seed, object_id, dim):
     return rng.choice([-1.0, 1.0], size=dim)
 
 
-def _object_feature_map(config, object_id, target, rng):
-    """Feature map encoding the pose target plus an identity signature."""
+def _object_feature_map(config, signature, target, rng):
+    """Feature map encoding the pose target plus the identity's
+    ``_feature_signature``."""
     h, w = config.feature_map_size
     e = config.embed_dim
     base = np.zeros((h, w, e))
@@ -215,32 +247,73 @@ def _object_feature_map(config, object_id, target, rng):
     n_pose = min(5, e)
     base[:, :, :n_pose] = pose_channels[:n_pose]
     if e > 5:
-        sig_rng = np.random.default_rng([config.seed, _FEATURE_SALT, object_id])
-        base[:, :, 5:] = sig_rng.normal(0.0, 0.5, size=e - 5)
+        base[:, :, 5:] = signature
     if config.feature_sigma > 0:
         base = base + rng.normal(0.0, config.feature_sigma, size=base.shape)
     return base
 
 
-def _visible(config, t_cam, center, bbox):
-    if t_cam[2] < MIN_DEPTH_M:
-        return False
-    if np.linalg.norm(t_cam) > config.visibility_max_range:
-        return False
-    if not (0 <= center[0] <= config.image_width
-            and 0 <= center[1] <= config.image_height):
-        return False
-    return bbox[2] >= MIN_BOX_PX and bbox[3] >= MIN_BOX_PX
+def _feature_signature(config, object_id):
+    """Seeded identity channels of an object's feature maps, past the five
+    pose channels; None when there are none."""
+    if config.embed_dim <= 5:
+        return None
+    sig_rng = np.random.default_rng([config.seed, _FEATURE_SALT, object_id])
+    return sig_rng.normal(0.0, 0.5, size=config.embed_dim - 5)
 
 
-def _gt_bbox(config, intrinsics, center, depth):
-    w_px = intrinsics.f_x * OBJECT_WIDTH_M / depth
-    h_px = intrinsics.f_y * OBJECT_HEIGHT_M / depth
-    left = max(0.0, center[0] - w_px / 2.0)
-    top = max(0.0, center[1] - h_px / 2.0)
-    right = min(float(config.image_width), center[0] + w_px / 2.0)
-    bottom = min(float(config.image_height), center[1] + h_px / 2.0)
-    return np.array([left, top, right - left, bottom - top])
+def _camera_frame(ego, T, R):
+    """Camera-frame translations (n, 3) and facings (n, 2) of the world poses
+    with translations ``T`` (n, 3) and unit facings ``R`` (n, 2), seen from
+    ``ego``: the sums ``world_to_camera`` takes, for all rows at once. The
+    facings are not yet normalized. DataError when a translation overflows,
+    as ``world_to_camera`` raises for it."""
+    rot = quat_to_matrix(ego.rotation)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cam_T = (rot.T @ (T - ego.translation)[:, :, None])[:, :, 0]
+    if not np.isfinite(cam_T).all():
+        raise DataError("camera-frame object translation T must be finite")
+    cam_R = (yaw_rot2(-ego_yaw(ego)) @ R[:, :, None])[:, :, 0]
+    return cam_T, cam_R
+
+
+def _boxes(config, intrinsics, centers, depths):
+    """Image boxes (k, 4) of objects with pixel ``centers`` (k, 2) at
+    ``depths`` (k,), clipped to the image. A box whose size overflows spans
+    the image."""
+    with np.errstate(over="ignore", divide="ignore"):
+        w_px = intrinsics.f_x * OBJECT_WIDTH_M / depths
+        h_px = intrinsics.f_y * OBJECT_HEIGHT_M / depths
+        left = np.maximum(0.0, centers[:, 0] - w_px / 2.0)
+        top = np.maximum(0.0, centers[:, 1] - h_px / 2.0)
+        right = np.minimum(float(config.image_width), centers[:, 0] + w_px / 2.0)
+        bottom = np.minimum(float(config.image_height), centers[:, 1] + h_px / 2.0)
+    return np.stack([left, top, right - left, bottom - top], axis=1)
+
+
+def _in_view(config, intrinsics, cam_T):
+    """Indices (ascending) of the objects at camera-frame translations
+    ``cam_T`` (n, 3) that the camera sees, with their ``project``ed pixel
+    centres (k, 2) and ``_boxes`` (k, 4).
+
+    An object is seen when it lies at least ``MIN_DEPTH_M`` ahead and within
+    ``visibility_max_range``, its centre projects inside the image, bounds
+    included, and its box is at least ``MIN_BOX_PX`` wide and high. A norm
+    or centre that overflows is out of view.
+    """
+    ahead = np.flatnonzero(cam_T[:, 2] >= MIN_DEPTH_M)
+    T = cam_T[ahead]
+    with np.errstate(over="ignore"):
+        # np.linalg.norm's sums: the root of one dot product per row
+        norms = np.sqrt((T[:, None, :] @ T[:, :, None])[:, 0, 0])
+        centers = np.stack([intrinsics.p_x + intrinsics.f_x * T[:, 0] / T[:, 2],
+                            intrinsics.p_y + intrinsics.f_y * T[:, 1] / T[:, 2]], axis=1)
+    boxes = _boxes(config, intrinsics, centers, T[:, 2])
+    seen = ((norms <= config.visibility_max_range)
+            & (centers[:, 0] >= 0) & (centers[:, 0] <= config.image_width)
+            & (centers[:, 1] >= 0) & (centers[:, 1] <= config.image_height)
+            & (boxes[:, 2] >= MIN_BOX_PX) & (boxes[:, 3] >= MIN_BOX_PX))
+    return ahead[seen], centers[seen], boxes[seen]
 
 
 def generate_scene(config, scene_id=None):
@@ -251,39 +324,38 @@ def generate_scene(config, scene_id=None):
     """
     rng = np.random.default_rng([config.seed, 1])
     intrinsics = _intrinsics(config)
-    objects = _sample_objects(config, rng)
+    positions, facings = _sample_objects(config, rng)
+    world_poses = [Pose5D(t, r, WORLD) for t, r in zip(positions, facings)]
+    # each identity's seeded vectors, drawn at its first sighting
+    appearances, signatures = {}, {}
     frames = []
     for k in range(config.n_frames):
         t = k / config.frame_rate
         ego = _ego_at(config, t)
+        cam_T, cam_R = _camera_frame(ego, positions, facings)
+        seen, centers, boxes = _in_view(config, intrinsics, cam_T)
         detections = []
         gt_objects = []
-        for obj in objects:
-            world_pose = Pose5D(obj.position, obj.facing, WORLD)
-            cam_pose = world_to_camera(world_pose, ego)
-            if cam_pose.T[2] < MIN_DEPTH_M:
-                continue
-            center = project(cam_pose.T, intrinsics)
-            bbox = _gt_bbox(config, intrinsics, center, cam_pose.T[2])
-            if not _visible(config, cam_pose.T, center, bbox):
-                continue
+        for i, center, bbox in zip(seen.tolist(), centers, boxes):
+            object_id = i + 1
             gt_objects.append(
                 GroundTruthObject(
-                    object_id=obj.object_id,
-                    pose=world_pose,
+                    object_id=object_id,
+                    pose=world_poses[i],
                     kind="vertical",
                     bbox=bbox,
                 )
             )
-            target = (center.copy(), float(cam_pose.T[2]), cam_pose.R.copy())
+            cam_facing = normalize_rotation(cam_R[i])
+            depth = float(cam_T[i, 2])
+            target = (center, depth, cam_facing)
             missed = config.miss_rate > 0 and rng.random() < config.miss_rate
             noisy_center = center + rng.normal(0.0, config.center_sigma_px, 2) \
                 if config.center_sigma_px > 0 else center.copy()
-            depth = float(cam_pose.T[2])
             if config.depth_rel_sigma > 0:
                 depth = max(MIN_DEPTH_M / 2.0,
                             depth * (1.0 + rng.normal(0.0, config.depth_rel_sigma)))
-            facing = cam_pose.R
+            facing = cam_facing
             if config.rotation_sigma_deg > 0:
                 facing = yaw_rot2(
                     math.radians(rng.normal(0.0, config.rotation_sigma_deg))
@@ -292,13 +364,12 @@ def generate_scene(config, scene_id=None):
             if config.bbox_jitter_px > 0:
                 det_bbox = det_bbox + rng.normal(0.0, config.bbox_jitter_px, 4)
                 det_bbox[2:] = np.maximum(det_bbox[2:], MIN_BOX_PX)
-            appearance = object_appearance(
-                config.seed, obj.object_id, config.appearance_dim
-            )
-            if config.appearance_sigma > 0:
-                appearance = appearance + rng.normal(
-                    0.0, config.appearance_sigma, config.appearance_dim
-                )
+            if i not in appearances:
+                appearances[i] = object_appearance(config.seed, object_id,
+                                                   config.appearance_dim)
+            appearance = appearances[i] + rng.normal(
+                0.0, config.appearance_sigma, config.appearance_dim
+            ) if config.appearance_sigma > 0 else appearances[i].copy()
             if missed:
                 continue
             if not (0 <= noisy_center[0] <= config.image_width
@@ -312,11 +383,13 @@ def generate_scene(config, scene_id=None):
                     c=noisy_center, T_z=depth, R=normalize_rotation(facing)
                 ),
                 appearance=appearance,
-                gt_id=obj.object_id,
+                gt_id=object_id,
             )
             if config.emit_feature_maps:
+                if i not in signatures:
+                    signatures[i] = _feature_signature(config, object_id)
                 det.feature_map = _object_feature_map(
-                    config, obj.object_id, target, rng
+                    config, signatures[i], target, rng
                 )
             detections.append(det)
 
@@ -328,7 +401,7 @@ def generate_scene(config, scene_id=None):
             fp_depth = rng.uniform(*config.depth_range)
             fp_rng = np.random.default_rng([config.seed, _FP_SALT, k])
             det = Detection(
-                bbox=_gt_bbox(config, intrinsics, fp_center, fp_depth),
+                bbox=_boxes(config, intrinsics, fp_center[None], np.array([fp_depth]))[0],
                 confidence=0.5,
                 center=fp_center.copy(),
                 observation=PixelObservation(
@@ -372,16 +445,29 @@ def world_objects(scene):
     return out
 
 
-def pose_target(detection, frame):
-    """Ground-truth (center, depth, facing) regression target of a detection."""
-    if detection.gt_id is None:
-        return None
+def _frame_targets(frame):
+    """Each detection's ground-truth (center, depth, facing) regression
+    target in ``frame``, None for one without a ground-truth object there:
+    its object's world pose mapped into the camera (``_camera_frame``, one
+    pass per frame) and ``project``ed."""
+    by_id = {}
     for g in frame.gt_objects or []:
-        if g.object_id == detection.gt_id:
-            cam = world_to_camera(g.pose, frame.ego)
-            center = project(cam.T, frame.intrinsics)
-            return (center, float(cam.T[2]), cam.R)
-    return None
+        by_id.setdefault(g.object_id, g.pose)
+    poses = [by_id[det.gt_id] for det in frame.detections if det.gt_id in by_id]
+    if not poses:
+        return (None,) * len(frame.detections)
+    cam_T, cam_R = _camera_frame(frame.ego, np.array([p.T for p in poses]),
+                                 np.array([p.R for p in poses]))
+    rows = zip(cam_T, cam_R)
+    targets = []
+    for det in frame.detections:
+        if det.gt_id not in by_id:
+            targets.append(None)
+            continue
+        T, R = next(rows)
+        facing = normalize_rotation(R)
+        targets.append((project(T, frame.intrinsics), float(T[2]), facing))
+    return tuple(targets)
 
 
 def make_matching_dataset(scenes, n_max, pairs_per_scene, seed):
@@ -391,8 +477,7 @@ def make_matching_dataset(scenes, n_max, pairs_per_scene, seed):
     for scene_idx, scene in enumerate(scenes):
         pairs = sample_training_pairs(scene, n_max, pairs_per_scene, seed=seed + scene_idx)
         # frames recur across pairs; each one's targets are computed once
-        targets = {k: tuple(pose_target(det, scene.frames[k])
-                            for det in scene.frames[k].detections)
+        targets = {k: _frame_targets(scene.frames[k])
                    for k in {k for pair in pairs for k in pair}}
         for a, b in pairs:
             frame_a, frame_b = scene.frames[a], scene.frames[b]

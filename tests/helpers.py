@@ -2,9 +2,12 @@
 check, input standardization fitted outside a training run, the pair-side
 standardization that standardizing rows once replaced, the per-array SGD
 update that training's flat parameter vector replaced, the pose-by-pose
-reference-frame transform, a document mutator for the data-contract fuzz
-tests, and ``raises_internal`` for the internal-fault (exit 4) guards."""
+reference-frame transform, the object-by-object scene generator and pose
+target that the simulator's per-frame pass replaced, a document mutator for
+the data-contract fuzz tests, and ``raises_internal`` for the
+internal-fault (exit 4) guards."""
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -13,9 +16,27 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from geotrack import matching, numerics
+from geotrack import matching, numerics, simulator
 from geotrack.errors import GeotrackError
-from geotrack.geometry import REFERENCE, camera_to_world, world_to_camera
+from geotrack.geometry import (
+    REFERENCE,
+    WORLD,
+    EgoPose,
+    PixelObservation,
+    Pose5D,
+    camera_to_world,
+    normalize_rotation,
+    project,
+    world_to_camera,
+    yaw_rot2,
+)
+from geotrack.scene import (
+    Detection,
+    FrameRecord,
+    GroundTruthObject,
+    SceneSequence,
+    keep_most_confident,
+)
 
 # the benchmark's stored observation-route matcher
 STORED_CHECKPOINT = Path(__file__).resolve().parents[1] / "perfbench/data/obs-matcher.json"
@@ -182,6 +203,216 @@ def to_reference_frame(pose, ego_t, ego_ref):
     Equals world_to_camera(camera_to_world(pose, ego_t), ego_ref).
     """
     return world_to_camera(camera_to_world(pose, ego_t), ego_ref, REFERENCE)
+
+
+# --- object-by-object scene generation ----------------------------------------------
+
+
+def _reference_ego_at(config, t):
+    if config.trajectory == "straight":
+        pos = np.array([0.0, -config.camera_height, config.speed * t])
+        return EgoPose.from_yaw(0.0, pos)
+    rate = math.radians(config.turn_rate_deg)
+    if abs(rate) < 1e-12:
+        pos = np.array([0.0, -config.camera_height, config.speed * t])
+        return EgoPose.from_yaw(0.0, pos)
+    # constant-rate turn: integrate the heading analytically
+    yaw = rate * t
+    radius = config.speed / rate
+    pos = np.array(
+        [radius * (1.0 - math.cos(yaw)), -config.camera_height,
+         radius * math.sin(yaw)]
+    )
+    return EgoPose.from_yaw(yaw, pos)
+
+
+def _reference_objects(config, rng):
+    """(object id, world position, unit facing) of each object."""
+    objects = []
+    for i in range(config.n_objects):
+        x = rng.uniform(*config.lateral_range)
+        h = rng.uniform(*config.height_range)
+        z = rng.uniform(*config.depth_range)
+        # objects face back along the road, toward the approaching camera
+        jitter = math.radians(rng.normal(0.0, config.facing_jitter_deg))
+        facing = yaw_rot2(jitter) @ np.array([0.0, -1.0])
+        objects.append((i + 1, np.array([x, -h, z]), normalize_rotation(facing)))
+    return objects
+
+
+def _reference_feature_map(config, object_id, target, rng):
+    h, w = config.feature_map_size
+    e = config.embed_dim
+    base = np.zeros((h, w, e))
+    c_star, tz_star, r_star = target
+    pose_channels = np.array(
+        [
+            c_star[0] / config.image_width,
+            c_star[1] / config.image_height,
+            tz_star / config.visibility_max_range,
+            r_star[0],
+            r_star[1],
+        ]
+    )
+    n_pose = min(5, e)
+    base[:, :, :n_pose] = pose_channels[:n_pose]
+    if e > 5:
+        sig_rng = np.random.default_rng([config.seed, simulator._FEATURE_SALT, object_id])
+        base[:, :, 5:] = sig_rng.normal(0.0, 0.5, size=e - 5)
+    if config.feature_sigma > 0:
+        base = base + rng.normal(0.0, config.feature_sigma, size=base.shape)
+    return base
+
+
+def _reference_visible(config, t_cam, center, bbox):
+    if t_cam[2] < simulator.MIN_DEPTH_M:
+        return False
+    if np.linalg.norm(t_cam) > config.visibility_max_range:
+        return False
+    if not (0 <= center[0] <= config.image_width
+            and 0 <= center[1] <= config.image_height):
+        return False
+    return bbox[2] >= simulator.MIN_BOX_PX and bbox[3] >= simulator.MIN_BOX_PX
+
+
+def _reference_bbox(config, intrinsics, center, depth):
+    w_px = intrinsics.f_x * simulator.OBJECT_WIDTH_M / depth
+    h_px = intrinsics.f_y * simulator.OBJECT_HEIGHT_M / depth
+    left = max(0.0, center[0] - w_px / 2.0)
+    top = max(0.0, center[1] - h_px / 2.0)
+    right = min(float(config.image_width), center[0] + w_px / 2.0)
+    bottom = min(float(config.image_height), center[1] + h_px / 2.0)
+    return np.array([left, top, right - left, bottom - top])
+
+
+def reference_generate_scene(config, scene_id=None):
+    """``simulator.generate_scene`` object by object: every object of every
+    frame goes through ``world_to_camera``, and each detection draws its
+    identity's base appearance afresh."""
+    min_depth = simulator.MIN_DEPTH_M
+    rng = np.random.default_rng([config.seed, 1])
+    intrinsics = simulator._intrinsics(config)
+    objects = _reference_objects(config, rng)
+    frames = []
+    for k in range(config.n_frames):
+        t = k / config.frame_rate
+        ego = _reference_ego_at(config, t)
+        detections = []
+        gt_objects = []
+        for object_id, position, world_facing in objects:
+            world_pose = Pose5D(position, world_facing, WORLD)
+            cam_pose = world_to_camera(world_pose, ego)
+            if cam_pose.T[2] < min_depth:
+                continue
+            center = project(cam_pose.T, intrinsics)
+            bbox = _reference_bbox(config, intrinsics, center, cam_pose.T[2])
+            if not _reference_visible(config, cam_pose.T, center, bbox):
+                continue
+            gt_objects.append(
+                GroundTruthObject(
+                    object_id=object_id,
+                    pose=world_pose,
+                    kind="vertical",
+                    bbox=bbox,
+                )
+            )
+            target = (center.copy(), float(cam_pose.T[2]), cam_pose.R.copy())
+            missed = config.miss_rate > 0 and rng.random() < config.miss_rate
+            noisy_center = center + rng.normal(0.0, config.center_sigma_px, 2) \
+                if config.center_sigma_px > 0 else center.copy()
+            depth = float(cam_pose.T[2])
+            if config.depth_rel_sigma > 0:
+                depth = max(min_depth / 2.0,
+                            depth * (1.0 + rng.normal(0.0, config.depth_rel_sigma)))
+            facing = cam_pose.R
+            if config.rotation_sigma_deg > 0:
+                facing = yaw_rot2(
+                    math.radians(rng.normal(0.0, config.rotation_sigma_deg))
+                ) @ facing
+            det_bbox = bbox.copy()
+            if config.bbox_jitter_px > 0:
+                det_bbox = det_bbox + rng.normal(0.0, config.bbox_jitter_px, 4)
+                det_bbox[2:] = np.maximum(det_bbox[2:], simulator.MIN_BOX_PX)
+            appearance = simulator.object_appearance(
+                config.seed, object_id, config.appearance_dim
+            )
+            if config.appearance_sigma > 0:
+                appearance = appearance + rng.normal(
+                    0.0, config.appearance_sigma, config.appearance_dim
+                )
+            if missed:
+                continue
+            if not (0 <= noisy_center[0] <= config.image_width
+                    and 0 <= noisy_center[1] <= config.image_height):
+                continue
+            det = Detection(
+                bbox=det_bbox,
+                confidence=1.0,
+                center=noisy_center.copy(),
+                observation=PixelObservation(
+                    c=noisy_center, T_z=depth, R=normalize_rotation(facing)
+                ),
+                appearance=appearance,
+                gt_id=object_id,
+            )
+            if config.emit_feature_maps:
+                det.feature_map = _reference_feature_map(config, object_id, target, rng)
+            detections.append(det)
+
+        if config.fp_rate > 0 and rng.random() < config.fp_rate:
+            fp_center = np.array(
+                [rng.uniform(0.05 * config.image_width, 0.95 * config.image_width),
+                 rng.uniform(0.05 * config.image_height, 0.95 * config.image_height)]
+            )
+            fp_depth = rng.uniform(*config.depth_range)
+            fp_rng = np.random.default_rng([config.seed, simulator._FP_SALT, k])
+            det = Detection(
+                bbox=_reference_bbox(config, intrinsics, fp_center, fp_depth),
+                confidence=0.5,
+                center=fp_center.copy(),
+                observation=PixelObservation(
+                    c=fp_center, T_z=fp_depth,
+                    R=normalize_rotation(yaw_rot2(rng.uniform(-np.pi, np.pi))
+                                         @ np.array([0.0, -1.0])),
+                ),
+                appearance=fp_rng.choice([-1.0, 1.0], size=config.appearance_dim),
+                gt_id=None,
+            )
+            if config.emit_feature_maps:
+                det.feature_map = rng.normal(
+                    0.0, 0.5,
+                    (*config.feature_map_size, config.embed_dim),
+                )
+            detections.append(det)
+
+        if len(detections) > config.capacity:
+            detections = keep_most_confident(detections, config.capacity)
+
+        frames.append(
+            FrameRecord(
+                frame_index=k,
+                timestamp=t,
+                intrinsics=intrinsics,
+                ego=ego,
+                detections=detections,
+                gt_objects=gt_objects,
+            )
+        )
+    scene_id = scene_id or f"sim-{config.seed:08d}"
+    return SceneSequence(scene_id=scene_id, frames=frames)
+
+
+def reference_pose_target(detection, frame):
+    """Ground-truth (center, depth, facing) regression target of one
+    detection, through ``world_to_camera`` of its object's pose."""
+    if detection.gt_id is None:
+        return None
+    for g in frame.gt_objects or []:
+        if g.object_id == detection.gt_id:
+            cam = world_to_camera(g.pose, frame.ego)
+            center = project(cam.T, frame.intrinsics)
+            return (center, float(cam.T[2]), cam.R)
+    return None
 
 
 # --- document mutation ---------------------------------------------------------------

@@ -146,6 +146,10 @@ class TestSimulate:
         ({"feature_map_size": [-1, 3], "emit_feature_maps": True}, "feature_map_size"),
         ({"embed_dim": -2, "emit_feature_maps": True}, "embed_dim"),
         ({"embed_dim": 10 ** 9, "emit_feature_maps": True}, "feature map"),
+        # a range whose width overflows, a camera path past the float range
+        ({"height_range": [1e308, -1e308]}, "height_range"),
+        ({"speed": 1e308, "n_frames": 40}, "speed"),
+        ({"trajectory": "turn", "speed": 1e308, "turn_rate_deg": 1e-9}, "speed"),
     ])
     def test_out_of_range_config_exits_2(self, tmp_path, doc, named):
         config = tmp_path / "bad.json"
