@@ -134,6 +134,9 @@ class SimConfig:
             # objects are drawn as low + (high - low) * U, which needs a finite width
             if not math.isfinite(float(high) - float(low)):
                 raise ConfigError(f"{name} {getattr(self, name)}: high - low must be finite")
+        # a false positive's depth is drawn from depth_range
+        if self.fp_rate > 0 and not all(float(end) > 0 for end in self.depth_range):
+            raise ConfigError(f"depth_range {self.depth_range} must lie above 0 when fp_rate > 0")
         self._check_camera_path()
 
     def _check_camera_path(self):
@@ -210,9 +213,17 @@ def _sample_objects(config, rng):
         z = rng.uniform(*config.depth_range)
         # objects face back along the road, toward the approaching camera
         jitter = math.radians(rng.normal(0.0, config.facing_jitter_deg))
+        _check_noise(config, "facing_jitter_deg", jitter)
         positions.append([x, -h, z])
         facings.append(normalize_rotation(yaw_rot2(jitter) @ np.array([0.0, -1.0])))
     return np.array(positions), np.array(facings)
+
+
+def _check_noise(config, name, values):
+    """ConfigError naming the field ``name`` when the noise it scales made
+    any of ``values`` NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{name} {getattr(config, name)} draws noise past the float range")
 
 
 def object_appearance(seed, object_id, dim):
@@ -320,7 +331,8 @@ def generate_scene(config, scene_id=None):
     """Simulate one scene with ground truth and corrupted detections.
 
     All randomness flows from ``config.seed``; equal configs produce
-    byte-identical scene files.
+    byte-identical scene files. Noise that a field scales past the float
+    range is a ConfigError naming the field.
     """
     rng = np.random.default_rng([config.seed, 1])
     intrinsics = _intrinsics(config)
@@ -328,6 +340,9 @@ def generate_scene(config, scene_id=None):
     world_poses = [Pose5D(t, r, WORLD) for t, r in zip(positions, facings)]
     # each identity's seeded vectors, drawn at its first sighting
     appearances, signatures = {}, {}
+    # noisy values by the field that scales their noise, checked once per scene
+    drawn = {name: [] for name in ("depth_rel_sigma", "bbox_jitter_px", "appearance_sigma",
+                                   "feature_sigma")}
     frames = []
     for k in range(config.n_frames):
         t = k / config.frame_rate
@@ -353,23 +368,28 @@ def generate_scene(config, scene_id=None):
             noisy_center = center + rng.normal(0.0, config.center_sigma_px, 2) \
                 if config.center_sigma_px > 0 else center.copy()
             if config.depth_rel_sigma > 0:
-                depth = max(MIN_DEPTH_M / 2.0,
-                            depth * (1.0 + rng.normal(0.0, config.depth_rel_sigma)))
+                depth *= 1.0 + rng.normal(0.0, config.depth_rel_sigma)
+                drawn["depth_rel_sigma"].append(depth)
+                depth = max(MIN_DEPTH_M / 2.0, depth)
             facing = cam_facing
             if config.rotation_sigma_deg > 0:
-                facing = yaw_rot2(
-                    math.radians(rng.normal(0.0, config.rotation_sigma_deg))
-                ) @ facing
+                angle = math.radians(rng.normal(0.0, config.rotation_sigma_deg))
+                _check_noise(config, "rotation_sigma_deg", angle)
+                facing = yaw_rot2(angle) @ facing
             det_bbox = bbox.copy()
             if config.bbox_jitter_px > 0:
                 det_bbox = det_bbox + rng.normal(0.0, config.bbox_jitter_px, 4)
+                drawn["bbox_jitter_px"].append(det_bbox.copy())
                 det_bbox[2:] = np.maximum(det_bbox[2:], MIN_BOX_PX)
             if i not in appearances:
                 appearances[i] = object_appearance(config.seed, object_id,
                                                    config.appearance_dim)
-            appearance = appearances[i] + rng.normal(
-                0.0, config.appearance_sigma, config.appearance_dim
-            ) if config.appearance_sigma > 0 else appearances[i].copy()
+            if config.appearance_sigma > 0:
+                appearance = appearances[i] + rng.normal(
+                    0.0, config.appearance_sigma, config.appearance_dim)
+                drawn["appearance_sigma"].append(appearance)
+            else:
+                appearance = appearances[i].copy()
             if missed:
                 continue
             if not (0 <= noisy_center[0] <= config.image_width
@@ -391,6 +411,8 @@ def generate_scene(config, scene_id=None):
                 det.feature_map = _object_feature_map(
                     config, signatures[i], target, rng
                 )
+                if config.feature_sigma > 0:
+                    drawn["feature_sigma"].append(det.feature_map)
             detections.append(det)
 
         if config.fp_rate > 0 and rng.random() < config.fp_rate:
@@ -432,6 +454,8 @@ def generate_scene(config, scene_id=None):
                 gt_objects=gt_objects,
             )
         )
+    for name, values in drawn.items():
+        _check_noise(config, name, values)
     scene_id = scene_id or f"sim-{config.seed:08d}"
     return SceneSequence(scene_id=scene_id, frames=frames)
 

@@ -1,29 +1,29 @@
 """Online tracking-by-detection over a scene.
 
-Each frame's detections are associated to the tracks the camera can see by
-solving a maximization assignment on a score matrix of shape (m, n + m):
-column j < n holds the best similarity between track i's buffered
-instances and detection j, and column n + i holds track i's null score (its
-mean probability of matching nothing). The matrix comes from one
-``Matcher.bundle`` call per frame over every buffered instance of the scored
-tracks, grouped by past frame; each group is normalized against the
-detections as its own candidate set, with its own null row, just as a call
-per past frame would (``score_matrix``). A track is in view when its newest
-instance's position, mapped into the current camera, lies in front of it
-and projects inside the image widened by ``VIEW_MARGIN`` (``view_gate``).
-Tracks out of view are neither scored nor solved: they cannot take a
-detection in this frame. Tracks never die — the targets are static, so
-leaving the view is expected — and an out-of-view or null-matched track
-keeps its buffer and is matched again once it is back in view. A track's
-5D pose is aggregated in the reference frame when results are reported
-(``finalize``): the per-component median of its buffered instances'
-poses, read from their descriptors (geometry prefix: T ``[:3]``, R
-``[3:5]``), with the facing renormalized. A frame without detections has
-nothing to decide: every track stays unmatched, keeps its buffer, and
-nothing is gated, scored or solved.
+The state is one table per scene. ``TrackerState.tracks`` holds each
+track's observation count; track i has id i + 1, since tracks never die
+(the targets are static) and are spawned in id order.
+``TrackerState.instances`` holds every track's buffer as (track, frame,
+count, descriptor) rows in (frame, track) order: the ``count``-th
+observation of the track, made in the ``frame``-th frame with detections
+(an ordinal, as a frame index is any JSON integer), and the descriptor the
+matcher saw, whose prefix is its reference-frame pose (T ``[:3]``, R
+``[3:5]``). A track keeps its newest ``buffer_size`` rows. Matches come
+back in ascending track order and spawned tracks follow every old one, so
+appending a step's rows keeps the table in order.
+
+Each frame's detections are assigned to the tracks the camera can see
+(``view_gate``) by a maximization on a score matrix of shape (m, n + m):
+column j < n holds the best similarity between track i's rows and
+detection j, column n + i track i's null score (``score_matrix``). Tracks
+out of view are neither scored nor solved, and keep their rows until they
+are matched again. A frame without detections leaves every track unmatched,
+and nothing is gated, scored or solved. A track's 5D pose is the
+per-component median of its rows' poses, taken when results are reported
+(``finalize``).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,22 +40,6 @@ VIEW_MARGIN = 0.25
 
 
 @dataclass
-class TrackInstance:
-    """One buffered sighting of a track: its frame and its descriptor as the
-    matcher saw it, whose prefix ``[:5]`` is its reference-frame pose."""
-
-    frame_index: int
-    descriptor: np.ndarray
-
-
-@dataclass
-class Track:
-    track_id: int
-    instances: list = field(default_factory=list)
-    observation_count: int = 0
-
-
-@dataclass
 class GeolocatedObject:
     track_id: int
     pose: Pose5D  # world frame
@@ -63,7 +47,9 @@ class GeolocatedObject:
 
 
 class TrackerState:
-    """Mutable per-scene tracking state owned by a single caller."""
+    """Mutable per-scene tracking state owned by a single caller: the
+    observation counts ``tracks`` and the instance table ``instances`` (see
+    the module docstring)."""
 
     def __init__(self, matcher, ego_ref, buffer_size=DEFAULT_BUFFER):
         if (isinstance(buffer_size, bool) or not isinstance(buffer_size, (int, np.integer))
@@ -72,22 +58,24 @@ class TrackerState:
         self.matcher = matcher
         self.ego_ref = ego_ref
         self.buffer_size = buffer_size
-        self.tracks = []
+        self.tracks = np.zeros(0, dtype=np.int64)
+        self.instances = np.zeros(0, dtype=[
+            ("track", np.intp), ("frame", np.int64), ("count", np.int64),
+            ("descriptor", np.float64, (matcher.config.descriptor_dim,)),
+        ])
         self.last_frame_index = None
-        self.next_track_id = 1
 
 
-def aggregate_pose(track):
-    """Per-component median of a track's buffered reference-frame poses,
-    each read as T = ``descriptor[:3]`` and R = normalized
-    ``descriptor[3:5]``, as one Pose5D. The median facing is renormalized;
-    when it is zero (two opposite facings, say) the newest instance's is
-    taken."""
-    if not track.instances:
-        raise GeotrackError(f"track {track.track_id} has no instances")
-    ts = np.array([inst.descriptor[:3] for inst in track.instances])
-    rs = np.array([normalize_rotation(inst.descriptor[3:5]) for inst in track.instances])
-    t = np.median(ts, axis=0)
+def aggregate_pose(descriptors):
+    """Per-component median of one track's buffered reference-frame poses,
+    given its descriptor rows oldest first, each read as T = ``[:3]`` and
+    R = normalized ``[3:5]``, as one Pose5D. The median facing is
+    renormalized; when it is zero (two opposite facings, say) the newest
+    row's is taken."""
+    if not len(descriptors):
+        raise GeotrackError("aggregate_pose needs at least one descriptor row")
+    rs = np.array([normalize_rotation(d[3:5]) for d in descriptors])
+    t = np.median(descriptors[:, :3], axis=0)
     try:
         r = normalize_rotation(np.median(rs, axis=0))
     except ZeroVectorError:
@@ -95,30 +83,32 @@ def aggregate_pose(track):
     return Pose5D(t, r, REFERENCE)
 
 
-def score_matrix(tracks, detection_descriptors, matcher):
-    """Similarity scores between m tracks and n detections plus null options.
+def score_matrix(tracks, state, detection_descriptors):
+    """Similarity scores between the m tracks ``tracks`` (ascending indices)
+    and n detections plus null options.
 
-    Every buffered instance of the tracks is scored against the current
-    detections in one ``matcher.bundle`` call: the instances are stacked in
-    groups by past frame, in ascending frame order and track order within a
-    group, and each group is normalized as its own candidate set (see
-    ``matching.augment_normalize``). A track's detection score is the maximum
-    fused similarity over its instances and its null score the mean
-    null-column probability, summed in frame order.
+    The tracks' rows are scored against the detections in one
+    ``matcher.bundle`` call, each past frame's rows as their own candidate
+    set (see ``matching.augment_normalize``), just as a call per past frame
+    would score them. A track's detection score is the maximum fused
+    similarity over its rows and its null score the mean null-column
+    probability, summed in frame order.
     """
     m, n = len(tracks), len(detection_descriptors)
     scores = np.full((m, n + m), -np.inf)
     if m == 0:
         return scores
 
-    by_frame = {}
-    for t_idx, track in enumerate(tracks):
-        for inst in track.instances:
-            by_frame.setdefault(inst.frame_index, []).append((t_idx, inst.descriptor))
-    groups = [by_frame[frame_index] for frame_index in sorted(by_frame)]
-    owners = np.array([t_idx for group in groups for t_idx, _ in group], dtype=np.intp)
-    bundle = matcher.bundle([desc for group in groups for _, desc in group],
-                            detection_descriptors, [len(group) for group in groups])
+    row_of = np.full(len(state.tracks), -1, dtype=np.intp)
+    row_of[tracks] = np.arange(m)
+    owners = row_of[state.instances["track"]]
+    scored = owners >= 0
+    owners = owners[scored]
+    # the rows are in frame order, so each past frame's rows are one run
+    frames = state.instances["frame"][scored]
+    bounds = np.concatenate(([0], np.flatnonzero(frames[1:] != frames[:-1]) + 1, [len(frames)]))
+    bundle = state.matcher.bundle(state.instances["descriptor"][scored],
+                                  detection_descriptors, bounds[1:] - bounds[:-1])
     np.maximum.at(scores[:, :n], owners, bundle.fused[:len(owners), :n])
     null_sums = np.zeros(m)
     np.add.at(null_sums, owners, bundle.S1n[:, -1])
@@ -129,18 +119,17 @@ def score_matrix(tracks, detection_descriptors, matcher):
     return scores
 
 
-def view_gate(tracks, ego_ref, ego, intrinsics):
-    """(m,) booleans: which tracks the camera at ``ego`` can see.
+def view_gate(T, ego_ref, ego, intrinsics):
+    """(m,) booleans: which of the tracks whose newest reference-frame
+    translations are ``T`` (m, 3) the camera at ``ego`` can see.
 
-    Each track's newest instance's reference-frame translation
-    (``descriptor[:3]``) is mapped to the world through ``ego_ref`` and into
+    The translations are mapped to the world through ``ego_ref`` and into
     the camera through ``ego``, all tracks at once and with the same sums as
     ``world_to_camera(camera_to_world(...))``. A track is in view when its
     depth is positive and its ``project``ed centre lies inside the image
     widened by ``VIEW_MARGIN`` of its width and height on every side, bounds
     included. A position that overflows on the way is out of view.
     """
-    T = np.array([track.instances[-1].descriptor[:3] for track in tracks]).reshape(-1, 3)
     rot_ref, rot = quat_to_matrix(ego_ref.rotation), quat_to_matrix(ego.rotation)
     with np.errstate(over="ignore", invalid="ignore"):
         world = (rot_ref @ T[:, :, None])[:, :, 0] + ego_ref.translation
@@ -175,25 +164,34 @@ def step(state, frame):
 
     # only tracks in view are scored and solved; row i of the solve is
     # track visible[i], and every other track keeps its null
-    visible = np.flatnonzero(view_gate(state.tracks, state.ego_ref, frame.ego,
-                                       frame.intrinsics))
-    solved = hungarian(score_matrix([state.tracks[t] for t in visible], descriptors,
-                                    state.matcher))
+    table, n_tracks = state.instances, len(state.tracks)
+    newest = np.flatnonzero(table["count"] == state.tracks[table["track"]])
+    newest_T = np.empty((n_tracks, 3))
+    newest_T[table["track"][newest]] = table["descriptor"][newest, :3]
+    visible = np.flatnonzero(view_gate(newest_T, state.ego_ref, frame.ego, frame.intrinsics))
+    solved = hungarian(score_matrix(visible, state, descriptors))
     matches = [(int(visible[i]), j) for i, j in solved.matches]
     matched = {t for t, _ in matches}
+    unmatched = solved.unmatched_detections
     assignment = AssignmentResult(
         matches=matches,
-        unmatched_tracks=[t for t in range(len(state.tracks)) if t not in matched],
-        unmatched_detections=solved.unmatched_detections,
+        unmatched_tracks=[t for t in range(n_tracks) if t not in matched],
+        unmatched_detections=unmatched,
     )
 
-    # Spawned tracks get consecutive ids in unmatched-detection order.
-    unmatched = assignment.unmatched_detections
-    spawned = [Track(track_id=state.next_track_id + k) for k in range(len(unmatched))]
-    updates = [(state.tracks[t], j) for t, j in assignment.matches]
-    updates += zip(spawned, unmatched)
-    state.tracks += spawned
-    state.next_track_id += len(spawned)
+    # Spawned tracks take the next ids in unmatched-detection order, after
+    # the matched tracks, so the step's rows are in track order.
+    owners = np.array([t for t, _ in matches] + list(range(n_tracks, n_tracks + len(unmatched))),
+                      dtype=np.intp)
+    dets = np.array([j for _, j in matches] + unmatched, dtype=np.intp)
+    state.tracks = np.concatenate([state.tracks, np.zeros(len(unmatched), np.int64)])
+    state.tracks[owners] += 1
+    rows = np.empty(len(owners), dtype=table.dtype)
+    rows["track"], rows["count"] = owners, state.tracks[owners]
+    rows["frame"] = table["frame"][-1] + 1 if len(table) else 0  # the last row is newest
+    rows["descriptor"] = descriptors[dets]
+    kept = table.compress(table["count"] > state.tracks[table["track"]] - state.buffer_size)
+    state.instances = np.concatenate([kept, rows], dtype=table.dtype)
 
     # camera_to_world of every reference-frame translation at once; R @ T per
     # row sums as it does (T @ R.T would not, and differs in the last bit).
@@ -202,35 +200,27 @@ def step(state, frame):
     world = (rot @ T[:, :, None])[:, :, 0] + t_ref
 
     entries = []
-    for track, j in updates:
+    for t, j in zip(owners.tolist(), dets.tolist()):
         det = frame.detections[j]
-        track.instances.append(TrackInstance(frame.frame_index, descriptors[j]))
-        if len(track.instances) > state.buffer_size:
-            track.instances = track.instances[-state.buffer_size:]
-        track.observation_count += 1
-        entries.append(MotEntry(frame=frame.frame_index, track_id=track.track_id,
-                                bbox=det.bbox, confidence=det.confidence,
-                                world_xyz=world[j]))
-
+        entries.append(MotEntry(frame=frame.frame_index, track_id=t + 1, bbox=det.bbox,
+                                confidence=det.confidence, world_xyz=world[j]))
     state.last_frame_index = frame.frame_index
     return assignment, entries
 
 
 def finalize(state, min_instances=DEFAULT_MIN_INSTANCES):
     """World-frame aggregated poses of tracks with enough observations."""
+    table = state.instances
+    by_track = np.argsort(table["track"], kind="stable")  # each track's rows oldest first
+    ends = np.cumsum(np.bincount(table["track"], minlength=len(state.tracks)))
+    buffers = np.split(table["descriptor"][by_track], ends[:-1])
     out = []
-    for track in state.tracks:
-        if track.observation_count < min_instances:
+    for t, (count, descriptors) in enumerate(zip(state.tracks.tolist(), buffers)):
+        if count < min_instances:
             continue
-        pose_ref = aggregate_pose(track)
+        pose_ref = aggregate_pose(descriptors)
         world = camera_to_world(pose_ref.with_frame("camera"), state.ego_ref)
-        out.append(
-            GeolocatedObject(
-                track_id=track.track_id,
-                pose=world,
-                instance_count=track.observation_count,
-            )
-        )
+        out.append(GeolocatedObject(track_id=t + 1, pose=world, instance_count=count))
     return out
 
 

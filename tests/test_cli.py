@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geotrack import cli, matching
+from geotrack import cli, matching, tracker
 from geotrack.errors import (
     ConfigError,
     DataError,
@@ -150,6 +150,9 @@ class TestSimulate:
         ({"height_range": [1e308, -1e308]}, "height_range"),
         ({"speed": 1e308, "n_frames": 40}, "speed"),
         ({"trajectory": "turn", "speed": 1e308, "turn_rate_deg": 1e-9}, "speed"),
+        # a false positive's depth is drawn from depth_range
+        ({"depth_range": [-5, 5], "fp_rate": 1.0, "n_frames": 6}, "depth_range"),
+        ({"depth_range": [5, 0], "fp_rate": 0.1, "n_frames": 6}, "depth_range"),
     ])
     def test_out_of_range_config_exits_2(self, tmp_path, doc, named):
         config = tmp_path / "bad.json"
@@ -158,6 +161,32 @@ class TestSimulate:
         assert r.returncode == 2, r.stderr
         assert named in r.stderr
         assert not (tmp_path / "o").exists()
+
+    def test_depth_range_through_zero_without_false_positives(self, tmp_path):
+        # only false positives draw from depth_range; objects behind the
+        # camera are simply never seen
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({"depth_range": [-5, 5], "fp_rate": 0.0, "n_frames": 6}))
+        r = run_cli("simulate", "--config", config, "--out", tmp_path / "o")
+        assert r.returncode == 0, r.stderr
+
+    @pytest.mark.parametrize("doc", [
+        {"depth_rel_sigma": 1e308},
+        {"bbox_jitter_px": 1e308},
+        {"appearance_sigma": 1e308},
+        {"feature_sigma": 1e308, "emit_feature_maps": True},
+        {"rotation_sigma_deg": 1e308},
+        {"facing_jitter_deg": 1e308},
+    ], ids=lambda doc: next(iter(doc)))
+    def test_noise_past_the_float_range_exits_2(self, tmp_path, doc):
+        """A noise scale that draws an infinite value names its field; no
+        scene file holds Infinity."""
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({**doc, "n_frames": 6, "n_objects": 40}))
+        r = run_cli("simulate", "--config", config, "--out", tmp_path / "o")
+        assert r.returncode == 2, r.stderr
+        assert next(iter(doc)) in r.stderr
+        assert not list((tmp_path / "o").glob("scene-*.json"))
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_scenes_below_one_exits_2(self, tmp_path, count):
@@ -1239,10 +1268,46 @@ class TestReadme:
 
 
 class TestBenchmarkTracePoints:
-    """perfbench/tracing.py wraps geotrack functions by name; a rename in
-    src would leave a traced run without notice. Reads the file only."""
+    """perfbench/tracing.py wraps geotrack functions by name, and it and
+    perfbench/pipeline.py read the tracker's state; a rename or a change of
+    meaning in src would leave a benchmark run wrong without notice."""
 
     TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    CHECKPOINT = TRACING.parent / "data" / "obs-matcher.json"
+
+    @pytest.fixture(scope="class")
+    def tracked(self):
+        """A scene with false positives tracked with the benchmark's stored
+        checkpoint, and (rows, matrix rows) of every score_matrix call."""
+        calls = []
+        score_matrix = tracker.score_matrix
+
+        def recording(tracks, *args):
+            scores = score_matrix(tracks, *args)
+            calls.append((len(tracks), scores.shape[0]))
+            return scores
+
+        scene = generate_scene(SimConfig(seed=7, n_frames=30, n_objects=12, appearance_dim=16,
+                                         fp_rate=0.3, miss_rate=0.1))
+        tracker.score_matrix = recording
+        try:
+            state, entries = tracker.track_scene(
+                scene, matching.Matcher(matching.load_checkpoint(self.CHECKPOINT)))
+        finally:
+            tracker.score_matrix = score_matrix
+        return state, entries, calls
+
+    def test_score_matrix_rows_are_its_first_argument(self, tracked):
+        """tracing.py counts tracker.rows as len of the first argument."""
+        _, _, calls = tracked
+        assert len(calls) > 20 and max(rows for rows, _ in calls) > 5
+        assert all(rows == matrix_rows for rows, matrix_rows in calls)
+
+    def test_len_of_tracks_counts_the_tracks(self, tracked):
+        """pipeline.FrameClock and _track read len(state.tracks)."""
+        state, entries, _ = tracked
+        assert len(state.tracks) == tracker.geolocation_report(state)["total_tracks"] \
+            == len({e.track_id for e in entries}) > 12
 
     def test_every_wrapped_name_exists(self):
         targets = [

@@ -1,6 +1,7 @@
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,14 +20,12 @@ from geotrack.geometry import (
     project,
     world_to_camera,
 )
-from geotrack.matching import Matcher, MatcherConfig, augment_normalize
+from geotrack.matching import Matcher, augment_normalize
 from geotrack.scene import Detection, FrameRecord, MotEntry, SceneSequence
 from geotrack.simulator import SimConfig, generate_scene, object_appearance, world_objects
 from geotrack.tracker import (
     VIEW_MARGIN,
-    Track,
     TrackerState,
-    TrackInstance,
     aggregate_pose,
     finalize,
     geolocation_report,
@@ -38,16 +37,39 @@ from geotrack.tracker import (
 from helpers import raises_internal
 
 
-def instance(frame, t=(0.0, 0.0, 10.0), r=(0.0, 1.0), desc=None):
-    """A buffered instance whose descriptor's geometry prefix is (t, r)."""
-    return TrackInstance(
-        frame_index=frame,
-        descriptor=desc if desc is not None else np.array([*t, *r], dtype=np.float64),
-    )
+def pose_desc(t=(0.0, 0.0, 10.0), r=(0.0, 1.0)):
+    """A descriptor whose geometry prefix is (t, r)."""
+    return np.array([*t, *r], dtype=np.float64)
+
+
+def make_state(matcher, rows, ego_ref=None):
+    """A TrackerState whose table holds ``rows`` of (track index, frame,
+    descriptor), given in (frame, track) order; each track's observation
+    count is its number of rows."""
+    state = TrackerState(matcher, ego_ref or EgoPose.identity())
+    tracks = [t for t, _, _ in rows]
+    state.tracks = np.bincount(tracks).astype(np.int64)
+    table = np.zeros(len(rows), state.instances.dtype)
+    table["track"], table["frame"] = tracks, [f for _, f, _ in rows]
+    table["descriptor"] = [d for _, _, d in rows]
+    table["count"] = [tracks[:r + 1].count(t) for r, t in enumerate(tracks)]
+    state.instances = table
+    return state
+
+
+def buffers(state):
+    """Each track's (frame, count, descriptor) rows, oldest first, in track
+    order."""
+    out = [[] for _ in state.tracks]
+    for row in state.instances:
+        out[row["track"]].append((int(row["frame"]), int(row["count"]), row["descriptor"]))
+    return out
 
 
 class StubMatcher:
     """Fixed per-instance scores: descriptor[0] indexes a score table."""
+
+    config = SimpleNamespace(descriptor_dim=5, capacity=4)
 
     def __init__(self, table, null=0.2, delta=8.0):
         self.table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
@@ -64,25 +86,22 @@ class StubMatcher:
         return bundle
 
 
+def keyed(key):
+    """A descriptor that ``StubMatcher`` scores by the row ``key``."""
+    return pose_desc((float(key), 0.0, 10.0))
+
+
 class TestScoreMatrix:
     def test_max_rule_over_instances(self):
         # two instances of one track score 0.3 and 0.7 against detection 0
-        track = Track(track_id=1, instances=[
-            instance(0, desc=np.array([0.0])),
-            instance(1, desc=np.array([1.0])),
-        ])
         matcher = StubMatcher({0: [0.3], 1: [0.7]}, null=0.25)
-        scores = score_matrix([track], [np.zeros(1)], matcher)
+        state = make_state(matcher, [(0, 0, keyed(0)), (0, 1, keyed(1))])
+        scores = score_matrix([0], state, [np.zeros(5)])
         assert scores.shape == (1, 2)
         assert scores[0, 0] == pytest.approx(0.7)
         assert scores[0, 1] == pytest.approx(0.25)  # mean null over instances
 
     def test_null_mean_over_instances(self):
-        track = Track(track_id=1, instances=[
-            instance(0, desc=np.array([0.0])),
-            instance(1, desc=np.array([1.0])),
-        ])
-
         class VaryingNull(StubMatcher):
             def bundle(self, rows, cols, sizes=None):
                 b = super().bundle(rows, cols, sizes)
@@ -91,82 +110,83 @@ class TestScoreMatrix:
                 return b
 
         matcher = VaryingNull({0: [0.0], 1: [0.0]})
-        scores = score_matrix([track], [np.zeros(1)], matcher)
+        state = make_state(matcher, [(0, 0, keyed(0)), (0, 1, keyed(1))])
+        scores = score_matrix([0], state, [np.zeros(5)])
         assert scores[0, 1] == pytest.approx(0.3)
 
     def test_no_detections_gives_null_only(self):
-        track = Track(track_id=1, instances=[instance(0, desc=np.array([0.0]))])
-        scores = score_matrix([track], [], StubMatcher({0: []}, null=0.4))
+        matcher = StubMatcher({0: []}, null=0.4)
+        scores = score_matrix([0], make_state(matcher, [(0, 0, keyed(0))]), [])
         assert scores.shape == (1, 1)
         assert scores[0, 0] == pytest.approx(0.4)
 
     def test_forbidden_structure(self):
-        tracks = [
-            Track(track_id=1, instances=[instance(0, desc=np.array([0.0]))]),
-            Track(track_id=2, instances=[instance(0, desc=np.array([1.0]))]),
-        ]
         matcher = StubMatcher({0: [0.5], 1: [0.5]})
-        scores = score_matrix(tracks, [np.zeros(1)], matcher)
+        state = make_state(matcher, [(0, 0, keyed(0)), (1, 0, keyed(1))])
+        scores = score_matrix([0, 1], state, [np.zeros(5)])
         assert scores.shape == (2, 3)
         assert scores[0, 2] == -np.inf  # track 0 cannot take track 1's null
         assert scores[1, 1] == -np.inf
         assert np.isfinite(scores[0, 1]) and np.isfinite(scores[1, 2])
 
     def test_empty_tracks(self):
-        scores = score_matrix([], [np.zeros(1)], StubMatcher({}))
+        matcher = StubMatcher({})
+        scores = score_matrix([], TrackerState(matcher, EgoPose.identity()), [np.zeros(5)])
         assert scores.shape == (0, 1)
+
+    def test_scores_only_the_given_tracks_grouped_by_frame(self):
+        """Row i is track ``tracks[i]``; the other tracks' rows are not
+        scored, and the scored rows come in one group per past frame."""
+        calls = []
+
+        class Recording(StubMatcher):
+            def bundle(self, rows, cols, sizes=None):
+                calls.append(([int(d[0]) for d in rows], [int(k) for k in sizes]))
+                return super().bundle(rows, cols, sizes)
+
+        matcher = Recording({k: [0.1 * k] for k in range(6)})
+        state = make_state(matcher, [(0, 0, keyed(0)), (1, 0, keyed(1)), (2, 0, keyed(2)),
+                                     (0, 1, keyed(3)), (2, 1, keyed(4)), (1, 2, keyed(5))])
+        scores = score_matrix([0, 2], state, [np.zeros(5)])
+        assert calls == [([0, 2, 3, 4], [2, 2])]
+        assert scores[:, 0] == pytest.approx([0.3, 0.4])
 
 
 class TestAggregatePose:
     def test_single_instance_identity(self):
-        track = Track(track_id=1, instances=[instance(0, (1.0, 2.0, 3.0))])
-        pose = aggregate_pose(track)
+        pose = aggregate_pose(np.array([pose_desc((1.0, 2.0, 3.0))]))
         np.testing.assert_allclose(pose.T, [1, 2, 3])
         assert pose.frame_id == REFERENCE
 
     def test_median_midpoint(self):
-        track = Track(track_id=1, instances=[
-            instance(0, (0.0, 0.0, 10.0)), instance(1, (0.0, 0.0, 12.0)),
-        ])
-        np.testing.assert_allclose(aggregate_pose(track).T, [0, 0, 11])
+        rows = np.array([pose_desc((0.0, 0.0, 10.0)), pose_desc((0.0, 0.0, 12.0))])
+        np.testing.assert_allclose(aggregate_pose(rows).T, [0, 0, 11])
 
     def test_median_robust_to_outlier(self):
-        track = Track(track_id=1, instances=[
-            instance(0, (0.0, 0.0, 10.0)),
-            instance(1, (0.0, 0.0, 10.2)),
-            instance(2, (0.0, 0.0, 55.0)),
-        ])
+        rows = np.array([pose_desc((0.0, 0.0, z)) for z in (10.0, 10.2, 55.0)])
         # the outlier would pull a mean to 25.07
-        assert aggregate_pose(track).T[2] == pytest.approx(10.2)
+        assert aggregate_pose(rows).T[2] == pytest.approx(10.2)
 
     def test_rotation_renormalized(self):
-        track = Track(track_id=1, instances=[
-            instance(0, r=(1.0, 0.0)), instance(1, r=(0.0, 1.0)),
-        ])
-        pose = aggregate_pose(track)
+        pose = aggregate_pose(np.array([pose_desc(r=(1.0, 0.0)), pose_desc(r=(0.0, 1.0))]))
         assert np.linalg.norm(pose.R) == pytest.approx(1.0)
 
     def test_instance_rotation_read_normalized(self):
         # each instance's facing is normalized before the median: (1, 0) and
         # (0, 1) have the diagonal as their median, where the raw (3, 0)
         # would tilt it
-        track = Track(track_id=1, instances=[
-            instance(0, r=(3.0, 0.0)), instance(1, r=(0.0, 1.0)),
-        ])
-        np.testing.assert_allclose(aggregate_pose(track).R,
-                                   [np.sqrt(0.5), np.sqrt(0.5)])
+        rows = np.array([pose_desc(r=(3.0, 0.0)), pose_desc(r=(0.0, 1.0))])
+        np.testing.assert_allclose(aggregate_pose(rows).R, [np.sqrt(0.5), np.sqrt(0.5)])
 
     def test_zero_mean_direction_takes_newest_instance(self):
         # the normalized facings are opposite, so their median is zero; the
         # fallback is the newest one, normalized like every instance's
-        track = Track(track_id=1, instances=[
-            instance(0, r=(1.0, 0.0)), instance(1, r=(-2.0, 0.0)),
-        ])
-        assert aggregate_pose(track).R.tolist() == [-1.0, 0.0]
+        rows = np.array([pose_desc(r=(1.0, 0.0)), pose_desc(r=(-2.0, 0.0))])
+        assert aggregate_pose(rows).R.tolist() == [-1.0, 0.0]
 
     def test_empty_track_raises(self):
-        with raises_internal("track 1 has no instances"):
-            aggregate_pose(Track(track_id=1))
+        with raises_internal("at least one descriptor row"):
+            aggregate_pose(np.zeros((0, 5)))
 
 
 class TestTrackerState:
@@ -254,7 +274,7 @@ class TestStepLifecycle:
                 target = gid  # has a visibility gap
         state, entries = track_scene(scene, Matcher(trained_matcher.params))
         gt = world_objects(scene)
-        assert len([t for t in state.tracks if t.observation_count >= 2]) == len(gt)
+        assert (state.tracks >= 2).sum() == len(gt)
         if target is not None:
             frame_gt = {
                 (fr.frame_index, tuple(np.round(g.bbox, 6))): g.object_id
@@ -270,16 +290,16 @@ class TestStepLifecycle:
         scene = self.scene(seed=24, n_frames=30)
         state, _ = track_scene(scene, Matcher(trained_matcher.params),
                                buffer_size=5)
-        for track in state.tracks:
-            assert len(track.instances) <= 5
-            assert track.observation_count >= len(track.instances)
+        held = np.bincount(state.instances["track"], minlength=len(state.tracks))
+        assert held.max() == 5
+        assert (state.tracks >= held).all()
 
 
 class TestEmptyFrame:
     class NoScoring(StubMatcher):
         """Fails on any scoring call, so a test shows none was made."""
 
-        config = MatcherConfig(capacity=2)
+        config = SimpleNamespace(descriptor_dim=5, capacity=2)
 
         def descriptors(self, *args):
             raise AssertionError("built descriptors for a frame without detections")
@@ -290,24 +310,20 @@ class TestEmptyFrame:
     def tracked_state(self):
         frame = generate_scene(SimConfig(seed=21, n_frames=2, n_objects=3,
                                          appearance_dim=16)).frames[0]
-        state = TrackerState(self.NoScoring({}), frame.ego)
-        state.tracks = [
-            Track(track_id=k + 1, instances=[instance(0), instance(1)],
-                  observation_count=2)
-            for k in range(2)
-        ]
+        state = make_state(self.NoScoring({}), [(t, f, pose_desc()) for f in range(2)
+                                                for t in range(2)], ego_ref=frame.ego)
         state.last_frame_index = 1
         return state, frame
 
     def test_all_null_partition_without_scoring(self):
         state, frame = self.tracked_state()
-        buffers = [list(t.instances) for t in state.tracks]
+        table = state.instances.copy()
         assignment, entries = step(state, replace(frame, frame_index=4, detections=[]))
         assert assignment.matches == [] and assignment.unmatched_detections == []
         assert assignment.unmatched_tracks == [0, 1]
         assert entries == []
-        assert [t.instances for t in state.tracks] == buffers
-        assert [t.observation_count for t in state.tracks] == [2, 2]
+        assert state.instances.tobytes() == table.tobytes()
+        assert state.tracks.tolist() == [2, 2]
         assert state.last_frame_index == 4
 
     def test_order_and_capacity_checks_come_first(self):
@@ -320,11 +336,6 @@ class TestEmptyFrame:
         assert state.last_frame_index == 1
 
 
-def track_at(t):
-    """A one-instance track whose newest translation is ``t``."""
-    return Track(track_id=1, instances=[instance(0, t)], observation_count=1)
-
-
 class TestViewGate:
     # 100 x 80 image, principal point (50, 40), f = 100: the margin is 25 px
     # across and 20 px down, and these positions project onto it exactly
@@ -333,23 +344,23 @@ class TestViewGate:
     ON_MARGIN = [(-3.0, 0.0, 4.0), (3.0, 0.0, 4.0), (0.0, -3.0, 5.0), (0.0, 3.0, 5.0),
                  (15.0, 12.0, 20.0)]  # the last one on a corner
 
-    def expected(self, tracks, ego_ref, ego, intrinsics):
-        return [reference_in_view(t, ego_ref, ego, intrinsics) for t in tracks]
+    def expected(self, T, ego_ref, ego, intrinsics):
+        return [reference_in_view(t, ego_ref, ego, intrinsics) for t in T]
 
     def test_margin_is_inclusive_and_behind_is_out(self):
         identity = EgoPose.identity()
         beyond = [(math.nextafter(x, x * 2), y, z) if x else (x, math.nextafter(y, y * 2), z)
                   for x, y, z in self.ON_MARGIN[:4]]
         behind = [(0.0, 0.0, 0.0), (0.0, 0.0, -4.0), (-3.0, 0.0, -4.0), (0.0, 0.0, -1e-300)]
-        tracks = [track_at(t) for t in self.ON_MARGIN + beyond + behind]
-        got = view_gate(tracks, identity, identity, self.SMALL)
+        T = np.array(self.ON_MARGIN + beyond + behind)
+        got = view_gate(T, identity, identity, self.SMALL)
         assert got.dtype == bool
         assert got.tolist() == [True] * 5 + [False] * 8
-        assert got.tolist() == self.expected(tracks, identity, identity, self.SMALL)
+        assert got.tolist() == self.expected(T, identity, identity, self.SMALL)
 
     def test_equals_scalar_reference(self):
         rng = np.random.default_rng(5)
-        tracks = [track_at(t) for t in rng.uniform([-60, -20, -30], [60, 20, 90], (200, 3))]
+        T = rng.uniform([-60, -20, -30], [60, 20, 90], (200, 3))
         seen = set()
         for k in range(12):
             yaw, pitch = rng.uniform(-1.0, 1.0), rng.normal(0.0, 0.05)
@@ -362,17 +373,10 @@ class TestViewGate:
                 f_x=float(rng.uniform(200, 1500)), f_y=float(rng.uniform(200, 1500)),
                 p_x=float(rng.uniform(0, w)), p_y=float(rng.uniform(0, h)),
                 width=w, height=h)
-            got = view_gate(tracks, ego_ref, ego, intrinsics).tolist()
-            assert got == self.expected(tracks, ego_ref, ego, intrinsics), k
+            got = view_gate(T, ego_ref, ego, intrinsics).tolist()
+            assert got == self.expected(T, ego_ref, ego, intrinsics), k
             seen.update(got)
         assert seen == {True, False}
-
-    def test_reads_the_newest_instance(self):
-        identity = EgoPose.identity()
-        track = Track(track_id=1, instances=[instance(0, (0.0, 0.0, 10.0)),
-                                             instance(1, (0.0, 0.0, -10.0))])
-        assert view_gate([track], identity, identity, self.SMALL).tolist() == [False]
-        assert view_gate([], identity, identity, self.SMALL).shape == (0,)
 
     def test_no_runtime_warning(self):
         identity = EgoPose.identity()
@@ -382,14 +386,12 @@ class TestViewGate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for e in (identity, ego):
-                got = view_gate([track_at(t) for t in huge], identity, e, self.SMALL)
+                got = view_gate(np.array(huge), identity, e, self.SMALL)
                 assert got.tolist() == [False] * len(huge)
 
     class RecordingMatcher(StubMatcher):
         """Scores every buffered instance 0.9 against every detection, null
         0.2; records each descriptor row it scored."""
-
-        config = MatcherConfig(capacity=4)
 
         def __init__(self, descriptors):
             super().__init__({}, null=0.2)
@@ -414,23 +416,43 @@ class TestViewGate:
                             detections=[det, det])
         # track 1 and 3 are in front, track 2 behind the camera
         matcher = self.RecordingMatcher(np.array([[0.0, 0.0, 9.0, 0.0, 1.0]] * 2))
-        state = TrackerState(matcher, identity)
-        state.tracks = [
-            Track(track_id=k + 1, observation_count=2,
-                  instances=[instance(0, (0.0, 0.0, z)), instance(1, (0.0, 0.0, z))])
-            for k, z in enumerate([10.0, -10.0, 12.0])
-        ]
-        state.last_frame_index, state.next_track_id = 1, 4
-        before = _buffer_bits(state, _descriptor_pose)[1]
+        state = make_state(matcher, [(t, f, pose_desc((0.0, 0.0, z))) for f in range(2)
+                                     for t, z in enumerate([10.0, -10.0, 12.0])])
+        state.last_frame_index = 1
+        before = _buffer_bits(buffers(state))[1]
         assignment, entries = step(state, frame)
         assert assignment.matches == [(0, 0), (2, 1)]
         assert assignment.unmatched_tracks == [1]
         assert assignment.unmatched_detections == []
         assert (0.0, 0.0, -10.0, 0.0, 1.0) not in matcher.scored
         assert len(matcher.scored) == 4  # two in-view tracks, two instances each
-        assert _buffer_bits(state, _descriptor_pose)[1] == before
+        assert _buffer_bits(buffers(state))[1] == before
         assert [e.track_id for e in entries] == [1, 3]
         assert [o.track_id for o in finalize(state)] == [1, 2, 3]
+
+    @pytest.mark.parametrize("depths, scored", [((10.0, -10.0), 0), ((-10.0, 10.0), 2)])
+    def test_reads_the_newest_instance(self, depths, scored):
+        """step gates a track on its newest row, not an older one."""
+        identity = EgoPose.identity()
+        matcher = self.RecordingMatcher(np.array([pose_desc((0.0, 0.0, 9.0))]))
+        state = make_state(matcher, [(0, f, pose_desc((0.0, 0.0, z)))
+                                     for f, z in enumerate(depths)])
+        step(state, FrameRecord(frame_index=2, timestamp=1.0, intrinsics=self.SMALL, ego=identity,
+                                detections=[Detection(bbox=[10.0, 10.0, 5.0, 5.0])]))
+        assert len(matcher.scored) == scored
+        assert view_gate(np.zeros((0, 3)), identity, identity, self.SMALL).shape == (0,)
+
+    def test_frame_index_past_int64(self):
+        """A frame index is any JSON integer; the table holds ordinals."""
+        identity = EgoPose.identity()
+        matcher = self.RecordingMatcher(np.array([pose_desc((0.0, 0.0, 9.0))]))
+        state = TrackerState(matcher, identity)
+        for k in (2**70, 2**70 + 1):
+            frame = FrameRecord(frame_index=k, timestamp=0.0, intrinsics=self.SMALL, ego=identity,
+                                detections=[Detection(bbox=[10.0, 10.0, 5.0, 5.0])])
+            _, entries = step(state, frame)
+            assert [(e.frame, e.track_id) for e in entries] == [(k, 1)]
+        assert state.instances["frame"].tolist() == [0, 1]
 
     def test_track_re_enters_with_its_old_identity(self, trained_matcher):
         # the camera looks 40 degrees right for frames 4-6: object 2 (left)
@@ -457,14 +479,15 @@ class TestViewGate:
         state = TrackerState(Matcher(trained_matcher.params), frames[0].ego)
         ids = {}
         for frame in frames:
-            gate = view_gate(state.tracks, state.ego_ref, frame.ego, frame.intrinsics)
+            newest = np.array([rows[-1][2][:3] for rows in buffers(state)]).reshape(-1, 3)
+            gate = view_gate(newest, state.ego_ref, frame.ego, frame.intrinsics)
             if 4 <= frame.frame_index <= 6:
                 assert gate.tolist() == [True, False]
             _, entries = step(state, frame)
             for det, entry in zip(frame.detections, entries):
                 ids.setdefault(det.gt_id, set()).add(entry.track_id)
         assert ids == {1: {1}, 2: {2}}
-        assert [t.observation_count for t in state.tracks] == [10, 7]
+        assert state.tracks.tolist() == [10, 7]
 
 
 class TestFinalize:
@@ -530,17 +553,83 @@ class TestAggregationUnderNoise:
             rng = np.random.default_rng(seed)
             true_depth = 40.0
             depths = true_depth * (1.0 + rng.normal(0, 0.05, size=8))
-            track = Track(track_id=1, instances=[
-                instance(i, (0.0, 0.0, float(d))) for i, d in enumerate(depths)
-            ])
+            rows = np.array([pose_desc((0.0, 0.0, d)) for d in depths])
             depth_errors_single.extend(np.abs(depths - true_depth))
-            depth_errors_aggregated.append(
-                abs(aggregate_pose(track).T[2] - true_depth)
-            )
+            depth_errors_aggregated.append(abs(aggregate_pose(rows).T[2] - true_depth))
         assert np.median(depth_errors_aggregated) <= np.median(depth_errors_single)
 
 
+class TestInstanceTable:
+    """The table's invariants hold after every step."""
+
+    @staticmethod
+    def check_invariants(state, last_id):
+        table, n = state.instances, len(state.tracks)
+        keys = list(zip(table["frame"].tolist(), table["track"].tolist()))
+        assert keys == sorted(set(keys))  # (frame, track) order, one row per pair
+        held = np.bincount(table["track"], minlength=n)
+        assert held.tolist() == np.minimum(state.tracks, state.buffer_size).tolist()
+        newest = np.zeros(n, dtype=np.int64)
+        np.maximum.at(newest, table["track"], table["count"])
+        assert newest.tolist() == state.tracks.tolist()
+        assert n == last_id
+
+    @pytest.mark.parametrize("buffer_size", [1, 3, 10])
+    @pytest.mark.parametrize("seed, fp_rate", [(51, 0.0), (52, 0.4)])
+    def test_after_every_step(self, trained_matcher, buffer_size, seed, fp_rate):
+        scene = generate_scene(SimConfig(seed=seed, n_frames=30, n_objects=5,
+                                         appearance_dim=16, fp_rate=fp_rate, miss_rate=0.2,
+                                         trajectory="turn", turn_rate_deg=3.0))
+        state = TrackerState(Matcher(trained_matcher.params), scene.reference_ego,
+                             buffer_size=buffer_size)
+        last_id = 0
+        for frame in scene.frames:
+            _, entries = step(state, frame)
+            last_id = max([last_id] + [e.track_id for e in entries])
+            self.check_invariants(state, last_id)
+        assert (state.tracks > buffer_size).any()
+
+    def test_one_row_per_observation_below_the_buffer(self, trained_matcher):
+        # a ring buffer per track would hold buffer_size slots for each
+        scene = generate_scene(SimConfig(seed=53, n_frames=8, n_objects=3,
+                                         appearance_dim=16, fp_rate=0.5))
+        state, entries = track_scene(scene, Matcher(trained_matcher.params), buffer_size=10**6)
+        assert len(state.instances) == len(entries) == state.tracks.sum()
+
+
 # --- reference: the per-row score loop and per-detection bookkeeping ---------------
+
+
+@dataclass
+class ReferenceInstance:
+    """A buffered sighting as the tracker once held it, one object each: its
+    frame, its descriptor and the reference pose built from it."""
+
+    frame_index: int
+    descriptor: np.ndarray
+    pose_ref: Pose5D
+
+
+@dataclass
+class ReferenceTrack:
+    """A track as the tracker once held it: its id and a list of instances."""
+
+    track_id: int
+    instances: list = field(default_factory=list)
+    observation_count: int = 0
+
+
+@dataclass
+class ReferenceState:
+    """The tracker state as it once was: a list of ``ReferenceTrack``s and
+    the id the next spawned track takes."""
+
+    matcher: object
+    ego_ref: EgoPose
+    buffer_size: int
+    tracks: list = field(default_factory=list)
+    last_frame_index: int = None
+    next_track_id: int = 1
 
 
 def reference_score_matrix(tracks, detection_descriptors, matcher):
@@ -575,16 +664,6 @@ def reference_score_matrix(tracks, detection_descriptors, matcher):
     return scores
 
 
-@dataclass
-class ReferenceInstance:
-    """TrackInstance as it was: it also stored the reference pose built from
-    its descriptor."""
-
-    frame_index: int
-    descriptor: np.ndarray
-    pose_ref: Pose5D
-
-
 def reference_aggregate_pose(track):
     """aggregate_pose as it was, over the stored reference poses."""
     ts = np.array([inst.pose_ref.T for inst in track.instances])
@@ -598,12 +677,11 @@ def reference_aggregate_pose(track):
     return Pose5D(t, r, REFERENCE)
 
 
-def reference_in_view(track, ego_ref, ego, intrinsics):
+def reference_in_view(t, ego_ref, ego, intrinsics):
     """view_gate for one track, through the scalar pose transforms: its
-    newest instance's translation as a camera pose of ``ego_ref``, moved to
-    the world and into the camera at ``ego``, and ``project``ed."""
-    desc = track.instances[-1].descriptor
-    pose = Pose5D(desc[:3], normalize_rotation(desc[3:5]))
+    newest translation ``t`` as a camera pose of ``ego_ref``, moved to the
+    world and into the camera at ``ego``, and ``project``ed."""
+    pose = Pose5D(np.array(t, dtype=np.float64), (0.0, 1.0))
     t_cam = world_to_camera(camera_to_world(pose, ego_ref), ego).T
     if not t_cam[2] > 0:
         return False
@@ -627,7 +705,8 @@ def reference_step(state, frame, gated=None, in_view=reference_in_view):
         frame.detections, frame.ego, state.ego_ref, frame.intrinsics
     )
     visible = [i for i, track in enumerate(state.tracks)
-               if in_view(track, state.ego_ref, frame.ego, frame.intrinsics)]
+               if in_view(track.instances[-1].descriptor[:3], state.ego_ref, frame.ego,
+                          frame.intrinsics)]
     scored = reference_score_matrix([state.tracks[i] for i in visible], descriptors,
                                     state.matcher)
     m, n = len(state.tracks), len(descriptors)
@@ -665,8 +744,8 @@ def reference_step(state, frame, gated=None, in_view=reference_in_view):
 
     for det_idx in assignment.unmatched_detections:
         inst, det = _instance(det_idx)
-        track = Track(track_id=state.next_track_id, instances=[inst],
-                      observation_count=1)
+        track = ReferenceTrack(track_id=state.next_track_id, instances=[inst],
+                               observation_count=1)
         state.next_track_id += 1
         state.tracks.append(track)
         _emit(track, det, inst.pose_ref)
@@ -684,24 +763,25 @@ def _entry_bits(entry):
             _bits(entry.world_xyz))
 
 
-def _buffer_bits(state, pose_of):
-    """Every track's buffer; ``pose_of`` gives an instance's (T, R)."""
-    return [
-        (track.track_id, track.observation_count, [
-            (inst.frame_index, _bits(inst.descriptor), *map(_bits, pose_of(inst)))
-            for inst in track.instances
-        ])
-        for track in state.tracks
-    ]
+def _buffer_bits(buffers):
+    """Bits of per-track (frame, count, descriptor) rows, as ``buffers``
+    gives them."""
+    return [[(f, c, _bits(d)) for f, c, d in rows] for rows in buffers]
 
 
-def _descriptor_pose(inst):
-    """An instance's pose as aggregate_pose reads it from the descriptor."""
-    return inst.descriptor[:3], normalize_rotation(inst.descriptor[3:5])
+def _table_buffers(state, frame_indices):
+    """``buffers`` of a tracker state, each row with its frame's index (the
+    ``frame_indices`` of the frames with detections, in order) and the pose
+    that aggregate_pose reads from its descriptor."""
+    return [[(frame_indices[f], c, _bits(d), _bits(d[:3]), _bits(normalize_rotation(d[3:5])))
+             for f, c, d in rows] for rows in buffers(state)]
 
 
-def _stored_pose(inst):
-    return inst.pose_ref.T, inst.pose_ref.R
+def _reference_buffers(state):
+    """The same of a ``ReferenceState``, with its stored poses."""
+    return [[(inst.frame_index, track.observation_count - len(track.instances) + k + 1,
+              _bits(inst.descriptor), _bits(inst.pose_ref.T), _bits(inst.pose_ref.R))
+             for k, inst in enumerate(track.instances)] for track in state.tracks]
 
 
 def _moved_world(scene, rotation=(0.93, 0.05, 0.36, -0.04), offset=(12.5, -0.3, -40.0)):
@@ -716,10 +796,11 @@ def _moved_world(scene, rotation=(0.93, 0.05, 0.36, -0.04), offset=(12.5, -0.3, 
 
 
 class TestBookkeepingOracle:
-    """step and score_matrix bit for bit against the per-detection
-    bookkeeping and the per-row score loop they replaced, with the view gate
-    applied track by track on a full score matrix, and aggregate_pose
-    against the stored per-instance poses it no longer needs."""
+    """step and score_matrix on the instance table bit for bit against the
+    per-detection bookkeeping over lists of track and instance objects and
+    the per-row score loop they replaced, with the view gate applied track
+    by track on a full score matrix, and aggregate_pose against the stored
+    per-instance poses it no longer needs."""
 
     @staticmethod
     def scene(seed, turn_rate_deg=3.0):
@@ -733,29 +814,35 @@ class TestBookkeepingOracle:
     def check(matcher, scene):
         """Runs step and reference_step side by side over ``scene``, asserting
         bit equality all along; returns the gated rows per non-empty frame."""
-        new, ref = (TrackerState(matcher, scene.reference_ego, buffer_size=3)
-                    for _ in range(2))
+        new = TrackerState(matcher, scene.reference_ego, buffer_size=3)
+        ref = ReferenceState(matcher, scene.reference_ego, buffer_size=3)
         matched, gated = 0, []
         for frame in scene.frames:
             if frame.detections:
                 descriptors = matcher.descriptors(
                     frame.detections, frame.ego, scene.reference_ego, frame.intrinsics)
-                assert score_matrix(new.tracks, descriptors, matcher).tobytes() \
-                    == reference_score_matrix(ref.tracks, descriptors, matcher).tobytes()
+                for every in (1, 2):  # all tracks, then every other one
+                    tracks = np.arange(0, len(new.tracks), every)
+                    assert score_matrix(tracks, new, descriptors).tobytes() == \
+                        reference_score_matrix(ref.tracks[::every], descriptors, matcher).tobytes()
             assignment, entries = step(new, frame)
             ref_assignment, ref_entries = reference_step(ref, frame, gated)
             assert assignment == ref_assignment
             assert [_entry_bits(e) for e in entries] == [_entry_bits(e) for e in ref_entries]
             matched += len(assignment.matches)
-        assert _buffer_bits(new, _descriptor_pose) == _buffer_bits(ref, _stored_pose)
-        for track, ref_track in zip(new.tracks, ref.tracks):
-            got, expected = aggregate_pose(track), reference_aggregate_pose(ref_track)
+        scored = [frame.frame_index for frame in scene.frames if frame.detections]
+        assert _table_buffers(new, scored) == _reference_buffers(ref)
+        assert new.tracks.tolist() == [t.observation_count for t in ref.tracks]
+        assert [t.track_id for t in ref.tracks] == list(range(1, len(new.tracks) + 1))
+        for rows, ref_track in zip(buffers(new), ref.tracks):
+            got = aggregate_pose(np.array([d for _, _, d in rows]))
+            expected = reference_aggregate_pose(ref_track)
             assert (_bits(got.T), _bits(got.R)) == (_bits(expected.T), _bits(expected.R))
-        assert new.next_track_id == ref.next_track_id
+        assert len(new.tracks) + 1 == ref.next_track_id
         assert new.last_frame_index == ref.last_frame_index
         # the run exercised matches, spawns and buffer trimming
         assert matched > 0 and len(new.tracks) > 5
-        assert any(t.observation_count > len(t.instances) for t in new.tracks)
+        assert (new.tracks > np.bincount(new.instances["track"])).any()
         return gated
 
     @pytest.mark.parametrize("seed", [41, 42, 43])
@@ -770,7 +857,7 @@ class TestBookkeepingOracle:
         assert sum(self.check(matcher, scene)) > 0
         runs = []
         for in_view in (reference_in_view, lambda *_: True):
-            state = TrackerState(matcher, scene.reference_ego, buffer_size=3)
+            state = ReferenceState(matcher, scene.reference_ego, buffer_size=3)
             runs.append([[_entry_bits(e) for e in reference_step(state, frame,
                                                                    in_view=in_view)[1]]
                          for frame in scene.frames])
