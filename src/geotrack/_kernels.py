@@ -14,8 +14,8 @@ def solve_lap_min(cost):
     """Min-cost complete row assignment of an m x n ``cost``: (col4row, u, v)
     with the duals u and v, or ValueError if every complete one takes +inf.
     ``cost`` must be float64 with m <= n and no NaN or -inf. Nothing here
-    checks that: ``assignment.solve_max`` passes the matrix it has checked,
-    or sub-matrices of it.
+    checks that: ``assignment`` passes a matrix that ``solve_max`` or
+    ``hungarian`` has checked, or sub-matrices of it.
 
     Greedy start (the row reduction of Jonker & Volgenant): a row whose
     lowest finite cost lies in exactly one column, where no other such row

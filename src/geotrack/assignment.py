@@ -145,15 +145,21 @@ def solve_max(score):
         )
     if np.isnan(score).any() or (score == np.inf).any():
         raise GeotrackError("scores must be finite or -inf")
+    col4row = _solve(score)
+    return col4row, _total(score, col4row)
+
+
+def _solve(score):
+    """``solve_max``'s assignment of a float64 (m, n_cols) ``score`` with
+    1 <= m <= n_cols and no NaN or +inf, which the caller has checked."""
     cost = -score
     try:
         col4row, u, v = solve_lap_min(cost)
     except ValueError as exc:
         raise GeotrackError(str(exc)) from exc
-    if not np.isfinite(score[np.arange(m), col4row]).all():
+    if not np.isfinite(score[np.arange(score.shape[0]), col4row]).all():
         raise GeotrackError("only forbidden entries available")
-    col4row = _lex_refine(score, cost, col4row, u, v)
-    return col4row, _total(score, col4row)
+    return _lex_refine(score, cost, col4row, u, v)
 
 
 def hungarian(score):
@@ -184,7 +190,7 @@ def hungarian(score):
     col4row = np.arange(n, n + m)
     if rows.size:
         cols = np.concatenate([np.arange(n), n + rows])
-        sub_col4row, _ = solve_max(score[np.ix_(rows, cols)])
+        sub_col4row = _solve(score[np.ix_(rows, cols)])
         col4row[rows] = cols[sub_col4row]
     result = AssignmentResult()
     taken = set()

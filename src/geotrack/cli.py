@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error
 """
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -161,16 +162,28 @@ def cmd_simulate(args):
         if value is not None:
             doc[name] = value
     base = SimConfig.from_dict(doc)
-    out = _out_dir(args)
+    # a run that fails leaves no output: --out is made once the first scene
+    # exists, and a later failure removes the files and directories made
+    out = Path(args.out)
+    new_dirs = [d for d in (out, *out.parents) if not d.exists()]
     outputs = []
-    for i in range(args.scenes):
-        config = SimConfig.from_dict({**base.as_dict(), "seed": base.seed + i})
-        scene = generate_scene(config, scene_id=f"scene-{config.seed:08d}")
-        path = out / f"{scene.scene_id}.json"
-        save_scene(scene, path)
-        outputs.append(path)
-    _write_manifest(out, "simulate", base.as_dict(), base.seed,
-                    [args.config] if args.config else [], outputs, started)
+    try:
+        for i in range(args.scenes):
+            config = SimConfig.from_dict({**base.as_dict(), "seed": base.seed + i})
+            scene = generate_scene(config, scene_id=f"scene-{config.seed:08d}")
+            out.mkdir(parents=True, exist_ok=True)
+            path = out / f"{scene.scene_id}.json"
+            save_scene(scene, path)
+            outputs.append(path)
+        _write_manifest(out, "simulate", base.as_dict(), base.seed,
+                        [args.config] if args.config else [], outputs, started)
+    except BaseException:
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        for d in new_dirs:  # deepest first
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
     print(f"wrote {len(outputs)} scene(s) to {out}")
     return 0
 

@@ -12,7 +12,11 @@ Two on-disk formats live here:
   and ``kind`` is a string. A ``bbox`` needs a finite left + width,
   top + height and 2 * width * height as float64 values.
   Serialization is canonical (sorted keys, indent 2, repr floats), so
-  save -> load -> save is byte-stable.
+  save -> load -> save is byte-stable. ``scene_to_json`` writes that text
+  straight from the scene's fields, byte for byte what
+  ``json.dumps(doc, sort_keys=True, indent=2)`` gives for the scene's
+  document; the tests hold that ``json.dumps`` reference
+  (``tests/helpers.py``). Loading goes through ``json``.
 - Tracking CSV: ``frame,id,bb_left,bb_top,bb_width,bb_height,conf,x,y,z``
   with one line per box, frame-major then id-major. Frames are 1-based on
   disk (0-based in memory), absent fields are written as -1, and x,y,z are
@@ -26,6 +30,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -172,32 +177,6 @@ def sample_training_pairs(scene, n_max, count, seed):
 
 
 # --- scene JSON ---------------------------------------------------------------
-
-
-def _floats(a):
-    return [float(x) for x in np.asarray(a).reshape(-1)]
-
-
-def _detection_to_doc(det):
-    doc = {"bbox": _floats(det.bbox), "confidence": float(det.confidence)}
-    if det.center is not None:
-        doc["center"] = _floats(det.center)
-    if det.observation is not None:
-        doc["observation"] = {
-            "center": _floats(det.observation.c),
-            "depth": float(det.observation.T_z),
-            "rotation": _floats(det.observation.R),
-        }
-    if det.appearance is not None:
-        doc["appearance"] = _floats(det.appearance)
-    if det.feature_map is not None:
-        doc["feature_map"] = {
-            "shape": [int(s) for s in det.feature_map.shape],
-            "data": _floats(det.feature_map),
-        }
-    if det.gt_id is not None:
-        doc["gt_id"] = int(det.gt_id)
-    return doc
 
 
 def _check_finite(where, fields):
@@ -355,41 +334,6 @@ def _gt_object_from_doc(doc, where, i, poses):
         raise DataError(f"{where}: bad gt object ({exc})") from exc
 
 
-def scene_to_doc(scene):
-    frames = []
-    for fr in scene.frames:
-        doc = {
-            "frame_index": int(fr.frame_index),
-            "timestamp": float(fr.timestamp),
-            "intrinsics": {
-                "fx": float(fr.intrinsics.f_x),
-                "fy": float(fr.intrinsics.f_y),
-                "px": float(fr.intrinsics.p_x),
-                "py": float(fr.intrinsics.p_y),
-                "width": int(fr.intrinsics.width),
-                "height": int(fr.intrinsics.height),
-            },
-            "ego": {
-                "rotation": _floats(fr.ego.rotation),
-                "translation": _floats(fr.ego.translation),
-            },
-            "detections": [_detection_to_doc(d) for d in fr.detections],
-        }
-        if fr.gt_objects is not None:
-            doc["gt_objects"] = [
-                {
-                    "object_id": int(g.object_id),
-                    "translation": _floats(g.pose.T),
-                    "rotation": _floats(g.pose.R),
-                    "kind": g.kind,
-                    **({"bbox": _floats(g.bbox)} if g.bbox is not None else {}),
-                }
-                for g in fr.gt_objects
-            ]
-        frames.append(doc)
-    return {"schema": SCENE_SCHEMA_VERSION, "scene_id": scene.scene_id, "frames": frames}
-
-
 def keep_most_confident(detections, capacity):
     """The ``capacity`` most confident of ``detections`` (the earlier one
     wins a tie), in their original order."""
@@ -491,8 +435,116 @@ def scene_from_doc(doc, capacity=DEFAULT_CAPACITY):
     return SceneSequence(scene_id=scene_id, frames=frames)
 
 
+# The writer below lays the text out as json.dumps(doc, sort_keys=True,
+# indent=2) does: one item per line, two spaces more per level, keys sorted,
+# [] for an empty list. _PAD[k] indents level k: a frame's fields sit at
+# level 3, a detection's or ground-truth object's at level 5.
+_PAD = [" " * (2 * level) for level in range(8)]
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spelling
+
+
+def _block(open_, items, level, close):
+    """Non-empty encoded ``items`` one per line at ``level``, in brackets."""
+    pad = _PAD[level]
+    return open_ + "\n" + pad + (",\n" + pad).join(items) + "\n" + _PAD[level - 1] + close
+
+
+def _list_json(items, level):
+    return _block("[", items, level, "]") if items else "[]"
+
+
+def _float_json(x):
+    text = float.__repr__(float(x))
+    return _NON_FINITE.get(text, text)
+
+
+def _floats_json(values, level):
+    """A list of Python floats with its items at ``level``."""
+    if not values:
+        return "[]"
+    pad = _PAD[level]
+    text = (",\n" + pad).join(map(float.__repr__, values))
+    if "n" in text:  # of a float's repr, only nan and inf spell an n
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return _block("[", [text], level, "]")
+
+
+def _detection_json(det):
+    fields = []
+    if det.appearance is not None:
+        fields.append('"appearance": ' + _floats_json(det.appearance.tolist(), 6))
+    fields.append('"bbox": ' + _floats_json(det.bbox.tolist(), 6))
+    if det.center is not None:
+        fields.append('"center": ' + _floats_json(det.center.tolist(), 6))
+    fields.append('"confidence": ' + _float_json(det.confidence))
+    if det.feature_map is not None:
+        fm = det.feature_map
+        fields.append('"feature_map": ' + _block("{", [
+            '"data": ' + _floats_json(fm.reshape(-1).tolist(), 7),
+            '"shape": ' + _list_json([str(int(s)) for s in fm.shape], 7),
+        ], 6, "}"))
+    if det.gt_id is not None:
+        fields.append('"gt_id": ' + str(int(det.gt_id)))
+    obs = det.observation
+    if obs is not None:
+        fields.append('"observation": ' + _block("{", [
+            '"center": ' + _floats_json(obs.c.tolist(), 7),
+            '"depth": ' + _float_json(obs.T_z),
+            '"rotation": ' + _floats_json(obs.R.tolist(), 7),
+        ], 6, "}"))
+    return _block("{", fields, 5, "}")
+
+
+def _gt_object_json(g, poses):
+    """``poses`` maps each pose already written to its fields' text: the
+    sightings of a static object share one read-only ``Pose5D``."""
+    fields = []
+    if g.bbox is not None:
+        fields.append('"bbox": ' + _floats_json(g.bbox.tolist(), 6))
+    fields.append('"kind": ' + encode_basestring_ascii(g.kind))
+    fields.append('"object_id": ' + str(int(g.object_id)))
+    pose = poses.get(g.pose)
+    if pose is None:
+        pose = poses[g.pose] = ('"rotation": ' + _floats_json(g.pose.R.tolist(), 6) + ",\n"
+                                + _PAD[5] + '"translation": '
+                                + _floats_json(g.pose.T.tolist(), 6))
+    fields.append(pose)
+    return _block("{", fields, 5, "}")
+
+
+def _frame_json(fr, poses):
+    intr = fr.intrinsics
+    fields = [
+        '"detections": ' + _list_json([_detection_json(d) for d in fr.detections], 4),
+        '"ego": ' + _block("{", ['"rotation": ' + _floats_json(fr.ego.rotation.tolist(), 5),
+                                 '"translation": ' + _floats_json(fr.ego.translation.tolist(), 5)],
+                           4, "}"),
+        '"frame_index": ' + str(int(fr.frame_index)),
+    ]
+    if fr.gt_objects is not None:
+        fields.append('"gt_objects": '
+                      + _list_json([_gt_object_json(g, poses) for g in fr.gt_objects], 4))
+    fields.append('"intrinsics": ' + _block("{", [
+        '"fx": ' + _float_json(intr.f_x),
+        '"fy": ' + _float_json(intr.f_y),
+        '"height": ' + str(int(intr.height)),
+        '"px": ' + _float_json(intr.p_x),
+        '"py": ' + _float_json(intr.p_y),
+        '"width": ' + str(int(intr.width)),
+    ], 4, "}"))
+    fields.append('"timestamp": ' + _float_json(fr.timestamp))
+    return _block("{", fields, 3, "}")
+
+
 def scene_to_json(scene):
-    return json.dumps(scene_to_doc(scene), sort_keys=True, indent=2) + "\n"
+    """The scene's canonical JSON text, written field by field from the
+    scene's float64 arrays and numbers."""
+    poses = {}
+    return _block("{", [
+        '"frames": ' + _list_json([_frame_json(fr, poses) for fr in scene.frames], 2),
+        '"scene_id": ' + encode_basestring_ascii(scene.scene_id),
+        f'"schema": {SCENE_SCHEMA_VERSION}',
+    ], 1, "}") + "\n"
 
 
 def atomic_write_text(path, text):

@@ -141,10 +141,16 @@ class SimConfig:
 
     def _check_camera_path(self):
         """ConfigError naming the field when a frame's time, heading or
-        camera position leaves the float range."""
+        camera position, or an object's height seen from the camera, leaves
+        the float range."""
         for name in ("speed", "turn_rate_deg", "camera_height"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        # the camera-frame y of an object at height h is camera_height - h
+        if not all(math.isfinite(self.camera_height - float(h)) for h in self.height_range):
+            raise ConfigError(f"camera_height {self.camera_height} and height_range "
+                              f"{self.height_range}: an object's height minus the camera's "
+                              "must be finite")
         t_last = (self.n_frames - 1) / self.frame_rate
         if not math.isfinite(t_last):
             raise ConfigError(f"frame_rate {self.frame_rate} puts frame {self.n_frames - 1} "

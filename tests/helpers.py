@@ -3,10 +3,12 @@ check, input standardization fitted outside a training run, the pair-side
 standardization that standardizing rows once replaced, the per-array SGD
 update that training's flat parameter vector replaced, the pose-by-pose
 reference-frame transform, the object-by-object scene generator and pose
-target that the simulator's per-frame pass replaced, a document mutator for
-the data-contract fuzz tests, and ``raises_internal`` for the
+target that the simulator's per-frame pass replaced, the scene document and
+its ``json.dumps`` text that the direct scene writer replaced, a document
+mutator for the data-contract fuzz tests, and ``raises_internal`` for the
 internal-fault (exit 4) guards."""
 
+import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,6 +33,7 @@ from geotrack.geometry import (
     yaw_rot2,
 )
 from geotrack.scene import (
+    SCENE_SCHEMA_VERSION,
     Detection,
     FrameRecord,
     GroundTruthObject,
@@ -413,6 +416,77 @@ def reference_pose_target(detection, frame):
             center = project(cam.T, frame.intrinsics)
             return (center, float(cam.T[2]), cam.R)
     return None
+
+
+# --- scene documents -----------------------------------------------------------------
+
+
+def _floats(a):
+    return [float(x) for x in np.asarray(a).reshape(-1)]
+
+
+def _detection_to_doc(det):
+    doc = {"bbox": _floats(det.bbox), "confidence": float(det.confidence)}
+    if det.center is not None:
+        doc["center"] = _floats(det.center)
+    if det.observation is not None:
+        doc["observation"] = {
+            "center": _floats(det.observation.c),
+            "depth": float(det.observation.T_z),
+            "rotation": _floats(det.observation.R),
+        }
+    if det.appearance is not None:
+        doc["appearance"] = _floats(det.appearance)
+    if det.feature_map is not None:
+        doc["feature_map"] = {
+            "shape": [int(s) for s in det.feature_map.shape],
+            "data": _floats(det.feature_map),
+        }
+    if det.gt_id is not None:
+        doc["gt_id"] = int(det.gt_id)
+    return doc
+
+
+def scene_to_doc(scene):
+    """The scene as a JSON document of dicts, lists and Python scalars."""
+    frames = []
+    for fr in scene.frames:
+        doc = {
+            "frame_index": int(fr.frame_index),
+            "timestamp": float(fr.timestamp),
+            "intrinsics": {
+                "fx": float(fr.intrinsics.f_x),
+                "fy": float(fr.intrinsics.f_y),
+                "px": float(fr.intrinsics.p_x),
+                "py": float(fr.intrinsics.p_y),
+                "width": int(fr.intrinsics.width),
+                "height": int(fr.intrinsics.height),
+            },
+            "ego": {
+                "rotation": _floats(fr.ego.rotation),
+                "translation": _floats(fr.ego.translation),
+            },
+            "detections": [_detection_to_doc(d) for d in fr.detections],
+        }
+        if fr.gt_objects is not None:
+            doc["gt_objects"] = [
+                {
+                    "object_id": int(g.object_id),
+                    "translation": _floats(g.pose.T),
+                    "rotation": _floats(g.pose.R),
+                    "kind": g.kind,
+                    **({"bbox": _floats(g.bbox)} if g.bbox is not None else {}),
+                }
+                for g in fr.gt_objects
+            ]
+        frames.append(doc)
+    return {"schema": SCENE_SCHEMA_VERSION, "scene_id": scene.scene_id, "frames": frames}
+
+
+def reference_scene_json(scene):
+    """The canonical scene text through ``json``: what ``scene_to_json``
+    must write byte for byte."""
+    return json.dumps(scene_to_doc(scene), sort_keys=True, indent=2) + "\n"
 
 
 # --- document mutation ---------------------------------------------------------------

@@ -150,6 +150,9 @@ class TestSimulate:
         ({"height_range": [1e308, -1e308]}, "height_range"),
         ({"speed": 1e308, "n_frames": 40}, "speed"),
         ({"trajectory": "turn", "speed": 1e308, "turn_rate_deg": 1e-9}, "speed"),
+        # an object's height seen from the camera overflows
+        ({"camera_height": -1.7e308, "height_range": [1.7e308, 1.75e308]}, "camera_height"),
+        ({"camera_height": 1.7e308, "height_range": [-1.75e308, -1.7e308]}, "height_range"),
         # a false positive's depth is drawn from depth_range
         ({"depth_range": [-5, 5], "fp_rate": 1.0, "n_frames": 6}, "depth_range"),
         ({"depth_range": [5, 0], "fp_rate": 0.1, "n_frames": 6}, "depth_range"),
@@ -186,7 +189,33 @@ class TestSimulate:
         r = run_cli("simulate", "--config", config, "--out", tmp_path / "o")
         assert r.returncode == 2, r.stderr
         assert next(iter(doc)) in r.stderr
-        assert not list((tmp_path / "o").glob("scene-*.json"))
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_later_scene_failure_removes_what_the_run_made(self, tmp_path, monkeypatch,
+                                                           existing):
+        """A scene after the first that raises leaves neither scene files nor
+        directories this run made; an --out that existed keeps its own files."""
+        out = tmp_path / "a" / "o"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept")
+        made = []
+
+        def generate(config, scene_id=None):
+            if made:
+                raise ConfigError("appearance_sigma draws noise past the float range")
+            made.append(scene_id)
+            return generate_scene(config, scene_id=scene_id)
+
+        monkeypatch.setattr(cli, "generate_scene", generate)
+        code = cli.main(["simulate", *SIM_ARGS, "--scenes", "3", "--out", str(out)])
+        assert code == 2
+        assert made == ["scene-00000000"]
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        else:
+            assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_scenes_below_one_exits_2(self, tmp_path, count):

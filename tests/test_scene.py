@@ -28,11 +28,10 @@ from geotrack.scene import (
     sample_training_pairs,
     save_scene,
     scene_from_doc,
-    scene_to_doc,
     scene_to_json,
 )
 from geotrack.simulator import SimConfig, generate_scene
-from helpers import mutate_one_value, raises_internal
+from helpers import mutate_one_value, raises_internal, reference_scene_json, scene_to_doc
 
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
                      width=1600, height=900)
@@ -248,6 +247,82 @@ class TestSceneJson:
         target[path[-1]] = value
         with pytest.raises(DataError, match=re.escape(field)):
             scene_from_doc(json.loads(json.dumps(doc)))
+
+
+def _hand_built_scenes():
+    """Scenes the simulator never writes: absent optional fields, edge floats
+    and non-finite values, non-ASCII strings and numpy or huge integers."""
+    odd = np.array([-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, -1e-320])
+    pose = Pose5D(np.array([-0.0, 1e308, 5e-324]), np.array([0.0, -1.0]), WORLD)
+    twin = Pose5D(pose.T.copy(), pose.R.copy(), WORLD)  # equal values, another object
+    bare = Detection(bbox=(10.0, 20.0, 30.0, 40.0))
+    full = Detection(
+        bbox=(np.nan, -0.0, np.inf, -np.inf), confidence=np.float32(0.25),
+        center=(5e-324, -0.0),
+        observation=PixelObservation(c=(1e308, -0.0), T_z=np.inf, R=(0.6, 0.8)),
+        appearance=odd, feature_map=np.full((1, 2, 3), -np.inf),
+        gt_id=np.int64(7),
+    )
+    empty_vectors = Detection(bbox=(1.0, 2.0, 3.0, 4.0), confidence=np.nan,
+                              appearance=np.zeros(0), feature_map=np.zeros((2, 0, 1)),
+                              gt_id=2**64 + 1)
+    frames = [
+        FrameRecord(frame_index=np.int64(3), timestamp=np.nan, intrinsics=K,
+                    ego=EgoPose.identity(), detections=[bare, full]),
+        FrameRecord(frame_index=2**63 + 5, timestamp=-0.0, intrinsics=K,
+                    ego=EgoPose.from_yaw(0.3, (-0.0, 1e308, 5e-324)),
+                    detections=[empty_vectors],
+                    gt_objects=[GroundTruthObject(1, pose, kind="Verkehrszeichen-ä€"),
+                                GroundTruthObject(np.int32(2), pose, bbox=odd[:4]),
+                                GroundTruthObject(3, twin, kind="")]),
+        FrameRecord(frame_index=np.uint64(2**64 - 1), timestamp=np.inf, intrinsics=K,
+                    ego=EgoPose.identity(), detections=[], gt_objects=[]),
+        FrameRecord(frame_index=2**70, timestamp=-np.inf, intrinsics=K,
+                    ego=EgoPose.identity(),
+                    detections=[bare, Detection(bbox=(1.0, 1.0, 1.0, 1.0), gt_id=0)],
+                    gt_objects=[GroundTruthObject(2, pose, kind="日\n\"\\"),
+                                GroundTruthObject(1, Pose5D(np.ones(3), (1.0, 0.0), WORLD))]),
+    ]
+    return [
+        SceneSequence("Szene-ü-\U0001f600", frames),
+        SceneSequence("no-frames", []),
+        SceneSequence("one", [frames[0]]),
+    ]
+
+
+class TestSceneWriter:
+    """``scene_to_json`` writes what ``json.dumps`` makes of the scene's
+    document (``helpers.reference_scene_json``), byte for byte."""
+
+    @pytest.mark.parametrize("config", [
+        SimConfig(seed=1, n_frames=6, n_objects=5, appearance_dim=4),
+        SimConfig(seed=2, n_frames=8, n_objects=6, appearance_dim=5, appearance_sigma=0.2,
+                  center_sigma_px=2.0, depth_rel_sigma=0.05, rotation_sigma_deg=3.0,
+                  bbox_jitter_px=1.5, miss_rate=0.3, fp_rate=0.5, trajectory="turn"),
+        SimConfig(seed=3, n_frames=5, n_objects=4, appearance_dim=3, fp_rate=1.0,
+                  emit_feature_maps=True, embed_dim=7, feature_map_size=(2, 3)),
+        SimConfig(seed=4, n_frames=6, n_objects=3, appearance_dim=2, emit_feature_maps=True,
+                  embed_dim=3, feature_sigma=0.0, capacity=2),
+    ], ids=["zero-noise", "noisy-turn", "feature-maps-fp", "small-maps-capacity"])
+    def test_simulated_scene_matches_json_dumps(self, config):
+        scene = generate_scene(config)
+        assert scene_to_json(scene) == reference_scene_json(scene)
+
+    def test_frames_without_detections_match_json_dumps(self):
+        scene = generate_scene(SimConfig(seed=5, n_frames=10, n_objects=2, appearance_dim=2,
+                                         miss_rate=0.7))
+        assert any(not fr.detections for fr in scene.frames)
+        assert scene_to_json(scene) == reference_scene_json(scene)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_hand_built_scene_matches_json_dumps(self, index):
+        scene = _hand_built_scenes()[index]
+        assert scene_to_json(scene) == reference_scene_json(scene)
+
+    def test_save_scene_writes_the_reference_bytes(self, tmp_path):
+        scene = _hand_built_scenes()[0]
+        save_scene(scene, tmp_path / "odd.json")
+        assert (tmp_path / "odd.json").read_bytes() == reference_scene_json(scene).encode()
 
 
 # --- loader oracle -----------------------------------------------------------------

@@ -8,11 +8,12 @@ from helpers import (
     _reference_objects,
     reference_generate_scene,
     reference_pose_target,
+    scene_to_doc,
 )
 
 from geotrack.errors import ConfigError
 from geotrack.geometry import WORLD, Pose5D, recover_translation, world_to_camera
-from geotrack.scene import scene_from_doc, scene_to_doc, scene_to_json
+from geotrack.scene import scene_from_doc, scene_to_json
 from geotrack.simulator import (
     MIN_DEPTH_M,
     SimConfig,
