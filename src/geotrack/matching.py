@@ -305,19 +305,21 @@ def build_pair_tensor(features_a, features_b):
 
 # --- scoring -----------------------------------------------------------------------
 
-# Most (row, column) pairs one tapeless scorer pass takes. Each layer's output
-# is then at most this many rows of 64 float64s, which stays in a 2 MiB L2
-# cache next to the pair tensor; one pass over thousands of pairs spills it
-# and runs slower. Row invariance of the scorer is swept up to 600 rows
-# (tests/test_numerics.py), so keep this at most 600 or widen the sweep.
-# A training pair of up to 20 x 20 detections (``n_max`` 20) is one chunk.
+# Most (row, column) pairs one tapeless scorer pass takes. Each layer's
+# output, the first layer's broadcast sum too, is then at most this many rows
+# of 64 float64s, which stays in a 2 MiB L2 cache; one pass over thousands of
+# pairs spills it and runs slower. Row invariance of the scorer is swept up to
+# 600 rows (tests/test_numerics.py), so keep this at most 600 or widen the
+# sweep. A training pair of up to 20 x 20 detections (``n_max`` 20) is one chunk.
 SCORER_CHUNK_PAIRS = 600
 
 
 def score_pair_logits(pair_tensor, scorer, cache=None):
-    """The scorer's (n_a, n_b) logits of a pair tensor built from
-    standardized rows (``_score`` standardizes each side's rows once before
-    pairing them); ``cache`` as in ``mlp_forward``."""
+    """The (n_a, n_b) logits of ``scorer`` over an (n_a, n_b, width) tensor
+    of per-pair inputs; ``cache`` as in ``mlp_forward``. Training's taped
+    pass gives it the pair tensor of standardized rows and the whole scorer;
+    ``_score``'s tapeless pass gives it the first layer's activations and
+    the layers after it."""
     pair_tensor = np.asarray(pair_tensor, dtype=np.float64)
     n_a, n_b, d2 = pair_tensor.shape
     logits = mlp_forward(scorer, pair_tensor.reshape(n_a * n_b, d2), cache=cache)
@@ -570,13 +572,17 @@ def _backward_side(tape, d_geometry, pose_weight, params, grads):
         radial = (r_hat[:, None, :] @ d_r_hat[:, :, None])[:, 0]
         d_out = np.column_stack([d_ctz * np.array([*cfg.center_scale, cfg.depth_scale]),
                                  (d_r_hat - r_hat * radial) / tape.r_norm[:, None]])
-        # row by row: the weight gradients then add up in detection order
-        d_head_in = np.empty_like(d_emb)
-        for i, row in enumerate(d_out):
-            cache = [(h[i:i + 1], z[i:i + 1]) for h, z in tape.head_cache]
-            head_grads, d_head_in[i] = mlp_backward(params.pose_head, cache, row)
-            _add_layer_grads(grads, "pose_head", head_grads)
-        d_emb = d_emb + d_head_in * params.head_scale
+        # one pass per layer with each detection's gradients kept apart: the
+        # weight gradients add up in detection order, and each input
+        # gradient is the one-row product (gemv) a loop over the rows takes
+        grad = d_out
+        for i in range(len(params.pose_head) - 1, -1, -1):
+            layer, (h, z) = params.pose_head[i], tape.head_cache[i]
+            dz = grad * numerics._ACTS[layer.act][1](z)
+            _add_rows(grads, f"pose_head.{i}.w", np.einsum("ki,kj->kij", h, dz))
+            _add_rows(grads, f"pose_head.{i}.b", dz)
+            grad = (dz[:, None, :] @ layer.w.T)[:, 0]
+        d_emb = d_emb + grad * params.head_scale
 
     if tape.fmaps is not None:
         fmaps, attn = tape.fmaps, tape.attn
@@ -637,11 +643,13 @@ def _score(feats_a, feats_b, params, cache=None, sizes=None):
     of ``sizes`` as in ``augment_normalize``.
 
     An empty side has no pairs to score and leaves only the null options.
-    When ``cache`` is a list it receives the scorer's forward pass for
-    ``mlp_backward``, in one call. Without it the rows are scored in chunks
-    of at most ``SCORER_CHUNK_PAIRS`` pairs (one row at least); the scorer
-    gives every row the same bits in any batch, so the logits are those of
-    one call.
+    When ``cache`` is a list it receives the scorer's forward pass over the
+    pair tensor for ``mlp_backward``, in one call. Without it the first
+    layer is split by side, ``[a; b] W1 + b1 = (a W1[:d] + b1) + b W1[d:]``:
+    one product per side, then one broadcast add per pair, in chunks of at
+    most ``SCORER_CHUNK_PAIRS`` pairs (one row at least). Every product
+    gives a row the same bits in any batch, so the logits are those of one
+    call; they differ from the concatenated layer's in the last bits.
     """
     delta = params.config.delta
     n1, n2 = len(feats_a), len(feats_b)
@@ -657,11 +665,19 @@ def _score(feats_a, feats_b, params, cache=None, sizes=None):
     # Shift and scale act per column, so standardizing each side's rows once
     # gives the pair tensor the same bits as standardizing every pair.
     feats_a, feats_b = ((side - params.input_shift) * params.input_scale for side in rows)
-    step = n1 if cache is not None else max(1, SCORER_CHUNK_PAIRS // n2)
+    if cache is not None:
+        return augment_normalize(score_pair_logits(
+            build_pair_tensor(feats_a, feats_b), params.scorer, cache=cache), delta, sizes)
+    first, d = params.scorer[0], feats_a.shape[1]
+    left = numerics._layer_product(feats_a, first.w[:d], taped=False)
+    left += first.b
+    right = numerics._layer_product(feats_b, first.w[d:], taped=False)
+    activate = numerics._ACTS[first.act][0]
+    step = max(1, SCORER_CHUNK_PAIRS // n2)
     logits = np.empty((n1, n2))
     for start in range(0, n1, step):
-        logits[start:start + step] = score_pair_logits(
-            build_pair_tensor(feats_a[start:start + step], feats_b), params.scorer, cache=cache)
+        h = left[start:start + step, None, :] + right[None]
+        logits[start:start + step] = score_pair_logits(activate(h, out=h), params.scorer[1:])
     return augment_normalize(logits, delta, sizes)
 
 

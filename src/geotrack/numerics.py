@@ -161,7 +161,8 @@ def mlp_forward(layers, x, cache=None):
       ten times faster at the scorer's sizes; other layers, such as the
       scorer's 1-wide output, keep einsum. Row invariance of gemm is a
       property of the BLAS kernel, pinned by the sweep test in
-      tests/test_numerics.py.
+      tests/test_numerics.py. The scorer's first layer does not come here:
+      ``matching._score`` splits it by side through ``_layer_product``.
 
     Each layer's product is a fresh array that takes the bias in place.
     Without ``cache`` the ReLU runs in place on it too, as nothing reads the

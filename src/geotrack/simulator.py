@@ -101,7 +101,8 @@ class SimConfig:
         if self.n_frames < 2:
             raise ConfigError("n_frames must be >= 2")
         for name in ("center_sigma_px", "depth_rel_sigma", "rotation_sigma_deg",
-                     "appearance_sigma", "bbox_jitter_px", "feature_sigma"):
+                     "appearance_sigma", "bbox_jitter_px", "feature_sigma",
+                     "facing_jitter_deg"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("miss_rate", "fp_rate"):
@@ -218,7 +219,8 @@ def _sample_objects(config, rng):
         h = rng.uniform(*config.height_range)
         z = rng.uniform(*config.depth_range)
         # objects face back along the road, toward the approaching camera
-        jitter = math.radians(rng.normal(0.0, config.facing_jitter_deg))
+        # abs: numpy refuses a -0.0 scale, which draws as 0.0
+        jitter = math.radians(rng.normal(0.0, abs(config.facing_jitter_deg)))
         _check_noise(config, "facing_jitter_deg", jitter)
         positions.append([x, -h, z])
         facings.append(normalize_rotation(yaw_rot2(jitter) @ np.array([0.0, -1.0])))

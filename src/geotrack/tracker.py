@@ -171,11 +171,12 @@ def step(state, frame):
     visible = np.flatnonzero(view_gate(newest_T, state.ego_ref, frame.ego, frame.intrinsics))
     solved = hungarian(score_matrix(visible, state, descriptors))
     matches = [(int(visible[i]), j) for i, j in solved.matches]
-    matched = {t for t, _ in matches}
+    free = np.ones(n_tracks, dtype=bool)
+    free[[t for t, _ in matches]] = False
     unmatched = solved.unmatched_detections
     assignment = AssignmentResult(
         matches=matches,
-        unmatched_tracks=[t for t in range(n_tracks) if t not in matched],
+        unmatched_tracks=np.flatnonzero(free).tolist(),
         unmatched_detections=unmatched,
     )
 

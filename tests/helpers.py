@@ -1,6 +1,7 @@
 """Reference code that only the tests use: a finite-difference gradient
 check, input standardization fitted outside a training run, the pair-side
-standardization that standardizing rows once replaced, the per-array SGD
+standardization that standardizing rows once replaced (with the scorer's
+first layer whole, and split by side as tracking runs it), the per-array SGD
 update that training's flat parameter vector replaced, the pose-by-pose
 reference-frame transform, the object-by-object scene generator and pose
 target that the simulator's per-frame pass replaced, the scene document and
@@ -119,16 +120,35 @@ def fit_input_standardization(samples, params):
     return params
 
 
-def reference_pair_logits(feats_a, feats_b, params, cache=None):
-    """The scorer's (n_a, n_b) logits with every one of the n_a * n_b pairs
-    standardized, ``(pair - [shift, shift]) * [scale, scale]``, as the
-    scorer computed them before it standardized each row once."""
+def _standardized_pairs(feats_a, feats_b, params):
+    """Every one of the n_a * n_b pairs as one row, standardized
+    ``(pair - [shift, shift]) * [scale, scale]``."""
     pairs = matching.build_pair_tensor(feats_a, feats_b)
-    n_a, n_b, d2 = pairs.shape
-    x = pairs.reshape(n_a * n_b, d2)
+    x = pairs.reshape(-1, pairs.shape[2])
     x = x - np.concatenate([params.input_shift, params.input_shift])
-    x = x * np.concatenate([params.input_scale, params.input_scale])
-    return numerics.mlp_forward(params.scorer, x, cache=cache).reshape(n_a, n_b)
+    return x * np.concatenate([params.input_scale, params.input_scale])
+
+
+def reference_pair_logits(feats_a, feats_b, params, cache=None):
+    """The scorer's (n_a, n_b) logits with every pair standardized, as the
+    scorer computed them before it standardized each row once."""
+    x = _standardized_pairs(feats_a, feats_b, params)
+    return numerics.mlp_forward(params.scorer, x, cache=cache).reshape(
+        len(feats_a), len(feats_b))
+
+
+def reference_split_logits(feats_a, feats_b, params):
+    """The tapeless scorer's (n_a, n_b) logits with the first layer split by
+    side in ``_score``'s order, ``(a W1[:d] + b1) + b W1[d:]``, but every
+    pair standardized and multiplied on its own row, in one call rather
+    than once per side and per chunk."""
+    x = _standardized_pairs(feats_a, feats_b, params)
+    d = x.shape[1] // 2
+    first = params.scorer[0]
+    z = numerics._layer_product(x[:, :d].copy(), first.w[:d], taped=False) + first.b
+    z = z + numerics._layer_product(x[:, d:].copy(), first.w[d:], taped=False)
+    h = numerics._ACTS[first.act][0](z)
+    return numerics.mlp_forward(params.scorer[1:], h).reshape(len(feats_a), len(feats_b))
 
 
 # --- per-array SGD update ---------------------------------------------------------

@@ -156,6 +156,7 @@ class TestSimulate:
         # a false positive's depth is drawn from depth_range
         ({"depth_range": [-5, 5], "fp_rate": 1.0, "n_frames": 6}, "depth_range"),
         ({"depth_range": [5, 0], "fp_rate": 0.1, "n_frames": 6}, "depth_range"),
+        ({"n_frames": 3, "facing_jitter_deg": -5}, "facing_jitter_deg"),
     ])
     def test_out_of_range_config_exits_2(self, tmp_path, doc, named):
         config = tmp_path / "bad.json"
@@ -164,6 +165,17 @@ class TestSimulate:
         assert r.returncode == 2, r.stderr
         assert named in r.stderr
         assert not (tmp_path / "o").exists()
+
+    def test_negative_zero_facing_jitter_draws_as_zero(self, tmp_path):
+        """-0.0 draws the facings 0.0 draws: the scene files are equal."""
+        scenes = []
+        for jitter in ("-0.0", "0.0"):
+            config = tmp_path / f"sim{jitter}.json"
+            config.write_text(f'{{"n_frames": 3, "facing_jitter_deg": {jitter}}}')
+            r = run_cli("simulate", "--config", config, "--out", tmp_path / f"o{jitter}")
+            assert r.returncode == 0, r.stderr
+            scenes.append((tmp_path / f"o{jitter}" / "scene-00000000.json").read_bytes())
+        assert scenes[0] == scenes[1]
 
     def test_depth_range_through_zero_without_false_positives(self, tmp_path):
         # only false positives draw from depth_range; objects behind the

@@ -46,6 +46,7 @@ from helpers import (
     grad_check,
     raises_internal,
     reference_pair_logits,
+    reference_split_logits,
     reference_train_matcher,
 )
 
@@ -212,39 +213,60 @@ class TestScorePairs:
             matcher.bundle(rows, rows)
 
 
+# 30 x 30 and 41 x 17 pairs exceed one chunk
+SCORE_SHAPES = [(1, 1), (1, 7), (7, 1), (0, 7), (30, 30), (41, 17)]
+
+
+def _spread_rows(params, n_a, n_b):
+    """Two sides of descriptor rows spread like the descriptors the
+    standardization was fitted on."""
+    rng = np.random.default_rng(100 * n_a + n_b)
+    d = params.config.descriptor_dim
+    return (params.input_shift + rng.normal(size=(n, d)) / params.input_scale
+            for n in (n_a, n_b))
+
+
+def _recorded_score(monkeypatch, *args):
+    """``_score(*args)`` and the logits of each ``score_pair_logits`` call
+    it made."""
+    scored = []
+    original = matching.score_pair_logits
+
+    def record(*call_args, **kwargs):
+        scored.append(original(*call_args, **kwargs))
+        return scored[-1]
+
+    monkeypatch.setattr(matching, "score_pair_logits", record)
+    return _score(*args), scored
+
+
+@pytest.fixture(params=["stored-checkpoint", "trained"])
+def scoring_params(request):
+    if request.param == "stored-checkpoint":
+        return load_checkpoint(STORED_CHECKPOINT)
+    return request.getfixturevalue("trained_matcher").params
+
+
 class TestRowStandardizationOracle:
     """``_score`` standardizes each side's descriptor rows once, before
     pairing them. Its logits must be byte for byte those of standardizing
-    every pair, on the tapeless path the tracker runs (in row chunks of at
-    most ``SCORER_CHUNK_PAIRS`` pairs) and on the taped path training runs
-    (in one call)."""
-
-    @pytest.fixture(params=["stored-checkpoint", "trained"])
-    def params(self, request):
-        if request.param == "stored-checkpoint":
-            return load_checkpoint(STORED_CHECKPOINT)
-        return request.getfixturevalue("trained_matcher").params
+    every pair: on the taped path training runs (in one call) with the
+    concatenated first layer, and on the tapeless path the tracker runs (in
+    row chunks of at most ``SCORER_CHUNK_PAIRS`` pairs) with the first layer
+    split by side in the same order."""
 
     @pytest.mark.parametrize("taped", [False, True], ids=["tapeless", "taped"])
-    # 30 x 30 and 41 x 17 pairs exceed one chunk
-    @pytest.mark.parametrize("n_a, n_b", [(1, 1), (1, 7), (7, 1), (0, 7), (30, 30), (41, 17)])
-    def test_bit_equal_to_pair_standardization(self, params, monkeypatch, taped, n_a, n_b):
-        rng = np.random.default_rng(100 * n_a + n_b)
-        d = params.config.descriptor_dim
-        # rows spread like the descriptors the standardization was fitted on
-        feats_a, feats_b = (params.input_shift + rng.normal(size=(n, d)) / params.input_scale
-                            for n in (n_a, n_b))
-        scored = []
-        original = matching.score_pair_logits
-
-        def record(*args, **kwargs):
-            scored.append(original(*args, **kwargs))
-            return scored[-1]
-
-        monkeypatch.setattr(matching, "score_pair_logits", record)
+    @pytest.mark.parametrize("n_a, n_b", SCORE_SHAPES)
+    def test_bit_equal_to_pair_standardization(self, scoring_params, monkeypatch, taped,
+                                               n_a, n_b):
+        params = scoring_params
+        feats_a, feats_b = _spread_rows(params, n_a, n_b)
         cache, ref_cache = ([], []) if taped else (None, None)
-        bundle = _score(feats_a, feats_b, params, cache)
-        expected = reference_pair_logits(feats_a, feats_b, params, ref_cache)
+        bundle, scored = _recorded_score(monkeypatch, feats_a, feats_b, params, cache)
+        if taped:
+            expected = reference_pair_logits(feats_a, feats_b, params, ref_cache)
+        else:
+            expected = reference_split_logits(feats_a, feats_b, params)
         if n_a and n_b:
             chunk_rows = n_a if taped else max(1, matching.SCORER_CHUNK_PAIRS // n_b)
             assert [len(logits) for logits in scored] \
@@ -258,6 +280,24 @@ class TestRowStandardizationOracle:
         reference = augment_normalize(expected, params.config.delta)
         for field in ("S1n", "S2n", "fused"):
             assert getattr(bundle, field).tobytes() == getattr(reference, field).tobytes()
+
+
+class TestSplitFirstLayer:
+    """The tapeless scorer splits its first layer by side, which sums in
+    another order than the concatenated product: the logits agree to 1e-12
+    and every decision is the same."""
+
+    @pytest.mark.parametrize("n_a, n_b", [s for s in SCORE_SHAPES if s[0]])
+    def test_agrees_with_concatenated_layer(self, scoring_params, monkeypatch, n_a, n_b):
+        params = scoring_params
+        feats_a, feats_b = _spread_rows(params, n_a, n_b)
+        bundle, scored = _recorded_score(monkeypatch, feats_a, feats_b, params)
+        concatenated = reference_pair_logits(feats_a, feats_b, params)
+        np.testing.assert_allclose(np.concatenate(scored), concatenated, rtol=1e-12, atol=0)
+        reference = augment_normalize(concatenated, params.config.delta)
+        for axis in (0, 1):
+            np.testing.assert_array_equal(bundle.fused.argmax(axis=axis),
+                                          reference.fused.argmax(axis=axis))
 
 
 class TestGroupedBundleOracle:

@@ -400,11 +400,16 @@ SWEEP_ROWS = 600
 
 
 def _config_layers(name):
+    """The config's scorer and pose-head layers, then the two halves of the
+    scorer's first layer, which the tapeless scorer multiplies each side's
+    rows by (``matching._score``)."""
     if name == "stored-checkpoint":
         params = load_checkpoint(STORED_CHECKPOINT)
     else:
         params = init_matcher_params(CONFIGS[name], np.random.default_rng(0))
-    return params.scorer + (params.pose_head or [])
+    first, d = params.scorer[0], params.config.descriptor_dim
+    halves = [Layer(w, first.b) for w in (first.w[:d], first.w[d:])]
+    return params.scorer + (params.pose_head or []) + halves
 
 
 class TestRowInvariance:
