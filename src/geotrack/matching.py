@@ -307,20 +307,25 @@ def build_pair_tensor(features_a, features_b):
 
 # Most (row, column) pairs one tapeless scorer pass takes. Each layer's
 # output, the first layer's broadcast sum too, is then at most this many rows
-# of 64 float64s, which stays in a 2 MiB L2 cache; one pass over thousands of
-# pairs spills it and runs slower. Row invariance of the scorer is swept up to
-# 600 rows (tests/test_numerics.py), so keep this at most 600 or widen the
-# sweep. A training pair of up to 20 x 20 detections (``n_max`` 20) is one chunk.
+# of 64 float32s, which stays in a 2 MiB L2 cache; one pass over thousands of
+# pairs spills it and runs slower. Tracking the six seed-1 perfbench
+# track-dense scenes (one pinned core of a 2-vCPU VM, one BLAS thread, best
+# of 5) took 0.45-0.47 s in chunks of 300 pairs, 0.43-0.45 s in 600,
+# 0.43-0.48 s in 1,200 and 0.51 s in 2,400. Row invariance of the scorer is
+# swept up to 600 rows (tests/test_numerics.py), so keep this at most 600 or
+# widen the sweep. A training pair of up to 20 x 20 detections (``n_max``
+# 20) is one chunk.
 SCORER_CHUNK_PAIRS = 600
 
 
 def score_pair_logits(pair_tensor, scorer, cache=None):
     """The (n_a, n_b) logits of ``scorer`` over an (n_a, n_b, width) tensor
-    of per-pair inputs; ``cache`` as in ``mlp_forward``. Training's taped
-    pass gives it the pair tensor of standardized rows and the whole scorer;
-    ``_score``'s tapeless pass gives it the first layer's activations and
-    the layers after it."""
-    pair_tensor = np.asarray(pair_tensor, dtype=np.float64)
+    of per-pair inputs; ``cache`` as in ``mlp_forward``, and like it in the
+    precision of the input. Training's taped pass gives it the float64 pair
+    tensor of standardized rows and the whole scorer; ``_score``'s tapeless
+    pass gives it the first layer's float32 activations and float32 copies
+    of the layers after it."""
+    pair_tensor = numerics.as_floats(pair_tensor)
     n_a, n_b, d2 = pair_tensor.shape
     logits = mlp_forward(scorer, pair_tensor.reshape(n_a * n_b, d2), cache=cache)
     if logits.shape[1] != 1:
@@ -644,12 +649,19 @@ def _score(feats_a, feats_b, params, cache=None, sizes=None):
 
     An empty side has no pairs to score and leaves only the null options.
     When ``cache`` is a list it receives the scorer's forward pass over the
-    pair tensor for ``mlp_backward``, in one call. Without it the first
-    layer is split by side, ``[a; b] W1 + b1 = (a W1[:d] + b1) + b W1[d:]``:
-    one product per side, then one broadcast add per pair, in chunks of at
-    most ``SCORER_CHUNK_PAIRS`` pairs (one row at least). Every product
-    gives a row the same bits in any batch, so the logits are those of one
-    call; they differ from the concatenated layer's in the last bits.
+    pair tensor for ``mlp_backward``, in one call. Without it the scorer
+    runs in float32 (mixed precision, Micikevicius et al., ICLR 2018: the
+    float64 parameters are the master copy). Each side's rows are
+    standardized in float64, then they and the scorer's layers are cast to
+    float32 once per call; a value past float32's range becomes inf and
+    fails the caller's finiteness check. The first layer is split by side,
+    ``[a; b] W1 + b1 = (a W1[:d] + b1) + b W1[d:]``: one product per side,
+    then one broadcast add per pair, in chunks of at most
+    ``SCORER_CHUNK_PAIRS`` pairs (one row at least). Every product gives a
+    row the same bits in any batch, so the logits are those of one call.
+    They land in float64, exactly. On the stored checkpoint's dense
+    tracking they differ from the float64 concatenated layer's by at most
+    5e-6, and no decision changes.
     """
     delta = params.config.delta
     n1, n2 = len(feats_a), len(feats_b)
@@ -668,7 +680,11 @@ def _score(feats_a, feats_b, params, cache=None, sizes=None):
     if cache is not None:
         return augment_normalize(score_pair_logits(
             build_pair_tensor(feats_a, feats_b), params.scorer, cache=cache), delta, sizes)
-    first, d = params.scorer[0], feats_a.shape[1]
+    with np.errstate(over="ignore"):
+        feats_a, feats_b = (side.astype(np.float32) for side in (feats_a, feats_b))
+        scorer = [numerics.Layer(layer.w.astype(np.float32), layer.b.astype(np.float32),
+                                 layer.act) for layer in params.scorer]
+    first, d = scorer[0], feats_a.shape[1]
     left = numerics._layer_product(feats_a, first.w[:d], taped=False)
     left += first.b
     right = numerics._layer_product(feats_b, first.w[d:], taped=False)
@@ -677,7 +693,7 @@ def _score(feats_a, feats_b, params, cache=None, sizes=None):
     logits = np.empty((n1, n2))
     for start in range(0, n1, step):
         h = left[start:start + step, None, :] + right[None]
-        logits[start:start + step] = score_pair_logits(activate(h, out=h), params.scorer[1:])
+        logits[start:start + step] = score_pair_logits(activate(h, out=h), scorer[1:])
     return augment_normalize(logits, delta, sizes)
 
 

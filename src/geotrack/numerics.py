@@ -1,6 +1,8 @@
 """Dense-tensor kernel: the attention softmax, losses, and small MLPs.
 
-Everything runs on 64-bit numpy arrays. The MLP layers implement exact
+Everything runs on 64-bit numpy arrays except the pair scorer's inference
+pass (``matching._score``), which gives the MLP forward float32 layers and
+input; the forward keeps those in float32. The MLP layers implement exact
 backpropagation for the fixed compositions used by the pose head and the
 pair scorer.
 """
@@ -69,6 +71,12 @@ def loss_rot_grad(r, r_hat):
 # --- MLP -------------------------------------------------------------------------
 
 
+def as_floats(x):
+    """``x`` as an array: float32 stays float32, anything else becomes float64."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
+
+
 def _relu(z, out=None):
     return np.maximum(z, 0.0, out=out)
 
@@ -83,15 +91,16 @@ _ACTS = {
 
 @dataclass
 class Layer:
-    """One dense layer: weights (fan_in, fan_out), bias, activation tag."""
+    """One dense layer: weights (fan_in, fan_out), bias, activation tag.
+    Float32 arrays stay float32 (see ``as_floats``)."""
 
     w: np.ndarray
     b: np.ndarray
     act: str = "linear"
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float64)
-        self.b = np.asarray(self.b, dtype=np.float64).reshape(-1)
+        self.w = as_floats(self.w)
+        self.b = as_floats(self.b).reshape(-1)
         if self.w.ndim != 2 or self.w.shape[1] != self.b.shape[0]:
             raise GeotrackError(
                 f"layer weights {self.w.shape} do not match bias {self.b.shape}"
@@ -128,9 +137,13 @@ def _check_chain(layers, x):
 
 # A tapeless forward multiplies a layer through BLAS gemm when its output
 # width is a multiple of this. OpenBLAS (0.3.31, Haswell kernel) then gives
-# each row the same bits at every batch size; widths 1-3, 9-12 and 17-20
-# each change a row's bits with the batch size at some fan-in, so no width
-# threshold would do. tests/test_numerics.py sweeps every layer shape in use.
+# each row the same bits at every batch size in dgemm; widths 1-3, 9-12 and
+# 17-20 each change a row's bits with the batch size at some fan-in, so no
+# width threshold would do. The rule holds for sgemm at every layer shape in
+# use, but not at every shape: there widths 8 and multiples of 16 keep a
+# row's bits, while 24, 40, 56, 72 and 88 change them once rows x fan-in x
+# width passes about 10^6 (at fan-in 64 and width 24, past 600 rows).
+# tests/test_numerics.py sweeps every layer shape in use in both precisions.
 GEMM_WIDTH_STEP = 8
 
 
@@ -149,6 +162,11 @@ def _layer_product(h, w, taped):
 def mlp_forward(layers, x, cache=None):
     """Forward pass; x is a single vector or a (batch, fan_in) matrix.
 
+    It runs in the precision of ``x`` and the layers: float32 input stays
+    float32, any other becomes float64 (see ``as_floats``). The tapeless
+    pair scorer (``matching._score``) passes float32 input and layers;
+    everything else passes float64.
+
     Each output row is independent of the batch around it, bit for bit, so
     batched and row-at-a-time calls agree exactly. Which product gives that:
 
@@ -159,10 +177,11 @@ def mlp_forward(layers, x, cache=None):
       passes, which score as the tracker does), each layer whose width is
       a multiple of ``GEMM_WIDTH_STEP`` multiplies through BLAS gemm, about
       ten times faster at the scorer's sizes; other layers, such as the
-      scorer's 1-wide output, keep einsum. Row invariance of gemm is a
-      property of the BLAS kernel, pinned by the sweep test in
-      tests/test_numerics.py. The scorer's first layer does not come here:
-      ``matching._score`` splits it by side through ``_layer_product``.
+      scorer's 1-wide output, keep einsum. Row invariance of gemm, in
+      float32 as in float64, is a property of the BLAS kernel, pinned by
+      the sweep test in tests/test_numerics.py. The scorer's first layer
+      does not come here: ``matching._score`` splits it by side through
+      ``_layer_product``.
 
     Each layer's product is a fresh array that takes the bias in place.
     Without ``cache`` the ReLU runs in place on it too, as nothing reads the
@@ -173,7 +192,7 @@ def mlp_forward(layers, x, cache=None):
     benchmark checkpoint bit for bit. Once a benchmark change regenerates
     that checkpoint, they can move to gemm too and the tape branch can go.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = as_floats(x)
     single = x.ndim == 1
     h = x.reshape(1, -1) if single else x
     _check_chain(layers, h)

@@ -1,7 +1,8 @@
 """Reference code that only the tests use: a finite-difference gradient
 check, input standardization fitted outside a training run, the pair-side
 standardization that standardizing rows once replaced (with the scorer's
-first layer whole, and split by side as tracking runs it), the per-array SGD
+first layer whole, and split by side as tracking runs it, in float32 or in
+the float64 the tracker's scorer used before), the per-array SGD
 update that training's flat parameter vector replaced, the pose-by-pose
 reference-frame transform, the object-by-object scene generator and pose
 target that the simulator's per-frame pass replaced, the scene document and
@@ -137,18 +138,34 @@ def reference_pair_logits(feats_a, feats_b, params, cache=None):
         len(feats_a), len(feats_b))
 
 
-def reference_split_logits(feats_a, feats_b, params):
+def reference_split_logits(feats_a, feats_b, params, dtype=np.float32):
     """The tapeless scorer's (n_a, n_b) logits with the first layer split by
     side in ``_score``'s order, ``(a W1[:d] + b1) + b W1[d:]``, but every
     pair standardized and multiplied on its own row, in one call rather
-    than once per side and per chunk."""
-    x = _standardized_pairs(feats_a, feats_b, params)
+    than once per side and per chunk. The standardized pairs and the layers
+    are cast to ``dtype`` first: float32 is what ``_score`` computes,
+    float64 what it computed before it ran in float32."""
+    x = _standardized_pairs(feats_a, feats_b, params).astype(dtype)
+    scorer = [numerics.Layer(layer.w.astype(dtype), layer.b.astype(dtype), layer.act)
+              for layer in params.scorer]
     d = x.shape[1] // 2
-    first = params.scorer[0]
+    first = scorer[0]
     z = numerics._layer_product(x[:, :d].copy(), first.w[:d], taped=False) + first.b
     z = z + numerics._layer_product(x[:, d:].copy(), first.w[d:], taped=False)
     h = numerics._ACTS[first.act][0](z)
-    return numerics.mlp_forward(params.scorer[1:], h).reshape(len(feats_a), len(feats_b))
+    return numerics.mlp_forward(scorer[1:], h).reshape(len(feats_a), len(feats_b))
+
+
+def reference_score64(feats_a, feats_b, params, cache=None, sizes=None):
+    """``matching._score``'s tapeless bundle with the scorer in float64, as
+    it ran before the float32 scorer: a drop-in for ``_score`` that checks
+    the tracker's decisions do not depend on the precision."""
+    if cache is not None:
+        raise GeotrackError("the float64 reference scores tapeless only")
+    n_a, n_b = len(feats_a), len(feats_b)
+    logits = reference_split_logits(feats_a, feats_b, params, np.float64) \
+        if n_a and n_b else np.zeros((n_a, n_b))
+    return matching.augment_normalize(logits, params.config.delta, sizes)
 
 
 # --- per-array SGD update ---------------------------------------------------------

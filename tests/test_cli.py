@@ -799,6 +799,11 @@ class TestSceneData:
         # standardization scales past the float range
         (lambda doc: doc["frames"][0]["ego"]["matrix"][0].__setitem__(3, 1e308),
          ("track-pose",), "descriptor values overflow the pair scorer"),
+        # an observation centre whose standardized descriptor row stays
+        # finite in float64 but passes float32's range, which the scorer runs
+        # in; frame 1's detections are scored against frame 0's tracks
+        (lambda doc: doc["frames"][1]["detections"][0]["observation"]["center"].__setitem__(
+            0, 1e42), ("track-obs",), "descriptor values overflow the pair scorer"),
         (lambda doc: [det.pop("appearance") for det in _detections(doc)],
          ("track-obs", "track-pose", "train"), "lacks an appearance vector"),
         # train checks the detections of every frame, drawn into a pair or not
@@ -812,16 +817,23 @@ class TestSceneData:
             assert run_on_scene(scene_inputs, doc, command) == 3, command
             assert named in capsys.readouterr().err, command
 
-    @pytest.mark.parametrize("field", ["rotation", "center"])
-    def test_huge_observation_exits_3_without_warnings(self, scene_inputs, capsys, field):
+    @pytest.mark.parametrize("frame, field, value, named", [
+        (0, "rotation", 1e308, "observation geometry is not finite"),
+        (0, "center", 1e308, "observation geometry is not finite"),
+        # finite in float64, past float32's range in the pair scorer, which
+        # scores frame 1's detections against frame 0's tracks
+        (1, "center", 1e42, "descriptor values overflow the pair scorer"),
+    ], ids=["rotation", "center", "center-past-float32"])
+    def test_huge_observation_exits_3_without_warnings(self, scene_inputs, capsys, frame,
+                                                       field, value, named):
         """Observation geometry that overflows is a data error, and numpy
         prints no RuntimeWarning on the way to it."""
         doc = copy.deepcopy(scene_inputs["doc"])
-        _detections(doc)[0]["observation"][field][0] = 1e308
+        doc["frames"][frame]["detections"][0]["observation"][field][0] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_on_scene(scene_inputs, doc, "track-obs") == 3
-        assert "observation geometry is not finite" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_resumed_train_checks_every_detection(self, scene_inputs, capsys):
         """A resumed run checks every detection of the dataset, as a fresh one does."""

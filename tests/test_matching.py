@@ -252,8 +252,8 @@ class TestRowStandardizationOracle:
     pairing them. Its logits must be byte for byte those of standardizing
     every pair: on the taped path training runs (in one call) with the
     concatenated first layer, and on the tapeless path the tracker runs (in
-    row chunks of at most ``SCORER_CHUNK_PAIRS`` pairs) with the first layer
-    split by side in the same order."""
+    row chunks of at most ``SCORER_CHUNK_PAIRS`` pairs) in float32 with the
+    first layer split by side in the same order."""
 
     @pytest.mark.parametrize("taped", [False, True], ids=["tapeless", "taped"])
     @pytest.mark.parametrize("n_a, n_b", SCORE_SHAPES)
@@ -283,9 +283,10 @@ class TestRowStandardizationOracle:
 
 
 class TestSplitFirstLayer:
-    """The tapeless scorer splits its first layer by side, which sums in
-    another order than the concatenated product: the logits agree to 1e-12
-    and every decision is the same."""
+    """The tapeless scorer runs in float32 and splits its first layer by
+    side, which sums in another order than the float64 concatenated
+    product: the logits agree to 1e-5 relative to 1 + |logit| (float32
+    keeps 24 bits, about 6e-8 per rounding) and every decision is the same."""
 
     @pytest.mark.parametrize("n_a, n_b", [s for s in SCORE_SHAPES if s[0]])
     def test_agrees_with_concatenated_layer(self, scoring_params, monkeypatch, n_a, n_b):
@@ -293,7 +294,7 @@ class TestSplitFirstLayer:
         feats_a, feats_b = _spread_rows(params, n_a, n_b)
         bundle, scored = _recorded_score(monkeypatch, feats_a, feats_b, params)
         concatenated = reference_pair_logits(feats_a, feats_b, params)
-        np.testing.assert_allclose(np.concatenate(scored), concatenated, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(np.concatenate(scored), concatenated, rtol=1e-5, atol=1e-5)
         reference = augment_normalize(concatenated, params.config.delta)
         for axis in (0, 1):
             np.testing.assert_array_equal(bundle.fused.argmax(axis=axis),
@@ -353,6 +354,24 @@ class TestGroupedBundleOracle:
     def test_sizes_must_cover_the_rows(self):
         with raises_internal(r"group sizes \[2, 2\] do not add up to 3 rows"):
             augment_normalize(np.zeros((3, 2)), 0.5, [2, 2])
+
+
+class TestFloat64MasterCopy:
+    """The tapeless scorer computes on float32 copies of the layers that it
+    makes per call: the parameters stay float64, and a checkpoint written
+    after scoring holds what it held before."""
+
+    def test_scoring_leaves_parameters_float64(self, scoring_params):
+        params = scoring_params
+        before = params_to_doc(params)
+        Matcher(params).bundle(*_spread_rows(params, 30, 17))
+        assert 0.0 < pair_accuracy(small_samples(appearance_dim=params.config.appearance_dim),
+                                   params) <= 1.0
+        arrays = {**{name: a for name, a in vars(params).items()
+                     if isinstance(a, np.ndarray)}, **_named_arrays(params)}
+        assert {name: a.dtype for name, a in arrays.items()} \
+            == {name: np.dtype(np.float64) for name in arrays}
+        assert params_to_doc(params) == before
 
 
 class TestAugmentNormalize:

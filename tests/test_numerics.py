@@ -372,6 +372,23 @@ class TestInPlaceForward:
         assert out.tobytes() == expected.tobytes()
 
 
+class TestPrecision:
+    """A tapeless forward runs in the precision it is given: float32 layers
+    and input stay float32, and anything else becomes float64."""
+
+    @pytest.mark.parametrize("dtype, expected", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.int64, np.float64),
+        (np.float16, np.float64)])
+    def test_float32_stays_and_the_rest_becomes_float64(self, rng, dtype, expected):
+        layers = [Layer(layer.w.astype(dtype), layer.b.astype(dtype), layer.act)
+                  for layer in TestInPlaceForward.layers(rng)]
+        assert {a.dtype for layer in layers for a in (layer.w, layer.b)} == {np.dtype(expected)}
+        x = rng.normal(size=(3, 4, 6)).astype(dtype)
+        assert mlp_forward(layers, x[0]).dtype == expected
+        assert mlp_forward(layers, x[0, 0]).dtype == expected
+        assert score_pair_logits(x, layers).dtype == expected
+
+
 # --- the stored checkpoint and batch invariance of the tapeless forward --------------
 
 
@@ -415,19 +432,31 @@ def _config_layers(name):
 class TestRowInvariance:
     """The contract the tracker's bit-for-bit reruns and the batched-versus-
     row oracles rest on: a tapeless forward gives each row the same bits
-    whatever batch it comes in. Layers whose width is a multiple of
-    ``GEMM_WIDTH_STEP`` multiply through BLAS gemm there, so this depends on
+    whatever batch it comes in, in float64 and in the float32 the tracker's
+    scorer runs in. Layers whose width is a multiple of ``GEMM_WIDTH_STEP``
+    multiply through BLAS gemm (dgemm or sgemm) there, so this depends on
     the BLAS kernel; a shape named in a failure here breaks it on this
     machine."""
 
     @pytest.mark.parametrize("name", ["stored-checkpoint", *CONFIGS])
     def test_rows_bit_equal_at_every_batch_size(self, name):
+        self.sweep(name, np.float64)
+
+    @pytest.mark.parametrize("name", ["stored-checkpoint", *CONFIGS])
+    def test_float32_rows_bit_equal_at_every_batch_size(self, name):
+        self.sweep(name, np.float32)
+
+    @staticmethod
+    def sweep(name, dtype):
+        """Every layer alone, linear, at 1-``SWEEP_ROWS`` rows from either
+        end of one batch and as the one-row vector, in ``dtype``."""
         rng = np.random.default_rng(7)
         broken = []
         for i, layer in enumerate(_config_layers(name)):
-            layers = [Layer(layer.w, layer.b, "linear")]
-            x = rng.normal(size=(SWEEP_ROWS + 100, layer.w.shape[0]))
+            layers = [Layer(layer.w.astype(dtype), layer.b.astype(dtype), "linear")]
+            x = rng.normal(size=(SWEEP_ROWS + 100, layer.w.shape[0])).astype(dtype)
             full = mlp_forward(layers, x)
+            assert full.dtype == dtype
             bad = [m for m in range(1, SWEEP_ROWS + 1)
                    if mlp_forward(layers, x[:m]).tobytes() != full[:m].tobytes()
                    or mlp_forward(layers, x[-m:]).tobytes() != full[-m:].tobytes()]

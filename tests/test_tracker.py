@@ -20,7 +20,8 @@ from geotrack.geometry import (
     project,
     world_to_camera,
 )
-from geotrack.matching import Matcher, augment_normalize
+from geotrack import matching
+from geotrack.matching import Matcher, augment_normalize, load_checkpoint
 from geotrack.scene import Detection, FrameRecord, MotEntry, SceneSequence
 from geotrack.simulator import SimConfig, generate_scene, object_appearance, world_objects
 from geotrack.tracker import (
@@ -34,7 +35,7 @@ from geotrack.tracker import (
     track_scene,
     view_gate,
 )
-from helpers import raises_internal
+from helpers import STORED_CHECKPOINT, raises_internal, reference_score64
 
 
 def pose_desc(t=(0.0, 0.0, 10.0), r=(0.0, 1.0)):
@@ -595,6 +596,39 @@ class TestInstanceTable:
                                          appearance_dim=16, fp_rate=0.5))
         state, entries = track_scene(scene, Matcher(trained_matcher.params), buffer_size=10**6)
         assert len(state.instances) == len(entries) == state.tracks.sum()
+
+
+class TestFloat32Decisions:
+    """The tracker's scorer runs in float32. On dense scenes with the stored
+    checkpoint, every decision equals that of a float64 scorer: the same MOT
+    entries and the same geolocation report."""
+
+    @staticmethod
+    def outputs(scene, matcher):
+        state, entries = track_scene(scene, matcher)
+        return ([(e.frame, e.track_id, e.bbox.tobytes(), e.confidence) for e in entries],
+                geolocation_report(state))
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_same_outputs_as_float64_scorer(self, monkeypatch, seed):
+        scene = generate_scene(SimConfig(
+            seed=seed, n_frames=24, n_objects=60, appearance_dim=16,
+            appearance_sigma=0.15, center_sigma_px=2.0, depth_rel_sigma=0.05,
+            miss_rate=0.05, fp_rate=0.2, lateral_range=(-10.0, 10.0),
+            depth_range=(12.0, 80.0)))
+        matcher = Matcher(load_checkpoint(STORED_CHECKPOINT))
+        got = self.outputs(scene, matcher)
+        calls = []
+
+        def float64_score(*args, **kwargs):
+            calls.append(len(args[0]) * len(args[1]))
+            return reference_score64(*args, **kwargs)
+
+        monkeypatch.setattr(matching, "_score", float64_score)
+        expected = self.outputs(scene, matcher)
+        assert sum(calls) > 10_000  # dense: the float64 scorer saw many pairs
+        assert got[0] == expected[0]
+        assert got[1] == expected[1]
 
 
 # --- reference: the per-row score loop and per-detection bookkeeping ---------------
