@@ -305,16 +305,17 @@ def build_pair_tensor(features_a, features_b):
 
 # --- scoring -----------------------------------------------------------------------
 
-# Most (row, column) pairs one tapeless scorer pass takes. Each layer's
-# output, the first layer's broadcast sum too, is then at most this many rows
-# of 64 float32s, which stays in a 2 MiB L2 cache; one pass over thousands of
-# pairs spills it and runs slower. Tracking the six seed-1 perfbench
-# track-dense scenes (one pinned core of a 2-vCPU VM, one BLAS thread, best
-# of 5) took 0.45-0.47 s in chunks of 300 pairs, 0.43-0.45 s in 600,
-# 0.43-0.48 s in 1,200 and 0.51 s in 2,400. Row invariance of the scorer is
-# swept up to 600 rows (tests/test_numerics.py), so keep this at most 600 or
-# widen the sweep. A training pair of up to 20 x 20 detections (``n_max``
-# 20) is one chunk.
+# Most (row, column) pairs one tapeless scorer pass takes, and most rows one
+# side product of its first layer takes. Each layer's output, the first
+# layer's broadcast sum too, is then at most this many rows of 64 float32s,
+# which stays in a 2 MiB L2 cache; one pass over thousands of pairs spills it
+# and runs slower. Tracking the six seed-1 perfbench track-dense scenes (one
+# pinned core of a 2-vCPU VM, one BLAS thread, best of 5) took 0.45-0.47 s in
+# chunks of 300 pairs, 0.43-0.45 s in 600, 0.43-0.48 s in 1,200 and 0.51 s in
+# 2,400. Row invariance of the scorer is swept up to 600 rows
+# (tests/test_numerics.py), so keep this at most 600 or widen the sweep. An
+# accuracy sweep packs many small training pairs into one chunk; a pair of
+# 30 x 30 detections (``capacity`` 30) spans two, of 20 rows and 10.
 SCORER_CHUNK_PAIRS = 600
 
 
@@ -322,9 +323,10 @@ def score_pair_logits(pair_tensor, scorer, cache=None):
     """The (n_a, n_b) logits of ``scorer`` over an (n_a, n_b, width) tensor
     of per-pair inputs; ``cache`` as in ``mlp_forward``, and like it in the
     precision of the input. Training's taped pass gives it the float64 pair
-    tensor of standardized rows and the whole scorer; ``_score``'s tapeless
-    pass gives it the first layer's float32 activations and float32 copies
-    of the layers after it."""
+    tensor of standardized rows and the whole scorer; the tapeless pass
+    (``_tapeless_logits``) gives it one chunk of the first layer's float32
+    activations as a (pairs, 1, width) tensor and float32 copies of the
+    layers after it."""
     pair_tensor = numerics.as_floats(pair_tensor)
     n_a, n_b, d2 = pair_tensor.shape
     logits = mlp_forward(scorer, pair_tensor.reshape(n_a * n_b, d2), cache=cache)
@@ -636,6 +638,36 @@ def _describe_sides(sample, params, describe, transforms=None):
                      (sample.frame_b, sample.targets_b, transforms[1])))
 
 
+def _describe_rows(detections, params, transform, intrinsics):
+    """``_describe``'s descriptor rows alone."""
+    return _describe(detections, params, transform, intrinsics)[1]
+
+
+def _rows_once(params, describe):
+    """A function of ``(sample, transforms)`` that gives the sample's
+    ``(rows_a, rows_b)``: ``describe`` (``_input_rows`` or
+    ``_describe_rows``) of its two frames, ``transforms`` being the sample's
+    ``_reference_transforms`` or None (each then taken where needed).
+    Samples share frames, and a frame's rows depend only on it, the
+    parameters and the reference ego (pose targets reach the pose loss
+    alone), so each (frame, ``ego_ref``) is described once per function and
+    its rows are shared by every sample that holds it."""
+    described = {}
+
+    def rows(sample, transforms=None):
+        pair = []
+        for side, frame in enumerate((sample.frame_a, sample.frame_b)):
+            key = (id(frame), id(sample.ego_ref))
+            if key not in described:
+                transform = transforms[side] if transforms else \
+                    reference_transform(frame.ego, sample.ego_ref)
+                described[key] = describe(frame.detections, params, transform,
+                                          frame.intrinsics)
+            pair.append(described[key])
+        return tuple(pair)
+    return rows
+
+
 def _add_layer_grads(grads, group, layer_grads):
     """Add ``mlp_backward``'s per-layer (dW, db) into the named gradients."""
     for i, (dw, db) in enumerate(layer_grads):
@@ -643,58 +675,128 @@ def _add_layer_grads(grads, group, layer_grads):
         grads[f"{group}.{i}.b"] += db
 
 
-def _score(feats_a, feats_b, params, cache=None, sizes=None):
+def _standardized(rows, params):
+    """Descriptor rows mapped to ``(rows - input_shift) * input_scale`` in
+    float64. Shift and scale act per column, so standardizing each side's
+    rows once gives the pair tensor the same bits as standardizing every
+    pair."""
+    rows = np.asarray(rows, dtype=np.float64)
+    for name in ("shift", "scale"):
+        vector = getattr(params, f"input_{name}")
+        if vector.shape != rows.shape[1:]:
+            raise GeotrackError(f"input {name} of width {len(vector)} does not "
+                                f"match descriptor width {rows.shape[-1]}")
+    return (rows - params.input_shift) * params.input_scale
+
+
+def _float32_scorer(params):
+    """Float32 copies of the scorer's layers, which the tapeless pass runs
+    on (mixed precision, Micikevicius et al., ICLR 2018: the float64
+    parameters are the master copy). A weight past float32's range becomes
+    inf and fails the caller's finiteness check."""
+    with np.errstate(over="ignore"):
+        return [numerics.Layer(layer.w.astype(np.float32), layer.b.astype(np.float32),
+                               layer.act) for layer in params.scorer]
+
+
+def _side_product(rows, w):
+    """``rows @ w`` through ``numerics._layer_product``'s tapeless rule, in
+    row chunks of at most ``SCORER_CHUNK_PAIRS`` rows, the batch sizes that
+    the row-invariance sweep covers."""
+    products = [numerics._layer_product(rows[start:start + SCORER_CHUNK_PAIRS], w, taped=False)
+                for start in range(0, len(rows), SCORER_CHUNK_PAIRS)]
+    return products[0] if len(products) == 1 else np.concatenate(products)
+
+
+def _pair_chunks(shapes):
+    """The chunks of the tapeless pass over blocks of ``shapes[k]`` =
+    (n_a, n_b) pairs, the blocks' rows stacked side by side: each chunk is
+    its pair count and its ``(a, a_end, b, b_end)`` segments, each pairing
+    stacked rows ``a:a_end`` with ``b:b_end``. A chunk takes consecutive
+    whole rows of the blocks, in order, up to ``SCORER_CHUNK_PAIRS`` pairs
+    (one row at least); a single block is cut every
+    ``SCORER_CHUNK_PAIRS // n_b`` rows."""
+    segments, used, a, b = [], 0, 0, 0
+    for n_a, n_b in shapes:
+        end = a + n_a
+        while a < end:
+            fit = (SCORER_CHUNK_PAIRS - used) // n_b
+            if fit < 1 and segments:
+                yield used, segments
+                segments, used = [], 0
+                continue
+            stop = min(end, a + max(1, fit))
+            segments.append((a, stop, b, b + n_b))
+            used += (stop - a) * n_b
+            a = stop
+        b += n_b
+    if segments:
+        yield used, segments
+
+
+def _tapeless_logits(scorer, rows_a, rows_b, shapes):
+    """The float64 logits of the float32 ``scorer`` over blocks of pairs:
+    block k pairs the next ``shapes[k][0]`` rows of ``rows_a`` with the next
+    ``shapes[k][1]`` rows of ``rows_b`` (standardized float64 descriptor
+    rows, every count at least 1). Returns every block's (n_a, n_b) logits
+    flattened, one block after another.
+
+    The rows are cast to float32 once; a value past float32's range becomes
+    inf and fails the caller's finiteness check. The first layer is split
+    by side, ``[a; b] W1 + b1 = (a W1[:d] + b1) + b W1[d:]``: one product
+    per side over all blocks, then one broadcast add per pair, built chunk
+    by chunk (``_pair_chunks``) so that only one chunk's activations exist
+    at a time. Each chunk goes through ``score_pair_logits`` as one
+    (pairs, 1, width) tensor. Every product gives a row the same bits in
+    any batch, so each logit has the bits of its block scored alone. The
+    logits land in float64, exactly."""
+    with np.errstate(over="ignore"):
+        rows_a, rows_b = (rows.astype(np.float32) for rows in (rows_a, rows_b))
+    first, d = scorer[0], rows_a.shape[1]
+    left = _side_product(rows_a, first.w[:d])
+    left += first.b
+    right = _side_product(rows_b, first.w[d:])
+    activate = numerics._ACTS[first.act][0]
+    logits = np.empty(sum(n_a * n_b for n_a, n_b in shapes))
+    done = 0
+    for pairs, segments in _pair_chunks(shapes):
+        h = np.empty((pairs, left.shape[1]), dtype=left.dtype)
+        used = 0
+        for a, a_end, b, b_end in segments:
+            n = (a_end - a) * (b_end - b)
+            np.add(left[a:a_end, None], right[None, b:b_end],
+                   out=h[used:used + n].reshape(a_end - a, b_end - b, -1))
+            used += n
+        logits[done:done + pairs] = score_pair_logits(activate(h, out=h)[:, None],
+                                                      scorer[1:])[:, 0]
+        done += pairs
+    return logits
+
+
+def _score(feats_a, feats_b, params, cache=None, sizes=None, scorer=None):
     """Similarity bundle between two descriptor matrices, the rows in groups
     of ``sizes`` as in ``augment_normalize``.
 
     An empty side has no pairs to score and leaves only the null options.
-    When ``cache`` is a list it receives the scorer's forward pass over the
-    pair tensor for ``mlp_backward``, in one call. Without it the scorer
-    runs in float32 (mixed precision, Micikevicius et al., ICLR 2018: the
-    float64 parameters are the master copy). Each side's rows are
-    standardized in float64, then they and the scorer's layers are cast to
-    float32 once per call; a value past float32's range becomes inf and
-    fails the caller's finiteness check. The first layer is split by side,
-    ``[a; b] W1 + b1 = (a W1[:d] + b1) + b W1[d:]``: one product per side,
-    then one broadcast add per pair, in chunks of at most
-    ``SCORER_CHUNK_PAIRS`` pairs (one row at least). Every product gives a
-    row the same bits in any batch, so the logits are those of one call.
-    They land in float64, exactly. On the stored checkpoint's dense
-    tracking they differ from the float64 concatenated layer's by at most
-    5e-6, and no decision changes.
+    Each side's rows are standardized in float64 (``_standardized``). When
+    ``cache`` is a list it receives the scorer's float64 forward pass over
+    the pair tensor for ``mlp_backward``, in one call. Without it the pairs
+    go through ``_tapeless_logits`` on ``scorer``, the float32 copy of
+    ``params.scorer`` (made here when None). On the stored checkpoint's
+    dense tracking the float32 logits differ from the float64 concatenated
+    layer's by at most 5e-6, and no decision changes.
     """
     delta = params.config.delta
     n1, n2 = len(feats_a), len(feats_b)
     if n1 == 0 or n2 == 0:
         return augment_normalize(np.zeros((n1, n2)), delta, sizes)
-    rows = [np.asarray(f, dtype=np.float64) for f in (feats_a, feats_b)]
-    for name in ("shift", "scale"):
-        vector = getattr(params, f"input_{name}")
-        for side in rows:
-            if vector.shape != side.shape[1:]:
-                raise GeotrackError(f"input {name} of width {len(vector)} does not "
-                                    f"match descriptor width {side.shape[-1]}")
-    # Shift and scale act per column, so standardizing each side's rows once
-    # gives the pair tensor the same bits as standardizing every pair.
-    feats_a, feats_b = ((side - params.input_shift) * params.input_scale for side in rows)
+    feats_a, feats_b = (_standardized(side, params) for side in (feats_a, feats_b))
     if cache is not None:
         return augment_normalize(score_pair_logits(
             build_pair_tensor(feats_a, feats_b), params.scorer, cache=cache), delta, sizes)
-    with np.errstate(over="ignore"):
-        feats_a, feats_b = (side.astype(np.float32) for side in (feats_a, feats_b))
-        scorer = [numerics.Layer(layer.w.astype(np.float32), layer.b.astype(np.float32),
-                                 layer.act) for layer in params.scorer]
-    first, d = scorer[0], feats_a.shape[1]
-    left = numerics._layer_product(feats_a, first.w[:d], taped=False)
-    left += first.b
-    right = numerics._layer_product(feats_b, first.w[d:], taped=False)
-    activate = numerics._ACTS[first.act][0]
-    step = max(1, SCORER_CHUNK_PAIRS // n2)
-    logits = np.empty((n1, n2))
-    for start in range(0, n1, step):
-        h = left[start:start + step, None, :] + right[None]
-        logits[start:start + step] = score_pair_logits(activate(h, out=h), scorer[1:])
-    return augment_normalize(logits, delta, sizes)
+    logits = _tapeless_logits(scorer or _float32_scorer(params), feats_a, feats_b,
+                              [(n1, n2)])
+    return augment_normalize(logits.reshape(n1, n2), delta, sizes)
 
 
 def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
@@ -788,11 +890,13 @@ def _input_statistics(samples, params, transforms=None):
     """Every sample's ``(rows_a, rows_b)`` descriptor rows, and all of them
     stacked with their column mean and standard deviation (None without
     detections). ``transforms``, when given, holds each sample's
-    ``_reference_transforms``. Detection values whose descriptors or
-    statistics leave the float range are bad data (DataError)."""
-    transforms = transforms or [_reference_transforms(sample) for sample in samples]
-    rows = [_describe_sides(sample, params, _input_rows, transform)
-            for sample, transform in zip(samples, transforms)]
+    ``_reference_transforms``. Each (frame, reference ego) is described
+    once (``_rows_once``), and the stack holds every sample's sides, the
+    repeats included. Detection values whose descriptors or statistics
+    leave the float range are bad data (DataError)."""
+    describe = _rows_once(params, _input_rows)
+    rows = [describe(sample, transform)
+            for sample, transform in zip(samples, transforms or [None] * len(samples))]
     sides = [side for pair in rows for side in pair]
     if not sum(map(len, sides)):
         return rows, None
@@ -984,11 +1088,10 @@ def train_matcher(samples, config, params=None, heldout=None):
     eval_samples, eval_fixed = samples, fixed
     if heldout:
         eval_samples, eval_fixed = heldout, []
+        describe = _rows_once(params, _describe_rows)
         for sample in heldout:
             transform = _reference_transforms(sample)
-            sample_rows = tuple(side[1] for side in _describe_sides(
-                sample, params, _describe, transform)) if static else None
-            eval_fixed.append((sample_rows, transform))
+            eval_fixed.append((describe(sample, transform) if static else None, transform))
     cutoff = int(np.floor(config.epochs * 2 / 3))
     schedule = [(True, config.learning_rate)] * pretrain + [
         (False, config.learning_rate * (config.lr_decay if epoch >= cutoff else 1.0))
@@ -1012,20 +1115,39 @@ def train_matcher(samples, config, params=None, heldout=None):
 def pair_accuracy(samples, params, fixed=None):
     """Fraction of per-object assignment decisions (argmax incl. the null
     option, both directions) that agree with the ground-truth matrix. Each
-    pair is scored tapeless, as ``Matcher.bundle`` scores it.
+    pair is scored tapeless, as ``Matcher.bundle`` scores it, with the bits
+    of one ``forward_pair`` call per sample.
 
     ``fixed``, when given, holds each sample's ``forward_pair`` rows (or
     None) and reference transforms: a training run passes what it built
     once, so a run that only trains the scorer describes no sample again.
-    Without it every sample is described on every call.
+    Without rows, each (frame, reference ego) is described once per call.
+
+    One sweep scores every sample: the float32 scorer is copied once, and
+    ``_tapeless_logits`` scores all samples' pairs in shared chunks.
     """
-    correct = 0
-    total = 0
+    cfg = params.config
+    describe = _rows_once(params, _describe_rows)
+    blocks = []
     for i, sample in enumerate(samples):
+        n = max(len(sample.frame_a.detections), len(sample.frame_b.detections))
+        if n > cfg.capacity:
+            raise GeotrackError(f"pair has {n} detections; capacity is {cfg.capacity}")
         rows, transforms = fixed[i] if fixed else (None, None)
-        bundle = forward_pair(sample, params, rows=rows, transforms=transforms)["bundle"]
-        fused, match = bundle.fused, sample.match
-        n1, n2 = fused.shape[0] - 1, fused.shape[1] - 1
+        blocks.append(rows if rows is not None else describe(sample, transforms))
+    scored = [rows for rows in blocks if len(rows[0]) and len(rows[1])]
+    logits = np.zeros(0)  # every sample's logits, flattened; none for an empty side
+    if scored:
+        logits = _tapeless_logits(
+            _float32_scorer(params),
+            *(_standardized(np.concatenate(side), params) for side in zip(*scored)),
+            [(len(rows_a), len(rows_b)) for rows_a, rows_b in scored])
+    correct = total = done = 0
+    for sample, (rows_a, rows_b) in zip(samples, blocks):
+        n1, n2 = len(rows_a), len(rows_b)
+        fused = augment_normalize(logits[done:done + n1 * n2].reshape(n1, n2), cfg.delta).fused
+        done += n1 * n2
+        match = sample.match
         correct += np.count_nonzero(fused[:n1].argmax(axis=1) == match[:n1].argmax(axis=1))
         correct += np.count_nonzero(
             fused[:, :n2].argmax(axis=0) == match[:, :n2].argmax(axis=0))
@@ -1042,12 +1164,14 @@ class Matcher:
     The parameters are fixed and finite, so a descriptor or similarity that
     leaves the float range can only come from input values out of all
     proportion (a coordinate near 1e308, say): both calls report that as
-    bad data (DataError).
+    bad data (DataError). Being fixed, the scorer's float32 copy is made
+    once, here, for every ``bundle`` call.
     """
 
     def __init__(self, params):
         self.params = params
         self.config = params.config
+        self._scorer = _float32_scorer(params)
 
     def descriptors(self, detections, ego, ego_ref, intrinsics):
         """(k, d) descriptor rows of one frame's ``scene.Detection``s,
@@ -1059,7 +1183,8 @@ class Matcher:
         """Similarity bundle between two stacked descriptor matrices, the
         rows in groups of ``sizes`` (see ``augment_normalize``)."""
         with np.errstate(over="ignore", invalid="ignore"):  # fails the check below
-            bundle = _score(desc_rows, desc_cols, self.params, sizes=sizes)
+            bundle = _score(desc_rows, desc_cols, self.params, sizes=sizes,
+                            scorer=self._scorer)
         if not np.isfinite(bundle.fused).all():
             raise DataError("descriptor values overflow the pair scorer")
         return bundle

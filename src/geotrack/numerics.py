@@ -1,8 +1,8 @@
 """Dense-tensor kernel: the attention softmax, losses, and small MLPs.
 
 Everything runs on 64-bit numpy arrays except the pair scorer's inference
-pass (``matching._score``), which gives the MLP forward float32 layers and
-input; the forward keeps those in float32. The MLP layers implement exact
+pass (``matching._tapeless_logits``), which gives the MLP forward float32
+layers and input; the forward keeps those in float32. The MLP layers implement exact
 backpropagation for the fixed compositions used by the pose head and the
 pair scorer.
 """
@@ -164,8 +164,8 @@ def mlp_forward(layers, x, cache=None):
 
     It runs in the precision of ``x`` and the layers: float32 input stays
     float32, any other becomes float64 (see ``as_floats``). The tapeless
-    pair scorer (``matching._score``) passes float32 input and layers;
-    everything else passes float64.
+    pair scorer (``matching._tapeless_logits``) passes float32 input and
+    layers; everything else passes float64.
 
     Each output row is independent of the batch around it, bit for bit, so
     batched and row-at-a-time calls agree exactly. Which product gives that:
@@ -180,8 +180,8 @@ def mlp_forward(layers, x, cache=None):
       scorer's 1-wide output, keep einsum. Row invariance of gemm, in
       float32 as in float64, is a property of the BLAS kernel, pinned by
       the sweep test in tests/test_numerics.py. The scorer's first layer
-      does not come here: ``matching._score`` splits it by side through
-      ``_layer_product``.
+      does not come here: ``matching._tapeless_logits`` splits it by side
+      through ``_layer_product``.
 
     Each layer's product is a fresh array that takes the bias in place.
     Without ``cache`` the ReLU runs in place on it too, as nothing reads the

@@ -141,17 +141,15 @@ class SimConfig:
         self._check_camera_path()
 
     def _check_camera_path(self):
-        """ConfigError naming the field when a frame's time, heading or
-        camera position, or an object's height seen from the camera, leaves
-        the float range."""
+        """ConfigError naming the fields when a frame's time, heading or
+        camera position, or an object's offset from the camera, leaves the
+        float range."""
         for name in ("speed", "turn_rate_deg", "camera_height"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        # the camera-frame y of an object at height h is camera_height - h
-        if not all(math.isfinite(self.camera_height - float(h)) for h in self.height_range):
-            raise ConfigError(f"camera_height {self.camera_height} and height_range "
-                              f"{self.height_range}: an object's height minus the camera's "
-                              "must be finite")
+        # each world axis's object interval, low to high; y is minus the height
+        (x0, x1), (y0, y1), (z0, z1) = (sorted(map(float, axis)) for axis in (
+            self.lateral_range, [-float(h) for h in self.height_range], self.depth_range))
         t_last = (self.n_frames - 1) / self.frame_rate
         if not math.isfinite(t_last):
             raise ConfigError(f"frame_rate {self.frame_rate} puts frame {self.n_frames - 1} "
@@ -166,6 +164,17 @@ class SimConfig:
                 radius = "" if rate is None else f" on a turn of radius speed / rate = {self.speed / rate}"
                 raise ConfigError(f"speed {self.speed} takes the camera past the float range "
                                   f"by frame {k}{radius}")
+            # the farthest object's distance |object - camera| bounds every
+            # camera-frame coordinate at any heading (a rotation keeps it), so
+            # a turn cannot overflow it; hypot scales instead of squaring
+            x, y, z = position
+            reach = math.hypot(max(x1 - x, x - x0), max(y1 - y, y - y0), max(z1 - z, z - z0))
+            if not math.isfinite(reach):
+                raise ConfigError(
+                    f"lateral_range {self.lateral_range}, height_range {self.height_range} "
+                    f"and depth_range {self.depth_range} put objects past the float range "
+                    f"from the camera (camera_height {self.camera_height}, speed "
+                    f"{self.speed}) at frame {k}")
 
     @classmethod
     def from_dict(cls, doc):

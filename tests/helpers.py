@@ -2,7 +2,8 @@
 check, input standardization fitted outside a training run, the pair-side
 standardization that standardizing rows once replaced (with the scorer's
 first layer whole, and split by side as tracking runs it, in float32 or in
-the float64 the tracker's scorer used before), the per-array SGD
+the float64 the tracker's scorer used before), the per-sample accuracy pass
+that the one-pass sweep replaced, the per-array SGD
 update that training's flat parameter vector replaced, the pose-by-pose
 reference-frame transform, the object-by-object scene generator and pose
 target that the simulator's per-frame pass replaced, the scene document and
@@ -156,16 +157,37 @@ def reference_split_logits(feats_a, feats_b, params, dtype=np.float32):
     return numerics.mlp_forward(scorer[1:], h).reshape(len(feats_a), len(feats_b))
 
 
-def reference_score64(feats_a, feats_b, params, cache=None, sizes=None):
+def reference_score64(feats_a, feats_b, params, cache=None, sizes=None, scorer=None):
     """``matching._score``'s tapeless bundle with the scorer in float64, as
     it ran before the float32 scorer: a drop-in for ``_score`` that checks
-    the tracker's decisions do not depend on the precision."""
+    the tracker's decisions do not depend on the precision. It scores with
+    ``params.scorer`` and ignores the float32 copy ``scorer``."""
     if cache is not None:
         raise GeotrackError("the float64 reference scores tapeless only")
     n_a, n_b = len(feats_a), len(feats_b)
     logits = reference_split_logits(feats_a, feats_b, params, np.float64) \
         if n_a and n_b else np.zeros((n_a, n_b))
     return matching.augment_normalize(logits, params.config.delta, sizes)
+
+
+def reference_pair_accuracy(samples, params, fixed=None):
+    """``matching.pair_accuracy`` as it ran before its one-pass sweep: one
+    ``forward_pair`` call per sample, each with its own scorer cast, side
+    products and chunks, and every sample without ``fixed`` rows described
+    afresh."""
+    correct = 0
+    total = 0
+    for i, sample in enumerate(samples):
+        rows, transforms = fixed[i] if fixed else (None, None)
+        bundle = matching.forward_pair(sample, params, rows=rows,
+                                       transforms=transforms)["bundle"]
+        fused, match = bundle.fused, sample.match
+        n1, n2 = fused.shape[0] - 1, fused.shape[1] - 1
+        correct += np.count_nonzero(fused[:n1].argmax(axis=1) == match[:n1].argmax(axis=1))
+        correct += np.count_nonzero(
+            fused[:, :n2].argmax(axis=0) == match[:, :n2].argmax(axis=0))
+        total += n1 + n2
+    return float(correct / total) if total else 0.0
 
 
 # --- per-array SGD update ---------------------------------------------------------
@@ -207,9 +229,10 @@ def _reference_sgd_epoch(samples, params, config, rng, lr, velocity, pose_only=F
 
 
 def reference_train_matcher(samples, config, params=None, heldout=None):
-    """``matching.train_matcher`` run with the per-array update above, every
-    sample described on every call. Returns (params, history as (epoch,
-    affinity, pose, accuracy) tuples, clipped steps)."""
+    """``matching.train_matcher`` run with the per-array update above and
+    the per-sample accuracy pass, every sample described on every call.
+    Returns (params, history as (epoch, affinity, pose, accuracy) tuples,
+    clipped steps)."""
     rng = np.random.default_rng(config.seed)
     pretrain = 0
     if params is None:
@@ -228,7 +251,7 @@ def reference_train_matcher(samples, config, params=None, heldout=None):
         affinity, pose, clips = _reference_sgd_epoch(samples, params, config, rng, lr,
                                                      velocity, pose_only)
         clipped += clips
-        accuracy = matching.pair_accuracy(heldout or samples, params)
+        accuracy = reference_pair_accuracy(heldout or samples, params)
         history.append((params.epochs_trained, affinity, pose, accuracy))
         params.epochs_trained += 1
     return params, history, clipped

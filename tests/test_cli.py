@@ -166,6 +166,28 @@ class TestSimulate:
         assert named in r.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("doc", [
+        # x on a turn: by frame 1 the camera is 1.08e308 m the other way
+        {"trajectory": "turn", "speed": 1.7e308, "turn_rate_deg": -90, "n_frames": 2,
+         "frame_rate": 1, "lateral_range": [1e308, 1.1e308]},
+        # z on a straight path driving away from the objects
+        {"speed": -1e308, "n_frames": 2, "frame_rate": 1, "depth_range": [1e308, 1.1e308]},
+        # a random config sweep's example, with noise that never gets drawn
+        {"fp_rate": 0.5, "rotation_sigma_deg": 1e308, "speed": -1e308,
+         "depth_range": [1.7e308, 1.7e308], "n_frames": 3, "n_objects": 3},
+    ], ids=["turn-x", "straight-z", "sweep-z"])
+    def test_object_offset_past_the_float_range_exits_2(self, tmp_path, doc):
+        """An object whose offset from the camera overflows names the ranges
+        and the camera fields; it exited 3 from the camera-frame transform."""
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        r = run_cli("simulate", "--config", config, "--out", tmp_path / "o")
+        assert r.returncode == 2, r.stderr
+        for field in ("lateral_range", "height_range", "depth_range", "camera_height",
+                      "speed"):
+            assert field in r.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_negative_zero_facing_jitter_draws_as_zero(self, tmp_path):
         """-0.0 draws the facings 0.0 draws: the scene files are equal."""
         scenes = []

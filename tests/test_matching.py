@@ -45,6 +45,7 @@ from helpers import (
     fit_input_standardization,
     grad_check,
     raises_internal,
+    reference_pair_accuracy,
     reference_pair_logits,
     reference_split_logits,
     reference_train_matcher,
@@ -269,8 +270,8 @@ class TestRowStandardizationOracle:
             expected = reference_split_logits(feats_a, feats_b, params)
         if n_a and n_b:
             chunk_rows = n_a if taped else max(1, matching.SCORER_CHUNK_PAIRS // n_b)
-            assert [len(logits) for logits in scored] \
-                == [min(chunk_rows, n_a - start) for start in range(0, n_a, chunk_rows)]
+            assert [logits.size for logits in scored] \
+                == [min(chunk_rows, n_a - start) * n_b for start in range(0, n_a, chunk_rows)]
             assert np.concatenate(scored).tobytes() == expected.tobytes()
             assert len(cache or []) == len(ref_cache or [])
             for entry, ref_entry in zip(cache or [], ref_cache or []):
@@ -294,7 +295,8 @@ class TestSplitFirstLayer:
         feats_a, feats_b = _spread_rows(params, n_a, n_b)
         bundle, scored = _recorded_score(monkeypatch, feats_a, feats_b, params)
         concatenated = reference_pair_logits(feats_a, feats_b, params)
-        np.testing.assert_allclose(np.concatenate(scored), concatenated, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(np.concatenate(scored).reshape(n_a, n_b), concatenated,
+                                   rtol=1e-5, atol=1e-5)
         reference = augment_normalize(concatenated, params.config.delta)
         for axis in (0, 1):
             np.testing.assert_array_equal(bundle.fused.argmax(axis=axis),
@@ -357,9 +359,24 @@ class TestGroupedBundleOracle:
 
 
 class TestFloat64MasterCopy:
-    """The tapeless scorer computes on float32 copies of the layers that it
-    makes per call: the parameters stay float64, and a checkpoint written
-    after scoring holds what it held before."""
+    """The tapeless scorer computes on float32 copies of the layers, made
+    once per ``Matcher`` and once per accuracy sweep: the parameters stay
+    float64, and a checkpoint written after scoring holds what it held
+    before."""
+
+    def test_one_float32_copy_per_matcher_and_sweep(self, monkeypatch):
+        params = load_checkpoint(STORED_CHECKPOINT)
+        samples = small_samples(appearance_dim=params.config.appearance_dim)
+        casts = []
+        original = matching._float32_scorer
+        monkeypatch.setattr(matching, "_float32_scorer",
+                            lambda p: casts.append(p) or original(p))
+        matcher = Matcher(params)
+        for n_a, n_b in ((30, 17), (4, 5), (1, 3)):
+            matcher.bundle(*_spread_rows(params, n_a, n_b))
+        assert len(casts) == 1
+        pair_accuracy(samples, params)
+        assert len(casts) == 2 and all(p is params for p in casts)
 
     def test_scoring_leaves_parameters_float64(self, scoring_params):
         params = scoring_params
@@ -990,7 +1007,6 @@ class TestDescriptorRowsOnce:
         samples = _oracle_samples(emit_maps=False)
         train, heldout = samples[::2], samples[1::2]
         original = matching.forward_pair
-        reused = []
 
         def run():
             params, h1 = train_matcher(train, _route_config(), heldout=heldout)
@@ -998,19 +1014,34 @@ class TestDescriptorRowsOnce:
                                        heldout=heldout)
             return params, [(e.affinity, e.pose, e.accuracy) for e in h1 + h2]
 
-        def check_rows(sample, params, rows=None, **kwargs):
+        original_accuracy = matching.pair_accuracy
+        reused = []
+
+        def check(sample, params, rows):
             # rows handed in are those _describe gives at this very call
             if rows is not None:
                 reused.append(sample)
                 for got, (_, want) in zip(rows, _describe_sides(sample, params, _describe)):
                     assert_bits_equal(got, want, "reused rows")
+
+        def check_rows(sample, params, rows=None, **kwargs):
+            check(sample, params, rows)
             return original(sample, params, rows=rows, **kwargs)
 
+        def check_fixed(eval_samples, params, fixed=None):
+            for sample, (rows, _) in zip(eval_samples, fixed):
+                check(sample, params, rows)
+            return original_accuracy(eval_samples, params, fixed)
+
         monkeypatch.setattr(matching, "forward_pair", check_rows)
+        monkeypatch.setattr(matching, "pair_accuracy", check_fixed)
         cached_params, cached_history = run()
         assert {id(s) for s in reused} == {id(s) for s in samples}
         monkeypatch.setattr(matching, "forward_pair",
                             lambda *args, rows=None, **kwargs: original(*args, **kwargs))
+        monkeypatch.setattr(matching, "pair_accuracy",
+                            lambda eval_samples, params, fixed=None:
+                            original_accuracy(eval_samples, params))
         params, history = run()
         assert_bits_equal(cached_history, history, "history")
         for name, arr in _named_arrays(params).items():
@@ -1039,15 +1070,177 @@ class TestDescriptorRowsOnce:
         counted("_describe")
         counted("forward_pair")
         counted("reference_transform")
-        train_matcher(train, _route_config(**route), heldout=heldout)
-        assert calls["forward_pair"] > len(train) + len(heldout)
-        sides = 2 * len(train)  # the input-statistics pass
+        _, history = train_matcher(train, _route_config(**route), heldout=heldout)
+        # forward_pair runs the SGD steps alone; each accuracy pass is one sweep
+        assert calls["forward_pair"] == len(history) * len(train)
+        # the input-statistics pass and each accuracy sweep describe every
+        # (frame, reference ego) once
+        frames = _distinct_frames(train)
         if once:
-            assert calls["_describe"] == sides + 2 * len(heldout)
+            assert calls["_describe"] == frames + _distinct_frames(heldout)
         else:
-            assert calls["_describe"] == sides + 2 * calls["forward_pair"]
+            assert calls["_describe"] == frames + 2 * calls["forward_pair"] \
+                + len(history) * _distinct_frames(heldout)
         # on every route, one reference transform per sample side and call
         assert calls["reference_transform"] == 2 * (len(train) + len(heldout))
+
+    def test_statistics_describe_each_frame_once(self, monkeypatch):
+        samples = small_samples()
+        params = init_matcher_params(_route_config(appearance_dim=8))
+        expected = [tuple(rows for _, rows in _describe_sides(sample, params, _describe))
+                    for sample in samples]
+        calls = []
+        original = matching._describe
+        monkeypatch.setattr(matching, "_describe",
+                            lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+        rows, (block, shift, std) = matching._input_statistics(samples, params)
+        # 20 samples share 25 frames: 40 descriptions before, 25 now
+        assert len(calls) == _distinct_frames(samples) == 25 < 2 * len(samples) == 40
+        for got, want in zip(rows, expected):
+            for got_side, want_side in zip(got, want):
+                assert_bits_equal(got_side, want_side, "rows")
+        # every side stays in the stack, repeats included
+        stacked = np.concatenate([side for pair in expected for side in pair])
+        assert_bits_equal(block, stacked, "stacked rows")
+        assert_bits_equal(shift, stacked.mean(axis=0), "column means")
+        assert_bits_equal(std, stacked.std(axis=0), "column deviations")
+
+
+def _distinct_frames(samples):
+    """How many (frame, reference ego) pairs ``samples`` hold."""
+    return len({(id(frame), id(sample.ego_ref))
+                for sample in samples for frame in (sample.frame_a, sample.frame_b)})
+
+
+def with_one_b(sample):
+    """``sample`` with frame b cut to its first detection."""
+    match = np.zeros((len(sample.frame_a.detections) + 1, 2), dtype=np.int64)
+    match[:, 0] = sample.match[:, 0]
+    match[:-1, 1] = 1 - match[:-1, 0]
+    return replace(sample, frame_b=replace(sample.frame_b,
+                                           detections=sample.frame_b.detections[:1]),
+                   targets_b=sample.targets_b[:1], match=match)
+
+
+def swapped(sample):
+    """``sample`` with its two frames swapped."""
+    return replace(sample, frame_a=sample.frame_b, frame_b=sample.frame_a,
+                   targets_a=sample.targets_b, targets_b=sample.targets_a,
+                   match=np.ascontiguousarray(sample.match.T))
+
+
+def _recorded_normalizations(monkeypatch, run):
+    """``run()`` and the (logits, bundle) of each ``augment_normalize`` call
+    it made."""
+    calls = []
+    original = matching.augment_normalize
+
+    def record(B, delta, sizes=None):
+        calls.append((np.array(B), original(B, delta, sizes)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(matching, "augment_normalize", record)
+    try:
+        return run(), calls
+    finally:
+        monkeypatch.setattr(matching, "augment_normalize", original)
+
+
+class TestAccuracySweepOracle:
+    """``pair_accuracy`` scores every sample in one sweep of shared chunks.
+    Each sample's logits and fused similarities, and the accuracy, must be
+    byte for byte those of one ``forward_pair`` call per sample
+    (``helpers.reference_pair_accuracy``), and the logits those of scoring
+    every pair on its own row (``helpers.reference_split_logits``)."""
+
+    def check(self, monkeypatch, samples, params, fixed=None):
+        """Returns the pair count of each ``score_pair_logits`` call."""
+        chunks = []
+        original = matching.score_pair_logits
+
+        def counted(pair_tensor, *args, **kwargs):
+            chunks.append(pair_tensor.shape[0] * pair_tensor.shape[1])
+            return original(pair_tensor, *args, **kwargs)
+
+        monkeypatch.setattr(matching, "score_pair_logits", counted)
+        got, swept = _recorded_normalizations(
+            monkeypatch, lambda: pair_accuracy(samples, params, fixed))
+        monkeypatch.setattr(matching, "score_pair_logits", original)
+        want, oracle = _recorded_normalizations(
+            monkeypatch, lambda: reference_pair_accuracy(samples, params, fixed))
+        assert_bits_equal(got, want, "accuracy")
+        assert len(swept) == len(oracle) == len(samples)
+        for k, (sample, (logits, bundle), (ref_logits, ref_bundle)) in enumerate(
+                zip(samples, swept, oracle)):
+            assert_bits_equal(logits, ref_logits, f"sample {k} logits")
+            for field in ("S1n", "S2n", "fused"):
+                assert_bits_equal(getattr(bundle, field), getattr(ref_bundle, field),
+                                  f"sample {k} {field}")
+            rows_a, rows_b = (rows for _, rows in _describe_sides(sample, params, _describe))
+            if len(rows_a) and len(rows_b):
+                assert_bits_equal(logits, reference_split_logits(rows_a, rows_b, params)
+                                  .astype(np.float64), f"sample {k} split reference")
+        pairs = sum(len(s.frame_a.detections) * len(s.frame_b.detections) for s in samples)
+        assert sum(chunks) == pairs
+        assert max(chunks, default=0) <= matching.SCORER_CHUNK_PAIRS
+        return chunks
+
+    @staticmethod
+    def observation_case():
+        samples = _oracle_samples(emit_maps=False)
+        samples += [with_one_b(samples[1]), swapped(with_one_b(samples[2]))]
+        params = fit_input_standardization(samples, init_matcher_params(_route_config()))
+        return samples, params
+
+    def test_fixed_observation_rows(self, monkeypatch):
+        samples, params = self.observation_case()
+        assert any(len(s.frame_b.detections) == 0 for s in samples)
+        assert any(len(s.frame_b.detections) == 1 for s in samples)
+        rows, _ = matching._input_statistics(samples, params)
+        fixed = [(pair, matching._reference_transforms(sample))
+                 for sample, pair in zip(samples, rows)]
+        chunks = self.check(monkeypatch, samples, params, fixed)
+        assert len(chunks) < len(samples)  # samples share chunks
+
+    def test_without_fixed_rows(self, monkeypatch):
+        samples, params = self.observation_case()
+        self.check(monkeypatch, samples, params)
+
+    def test_pose_head_heldout(self, monkeypatch):
+        samples = _oracle_samples(emit_maps=True, drop_every=3)
+        samples.append(with_one_b(samples[1]))
+        train, heldout = samples[::2], samples[1::2]
+        cfg = _route_config(embed_dim=6, use_pose_head=True)
+        params, _ = train_matcher(train, cfg)
+        fixed = [(None, matching._reference_transforms(sample)) for sample in heldout]
+        self.check(monkeypatch, heldout, params, fixed)
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_one_detection_side_alone(self, monkeypatch, which):
+        # the only sample: the sweep's side product is one padded row too
+        samples, params = self.observation_case()
+        sample = with_one_b(samples[1])
+        if which == "a":
+            sample = swapped(sample)
+        assert self.check(monkeypatch, [sample], params) \
+            == [len(sample.frame_a.detections) * len(sample.frame_b.detections)]
+
+    def test_full_capacity_pairs_span_chunks(self, monkeypatch):
+        scene = generate_scene(SimConfig(seed=90, n_frames=3, n_objects=30, appearance_dim=16,
+                                         lateral_range=(-6, 6), depth_range=(40, 60)))
+        samples = make_matching_dataset([scene], n_max=2, pairs_per_scene=2, seed=0)
+        params = load_checkpoint(STORED_CHECKPOINT)
+        assert params.config.capacity == 30
+        assert [(len(s.frame_a.detections), len(s.frame_b.detections)) for s in samples] \
+            == [(30, 30), (30, 30)]
+        # 20 rows, then 10 + 10 rows of the two samples, then 20
+        assert self.check(monkeypatch, samples, params) == [600, 600, 600]
+        assert self.check(monkeypatch, samples[:1], params) == [600, 300]
+        # past capacity the sweep refuses the pair, as forward_pair does
+        small = init_matcher_params(MatcherConfig(capacity=29, appearance_dim=16))
+        for accuracy in (pair_accuracy, reference_pair_accuracy):
+            with raises_internal("pair has 30 detections; capacity is 29"):
+                accuracy(samples, small)
 
 
 class TestFlatUpdate:

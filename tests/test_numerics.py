@@ -419,7 +419,7 @@ SWEEP_ROWS = 600
 def _config_layers(name):
     """The config's scorer and pose-head layers, then the two halves of the
     scorer's first layer, which the tapeless scorer multiplies each side's
-    rows by (``matching._score``)."""
+    rows by (``matching._tapeless_logits``)."""
     if name == "stored-checkpoint":
         params = load_checkpoint(STORED_CHECKPOINT)
     else:
