@@ -175,10 +175,16 @@ class TestSimulate:
         # a random config sweep's example, with noise that never gets drawn
         {"fp_rate": 0.5, "rotation_sigma_deg": 1e308, "speed": -1e308,
          "depth_range": [1.7e308, 1.7e308], "n_frames": 3, "n_objects": 3},
-    ], ids=["turn-x", "straight-z", "sweep-z"])
+        # a straight path whose x and z offsets are finite but whose distance
+        # is not: the objects could never be in view
+        {"lateral_range": [1.2e308, 1.3e308], "depth_range": [1.2e308, 1.3e308]},
+    ], ids=["turn-x", "straight-z", "sweep-z", "straight-distance"])
     def test_object_offset_past_the_float_range_exits_2(self, tmp_path, doc):
-        """An object whose offset from the camera overflows names the ranges
-        and the camera fields; it exited 3 from the camera-frame transform."""
+        """An object whose distance from the camera overflows names the
+        ranges and the camera fields. The first three exited 3 from the
+        camera-frame transform; the last wrote a scene whose objects the
+        camera never sees (``_in_view`` reads an overflowing distance as out
+        of view)."""
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(doc))
         r = run_cli("simulate", "--config", config, "--out", tmp_path / "o")
