@@ -21,13 +21,19 @@ Two descriptor routes exist:
   coupling that makes joint training meaningful.
 
 Both routes read a frame's ``scene.Detection`` objects as they are (one
-without an appearance vector is a DataError). Either runs once per frame
-side on (k, ...) arrays of that side's k detections (``_describe`` forward,
-``_backward_side`` backward), and reproduces bit for bit a loop over the
-detections: each row's reductions are those a single vector would get, and
-the pose head's weight gradients add up in detection order. With
-``embed_dim`` > 0 every detection of a frame carries one feature map, all
-of one (H, W, embed_dim) shape.
+without an appearance vector is a DataError). What they read of a frame
+side does not change as the parameters train (``_side_inputs``), so a
+training run gathers it once per frame. Either route runs once over a stack
+of frame sides, every side's detections one after another as (n, ...)
+arrays (``_describe`` forward, ``_backward_stack`` backward): an SGD step
+stacks its sample's two sides, inference and the statistics and accuracy
+passes one side at a time. The chain reproduces bit for bit a loop over
+the detections: each row's reductions are those a single vector would get,
+each row's transform product takes a C-contiguous per-row copy of its
+side's matrix, and the pose head's weight gradients add up in row order.
+With ``embed_dim`` > 0 every detection of a frame carries one feature map,
+all of one (H, W, embed_dim) shape; sides whose maps differ in (H, W) pool
+in separate blocks.
 """
 
 import json
@@ -175,6 +181,8 @@ class MatcherConfig:
                 raise ConfigError(f"{name} must be <= {MAX_COUNT}, got {value}")
         if self.use_pose_head and self.embed_dim < 1:
             raise ConfigError("use_pose_head requires embed_dim >= 1")
+        if not self.scorer_hidden:  # the scorer's first layer is split by side
+            raise ConfigError("scorer_hidden must hold at least one width, got []")
         # appearance_dim and embed_dim size the scorer's first layer, so the
         # layer checks bound them too
         mlps = [("scorer", [2 * self.descriptor_dim, *self.scorer_hidden, 1])]
@@ -420,7 +428,7 @@ def loss_affinity(bundle, match, with_grad=False):
     return loss
 
 
-# --- descriptor chain, one frame side at a time ----------------------------------
+# --- descriptor chain, over a stack of frame sides --------------------------------
 
 
 def check_detections(detections, cfg):
@@ -449,52 +457,129 @@ def check_detections(detections, cfg):
             )
 
 
-def _gather(detections, cfg):
-    """The side's appearance rows (k, A) and feature maps (k, H, W, E) or
-    None, once ``check_detections`` passes."""
+def _side_inputs(detections, intrinsics, cfg, targets=None):
+    """What the descriptor chain reads of one frame side, none of which the
+    trainables change, once ``check_detections`` passes: the side's k
+    detections' feature maps ``fmaps`` (k, H, W, E) or None, and ``rows``,
+    its arrays that a stack joins: the ``appearance`` rows (k, A) and, on
+    the pose-head route, the frame's (f_x, f_y, p_x, p_y) as (k, 4)
+    ``intrinsics`` rows, the ``targeted`` mask (k,) of the detections whose
+    pose target ``targets`` holds (None: no detection has one) and their
+    ``target`` rows (c_x, c_y, T_z, R_x, R_y); on the observation route, the
+    camera-frame translations ``t_cam`` (k, 3), facing directions ``r_obs``
+    (k, 2) and their norms ``r_norm`` (k,) read from the pixel
+    observations."""
     check_detections(detections, cfg)
+    k = len(detections)
+    rows = {"appearance": np.array([det.appearance for det in detections],
+                                   dtype=np.float64).reshape(k, cfg.appearance_dim)}
     fmaps = None
-    if cfg.embed_dim > 0 and detections:
+    if cfg.embed_dim > 0 and k:
         fmaps = np.array([det.feature_map for det in detections], dtype=np.float64)
-    return np.array([det.appearance for det in detections], dtype=np.float64), fmaps
+    if cfg.use_pose_head:
+        rows["intrinsics"] = np.array([[intrinsics.f_x, intrinsics.f_y, intrinsics.p_x,
+                                        intrinsics.p_y]]).repeat(k, axis=0)
+        targets = targets or [None] * k
+        rows["targeted"] = np.array([t is not None for t in targets], dtype=bool)
+        rows["target"] = np.array([[*c, tz, *r] for c, tz, r in (
+            t for t in targets if t is not None)], dtype=np.float64).reshape(-1, 5)
+    else:
+        observations = [det.observation for det in detections]
+        rows["r_obs"] = np.array([o.R for o in observations], dtype=np.float64).reshape(k, 2)
+        # huge observations overflow here; _describe makes them a DataError
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows["r_norm"] = numerics.row_norm(rows["r_obs"])
+            rows["t_cam"] = np.array([recover_translation(o, intrinsics)
+                                      for o in observations]).reshape(k, 3)
+    return SimpleNamespace(k=k, fmaps=fmaps, rows=rows)
+
+
+def _inputs_once(cfg):
+    """A function of ``(frame, targets)`` that gives ``_side_inputs`` of the
+    frame with those pose targets, built once per (frame, targets) for the
+    function's life. Its keys are object ids, so it must not outlive the
+    call that holds the samples it is given (as ``_rows_once``)."""
+    built = {}
+
+    def inputs(frame, targets=None):
+        key = (id(frame), id(targets))
+        if key not in built:
+            built[key] = _side_inputs(frame.detections, frame.intrinsics, cfg, targets)
+        return built[key]
+    return inputs
+
+
+def _joined(parts):
+    """The arrays ``parts`` concatenated, or the one array itself."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _stack(sides, transforms):
+    """The rows of frame sides ``sides`` (``_side_inputs``), one side after
+    another, as the descriptor chain reads them: the sides' ``rows`` arrays
+    joined, and the ``reference_transform(ego, ego_ref)`` pieces ``B``,
+    ``d_off`` and ``C`` of each side from ``transforms``. A one-side stack
+    keeps its side's own arrays and matrices, which broadcast over its rows;
+    with more sides each matrix is repeated per row into C-contiguous
+    (n, 3, 3), (n, 3) and (n, 2, 2) stacks. A row's product with a
+    C-contiguous stack has the bits of its side's own matrix; one with a
+    stack joined from broadcast views, which is not C-contiguous, can differ
+    in the last bit. Feature maps stay in ``fmaps`` blocks, one per run of
+    sides whose maps share an (H, W)."""
+    counts = [side.k for side in sides]
+    if len(sides) == 1:
+        rows, (B, d_off, C) = sides[0].rows, transforms[0]
+    else:
+        rows = {name: np.concatenate([side.rows[name] for side in sides])
+                for name in sides[0].rows}
+        B, d_off, C = (np.array(part).repeat(counts, axis=0) for part in zip(*transforms))
+    blocks = []
+    for side in sides:
+        if side.fmaps is None:
+            continue
+        if blocks and blocks[-1][-1].shape[1:] == side.fmaps.shape[1:]:
+            blocks[-1].append(side.fmaps)
+        else:
+            blocks.append([side.fmaps])
+    return SimpleNamespace(n=sum(counts), B=B, d_off=d_off, C=C,
+                           fmaps=[_joined(block) for block in blocks], **rows)
 
 
 def _back_project(ctz, intrinsics):
-    """Camera-frame translations of (c_x, c_y, T_z) rows:
+    """Camera-frame translations of (c_x, c_y, T_z) rows, each with its row
+    of (f_x, f_y, p_x, p_y) ``intrinsics``:
     T_a = (c_a - p_a) * T_z / f_a for a in {x, y}; T_z passes through."""
     t = ctz.copy()
-    t[:, :2] = (ctz[:, :2] - [intrinsics.p_x, intrinsics.p_y]) * ctz[:, 2:] \
-        / [intrinsics.f_x, intrinsics.f_y]
+    t[:, :2] = (ctz[:, :2] - intrinsics[:, 2:]) * ctz[:, 2:] / intrinsics[:, :2]
     return t
 
 
 def _apply(M, rows):
-    """``M @ row`` for every row of a (k, n) stack, one matrix-vector
-    product each (as a loop over the rows would compute them)."""
+    """``M @ row`` for every row of a (k, n) stack, ``M`` one (m, n) matrix
+    or a (k, m, n) stack of one per row: one matrix-vector product each (as
+    a loop over the rows would compute them)."""
     return (M @ rows[:, :, None])[:, :, 0]
 
 
-def _describe(detections, params, transform, intrinsics, targets=None):
-    """One frame side's descriptor chain: the tape ``_backward_side`` reads
-    and the (k, d) ``[geometry | appearance]`` rows, all mapped into the
-    reference camera frame by ``transform``, the side's
-    ``reference_transform(ego, ego_ref)``. ``targets`` holds each
-    detection's pose target or None; the pose head's loss reads them (None:
-    no detection has one)."""
+def _describe(stack, params):
+    """The descriptor chain over a ``_stack`` of frame sides: the tape
+    ``_backward_stack`` reads and the (n, d) ``[geometry | appearance]``
+    rows, each mapped into the reference camera frame by its side's
+    transform. The pose head's loss reads the stack's pose targets. Each
+    step runs once over all n rows, whatever side they come from."""
     cfg = params.config
-    k = len(detections)
-    appearance, fmaps = _gather(detections, cfg)
-    B, d_off, C = transform
-    tape = SimpleNamespace(B=B, C=C, intrinsics=intrinsics, fmaps=fmaps,
-                           pose_loss=np.zeros(0))
-    if k == 0:
+    n = stack.n
+    tape = SimpleNamespace(stack=stack, pose_loss=np.zeros(0), attn=[
+        numerics.softmax_map(fmaps @ params.attention_w + params.attention_b[0])
+        for fmaps in stack.fmaps])
+    if n == 0:
         return tape, np.zeros((0, cfg.descriptor_dim))
 
-    embedding = np.zeros((k, cfg.embed_dim))
-    if fmaps is not None:
-        tape.attn = numerics.softmax_map(fmaps @ params.attention_w + params.attention_b[0])
-        embedding = np.einsum("kij,kije->ke", tape.attn, fmaps) \
-            / (fmaps.shape[1] * fmaps.shape[2])
+    embedding = np.zeros((n, cfg.embed_dim))
+    if stack.fmaps:
+        embedding = _joined([np.einsum("kij,kije->ke", attn, fmaps)
+                             / (fmaps.shape[1] * fmaps.shape[2])
+                             for attn, fmaps in zip(tape.attn, stack.fmaps)])
 
     if cfg.use_pose_head:
         tape.head_cache = []
@@ -507,39 +592,32 @@ def _describe(detections, params, transform, intrinsics, targets=None):
         if ((tape.r_norm <= 1e-12) | np.isinf(tape.r_norm)).any():
             raise NonFiniteLossError("pose head gave a zero or overflowing facing direction")
         tape.r_hat = out[:, 3:5] / tape.r_norm[:, None]
-        t_ref = _apply(B, _back_project(tape.ctz, intrinsics)) + d_off
-        r_ref = _apply(C, tape.r_hat)
-        tape.targeted = np.array([t is not None for t in targets or [None] * k])
-        if tape.targeted.any():  # target rows (c_x, c_y, T_z, R_x, R_y)
-            tape.target = np.array([[*c, tz, *r] for c, tz, r in (
-                t for t in targets if t is not None)], dtype=np.float64)
-            tape.pose_loss = \
-                numerics.loss_rot(tape.target[:, 3:], tape.r_hat[tape.targeted]) \
-                + cfg.beta * numerics.loss_trans(tape.target[:, :3], tape.ctz[tape.targeted])
+        t_ref = _apply(stack.B, _back_project(tape.ctz, stack.intrinsics)) + stack.d_off
+        r_ref = _apply(stack.C, tape.r_hat)
+        if len(stack.target):
+            hit = stack.targeted
+            tape.pose_loss = numerics.loss_rot(stack.target[:, 3:], tape.r_hat[hit]) \
+                + cfg.beta * numerics.loss_trans(stack.target[:, :3], tape.ctz[hit])
     else:
-        observations = [det.observation for det in detections]
-        r_obs = np.array([o.R for o in observations])
-        # huge observations overflow here; the check below makes them a DataError
-        with np.errstate(over="ignore", invalid="ignore"):
-            r_norm = numerics.row_norm(r_obs)
-            t_cam = np.array([recover_translation(o, intrinsics) for o in observations])
-            t_ref = _apply(B, t_cam) + d_off
+        with np.errstate(over="ignore", invalid="ignore"):  # fails the check below
+            t_ref = _apply(stack.B, stack.t_cam) + stack.d_off
+        r_norm = stack.r_norm
         bad = ~(np.isfinite(t_ref).all(axis=1) & np.isfinite(r_norm) & (r_norm > 1e-12))
         if bad.any():
             raise DataError(f"detection {int(np.argmax(bad))}: observation geometry "
                               f"is not finite or faces no direction")
-        r_ref = _apply(C, r_obs / r_norm[:, None])
+        r_ref = _apply(stack.C, stack.r_obs / r_norm[:, None])
         r_ref = r_ref / numerics.row_norm(r_ref)[:, None]
     return tape, np.concatenate(
-        [t_ref, r_ref, np.zeros((k, 1)), embedding, appearance], axis=1)
+        [t_ref, r_ref, np.zeros((n, 1)), embedding, stack.appearance], axis=1)
 
 
-def _input_rows(detections, params, transform, intrinsics, targets=None):
+def _input_rows(stack, params):
     """``_describe``'s rows for detections read from data under parameters
     that are not being trained: a pose head that cannot describe them, or a
     row that overflows, means the input values are bad (DataError)."""
     try:
-        rows = _describe(detections, params, transform, intrinsics, targets)[1]
+        rows = _describe(stack, params)[1]
     except NonFiniteLossError as exc:
         raise DataError(f"detections the pose head cannot describe: {exc}") from exc
     if not np.isfinite(rows).all():
@@ -554,28 +632,28 @@ def _add_rows(grads, name, rows):
     grads[name][...] = np.add.accumulate(stacked, axis=0)[-1]
 
 
-def _backward_side(tape, d_geometry, pose_weight, params, grads):
-    """Push one side's (k, 6 + E) descriptor-geometry gradients, and its
-    pose losses weighted by ``pose_weight``, into the trainables."""
+def _backward_stack(tape, d_geometry, pose_weight, params, grads):
+    """Push a stack's (n, 6 + E) descriptor-geometry gradients, and its pose
+    losses weighted by ``pose_weight``, into the trainables."""
     cfg = params.config
     if len(d_geometry) == 0:
         return
+    stack = tape.stack
     d_emb = d_geometry[:, GEOMETRY_PREFIX:]
 
     if cfg.use_pose_head:
-        K, ctz, r_hat, hit = tape.intrinsics, tape.ctz, tape.r_hat, tape.targeted
-        d_t_cam = _apply(tape.B.T, d_geometry[:, :3])
-        d_r_hat = _apply(tape.C.T, d_geometry[:, 3:5])
+        K, ctz, r_hat, hit = stack.intrinsics, tape.ctz, tape.r_hat, stack.targeted
+        d_t_cam = _apply(np.swapaxes(stack.B, -1, -2), d_geometry[:, :3])
+        d_r_hat = _apply(np.swapaxes(stack.C, -1, -2), d_geometry[:, 3:5])
         d_ctz = np.empty_like(ctz)
-        f = np.array([K.f_x, K.f_y])
-        d_ctz[:, :2] = d_t_cam[:, :2] * ctz[:, 2:] / f
-        d_xy = d_t_cam[:, :2] * (ctz[:, :2] - [K.p_x, K.p_y]) / f
+        d_ctz[:, :2] = d_t_cam[:, :2] * ctz[:, 2:] / K[:, :2]
+        d_xy = d_t_cam[:, :2] * (ctz[:, :2] - K[:, 2:]) / K[:, :2]
         d_ctz[:, 2] = d_xy[:, 0] + d_xy[:, 1] + d_t_cam[:, 2]
         if tape.pose_loss.size and pose_weight != 0.0:
-            d_r_hat[hit] += pose_weight * numerics.loss_rot_grad(tape.target[:, 3:],
+            d_r_hat[hit] += pose_weight * numerics.loss_rot_grad(stack.target[:, 3:],
                                                                  r_hat[hit])
             d_ctz[hit] += pose_weight * cfg.beta * numerics.loss_trans_grad(
-                tape.target[:, :3], ctz[hit])
+                stack.target[:, :3], ctz[hit])
         radial = (r_hat[:, None, :] @ d_r_hat[:, :, None])[:, 0]
         d_out = np.column_stack([d_ctz * np.array([*cfg.center_scale, cfg.depth_scale]),
                                  (d_r_hat - r_hat * radial) / tape.r_norm[:, None]])
@@ -591,9 +669,11 @@ def _backward_side(tape, d_geometry, pose_weight, params, grads):
             grad = (dz[:, None, :] @ layer.w.T)[:, 0]
         d_emb = d_emb + grad * params.head_scale
 
-    if tape.fmaps is not None:
-        fmaps, attn = tape.fmaps, tape.attn
-        d_attn = np.einsum("kije,ke->kij", fmaps, d_emb) / (fmaps.shape[1] * fmaps.shape[2])
+    start = 0
+    for fmaps, attn in zip(stack.fmaps, tape.attn):
+        d_block = d_emb[start:start + len(fmaps)]
+        start += len(fmaps)
+        d_attn = np.einsum("kije,ke->kij", fmaps, d_block) / (fmaps.shape[1] * fmaps.shape[2])
         d_logits = attn * (d_attn - (attn * d_attn).sum(axis=(1, 2), keepdims=True))
         _add_rows(grads, "attention.w", np.einsum("kij,kije->ke", d_logits, fmaps))
         _add_rows(grads, "attention.b", d_logits.sum(axis=(1, 2))[:, None])
@@ -627,32 +707,31 @@ def _reference_transforms(sample):
                  for frame in (sample.frame_a, sample.frame_b))
 
 
-def _describe_sides(sample, params, describe, transforms=None):
-    """``describe`` (``_describe`` or ``_input_rows``) of a sample's two
-    frames, each with its detections' pose targets. ``transforms``, when
-    given, is the sample's ``_reference_transforms``."""
-    transforms = transforms or _reference_transforms(sample)
-    return tuple(describe(frame.detections, params, transform, frame.intrinsics, targets)
-                 for frame, targets, transform in (
-                     (sample.frame_a, sample.targets_a, transforms[0]),
-                     (sample.frame_b, sample.targets_b, transforms[1])))
+def _sample_stack(sample, transforms, inputs):
+    """The ``_stack`` of a sample's two frame sides, a then b, each with its
+    detections' pose targets: ``transforms`` is the sample's
+    ``_reference_transforms`` and ``inputs`` an ``_inputs_once``."""
+    return _stack([inputs(sample.frame_a, sample.targets_a),
+                   inputs(sample.frame_b, sample.targets_b)], transforms)
 
 
-def _describe_rows(detections, params, transform, intrinsics):
+def _describe_rows(stack, params):
     """``_describe``'s descriptor rows alone."""
-    return _describe(detections, params, transform, intrinsics)[1]
+    return _describe(stack, params)[1]
 
 
 def _rows_once(params, describe):
     """A function of ``(sample, transforms)`` that gives the sample's
     ``(rows_a, rows_b)``: ``describe`` (``_input_rows`` or
-    ``_describe_rows``) of its two frames, ``transforms`` being the sample's
-    ``_reference_transforms`` or None (each then taken where needed).
-    Samples share frames, and a frame's rows depend only on it, the
-    parameters and the reference ego (pose targets reach the pose loss
-    alone), so each (frame, ``ego_ref``) is described once per function and
-    its rows are shared by every sample that holds it."""
+    ``_describe_rows``) of a one-side stack of each of its two frames,
+    ``transforms`` being the sample's ``_reference_transforms`` or None
+    (each then taken where needed). Samples share frames, and a frame's rows
+    depend only on it, the parameters and the reference ego (pose targets
+    reach the pose loss alone), so each (frame, ``ego_ref``) is described
+    once per function and its rows are shared by every sample that holds
+    it."""
     described = {}
+    inputs = _inputs_once(params.config)
 
     def rows(sample, transforms=None):
         pair = []
@@ -661,8 +740,7 @@ def _rows_once(params, describe):
             if key not in described:
                 transform = transforms[side] if transforms else \
                     reference_transform(frame.ego, sample.ego_ref)
-                described[key] = describe(frame.detections, params, transform,
-                                          frame.intrinsics)
+                described[key] = describe(_stack([inputs(frame)], [transform]), params)
             pair.append(described[key])
         return tuple(pair)
     return rows
@@ -800,7 +878,7 @@ def _score(feats_a, feats_b, params, cache=None, sizes=None, scorer=None):
 
 
 def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
-                 transforms=None, grads=None):
+                 stack=None, grads=None):
     """Joint loss (and gradients) of one training pair.
 
     Returns a dict with the affinity loss, pose losses, joint loss, the
@@ -818,7 +896,9 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
     ``_describe`` builds them; it is valid only while nothing upstream of the
     descriptors trains (no attention, hence no pose head, which needs
     ``embed_dim`` >= 1), so that the rows cannot change between calls.
-    ``transforms``, when given, is the sample's ``_reference_transforms``.
+    Otherwise both sides are described in one ``_describe`` call over
+    ``stack``, the sample's ``_sample_stack`` (built here when None), and
+    pushed back in one ``_backward_stack`` call.
     ``grads``, when given, holds zeroed arrays keyed like ``_named_arrays``
     that the gradients are added into (a training run passes views into its
     flat gradient vector).
@@ -830,10 +910,13 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
             f"pair has {max(n1, n2)} detections; capacity is {cfg.capacity}"
         )
     if rows is None:
-        tapes, rows = zip(*_describe_sides(sample, params, _describe, transforms))
-        pose_losses = np.concatenate([tape.pose_loss for tape in tapes]).tolist()
+        if stack is None:
+            stack = _sample_stack(sample, _reference_transforms(sample), _inputs_once(cfg))
+        tape, described = _describe(stack, params)
+        rows = described[:n1], described[n1:]
+        pose_losses = tape.pose_loss.tolist()
     else:
-        tapes, pose_losses = None, []  # no pose head: no pose loss
+        tape, pose_losses = None, []  # no pose head: no pose loss
     feats_a, feats_b = rows
     mean_pose = float(np.mean(pose_losses)) if pose_losses else 0.0
 
@@ -877,8 +960,7 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
             # no scorer gradient reaches the descriptors
             d_geometry = np.zeros((n1 + n2, geom_width))
         weight = pose_weight / len(pose_losses) if pose_losses else 0.0
-        _backward_side(tapes[0], d_geometry[:n1], weight, params, grads)
-        _backward_side(tapes[1], d_geometry[n1:], weight, params, grads)
+        _backward_stack(tape, d_geometry, weight, params, grads)
     out["grads"] = grads
     return out
 
@@ -1009,10 +1091,11 @@ class _FlatTrainables:
         self.theta[lo:] += velocity
 
 
-def _sgd_epoch(samples, fixed, params, flat, config, rng, lr, pose_only=False):
+def _sgd_epoch(samples, fixed, inputs, params, flat, config, rng, lr, pose_only=False):
     """One pass over the samples; returns (mean affinity, mean pose loss).
     ``fixed`` holds each sample's ``forward_pair`` rows (or None) and
-    reference transforms; ``flat`` holds the trainables."""
+    reference transforms, ``inputs`` the run's ``_inputs_once`` that a
+    sample without rows is stacked from; ``flat`` holds the trainables."""
     steps = np.full(len(flat.theta), lr)
     steps[flat.pose_head] = lr * config.pose_lr_scale
     order = rng.permutation(len(samples))
@@ -1021,9 +1104,10 @@ def _sgd_epoch(samples, fixed, params, flat, config, rng, lr, pose_only=False):
     pose_count = 0
     for idx in order:
         rows, transforms = fixed[idx]
+        stack = None if rows is not None else _sample_stack(samples[idx], transforms, inputs)
         flat.grad.fill(0.0)
         result = forward_pair(samples[idx], params, with_grad=True, pose_only=pose_only,
-                              rows=rows, transforms=transforms, grads=flat.grads)
+                              rows=rows, stack=stack, grads=flat.grads)
         if not np.isfinite(result["joint"]):
             raise NonFiniteLossError(
                 f"non-finite loss at epoch {params.epochs_trained}, sample {idx}: "
@@ -1057,7 +1141,9 @@ def train_matcher(samples, config, params=None, heldout=None):
     built once per call too — the training rows by the input-statistics
     pass, the held-out rows before the first epoch — and every SGD step and
     accuracy pass reuses them. With a pose head or attention the rows change
-    on every step and are rebuilt each time.
+    on every step: each step describes both sides of its sample in one
+    stacked pass, from frame inputs (``_side_inputs``) built once per frame
+    and call.
     """
     samples = list(samples)
     if not samples:
@@ -1097,10 +1183,11 @@ def train_matcher(samples, config, params=None, heldout=None):
         (False, config.learning_rate * (config.lr_decay if epoch >= cutoff else 1.0))
         for epoch in range(config.epochs)
     ]
+    inputs = _inputs_once(params.config)
     history = []
     for pose_only, lr in schedule:
         affinity_mean, pose_mean = _sgd_epoch(
-            samples, fixed, params, flat, config, rng, lr, pose_only=pose_only
+            samples, fixed, inputs, params, flat, config, rng, lr, pose_only=pose_only
         )
         accuracy = pair_accuracy(eval_samples, params, fixed=eval_fixed)
         history.append(EpochStats(epoch=params.epochs_trained, affinity=affinity_mean,
@@ -1176,8 +1263,8 @@ class Matcher:
     def descriptors(self, detections, ego, ego_ref, intrinsics):
         """(k, d) descriptor rows of one frame's ``scene.Detection``s,
         reference frame."""
-        return _input_rows(detections, self.params, reference_transform(ego, ego_ref),
-                           intrinsics)
+        side = _side_inputs(detections, intrinsics, self.config)
+        return _input_rows(_stack([side], [reference_transform(ego, ego_ref)]), self.params)
 
     def bundle(self, desc_rows, desc_cols, sizes=None):
         """Similarity bundle between two stacked descriptor matrices, the

@@ -119,6 +119,12 @@ def _box_in_range(bbox):
         and math.isfinite(2.0 * w * h)
 
 
+def box_loads(bbox, intrinsics):
+    """Whether ``load_scene`` accepts a detection's (left, top, width,
+    height) box of Python floats in a frame of ``intrinsics``."""
+    return _box_in_range(bbox) and _bbox_intersects_image(bbox, intrinsics)
+
+
 # --- match matrices -----------------------------------------------------------
 
 

@@ -50,6 +50,7 @@ from .scene import (
     FrameRecord,
     GroundTruthObject,
     SceneSequence,
+    box_loads,
     build_match_matrix,
     keep_most_confident,
     sample_training_pairs,
@@ -243,6 +244,17 @@ def _check_noise(config, name, values):
         raise ConfigError(f"{name} {getattr(config, name)} draws noise past the float range")
 
 
+def _check_boxes(config, name, boxes, intrinsics):
+    """ConfigError naming the field ``name`` when one of the detection
+    ``boxes`` it drew is one ``scene.load_scene`` refuses: a false positive
+    so far away that its box rounds to nothing, or a box jittered off the
+    image or past the float range."""
+    for bbox in boxes:
+        if not box_loads(bbox.tolist(), intrinsics):
+            raise ConfigError(f"{name} {getattr(config, name)} draws a detection box "
+                              f"the scene loader refuses: {bbox.tolist()}")
+
+
 def object_appearance(seed, object_id, dim):
     """Seeded base appearance vector of one object identity.
 
@@ -360,6 +372,8 @@ def generate_scene(config, scene_id=None):
     # noisy values by the field that scales their noise, checked once per scene
     drawn = {name: [] for name in ("depth_rel_sigma", "bbox_jitter_px", "appearance_sigma",
                                    "feature_sigma")}
+    # written detection boxes by the field that drew them, checked likewise
+    written = {"depth_range": [], "bbox_jitter_px": []}
     frames = []
     for k in range(config.n_frames):
         t = k / config.frame_rate
@@ -460,6 +474,11 @@ def generate_scene(config, scene_id=None):
 
         if len(detections) > config.capacity:
             detections = keep_most_confident(detections, config.capacity)
+        for det in detections:
+            if det.gt_id is None:
+                written["depth_range"].append(det.bbox)
+            elif config.bbox_jitter_px > 0:
+                written["bbox_jitter_px"].append(det.bbox)
 
         frames.append(
             FrameRecord(
@@ -473,6 +492,8 @@ def generate_scene(config, scene_id=None):
         )
     for name, values in drawn.items():
         _check_noise(config, name, values)
+    for name, found in written.items():
+        _check_boxes(config, name, found, intrinsics)
     scene_id = scene_id or f"sim-{config.seed:08d}"
     return SceneSequence(scene_id=scene_id, frames=frames)
 

@@ -178,9 +178,8 @@ def reference_pair_accuracy(samples, params, fixed=None):
     correct = 0
     total = 0
     for i, sample in enumerate(samples):
-        rows, transforms = fixed[i] if fixed else (None, None)
-        bundle = matching.forward_pair(sample, params, rows=rows,
-                                       transforms=transforms)["bundle"]
+        rows = fixed[i][0] if fixed else None
+        bundle = matching.forward_pair(sample, params, rows=rows)["bundle"]
         fused, match = bundle.fused, sample.match
         n1, n2 = fused.shape[0] - 1, fused.shape[1] - 1
         correct += np.count_nonzero(fused[:n1].argmax(axis=1) == match[:n1].argmax(axis=1))

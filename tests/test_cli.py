@@ -157,6 +157,13 @@ class TestSimulate:
         ({"depth_range": [-5, 5], "fp_rate": 1.0, "n_frames": 6}, "depth_range"),
         ({"depth_range": [5, 0], "fp_rate": 0.1, "n_frames": 6}, "depth_range"),
         ({"n_frames": 3, "facing_jitter_deg": -5}, "facing_jitter_deg"),
+        # boxes the scene loader refuses: a false positive so far away that
+        # its box rounds to 0 x 0, and boxes jittered off the image; each
+        # exited 0 with a file that load_scene refused
+        ({"trajectory": "turn", "fp_rate": 0.5, "bbox_jitter_px": 1e300,
+          "height_range": [0, 1.7e308], "depth_range": [5e-324, 1e154]}, "depth_range"),
+        ({"fp_rate": 1.0, "depth_range": [1e154, 1e154], "n_frames": 3}, "depth_range"),
+        ({"bbox_jitter_px": 1e300, "n_frames": 3}, "bbox_jitter_px"),
     ])
     def test_out_of_range_config_exits_2(self, tmp_path, doc, named):
         config = tmp_path / "bad.json"
@@ -675,6 +682,17 @@ def pose_model(tmp_path_factory):
 
 
 class TestCheckpointData:
+    def test_empty_scorer_hidden_exits_3(self, pose_model, tmp_path, capsys):
+        """A checkpoint whose config a configuration file would be refused
+        for is bad data; an empty scorer_hidden raised an IndexError."""
+        doc = json.loads((pose_model / "checkpoint.json").read_text())
+        doc["config"]["scorer_hidden"] = []
+        checkpoint = tmp_path / "empty.json"
+        checkpoint.write_text(json.dumps(doc))
+        assert cli.main(["track", "--scene", str(pose_model / "scene.json"),
+                         "--checkpoint", str(checkpoint), "--out", str(tmp_path / "o")]) == 3
+        assert "scorer_hidden" in capsys.readouterr().err
+
     def test_feature_map_depth_mismatch_exits_3(self, pose_model, tmp_path):
         r = run_cli("track", "--scene", pose_model / "deep.json",
                     "--checkpoint", pose_model / "checkpoint.json",
@@ -1088,6 +1106,9 @@ class TestUsageErrors:
          "scorer_hidden"),
         (["train", "--dataset", "{pairs}", "--config", 'config={"pose_hidden": [4, 0]}'],
          "pose_hidden"),
+        # the tapeless scorer splits its first layer by side, so it needs one
+        (["train", "--dataset", "{pairs}", "--config",
+          'config={"scorer_hidden": [], "epochs": 1}'], "scorer_hidden"),
         (["train", "--dataset", "{pairs}", "--config", 'config={"embed_dim": -1}'],
          "embed_dim"),
         (["train", "--dataset", "{pairs}", "--config",

@@ -33,7 +33,6 @@ from geotrack.matching import (
     score_pair_logits,
     train_matcher,
     _describe,
-    _describe_sides,
     _named_arrays,
     _score,
 )
@@ -81,6 +80,14 @@ def with_empty_b(sample):
                    match=match)
 
 
+def with_resized_b_maps(sample):
+    """``sample`` with frame b's feature maps cut to their top-left (2, 1)
+    cells, so that its two frames' maps differ in (H, W)."""
+    detections = [replace(det, feature_map=det.feature_map[:2, :1].copy())
+                  for det in sample.frame_b.detections]
+    return replace(sample, frame_b=replace(sample.frame_b, detections=detections))
+
+
 def small_samples(emit_maps=False, n_scenes=2, appearance_dim=8):
     scenes = [
         generate_scene(
@@ -121,8 +128,8 @@ class TestDescriptors:
         rows = Matcher(params).descriptors(frame.detections, frame.ego, scene.reference_ego,
                                            frame.intrinsics)
         transform = reference_transform(frame.ego, scene.reference_ego)
-        stacked = np.array(list(_describe(frame.detections, params, transform,
-                                          frame.intrinsics)[1]))
+        side = matching._side_inputs(frame.detections, frame.intrinsics, params.config)
+        stacked = np.array(list(_describe(matching._stack([side], [transform]), params)[1]))
         assert isinstance(rows, np.ndarray)
         assert rows.shape == stacked.shape and len(rows) == len(frame.detections) > 1
         assert rows.tobytes() == stacked.tobytes()
@@ -913,6 +920,16 @@ def _ref_forward_pair(sample, params, pose_only=False):
             "grads": grads}
 
 
+def sample_rows(sample, params):
+    """A sample's ``(rows_a, rows_b)`` as an SGD step describes them: both
+    sides in one stack, a then b."""
+    stack = matching._sample_stack(sample, matching._reference_transforms(sample),
+                                   matching._inputs_once(params.config))
+    rows = _describe(stack, params)[1]
+    n_a = len(sample.frame_a.detections)
+    return rows[:n_a], rows[n_a:]
+
+
 def assert_bits_equal(actual, expected, what):
     actual, expected = np.asarray(actual), np.asarray(expected)
     assert actual.shape == expected.shape, what
@@ -939,11 +956,14 @@ def _oracle_samples(emit_maps, drop_every=0):
             samples[i] = replace(sample, targets_a=tuple(targets[:n_a]),
                                  targets_b=tuple(targets[n_a:]))
     samples.append(with_empty_b(samples[0]))  # one empty side
+    if emit_maps:  # two sides whose maps differ in (H, W)
+        samples.append(with_resized_b_maps(samples[1]))
     return samples
 
 
 class TestSideChainOracle:
-    """The (k, ...) side chain against the per-detection chain it replaced."""
+    """The stacked chain, both sides of a sample in one (n, ...) pass,
+    against the per-detection chain it replaced."""
 
     @pytest.mark.parametrize("route", [
         dict(use_pose_head=True),
@@ -964,18 +984,58 @@ class TestSideChainOracle:
         for sample in samples:
             ref = _ref_forward_pair(sample, params, pose_only=pose_only)
             new = forward_pair(sample, params, with_grad=True, pose_only=pose_only)
-            for (_, rows), ref_rows in zip(_describe_sides(sample, params, _describe),
-                                           ref["rows"]):
+            for rows, ref_rows in zip(sample_rows(sample, params), ref["rows"]):
                 assert_bits_equal(rows, ref_rows, "descriptor rows")
             assert_bits_equal(new["pose_losses"], ref["pose_losses"], "pose losses")
             assert_bits_equal(new["joint"], ref["joint"], "joint loss")
             assert new["grads"].keys() == ref["grads"].keys()
             for name, grad in ref["grads"].items():
                 assert_bits_equal(new["grads"][name], grad, name)
+        shapes = {(s.frame_a.detections[0].feature_map.shape,
+                   s.frame_b.detections[0].feature_map.shape)
+                  for s in samples if cfg.embed_dim and s.frame_b.detections}
+        assert not cfg.embed_dim or any(a != b for a, b in shapes)
         if cfg.use_pose_head:
             # the cases reach both branches of the pose loss
             targeted = [t is not None for s in samples for t in s.targets_a + s.targets_b]
             assert any(targeted) and not all(targeted)
+
+
+class TestPerRowTransforms:
+    """``_stack`` repeats each side's reference transform per row; each
+    row's product, forward and transposed, must have the bits of its side's
+    one broadcast matrix, as the per-side chain multiplied it. A one-side
+    stack keeps the side's matrices themselves."""
+
+    @pytest.mark.parametrize("counts", [(1,), (1, 1), (1, 4), (6, 5), (0, 3), (4, 0, 2)])
+    def test_products_match_the_side_matrix(self, counts):
+        rng = np.random.default_rng(len(counts) * 10 + sum(counts))
+        for _ in range(300):
+            sides = [SimpleNamespace(k=k, fmaps=None, rows={"appearance": np.zeros((k, 1))})
+                     for k in counts]
+            transforms = [(rng.normal(size=(3, 3)), rng.normal(size=3),
+                           rng.normal(size=(2, 2))) for _ in counts]
+            stack = matching._stack(sides, transforms)
+            n = sum(counts)
+            for name, index, width in (("B", 0, 3), ("C", 2, 2)):
+                per_row = getattr(stack, name)
+                if len(counts) == 1:
+                    assert per_row is transforms[0][index]
+                else:
+                    assert per_row.shape == (n, width, width) and per_row.flags.c_contiguous
+                rows = rng.normal(size=(n, width))
+                start = 0
+                for k, transform in zip(counts, transforms):
+                    M, part = transform[index], slice(start, start + k)
+                    start += k
+                    assert_bits_equal(matching._apply(per_row, rows)[part],
+                                      matching._apply(M, rows[part]), name)
+                    assert_bits_equal(
+                        matching._apply(np.swapaxes(per_row, -1, -2), rows)[part],
+                        matching._apply(M.T, rows[part]), name + " transposed")
+            if len(counts) > 1:
+                assert_bits_equal(stack.d_off, np.repeat([d for _, d, _ in transforms],
+                                                         counts, axis=0), "d_off")
 
 
 def _route_config(**route):
@@ -985,7 +1045,8 @@ def _route_config(**route):
 
 
 class TestDescriptorRowsOnce:
-    """With only the scorer training, descriptor rows are built once per run."""
+    """With only the scorer training, descriptor rows are built once per
+    run; otherwise each SGD step describes its sample in one call."""
 
     def test_cached_rows_bit_identical(self):
         cfg = _route_config()
@@ -1021,7 +1082,7 @@ class TestDescriptorRowsOnce:
             # rows handed in are those _describe gives at this very call
             if rows is not None:
                 reused.append(sample)
-                for got, (_, want) in zip(rows, _describe_sides(sample, params, _describe)):
+                for got, want in zip(rows, sample_rows(sample, params)):
                     assert_bits_equal(got, want, "reused rows")
 
         def check_rows(sample, params, rows=None, **kwargs):
@@ -1057,7 +1118,8 @@ class TestDescriptorRowsOnce:
     def test_describe_calls(self, monkeypatch, route, once):
         samples = _oracle_samples(emit_maps=route.get("embed_dim", 0) > 0)
         train, heldout = samples[::2], samples[1::2]
-        calls = {"_describe": 0, "forward_pair": 0, "reference_transform": 0}
+        calls = dict.fromkeys(("_describe", "_backward_stack", "_side_inputs",
+                               "forward_pair", "reference_transform"), 0)
 
         def counted(name):
             original = getattr(matching, name)
@@ -1068,6 +1130,8 @@ class TestDescriptorRowsOnce:
             monkeypatch.setattr(matching, name, wrapper)
 
         counted("_describe")
+        counted("_backward_stack")
+        counted("_side_inputs")
         counted("forward_pair")
         counted("reference_transform")
         _, history = train_matcher(train, _route_config(**route), heldout=heldout)
@@ -1075,20 +1139,27 @@ class TestDescriptorRowsOnce:
         assert calls["forward_pair"] == len(history) * len(train)
         # the input-statistics pass and each accuracy sweep describe every
         # (frame, reference ego) once
-        frames = _distinct_frames(train)
+        frames, held = _distinct_frames(train), _distinct_frames(heldout)
+        steps = calls["forward_pair"]
+        # each (frame, pose targets) of the training samples is gathered once
+        # per run for the steps, besides once in the input-statistics pass
+        gathered = len({(id(frame), id(targets)) for s in train for frame, targets in (
+            (s.frame_a, s.targets_a), (s.frame_b, s.targets_b))})
         if once:
-            assert calls["_describe"] == frames + _distinct_frames(heldout)
+            assert calls["_describe"] == calls["_side_inputs"] == frames + held
+            assert calls["_backward_stack"] == 0
         else:
-            assert calls["_describe"] == frames + 2 * calls["forward_pair"] \
-                + len(history) * _distinct_frames(heldout)
+            # one _describe and one backward per SGD step: both sides stacked
+            assert calls["_describe"] == frames + steps + len(history) * held
+            assert calls["_backward_stack"] == steps
+            assert calls["_side_inputs"] == frames + gathered + len(history) * held
         # on every route, one reference transform per sample side and call
         assert calls["reference_transform"] == 2 * (len(train) + len(heldout))
 
     def test_statistics_describe_each_frame_once(self, monkeypatch):
         samples = small_samples()
         params = init_matcher_params(_route_config(appearance_dim=8))
-        expected = [tuple(rows for _, rows in _describe_sides(sample, params, _describe))
-                    for sample in samples]
+        expected = [sample_rows(sample, params) for sample in samples]
         calls = []
         original = matching._describe
         monkeypatch.setattr(matching, "_describe",
@@ -1176,7 +1247,7 @@ class TestAccuracySweepOracle:
             for field in ("S1n", "S2n", "fused"):
                 assert_bits_equal(getattr(bundle, field), getattr(ref_bundle, field),
                                   f"sample {k} {field}")
-            rows_a, rows_b = (rows for _, rows in _describe_sides(sample, params, _describe))
+            rows_a, rows_b = sample_rows(sample, params)
             if len(rows_a) and len(rows_b):
                 assert_bits_equal(logits, reference_split_logits(rows_a, rows_b, params)
                                   .astype(np.float64), f"sample {k} split reference")
