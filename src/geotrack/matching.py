@@ -22,18 +22,18 @@ Two descriptor routes exist:
 
 Both routes read a frame's ``scene.Detection`` objects as they are (one
 without an appearance vector is a DataError). What they read of a frame
-side does not change as the parameters train (``_side_inputs``), so a
-training run gathers it once per frame. Either route runs once over a stack
-of frame sides, every side's detections one after another as (n, ...)
-arrays (``_describe`` forward, ``_backward_stack`` backward): an SGD step
-stacks its sample's two sides, inference and the statistics and accuracy
-passes one side at a time. The chain reproduces bit for bit a loop over
-the detections: each row's reductions are those a single vector would get,
-each row's transform product takes a C-contiguous per-row copy of its
-side's matrix, and the pose head's weight gradients add up in row order.
-With ``embed_dim`` > 0 every detection of a frame carries one feature map,
-all of one (H, W, embed_dim) shape; sides whose maps differ in (H, W) pool
-in separate blocks.
+side and its reference transform do not change as the parameters train,
+so a training run gathers them once per sample list (``_SideTable``).
+Either route runs once over a stack of frame sides, every side's detections
+one after another as (n, ...) arrays (``_describe`` forward,
+``_backward_stack`` backward): an SGD step stacks its sample's two sides,
+inference and the statistics and accuracy passes one side at a time. The
+chain reproduces bit for bit a loop over the detections: each row's
+reductions are those a single vector would get, each row's transform
+product takes a C-contiguous per-row copy of its side's matrix, and the pose
+head's weight gradients add up in row order. With ``embed_dim`` > 0 every
+detection of a frame carries one feature map, all of one (H, W, embed_dim)
+shape; sides whose maps differ in (H, W) pool in separate blocks.
 """
 
 import json
@@ -494,21 +494,6 @@ def _side_inputs(detections, intrinsics, cfg, targets=None):
     return SimpleNamespace(k=k, fmaps=fmaps, rows=rows)
 
 
-def _inputs_once(cfg):
-    """A function of ``(frame, targets)`` that gives ``_side_inputs`` of the
-    frame with those pose targets, built once per (frame, targets) for the
-    function's life. Its keys are object ids, so it must not outlive the
-    call that holds the samples it is given (as ``_rows_once``)."""
-    built = {}
-
-    def inputs(frame, targets=None):
-        key = (id(frame), id(targets))
-        if key not in built:
-            built[key] = _side_inputs(frame.detections, frame.intrinsics, cfg, targets)
-        return built[key]
-    return inputs
-
-
 def _joined(parts):
     """The arrays ``parts`` concatenated, or the one array itself."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -700,50 +685,53 @@ def _named_arrays(params):
     return {name: getattr(owner, attr) for name, owner, attr in _trainable_slots(params)}
 
 
-def _reference_transforms(sample):
-    """The ``reference_transform`` of each side of ``sample``; it depends only
-    on the frames' ego poses, so a training run takes it once per sample."""
-    return tuple(reference_transform(frame.ego, sample.ego_ref)
-                 for frame in (sample.frame_a, sample.frame_b))
+class _SideTable:
+    """The frame sides of a list of pair samples, gathered once: the
+    ``_side_inputs`` of each distinct (frame, pose targets), the
+    ``reference_transform`` of each distinct (frame, reference ego), and
+    each sample's side a and side b as a key into both. None of it changes
+    as the parameters train. The keys are object ids, which stay unique
+    while the table holds the samples."""
 
+    def __init__(self, samples, cfg):
+        self.samples, self.inputs, self.transforms, self.sides = samples, {}, {}, []
+        for sample in samples:
+            sides = []
+            for frame, targets in ((sample.frame_a, sample.targets_a),
+                                   (sample.frame_b, sample.targets_b)):
+                key, ref = (id(frame), id(targets)), (id(frame), id(sample.ego_ref))
+                if key not in self.inputs:
+                    self.inputs[key] = _side_inputs(frame.detections, frame.intrinsics, cfg,
+                                                    targets)
+                if ref not in self.transforms:
+                    self.transforms[ref] = reference_transform(frame.ego, sample.ego_ref)
+                sides.append((key, ref))
+            self.sides.append(sides)
 
-def _sample_stack(sample, transforms, inputs):
-    """The ``_stack`` of a sample's two frame sides, a then b, each with its
-    detections' pose targets: ``transforms`` is the sample's
-    ``_reference_transforms`` and ``inputs`` an ``_inputs_once``."""
-    return _stack([inputs(sample.frame_a, sample.targets_a),
-                   inputs(sample.frame_b, sample.targets_b)], transforms)
+    def stack(self, i):
+        """The ``_stack`` of sample ``i``'s two sides, a then b, each with
+        its detections' pose targets."""
+        return _stack([self.inputs[key] for key, _ in self.sides[i]],
+                      [self.transforms[ref] for _, ref in self.sides[i]])
+
+    def rows(self, params, describe):
+        """Every sample's ``(rows_a, rows_b)``: ``describe`` (``_input_rows``
+        or ``_describe_rows``) of a one-side stack, once per (frame,
+        reference ego) and in sample order, shared by every sample that
+        holds it. A frame's rows depend only on it, the parameters and the
+        reference ego; the pose loss of its targets is computed and dropped."""
+        described = {}
+        for sides in self.sides:
+            for key, ref in sides:
+                if ref not in described:
+                    described[ref] = describe(
+                        _stack([self.inputs[key]], [self.transforms[ref]]), params)
+        return [tuple(described[ref] for _, ref in sides) for sides in self.sides]
 
 
 def _describe_rows(stack, params):
     """``_describe``'s descriptor rows alone."""
     return _describe(stack, params)[1]
-
-
-def _rows_once(params, describe):
-    """A function of ``(sample, transforms)`` that gives the sample's
-    ``(rows_a, rows_b)``: ``describe`` (``_input_rows`` or
-    ``_describe_rows``) of a one-side stack of each of its two frames,
-    ``transforms`` being the sample's ``_reference_transforms`` or None
-    (each then taken where needed). Samples share frames, and a frame's rows
-    depend only on it, the parameters and the reference ego (pose targets
-    reach the pose loss alone), so each (frame, ``ego_ref``) is described
-    once per function and its rows are shared by every sample that holds
-    it."""
-    described = {}
-    inputs = _inputs_once(params.config)
-
-    def rows(sample, transforms=None):
-        pair = []
-        for side, frame in enumerate((sample.frame_a, sample.frame_b)):
-            key = (id(frame), id(sample.ego_ref))
-            if key not in described:
-                transform = transforms[side] if transforms else \
-                    reference_transform(frame.ego, sample.ego_ref)
-                described[key] = describe(_stack([inputs(frame)], [transform]), params)
-            pair.append(described[key])
-        return tuple(pair)
-    return rows
 
 
 def _add_layer_grads(grads, group, layer_grads):
@@ -877,6 +865,15 @@ def _score(feats_a, feats_b, params, cache=None, sizes=None, scorer=None):
     return augment_normalize(logits.reshape(n1, n2), delta, sizes)
 
 
+def _pair_counts(sample, cfg):
+    """A sample's two detection counts; GeotrackError when one passes the
+    matcher's ``capacity``."""
+    n1, n2 = len(sample.frame_a.detections), len(sample.frame_b.detections)
+    if max(n1, n2) > cfg.capacity:
+        raise GeotrackError(f"pair has {max(n1, n2)} detections; capacity is {cfg.capacity}")
+    return n1, n2
+
+
 def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
                  stack=None, grads=None):
     """Joint loss (and gradients) of one training pair.
@@ -897,21 +894,17 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
     descriptors trains (no attention, hence no pose head, which needs
     ``embed_dim`` >= 1), so that the rows cannot change between calls.
     Otherwise both sides are described in one ``_describe`` call over
-    ``stack``, the sample's ``_sample_stack`` (built here when None), and
-    pushed back in one ``_backward_stack`` call.
+    ``stack``, the sample's ``_SideTable.stack`` (from a one-sample table
+    built here when None), and pushed back in one ``_backward_stack`` call.
     ``grads``, when given, holds zeroed arrays keyed like ``_named_arrays``
     that the gradients are added into (a training run passes views into its
     flat gradient vector).
     """
     cfg = params.config
-    n1, n2 = len(sample.frame_a.detections), len(sample.frame_b.detections)
-    if max(n1, n2) > cfg.capacity:
-        raise GeotrackError(
-            f"pair has {max(n1, n2)} detections; capacity is {cfg.capacity}"
-        )
+    n1, n2 = _pair_counts(sample, cfg)
     if rows is None:
         if stack is None:
-            stack = _sample_stack(sample, _reference_transforms(sample), _inputs_once(cfg))
+            stack = _SideTable([sample], cfg).stack(0)
         tape, described = _describe(stack, params)
         rows = described[:n1], described[n1:]
         pose_losses = tape.pose_loss.tolist()
@@ -968,17 +961,14 @@ def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
 # --- training loop --------------------------------------------------------------------
 
 
-def _input_statistics(samples, params, transforms=None):
-    """Every sample's ``(rows_a, rows_b)`` descriptor rows, and all of them
-    stacked with their column mean and standard deviation (None without
-    detections). ``transforms``, when given, holds each sample's
-    ``_reference_transforms``. Each (frame, reference ego) is described
-    once (``_rows_once``), and the stack holds every sample's sides, the
-    repeats included. Detection values whose descriptors or statistics
-    leave the float range are bad data (DataError)."""
-    describe = _rows_once(params, _input_rows)
-    rows = [describe(sample, transform)
-            for sample, transform in zip(samples, transforms or [None] * len(samples))]
+def _input_statistics(table, params):
+    """Every ``(rows_a, rows_b)`` of the samples of ``_SideTable``
+    ``table``, and all of them stacked with their column mean and standard
+    deviation (None without detections). Each (frame, reference ego) is
+    described once, and the stack holds every sample's sides, the repeats
+    included. Detection values whose descriptors or statistics leave the
+    float range are bad data (DataError)."""
+    rows = table.rows(params, _input_rows)
     sides = [side for pair in rows for side in pair]
     if not sum(map(len, sides)):
         return rows, None
@@ -1091,11 +1081,12 @@ class _FlatTrainables:
         self.theta[lo:] += velocity
 
 
-def _sgd_epoch(samples, fixed, inputs, params, flat, config, rng, lr, pose_only=False):
-    """One pass over the samples; returns (mean affinity, mean pose loss).
-    ``fixed`` holds each sample's ``forward_pair`` rows (or None) and
-    reference transforms, ``inputs`` the run's ``_inputs_once`` that a
-    sample without rows is stacked from; ``flat`` holds the trainables."""
+def _sgd_epoch(table, rows, params, flat, config, rng, lr, pose_only=False):
+    """One pass over the samples of ``_SideTable`` ``table``; returns (mean
+    affinity, mean pose loss). ``rows`` holds each sample's ``forward_pair``
+    rows, or is None when the descriptors train: each step then describes
+    its sample's ``table.stack``. ``flat`` holds the trainables."""
+    samples = table.samples
     steps = np.full(len(flat.theta), lr)
     steps[flat.pose_head] = lr * config.pose_lr_scale
     order = rng.permutation(len(samples))
@@ -1103,11 +1094,10 @@ def _sgd_epoch(samples, fixed, inputs, params, flat, config, rng, lr, pose_only=
     pose_sum = 0.0
     pose_count = 0
     for idx in order:
-        rows, transforms = fixed[idx]
-        stack = None if rows is not None else _sample_stack(samples[idx], transforms, inputs)
         flat.grad.fill(0.0)
         result = forward_pair(samples[idx], params, with_grad=True, pose_only=pose_only,
-                              rows=rows, stack=stack, grads=flat.grads)
+                              rows=rows[idx] if rows else None,
+                              stack=None if rows else table.stack(idx), grads=flat.grads)
         if not np.isfinite(result["joint"]):
             raise NonFiniteLossError(
                 f"non-finite loss at epoch {params.epochs_trained}, sample {idx}: "
@@ -1135,15 +1125,17 @@ def train_matcher(samples, config, params=None, heldout=None):
     ``heldout`` or, failing that, the training samples).
 
     The trainables live in one flat vector for the run (``_FlatTrainables``);
-    the returned params' arrays are views into it. Each sample side's
-    reference transform is taken once per call. When only the scorer trains
-    (no pose head, ``embed_dim`` 0), each sample side's descriptor rows are
-    built once per call too — the training rows by the input-statistics
-    pass, the held-out rows before the first epoch — and every SGD step and
-    accuracy pass reuses them. With a pose head or attention the rows change
-    on every step: each step describes both sides of its sample in one
-    stacked pass, from frame inputs (``_side_inputs``) built once per frame
-    and call.
+    the returned params' arrays are views into it. The frame sides are
+    gathered once per call, into one ``_SideTable`` for ``samples`` and one
+    for ``heldout``: each distinct frame's inputs and each (frame, reference
+    ego)'s transform. When only the scorer trains (no pose head,
+    ``embed_dim`` 0), the descriptor rows are built once per call too — the
+    training rows by the input-statistics pass, the held-out rows before the
+    first epoch — and every SGD step and accuracy sweep reuses them. With a
+    pose head or attention the rows change on every step: each step
+    describes both sides of its sample in one stacked pass
+    (``_SideTable.stack``), and each accuracy sweep describes each (frame,
+    reference ego) of its table once.
     """
     samples = list(samples)
     if not samples:
@@ -1157,39 +1149,35 @@ def train_matcher(samples, config, params=None, heldout=None):
             pretrain = (config.pose_pretrain_epochs
                         if config.pose_pretrain_epochs is not None
                         else config.epochs // 3)
-    transforms = [_reference_transforms(sample) for sample in samples]
+    table = _SideTable(samples, params.config)
     # A resumed run keeps the checkpoint's standardization frozen; its data
     # gets the same check a fresh run's fit makes, so overflowing values are
     # bad data here too rather than a diverging loss.
-    rows, stats = _input_statistics(samples, params, transforms)
+    rows, stats = _input_statistics(table, params)
     if fresh:
         _set_standardization(params, stats)
     del stats  # the stacked copy of the rows is not needed past the fit
     flat = _FlatTrainables(params)
     # with a pose head or attention training, the descriptors change with
-    # every step
-    static = params.attention_w is None
-    fixed = [(sample_rows if static else None, transform)
-             for sample_rows, transform in zip(rows, transforms)]
-    eval_samples, eval_fixed = samples, fixed
+    # every step, so each step and sweep describes them afresh
+    if params.attention_w is not None:
+        rows = None
+    evaluated, eval_rows = table, rows
     if heldout:
-        eval_samples, eval_fixed = heldout, []
-        describe = _rows_once(params, _describe_rows)
-        for sample in heldout:
-            transform = _reference_transforms(sample)
-            eval_fixed.append((describe(sample, transform) if static else None, transform))
+        evaluated = _SideTable(list(heldout), params.config)
+        eval_rows = evaluated.rows(params, _describe_rows) if rows else None
     cutoff = int(np.floor(config.epochs * 2 / 3))
     schedule = [(True, config.learning_rate)] * pretrain + [
         (False, config.learning_rate * (config.lr_decay if epoch >= cutoff else 1.0))
         for epoch in range(config.epochs)
     ]
-    inputs = _inputs_once(params.config)
     history = []
     for pose_only, lr in schedule:
         affinity_mean, pose_mean = _sgd_epoch(
-            samples, fixed, inputs, params, flat, config, rng, lr, pose_only=pose_only
+            table, rows, params, flat, config, rng, lr, pose_only=pose_only
         )
-        accuracy = pair_accuracy(eval_samples, params, fixed=eval_fixed)
+        accuracy = pair_accuracy(evaluated.samples, params,
+                                 rows=eval_rows or evaluated.rows(params, _describe_rows))
         history.append(EpochStats(epoch=params.epochs_trained, affinity=affinity_mean,
                                   pose=pose_mean, accuracy=accuracy))
         params.epochs_trained += 1
@@ -1199,38 +1187,44 @@ def train_matcher(samples, config, params=None, heldout=None):
 # --- evaluation helpers ------------------------------------------------------------------
 
 
-def pair_accuracy(samples, params, fixed=None):
+def pair_accuracy(samples, params, rows=None):
     """Fraction of per-object assignment decisions (argmax incl. the null
     option, both directions) that agree with the ground-truth matrix. Each
     pair is scored tapeless, as ``Matcher.bundle`` scores it, with the bits
     of one ``forward_pair`` call per sample.
 
-    ``fixed``, when given, holds each sample's ``forward_pair`` rows (or
-    None) and reference transforms: a training run passes what it built
-    once, so a run that only trains the scorer describes no sample again.
-    Without rows, each (frame, reference ego) is described once per call.
+    ``rows``, when given, holds each sample's ``(rows_a, rows_b)`` as
+    ``_describe`` builds them under ``params``: a training run passes those
+    of its ``_SideTable``s, so a run that only trains the scorer describes
+    no sample again. Without them the samples' own table is built here, and
+    each (frame, reference ego) is described once.
 
     One sweep scores every sample: the float32 scorer is copied once, and
-    ``_tapeless_logits`` scores all samples' pairs in shared chunks.
+    ``_tapeless_logits`` scores all samples' pairs in shared chunks. A scorer
+    weight past float32's range is a diverged run (NonFiniteLossError), even
+    with a finite float64 loss; past that, a non-finite logit is bad input
+    data, as in ``Matcher.bundle`` (DataError).
     """
     cfg = params.config
-    describe = _rows_once(params, _describe_rows)
-    blocks = []
-    for i, sample in enumerate(samples):
-        n = max(len(sample.frame_a.detections), len(sample.frame_b.detections))
-        if n > cfg.capacity:
-            raise GeotrackError(f"pair has {n} detections; capacity is {cfg.capacity}")
-        rows, transforms = fixed[i] if fixed else (None, None)
-        blocks.append(rows if rows is not None else describe(sample, transforms))
-    scored = [rows for rows in blocks if len(rows[0]) and len(rows[1])]
+    for sample in samples:
+        _pair_counts(sample, cfg)
+    if rows is None:
+        rows = _SideTable(samples, cfg).rows(params, _describe_rows)
+    scored = [pair for pair in rows if len(pair[0]) and len(pair[1])]
     logits = np.zeros(0)  # every sample's logits, flattened; none for an empty side
     if scored:
-        logits = _tapeless_logits(
-            _float32_scorer(params),
-            *(_standardized(np.concatenate(side), params) for side in zip(*scored)),
-            [(len(rows_a), len(rows_b)) for rows_a, rows_b in scored])
+        scorer = _float32_scorer(params)
+        if not all(np.isfinite(a).all() for layer in scorer for a in (layer.w, layer.b)):
+            raise NonFiniteLossError("scorer weights overflow float32")
+        with np.errstate(over="ignore", invalid="ignore"):  # fails the check below
+            logits = _tapeless_logits(
+                scorer,
+                *(_standardized(np.concatenate(side), params) for side in zip(*scored)),
+                [(len(rows_a), len(rows_b)) for rows_a, rows_b in scored])
+        if not np.isfinite(logits).all():
+            raise DataError("descriptor values overflow the pair scorer")
     correct = total = done = 0
-    for sample, (rows_a, rows_b) in zip(samples, blocks):
+    for sample, (rows_a, rows_b) in zip(samples, rows):
         n1, n2 = len(rows_a), len(rows_b)
         fused = augment_normalize(logits[done:done + n1 * n2].reshape(n1, n2), cfg.delta).fused
         done += n1 * n2

@@ -118,7 +118,8 @@ def grad_check(f, params, tolerance=1e-4, step=1e-5):
 def fit_input_standardization(samples, params):
     """Freeze ``params``' input standardization from ``samples`` as a fresh
     ``train_matcher`` run does before its first epoch; returns ``params``."""
-    matching._set_standardization(params, matching._input_statistics(samples, params)[1])
+    table = matching._SideTable(samples, params.config)
+    matching._set_standardization(params, matching._input_statistics(table, params)[1])
     return params
 
 
@@ -170,16 +171,16 @@ def reference_score64(feats_a, feats_b, params, cache=None, sizes=None, scorer=N
     return matching.augment_normalize(logits, params.config.delta, sizes)
 
 
-def reference_pair_accuracy(samples, params, fixed=None):
+def reference_pair_accuracy(samples, params, rows=None):
     """``matching.pair_accuracy`` as it ran before its one-pass sweep: one
     ``forward_pair`` call per sample, each with its own scorer cast, side
-    products and chunks, and every sample without ``fixed`` rows described
-    afresh."""
+    products and chunks, and every sample described afresh unless ``rows``
+    holds its ``(rows_a, rows_b)``."""
     correct = 0
     total = 0
     for i, sample in enumerate(samples):
-        rows = fixed[i][0] if fixed else None
-        bundle = matching.forward_pair(sample, params, rows=rows)["bundle"]
+        bundle = matching.forward_pair(sample, params,
+                                       rows=rows[i] if rows else None)["bundle"]
         fused, match = bundle.fused, sample.match
         n1, n2 = fused.shape[0] - 1, fused.shape[1] - 1
         correct += np.count_nonzero(fused[:n1].argmax(axis=1) == match[:n1].argmax(axis=1))

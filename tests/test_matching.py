@@ -923,9 +923,7 @@ def _ref_forward_pair(sample, params, pose_only=False):
 def sample_rows(sample, params):
     """A sample's ``(rows_a, rows_b)`` as an SGD step describes them: both
     sides in one stack, a then b."""
-    stack = matching._sample_stack(sample, matching._reference_transforms(sample),
-                                   matching._inputs_once(params.config))
-    rows = _describe(stack, params)[1]
+    rows = _describe(matching._SideTable([sample], params.config).stack(0), params)[1]
     n_a = len(sample.frame_a.detections)
     return rows[:n_a], rows[n_a:]
 
@@ -1052,7 +1050,7 @@ class TestDescriptorRowsOnce:
         cfg = _route_config()
         samples = _oracle_samples(emit_maps=False)
         params = fit_input_standardization(samples, init_matcher_params(cfg))
-        rows, _ = matching._input_statistics(samples, params)
+        rows, _ = matching._input_statistics(matching._SideTable(samples, cfg), params)
         assert any(len(sample.frame_b.detections) == 0 for sample in samples)
         for sample, sample_rows in zip(samples, rows):
             for with_grad in (False, True):
@@ -1089,19 +1087,19 @@ class TestDescriptorRowsOnce:
             check(sample, params, rows)
             return original(sample, params, rows=rows, **kwargs)
 
-        def check_fixed(eval_samples, params, fixed=None):
-            for sample, (rows, _) in zip(eval_samples, fixed):
-                check(sample, params, rows)
-            return original_accuracy(eval_samples, params, fixed)
+        def check_accuracy_rows(eval_samples, params, rows=None):
+            for sample, pair in zip(eval_samples, rows):
+                check(sample, params, pair)
+            return original_accuracy(eval_samples, params, rows)
 
         monkeypatch.setattr(matching, "forward_pair", check_rows)
-        monkeypatch.setattr(matching, "pair_accuracy", check_fixed)
+        monkeypatch.setattr(matching, "pair_accuracy", check_accuracy_rows)
         cached_params, cached_history = run()
         assert {id(s) for s in reused} == {id(s) for s in samples}
         monkeypatch.setattr(matching, "forward_pair",
                             lambda *args, rows=None, **kwargs: original(*args, **kwargs))
         monkeypatch.setattr(matching, "pair_accuracy",
-                            lambda eval_samples, params, fixed=None:
+                            lambda eval_samples, params, rows=None:
                             original_accuracy(eval_samples, params))
         params, history = run()
         assert_bits_equal(cached_history, history, "history")
@@ -1141,20 +1139,18 @@ class TestDescriptorRowsOnce:
         # (frame, reference ego) once
         frames, held = _distinct_frames(train), _distinct_frames(heldout)
         steps = calls["forward_pair"]
-        # each (frame, pose targets) of the training samples is gathered once
-        # per run for the steps, besides once in the input-statistics pass
-        gathered = len({(id(frame), id(targets)) for s in train for frame, targets in (
-            (s.frame_a, s.targets_a), (s.frame_b, s.targets_b))})
         if once:
-            assert calls["_describe"] == calls["_side_inputs"] == frames + held
+            assert calls["_describe"] == frames + held
             assert calls["_backward_stack"] == 0
         else:
             # one _describe and one backward per SGD step: both sides stacked
             assert calls["_describe"] == frames + steps + len(history) * held
             assert calls["_backward_stack"] == steps
-            assert calls["_side_inputs"] == frames + gathered + len(history) * held
-        # on every route, one reference transform per sample side and call
-        assert calls["reference_transform"] == 2 * (len(train) + len(heldout))
+        # on every route, each (frame, pose targets) and each (frame,
+        # reference ego) of the training and of the held-out samples is
+        # gathered once per run
+        assert calls["_side_inputs"] == _distinct_sides(train) + _distinct_sides(heldout)
+        assert calls["reference_transform"] == frames + held
 
     def test_statistics_describe_each_frame_once(self, monkeypatch):
         samples = small_samples()
@@ -1164,7 +1160,8 @@ class TestDescriptorRowsOnce:
         original = matching._describe
         monkeypatch.setattr(matching, "_describe",
                             lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
-        rows, (block, shift, std) = matching._input_statistics(samples, params)
+        rows, (block, shift, std) = matching._input_statistics(
+            matching._SideTable(samples, params.config), params)
         # 20 samples share 25 frames: 40 descriptions before, 25 now
         assert len(calls) == _distinct_frames(samples) == 25 < 2 * len(samples) == 40
         for got, want in zip(rows, expected):
@@ -1181,6 +1178,12 @@ def _distinct_frames(samples):
     """How many (frame, reference ego) pairs ``samples`` hold."""
     return len({(id(frame), id(sample.ego_ref))
                 for sample in samples for frame in (sample.frame_a, sample.frame_b)})
+
+
+def _distinct_sides(samples):
+    """How many (frame, pose targets) pairs ``samples`` hold."""
+    return len({(id(frame), id(targets)) for s in samples for frame, targets in (
+        (s.frame_a, s.targets_a), (s.frame_b, s.targets_b))})
 
 
 def with_one_b(sample):
@@ -1224,7 +1227,7 @@ class TestAccuracySweepOracle:
     (``helpers.reference_pair_accuracy``), and the logits those of scoring
     every pair on its own row (``helpers.reference_split_logits``)."""
 
-    def check(self, monkeypatch, samples, params, fixed=None):
+    def check(self, monkeypatch, samples, params, rows=None):
         """Returns the pair count of each ``score_pair_logits`` call."""
         chunks = []
         original = matching.score_pair_logits
@@ -1235,10 +1238,10 @@ class TestAccuracySweepOracle:
 
         monkeypatch.setattr(matching, "score_pair_logits", counted)
         got, swept = _recorded_normalizations(
-            monkeypatch, lambda: pair_accuracy(samples, params, fixed))
+            monkeypatch, lambda: pair_accuracy(samples, params, rows))
         monkeypatch.setattr(matching, "score_pair_logits", original)
         want, oracle = _recorded_normalizations(
-            monkeypatch, lambda: reference_pair_accuracy(samples, params, fixed))
+            monkeypatch, lambda: reference_pair_accuracy(samples, params, rows))
         assert_bits_equal(got, want, "accuracy")
         assert len(swept) == len(oracle) == len(samples)
         for k, (sample, (logits, bundle), (ref_logits, ref_bundle)) in enumerate(
@@ -1267,10 +1270,9 @@ class TestAccuracySweepOracle:
         samples, params = self.observation_case()
         assert any(len(s.frame_b.detections) == 0 for s in samples)
         assert any(len(s.frame_b.detections) == 1 for s in samples)
-        rows, _ = matching._input_statistics(samples, params)
-        fixed = [(pair, matching._reference_transforms(sample))
-                 for sample, pair in zip(samples, rows)]
-        chunks = self.check(monkeypatch, samples, params, fixed)
+        rows, _ = matching._input_statistics(matching._SideTable(samples, params.config),
+                                             params)
+        chunks = self.check(monkeypatch, samples, params, rows)
         assert len(chunks) < len(samples)  # samples share chunks
 
     def test_without_fixed_rows(self, monkeypatch):
@@ -1283,8 +1285,9 @@ class TestAccuracySweepOracle:
         train, heldout = samples[::2], samples[1::2]
         cfg = _route_config(embed_dim=6, use_pose_head=True)
         params, _ = train_matcher(train, cfg)
-        fixed = [(None, matching._reference_transforms(sample)) for sample in heldout]
-        self.check(monkeypatch, heldout, params, fixed)
+        # no rows: the sweep describes the samples through its own table, the
+        # reference through forward_pair's two-side stack
+        self.check(monkeypatch, heldout, params)
 
     @pytest.mark.parametrize("which", ["a", "b"])
     def test_one_detection_side_alone(self, monkeypatch, which):
@@ -1312,6 +1315,27 @@ class TestAccuracySweepOracle:
         for accuracy in (pair_accuracy, reference_pair_accuracy):
             with raises_internal("pair has 30 detections; capacity is 29"):
                 accuracy(samples, small)
+
+    def test_overflowing_heldout_values_are_bad_data(self):
+        # a held-out appearance value out of all proportion overflows the
+        # sweep's scorer: bad data, as in Matcher.bundle, and no accuracy
+        # computed from non-finite logits
+        samples = _oracle_samples(emit_maps=False)
+        train, heldout = samples[::2], samples[1::2]
+        sample = heldout[0]
+        first, *rest = sample.frame_a.detections
+        huge = replace(first, appearance=np.concatenate([[1e308], first.appearance[1:]]))
+        heldout[0] = replace(sample, frame_a=replace(sample.frame_a, detections=[huge, *rest]))
+        with pytest.raises(DataError, match="descriptor values overflow the pair scorer"):
+            train_matcher(train, _route_config(), heldout=heldout)
+
+    def test_scorer_past_float32_range_is_divergence(self):
+        # a scorer weight finite in float64 but past float32's range is a
+        # diverged training run, not bad data
+        samples, params = self.observation_case()
+        params.scorer[0].w[0, 0] = 1e39
+        with pytest.raises(NonFiniteLossError, match="scorer weights overflow float32"):
+            pair_accuracy(samples, params)
 
 
 class TestFlatUpdate:
