@@ -152,9 +152,6 @@ class Pose5D:
         object.__setattr__(self, "T", t)
         object.__setattr__(self, "R", r)
 
-    def with_frame(self, frame_id):
-        return Pose5D(self.T.copy(), self.R.copy(), frame_id)
-
 
 @dataclass(frozen=True, eq=False)
 class PixelObservation:
@@ -285,16 +282,10 @@ def camera_to_world(pose, ego, frame_id=WORLD):
     return Pose5D(t, normalize_rotation(r), frame_id)
 
 
-def world_to_camera(pose, ego, frame_id=CAMERA):
-    rot = quat_to_matrix(ego.rotation)
-    t = rot.T @ (pose.T - ego.translation)
-    r = yaw_rot2(-ego_yaw(ego)) @ pose.R
-    return Pose5D(t, normalize_rotation(r), frame_id)
-
-
 def reference_transform(ego_t, ego_ref):
     """Affine pieces of re-expressing a camera(t) pose in the reference
-    camera frame, world_to_camera(camera_to_world(pose, ego_t), ego_ref),
+    camera frame, ``camera_to_world(pose, ego_t)`` seen from ``ego_ref``
+    (the inverse transform is ``world_to_camera`` in ``tests/helpers.py``),
     for one frame pair.
 
     Returns (B, d, C) with T_ref = B @ T_cam + d and R_ref = C @ R_cam (up

@@ -390,42 +390,36 @@ def augment_normalize(B, delta, sizes=None):
     return SimilarityBundle(S1n=S1n, S2n=S2n, fused=fused)
 
 
-def loss_affinity(bundle, match, with_grad=False):
-    """Symmetric matching cross-entropy (average of both directions).
+def loss_affinity(bundle, match):
+    """Symmetric matching cross-entropy (average of both directions) and its
+    gradient with respect to the logits, as ``(loss, grad)``.
 
     ``match`` must be (rows+1, cols+1) for a bundle of (rows, cols) logits;
     its row and column sums are checked where a ``PairSample`` is built.
-    When ``with_grad`` is set, the gradient with respect to the logits is
-    returned alongside the loss. Each row of S1n and column of S2n is one
-    softmax group with target mass 1, so in each direction a logit's
-    gradient is its normalized similarity minus its target, over twice that
-    direction's number of groups.
+    Each row of S1n and column of S2n is one softmax group with target mass
+    1, so in each direction a logit's gradient is its normalized similarity
+    minus its target, over twice that direction's number of groups.
     """
     n1, n2 = bundle.S1n.shape[0], bundle.S2n.shape[1]
     if match.shape != (n1 + 1, n2 + 1):
         raise GeotrackError(
             f"match matrix {match.shape} does not fit real counts ({n1}, {n2})"
         )
-    grad = np.zeros((n1, n2)) if with_grad else None
+    grad = np.zeros((n1, n2))
     m_block = match[:n1, :n2].astype(np.float64)
     loss1 = 0.0
     if n1 > 0:
         m = match[:n1].astype(np.float64)
         with np.errstate(divide="ignore"):  # log 0 -> inf is the failure signal
             loss1 = -(m * np.log(np.where(m > 0, bundle.S1n, 1.0))).sum() / n1
-        if with_grad:
-            grad += (bundle.S1n[:, :n2] - m_block) / (2.0 * n1)
+        grad += (bundle.S1n[:, :n2] - m_block) / (2.0 * n1)
     loss2 = 0.0
     if n2 > 0:
         m = match[:, :n2].astype(np.float64)
         with np.errstate(divide="ignore"):
             loss2 = -(m * np.log(np.where(m > 0, bundle.S2n, 1.0))).sum() / n2
-        if with_grad:
-            grad += (bundle.S2n[:n1] - m_block) / (2.0 * n2)
-    loss = float(0.5 * (loss1 + loss2))
-    if with_grad:
-        return loss, grad
-    return loss
+        grad += (bundle.S2n[:n1] - m_block) / (2.0 * n2)
+    return float(0.5 * (loss1 + loss2)), grad
 
 
 # --- descriptor chain, over a stack of frame sides --------------------------------
@@ -457,18 +451,16 @@ def check_detections(detections, cfg):
             )
 
 
-def _side_inputs(detections, intrinsics, cfg, targets=None):
+def _side_inputs(detections, intrinsics, cfg):
     """What the descriptor chain reads of one frame side, none of which the
     trainables change, once ``check_detections`` passes: the side's k
     detections' feature maps ``fmaps`` (k, H, W, E) or None, and ``rows``,
     its arrays that a stack joins: the ``appearance`` rows (k, A) and, on
     the pose-head route, the frame's (f_x, f_y, p_x, p_y) as (k, 4)
-    ``intrinsics`` rows, the ``targeted`` mask (k,) of the detections whose
-    pose target ``targets`` holds (None: no detection has one) and their
-    ``target`` rows (c_x, c_y, T_z, R_x, R_y); on the observation route, the
-    camera-frame translations ``t_cam`` (k, 3), facing directions ``r_obs``
-    (k, 2) and their norms ``r_norm`` (k,) read from the pixel
-    observations."""
+    ``intrinsics`` rows and no pose target (``_with_targets``); on the
+    observation route, the camera-frame translations ``t_cam`` (k, 3),
+    facing directions ``r_obs`` (k, 2) and their norms ``r_norm`` (k,) read
+    from the pixel observations."""
     check_detections(detections, cfg)
     k = len(detections)
     rows = {"appearance": np.array([det.appearance for det in detections],
@@ -479,10 +471,7 @@ def _side_inputs(detections, intrinsics, cfg, targets=None):
     if cfg.use_pose_head:
         rows["intrinsics"] = np.array([[intrinsics.f_x, intrinsics.f_y, intrinsics.p_x,
                                         intrinsics.p_y]]).repeat(k, axis=0)
-        targets = targets or [None] * k
-        rows["targeted"] = np.array([t is not None for t in targets], dtype=bool)
-        rows["target"] = np.array([[*c, tz, *r] for c, tz, r in (
-            t for t in targets if t is not None)], dtype=np.float64).reshape(-1, 5)
+        rows["targeted"], rows["target"] = np.zeros(k, dtype=bool), np.zeros((0, 5))
     else:
         observations = [det.observation for det in detections]
         rows["r_obs"] = np.array([o.R for o in observations], dtype=np.float64).reshape(k, 2)
@@ -492,6 +481,21 @@ def _side_inputs(detections, intrinsics, cfg, targets=None):
             rows["t_cam"] = np.array([recover_translation(o, intrinsics)
                                       for o in observations]).reshape(k, 3)
     return SimpleNamespace(k=k, fmaps=fmaps, rows=rows)
+
+
+def _with_targets(side, targets, cfg):
+    """A pose-head route ``side`` (``_side_inputs``) with its detections'
+    pose targets ``targets``, one (c*, T_z*, R*) or None each (None: no
+    detection has one): the ``targeted`` mask (k,) of the detections that
+    hold one and their ``target`` rows (c_x, c_y, T_z, R_x, R_y). The
+    observation route reads no targets and keeps ``side``."""
+    if not cfg.use_pose_head:
+        return side
+    targets = targets or [None] * side.k
+    return SimpleNamespace(k=side.k, fmaps=side.fmaps, rows={
+        **side.rows, "targeted": np.array([t is not None for t in targets], dtype=bool),
+        "target": np.array([[*c, tz, *r] for c, tz, r in (
+            t for t in targets if t is not None)], dtype=np.float64).reshape(-1, 5)})
 
 
 def _joined(parts):
@@ -669,7 +673,8 @@ def _backward_stack(tape, d_geometry, pose_weight, params, grads):
 
 def _trainable_slots(params):
     """``(name, owner, attribute)`` of every trainable array of ``params``:
-    ``scorer.{i}.w|b``, ``pose_head.{i}.w|b`` and ``attention.w|b``."""
+    ``scorer.{i}.w|b``, ``pose_head.{i}.w|b`` and ``attention.w|b``.
+    Gradients use the same names."""
     for group in ("scorer", "pose_head"):
         for i, layer in enumerate(getattr(params, group) or ()):
             yield f"{group}.{i}.w", layer, "w"
@@ -679,53 +684,55 @@ def _trainable_slots(params):
         yield "attention.b", params, "attention_b"
 
 
-def _named_arrays(params):
-    """Every trainable array by name, in ``_trainable_slots`` order.
-    Gradients use the same keys."""
-    return {name: getattr(owner, attr) for name, owner, attr in _trainable_slots(params)}
-
-
 class _SideTable:
     """The frame sides of a list of pair samples, gathered once: the
-    ``_side_inputs`` of each distinct (frame, pose targets), the
-    ``reference_transform`` of each distinct (frame, reference ego), and
-    each sample's side a and side b as a key into both. None of it changes
-    as the parameters train. The keys are object ids, which stay unique
-    while the table holds the samples."""
+    ``_side_inputs`` of each distinct frame, the ``reference_transform`` of
+    each distinct (frame, reference ego), and each sample's side a and side
+    b as its pose targets and a key into both. None of it changes as the
+    parameters train. A side's targets are converted when an SGD step first
+    stacks it, once per distinct (frame, targets); a table that is only
+    described (``rows``), such as a held-out one, converts none. The keys
+    are object ids, which stay unique while the table holds the samples."""
 
     def __init__(self, samples, cfg):
-        self.samples, self.inputs, self.transforms, self.sides = samples, {}, {}, []
+        self.samples, self.cfg, self.sides = samples, cfg, []
+        self.inputs, self.transforms, self.targeted = {}, {}, {}
         for sample in samples:
             sides = []
             for frame, targets in ((sample.frame_a, sample.targets_a),
                                    (sample.frame_b, sample.targets_b)):
-                key, ref = (id(frame), id(targets)), (id(frame), id(sample.ego_ref))
-                if key not in self.inputs:
-                    self.inputs[key] = _side_inputs(frame.detections, frame.intrinsics, cfg,
-                                                    targets)
+                ref = (id(frame), id(sample.ego_ref))
+                if id(frame) not in self.inputs:
+                    self.inputs[id(frame)] = _side_inputs(frame.detections, frame.intrinsics,
+                                                          cfg)
                 if ref not in self.transforms:
                     self.transforms[ref] = reference_transform(frame.ego, sample.ego_ref)
-                sides.append((key, ref))
+                sides.append((targets, ref))
             self.sides.append(sides)
 
     def stack(self, i):
         """The ``_stack`` of sample ``i``'s two sides, a then b, each with
         its detections' pose targets."""
-        return _stack([self.inputs[key] for key, _ in self.sides[i]],
-                      [self.transforms[ref] for _, ref in self.sides[i]])
+        sides = []
+        for targets, (frame, _) in self.sides[i]:
+            key = (frame, id(targets))
+            if key not in self.targeted:
+                self.targeted[key] = _with_targets(self.inputs[frame], targets, self.cfg)
+            sides.append(self.targeted[key])
+        return _stack(sides, [self.transforms[ref] for _, ref in self.sides[i]])
 
     def rows(self, params, describe):
         """Every sample's ``(rows_a, rows_b)``: ``describe`` (``_input_rows``
-        or ``_describe_rows``) of a one-side stack, once per (frame,
-        reference ego) and in sample order, shared by every sample that
-        holds it. A frame's rows depend only on it, the parameters and the
-        reference ego; the pose loss of its targets is computed and dropped."""
+        or ``_describe_rows``) of a one-side stack without pose targets, once
+        per (frame, reference ego) and in sample order, shared by every
+        sample that holds it. A frame's rows depend only on it, the
+        parameters and the reference ego, so no pose loss is computed."""
         described = {}
         for sides in self.sides:
-            for key, ref in sides:
+            for _, ref in sides:
                 if ref not in described:
                     described[ref] = describe(
-                        _stack([self.inputs[key]], [self.transforms[ref]]), params)
+                        _stack([self.inputs[ref[0]]], [self.transforms[ref]]), params)
         return [tuple(described[ref] for _, ref in sides) for sides in self.sides]
 
 
@@ -839,32 +846,6 @@ def _tapeless_logits(scorer, rows_a, rows_b, shapes):
     return logits
 
 
-def _score(feats_a, feats_b, params, cache=None, sizes=None, scorer=None):
-    """Similarity bundle between two descriptor matrices, the rows in groups
-    of ``sizes`` as in ``augment_normalize``.
-
-    An empty side has no pairs to score and leaves only the null options.
-    Each side's rows are standardized in float64 (``_standardized``). When
-    ``cache`` is a list it receives the scorer's float64 forward pass over
-    the pair tensor for ``mlp_backward``, in one call. Without it the pairs
-    go through ``_tapeless_logits`` on ``scorer``, the float32 copy of
-    ``params.scorer`` (made here when None). On the stored checkpoint's
-    dense tracking the float32 logits differ from the float64 concatenated
-    layer's by at most 5e-6, and no decision changes.
-    """
-    delta = params.config.delta
-    n1, n2 = len(feats_a), len(feats_b)
-    if n1 == 0 or n2 == 0:
-        return augment_normalize(np.zeros((n1, n2)), delta, sizes)
-    feats_a, feats_b = (_standardized(side, params) for side in (feats_a, feats_b))
-    if cache is not None:
-        return augment_normalize(score_pair_logits(
-            build_pair_tensor(feats_a, feats_b), params.scorer, cache=cache), delta, sizes)
-    logits = _tapeless_logits(scorer or _float32_scorer(params), feats_a, feats_b,
-                              [(n1, n2)])
-    return augment_normalize(logits.reshape(n1, n2), delta, sizes)
-
-
 def _pair_counts(sample, cfg):
     """A sample's two detection counts; GeotrackError when one passes the
     matcher's ``capacity``."""
@@ -874,67 +855,58 @@ def _pair_counts(sample, cfg):
     return n1, n2
 
 
-def forward_pair(sample, params, with_grad=False, pose_only=False, rows=None,
-                 stack=None, grads=None):
-    """Joint loss (and gradients) of one training pair.
+def forward_pair(sample, params, grads, pose_only=False, rows=None, stack=None):
+    """Joint loss and gradients of one training pair: one SGD step.
 
-    Returns a dict with the affinity loss, pose losses, joint loss, the
-    similarity bundle, and — when ``with_grad`` — ``grads`` keyed like
-    ``_named_arrays``: ``scorer.{i}.w|b``, ``pose_head.{i}.w|b`` and
-    ``attention.w|b``, each present whenever the params hold it. With
-    ``pose_only`` the scorer never runs: the objective is the mean pose loss
-    alone (the pose-head pretraining phase).
+    Returns a dict with the affinity loss, pose losses, joint loss and the
+    similarity bundle, and adds the gradients into ``grads``, zeroed arrays
+    keyed like ``_trainable_slots`` (a training run passes views into its flat
+    gradient vector). With ``pose_only`` the scorer never runs: the
+    objective is the mean pose loss alone (the pose-head pretraining phase).
 
-    Without ``with_grad`` the pair is scored tapeless, as ``Matcher.bundle``
-    scores it; with it the scorer's forward pass is taped for the backward
-    pass (see ``numerics.mlp_forward`` for how the two products differ).
+    Each side's rows are standardized in float64 (``_standardized``) and the
+    scorer's float64 forward pass over their pair tensor is taped in one
+    call for ``mlp_backward`` (``numerics.mlp_forward`` says how its product
+    differs from the tapeless pass). An empty side leaves only the null
+    options.
 
     ``rows``, when given, is the sample's ``(rows_a, rows_b)`` as
     ``_describe`` builds them; it is valid only while nothing upstream of the
     descriptors trains (no attention, hence no pose head, which needs
     ``embed_dim`` >= 1), so that the rows cannot change between calls.
     Otherwise both sides are described in one ``_describe`` call over
-    ``stack``, the sample's ``_SideTable.stack`` (from a one-sample table
-    built here when None), and pushed back in one ``_backward_stack`` call.
-    ``grads``, when given, holds zeroed arrays keyed like ``_named_arrays``
-    that the gradients are added into (a training run passes views into its
-    flat gradient vector).
+    ``stack``, the sample's ``_SideTable.stack``, and pushed back in one
+    ``_backward_stack`` call.
     """
     cfg = params.config
     n1, n2 = _pair_counts(sample, cfg)
     if rows is None:
-        if stack is None:
-            stack = _SideTable([sample], cfg).stack(0)
         tape, described = _describe(stack, params)
         rows = described[:n1], described[n1:]
         pose_losses = tape.pose_loss.tolist()
     else:
         tape, pose_losses = None, []  # no pose head: no pose loss
-    feats_a, feats_b = rows
     mean_pose = float(np.mean(pose_losses)) if pose_losses else 0.0
+    scored = not pose_only and n1 > 0 and n2 > 0
 
     if pose_only:
         out = {"affinity": float("nan"), "pose_losses": pose_losses,
                "joint": mean_pose, "bundle": None}
         pose_weight = 1.0
     else:
-        cache = [] if with_grad else None
-        bundle = _score(feats_a, feats_b, params, cache)
-        if with_grad:
-            affinity, d_logits = loss_affinity(bundle, sample.match, with_grad=True)
-        else:
-            affinity = loss_affinity(bundle, sample.match)
+        logits, cache = np.zeros((n1, n2)), []
+        if scored:
+            feats_a, feats_b = (_standardized(side, params) for side in rows)
+            logits = score_pair_logits(build_pair_tensor(feats_a, feats_b), params.scorer,
+                                       cache=cache)
+        bundle = augment_normalize(logits, cfg.delta)
+        affinity, d_logits = loss_affinity(bundle, sample.match)
         out = {"affinity": affinity, "pose_losses": pose_losses,
                "joint": affinity + cfg.lam * mean_pose, "bundle": bundle}
         pose_weight = cfg.lam
-    if not with_grad:
-        return out
 
-    if grads is None:
-        grads = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
     # attention (and the pose head, which needs it) shapes the descriptors
     upstream = params.attention_w is not None
-    scored = not pose_only and n1 > 0 and n2 > 0
     if scored:
         scorer_grads, d_x = mlp_backward(
             params.scorer, cache, d_logits.reshape(n1 * n2, 1), input_grad=upstream
@@ -981,11 +953,12 @@ def _input_statistics(table, params):
 
 def _set_standardization(params, stats):
     """Freeze the standardization vectors from ``_input_statistics``'s
-    stacked rows and column statistics: ``_score`` maps each descriptor row
-    to (row - shift) * scale before pairing, which puts meter-scale geometry
-    and unit-scale appearance on comparable footing, and a pose head's
-    embedding input is whitened the same way. All four vectors ride along
-    in the checkpoint."""
+    stacked rows and column statistics: ``_standardized`` maps each
+    descriptor row to (row - shift) * scale before pairing, wherever a pair
+    is scored (``forward_pair``, ``pair_accuracy`` and ``Matcher.bundle``),
+    which puts meter-scale geometry and unit-scale appearance on comparable
+    footing, and a pose head's embedding input is whitened the same way. All
+    four vectors ride along in the checkpoint."""
     if stats is None:
         return
     block, shift, std = stats
@@ -1021,7 +994,7 @@ class _FlatTrainables:
 
     Building it rebinds every trainable array of ``params`` to a reshaped
     view into ``theta``. ``grads`` holds the same views into ``grad``, keyed
-    and ordered like ``_named_arrays``, for ``forward_pair`` to add into.
+    and ordered like ``_trainable_slots``, for ``forward_pair`` to add into.
     """
 
     def __init__(self, params):
@@ -1038,7 +1011,7 @@ class _FlatTrainables:
         self.pose_head = slice(begin["pose_head.w"], begin["attention.w"])
         self.upstream = begin["pose_head.w"]
         self.theta = np.empty(offset)
-        self.spans = {}  # in _named_arrays order, which the clip norm sums in
+        self.spans = {}  # in _trainable_slots order, which the clip norm sums in
         for name, owner, attr in slots:
             (lo, hi), array = bounds[name], getattr(owner, attr)
             self.theta[lo:hi] = array.ravel()
@@ -1060,7 +1033,7 @@ class _FlatTrainables:
         head's and attention's alone.
 
         The clip norm sums each segment's squares on its own and adds the
-        sums as Python floats in ``_named_arrays`` order, as a loop over the
+        sums as Python floats in ``_trainable_slots`` order, as a loop over the
         arrays does; one sum over the whole vector rounds differently. Weight
         decay is added on its slice rather than through a 0/1 mask, which
         would turn a -0.0 gradient into +0.0.
@@ -1095,9 +1068,9 @@ def _sgd_epoch(table, rows, params, flat, config, rng, lr, pose_only=False):
     pose_count = 0
     for idx in order:
         flat.grad.fill(0.0)
-        result = forward_pair(samples[idx], params, with_grad=True, pose_only=pose_only,
+        result = forward_pair(samples[idx], params, flat.grads, pose_only=pose_only,
                               rows=rows[idx] if rows else None,
-                              stack=None if rows else table.stack(idx), grads=flat.grads)
+                              stack=None if rows else table.stack(idx))
         if not np.isfinite(result["joint"]):
             raise NonFiniteLossError(
                 f"non-finite loss at epoch {params.epochs_trained}, sample {idx}: "
@@ -1190,8 +1163,8 @@ def train_matcher(samples, config, params=None, heldout=None):
 def pair_accuracy(samples, params, rows=None):
     """Fraction of per-object assignment decisions (argmax incl. the null
     option, both directions) that agree with the ground-truth matrix. Each
-    pair is scored tapeless, as ``Matcher.bundle`` scores it, with the bits
-    of one ``forward_pair`` call per sample.
+    pair is scored tapeless, with the bits of one ``Matcher.bundle`` call
+    per sample.
 
     ``rows``, when given, holds each sample's ``(rows_a, rows_b)`` as
     ``_describe`` builds them under ``params``: a training run passes those
@@ -1262,10 +1235,21 @@ class Matcher:
 
     def bundle(self, desc_rows, desc_cols, sizes=None):
         """Similarity bundle between two stacked descriptor matrices, the
-        rows in groups of ``sizes`` (see ``augment_normalize``)."""
+        rows in groups of ``sizes`` (see ``augment_normalize``).
+
+        Each side's rows are standardized in float64 (``_standardized``) and
+        their pairs go through ``_tapeless_logits`` on the scorer's float32
+        copy. On the stored checkpoint's dense tracking the float32 logits
+        differ from the float64 concatenated layer's by at most 5e-6, and no
+        decision changes."""
+        n1, n2 = len(desc_rows), len(desc_cols)
+        logits = np.zeros((n1, n2))  # an empty side leaves only the null options
         with np.errstate(over="ignore", invalid="ignore"):  # fails the check below
-            bundle = _score(desc_rows, desc_cols, self.params, sizes=sizes,
-                            scorer=self._scorer)
+            if n1 and n2:
+                logits = _tapeless_logits(self._scorer, *(
+                    _standardized(side, self.params) for side in (desc_rows, desc_cols)),
+                    [(n1, n2)]).reshape(n1, n2)
+            bundle = augment_normalize(logits, self.config.delta, sizes)
         if not np.isfinite(bundle.fused).all():
             raise DataError("descriptor values overflow the pair scorer")
         return bundle

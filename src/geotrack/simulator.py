@@ -12,9 +12,9 @@ Depth noise is multiplicative: monocular depth error grows with range, and
 the evaluation asserts exactly that signature downstream.
 
 Each frame maps every object into the camera in one batched pass, with the
-sums ``world_to_camera`` takes row by row, and decides visibility for all of
-them at once; only the visible objects reach the per-object code, which
-draws their noise in object order. Each object's world pose and each
+sums that the reference ``world_to_camera`` (``tests/helpers.py``) takes row
+by row, and decides visibility for all of them at once; only the visible
+objects reach the per-object code, which draws their noise in object order. Each object's world pose and each
 identity's base appearance are built once per scene. Scene files are
 byte-identical to those of the object-by-object reference generator in the
 tests.
@@ -136,6 +136,8 @@ class SimConfig:
             # objects are drawn as low + (high - low) * U, which needs a finite width
             if not math.isfinite(float(high) - float(low)):
                 raise ConfigError(f"{name} {getattr(self, name)}: high - low must be finite")
+            if float(low) > float(high):
+                raise ConfigError(f"{name} {getattr(self, name)}: low must not exceed high")
         # a false positive's depth is drawn from depth_range
         if self.fp_rate > 0 and not all(float(end) > 0 for end in self.depth_range):
             raise ConfigError(f"depth_range {self.depth_range} must lie above 0 when fp_rate > 0")
@@ -225,9 +227,10 @@ def _sample_objects(config, rng):
     (n, 2) of the scene's objects; object i has id i + 1."""
     positions, facings = [], []
     for _ in range(config.n_objects):
-        x = rng.uniform(*config.lateral_range)
-        h = rng.uniform(*config.height_range)
-        z = rng.uniform(*config.depth_range)
+        # + 0.0 draws [0.0, -0.0] as [0.0, 0.0]: numpy refuses its width of
+        # -0.0, and no other range changes a bit
+        x, h, z = (rng.uniform(low, high + 0.0) for low, high in (
+            config.lateral_range, config.height_range, config.depth_range))
         # objects face back along the road, toward the approaching camera
         # abs: numpy refuses a -0.0 scale, which draws as 0.0
         jitter = math.radians(rng.normal(0.0, abs(config.facing_jitter_deg)))
@@ -305,9 +308,10 @@ def _feature_signature(config, object_id):
 def _camera_frame(ego, T, R):
     """Camera-frame translations (n, 3) and facings (n, 2) of the world poses
     with translations ``T`` (n, 3) and unit facings ``R`` (n, 2), seen from
-    ``ego``: the sums ``world_to_camera`` takes, for all rows at once. The
-    facings are not yet normalized. DataError when a translation overflows,
-    as ``world_to_camera`` raises for it."""
+    ``ego``: the sums the reference ``world_to_camera`` in
+    ``tests/helpers.py`` takes, for all rows at once. The facings are not
+    yet normalized. DataError when a translation overflows, as that
+    reference raises for it."""
     rot = quat_to_matrix(ego.rotation)
     with np.errstate(over="ignore", invalid="ignore"):
         cam_T = (rot.T @ (T - ego.translation)[:, :, None])[:, :, 0]

@@ -125,10 +125,10 @@ def view_gate(T, ego_ref, ego, intrinsics):
 
     The translations are mapped to the world through ``ego_ref`` and into
     the camera through ``ego``, all tracks at once and with the same sums as
-    ``world_to_camera(camera_to_world(...))``. A track is in view when its
-    depth is positive and its ``project``ed centre lies inside the image
-    widened by ``VIEW_MARGIN`` of its width and height on every side, bounds
-    included. A position that overflows on the way is out of view.
+    ``camera_to_world`` followed by the reference ``world_to_camera`` in
+    ``tests/helpers.py``. A track is in view when its depth is positive and
+    its ``project``ed centre lies inside the image widened by
+    ``VIEW_MARGIN`` of its width and height on every side, bounds included. A position that overflows on the way is out of view.
     """
     rot_ref, rot = quat_to_matrix(ego_ref.rotation), quat_to_matrix(ego.rotation)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -210,7 +210,9 @@ def step(state, frame):
 
 
 def finalize(state, min_instances=DEFAULT_MIN_INSTANCES):
-    """World-frame aggregated poses of tracks with enough observations."""
+    """World-frame aggregated poses of tracks with enough observations. A
+    track's pose is aggregated in the reference frame, which is the first
+    camera's, so ``camera_to_world`` under ``ego_ref`` maps it to the world."""
     table = state.instances
     by_track = np.argsort(table["track"], kind="stable")  # each track's rows oldest first
     ends = np.cumsum(np.bincount(table["track"], minlength=len(state.tracks)))
@@ -219,8 +221,7 @@ def finalize(state, min_instances=DEFAULT_MIN_INSTANCES):
     for t, (count, descriptors) in enumerate(zip(state.tracks.tolist(), buffers)):
         if count < min_instances:
             continue
-        pose_ref = aggregate_pose(descriptors)
-        world = camera_to_world(pose_ref.with_frame("camera"), state.ego_ref)
+        world = camera_to_world(aggregate_pose(descriptors), state.ego_ref)
         out.append(GeolocatedObject(track_id=t + 1, pose=world, instance_count=count))
     return out
 

@@ -1,15 +1,17 @@
 """Reference code that only the tests use: a finite-difference gradient
-check, input standardization fitted outside a training run, the pair-side
+check, input standardization fitted outside a training run, the SGD step on
+one sample of its own (``training_forward_pair``), the tapeless loss and
+bundle of one sample (``reference_forward_pair``), the pair-side
 standardization that standardizing rows once replaced (with the scorer's
 first layer whole, and split by side as tracking runs it, in float32 or in
 the float64 the tracker's scorer used before), the per-sample accuracy pass
 that the one-pass sweep replaced, the per-array SGD
-update that training's flat parameter vector replaced, the pose-by-pose
-reference-frame transform, the object-by-object scene generator and pose
-target that the simulator's per-frame pass replaced, the scene document and
-its ``json.dumps`` text that the direct scene writer replaced, a document
-mutator for the data-contract fuzz tests, and ``raises_internal`` for the
-internal-fault (exit 4) guards."""
+update that training's flat parameter vector replaced, the world-to-camera
+and pose-by-pose reference-frame transforms, the object-by-object scene
+generator and pose target that the simulator's per-frame pass replaced, the
+scene document and its ``json.dumps`` text that the direct scene writer
+replaced, a document mutator for the data-contract fuzz tests, and
+``raises_internal`` for the internal-fault (exit 4) guards."""
 
 import json
 import math
@@ -24,15 +26,17 @@ from hypothesis import strategies as st
 from geotrack import matching, numerics, simulator
 from geotrack.errors import GeotrackError
 from geotrack.geometry import (
+    CAMERA,
     REFERENCE,
     WORLD,
     EgoPose,
     PixelObservation,
     Pose5D,
     camera_to_world,
+    ego_yaw,
     normalize_rotation,
     project,
-    world_to_camera,
+    quat_to_matrix,
     yaw_rot2,
 )
 from geotrack.scene import (
@@ -112,6 +116,55 @@ def grad_check(f, params, tolerance=1e-4, step=1e-5):
     )
 
 
+# --- one training pair ---------------------------------------------------------------
+
+
+def named_arrays(params):
+    """Every trainable array of ``params`` by name, in
+    ``matching._trainable_slots`` order; gradients use the same keys."""
+    return {name: getattr(owner, attr) for name, owner, attr in
+            matching._trainable_slots(params)}
+
+
+def training_forward_pair(sample, params, pose_only=False, rows=None):
+    """``matching.forward_pair``, the SGD step, on a sample of its own: both
+    sides described through a one-sample ``_SideTable`` unless ``rows``
+    holds them, and the gradients added into a fresh dict keyed like
+    ``named_arrays`` (in ``out["grads"]``)."""
+    grads = {name: np.zeros_like(a) for name, a in named_arrays(params).items()}
+    stack = matching._SideTable([sample], params.config).stack(0) if rows is None else None
+    return matching.forward_pair(sample, params, grads, pose_only=pose_only, rows=rows,
+                                 stack=stack)
+
+
+def reference_forward_pair(sample, params, pose_only=False, rows=None):
+    """The affinity, pose and joint losses and the similarity bundle of one
+    training pair, scored tapeless as ``Matcher.bundle`` scores it, with no
+    gradient: ``forward_pair`` as it ran without ``with_grad``. The sides
+    are described through a one-sample ``_SideTable`` unless ``rows`` holds
+    them, and the scorer gets a float32 cast of its own."""
+    cfg = params.config
+    n1, n2 = matching._pair_counts(sample, cfg)
+    pose_losses = []
+    if rows is None:
+        tape, described = matching._describe(
+            matching._SideTable([sample], cfg).stack(0), params)
+        rows, pose_losses = (described[:n1], described[n1:]), tape.pose_loss.tolist()
+    mean_pose = float(np.mean(pose_losses)) if pose_losses else 0.0
+    if pose_only:
+        return {"affinity": float("nan"), "pose_losses": pose_losses, "joint": mean_pose,
+                "bundle": None}
+    logits = np.zeros((n1, n2))
+    if n1 and n2:
+        logits = matching._tapeless_logits(
+            matching._float32_scorer(params),
+            *(matching._standardized(side, params) for side in rows), [(n1, n2)])
+    bundle = matching.augment_normalize(logits.reshape(n1, n2), cfg.delta)
+    affinity = matching.loss_affinity(bundle, sample.match)[0]
+    return {"affinity": affinity, "pose_losses": pose_losses,
+            "joint": affinity + cfg.lam * mean_pose, "bundle": bundle}
+
+
 # --- input standardization -----------------------------------------------------------
 
 
@@ -140,14 +193,12 @@ def reference_pair_logits(feats_a, feats_b, params, cache=None):
         len(feats_a), len(feats_b))
 
 
-def reference_split_logits(feats_a, feats_b, params, dtype=np.float32):
-    """The tapeless scorer's (n_a, n_b) logits with the first layer split by
-    side in ``_score``'s order, ``(a W1[:d] + b1) + b W1[d:]``, but every
-    pair standardized and multiplied on its own row, in one call rather
-    than once per side and per chunk. The standardized pairs and the layers
-    are cast to ``dtype`` first: float32 is what ``_score`` computes,
-    float64 what it computed before it ran in float32."""
-    x = _standardized_pairs(feats_a, feats_b, params).astype(dtype)
+def _split_pair_logits(x, params, dtype):
+    """The logits of every standardized pair row of ``x`` with the scorer's
+    first layer split by side in ``_tapeless_logits``'s order,
+    ``(a W1[:d] + b1) + b W1[d:]``, each pair multiplied on its own row, in
+    one call; ``x`` and the layers are cast to ``dtype`` first."""
+    x = x.astype(dtype)
     scorer = [numerics.Layer(layer.w.astype(dtype), layer.b.astype(dtype), layer.act)
               for layer in params.scorer]
     d = x.shape[1] // 2
@@ -155,32 +206,43 @@ def reference_split_logits(feats_a, feats_b, params, dtype=np.float32):
     z = numerics._layer_product(x[:, :d].copy(), first.w[:d], taped=False) + first.b
     z = z + numerics._layer_product(x[:, d:].copy(), first.w[d:], taped=False)
     h = numerics._ACTS[first.act][0](z)
-    return numerics.mlp_forward(scorer[1:], h).reshape(len(feats_a), len(feats_b))
+    return numerics.mlp_forward(scorer[1:], h)
 
 
-def reference_score64(feats_a, feats_b, params, cache=None, sizes=None, scorer=None):
-    """``matching._score``'s tapeless bundle with the scorer in float64, as
-    it ran before the float32 scorer: a drop-in for ``_score`` that checks
-    the tracker's decisions do not depend on the precision. It scores with
-    ``params.scorer`` and ignores the float32 copy ``scorer``."""
-    if cache is not None:
-        raise GeotrackError("the float64 reference scores tapeless only")
-    n_a, n_b = len(feats_a), len(feats_b)
-    logits = reference_split_logits(feats_a, feats_b, params, np.float64) \
-        if n_a and n_b else np.zeros((n_a, n_b))
-    return matching.augment_normalize(logits, params.config.delta, sizes)
+def reference_split_logits(feats_a, feats_b, params, dtype=np.float32):
+    """The tapeless scorer's (n_a, n_b) logits with every pair standardized
+    and split as ``_split_pair_logits`` scores it, rather than once per side
+    and per chunk. float32 is what ``_tapeless_logits`` computes."""
+    return _split_pair_logits(_standardized_pairs(feats_a, feats_b, params), params,
+                              dtype).reshape(len(feats_a), len(feats_b))
+
+
+def reference_logits64(params, rows_a, rows_b, shapes):
+    """``matching._tapeless_logits`` over the blocks ``shapes`` of the
+    standardized rows ``rows_a`` and ``rows_b``, with the float64
+    ``params.scorer`` rather than a float32 copy, as the tracker's scorer
+    ran before float32, one unchunked call per block: with the scorer bound,
+    a drop-in that checks the tracker's decisions do not depend on the
+    precision."""
+    logits, a, b = [], 0, 0
+    for n_a, n_b in shapes:
+        pairs = matching.build_pair_tensor(rows_a[a:a + n_a], rows_b[b:b + n_b])
+        logits.append(_split_pair_logits(pairs.reshape(n_a * n_b, -1), params,
+                                         np.float64)[:, 0])
+        a, b = a + n_a, b + n_b
+    return np.concatenate(logits)
 
 
 def reference_pair_accuracy(samples, params, rows=None):
     """``matching.pair_accuracy`` as it ran before its one-pass sweep: one
-    ``forward_pair`` call per sample, each with its own scorer cast, side
-    products and chunks, and every sample described afresh unless ``rows``
-    holds its ``(rows_a, rows_b)``."""
+    ``reference_forward_pair`` call per sample, each with its own scorer
+    cast, side products and chunks, and every sample described afresh
+    unless ``rows`` holds its ``(rows_a, rows_b)``."""
     correct = 0
     total = 0
     for i, sample in enumerate(samples):
-        bundle = matching.forward_pair(sample, params,
-                                       rows=rows[i] if rows else None)["bundle"]
+        bundle = reference_forward_pair(sample, params,
+                                        rows=rows[i] if rows else None)["bundle"]
         fused, match = bundle.fused, sample.match
         n1, n2 = fused.shape[0] - 1, fused.shape[1] - 1
         correct += np.count_nonzero(fused[:n1].argmax(axis=1) == match[:n1].argmax(axis=1))
@@ -198,12 +260,11 @@ def _reference_sgd_epoch(samples, params, config, rng, lr, velocity, pose_only=F
     dict per step, a Python sum of per-array squared norms for the clip, and
     a velocity array per trainable. Returns (mean affinity, mean pose loss,
     clipped steps)."""
-    updates = [(name, arr) for name, arr in matching._named_arrays(params).items()
+    updates = [(name, arr) for name, arr in named_arrays(params).items()
                if not pose_only or name.startswith(("pose_head.", "attention."))]
     affinity_sum, pose_sum, pose_count, clipped = 0.0, 0.0, 0, 0
     for idx in rng.permutation(len(samples)):
-        result = matching.forward_pair(samples[idx], params, with_grad=True,
-                                       pose_only=pose_only)
+        result = training_forward_pair(samples[idx], params, pose_only=pose_only)
         if not pose_only:
             affinity_sum += result["affinity"]
         pose_sum += sum(result["pose_losses"])
@@ -241,7 +302,7 @@ def reference_train_matcher(samples, config, params=None, heldout=None):
         if config.use_pose_head:
             pretrain = (config.pose_pretrain_epochs
                         if config.pose_pretrain_epochs is not None else config.epochs // 3)
-    velocity = {name: np.zeros_like(a) for name, a in matching._named_arrays(params).items()}
+    velocity = {name: np.zeros_like(a) for name, a in named_arrays(params).items()}
     cutoff = int(np.floor(config.epochs * 2 / 3))
     schedule = [(True, config.learning_rate)] * pretrain + [
         (False, config.learning_rate * (config.lr_decay if epoch >= cutoff else 1.0))
@@ -258,6 +319,15 @@ def reference_train_matcher(samples, config, params=None, heldout=None):
 
 
 # --- frame transforms ----------------------------------------------------------------
+
+
+def world_to_camera(pose, ego, frame_id=CAMERA):
+    """The inverse of ``geometry.camera_to_world``: a world pose seen from
+    the camera of ego pose ``ego``."""
+    rot = quat_to_matrix(ego.rotation)
+    t = rot.T @ (pose.T - ego.translation)
+    r = yaw_rot2(-ego_yaw(ego)) @ pose.R
+    return Pose5D(t, normalize_rotation(r), frame_id)
 
 
 def to_reference_frame(pose, ego_t, ego_ref):

@@ -29,11 +29,9 @@ from geotrack.geometry import (
 from geotrack.matching import (
     Matcher,
     MatcherConfig,
-    forward_pair,
     init_matcher_params,
     pair_accuracy,
     train_matcher,
-    _named_arrays,
 )
 from geotrack.numerics import loss_rot, loss_rot_grad, loss_trans, loss_trans_grad
 from geotrack.scene import (
@@ -48,7 +46,13 @@ from geotrack.scene import (
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset, \
     world_objects
 from geotrack.tracker import finalize, track_scene
-from helpers import fit_input_standardization, grad_check, to_reference_frame
+from helpers import (
+    fit_input_standardization,
+    grad_check,
+    named_arrays,
+    to_reference_frame,
+    training_forward_pair,
+)
 
 APPEARANCE_DIM = 16
 
@@ -125,7 +129,7 @@ def test_02_gradient_suite():
 
     samples, params, cfg = _pose_setup()
     sample = samples[0]
-    names = _named_arrays(params)
+    names = named_arrays(params)
 
     def check(f, label, subset=None):
         target = {k: v for k, v in names.items()
@@ -140,7 +144,7 @@ def test_02_gradient_suite():
         saved = params.config
         params.config = local
         try:
-            res = forward_pair(sample, params, with_grad=True, pose_only=True)
+            res = training_forward_pair(sample, params, pose_only=True)
         finally:
             params.config = saved
         return res["joint"], res["grads"]
@@ -166,7 +170,7 @@ def test_02_gradient_suite():
         saved = params.config
         params.config = local
         try:
-            res = forward_pair(sample, params, with_grad=True)
+            res = training_forward_pair(sample, params)
         finally:
             params.config = saved
         return res["joint"], res["grads"]
@@ -186,10 +190,10 @@ def test_02_gradient_suite():
                                             init_matcher_params(flat_cfg))
 
     def affinity_flat(_):
-        res = forward_pair(flat_samples[0], flat_params, with_grad=True)
+        res = training_forward_pair(flat_samples[0], flat_params)
         return res["joint"], res["grads"]
 
-    rep = grad_check(affinity_flat, _named_arrays(flat_params),
+    rep = grad_check(affinity_flat, named_arrays(flat_params),
                      tolerance=1e-4, step=1e-5)
     assert rep.passed, (rep.worst_param, rep.max_error)
 

@@ -8,7 +8,9 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +46,11 @@ def run_cli(*args, cwd=None):
 
 
 SIM_ARGS = ["--n-frames", "16", "--n-objects", "3"]
+
+# the simulator fields the drawn-config property test sets: every float
+# field, the three object ranges and the trajectory
+SWEPT_FIELDS = sorted([f.name for f in fields(SimConfig) if type(f.default) is float]
+                      + ["lateral_range", "height_range", "depth_range", "trajectory"])
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +171,10 @@ class TestSimulate:
           "height_range": [0, 1.7e308], "depth_range": [5e-324, 1e154]}, "depth_range"),
         ({"fp_rate": 1.0, "depth_range": [1e154, 1e154], "n_frames": 3}, "depth_range"),
         ({"bbox_jitter_px": 1e300, "n_frames": 3}, "bbox_jitter_px"),
+        # reversed ranges, which numpy refused with a traceback (exit 1)
+        ({"n_frames": 3, "height_range": [5.0, 4.0]}, "height_range"),
+        ({"n_frames": 3, "height_range": [1e300, -0.0]}, "height_range"),
+        ({"n_frames": 3, "lateral_range": [5e-324, 0.0]}, "lateral_range"),
     ])
     def test_out_of_range_config_exits_2(self, tmp_path, doc, named):
         config = tmp_path / "bad.json"
@@ -211,6 +222,45 @@ class TestSimulate:
             assert r.returncode == 0, r.stderr
             scenes.append((tmp_path / f"o{jitter}" / "scene-00000000.json").read_bytes())
         assert scenes[0] == scenes[1]
+
+    def test_range_from_zero_to_negative_zero_draws_as_zero(self, tmp_path):
+        """[0.0, -0.0] holds the one value 0.0: its scene file equals that of
+        [0.0, 0.0] (numpy refused its width of -0.0 with a traceback)."""
+        scenes = []
+        for high in ("-0.0", "0.0"):
+            config = tmp_path / f"sim{high}.json"
+            config.write_text(f'{{"n_frames": 3, "lateral_range": [0.0, {high}]}}')
+            r = run_cli("simulate", "--config", config, "--out", tmp_path / f"o{high}")
+            assert r.returncode == 0, r.stderr
+            scenes.append((tmp_path / f"o{high}" / "scene-00000000.json").read_bytes())
+        assert scenes[0] == scenes[1]
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_config_exits_0_or_2(self, data):
+        """A config of 3 frames and 3 objects whose one to three drawn fields
+        hold extreme values, ranges unsorted half the time, exits 0 or 2,
+        never with a traceback or as bad data or an internal fault; every
+        scene an exit-0 run writes loads."""
+        doc = {"n_frames": 3, "n_objects": 3}
+        value = st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 1e300, -1e300, 1e154,
+                                 -1e154, 1e-300, 5e-324, 0.0, -0.0])
+        for name in data.draw(st.lists(st.sampled_from(SWEPT_FIELDS), min_size=1,
+                                       max_size=3, unique=True)):
+            if name == "trajectory":
+                doc[name] = data.draw(st.sampled_from(["straight", "turn"]))
+            elif name.endswith("_range"):
+                doc[name] = [data.draw(value), data.draw(value)]
+            else:
+                doc[name] = data.draw(value)
+        with tempfile.TemporaryDirectory() as root:
+            config, out = Path(root) / "sim.json", Path(root) / "o"
+            config.write_text(json.dumps(doc))
+            code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+            assert code in (0, 2), doc
+            if code == 0:
+                for path in out.glob("scene-*.json"):
+                    load_scene(path)
 
     def test_depth_range_through_zero_without_false_positives(self, tmp_path):
         # only false positives draw from depth_range; objects behind the

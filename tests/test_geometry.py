@@ -22,9 +22,8 @@ from geotrack.geometry import (
     quat_to_matrix,
     recover_translation,
     reference_transform,
-    world_to_camera,
 )
-from helpers import to_reference_frame
+from helpers import to_reference_frame, world_to_camera
 
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
                      width=1600, height=900)

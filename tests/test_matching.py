@@ -23,7 +23,6 @@ from geotrack.matching import (
     PairSample,
     augment_normalize,
     build_pair_tensor,
-    forward_pair,
     init_matcher_params,
     load_checkpoint,
     loss_affinity,
@@ -33,8 +32,6 @@ from geotrack.matching import (
     score_pair_logits,
     train_matcher,
     _describe,
-    _named_arrays,
-    _score,
 )
 from geotrack.numerics import _logcosh, mlp_backward, mlp_forward
 from geotrack.scene import Detection, FrameRecord
@@ -43,11 +40,14 @@ from helpers import (
     STORED_CHECKPOINT,
     fit_input_standardization,
     grad_check,
+    named_arrays,
     raises_internal,
+    reference_forward_pair,
     reference_pair_accuracy,
     reference_pair_logits,
     reference_split_logits,
     reference_train_matcher,
+    training_forward_pair,
 )
 
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
@@ -234,18 +234,30 @@ def _spread_rows(params, n_a, n_b):
             for n in (n_a, n_b))
 
 
-def _recorded_score(monkeypatch, *args):
-    """``_score(*args)`` and the logits of each ``score_pair_logits`` call
-    it made."""
-    scored = []
+def _recorded_score(monkeypatch, feats_a, feats_b, params, taped=False):
+    """The similarity bundle of two descriptor matrices, the logits of each
+    ``score_pair_logits`` call that made it and each call's tape (None when
+    tapeless). Tapeless, ``Matcher.bundle`` scores them, as the tracker
+    does; taped, the SGD step ``forward_pair`` does, on a stand-in sample
+    of those detection counts, whose capacity it may pass."""
+    scored, tapes = [], []
     original = matching.score_pair_logits
 
     def record(*call_args, **kwargs):
+        tapes.append(kwargs.get("cache"))
         scored.append(original(*call_args, **kwargs))
         return scored[-1]
 
     monkeypatch.setattr(matching, "score_pair_logits", record)
-    return _score(*args), scored
+    if not taped:
+        return Matcher(params).bundle(feats_a, feats_b), scored, tapes
+    n_a, n_b = len(feats_a), len(feats_b)
+    sample = SimpleNamespace(frame_a=SimpleNamespace(detections=[None] * n_a),
+                             frame_b=SimpleNamespace(detections=[None] * n_b),
+                             match=np.zeros((n_a + 1, n_b + 1), dtype=np.int64))
+    roomy = replace(params, config=replace(params.config, capacity=max(n_a, n_b, 1)))
+    bundle = training_forward_pair(sample, roomy, rows=(feats_a, feats_b))["bundle"]
+    return bundle, scored, tapes
 
 
 @pytest.fixture(params=["stored-checkpoint", "trained"])
@@ -256,7 +268,7 @@ def scoring_params(request):
 
 
 class TestRowStandardizationOracle:
-    """``_score`` standardizes each side's descriptor rows once, before
+    """Scoring standardizes each side's descriptor rows once, before
     pairing them. Its logits must be byte for byte those of standardizing
     every pair: on the taped path training runs (in one call) with the
     concatenated first layer, and on the tapeless path the tracker runs (in
@@ -269,8 +281,8 @@ class TestRowStandardizationOracle:
                                                n_a, n_b):
         params = scoring_params
         feats_a, feats_b = _spread_rows(params, n_a, n_b)
-        cache, ref_cache = ([], []) if taped else (None, None)
-        bundle, scored = _recorded_score(monkeypatch, feats_a, feats_b, params, cache)
+        ref_cache = [] if taped else None
+        bundle, scored, tapes = _recorded_score(monkeypatch, feats_a, feats_b, params, taped)
         if taped:
             expected = reference_pair_logits(feats_a, feats_b, params, ref_cache)
         else:
@@ -280,8 +292,11 @@ class TestRowStandardizationOracle:
             assert [logits.size for logits in scored] \
                 == [min(chunk_rows, n_a - start) * n_b for start in range(0, n_a, chunk_rows)]
             assert np.concatenate(scored).tobytes() == expected.tobytes()
-            assert len(cache or []) == len(ref_cache or [])
-            for entry, ref_entry in zip(cache or [], ref_cache or []):
+            # only the taped call keeps a tape, entry for entry the reference's
+            assert [tape is None for tape in tapes] == [not taped] * len(scored)
+            cache = tapes[0] or []
+            assert len(cache) == len(ref_cache or [])
+            for entry, ref_entry in zip(cache, ref_cache or []):
                 assert [a.tobytes() for a in entry] == [a.tobytes() for a in ref_entry]
         else:
             assert scored == []
@@ -300,7 +315,7 @@ class TestSplitFirstLayer:
     def test_agrees_with_concatenated_layer(self, scoring_params, monkeypatch, n_a, n_b):
         params = scoring_params
         feats_a, feats_b = _spread_rows(params, n_a, n_b)
-        bundle, scored = _recorded_score(monkeypatch, feats_a, feats_b, params)
+        bundle, scored, _ = _recorded_score(monkeypatch, feats_a, feats_b, params)
         concatenated = reference_pair_logits(feats_a, feats_b, params)
         np.testing.assert_allclose(np.concatenate(scored).reshape(n_a, n_b), concatenated,
                                    rtol=1e-5, atol=1e-5)
@@ -392,7 +407,7 @@ class TestFloat64MasterCopy:
         assert 0.0 < pair_accuracy(small_samples(appearance_dim=params.config.appearance_dim),
                                    params) <= 1.0
         arrays = {**{name: a for name, a in vars(params).items()
-                     if isinstance(a, np.ndarray)}, **_named_arrays(params)}
+                     if isinstance(a, np.ndarray)}, **named_arrays(params)}
         assert {name: a.dtype for name, a in arrays.items()} \
             == {name: np.dtype(np.float64) for name in arrays}
         assert params_to_doc(params) == before
@@ -448,13 +463,13 @@ class TestLossAffinity:
 
     def test_perfect_match_zero_loss(self):
         bundle = self.one_to_one_bundle(1.0 - 1e-15)
-        assert loss_affinity(bundle, self.match_matrix()) == pytest.approx(
+        assert loss_affinity(bundle, self.match_matrix())[0] == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_half_probability_is_log_two(self):
         bundle = self.one_to_one_bundle(0.5)
-        assert loss_affinity(bundle, self.match_matrix()) == pytest.approx(
+        assert loss_affinity(bundle, self.match_matrix())[0] == pytest.approx(
             math.log(2.0), abs=1e-12
         )
 
@@ -479,12 +494,12 @@ class TestLossAffinity:
         match[0, 1] = match[1, 4] = match[2, 0] = 1  # one row matched to null
         match[3, 2] = match[3, 3] = 1  # entrants
         bundle = augment_normalize(base, 0.3)
-        loss, grad = loss_affinity(bundle, match, with_grad=True)
+        loss, grad = loss_affinity(bundle, match)
         for idx in np.ndindex(base.shape):
             step = np.zeros_like(base)
             step[idx] = 1e-6
-            hi = loss_affinity(augment_normalize(base + step, 0.3), match)
-            lo = loss_affinity(augment_normalize(base - step, 0.3), match)
+            hi = loss_affinity(augment_normalize(base + step, 0.3), match)[0]
+            lo = loss_affinity(augment_normalize(base - step, 0.3), match)[0]
             fd = (hi - lo) / 2e-6
             assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
@@ -497,14 +512,14 @@ class TestLossAffinity:
         params = fit_input_standardization(samples, init_matcher_params(cfg))
         no_pose = replace(params, config=replace(cfg, lam=0.0))
         for sample in samples[:4]:
-            res = forward_pair(sample, params)
+            res = training_forward_pair(sample, params)
             assert len(res["pose_losses"]) == \
                 len(sample.frame_a.detections) + len(sample.frame_b.detections)
             assert res["joint"] == pytest.approx(
                 res["affinity"] + 0.25 * np.mean(res["pose_losses"]), abs=1e-12
             )
             assert res["joint"] > res["affinity"]
-            assert forward_pair(sample, no_pose)["joint"] == res["affinity"]
+            assert training_forward_pair(sample, no_pose)["joint"] == res["affinity"]
 
 
 class TestConfig:
@@ -630,22 +645,21 @@ class TestGradients:
         for sample, params, pose_only in ((obs_samples[0], obs_params, False),
                                           (samples[0], pose_params, False),
                                           (samples[0], pose_params, True)):
-            grads = forward_pair(sample, params, with_grad=True,
-                                 pose_only=pose_only)["grads"]
+            grads = training_forward_pair(sample, params, pose_only=pose_only)["grads"]
             assert {k: g.shape for k, g in grads.items()} == \
-                {k: a.shape for k, a in _named_arrays(params).items()}
+                {k: a.shape for k, a in named_arrays(params).items()}
 
     def test_joint_loss_full_chain(self):
         samples, params = self.make_pose_setup()
 
         def f_for(sample):
             def f(_):
-                res = forward_pair(sample, params, with_grad=True)
+                res = training_forward_pair(sample, params)
                 return res["joint"], res["grads"]
             return f
 
         for sample in samples:
-            report = grad_check(f_for(sample), _named_arrays(params),
+            report = grad_check(f_for(sample), named_arrays(params),
                                 tolerance=1e-4)
             assert report.passed, (report.worst_param, report.max_error)
 
@@ -654,10 +668,10 @@ class TestGradients:
         sample = samples[0]
 
         def f(_):
-            res = forward_pair(sample, params, with_grad=True, pose_only=True)
+            res = training_forward_pair(sample, params, pose_only=True)
             return res["joint"], res["grads"]
 
-        report = grad_check(f, _named_arrays(params), tolerance=1e-4)
+        report = grad_check(f, named_arrays(params), tolerance=1e-4)
         assert report.passed, (report.worst_param, report.max_error)
 
 
@@ -670,7 +684,7 @@ class TestEmptySides:
         params = fit_input_standardization(samples, init_matcher_params(cfg))
         n_a = len(template.frame_a.detections)
         empty_b = with_empty_b(template)
-        res = forward_pair(empty_b, params, with_grad=True)
+        res = training_forward_pair(empty_b, params)
         assert np.isfinite(res["affinity"])
         assert res["bundle"].fused.shape == (n_a + 1, 1)
         # null probability is 1 when there is nothing to match
@@ -713,7 +727,7 @@ class TestPerSideIntrinsics:
             np.testing.assert_array_equal(params.input_shift,
                                           np.concatenate([rows_a, rows_b]).mean(axis=0))
             # ... and the training pair scores exactly what tracking scores
-            assert_bits_equal(forward_pair(sample, params)["bundle"].fused,
+            assert_bits_equal(reference_forward_pair(sample, params)["bundle"].fused,
                               matcher.bundle(rows_a, rows_b).fused, hidden)
 
     def test_pose_head_gradients(self):
@@ -723,10 +737,10 @@ class TestPerSideIntrinsics:
         params = fit_input_standardization([sample], init_matcher_params(cfg))
 
         def f(_):
-            res = forward_pair(sample, params, with_grad=True)
+            res = training_forward_pair(sample, params)
             return res["joint"], res["grads"]
 
-        report = grad_check(f, _named_arrays(params), tolerance=1e-4)
+        report = grad_check(f, named_arrays(params), tolerance=1e-4)
         assert report.passed, (report.worst_param, report.max_error)
 
 
@@ -751,8 +765,7 @@ class TestAccuracyMetrics:
         )
         same, cross = [], []
         for sample in samples:
-            res = forward_pair(sample, trained_matcher.params)
-            bundle = res["bundle"]
+            bundle = reference_forward_pair(sample, trained_matcher.params)["bundle"]
             n1, n2 = len(sample.frame_a.detections), len(sample.frame_b.detections)
             if n1 == 0 or n2 == 0:
                 continue
@@ -891,15 +904,16 @@ def _ref_forward_pair(sample, params, pose_only=False):
     tapes = tapes_a + tapes_b
     pose_losses = [t.pose_loss for t in tapes if t.pose_loss is not None]
     mean_pose = float(np.mean(pose_losses)) if pose_losses else 0.0
-    grads = {name: np.zeros_like(a) for name, a in _named_arrays(params).items()}
+    grads = {name: np.zeros_like(a) for name, a in named_arrays(params).items()}
     geom_width = 6 + cfg.embed_dim
     d_geometry = np.zeros((n1 + n2, geom_width))
     if pose_only:
         joint, pose_weight = mean_pose, 1.0
     else:
         cache = []
-        bundle = _score(feats_a, feats_b, params, cache)
-        affinity, d_logits = loss_affinity(bundle, sample.match, with_grad=True)
+        logits = reference_pair_logits(feats_a, feats_b, params, cache) if n1 and n2 \
+            else np.zeros((n1, n2))
+        affinity, d_logits = loss_affinity(augment_normalize(logits, cfg.delta), sample.match)
         joint, pose_weight = affinity + cfg.lam * mean_pose, cfg.lam
         if n1 and n2:
             scorer_grads, d_x = mlp_backward(params.scorer, cache,
@@ -981,7 +995,7 @@ class TestSideChainOracle:
         params = fit_input_standardization(samples, init_matcher_params(cfg))
         for sample in samples:
             ref = _ref_forward_pair(sample, params, pose_only=pose_only)
-            new = forward_pair(sample, params, with_grad=True, pose_only=pose_only)
+            new = training_forward_pair(sample, params, pose_only=pose_only)
             for rows, ref_rows in zip(sample_rows(sample, params), ref["rows"]):
                 assert_bits_equal(rows, ref_rows, "descriptor rows")
             assert_bits_equal(new["pose_losses"], ref["pose_losses"], "pose losses")
@@ -1053,9 +1067,9 @@ class TestDescriptorRowsOnce:
         rows, _ = matching._input_statistics(matching._SideTable(samples, cfg), params)
         assert any(len(sample.frame_b.detections) == 0 for sample in samples)
         for sample, sample_rows in zip(samples, rows):
-            for with_grad in (False, True):
-                ref = forward_pair(sample, params, with_grad=with_grad)
-                new = forward_pair(sample, params, with_grad=with_grad, rows=sample_rows)
+            for forward in (reference_forward_pair, training_forward_pair):
+                ref = forward(sample, params)
+                new = forward(sample, params, rows=sample_rows)
                 assert_bits_equal(new["joint"], ref["joint"], "joint loss")
                 assert_bits_equal(new["bundle"].fused, ref["bundle"].fused, "fused")
             assert new["grads"].keys() == ref["grads"].keys()
@@ -1083,9 +1097,9 @@ class TestDescriptorRowsOnce:
                 for got, want in zip(rows, sample_rows(sample, params)):
                     assert_bits_equal(got, want, "reused rows")
 
-        def check_rows(sample, params, rows=None, **kwargs):
+        def check_rows(sample, params, grads, rows=None, **kwargs):
             check(sample, params, rows)
-            return original(sample, params, rows=rows, **kwargs)
+            return original(sample, params, grads, rows=rows, **kwargs)
 
         def check_accuracy_rows(eval_samples, params, rows=None):
             for sample, pair in zip(eval_samples, rows):
@@ -1097,14 +1111,16 @@ class TestDescriptorRowsOnce:
         cached_params, cached_history = run()
         assert {id(s) for s in reused} == {id(s) for s in samples}
         monkeypatch.setattr(matching, "forward_pair",
-                            lambda *args, rows=None, **kwargs: original(*args, **kwargs))
+                            lambda sample, params, grads, rows=None, stack=None, **kwargs:
+                            original(sample, params, grads, stack=matching._SideTable(
+                                [sample], params.config).stack(0), **kwargs))
         monkeypatch.setattr(matching, "pair_accuracy",
                             lambda eval_samples, params, rows=None:
                             original_accuracy(eval_samples, params))
         params, history = run()
         assert_bits_equal(cached_history, history, "history")
-        for name, arr in _named_arrays(params).items():
-            assert_bits_equal(_named_arrays(cached_params)[name], arr, name)
+        for name, arr in named_arrays(params).items():
+            assert_bits_equal(named_arrays(cached_params)[name], arr, name)
         for name in ("input_scale", "input_shift"):
             assert_bits_equal(getattr(cached_params, name), getattr(params, name), name)
 
@@ -1117,7 +1133,7 @@ class TestDescriptorRowsOnce:
         samples = _oracle_samples(emit_maps=route.get("embed_dim", 0) > 0)
         train, heldout = samples[::2], samples[1::2]
         calls = dict.fromkeys(("_describe", "_backward_stack", "_side_inputs",
-                               "forward_pair", "reference_transform"), 0)
+                               "_with_targets", "forward_pair", "reference_transform"), 0)
 
         def counted(name):
             original = getattr(matching, name)
@@ -1130,6 +1146,7 @@ class TestDescriptorRowsOnce:
         counted("_describe")
         counted("_backward_stack")
         counted("_side_inputs")
+        counted("_with_targets")
         counted("forward_pair")
         counted("reference_transform")
         _, history = train_matcher(train, _route_config(**route), heldout=heldout)
@@ -1146,11 +1163,13 @@ class TestDescriptorRowsOnce:
             # one _describe and one backward per SGD step: both sides stacked
             assert calls["_describe"] == frames + steps + len(history) * held
             assert calls["_backward_stack"] == steps
-        # on every route, each (frame, pose targets) and each (frame,
-        # reference ego) of the training and of the held-out samples is
-        # gathered once per run
+        # on every route, each frame and each (frame, reference ego) of the
+        # training and of the held-out samples is gathered once per run
         assert calls["_side_inputs"] == _distinct_sides(train) + _distinct_sides(heldout)
         assert calls["reference_transform"] == frames + held
+        # only SGD steps stack a side with its targets, once per (frame,
+        # pose targets) of the training samples: held-out targets stay unread
+        assert calls["_with_targets"] == (0 if once else _distinct_targets(train))
 
     def test_statistics_describe_each_frame_once(self, monkeypatch):
         samples = small_samples()
@@ -1181,6 +1200,11 @@ def _distinct_frames(samples):
 
 
 def _distinct_sides(samples):
+    """How many frames ``samples`` hold."""
+    return len({id(frame) for s in samples for frame in (s.frame_a, s.frame_b)})
+
+
+def _distinct_targets(samples):
     """How many (frame, pose targets) pairs ``samples`` hold."""
     return len({(id(frame), id(targets)) for s in samples for frame, targets in (
         (s.frame_a, s.targets_a), (s.frame_b, s.targets_b))})
@@ -1223,7 +1247,7 @@ def _recorded_normalizations(monkeypatch, run):
 class TestAccuracySweepOracle:
     """``pair_accuracy`` scores every sample in one sweep of shared chunks.
     Each sample's logits and fused similarities, and the accuracy, must be
-    byte for byte those of one ``forward_pair`` call per sample
+    byte for byte those of one ``reference_forward_pair`` call per sample
     (``helpers.reference_pair_accuracy``), and the logits those of scoring
     every pair on its own row (``helpers.reference_split_logits``)."""
 
@@ -1286,7 +1310,7 @@ class TestAccuracySweepOracle:
         cfg = _route_config(embed_dim=6, use_pose_head=True)
         params, _ = train_matcher(train, cfg)
         # no rows: the sweep describes the samples through its own table, the
-        # reference through forward_pair's two-side stack
+        # reference through reference_forward_pair's two-side stack
         self.check(monkeypatch, heldout, params)
 
     @pytest.mark.parametrize("which", ["a", "b"])
@@ -1329,6 +1353,27 @@ class TestAccuracySweepOracle:
         with pytest.raises(DataError, match="descriptor values overflow the pair scorer"):
             train_matcher(train, _route_config(), heldout=heldout)
 
+    def test_heldout_pose_targets_are_never_read(self):
+        # a held-out pose target out of all proportion: the sweeps describe
+        # sides without their targets, so no pose loss overflows and the
+        # run has the bits of one whose held-out targets are sound
+        samples = _oracle_samples(emit_maps=True, drop_every=3)
+        train, heldout = samples[::2], samples[1::2]
+        sample = heldout[0]
+        k = next(i for i, target in enumerate(sample.targets_a) if target is not None)
+        (c_x, c_y), t_z, r = sample.targets_a[k]
+        targets = list(sample.targets_a)
+        targets[k] = ((1e200, c_y), t_z, r)
+        huge = [replace(sample, targets_a=tuple(targets)), *heldout[1:]]
+        cfg = _route_config(embed_dim=6, use_pose_head=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params, history = train_matcher(train, cfg, heldout=huge)
+        want_params, want = train_matcher(train, cfg, heldout=heldout)
+        assert_bits_equal([(e.affinity, e.pose, e.accuracy) for e in history],
+                          [(e.affinity, e.pose, e.accuracy) for e in want], "history")
+        assert params_to_doc(params) == params_to_doc(want_params)
+
     def test_scorer_past_float32_range_is_divergence(self):
         # a scorer weight finite in float64 but past float32's range is a
         # diverged training run, not bad data
@@ -1362,9 +1407,9 @@ class TestFlatUpdate:
             clipped += clips
             assert_bits_equal([(e.epoch, e.affinity, e.pose, e.accuracy) for e in history],
                               ref_history, f"{run} history")
-            ref_arrays = _named_arrays(ref_params)
-            assert _named_arrays(params).keys() == ref_arrays.keys()
-            for name, arr in _named_arrays(params).items():
+            ref_arrays = named_arrays(ref_params)
+            assert named_arrays(params).keys() == ref_arrays.keys()
+            for name, arr in named_arrays(params).items():
                 assert_bits_equal(arr, ref_arrays[name], f"{run} {name}")
         if 0 < cfg.grad_clip < 1:
             assert clipped > 0, "the small clip must trigger"
@@ -1374,11 +1419,11 @@ class TestFlatUpdate:
     def test_segments(self):
         cfg = _route_config(embed_dim=6, use_pose_head=True)
         params = init_matcher_params(cfg)
-        before = {name: arr.copy() for name, arr in _named_arrays(params).items()}
+        before = {name: arr.copy() for name, arr in named_arrays(params).items()}
         flat = matching._FlatTrainables(params)
         names = list(before)
         assert list(flat.grads) == names
-        for name, arr in _named_arrays(params).items():
+        for name, arr in named_arrays(params).items():
             # every trainable is a view into the one vector, values kept
             assert np.shares_memory(arr, flat.theta)
             assert_bits_equal(arr, before[name], name)

@@ -14,7 +14,6 @@ from geotrack.matching import (
     MatcherConfig,
     PairSample,
     build_pair_tensor,
-    forward_pair,
     init_matcher_params,
     load_checkpoint,
     params_to_doc,
@@ -37,7 +36,7 @@ from geotrack.numerics import (
 )
 from geotrack.scene import Detection, FrameRecord
 from geotrack.simulator import SimConfig, generate_scene, make_matching_dataset
-from helpers import STORED_CHECKPOINT, grad_check, raises_internal
+from helpers import STORED_CHECKPOINT, grad_check, raises_internal, training_forward_pair
 
 LOGCOSH_1 = math.log(math.cosh(1.0))  # independent direct evaluation
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
@@ -195,7 +194,7 @@ class TestLosses:
                                 targets_a=(((803.0, 454.0), 25.0, (0.0, 0.0)),),
                                 targets_b=(), ego_ref=IDENTITY,
                                 match=np.array([[1], [0]]))
-            res = forward_pair(sample, params, pose_only=True)
+            res = training_forward_pair(sample, params, pose_only=True)
             assert res["pose_losses"] == [pytest.approx(expected)]
             assert res["joint"] == pytest.approx(expected)
 
@@ -488,7 +487,7 @@ class TestRowInvariance:
                 score_pair_logits(pairs, params.scorer, cache=[]),
                 rtol=1e-12, atol=0)
             fused = matcher.bundle(rows_a, rows_b).fused
-            trained = forward_pair(sample, params)["bundle"].fused
+            trained = training_forward_pair(sample, params)["bundle"].fused
             for axis in (0, 1):
                 np.testing.assert_array_equal(fused.argmax(axis=axis),
                                               trained.argmax(axis=axis))

@@ -31,7 +31,13 @@ from geotrack.scene import (
     scene_to_json,
 )
 from geotrack.simulator import SimConfig, generate_scene
-from helpers import mutate_one_value, raises_internal, reference_scene_json, scene_to_doc
+from helpers import (
+    mutate_one_value,
+    raises_internal,
+    reference_scene_json,
+    scene_to_doc,
+    training_forward_pair,
+)
 
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
                      width=1600, height=900)
@@ -75,7 +81,7 @@ class TestMatchMatrix:
     def test_capacity(self):
         # the matrix is sized by the detections; the matcher's capacity is
         # enforced where pairs are scored
-        from geotrack.matching import MatcherConfig, forward_pair, init_matcher_params
+        from geotrack.matching import MatcherConfig, init_matcher_params
         from geotrack.simulator import make_matching_dataset
 
         a = frame_with([det(i) for i in range(5)])
@@ -87,7 +93,7 @@ class TestMatchMatrix:
         sample = make_matching_dataset([scene], 1, 1, seed=0)[0]
         params = init_matcher_params(MatcherConfig(appearance_dim=4, capacity=2))
         with raises_internal("detections; capacity is 2"):
-            forward_pair(sample, params)
+            training_forward_pair(sample, params)
 
     @pytest.mark.parametrize("duplicate_in", ["frame_a", "frame_b"])
     def test_duplicate_gt_id_rejected(self, duplicate_in):

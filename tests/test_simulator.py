@@ -9,10 +9,11 @@ from helpers import (
     reference_generate_scene,
     reference_pose_target,
     scene_to_doc,
+    world_to_camera,
 )
 
 from geotrack.errors import ConfigError
-from geotrack.geometry import WORLD, Pose5D, recover_translation, world_to_camera
+from geotrack.geometry import WORLD, Pose5D, recover_translation
 from geotrack.scene import scene_from_doc, scene_to_json
 from geotrack.simulator import (
     MIN_DEPTH_M,

@@ -18,7 +18,6 @@ from geotrack.geometry import (
     camera_to_world,
     normalize_rotation,
     project,
-    world_to_camera,
 )
 from geotrack import matching
 from geotrack.matching import Matcher, augment_normalize, load_checkpoint
@@ -35,7 +34,7 @@ from geotrack.tracker import (
     track_scene,
     view_gate,
 )
-from helpers import STORED_CHECKPOINT, raises_internal, reference_score64
+from helpers import STORED_CHECKPOINT, raises_internal, reference_logits64, world_to_camera
 
 
 def pose_desc(t=(0.0, 0.0, 10.0), r=(0.0, 1.0)):
@@ -620,11 +619,11 @@ class TestFloat32Decisions:
         got = self.outputs(scene, matcher)
         calls = []
 
-        def float64_score(*args, **kwargs):
-            calls.append(len(args[0]) * len(args[1]))
-            return reference_score64(*args, **kwargs)
+        def float64_logits(_scorer, rows_a, rows_b, shapes):
+            calls.append(sum(n_a * n_b for n_a, n_b in shapes))
+            return reference_logits64(matcher.params, rows_a, rows_b, shapes)
 
-        monkeypatch.setattr(matching, "_score", float64_score)
+        monkeypatch.setattr(matching, "_tapeless_logits", float64_logits)
         expected = self.outputs(scene, matcher)
         assert sum(calls) > 10_000  # dense: the float64 scorer saw many pairs
         assert got[0] == expected[0]
@@ -762,7 +761,7 @@ def reference_step(state, frame, gated=None, in_view=reference_in_view):
                                  pose_ref=pose_ref), frame.detections[det_idx]
 
     def _emit(track, det, pose_ref):
-        world = camera_to_world(pose_ref.with_frame("camera"), state.ego_ref)
+        world = camera_to_world(pose_ref, state.ego_ref)
         entries.append(MotEntry(frame=frame.frame_index, track_id=track.track_id,
                                 bbox=det.bbox, confidence=det.confidence,
                                 world_xyz=world.T))
