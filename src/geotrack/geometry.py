@@ -250,29 +250,23 @@ def normalize_rotation(r):
     return r / norm
 
 
-def recover_translation(obs, intrinsics):
-    """Full camera-frame translation from pixel center and depth.
-
-    T_a = (c_a - p_a) * T_z / f_a for a in {x, y}; T_z passes through.
-    """
-    if obs.T_z <= 0:
-        raise NonPositiveDepthError(f"depth {obs.T_z} must be positive")
-    tx = (obs.c[0] - intrinsics.p_x) * obs.T_z / intrinsics.f_x
-    ty = (obs.c[1] - intrinsics.p_y) * obs.T_z / intrinsics.f_y
-    return np.array([tx, ty, obs.T_z])
+def recover_translation(ctz, intrinsics):
+    """Camera-frame translations (k, 3) of (c_x, c_y, T_z) rows ``ctz``, each
+    with its row of (f_x, f_y, p_x, p_y) ``intrinsics`` (k, 4):
+    T_a = (c_a - p_a) * T_z / f_a for a in {x, y}; T_z passes through,
+    unchecked (a ``PixelObservation`` refuses a depth that is not positive)."""
+    t = ctz.copy()
+    t[:, :2] = (ctz[:, :2] - intrinsics[:, 2:]) * ctz[:, 2:] / intrinsics[:, :2]
+    return t
 
 
 def project(T, intrinsics):
-    """Pixel center of a camera-frame point; inverse of recover_translation."""
-    T = np.asarray(T, dtype=np.float64).reshape(3)
-    if T[2] <= 0:
-        raise NonPositiveDepthError(f"depth {T[2]} must be positive")
-    return np.array(
-        [
-            intrinsics.p_x + intrinsics.f_x * T[0] / T[2],
-            intrinsics.p_y + intrinsics.f_y * T[1] / T[2],
-        ]
-    )
+    """Pixel centres (k, 2) of camera-frame points ``T`` (k, 3) seen through
+    one camera: p_a + f_a * T_a / T_z for a in {x, y}; inverse of
+    ``recover_translation``. The depth is not checked: callers keep only the
+    points ahead of the camera."""
+    return (np.array([intrinsics.p_x, intrinsics.p_y])
+            + np.array([intrinsics.f_x, intrinsics.f_y]) * T[:, :2] / T[:, 2:])
 
 
 def camera_to_world(pose, ego, frame_id=WORLD):

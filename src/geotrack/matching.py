@@ -10,7 +10,8 @@ matrix with a basis value delta and normalizing per object, and training
 minimizes the symmetric cross-entropy of those normalized similarities,
 optionally jointly with the pose-regression loss.
 
-Two descriptor routes exist:
+Two descriptor routes exist; both lift (c_x, c_y, T_z) into the camera frame
+by one pinhole model (``geometry.recover_translation``):
 
 - observation route (default): geometry comes from provider-supplied pixel
   observations via projective recovery; only the scorer is trained.
@@ -82,8 +83,11 @@ def check_array_size(name, values):
 
 
 # Bound on |delta|: the natural log of the largest float64. Past it the null
-# slot swamps or vanishes from every softmax, and the loss takes log 0.
+# slot swamps or vanishes from every softmax.
 DELTA_BOUND = math.log(np.finfo(np.float64).max)
+
+# the smallest normal float64: the matching loss floors a probability here before its log
+_TINY = np.finfo(np.float64).tiny
 
 # Tuple fields of free length (layer widths); any other tuple default, such
 # as a (min, max) range or an (x, y) scale, fixes its field's length.
@@ -398,7 +402,8 @@ def loss_affinity(bundle, match):
     its row and column sums are checked where a ``PairSample`` is built.
     Each row of S1n and column of S2n is one softmax group with target mass
     1, so in each direction a logit's gradient is its normalized similarity
-    minus its target, over twice that direction's number of groups.
+    minus its target, over twice that direction's number of groups. A
+    probability that underflowed is floored at ``_TINY`` before its log.
     """
     n1, n2 = bundle.S1n.shape[0], bundle.S2n.shape[1]
     if match.shape != (n1 + 1, n2 + 1):
@@ -410,14 +415,12 @@ def loss_affinity(bundle, match):
     loss1 = 0.0
     if n1 > 0:
         m = match[:n1].astype(np.float64)
-        with np.errstate(divide="ignore"):  # log 0 -> inf is the failure signal
-            loss1 = -(m * np.log(np.where(m > 0, bundle.S1n, 1.0))).sum() / n1
+        loss1 = -(m * np.log(np.where(m > 0, np.maximum(bundle.S1n, _TINY), 1.0))).sum() / n1
         grad += (bundle.S1n[:, :n2] - m_block) / (2.0 * n1)
     loss2 = 0.0
     if n2 > 0:
         m = match[:, :n2].astype(np.float64)
-        with np.errstate(divide="ignore"):
-            loss2 = -(m * np.log(np.where(m > 0, bundle.S2n, 1.0))).sum() / n2
+        loss2 = -(m * np.log(np.where(m > 0, np.maximum(bundle.S2n, _TINY), 1.0))).sum() / n2
         grad += (bundle.S2n[:n1] - m_block) / (2.0 * n2)
     return float(0.5 * (loss1 + loss2)), grad
 
@@ -455,12 +458,12 @@ def _side_inputs(detections, intrinsics, cfg):
     """What the descriptor chain reads of one frame side, none of which the
     trainables change, once ``check_detections`` passes: the side's k
     detections' feature maps ``fmaps`` (k, H, W, E) or None, and ``rows``,
-    its arrays that a stack joins: the ``appearance`` rows (k, A) and, on
-    the pose-head route, the frame's (f_x, f_y, p_x, p_y) as (k, 4)
-    ``intrinsics`` rows and no pose target (``_with_targets``); on the
-    observation route, the camera-frame translations ``t_cam`` (k, 3),
-    facing directions ``r_obs`` (k, 2) and their norms ``r_norm`` (k,) read
-    from the pixel observations."""
+    its arrays that a stack joins: the ``appearance`` rows (k, A), the
+    frame's (f_x, f_y, p_x, p_y) as (k, 4) ``intrinsics`` rows that
+    ``_describe`` lifts each (c_x, c_y, T_z) with, and, on the pose-head
+    route, no pose target (``_with_targets``); on the observation route, the
+    pixel observations' (c_x, c_y, T_z) rows ``ctz`` (k, 3), facing
+    directions ``r_obs`` (k, 2) and their norms ``r_norm`` (k,)."""
     check_detections(detections, cfg)
     k = len(detections)
     rows = {"appearance": np.array([det.appearance for det in detections],
@@ -468,18 +471,18 @@ def _side_inputs(detections, intrinsics, cfg):
     fmaps = None
     if cfg.embed_dim > 0 and k:
         fmaps = np.array([det.feature_map for det in detections], dtype=np.float64)
+    rows["intrinsics"] = np.array([[intrinsics.f_x, intrinsics.f_y, intrinsics.p_x,
+                                    intrinsics.p_y]]).repeat(k, axis=0)
     if cfg.use_pose_head:
-        rows["intrinsics"] = np.array([[intrinsics.f_x, intrinsics.f_y, intrinsics.p_x,
-                                        intrinsics.p_y]]).repeat(k, axis=0)
         rows["targeted"], rows["target"] = np.zeros(k, dtype=bool), np.zeros((0, 5))
     else:
         observations = [det.observation for det in detections]
+        rows["ctz"] = np.array([[*o.c, o.T_z] for o in observations],
+                               dtype=np.float64).reshape(k, 3)
         rows["r_obs"] = np.array([o.R for o in observations], dtype=np.float64).reshape(k, 2)
-        # huge observations overflow here; _describe makes them a DataError
-        with np.errstate(over="ignore", invalid="ignore"):
+        # huge facing directions overflow here; _describe makes them a DataError
+        with np.errstate(over="ignore"):
             rows["r_norm"] = numerics.row_norm(rows["r_obs"])
-            rows["t_cam"] = np.array([recover_translation(o, intrinsics)
-                                      for o in observations]).reshape(k, 3)
     return SimpleNamespace(k=k, fmaps=fmaps, rows=rows)
 
 
@@ -487,15 +490,22 @@ def _with_targets(side, targets, cfg):
     """A pose-head route ``side`` (``_side_inputs``) with its detections'
     pose targets ``targets``, one (c*, T_z*, R*) or None each (None: no
     detection has one): the ``targeted`` mask (k,) of the detections that
-    hold one and their ``target`` rows (c_x, c_y, T_z, R_x, R_y). The
-    observation route reads no targets and keeps ``side``."""
+    hold one and their ``target`` rows (c_x, c_y, T_z, R_x, R_y), each of
+    which must not overflow the pose loss (DataError). The observation route
+    reads no targets and keeps ``side``."""
     if not cfg.use_pose_head:
         return side
     targets = targets or [None] * side.k
-    return SimpleNamespace(k=side.k, fmaps=side.fmaps, rows={
-        **side.rows, "targeted": np.array([t is not None for t in targets], dtype=bool),
-        "target": np.array([[*c, tz, *r] for c, tz, r in (
-            t for t in targets if t is not None)], dtype=np.float64).reshape(-1, 5)})
+    targeted = np.array([t is not None for t in targets], dtype=bool)
+    target = np.array([[*c, tz, *r] for c, tz, r in (t for t in targets if t is not None)],
+                      dtype=np.float64).reshape(-1, 5)
+    with np.errstate(over="ignore"):  # an overflowing norm fails the check below
+        bad = ~np.isfinite(numerics.row_norm(target[:, :3]))
+    if bad.any():
+        raise DataError(f"detection {int(np.flatnonzero(targeted)[np.argmax(bad)])}: its "
+                        f"pose target's (c_x, c_y, T_z) overflows the pose loss")
+    return SimpleNamespace(k=side.k, fmaps=side.fmaps,
+                           rows={**side.rows, "targeted": targeted, "target": target})
 
 
 def _joined(parts):
@@ -534,15 +544,6 @@ def _stack(sides, transforms):
                            fmaps=[_joined(block) for block in blocks], **rows)
 
 
-def _back_project(ctz, intrinsics):
-    """Camera-frame translations of (c_x, c_y, T_z) rows, each with its row
-    of (f_x, f_y, p_x, p_y) ``intrinsics``:
-    T_a = (c_a - p_a) * T_z / f_a for a in {x, y}; T_z passes through."""
-    t = ctz.copy()
-    t[:, :2] = (ctz[:, :2] - intrinsics[:, 2:]) * ctz[:, 2:] / intrinsics[:, :2]
-    return t
-
-
 def _apply(M, rows):
     """``M @ row`` for every row of a (k, n) stack, ``M`` one (m, n) matrix
     or a (k, m, n) stack of one per row: one matrix-vector product each (as
@@ -554,8 +555,10 @@ def _describe(stack, params):
     """The descriptor chain over a ``_stack`` of frame sides: the tape
     ``_backward_stack`` reads and the (n, d) ``[geometry | appearance]``
     rows, each mapped into the reference camera frame by its side's
-    transform. The pose head's loss reads the stack's pose targets. Each
-    step runs once over all n rows, whatever side they come from."""
+    transform. Both routes lift their (c_x, c_y, T_z) rows, estimated or
+    observed, with one ``recover_translation`` call. The pose head's loss
+    reads the stack's pose targets. Each step runs once over all n rows,
+    whatever side they come from."""
     cfg = params.config
     n = stack.n
     tape = SimpleNamespace(stack=stack, pose_loss=np.zeros(0), attn=[
@@ -581,15 +584,18 @@ def _describe(stack, params):
         if ((tape.r_norm <= 1e-12) | np.isinf(tape.r_norm)).any():
             raise NonFiniteLossError("pose head gave a zero or overflowing facing direction")
         tape.r_hat = out[:, 3:5] / tape.r_norm[:, None]
-        t_ref = _apply(stack.B, _back_project(tape.ctz, stack.intrinsics)) + stack.d_off
         r_ref = _apply(stack.C, tape.r_hat)
         if len(stack.target):
             hit = stack.targeted
             tape.pose_loss = numerics.loss_rot(stack.target[:, 3:], tape.r_hat[hit]) \
                 + cfg.beta * numerics.loss_trans(stack.target[:, :3], tape.ctz[hit])
+        ctz, overflow = tape.ctz, {}
     else:
-        with np.errstate(over="ignore", invalid="ignore"):  # fails the check below
-            t_ref = _apply(stack.B, stack.t_cam) + stack.d_off
+        # an observation that overflows fails the check below
+        ctz, overflow = stack.ctz, {"over": "ignore", "invalid": "ignore"}
+    with np.errstate(**overflow):
+        t_ref = _apply(stack.B, recover_translation(ctz, stack.intrinsics)) + stack.d_off
+    if not cfg.use_pose_head:
         r_norm = stack.r_norm
         bad = ~(np.isfinite(t_ref).all(axis=1) & np.isfinite(r_norm) & (r_norm > 1e-12))
         if bad.any():

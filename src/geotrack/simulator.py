@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import ConfigError, DataError
 from .geometry import (
     WORLD,
@@ -348,10 +349,8 @@ def _in_view(config, intrinsics, cam_T):
     ahead = np.flatnonzero(cam_T[:, 2] >= MIN_DEPTH_M)
     T = cam_T[ahead]
     with np.errstate(over="ignore"):
-        # np.linalg.norm's sums: the root of one dot product per row
-        norms = np.sqrt((T[:, None, :] @ T[:, :, None])[:, 0, 0])
-        centers = np.stack([intrinsics.p_x + intrinsics.f_x * T[:, 0] / T[:, 2],
-                            intrinsics.p_y + intrinsics.f_y * T[:, 1] / T[:, 2]], axis=1)
+        norms = numerics.row_norm(T)
+        centers = project(T, intrinsics)
     boxes = _boxes(config, intrinsics, centers, T[:, 2])
     seen = ((norms <= config.visibility_max_range)
             & (centers[:, 0] >= 0) & (centers[:, 0] <= config.image_width)
@@ -514,8 +513,9 @@ def world_objects(scene):
 def _frame_targets(frame):
     """Each detection's ground-truth (center, depth, facing) regression
     target in ``frame``, None for one without a ground-truth object there:
-    its object's world pose mapped into the camera (``_camera_frame``, one
-    pass per frame) and ``project``ed."""
+    its object's world pose mapped into the camera and ``project``ed, one
+    pass per frame. An object that is not ahead of the camera has no pixel
+    centre, so it is bad data."""
     by_id = {}
     for g in frame.gt_objects or []:
         by_id.setdefault(g.object_id, g.pose)
@@ -524,16 +524,14 @@ def _frame_targets(frame):
         return (None,) * len(frame.detections)
     cam_T, cam_R = _camera_frame(frame.ego, np.array([p.T for p in poses]),
                                  np.array([p.R for p in poses]))
-    rows = zip(cam_T, cam_R)
-    targets = []
-    for det in frame.detections:
-        if det.gt_id not in by_id:
-            targets.append(None)
-            continue
-        T, R = next(rows)
-        facing = normalize_rotation(R)
-        targets.append((project(T, frame.intrinsics), float(T[2]), facing))
-    return tuple(targets)
+    behind = ~(cam_T[:, 2] > 0)  # NaN too
+    if behind.any():
+        raise DataError(f"frame {frame.frame_index}: a detection's ground-truth object lies "
+                        f"at depth {cam_T[np.argmax(behind), 2]}, not ahead of the camera")
+    with np.errstate(over="ignore"):  # the pose loss refuses an overflowing centre
+        centers = project(cam_T, frame.intrinsics)
+    rows = zip(centers, cam_T[:, 2].tolist(), map(normalize_rotation, cam_R))
+    return tuple(next(rows) if det.gt_id in by_id else None for det in frame.detections)
 
 
 def make_matching_dataset(scenes, n_max, pairs_per_scene, seed):

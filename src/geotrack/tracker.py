@@ -29,7 +29,8 @@ import numpy as np
 
 from .assignment import AssignmentResult, hungarian
 from .errors import ConfigError, GeotrackError, ZeroVectorError
-from .geometry import REFERENCE, Pose5D, camera_to_world, normalize_rotation, quat_to_matrix
+from .geometry import (REFERENCE, Pose5D, camera_to_world, normalize_rotation, project,
+                       quat_to_matrix)
 from .scene import MotEntry
 
 DEFAULT_BUFFER = 10
@@ -128,17 +129,15 @@ def view_gate(T, ego_ref, ego, intrinsics):
     ``camera_to_world`` followed by the reference ``world_to_camera`` in
     ``tests/helpers.py``. A track is in view when its depth is positive and
     its ``project``ed centre lies inside the image widened by
-    ``VIEW_MARGIN`` of its width and height on every side, bounds included. A position that overflows on the way is out of view.
+    ``VIEW_MARGIN`` of its width and height on every side, bounds included.
+    A position that overflows on the way is out of view.
     """
     rot_ref, rot = quat_to_matrix(ego_ref.rotation), quat_to_matrix(ego.rotation)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         world = (rot_ref @ T[:, :, None])[:, :, 0] + ego_ref.translation
         cam = (rot.T @ (world - ego.translation)[:, :, None])[:, :, 0]
         ahead = cam[:, 2] > 0
-        u = intrinsics.p_x + np.divide(intrinsics.f_x * cam[:, 0], cam[:, 2],
-                                       out=np.full(len(T), np.nan), where=ahead)
-        v = intrinsics.p_y + np.divide(intrinsics.f_y * cam[:, 1], cam[:, 2],
-                                       out=np.full(len(T), np.nan), where=ahead)
+        u, v = project(cam, intrinsics).T  # read only where ahead
     mx, my = VIEW_MARGIN * intrinsics.width, VIEW_MARGIN * intrinsics.height
     return (ahead & (u >= -mx) & (u <= intrinsics.width + mx)
             & (v >= -my) & (v <= intrinsics.height + my))

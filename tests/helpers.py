@@ -7,7 +7,9 @@ first layer whole, and split by side as tracking runs it, in float32 or in
 the float64 the tracker's scorer used before), the per-sample accuracy pass
 that the one-pass sweep replaced, the per-array SGD
 update that training's flat parameter vector replaced, the world-to-camera
-and pose-by-pose reference-frame transforms, the object-by-object scene
+and pose-by-pose reference-frame transforms, the one-point pinhole
+projection and back-projection that the row forms in ``geometry`` replaced,
+the object-by-object scene
 generator and pose target that the simulator's per-frame pass replaced, the
 scene document and its ``json.dumps`` text that the direct scene writer
 replaced, a document mutator for the data-contract fuzz tests, and
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import strategies as st
 
 from geotrack import matching, numerics, simulator
-from geotrack.errors import GeotrackError
+from geotrack.errors import GeotrackError, NonPositiveDepthError
 from geotrack.geometry import (
     CAMERA,
     REFERENCE,
@@ -35,7 +37,6 @@ from geotrack.geometry import (
     camera_to_world,
     ego_yaw,
     normalize_rotation,
-    project,
     quat_to_matrix,
     yaw_rot2,
 )
@@ -330,6 +331,24 @@ def world_to_camera(pose, ego, frame_id=CAMERA):
     return Pose5D(t, normalize_rotation(r), frame_id)
 
 
+def reference_project(T, intrinsics):
+    """Pixel centre of one camera-frame point ``T``, as ``geometry.project``
+    takes it for one row; a point not ahead of the camera has none."""
+    T = np.asarray(T, dtype=np.float64).reshape(3)
+    if T[2] <= 0:
+        raise NonPositiveDepthError(f"depth {T[2]} must be positive")
+    return np.array([intrinsics.p_x + intrinsics.f_x * T[0] / T[2],
+                     intrinsics.p_y + intrinsics.f_y * T[1] / T[2]])
+
+
+def reference_recover_translation(obs, intrinsics):
+    """Camera-frame translation of one ``PixelObservation``, as
+    ``geometry.recover_translation`` takes it for one row."""
+    tx = (obs.c[0] - intrinsics.p_x) * obs.T_z / intrinsics.f_x
+    ty = (obs.c[1] - intrinsics.p_y) * obs.T_z / intrinsics.f_y
+    return np.array([tx, ty, obs.T_z])
+
+
 def to_reference_frame(pose, ego_t, ego_ref):
     """Re-express a camera(t) pose in the reference camera frame.
 
@@ -437,7 +456,7 @@ def reference_generate_scene(config, scene_id=None):
             cam_pose = world_to_camera(world_pose, ego)
             if cam_pose.T[2] < min_depth:
                 continue
-            center = project(cam_pose.T, intrinsics)
+            center = reference_project(cam_pose.T, intrinsics)
             bbox = _reference_bbox(config, intrinsics, center, cam_pose.T[2])
             if not _reference_visible(config, cam_pose.T, center, bbox):
                 continue
@@ -543,7 +562,7 @@ def reference_pose_target(detection, frame):
     for g in frame.gt_objects or []:
         if g.object_id == detection.gt_id:
             cam = world_to_camera(g.pose, frame.ego)
-            center = project(cam.T, frame.intrinsics)
+            center = reference_project(cam.T, frame.intrinsics)
             return (center, float(cam.T[2]), cam.R)
     return None
 

@@ -91,3 +91,40 @@ def test_instrument_wraps_and_restores_every_hook():
     for owner, attr, original in patches:
         assert getattr(owner, attr) is original, f"{attr} was not restored"
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_every_hook_is_reached(tmp_path):
+    """One tiny pass of the benchmark's stages under ``tracing.instrument``
+    records a span at every hook it wraps: a hook that nothing reaches reads
+    0 in every benchmark record. The one exception is
+    ``assignment.solve_max``, which ``hungarian`` no longer calls."""
+    tracing, pipeline = _load("tracing"), _load("pipeline")
+    tracer = tracing.Tracer()
+    wrap, hooks, reached = tracer.wrap, [], set()
+
+    def recording_wrap(owner, attr, name, on_return=None):
+        hook = f"{owner.__name__}.{attr}"
+        hooks.append(hook)
+
+        def label(args, kwargs):  # called once per recorded span
+            reached.add(hook)
+            return name(args, kwargs) if callable(name) else name
+
+        wrap(owner, attr, label, on_return)
+
+    tracer.wrap = recording_wrap
+    try:
+        tracing.instrument(tracer)
+        tracer.start()
+        inputs = pipeline.setup("evaluate", 3, "tiny", tmp_path)
+        for route in inputs.routes:
+            matching.train_matcher(route.samples, route.config, heldout=route.heldout)
+        for sc, _ in inputs.scenes:
+            state, _ = tracker.track_scene(sc, matching.Matcher(inputs.params))
+            tracker.geolocation_report(state)
+        for triple in inputs.synthetic:
+            pipeline.evaluate_files(*triple)
+        tracer.stop()
+    finally:
+        tracer.uninstall()
+    assert set(hooks) - reached == {"geotrack.assignment.solve_max"}

@@ -447,6 +447,45 @@ class TestTrain:
         assert r.returncode == 3, r.stderr
         assert "overflow the input standardization" in r.stderr
 
+    @pytest.mark.parametrize("centre, code", [(1e30, 0), (1e60, 3)])
+    def test_resume_on_far_out_observation(self, tmp_path, centre, code):
+        """A far-out observation centre underflows a probability of the
+        matching loss to 0; its log is floored, so a resumed run trains on
+        (exit 0) until the descriptors pass the pair scorer's range (exit
+        3), not into a non-finite loss (exit 4)."""
+        dataset, config, doc, path = self.overflowing_dataset(tmp_path)
+        assert run_cli("train", "--dataset", dataset, "--config", config,
+                       "--out", tmp_path / "model").returncode == 0
+        doc["frames"][1]["detections"][0]["observation"]["center"][0] = centre
+        path.write_text(json.dumps(doc))
+        r = run_cli("train", "--dataset", dataset, "--resume",
+                    tmp_path / "model" / "checkpoint.json", "--out", tmp_path / "resumed")
+        assert r.returncode == code, r.stderr
+        assert "Warning" not in r.stderr
+        assert code == 0 or "descriptor values overflow the pair scorer" in r.stderr
+
+    def test_ground_truth_behind_the_camera_exits_3(self, tmp_path):
+        """A detection whose ground-truth object lies behind the camera has no
+        pixel-centre target: bad data, not an internal fault (exit 4)."""
+        scenes = tmp_path / "scenes"
+        assert run_cli("simulate", "--n-frames", "6", "--n-objects", "3", "--seed", "4",
+                       "--out", scenes).returncode == 0
+        path = next(scenes.glob("scene-*.json"))
+        doc = json.loads(path.read_text())
+        for frame in doc["frames"]:
+            for g in frame["gt_objects"]:
+                if g["object_id"] == 1:
+                    g["translation"][2] = -50.0
+        path.write_text(json.dumps(doc))
+        assert run_cli("dataset", "--scenes", scenes, "--out", tmp_path / "ds").returncode == 0
+        config = tmp_path / "matcher.json"
+        config.write_text(json.dumps({"appearance_dim": 64}))
+        r = run_cli("train", "--dataset", tmp_path / "ds" / "pairs.json", "--config", config,
+                    "--epochs", "1", "--out", tmp_path / "model")
+        assert r.returncode == 3, r.stderr
+        assert ("frame 0: a detection's ground-truth object lies at depth -50.0, "
+                "not ahead of the camera") in r.stderr
+
 
 @pytest.fixture(scope="module")
 def over_capacity(tmp_path_factory):
@@ -1212,7 +1251,7 @@ class TestUsageErrors:
           for doc, named in (
               ({"softmax_axis": "literal"}, "softmax_axis"),
               ({"pooling": "weighted"}, "pooling"),
-              # past DELTA_BOUND the first loss is already infinite
+              # past DELTA_BOUND the null slot swamps or vanishes from every softmax
               ({"delta": 710.0}, "delta"),
               ({"delta": -750.0}, "delta"),
               ({"delta": 1e308}, "delta"),

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -23,7 +24,12 @@ from geotrack.geometry import (
     recover_translation,
     reference_transform,
 )
-from helpers import to_reference_frame, world_to_camera
+from helpers import (
+    reference_project,
+    reference_recover_translation,
+    to_reference_frame,
+    world_to_camera,
+)
 
 K = CameraIntrinsics(f_x=1000.0, f_y=1000.0, p_x=800.0, p_y=450.0,
                      width=1600, height=900)
@@ -74,34 +80,79 @@ class TestNormalizeRotation:
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
+def k_rows(*cameras):
+    """(f_x, f_y, p_x, p_y) rows of ``cameras``, as ``recover_translation``
+    takes them."""
+    return np.array([[c.f_x, c.f_y, c.p_x, c.p_y] for c in cameras])
+
+
 class TestProjection:
     def test_center_at_principal_point(self):
-        obs = PixelObservation(c=(800.0, 450.0), T_z=10.0, R=(0.0, 1.0))
-        np.testing.assert_allclose(recover_translation(obs, K), [0.0, 0.0, 10.0])
+        np.testing.assert_allclose(recover_translation(np.array([[800.0, 450.0, 10.0]]),
+                                                       k_rows(K)), [[0.0, 0.0, 10.0]])
 
     def test_hand_offset(self):
         # (900 - 800) * 20 / 1000 = 2
-        obs = PixelObservation(c=(900.0, 450.0), T_z=20.0, R=(0.0, 1.0))
-        np.testing.assert_allclose(recover_translation(obs, K), [2.0, 0.0, 20.0])
+        np.testing.assert_allclose(recover_translation(np.array([[900.0, 450.0, 20.0]]),
+                                                       k_rows(K)), [[2.0, 0.0, 20.0]])
 
     def test_zero_depth_rejected(self):
+        """Rows are not checked: an observation refuses a depth that is not
+        positive, and the one-point reference projection refuses a point
+        that is not ahead."""
         with pytest.raises(NonPositiveDepthError):
             PixelObservation(c=(800.0, 450.0), T_z=0.0, R=(0.0, 1.0))
         with pytest.raises(NonPositiveDepthError):
-            project(np.array([0.0, 0.0, 0.0]), K)
+            reference_project(np.array([0.0, 0.0, 0.0]), K)
 
     def test_project_examples(self):
-        np.testing.assert_allclose(project(np.array([0.0, 0.0, 10.0]), K), [800, 450])
-        np.testing.assert_allclose(project(np.array([2.0, 0.0, 20.0]), K), [900, 450])
+        np.testing.assert_allclose(project(np.array([[0.0, 0.0, 10.0], [2.0, 0.0, 20.0]]), K),
+                                   [[800, 450], [900, 450]])
 
     def test_round_trip_1000_random(self, rng):
-        for _ in range(1000):
-            t = np.array([rng.uniform(-50, 50), rng.uniform(-50, 50),
-                          rng.uniform(1, 100)])
-            c = project(t, K)
-            obs = PixelObservation(c=c, T_z=t[2], R=(0.0, 1.0))
-            back = recover_translation(obs, K)
-            assert np.abs(back - t).max() / max(1.0, np.abs(t).max()) < 1e-9
+        t = np.column_stack([rng.uniform(-50, 50, 1000), rng.uniform(-50, 50, 1000),
+                             rng.uniform(1, 100, 1000)])
+        ctz = np.column_stack([project(t, K), t[:, 2]])
+        back = recover_translation(ctz, k_rows(K).repeat(1000, axis=0))
+        assert (np.abs(back - t).max(axis=1) / np.maximum(1.0, np.abs(t).max(axis=1))
+                < 1e-9).all()
+
+
+magnitude = st.floats(1e-3, 1e30)
+signed = st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+camera = st.builds(lambda f_x, f_y, p_x, p_y: CameraIntrinsics(
+    f_x=f_x, f_y=f_y, p_x=p_x, p_y=p_y, width=math.ceil(p_x), height=math.ceil(p_y)),
+    magnitude, magnitude, magnitude, magnitude)
+point_rows = st.lists(st.tuples(signed, signed, magnitude), min_size=1, max_size=8)
+
+
+class TestRowPinholeOracle:
+    """``project`` and ``recover_translation`` on rows, bit for bit against
+    the one-point references they replaced, at magnitudes 1e-3 to 1e30."""
+
+    @given(point_rows, camera)
+    def test_project_rows(self, rows, camera):
+        T = np.array(rows)
+        expected = np.array([reference_project(t, camera) for t in T])
+        assert project(T, camera).tobytes() == expected.tobytes()
+
+    @given(st.lists(st.tuples(signed, signed, magnitude, camera), min_size=1, max_size=8))
+    def test_recover_translation_rows_each_with_its_camera(self, rows):
+        ctz = np.array([row[:3] for row in rows])
+        expected = np.array([reference_recover_translation(
+            PixelObservation(c=row[:2], T_z=row[2], R=(0.0, 1.0)), row[3]) for row in rows])
+        assert recover_translation(ctz, k_rows(*(row[3] for row in rows))).tobytes() \
+            == expected.tobytes()
+
+    @given(point_rows, camera)
+    def test_round_trip(self, rows, camera):
+        """Pixel centre -> translation -> pixel centre, to a few rounding
+        steps of the centre and the principal point."""
+        ctz = np.array(rows)
+        back = project(recover_translation(ctz, k_rows(camera).repeat(len(ctz), axis=0)),
+                       camera)
+        scale = np.abs(ctz[:, :2]) + [camera.p_x, camera.p_y]
+        assert (np.abs(back - ctz[:, :2]) <= 1e-14 * scale).all()
 
 
 class TestFrameTransforms:

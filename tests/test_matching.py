@@ -14,7 +14,6 @@ from geotrack.geometry import (
     EgoPose,
     PixelObservation,
     normalize_rotation,
-    recover_translation,
     reference_transform,
 )
 from geotrack.matching import (
@@ -45,6 +44,7 @@ from helpers import (
     reference_forward_pair,
     reference_pair_accuracy,
     reference_pair_logits,
+    reference_recover_translation,
     reference_split_logits,
     reference_train_matcher,
     training_forward_pair,
@@ -598,6 +598,20 @@ class TestTraining:
         with pytest.raises(NonFiniteLossError):
             train_matcher(samples, cfg)
 
+    def test_overflowing_pose_target_is_bad_data(self):
+        """A pose target whose norm overflows would make the pose loss
+        non-finite, which reads as a diverging model (exit 4)."""
+        samples = _oracle_samples(emit_maps=True)
+        sample = next(s for s in samples if any(t is not None for t in s.targets_b))
+        i = next(j for j, t in enumerate(sample.targets_b) if t is not None)
+        targets = list(sample.targets_b)
+        c, tz, r = targets[i]
+        targets[i] = (np.array([1e200, c[1]]), tz, r)
+        cfg = MatcherConfig(appearance_dim=4, embed_dim=6, use_pose_head=True, epochs=1,
+                            scorer_hidden=(8, 6, 6, 4, 4), pose_hidden=(8, 6))
+        with pytest.raises(DataError, match=f"detection {i}: .* overflows the pose loss"):
+            train_matcher([replace(sample, targets_b=tuple(targets))], cfg)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             train_matcher([], MatcherConfig())
@@ -839,7 +853,7 @@ def _ref_forward_detection(det, target, params, B, d_off, C, K):
             tape.pose_loss = float(np.sum(_logcosh(tape.target_vec[1] - tape.r_hat))) \
                 + cfg.beta * _ref_norm(tape.target_vec[0] - estimate)
     else:
-        t_ref = B @ recover_translation(det.observation, K) + d_off
+        t_ref = B @ reference_recover_translation(det.observation, K) + d_off
         r_ref = normalize_rotation(C @ normalize_rotation(det.observation.R))
     emb = tape.embedding if tape.embedding is not None else np.zeros(cfg.embed_dim)
     tape.geometry = np.concatenate([t_ref, r_ref, [0.0], emb])

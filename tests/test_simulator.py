@@ -8,16 +8,18 @@ from helpers import (
     _reference_objects,
     reference_generate_scene,
     reference_pose_target,
+    reference_recover_translation,
     scene_to_doc,
     world_to_camera,
 )
 
-from geotrack.errors import ConfigError
-from geotrack.geometry import WORLD, Pose5D, recover_translation
+from geotrack.errors import ConfigError, DataError
+from geotrack.geometry import WORLD, Pose5D
 from geotrack.scene import scene_from_doc, scene_to_json
 from geotrack.simulator import (
     MIN_DEPTH_M,
     SimConfig,
+    _frame_targets,
     generate_scene,
     make_matching_dataset,
     object_appearance,
@@ -118,8 +120,8 @@ class TestGenerateScene:
             gt_by_id = {g.object_id: g for g in frame.gt_objects}
             for det in frame.detections:
                 cam = world_to_camera(gt_by_id[det.gt_id].pose, frame.ego)
-                recovered = recover_translation(det.observation,
-                                                frame.intrinsics)
+                recovered = reference_recover_translation(det.observation,
+                                                          frame.intrinsics)
                 np.testing.assert_allclose(recovered, cam.T, atol=1e-9)
                 np.testing.assert_allclose(det.observation.R, cam.R, atol=1e-9)
 
@@ -266,6 +268,32 @@ class TestMatchingDataset:
                     np.testing.assert_allclose(center, det.observation.c, atol=1e-9)
                     assert depth == pytest.approx(det.observation.T_z)
                     np.testing.assert_allclose(facing, det.observation.R, atol=1e-9)
+
+    def test_ground_truth_centre_past_the_float_range(self):
+        """A ground-truth object whose pixel centre overflows gets an
+        infinite centre target, which only the pose loss reads and refuses,
+        and numpy prints no RuntimeWarning on the way."""
+        scene = generate_scene(SimConfig(seed=4, n_frames=6, n_objects=3, appearance_dim=4))
+        frame = scene.frames[0]
+        gt = next(g for g in frame.gt_objects
+                  if g.object_id in {det.gt_id for det in frame.detections})
+        gt.pose = Pose5D((1e306, 0.0, 30.0), gt.pose.R, WORLD)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            targets = _frame_targets(frame)
+        centres = [t[0] for det, t in zip(frame.detections, targets)
+                   if det.gt_id == gt.object_id]
+        assert centres and all(np.isinf(c[0]) for c in centres)
+
+    def test_ground_truth_behind_the_camera_is_bad_data(self):
+        scene = generate_scene(SimConfig(seed=4, n_frames=6, n_objects=3, appearance_dim=4))
+        frame = scene.frames[2]
+        gt = next(g for g in frame.gt_objects
+                  if g.object_id in {det.gt_id for det in frame.detections})
+        gt.pose = Pose5D((0.0, 0.0, -50.0), gt.pose.R, WORLD)
+        with pytest.raises(DataError, match="frame 2: a detection's ground-truth object lies "
+                                            "at depth -[0-9.]+, not ahead of the camera"):
+            _frame_targets(frame)
 
 
 # The sweep the per-frame generator must reproduce byte for byte: both

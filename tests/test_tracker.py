@@ -17,7 +17,6 @@ from geotrack.geometry import (
     Pose5D,
     camera_to_world,
     normalize_rotation,
-    project,
 )
 from geotrack import matching
 from geotrack.matching import Matcher, augment_normalize, load_checkpoint
@@ -34,7 +33,13 @@ from geotrack.tracker import (
     track_scene,
     view_gate,
 )
-from helpers import STORED_CHECKPOINT, raises_internal, reference_logits64, world_to_camera
+from helpers import (
+    STORED_CHECKPOINT,
+    raises_internal,
+    reference_logits64,
+    reference_project,
+    world_to_camera,
+)
 
 
 def pose_desc(t=(0.0, 0.0, 10.0), r=(0.0, 1.0)):
@@ -467,7 +472,7 @@ class TestViewGate:
             detections = []
             for gid, position in objects.items():
                 cam = world_to_camera(Pose5D(position, (0.0, -1.0), WORLD), ego)
-                c = project(cam.T, intrinsics)
+                c = reference_project(cam.T, intrinsics)
                 if cam.T[2] > 0 and 0 <= c[0] <= 1600:
                     detections.append(Detection(
                         bbox=[c[0] - 5, c[1] - 10, 10, 20], center=c,
@@ -718,7 +723,7 @@ def reference_in_view(t, ego_ref, ego, intrinsics):
     t_cam = world_to_camera(camera_to_world(pose, ego_ref), ego).T
     if not t_cam[2] > 0:
         return False
-    u, v = project(t_cam, intrinsics)
+    u, v = reference_project(t_cam, intrinsics)
     mx, my = VIEW_MARGIN * intrinsics.width, VIEW_MARGIN * intrinsics.height
     return -mx <= u <= intrinsics.width + mx and -my <= v <= intrinsics.height + my
 
