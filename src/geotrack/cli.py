@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage or configuration error, 3 data error
 
 import argparse
 import contextlib
+import ctypes
 import json
 import os
 import platform
@@ -108,6 +109,23 @@ def _number(row, key, where):
     return float(row[key])
 
 
+def _blas_kernel():
+    """The kernel numpy's bundled OpenBLAS runs. A ``DYNAMIC_ARCH`` build
+    picks it from the CPU when it loads, so the build's configuration line
+    names only its baseline. None when numpy bundles no such library, or
+    the library cannot say."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            return None
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        name = corename()
+        return name.decode() if name else None
+    return None
+
+
 def _environment():
     """What output bits rest on besides the inputs: tracking multiplies
     through BLAS gemm, whose rows are bit-stable only per BLAS kernel."""
@@ -119,7 +137,7 @@ def _environment():
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
-                 "config": blas.get("openblas configuration")},
+                 "config": blas.get("openblas configuration"), "kernel": _blas_kernel()},
         "cpu_count": os.cpu_count(),
     }
 

@@ -319,15 +319,18 @@ def build_pair_tensor(features_a, features_b):
 
 # Most (row, column) pairs one tapeless scorer pass takes, and most rows one
 # side product of its first layer takes. Each layer's output, the first
-# layer's broadcast sum too, is then at most this many rows of 64 float32s,
+# layer's pair sums too, is then at most this many rows of 64 float32s,
 # which stays in a 2 MiB L2 cache; one pass over thousands of pairs spills it
 # and runs slower. Tracking the six seed-1 perfbench track-dense scenes (one
-# pinned core of a 2-vCPU VM, one BLAS thread, best of 5) took 0.45-0.47 s in
-# chunks of 300 pairs, 0.43-0.45 s in 600, 0.43-0.48 s in 1,200 and 0.51 s in
-# 2,400. Row invariance of the scorer is swept up to 600 rows
-# (tests/test_numerics.py), so keep this at most 600 or widen the sweep. An
-# accuracy sweep packs many small training pairs into one chunk; a pair of
-# 30 x 30 detections (``capacity`` 30) spans two, of 20 rows and 10.
+# pinned core of a 2-vCPU AVX-512 Xeon VM, one BLAS thread, best and median
+# of 5), with the contiguous elementwise passes, took 0.483/0.557 s in
+# chunks of 300 pairs, 0.487/0.499 s in 450, 0.461/0.486 s in 600,
+# 0.474/0.506 s in 1,200 and 0.546/0.571 s in 2,400. Row invariance of the
+# scorer is swept up to 600 rows (tests/test_numerics.py), so keep this at
+# most 600 or widen the sweep; a row wider than this is cut into column
+# runs (``_strips``). An accuracy sweep packs many small training pairs into
+# one chunk; a pair of 30 x 30 detections (``capacity`` 30) spans two, of 20
+# rows and 10.
 SCORER_CHUNK_PAIRS = 600
 
 
@@ -658,7 +661,7 @@ def _backward_stack(tape, d_geometry, pose_weight, params, grads):
         grad = d_out
         for i in range(len(params.pose_head) - 1, -1, -1):
             layer, (h, z) = params.pose_head[i], tape.head_cache[i]
-            dz = grad * numerics._ACTS[layer.act][1](z)
+            dz = grad * numerics._ACTS[layer.act](z)
             _add_rows(grads, f"pose_head.{i}.w", np.einsum("ki,kj->kij", h, dz))
             _add_rows(grads, f"pose_head.{i}.b", dz)
             grad = (dz[:, None, :] @ layer.w.T)[:, 0]
@@ -772,10 +775,26 @@ def _float32_scorer(params):
     """Float32 copies of the scorer's layers, which the tapeless pass runs
     on (mixed precision, Micikevicius et al., ICLR 2018: the float64
     parameters are the master copy). A weight past float32's range becomes
-    inf and fails the caller's finiteness check."""
+    inf and fails the caller's finiteness check. ``_reserve`` gives the
+    copies their bias rows and zero buffer, sized for the chunks scored."""
     with np.errstate(over="ignore"):
         return [numerics.Layer(layer.w.astype(np.float32), layer.b.astype(np.float32),
                                layer.act) for layer in params.scorer]
+
+
+def _reserve(scorer, pairs):
+    """Grows the float32 ``scorer``'s blocks (see ``numerics.Layer``) to at
+    least ``pairs`` rows: every layer after the first gets its bias tiled
+    into rows, and all layers share one flat zero buffer, ``pairs`` rows of
+    the widest layer. Each copy keeps its blocks, so they are built again
+    only when a chunk holds more pairs than any before it: tiling them per
+    chunk would cost what the contiguous passes save."""
+    if scorer[-1].bias_rows is not None and len(scorer[-1].bias_rows) >= pairs:
+        return
+    zeros = np.zeros(pairs * max(layer.w.shape[1] for layer in scorer), dtype=np.float32)
+    scorer[0].zeros = zeros
+    for layer in scorer[1:]:
+        layer.bias_rows, layer.zeros = np.tile(layer.b, (pairs, 1)), zeros
 
 
 def _side_product(rows, w):
@@ -787,28 +806,42 @@ def _side_product(rows, w):
     return products[0] if len(products) == 1 else np.concatenate(products)
 
 
+def _strips(shapes):
+    """The blocks of ``shapes[k]`` = (n_a, n_b) pairs as ``(a, a_end, b,
+    b_end)`` strips, the blocks' rows stacked side by side: a block at most
+    ``SCORER_CHUNK_PAIRS`` wide is one strip; a wider one is cut, row by
+    row, into column runs of that many pairs, the last one shorter."""
+    a = b = 0
+    for n_a, n_b in shapes:
+        if n_b <= SCORER_CHUNK_PAIRS:
+            yield a, a + n_a, b, b + n_b
+        else:
+            for row in range(a, a + n_a):
+                for run in range(b, b + n_b, SCORER_CHUNK_PAIRS):
+                    yield row, row + 1, run, min(run + SCORER_CHUNK_PAIRS, b + n_b)
+        a, b = a + n_a, b + n_b
+
+
 def _pair_chunks(shapes):
     """The chunks of the tapeless pass over blocks of ``shapes[k]`` =
-    (n_a, n_b) pairs, the blocks' rows stacked side by side: each chunk is
-    its pair count and its ``(a, a_end, b, b_end)`` segments, each pairing
-    stacked rows ``a:a_end`` with ``b:b_end``. A chunk takes consecutive
-    whole rows of the blocks, in order, up to ``SCORER_CHUNK_PAIRS`` pairs
-    (one row at least); a single block is cut every
-    ``SCORER_CHUNK_PAIRS // n_b`` rows."""
-    segments, used, a, b = [], 0, 0, 0
-    for n_a, n_b in shapes:
-        end = a + n_a
+    (n_a, n_b) pairs: each chunk is its pair count and its ``(a, a_end, b,
+    b_end)`` segments, each pairing stacked rows ``a:a_end`` with
+    ``b:b_end``. A chunk takes the ``_strips`` in order, whole rows of each,
+    up to ``SCORER_CHUNK_PAIRS`` pairs, so that no chunk holds more; a
+    single block at most that wide is cut every ``SCORER_CHUNK_PAIRS //
+    n_b`` rows. The pairs come in row-major order of the blocks."""
+    segments, used = [], 0
+    for a, end, b, b_end in _strips(shapes):
+        width = b_end - b
         while a < end:
-            fit = (SCORER_CHUNK_PAIRS - used) // n_b
-            if fit < 1 and segments:
+            fit = (SCORER_CHUNK_PAIRS - used) // width
+            if fit < 1:
                 yield used, segments
-                segments, used = [], 0
-                continue
-            stop = min(end, a + max(1, fit))
-            segments.append((a, stop, b, b + n_b))
-            used += (stop - a) * n_b
+                segments, used, fit = [], 0, SCORER_CHUNK_PAIRS // width
+            stop = min(end, a + fit)
+            segments.append((a, stop, b, b_end))
+            used += (stop - a) * width
             a = stop
-        b += n_b
     if segments:
         yield used, segments
 
@@ -823,30 +856,48 @@ def _tapeless_logits(scorer, rows_a, rows_b, shapes):
     The rows are cast to float32 once; a value past float32's range becomes
     inf and fails the caller's finiteness check. The first layer is split
     by side, ``[a; b] W1 + b1 = (a W1[:d] + b1) + b W1[d:]``: one product
-    per side over all blocks, then one broadcast add per pair, built chunk
-    by chunk (``_pair_chunks``) so that only one chunk's activations exist
-    at a time. Each chunk goes through ``score_pair_logits`` as one
-    (pairs, 1, width) tensor. Every product gives a row the same bits in
-    any batch, so each logit has the bits of its block scored alone. The
-    logits land in float64, exactly."""
+    per side over all blocks, then one sum per pair, built chunk by chunk
+    (``_pair_chunks``) so that only one chunk's activations exist at a
+    time. The adds and the ReLUs run over contiguous operands rather than
+    a short one broadcast once per pair, which numpy loops over one
+    width-long row at a time:
+
+    - a segment's pair sums start as its rows of the left side, each
+      copied once per column into place (the array ``np.repeat`` builds,
+      without the temporary), and then take its column run of the right
+      side in one add, broadcast over the segment's rows only, so that
+      each inner loop runs over a whole contiguous (columns, width) block.
+      Tiling that run into rows first measured no faster: the tile costs
+      what the add saves, and more where a sweep's small blocks each need
+      their own;
+    - the ReLU takes the maximum against the scorer copy's zero buffer;
+    - each chunk then goes through ``score_pair_logits`` as one (pairs, 1,
+      width) tensor, whose layers add their bias rows (``_reserve`` sizes
+      both blocks for the chunk).
+
+    These are the IEEE operations of the broadcast forms, so the bits are
+    theirs. Every product gives a row the same bits in any batch, so each
+    logit has the bits of its block scored alone. The logits land in
+    float64, exactly."""
     with np.errstate(over="ignore"):
         rows_a, rows_b = (rows.astype(np.float32) for rows in (rows_a, rows_b))
     first, d = scorer[0], rows_a.shape[1]
     left = _side_product(rows_a, first.w[:d])
     left += first.b
     right = _side_product(rows_b, first.w[d:])
-    activate = numerics._ACTS[first.act][0]
     logits = np.empty(sum(n_a * n_b for n_a, n_b in shapes))
     done = 0
     for pairs, segments in _pair_chunks(shapes):
+        _reserve(scorer, pairs)
         h = np.empty((pairs, left.shape[1]), dtype=left.dtype)
         used = 0
         for a, a_end, b, b_end in segments:
             n = (a_end - a) * (b_end - b)
-            np.add(left[a:a_end, None], right[None, b:b_end],
-                   out=h[used:used + n].reshape(a_end - a, b_end - b, -1))
+            pairs_h = h[used:used + n].reshape(a_end - a, b_end - b, -1)
+            pairs_h[...] = left[a:a_end, None]
+            pairs_h += right[b:b_end]
             used += n
-        logits[done:done + pairs] = score_pair_logits(activate(h, out=h)[:, None],
+        logits[done:done + pairs] = score_pair_logits(first.activate(h, out=h)[:, None],
                                                       scorer[1:])[:, 0]
         done += pairs
     return logits

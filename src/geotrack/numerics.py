@@ -77,26 +77,33 @@ def as_floats(x):
     return x if x.dtype == np.float32 else np.asarray(x, dtype=np.float64)
 
 
-def _relu(z, out=None):
-    return np.maximum(z, 0.0, out=out)
-
-
-# activation -> (function, derivative), both of the pre-activation z; the
-# function writes into ``out`` when given (``out=z``: in place)
+# activation -> its derivative in the pre-activation z (``Layer.activate``
+# is the function)
 _ACTS = {
-    "linear": (lambda z, out=None: z, lambda z: np.ones_like(z)),
-    "relu": (_relu, lambda z: (z > 0).astype(np.float64)),
+    "linear": lambda z: np.ones_like(z),
+    "relu": lambda z: (z > 0).astype(np.float64),
 }
 
 
 @dataclass
 class Layer:
     """One dense layer: weights (fan_in, fan_out), bias, activation tag.
-    Float32 arrays stay float32 (see ``as_floats``)."""
+    Float32 arrays stay float32 (see ``as_floats``).
+
+    ``bias_rows`` and ``zeros`` serve tapeless forwards only, and are None
+    elsewhere: ``b`` tiled into at least as many rows as a batch has, and a
+    flat zero buffer at least as long as the layer's output, which a ReLU
+    reshapes to the output's shape. ``matching._reserve`` sets them on the
+    tapeless scorer's float32 copies, so that adding the bias and taking the
+    ReLU run over contiguous operands rather than broadcasting a short one
+    per row: the same IEEE operations, so the same bits, in about half the
+    time."""
 
     w: np.ndarray
     b: np.ndarray
     act: str = "linear"
+    bias_rows: np.ndarray | None = None
+    zeros: np.ndarray | None = None
 
     def __post_init__(self):
         self.w = as_floats(self.w)
@@ -107,6 +114,16 @@ class Layer:
             )
         if self.act not in _ACTS:
             raise GeotrackError(f"unknown activation {self.act!r}")
+
+    def activate(self, z, out=None):
+        """The activation of the pre-activation ``z``, into ``out`` when
+        given (``out=z``: in place). A ReLU takes the maximum against this
+        layer's zero buffer when it has one, else against the scalar 0.0;
+        both give +0.0 for -0.0 and keep a NaN."""
+        if self.act == "linear":
+            return z
+        zeros = 0.0 if self.zeros is None else self.zeros[:z.size].reshape(z.shape)
+        return np.maximum(z, zeros, out=out)
 
 
 def init_mlp(sizes, activations, rng):
@@ -136,14 +153,18 @@ def _check_chain(layers, x):
 
 
 # A tapeless forward multiplies a layer through BLAS gemm when its output
-# width is a multiple of this. OpenBLAS (0.3.31, Haswell kernel) then gives
-# each row the same bits at every batch size in dgemm; widths 1-3, 9-12 and
-# 17-20 each change a row's bits with the batch size at some fan-in, so no
-# width threshold would do. The rule holds for sgemm at every layer shape in
-# use, but not at every shape: there widths 8 and multiples of 16 keep a
-# row's bits, while 24, 40, 56, 72 and 88 change them once rows x fan-in x
-# width passes about 10^6 (at fan-in 64 and width 24, past 600 rows).
-# tests/test_numerics.py sweeps every layer shape in use in both precisions.
+# width is a multiple of this. OpenBLAS (0.3.31) picks its kernel from the
+# CPU at load time. Its SkylakeX kernel, which an AVX-512 Xeon gets, gives
+# each row the same bits at every batch size in dgemm; widths 1-3, 9-12
+# and 17-20 each change a row's bits with the batch size at some fan-in,
+# so no width threshold would do. The rule holds for sgemm at every layer
+# shape in use, but not at every shape: there widths 8 and multiples of 16
+# keep a row's bits, while 24, 40, 56, 72 and 88 change them once rows x
+# fan-in x width passes about 10^6 (at fan-in 64 and width 24, past 600
+# rows). The Haswell kernel (an AVX2 CPU without AVX-512, or
+# OPENBLAS_CORETYPE=Haswell) breaks the rule at nearly every shape in use:
+# see ROADMAP item 24. tests/test_numerics.py sweeps every layer shape in
+# use in both precisions.
 GEMM_WIDTH_STEP = 8
 
 
@@ -186,7 +207,12 @@ def mlp_forward(layers, x, cache=None):
     Each layer's product is a fresh array that takes the bias in place.
     Without ``cache`` the ReLU runs in place on it too, as nothing reads the
     pre-activation again; with it, each layer keeps its own ``z`` and ``h``
-    for mlp_backward. Neither touches ``x`` or the layers.
+    for mlp_backward. Neither touches ``x`` or the layers. A layer that
+    carries ``bias_rows`` and ``zeros`` (the tapeless scorer's float32
+    copies) adds its first ``len(z)`` bias rows and takes the ReLU against
+    its zero buffer, over contiguous operands; any other adds ``b`` by
+    broadcasting and takes the ReLU against the scalar 0.0. The bits are
+    the same.
 
     SGD steps keep einsum only so that training reproduces the stored
     benchmark checkpoint bit for bit. Once a benchmark change regenerates
@@ -199,10 +225,10 @@ def mlp_forward(layers, x, cache=None):
     taped = cache is not None
     for layer in layers:
         z = _layer_product(h, layer.w, taped)
-        z += layer.b
+        z += layer.b if layer.bias_rows is None else layer.bias_rows[:len(z)]
         if taped:
             cache.append((h, z))
-        h = _ACTS[layer.act][0](z, out=None if taped else z)
+        h = layer.activate(z, out=None if taped else z)
     return h[0] if single else h
 
 
@@ -220,7 +246,7 @@ def mlp_backward(layers, cache, upstream, input_grad=True):
     for idx in range(len(layers) - 1, -1, -1):
         h, z = cache[idx]
         layer = layers[idx]
-        dz = grad * _ACTS[layer.act][1](z)
+        dz = grad * _ACTS[layer.act](z)
         grads[idx] = (h.T @ dz, dz.sum(axis=0))
         if idx == 0 and not input_grad:
             return grads, None

@@ -206,7 +206,7 @@ def _split_pair_logits(x, params, dtype):
     first = scorer[0]
     z = numerics._layer_product(x[:, :d].copy(), first.w[:d], taped=False) + first.b
     z = z + numerics._layer_product(x[:, d:].copy(), first.w[d:], taped=False)
-    h = numerics._ACTS[first.act][0](z)
+    h = first.activate(z)
     return numerics.mlp_forward(scorer[1:], h)
 
 
@@ -216,6 +216,39 @@ def reference_split_logits(feats_a, feats_b, params, dtype=np.float32):
     and per chunk. float32 is what ``_tapeless_logits`` computes."""
     return _split_pair_logits(_standardized_pairs(feats_a, feats_b, params), params,
                               dtype).reshape(len(feats_a), len(feats_b))
+
+
+def reference_broadcast_logits(params, rows_a, rows_b, shapes):
+    """``matching._tapeless_logits`` with its elementwise passes in the
+    broadcast form they had before the scorer copies held bias rows and a
+    zero buffer: each segment's first-layer pairs from one (rows, n_b,
+    width) broadcast add, each later bias added as ``z += layer.b`` and each
+    ReLU taken against the scalar 0.0. The chunks, side products and layer
+    products are ``_tapeless_logits``' own, on a float32 cast of the scorer
+    made here."""
+    with np.errstate(over="ignore"):
+        scorer = [numerics.Layer(layer.w.astype(np.float32), layer.b.astype(np.float32),
+                                 layer.act) for layer in params.scorer]
+        rows_a, rows_b = (rows.astype(np.float32) for rows in (rows_a, rows_b))
+
+    def relu(z, act):
+        return np.maximum(z, 0.0) if act == "relu" else z
+
+    first, d = scorer[0], rows_a.shape[1]
+    left = matching._side_product(rows_a, first.w[:d])
+    left += first.b
+    right = matching._side_product(rows_b, first.w[d:])
+    logits = []
+    for _, segments in matching._pair_chunks(shapes):
+        h = relu(np.concatenate([(left[a:a_end, None] + right[None, b:b_end])
+                                 .reshape(-1, left.shape[1])
+                                 for a, a_end, b, b_end in segments]), first.act)
+        for layer in scorer[1:]:
+            z = numerics._layer_product(h, layer.w, taped=False)
+            z += layer.b
+            h = relu(z, layer.act)
+        logits.append(h[:, 0])
+    return np.concatenate(logits).astype(np.float64)
 
 
 def reference_logits64(params, rows_a, rows_b, shapes):

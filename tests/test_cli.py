@@ -102,8 +102,31 @@ class TestSimulate:
             assert set(env) == {"python", "numpy", "blas", "cpu_count"}
             assert env["python"] == ".".join(map(str, sys.version_info[:3]))
             assert env["numpy"] == np.__version__
-            assert set(env["blas"]) == {"name", "version", "config"}
+            assert set(env["blas"]) == {"name", "version", "config", "kernel"}
+            kernel = env["blas"]["kernel"]
+            assert kernel is None or (isinstance(kernel, str) and kernel)
             assert isinstance(env["cpu_count"], int) and env["cpu_count"] >= 1
+
+    def test_blas_kernel_is_the_one_that_runs(self):
+        """numpy's bundled OpenBLAS names the kernel it picked for this CPU,
+        which the build's configuration line does not."""
+        kernel = cli._blas_kernel()
+        assert kernel is None or (isinstance(kernel, str) and kernel)
+
+    @pytest.mark.parametrize("loads", [False, True], ids=["no-library", "no-symbol"])
+    def test_blas_kernel_unknown_without_the_query(self, monkeypatch, loads):
+        """A library that does not load, or lacks the query, gives None and
+        no warning."""
+        def cdll(path):
+            if not loads:
+                raise OSError(f"{path}: cannot open shared object file")
+            return object()  # a library without scipy_openblas_get_corename64_
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli._blas_kernel() is None
+            assert cli._environment()["blas"]["kernel"] is None
 
     def test_seed_repetition_identical(self, pipeline, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -3,9 +3,12 @@ import re
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geotrack import matching
 from geotrack.errors import ConfigError, DataError, NonFiniteLossError
@@ -41,6 +44,7 @@ from helpers import (
     grad_check,
     named_arrays,
     raises_internal,
+    reference_broadcast_logits,
     reference_forward_pair,
     reference_pair_accuracy,
     reference_pair_logits,
@@ -378,6 +382,148 @@ class TestGroupedBundleOracle:
     def test_sizes_must_cover_the_rows(self):
         with raises_internal(r"group sizes \[2, 2\] do not add up to 3 rows"):
             augment_normalize(np.zeros((3, 2)), 0.5, [2, 2])
+
+
+class TestPairChunks:
+    """``_pair_chunks`` cuts the pairs of stacked blocks into the chunks the
+    tapeless pass scores: every pair exactly once, in row-major order of
+    the blocks, and no chunk past ``SCORER_CHUNK_PAIRS`` pairs, even where
+    one row of a block is wider than that."""
+
+    @given(chunk=st.integers(1, 12),
+           shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(1, 30)), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_cover_every_pair_once_in_order(self, chunk, shapes):
+        with mock.patch.object(matching, "SCORER_CHUNK_PAIRS", chunk):
+            chunks = list(matching._pair_chunks(shapes))
+        pairs, a, b = [], 0, 0
+        for n_a, n_b in shapes:
+            pairs += [(i, j) for i in range(a, a + n_a) for j in range(b, b + n_b)]
+            a, b = a + n_a, b + n_b
+        covered = [(i, j) for _, segments in chunks for a, a_end, b, b_end in segments
+                   for i in range(a, a_end) for j in range(b, b_end)]
+        assert covered == pairs
+        for count, segments in chunks:
+            assert 0 < count <= chunk
+            assert count == sum((a_end - a) * (b_end - b) for a, a_end, b, b_end in segments)
+
+    def test_whole_rows_while_they_fit(self):
+        # 600 // 7 = 85 whole rows a chunk; a row wider than a chunk is cut
+        assert [count for count, _ in matching._pair_chunks([(100, 7)])] == [595, 105]
+        with mock.patch.object(matching, "SCORER_CHUNK_PAIRS", 3):
+            assert list(matching._pair_chunks([(2, 7)])) == [
+                (3, [(0, 1, 0, 3)]), (3, [(0, 1, 3, 6)]), (1, [(0, 1, 6, 7)]),
+                (3, [(1, 2, 0, 3)]), (3, [(1, 2, 3, 6)]), (1, [(1, 2, 6, 7)])]
+
+
+class TestContiguousPassesOracle:
+    """``_tapeless_logits`` builds a segment's first-layer pairs from its
+    left rows repeated in place and one add of its right column run, and
+    the scorer copy's layers add bias rows and take the ReLU against a zero
+    buffer (``_reserve``). The logits must be byte for byte, sign bits
+    included, those of the broadcast forms
+    (``helpers.reference_broadcast_logits``)."""
+
+    @pytest.fixture(params=["stored-checkpoint", "fresh"])
+    def params(self, request):
+        if request.param == "stored-checkpoint":
+            return load_checkpoint(STORED_CHECKPOINT)
+        # einsum widths 12 and 6 among the gemm ones, and biases that push
+        # some pre-activations below zero
+        rng = np.random.default_rng(5)
+        params = init_matcher_params(MatcherConfig(appearance_dim=8,
+                                                   scorer_hidden=(24, 16, 12, 8, 6)), rng)
+        for layer in params.scorer:
+            layer.b = rng.normal(-0.2, 0.5, size=layer.b.shape)
+        return params
+
+    @staticmethod
+    def rows(params, shapes, seed=0):
+        """Standardized rows for the blocks ``shapes``."""
+        rng = np.random.default_rng(seed)
+        d = params.config.descriptor_dim
+        return (rng.normal(size=(sum(shape[k] for shape in shapes), d)) for k in (0, 1))
+
+    def check(self, params, rows_a, rows_b, shapes, scorer=None):
+        """The logits, after checking them against the reference; each
+        ``score_pair_logits`` call at most ``SCORER_CHUNK_PAIRS`` pairs."""
+        chunks = []
+        original = matching.score_pair_logits
+
+        def counted(pair_tensor, *args, **kwargs):
+            chunks.append(pair_tensor.shape[0] * pair_tensor.shape[1])
+            return original(pair_tensor, *args, **kwargs)
+
+        with mock.patch.object(matching, "score_pair_logits", counted), \
+                np.errstate(over="ignore", invalid="ignore"):
+            got = matching._tapeless_logits(scorer or matching._float32_scorer(params),
+                                            rows_a, rows_b, shapes)
+            want = reference_broadcast_logits(params, rows_a, rows_b, shapes)
+        assert_bits_equal(got, want, "logits")
+        assert sum(chunks) == sum(n_a * n_b for n_a, n_b in shapes)
+        assert max(chunks) <= matching.SCORER_CHUNK_PAIRS
+        return got
+
+    # one block; many small blocks packed as an accuracy sweep packs them;
+    # rows wider than a chunk (alone, and among narrow blocks)
+    SHAPES = {
+        "one-block": [(41, 17)],
+        "packed": [(3, 4), (1, 1), (5, 2), (2, 7), (8, 8), (1, 9), (6, 1), (30, 30)] * 4,
+        "wide-row": [(3, 700)],
+        "wide-among-packed": [(2, 3), (2, 650), (4, 5), (1, 1201)],
+    }
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3, 10**9], ids=["600", "1", "3", "1e9"])
+    @pytest.mark.parametrize("layout", list(SHAPES))
+    def test_bit_equal_to_broadcast_forms(self, params, monkeypatch, layout, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(matching, "SCORER_CHUNK_PAIRS", chunk)
+        shapes = self.SHAPES[layout]
+        self.check(params, *self.rows(params, shapes), shapes)
+
+    def test_signed_zeros(self, params):
+        # rows of +0.0 and -0.0 only, and rows with zeros among values
+        shapes = [(4, 5), (3, 3)]
+        rows_a, rows_b = self.rows(params, shapes, seed=1)
+        signs = np.random.default_rng(2).random(rows_a.shape) < 0.5
+        rows_a[:4] = np.where(signs[:4], -0.0, 0.0)
+        rows_b[::2] = -0.0
+        rows_a[4:, ::3] = 0.0
+        logits = self.check(params, rows_a, rows_b, shapes)
+        assert np.isfinite(logits).all()
+
+    def test_overflowing_value(self, params):
+        # one value past float32's range: the same non-finite logits, and
+        # Matcher.bundle reports it as bad data
+        shapes = [(5, 4)]
+        rows_a, rows_b = self.rows(params, shapes, seed=3)
+        rows_a[2, 0] = 1e39
+        logits = self.check(params, rows_a, rows_b, shapes)
+        assert not np.isfinite(logits[8:12]).any() and np.isfinite(logits[:8]).all()
+        raw = params.input_shift + rows_a / params.input_scale
+        with pytest.raises(DataError, match="descriptor values overflow the pair scorer"):
+            Matcher(params).bundle(raw, params.input_shift + rows_b / params.input_scale)
+
+    def test_blocks_sized_from_chunks_scored(self, params, monkeypatch):
+        # a copy's blocks hold as many rows as its largest chunk so far, not
+        # SCORER_CHUNK_PAIRS, and a smaller chunk reuses them
+        scorer = matching._float32_scorer(params)
+        widest = max(layer.w.shape[1] for layer in scorer)
+        assert all(layer.bias_rows is None and layer.zeros is None for layer in scorer)
+        self.check(params, *self.rows(params, [(2, 3)]), [(2, 3)], scorer)
+        zeros = scorer[0].zeros
+        assert len(zeros) == 6 * widest and not zeros.any()
+        assert all(layer.zeros is zeros for layer in scorer)
+        assert scorer[0].bias_rows is None
+        for layer in scorer[1:]:
+            assert layer.bias_rows.shape == (6, len(layer.b))
+            assert layer.bias_rows.tobytes() == np.tile(layer.b, (6, 1)).tobytes()
+        self.check(params, *self.rows(params, [(1, 4)]), [(1, 4)], scorer)
+        assert scorer[0].zeros is zeros
+        monkeypatch.setattr(matching, "SCORER_CHUNK_PAIRS", 10**9)
+        self.check(params, *self.rows(params, [(40, 30)]), [(40, 30)], scorer)
+        assert len(scorer[0].zeros) == 1200 * widest and not scorer[0].zeros.any()
+        assert all(len(layer.bias_rows) == 1200 for layer in scorer[1:])
 
 
 class TestFloat64MasterCopy:

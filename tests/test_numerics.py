@@ -371,6 +371,28 @@ class TestInPlaceForward:
         assert out.tobytes() == expected.tobytes()
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_rows_and_zero_buffer_keep_the_bits(self, rng, dtype):
+        # the tapeless scorer copies' contiguous operands against the
+        # broadcast bias and the scalar ReLU, on rows holding signed zeros,
+        # infinities and NaN, with blocks longer than the batch
+        plain = [Layer(layer.w.astype(dtype), layer.b.astype(dtype), layer.act)
+                 for layer in self.layers(rng)]
+        zeros = np.zeros(12 * 16, dtype=dtype)
+        blocked = [Layer(layer.w, layer.b, layer.act, np.tile(layer.b, (12, 1)), zeros)
+                   for layer in plain]
+        x = rng.normal(size=(9, 6)).astype(dtype)
+        x[0] = 0.0
+        x[1] = -0.0
+        x[2, :3] = [np.inf, -np.inf, np.nan]
+        with np.errstate(invalid="ignore"):
+            assert mlp_forward(blocked, x).tobytes() == mlp_forward(plain, x).tobytes()
+            assert mlp_forward(blocked, x[4]).tobytes() == mlp_forward(plain, x[4]).tobytes()
+        z = np.array([[-0.0, 0.0, np.nan, -np.inf, np.inf, -1.0]], dtype=dtype)
+        relu = Layer(np.zeros((1, 6), dtype), np.zeros(6, dtype), "relu", zeros=zeros)
+        assert relu.activate(z).tobytes() == np.maximum(z, 0.0).tobytes()
+
+
 class TestPrecision:
     """A tapeless forward runs in the precision it is given: float32 layers
     and input stay float32, and anything else becomes float64."""
